@@ -34,7 +34,7 @@ from .marginals import (
     tomogram_oracle,
 )
 from .reconstruct import DensityMatrix, ReconstructionCutoffs, fidelity, quadrature_matrices, reconstruct_single_mode
-from .specialfn import QuadratureRule, gauss_hermite, hermite_eval, hermite_sq_density_factor
+from .specialfn import hermite_sq_density_factor
 from .states import (
     CoherentEven,
     CoherentOdd,

@@ -30,12 +30,12 @@ from .config import (
     parse_frame,
     parse_system,
 )
-from .convolution import cf_product, convolve_fft, marginals_for_system, sample_sum
+from .convolution import backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
 from .errors import CmtomoError, ConfigError, NumericalError
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import ReconstructionCutoffs, fidelity, reconstruct_single_mode
 from .report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_report
-from .states import CoherentEven, Fock, fock_expansion
+from .states import Fock, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -62,7 +62,6 @@ def _config_digest(raw: RawConfig, args) -> str:
         for key in sorted(raw.sections[section]):
             for value, _ in raw.sections[section][key]:
                 parts.append(f"[{section}] {key} = {value}")
-    # threads deliberately excluded: outputs must not depend on it
     parts.append(f"seed = {args.seed}")
     parts.append(f"epsilon = {args.epsilon}")
     parts.append(f"all_backends = {args.all_backends}")
@@ -116,7 +115,7 @@ def cmd_marginal(raw: RawConfig, args) -> int:
 def cmd_cm(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     frame = parse_frame(raw, sys_spec.n_modes)
-    marginals = marginals_for_system(sys_spec, frame, threads=args.threads)
+    marginals = marginals_for_system(sys_spec, frame)
     pm = per_mode_moments(sys_spec, frame, marginals)
     sigma2 = sum(m.var for m in pm)
     s_n = lyapunov_ratio(pm)
@@ -132,19 +131,8 @@ def cmd_cm(raw: RawConfig, args) -> int:
         mc_density = hist / (len(mc) * cm.grid.dx)
         columns += ["density_cf", "density_mc"]
         data += [cf.values, mc_density]
-        tv_fft_cf = 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx)
-        mc_sorted = np.sort(mc)
-        cdf_grid = np.concatenate([[0.0], np.cumsum(0.5 * (cm.values[1:] + cm.values[:-1]) * cm.grid.dx)])
-        cdf_grid /= cdf_grid[-1]
-        positions = np.searchsorted(mc_sorted, cm.grid.xs, side="right") / len(mc_sorted)
-        ks_fft_mc = float(np.max(np.abs(positions - cdf_grid)))
-        # sampled TV on 16-step cells so histogram noise stays below the contract
-        coarse = cm.grid.xs[::16]
-        probs = np.diff(np.interp(coarse, cm.grid.xs, cdf_grid))
-        counts, _ = np.histogram(mc, bins=coarse)
-        tv_fft_mc = 0.5 * float(np.sum(np.abs(counts / len(mc) - probs)))
-        footer = [f"tv_fft_cf {_fmt(tv_fft_cf)}", f"tv_fft_mc {_fmt(tv_fft_mc)}",
-                  f"ks_fft_mc {_fmt(ks_fft_mc)}"]
+        agree = backend_agreement(cm, cf, mc)
+        footer = [f"{key} {_fmt(agree[key])}" for key in ("tv_fft_cf", "tv_fft_mc", "ks_fft_mc")]
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
         f"frame {frame.describe()}",
@@ -186,8 +174,7 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
         raise ConfigError(f"{raw.source}: scan energy E must be positive")
     if any(n < 0 for n in levels):
         raise ConfigError(f"{raw.source}: n_pattern levels must be nonnegative")
-    reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r,
-                     epsilon=args.epsilon, threads=args.threads)
+    reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r, epsilon=args.epsilon)
     header = _header(raw, args, [
         f"scan fixed-energy E {_fmt(E)} epsilon {_fmt(args.epsilon)}",
     ])
@@ -201,7 +188,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
     frame = parse_frame(raw, sys_spec.n_modes)
     hbar_list = get_float_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
     epsilon = get_float(raw, "scan", "epsilon", default=args.epsilon)
-    reports = hbar_scan(sys_spec, frame, hbar_list, epsilon, threads=args.threads)
+    reports = hbar_scan(sys_spec, frame, hbar_list, epsilon)
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
         f"frame {frame.describe()}",
@@ -231,10 +218,8 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
         def tomogram(X, m, n):
             return fock_tomogram(mode.n, m, n, hbar, X)
     else:
-        parity = "even" if isinstance(mode, CoherentEven) else "odd"
-
         def tomogram(X, m, n):
-            return evenodd_pointwise(mode.alpha, parity, m, n, hbar, X)
+            return evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
 
     # leakage is reported through the output flag, not a console warning
     with warnings.catch_warnings():
@@ -317,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="half-width for the concentrated-mass diagnostics")
     parser.add_argument("--all-backends", action="store_true",
                         help="emit every convolution backend plus cross-check footers")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent scan points")
     parser.add_argument("--mc-samples", type=int, default=10 ** 6,
                         help="Monte-Carlo sample count for --all-backends")
     return parser
@@ -340,8 +323,6 @@ def main(argv=None) -> int:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if args.epsilon is None:
             args.epsilon = float(raw.last("run", "epsilon", 0.1))
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         return _COMMANDS[args.command](raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

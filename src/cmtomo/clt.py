@@ -9,12 +9,11 @@ zero).  S_N is scale-free, hence independent of hbar by construction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import CenterOfMassDensity, convolve_fft, marginals_for_system
+from .convolution import CenterOfMassDensity, convolve_fft, cumulative_trapezoid, marginals_for_system
 from .marginals import Moments, fock_abs3_dimensionless, fock_var_closed, moments
 from .states import Fock, FrameSpec, SystemSpec, energy, hbar_for_fixed_energy
 
@@ -89,23 +88,18 @@ def gaussian_distance(d: CenterOfMassDensity, sigma2: float) -> dict:
     xs = d.grid.xs
     dx = d.grid.dx
     g = np.exp(-xs * xs / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
-    cd = _cumtrapz(d.values, dx)
-    cg = _cumtrapz(g, dx)
+    cd = cumulative_trapezoid(d.values, dx)
+    cg = cumulative_trapezoid(g, dx)
     ks = float(np.max(np.abs(cd - cg)))
     tv = float(0.5 * np.trapezoid(np.abs(d.values - g), dx=dx))
     return {"ks": ks, "tv": tv}
-
-
-def _cumtrapz(values: np.ndarray, dx: float) -> np.ndarray:
-    mid = 0.5 * (values[1:] + values[:-1]) * dx
-    return np.concatenate([[0.0], np.cumsum(mid)])
 
 
 def mass_within(d: CenterOfMassDensity, epsilon: float) -> float:
     """Probability mass of the density inside [-epsilon, epsilon]."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cdf = _cumtrapz(d.values, d.grid.dx)
+    cdf = cumulative_trapezoid(d.values, d.grid.dx)
     xs = d.grid.xs
     hi = float(np.interp(epsilon, xs, cdf, left=0.0, right=cdf[-1]))
     lo = float(np.interp(-epsilon, xs, cdf, left=0.0, right=cdf[-1]))
@@ -140,19 +134,12 @@ def _report_for(sys: SystemSpec, frame: FrameSpec, epsilon: float) -> CltReport:
     )
 
 
-def _run_points(worker, points, threads: int):
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
-
-
 def _cycle(pattern, N):
     return [pattern[i % len(pattern)] for i in range(N)]
 
 
 def n_scan(modes_schedule, frame_schedule, E: float, N_list,
-           r: float, R: float, epsilon: float = 0.1, threads: int = 1) -> list[CltReport]:
+           r: float, R: float, epsilon: float = 0.1) -> list[CltReport]:
     """Fixed-energy scan over the mode count.
 
     modes_schedule: cycled pattern of number-state levels (bounded sup).
@@ -171,11 +158,11 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
         frame = FrameSpec(mu=mus, nu=nus, r=r, R=R)
         return _report_for(sys, frame, epsilon)
 
-    return _run_points(point, list(N_list), threads)
+    return [point(N) for N in N_list]
 
 
 def hbar_scan(sys_base: SystemSpec, frame: FrameSpec, hbar_list,
-              epsilon: float, threads: int = 1) -> list[CltReport]:
+              epsilon: float) -> list[CltReport]:
     """Classical-limit scan: recompute everything at each hbar.
 
     hbar_list must be strictly decreasing; the reported mass inside
@@ -190,4 +177,4 @@ def hbar_scan(sys_base: SystemSpec, frame: FrameSpec, hbar_list,
         sys = SystemSpec(modes=sys_base.modes, hbar=hbar)
         return _report_for(sys, frame, epsilon)
 
-    return _run_points(point, values, threads)
+    return [point(hbar) for hbar in values]

@@ -22,9 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, GridSizeError, NormalizationMismatchWarning, NumericalError
-from .specialfn import _orthonormal_poly_pair, gauss_laguerre, hermite_functions, hermite_sq_density_factor
+from .specialfn import _orthonormal_poly_pair, hermite_functions, hermite_sq_density_factor
 from .states import (
-    CoherentEven,
     Fock,
     FockExpansion,
     ModeSpec,
@@ -34,6 +33,8 @@ from .states import (
 
 _SQRT_PI = math.sqrt(math.pi)
 _MAX_GRID = 2 ** 22
+# levels the oracle expansion carries beyond the 1e-12 tail policy
+_ORACLE_EXTRA_LEVELS = 24
 
 
 @dataclass(frozen=True)
@@ -59,26 +60,12 @@ class Grid:
         return self.dx * (self.count - 1)
 
 
-def centered_grid(half_width: float, dx_target: float, max_count: int = _MAX_GRID) -> Grid:
-    """Smallest power-of-two grid symmetric about 0 with dx <= dx_target."""
-    if half_width <= 0 or dx_target <= 0:
-        raise ValueError("grid parameters must be positive")
-    count = 2
-    while count * dx_target < 2.0 * half_width:
-        count *= 2
-        if count > max_count:
-            raise GridSizeError(f"grid would need more than {max_count} points")
-    dx = 2.0 * half_width / count
-    if dx == 0.0:
-        raise GridSizeError("grid spacing underflowed")
-    return Grid(x0=-(count // 2) * dx, dx=dx, count=count)
+def centered_grid(half_width: float, dx: float, max_count: int = _MAX_GRID) -> Grid:
+    """Smallest power-of-two grid of this exact spacing with count*dx >= 2*half_width.
 
-
-def lattice_grid(half_width: float, dx: float, max_count: int = _MAX_GRID) -> Grid:
-    """Centered grid with this exact spacing, nodes at integer multiples of dx.
-
-    Grids sharing one dx land on a common lattice, which makes linear
-    resampling between them lossless.
+    Nodes sit at integer multiples of dx, from -(count/2) dx upward, so
+    grids sharing one dx land on a common lattice and linear resampling
+    between them is lossless.
     """
     if half_width <= 0 or dx <= 0:
         raise ValueError("grid parameters must be positive")
@@ -102,10 +89,12 @@ class MarginalDensity:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.count,):
             raise ValueError("value count must match the grid")
+        if not np.all(np.isfinite(self.values)):
+            raise NumericalError("density has non-finite values")
         if np.any(self.values < 0):
             raise NumericalError("density has negative values")
         total = float(np.trapezoid(self.values, dx=self.grid.dx))
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise NumericalError(f"density integral {total} is not 1 within 1e-8")
 
 
@@ -151,13 +140,12 @@ def fock_abs3_dimensionless(n: int) -> float:
     u * H_n^2(sqrt(u)) e^{-u} (a degree n+1 polynomial against e^{-u}),
     so a Gauss-Laguerre rule with n//2 + 2 nodes integrates it exactly.
     """
-    rule = gauss_laguerre(n // 2 + 2)
-    u = rule.nodes
+    u, weights = np.polynomial.laguerre.laggauss(n // 2 + 2)
     # p_n(sqrt(u))^2 with p_n = H_n/sqrt(2^n n! sqrt(pi)), assembled in log
     # scale: the rule weights carry e^{-u} while p_n^2 grows like e^{+u}
     p1, _, ls = _orthonormal_poly_pair(n, np.sqrt(u))
     with np.errstate(divide="ignore"):
-        log_term = np.log(rule.weights) + np.log(u) + 2.0 * np.log(np.abs(p1)) + 2.0 * ls
+        log_term = np.log(weights) + np.log(u) + 2.0 * np.log(np.abs(p1)) + 2.0 * ls
     return float(np.sum(np.exp(log_term)))
 
 
@@ -182,13 +170,9 @@ def _fock_policy(n: int, mu: float, nu: float, hbar: float) -> tuple[float, floa
     return 8.0 * sigma, dx
 
 
-def _fock_grid(n: int, mu: float, nu: float, hbar: float) -> Grid:
-    return centered_grid(*_fock_policy(n, mu, nu, hbar))
-
-
 def fock_marginal(n: int, mu: float, nu: float, hbar: float, grid: Grid | None = None) -> MarginalDensity:
     if grid is None:
-        grid = _fock_grid(n, mu, nu, hbar)
+        grid = centered_grid(*_fock_policy(n, mu, nu, hbar))
     vals = fock_tomogram(n, mu, nu, hbar, grid.xs)
     s = _scale(mu, nu, hbar)
     meta = {"kind": f"fock {n}", "mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0,
@@ -283,16 +267,11 @@ def _cat_policy(alpha: complex, parity: str, mu: float, nu: float, hbar: float) 
     return 8.0 * sigma, dx
 
 
-def _cat_grid(alpha: complex, parity: str, mu: float, nu: float, hbar: float) -> Grid:
-    return centered_grid(*_cat_policy(alpha, parity, mu, nu, hbar))
-
-
 def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[float, float]:
     """(half_width, dx) the default grid policy assigns to this mode."""
     if isinstance(mode, Fock):
         return _fock_policy(mode.n, mu, nu, hbar)
-    parity = "even" if isinstance(mode, CoherentEven) else "odd"
-    return _cat_policy(mode.alpha, parity, mu, nu, hbar)
+    return _cat_policy(mode.alpha, mode.parity, mu, nu, hbar)
 
 
 def evenodd_tomogram(alpha: complex, parity: str, mu: float, nu: float, hbar: float,
@@ -304,7 +283,7 @@ def evenodd_tomogram(alpha: complex, parity: str, mu: float, nu: float, hbar: fl
     raises NormalizationMismatchWarning but the computation proceeds.
     """
     if grid is None:
-        grid = _cat_grid(alpha, parity, mu, nu, hbar)
+        grid = centered_grid(*_cat_policy(alpha, parity, mu, nu, hbar))
     vals = evenodd_pointwise(alpha, parity, mu, nu, hbar, grid.xs)
     pre = float(np.trapezoid(vals, dx=grid.dx))
     if pre <= 0:
@@ -408,24 +387,17 @@ def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
     """Dispatch a mode to its closed-form gridded tomogram."""
     if isinstance(mode, Fock):
         return fock_marginal(mode.n, mu, nu, hbar, grid)
-    parity = "even" if isinstance(mode, CoherentEven) else "odd"
-    return evenodd_tomogram(mode.alpha, parity, mu, nu, hbar, grid)
+    return evenodd_tomogram(mode.alpha, mode.parity, mu, nu, hbar, grid)
 
 
 def oracle_marginal(mode: ModeSpec, mu: float, nu: float, hbar: float,
-                    grid: Grid | None = None, extra_levels: int = 24) -> MarginalDensity:
+                    grid: Grid | None = None) -> MarginalDensity:
     """Oracle-route tomogram for a mode, on the closed form's default grid.
 
-    extra_levels tightens the expansion beyond the 1e-12 tail policy so
-    the amplitude-level truncation error sits well below 1e-9.
+    The expansion runs past the 1e-12 tail policy so the amplitude-level
+    truncation error sits well below 1e-9.
     """
     if grid is None:
-        if isinstance(mode, Fock):
-            grid = _fock_grid(mode.n, mu, nu, hbar)
-        else:
-            parity = "even" if isinstance(mode, CoherentEven) else "odd"
-            grid = _cat_grid(mode.alpha, parity, mu, nu, hbar)
-    psi = fock_expansion(mode)
-    if extra_levels:
-        psi = fock_expansion(mode, D=psi.truncation + extra_levels)
+        grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
+    psi = fock_expansion(mode, D=fock_expansion(mode).truncation + _ORACLE_EXTRA_LEVELS)
     return tomogram_oracle(psi, mu, nu, hbar, grid)

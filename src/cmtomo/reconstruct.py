@@ -37,7 +37,6 @@ class ReconstructionCutoffs:
     angular_nodes: int = 128
     x_sigmas: float = 10.0
     x_points: int = 1024
-    basis_pad: int | None = None          # default grows with the radius cutoff
 
 
 @dataclass
@@ -52,6 +51,8 @@ class DensityMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.shape != (self.dim, self.dim):
             raise ValueError("entries must be dim x dim")
+        if not np.all(np.isfinite(self.entries)):
+            raise NumericalError("density matrix has non-finite entries")
         if np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-8:
             raise NumericalError("density matrix is not Hermitian within 1e-8")
         if abs(np.trace(self.entries).real - 1.0) > 1e-6:
@@ -87,9 +88,8 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
         raise ValueError("hbar must be positive")
     K = cutoffs.frame_radius if cutoffs.frame_radius is not None else 10.0 / math.sqrt(hbar)
     xi_max_sq = hbar * K * K / 2.0   # phase-space displacement reach of the cutoff
-    pad = cutoffs.basis_pad
-    if pad is None:
-        pad = int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq) + 2.0 * math.sqrt(dim * xi_max_sq))) + 8
+    # the working basis grows with the displacement reach of the cutoff
+    pad = int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq) + 2.0 * math.sqrt(dim * xi_max_sq))) + 8
     W = dim + pad
 
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(cutoffs.radial_nodes)

@@ -1,63 +1,22 @@
-"""Stable Hermite-polynomial evaluation and Gaussian quadrature rules.
+"""Stable evaluation of Hermite functions and their squares.
 
 Everything here works with the physicists' Hermite polynomials H_n
 (weight e^{-y^2}).  Large-n evaluation goes through the orthonormal
-functions h_n(y) = H_n(y) e^{-y^2/2} / sqrt(2^n n! sqrt(pi)), whose
-three-term recurrence keeps every intermediate bounded; the raw H_n
-overflow near n ~ 150 and are only exposed for small-n use.
+functions h_n(y) = H_n(y) e^{-y^2/2} / sqrt(2^n n! sqrt(pi)) or the
+orthonormal polynomials p_n = H_n / sqrt(2^n n! sqrt(pi)), whose
+three-term recurrences keep every intermediate bounded; the raw H_n
+overflow near n ~ 150 and are never formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
-from .errors import ConvergenceError
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # Mantissa rescaling threshold for the exponential-free recurrence.
 _RESCALE = 1e120
 _LOG_RESCALE = 120.0 * math.log(10.0)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating f against e^{-y^2} on the real line."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("quadrature nodes must be strictly increasing")
-        if np.any(self.weights < 0):
-            raise ValueError("quadrature weights must be nonnegative")
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
-
-def hermite_eval(n: int, y: float) -> float:
-    """H_n(y) by the raw recurrence H_{k+1} = 2y H_k - 2k H_{k-1}.
-
-    Raises OverflowError once the value leaves the representable range;
-    large-n callers should use hermite_sq_density_factor instead.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    h0, h1 = 1.0, 2.0 * y
-    if n == 0:
-        return h0
-    for k in range(1, n):
-        h0, h1 = h1, 2.0 * y * h1 - 2.0 * k * h0
-    if not math.isfinite(h1):
-        raise OverflowError(f"H_{n}({y}) exceeds the representable range")
-    return h1
 
 
 def hermite_functions(nmax: int, y) -> np.ndarray:
@@ -76,23 +35,20 @@ def hermite_functions(nmax: int, y) -> np.ndarray:
         out[k + 1] = y * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
     return out
 
+
 def hermite_sq_density_factor(n: int, y):
-    """H_n^2(y) e^{-y^2} / (2^n n! sqrt(pi)), stable for n up to >= 500.
+    """H_n^2(y) e^{-y^2} / (2^n n! sqrt(pi)), stable for n up to at least 1000.
 
     This is the unit-normalized density of the n-th oscillator level in
-    a dimensionless quadrature variable; it equals h_n(y)^2.
+    a dimensionless quadrature variable; it equals h_n(y)^2, formed as
+    p_n(y)^2 e^{-y^2} from the log-scaled polynomial recurrence so that
+    no Gaussian factor underflows before the polynomial has grown.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
     y_arr = np.asarray(y, dtype=float)
-    h0 = math.pi ** -0.25 * np.exp(-0.5 * y_arr * y_arr)
-    if n == 0:
-        result = h0 * h0
-    else:
-        h1 = math.sqrt(2.0) * y_arr * h0
-        for k in range(1, n):
-            h0, h1 = h1, y_arr * math.sqrt(2.0 / (k + 1)) * h1 - math.sqrt(k / (k + 1)) * h0
-        result = h1 * h1
+    p1, _, ls = _orthonormal_poly_pair(n, y_arr)
+    result = p1 * p1 * np.exp(2.0 * ls - y_arr * y_arr)
     if np.isscalar(y):
         return float(result)
     return result
@@ -103,7 +59,7 @@ def _orthonormal_poly_pair(m: int, z: np.ndarray):
 
     p_k = H_k / sqrt(2^k k! sqrt(pi)) grows like e^{z^2/2} at large |z|,
     so the recurrence carries a per-node log-scale: the true values are
-    (p1, p2) * exp(ls).  Newton steps use only the scale-free ratio.
+    (p1, p2) * exp(ls).
     """
     p1 = np.full_like(z, math.pi ** -0.25)
     p2 = np.zeros_like(z)
@@ -116,60 +72,3 @@ def _orthonormal_poly_pair(m: int, z: np.ndarray):
             p2[big] /= _RESCALE
             ls[big] += _LOG_RESCALE
     return p1, p2, ls
-
-
-@lru_cache(maxsize=64)
-def gauss_hermite(m: int) -> QuadratureRule:
-    """Gauss-Hermite rule with m nodes, exact for degree <= 2m-1.
-
-    Initial guesses are the eigenvalues of the Jacobi matrix; each node
-    is then polished by Newton iteration on the orthonormal recurrence
-    until the update falls below 1e-14 (relative).  Weights come from
-    w_i = 2 / (sqrt(2m) p_{m-1}(x_i))^2, evaluated in log scale so the
-    extreme nodes of large rules underflow cleanly to zero.
-    """
-    if not 1 <= m <= 512:
-        raise ValueError("node count must be in [1, 512]")
-    if m == 1:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.array([_SQRT_PI]))
-    off = np.sqrt(np.arange(1, m) / 2.0)
-    z = eigh_tridiagonal(np.zeros(m), off, eigvals_only=True)
-    tol = 1e-14
-    for _ in range(40):
-        p1, p2, _ = _orthonormal_poly_pair(m, z)
-        dz = p1 / (math.sqrt(2.0 * m) * p2)
-        z = z - dz
-        if np.max(np.abs(dz) / np.maximum(1.0, np.abs(z))) <= tol:
-            break
-    else:
-        raise ConvergenceError(f"Gauss-Hermite nodes for m={m} did not reach 1e-14")
-    p1, p2, ls = _orthonormal_poly_pair(m, z)
-    residual = np.max(np.abs(p1 * np.exp(np.minimum(ls - 0.5 * z * z, 0.0))))
-    if residual > 1e-10:
-        raise ConvergenceError(f"Gauss-Hermite residual {residual:.2e} too large for m={m}")
-    log_w = math.log(2.0) - 2.0 * (np.log(np.abs(math.sqrt(2.0 * m) * p2)) + ls)
-    w = np.where(log_w > -745.0, np.exp(np.maximum(log_w, -745.0)), 0.0)
-    # enforce the exact +/- symmetry of the rule
-    z = 0.5 * (z - z[::-1])
-    w = 0.5 * (w + w[::-1])
-    if m % 2 == 1:
-        z[m // 2] = 0.0
-    if abs(float(w.sum()) - _SQRT_PI) > 1e-12:
-        raise ConvergenceError(f"Gauss-Hermite weights for m={m} sum to {w.sum()}, not sqrt(pi)")
-    return QuadratureRule(nodes=z, weights=w)
-
-
-@lru_cache(maxsize=256)
-def gauss_laguerre(m: int) -> QuadratureRule:
-    """Gauss-Laguerre rule (weight e^{-u} on [0, inf)), m nodes."""
-    if m < 1:
-        raise ValueError("node count must be positive")
-    u, w = np.polynomial.laguerre.laggauss(m)
-    return QuadratureRule(nodes=u, weights=w)
-
-
-def log_factorial(n: int) -> float:
-    """log(n!) through lgamma; exact-integer callers should use math.factorial."""
-    if n < 0:
-        raise ValueError("factorial argument must be nonnegative")
-    return math.lgamma(n + 1)

@@ -30,6 +30,7 @@ class Fock:
 @dataclass(frozen=True)
 class CoherentEven:
     alpha: complex
+    parity = "even"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -38,6 +39,7 @@ class CoherentEven:
 @dataclass(frozen=True)
 class CoherentOdd:
     alpha: complex
+    parity = "odd"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -60,8 +62,8 @@ class SystemSpec:
         object.__setattr__(self, "modes", tuple(self.modes))
         if len(self.modes) == 0:
             raise ValueError("a system needs at least one mode")
-        if not (self.hbar > 0):
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be positive and finite")
 
     @property
     def n_modes(self) -> int:
@@ -72,10 +74,8 @@ class SystemSpec:
         for m in self.modes:
             if isinstance(m, Fock):
                 parts.append(f"fock {m.n}")
-            elif isinstance(m, CoherentEven):
-                parts.append(f"even {m.alpha.real:.17g} {m.alpha.imag:.17g}")
             else:
-                parts.append(f"odd {m.alpha.real:.17g} {m.alpha.imag:.17g}")
+                parts.append(f"{m.parity} {m.alpha.real:.17g} {m.alpha.imag:.17g}")
         return f"hbar={self.hbar:.17g}; " + "; ".join(parts)
 
 
@@ -101,10 +101,6 @@ class FrameSpec:
                 raise ValueError(
                     f"frame radius mu^2+nu^2 = {rho:.6g} at mode {i} outside ({self.r:.6g}, {self.R:.6g})"
                 )
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.asarray(self.mu) ** 2 + np.asarray(self.nu) ** 2
 
     def describe(self) -> str:
         mus = " ".join(f"{v:.17g}" for v in self.mu)
@@ -181,7 +177,7 @@ def fock_expansion(mode: ModeSpec, D: int | None = None, cap: int = _DEFAULT_TRU
         c[mode.n] = 1.0
         return FockExpansion(coefficients=c, truncation=size)
 
-    parity = "even" if isinstance(mode, CoherentEven) else "odd"
+    parity = mode.parity
     alpha = mode.alpha
     if D is None:
         a2 = abs(alpha) ** 2

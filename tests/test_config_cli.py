@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,16 +277,15 @@ def report_rows(path):
 
 
 class TestDeterminism:
-    def test_byte_identical_runs_and_threads(self, tmp_path):
+    def test_byte_identical_runs(self, tmp_path):
         cfg = write(tmp_path, "c.cfg",
                     "[scan]\nE = 10\nN_list = 4 8\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\n")
         outs = []
-        for name, threads in [("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")]:
+        for name in ("a.csv", "b.csv"):
             out = str(tmp_path / name)
-            assert main(["clt-scan", "--config", cfg, "--out", out,
-                         "--seed", "42", "--threads", threads]) == 0
+            assert main(["clt-scan", "--config", cfg, "--out", out, "--seed", "42"]) == 0
             outs.append(open(out, "rb").read())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_mc_backend_deterministic(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1 x2\n[frame]\nmu = 1.0\nnu = 0.0\n")
@@ -317,3 +320,24 @@ class TestExitCodes:
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[run]\nout = {out}\n")
         assert main(["marginal", "--config", cfg]) == 0
         assert out.exists()
+
+    def test_nonfinite_density_exit_three(self, tmp_path):
+        # at |alpha| = 5 the closed form evaluates to nan on every node;
+        # the density validator stops it before anything is written
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = even 5 0\n")
+        assert main(["marginal", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_infinite_hbar_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = inf\nmode = fock 0\n[frame]\nmu = 1.0\nnu = 0.0\n")
+        assert main(["cm", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{cfg}:2:" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, cmtomo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from cmtomo.convolution import (
+    CenterOfMassDensity,
     _char_function,
+    backend_agreement,
     cf_product,
     common_grid,
     convolve_fft,
+    cumulative_trapezoid,
     marginals_for_system,
     sample_sum,
 )
@@ -146,8 +149,7 @@ class TestSampleSum:
         marg = marginals_for_system(sys, frame)
         cm = convolve_fft(marg)
         samples = np.sort(sample_sum(sys, frame, 10 ** 6, seed=99, marginals=marg))
-        mid = 0.5 * (cm.values[1:] + cm.values[:-1]) * cm.grid.dx
-        cdf = np.concatenate([[0.0], np.cumsum(mid)])
+        cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
         cdf /= cdf[-1]
         emp = np.searchsorted(samples, cm.grid.xs, side="right") / len(samples)
         ks = float(np.max(np.abs(emp - cdf)))
@@ -160,3 +162,27 @@ class TestSampleSum:
         s = sample_sum(sys, frame, 200000, seed=5, marginals=marg)
         want = sum(moments(m).var for m in marg)
         assert s.var() == pytest.approx(want, rel=0.02)
+
+
+class TestBackendAgreement:
+    def setup_method(self):
+        sys, frame = iid_system(Fock(1), 2)
+        marg = marginals_for_system(sys, frame)
+        self.cm = convolve_fft(marg)
+        self.samples = sample_sum(sys, frame, 200000, seed=3, marginals=marg)
+
+    def test_identical_densities(self):
+        agree = backend_agreement(self.cm, self.cm, self.samples)
+        assert agree["tv_fft_cf"] == 0.0
+        assert agree["ks_fft_mc"] < 0.005
+        assert agree["tv_fft_mc"] < 0.01
+
+    def test_shifted_cf_density_detected(self):
+        grid = self.cm.grid
+        shifted = np.roll(self.cm.values, 1)
+        shifted /= np.trapezoid(shifted, dx=grid.dx)
+        cf = CenterOfMassDensity(grid=grid, values=shifted)
+        assert backend_agreement(self.cm, cf, self.samples)["tv_fft_cf"] > 1e-6
+
+    def test_cumulative_trapezoid(self):
+        np.testing.assert_allclose(cumulative_trapezoid(np.array([1.0, 3.0, 5.0]), 0.5), [0.0, 1.0, 3.0])

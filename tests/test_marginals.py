@@ -16,7 +16,6 @@ from cmtomo.marginals import (
     fock_marginal,
     fock_tomogram,
     fock_var_closed,
-    lattice_grid,
     marginal_density,
     moments,
     oracle_marginal,
@@ -65,8 +64,9 @@ class TestGrids:
         assert g.xs[0] == pytest.approx(-g.xs[-1] - g.dx, rel=1e-12)
 
     def test_lattice_grids_share_nodes(self):
-        small = lattice_grid(2.0, 0.013)
-        big = lattice_grid(7.0, 0.013)
+        small = centered_grid(2.0, 0.013)
+        big = centered_grid(7.0, 0.013)
+        assert small.dx == big.dx == 0.013
         mask = (big.xs >= small.xs[0] - 1e-12) & (big.xs <= small.xs[-1] + 1e-12)
         inner = big.xs[mask]
         assert len(inner) == small.count
@@ -85,6 +85,12 @@ class TestFockTomogram:
     def test_normalization_level_five(self):
         d = fock_marginal(5, 1.0, 0.0, 1.0)
         assert np.trapezoid(d.values, dx=d.grid.dx) == pytest.approx(1.0, abs=1e-8)
+
+    def test_normalization_level_1000(self):
+        # the Gaussian factor alone underflows past |y| ~ 38.6, inside this
+        # level's support; the log-scaled recurrence keeps the whole mass
+        d = fock_marginal(1000, 1.0, 0.0, 1.0)
+        assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +206,7 @@ class TestEvenOddTomogram:
 
     def test_normalization_warning_on_bad_grid(self):
         # a grid covering half the support misses mass: warning, not error
-        g = lattice_grid(0.4, 0.01)
+        g = centered_grid(0.4, 0.01)
         with pytest.warns(NormalizationMismatchWarning):
             evenodd_tomogram(2.0, "even", 1.0, 0.0, 1.0, grid=g)
 
@@ -299,3 +305,8 @@ class TestMarginalDispatch:
             MarginalDensity(grid=g, values=np.full(g.count, -1.0))
         with pytest.raises(NumericalError):
             MarginalDensity(grid=g, values=np.full(g.count, 7.0))
+
+    def test_density_rejects_nan(self):
+        g = centered_grid(1.0, 0.1)
+        with pytest.raises(NumericalError):
+            MarginalDensity(grid=g, values=np.full(g.count, np.nan))

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cmtomo.specialfn import (
-    QuadratureRule,
-    gauss_hermite,
-    gauss_laguerre,
-    hermite_eval,
-    hermite_functions,
-    hermite_sq_density_factor,
-    log_factorial,
-)
+from cmtomo.specialfn import hermite_functions, hermite_sq_density_factor
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -31,31 +23,34 @@ def hermite_int_coeffs(n):
     return a
 
 
+def squared_factor(n, h, y):
+    """H_n(y)^2 e^{-y^2} / (2^n n! sqrt(pi)) from a known value h = H_n(y)."""
+    return h * h * math.exp(-y * y) / (2 ** n * math.factorial(n) * SQRT_PI)
+
+
 class TestHermiteEval:
+    """Known H_n values, seen through the squared density factor."""
+
     def test_h0_is_one(self):
-        assert hermite_eval(0, 3.7) == 1.0
+        assert hermite_sq_density_factor(0, 3.7) == pytest.approx(squared_factor(0, 1.0, 3.7), rel=1e-14)
 
     def test_h1(self):
-        assert hermite_eval(1, 1.5) == 3.0
+        assert hermite_sq_density_factor(1, 1.5) == pytest.approx(squared_factor(1, 3.0, 1.5), rel=1e-14)
 
     def test_h3(self):
         # H_3(y) = 8 y^3 - 12 y
-        assert hermite_eval(3, 2.0) == 40.0
+        assert hermite_sq_density_factor(3, 2.0) == pytest.approx(squared_factor(3, 40.0, 2.0), rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 5, 9, 17])
     def test_matches_integer_coefficients(self, n):
         coeffs = hermite_int_coeffs(n)
         for y in (-2.3, 0.0, 0.4, 3.1):
             exact = sum(c * y ** p for p, c in enumerate(coeffs))
-            assert hermite_eval(n, y) == pytest.approx(exact, rel=1e-12)
-
-    def test_overflow_signaled(self):
-        with pytest.raises(OverflowError):
-            hermite_eval(400, 25.0)
+            assert hermite_sq_density_factor(n, y) == pytest.approx(squared_factor(n, exact, y), rel=1e-12)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            hermite_eval(-1, 0.0)
+            hermite_sq_density_factor(-1, 0.0)
 
 
 class TestDensityFactor:
@@ -89,82 +84,3 @@ class TestDensityFactor:
         vals = hermite_sq_density_factor(500, np.linspace(-45, 45, 301))
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= 0)
-
-
-def double_factorial_moment(k):
-    """integral y^{2k} e^{-y^2} dy = (2k-1)!! sqrt(pi) / 2^k (exact oracle)."""
-    acc = 1
-    for j in range(1, 2 * k, 2):
-        acc *= j
-    return acc * SQRT_PI / 2 ** k
-
-
-class TestGaussHermite:
-    def test_m1(self):
-        rule = gauss_hermite(1)
-        assert rule.nodes[0] == 0.0
-        assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15)
-
-    def test_m2(self):
-        rule = gauss_hermite(2)
-        np.testing.assert_allclose(rule.nodes, [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
-        np.testing.assert_allclose(rule.weights, [SQRT_PI / 2, SQRT_PI / 2], rtol=1e-15)
-
-    def test_m16_y8(self):
-        rule = gauss_hermite(16)
-        got = rule.integrate(lambda y: y ** 8)
-        assert got == pytest.approx(105 * SQRT_PI / 16, rel=1e-12)
-
-    @pytest.mark.parametrize("m", [2, 3, 8, 16, 33, 64])
-    def test_all_moments_exact(self, m):
-        rule = gauss_hermite(m)
-        for k in range(m):  # 2k <= 2m - 1
-            got = float(np.sum(rule.weights * rule.nodes ** (2 * k)))
-            assert got == pytest.approx(double_factorial_moment(k), rel=1e-12), k
-
-    @pytest.mark.parametrize("m", [128, 256, 512])
-    def test_large_rules_low_moments(self, m):
-        rule = gauss_hermite(m)
-        for k in range(10):
-            got = float(np.sum(rule.weights * rule.nodes ** (2 * k)))
-            assert got == pytest.approx(double_factorial_moment(k), rel=1e-12)
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 16, 100, 512])
-    def test_weight_sum_and_symmetry(self, m):
-        rule = gauss_hermite(m)
-        assert float(rule.weights.sum()) == pytest.approx(SQRT_PI, abs=1e-12)
-        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=0)
-        assert np.all(np.diff(rule.nodes) > 0)
-
-    def test_odd_moments_vanish(self):
-        rule = gauss_hermite(24)
-        assert abs(float(np.sum(rule.weights * rule.nodes ** 7))) < 1e-13
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gauss_hermite(0)
-        with pytest.raises(ValueError):
-            gauss_hermite(513)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([1.0, 0.0]), weights=np.array([1.0, 1.0]))
-
-
-class TestGaussLaguerre:
-    def test_exponential_moments(self):
-        rule = gauss_laguerre(12)
-        for k in range(8):  # integral u^k e^{-u} du = k!
-            got = float(np.sum(rule.weights * rule.nodes ** k))
-            assert got == pytest.approx(math.factorial(k), rel=1e-12)
-
-
-class TestLogFactorial:
-    def test_against_bigint(self):
-        for n in (0, 1, 5, 170, 1000):
-            want = math.log(math.factorial(n)) if n else 0.0
-            assert log_factorial(n) == pytest.approx(want, rel=1e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
