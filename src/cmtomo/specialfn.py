@@ -68,7 +68,8 @@ def _orthonormal_poly_pair(m: int, z: np.ndarray):
         p1, p2 = z * math.sqrt(2.0 / (j + 1)) * p1 - math.sqrt(j / (j + 1)) * p2, p1
         big = np.abs(p1) > _RESCALE
         if big.any():
-            p1[big] /= _RESCALE
-            p2[big] /= _RESCALE
-            ls[big] += _LOG_RESCALE
+            # np.where, not masked assignment: a 0-d z makes p1 a numpy scalar
+            p1 = np.where(big, p1 / _RESCALE, p1)
+            p2 = np.where(big, p2 / _RESCALE, p2)
+            ls = np.where(big, ls + _LOG_RESCALE, ls)
     return p1, p2, ls

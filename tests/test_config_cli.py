@@ -277,7 +277,8 @@ def report_rows(path):
 
 
 class TestDeterminism:
-    def test_byte_identical_runs(self, tmp_path):
+    def test_byte_identical_runs_and_threads(self, tmp_path):
+        # scans run on one thread; two runs of one config and seed agree byte for byte
         cfg = write(tmp_path, "c.cfg",
                     "[scan]\nE = 10\nN_list = 4 8\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\n")
         outs = []

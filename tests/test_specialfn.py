@@ -23,6 +23,14 @@ def hermite_int_coeffs(n):
     return a
 
 
+def exact_hermite(n, y):
+    """H_n(y) for integer y by the integer recurrence (oracle)."""
+    prev, cur = 1, 2 * y
+    for k in range(1, n):
+        prev, cur = cur, 2 * y * cur - 2 * k * prev
+    return cur if n else prev
+
+
 def squared_factor(n, h, y):
     """H_n(y)^2 e^{-y^2} / (2^n n! sqrt(pi)) from a known value h = H_n(y)."""
     return h * h * math.exp(-y * y) / (2 ** n * math.factorial(n) * SQRT_PI)
@@ -47,6 +55,15 @@ class TestHermiteEval:
         for y in (-2.3, 0.0, 0.4, 3.1):
             exact = sum(c * y ** p for p, c in enumerate(coeffs))
             assert hermite_sq_density_factor(n, y) == pytest.approx(squared_factor(n, exact, y), rel=1e-12)
+
+    def test_overflow_signaled(self):
+        # H_400(25) is an exact integer too large for a double; the factor
+        # built from it stays finite and matches the bigint value
+        h = exact_hermite(400, 25)
+        with pytest.raises(OverflowError):
+            float(h)
+        log_want = 2 * math.log(abs(h)) - 625 - 400 * math.log(2) - math.lgamma(401) - math.log(SQRT_PI)
+        assert hermite_sq_density_factor(400, 25.0) == pytest.approx(math.exp(log_want), rel=1e-11)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
