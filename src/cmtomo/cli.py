@@ -31,9 +31,9 @@ from .config import (
     parse_system,
 )
 from .convolution import backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
-from .errors import CmtomoError, ConfigError, NumericalError
+from .errors import CmtomoError, ConfigError, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
-from .reconstruct import ReconstructionCutoffs, fidelity, reconstruct_single_mode
+from .reconstruct import CutoffError, ReconstructionCutoffs, fidelity, reconstruct_single_mode
 from .report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_report
 from .states import Fock, fock_expansion
 
@@ -187,6 +187,13 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     frame = parse_frame(raw, sys_spec.n_modes)
     hbar_list = get_float_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
+    line = raw.last_line("scan", "hbar_list")
+    if not hbar_list:
+        raw.fail(line, "hbar_list is empty")
+    if not all(0 < h < math.inf for h in hbar_list):
+        raw.fail(line, f"hbar_list entries must be positive and finite, got {hbar_list}")
+    if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
+        raw.fail(line, f"hbar_list must be strictly decreasing, got {hbar_list}")
     epsilon = get_float(raw, "scan", "epsilon", default=args.epsilon)
     reports = hbar_scan(sys_spec, frame, hbar_list, epsilon)
     header = _header(raw, args, [
@@ -204,13 +211,16 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     mode = sys_spec.modes[0]
     hbar = sys_spec.hbar
     dim = get_int(raw, "reconstruct", "dim", default=8)
-    cut = ReconstructionCutoffs(
-        frame_radius=get_float(raw, "reconstruct", "frame_radius", default=None),
-        radial_nodes=get_int(raw, "reconstruct", "radial_nodes", default=160),
-        angular_nodes=get_int(raw, "reconstruct", "angular_nodes", default=128),
-        x_sigmas=get_float(raw, "reconstruct", "x_sigmas", default=10.0),
-        x_points=get_int(raw, "reconstruct", "x_points", default=1024),
-    )
+    try:
+        cut = ReconstructionCutoffs(
+            frame_radius=get_float(raw, "reconstruct", "frame_radius", default=None),
+            radial_nodes=get_int(raw, "reconstruct", "radial_nodes", default=160),
+            angular_nodes=get_int(raw, "reconstruct", "angular_nodes", default=128),
+            x_sigmas=get_float(raw, "reconstruct", "x_sigmas", default=10.0),
+            x_points=get_int(raw, "reconstruct", "x_points", default=1024),
+        )
+    except CutoffError as exc:
+        raw.fail(raw.last_line("reconstruct", exc.field), str(exc))
     if dim < 2:
         raise ConfigError(f"{raw.source}: reconstruct dim must be at least 2")
 
@@ -223,7 +233,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
 
     # leakage is reported through the output flag, not a console warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", TruncationLeakageWarning)
         rho = reconstruct_single_mode(tomogram, dim, hbar, cut)
     warned = rho.meta["truncation_leakage"]
     psi = fock_expansion(mode)

@@ -3,11 +3,21 @@
 The state is the frame integral of e^{iX} U(mu, nu) against the
 tomogram, with U = exp(-i(mu Q + nu P)) and a constant hbar/(2 pi); the
 scalar X integral is the tomogram's characteristic function at 1.  The
-integral over frames runs in polar coordinates up to a radius cutoff;
-because the generator at fixed angle is the same Hermitian matrix for
-every radius, one eigendecomposition per angle yields all radial
-exponentials at once, each equal to the Pade scaling-and-squaring
-result to machine precision.
+integral over frames runs in polar coordinates (k, theta) up to a
+radius cutoff, and two identities reduce it to one eigendecomposition
+and one tomogram evaluation per angle:
+
+* the rotated generator is a phase conjugation of Q alone,
+  cos(theta) Q + sin(theta) P = D Q D^dagger with D = diag(e^{i theta m}),
+  so the eigenvectors of the real symmetric Q serve every angle and
+  entry (m, n) of each angle's term carries the phase e^{i theta (m-n)};
+* a tomogram is homogeneous in its frame, w(X; l mu, l nu) =
+  w(X / l; mu, nu) / l for every l > 0, and the X grid at radius k is
+  the unit-frame grid scaled by k, so the X integral at every radius is
+  a Fourier sum of the unit-frame tomogram on one grid.
+
+Every true tomogram is homogeneous; a callable that is not will be
+reconstructed wrongly.
 
 Truncation contract: the exponentials are evaluated in a padded working
 basis large enough to hold every displacement reached by the radial
@@ -28,6 +38,14 @@ from .errors import NumericalError, TruncationLeakageWarning
 from .states import FockExpansion
 
 
+class CutoffError(ValueError):
+    """An invalid ReconstructionCutoffs field, named by `field`."""
+
+    def __init__(self, name: str, problem: str) -> None:
+        super().__init__(f"{name} {problem}")
+        self.field = name
+
+
 @dataclass(frozen=True)
 class ReconstructionCutoffs:
     """Quadrature cutoffs; None picks scale-aware defaults."""
@@ -37,6 +55,18 @@ class ReconstructionCutoffs:
     angular_nodes: int = 128
     x_sigmas: float = 10.0
     x_points: int = 1024
+
+    def __post_init__(self) -> None:
+        for name in ("radial_nodes", "angular_nodes", "x_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise CutoffError(name, f"must be a positive integer, got {value!r}")
+        for name in ("frame_radius", "x_sigmas"):
+            value = getattr(self, name)
+            if value is None and name == "frame_radius":
+                continue
+            if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < math.inf):
+                raise CutoffError(name, f"must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -97,33 +127,34 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     k_weights = 0.5 * gl_weights * K
     n_theta = cutoffs.angular_nodes
     d_theta = 2.0 * math.pi / n_theta
+    thetas = np.arange(n_theta) * d_theta
 
-    Qw, Pw = quadrature_matrices(W, hbar)
-    # x-grid scale: any state inside the truncation has variance at most
-    # hbar rho (dim + 1/2) in the frame of radius sqrt(rho)
+    # unit-frame x-grid: any state inside the truncation has variance at
+    # most hbar (dim + 1/2) there; radius k uses this grid scaled by k
     sigma_unit = math.sqrt(hbar * (dim + 0.5))
     x_count = cutoffs.x_points
     while x_count < 32 * dim:
         x_count *= 2
+    dy = 2.0 * cutoffs.x_sigmas * sigma_unit / x_count
+    ys = (np.arange(x_count) - x_count / 2) * dy
+    trap = np.full(x_count, dy)
+    trap[[0, -1]] *= 0.5
 
-    theta_terms = np.empty((n_theta, W, W), dtype=complex)
-    for j in range(n_theta):
-        theta = j * d_theta
-        mu0, nu0 = math.cos(theta), math.sin(theta)
-        lam, V = np.linalg.eigh(mu0 * Qw + nu0 * Pw)
-        coefs = np.empty(len(k_nodes), dtype=complex)
-        for i, k in enumerate(k_nodes):
-            sigma = k * sigma_unit
-            half = cutoffs.x_sigmas * sigma
-            dx = 2.0 * half / x_count
-            xs = (np.arange(x_count) - x_count / 2) * dx
-            w = np.asarray(tomogram(xs, k * mu0, k * nu0), dtype=float)
-            coefs[i] = k_weights[i] * d_theta * k * np.trapezoid(np.exp(1j * xs) * w, dx=dx)
-        g = (coefs[:, None] * np.exp(-1j * np.outer(k_nodes, lam))).sum(axis=0)
-        theta_terms[j] = (V * g) @ V.conj().T
+    w1 = np.empty((n_theta, x_count))
+    for j, theta in enumerate(thetas):
+        w1[j] = tomogram(ys, math.cos(theta), math.sin(theta))
+    # the trapezoid X integral at each (angle, radius), with its quadrature weight
+    coefs = (w1 @ (trap[:, None] * np.exp(1j * np.outer(ys, k_nodes)))) * (k_weights * k_nodes * d_theta)
+    # angular Fourier sum for each offset d = m - n of the cropped block
+    offsets = np.arange(1 - dim, dim)
+    C = np.exp(1j * np.outer(offsets, thetas)) @ coefs
 
-    acc = theta_terms.sum(axis=0)
-    rho_m = acc[:dim, :dim] * hbar / (2.0 * math.pi)
+    lam, V = np.linalg.eigh(quadrature_matrices(W, hbar)[0].real)
+    G = C @ np.exp(-1j * np.outer(k_nodes, lam))
+    Vd = V[:dim]
+    levels = np.arange(dim)
+    acc = np.einsum("ml,nl,mnl->mn", Vd, Vd, G[levels[:, None] - levels[None, :] + dim - 1])
+    rho_m = acc * hbar / (2.0 * math.pi)
     rho_m = 0.5 * (rho_m + rho_m.conj().T)
     pre_trace = float(np.trace(rho_m).real)
     leakage = abs(pre_trace - 1.0) > 0.05

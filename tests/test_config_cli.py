@@ -10,6 +10,7 @@ import pytest
 from cmtomo.cli import main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
 from cmtomo.errors import ConfigError
+from cmtomo.reconstruct import CutoffError, ReconstructionCutoffs
 from cmtomo.states import CoherentEven, Fock
 
 
@@ -200,6 +201,14 @@ class TestCmdHbarScan:
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
         np.testing.assert_allclose(data[:, 2], data[:, 3], atol=0.02)
 
+    @pytest.mark.parametrize("hbar_list", ["inf 1", "1 0", "1 -0.5", "1 1", ""])
+    def test_bad_hbar_list_exit_two(self, tmp_path, capsys, hbar_list):
+        cfg = write(tmp_path, "c.cfg", self.CFG.replace("hbar_list = 1 0.1 0.01", f"hbar_list = {hbar_list}"))
+        out = tmp_path / "scan.csv"
+        assert main(["hbar-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:7:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdReconstruct:
     def test_vacuum_roundtrip(self, tmp_path):
@@ -219,6 +228,21 @@ class TestCmdReconstruct:
         out = str(tmp_path / "rho.txt")
         assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
         assert "truncation_leakage yes" in open(out).read()
+
+    # each case is checked at the ReconstructionCutoffs level before the
+    # CLI runs, so a validation regression fails here instead of hanging
+    @pytest.mark.parametrize("key, value", [
+        ("x_points", "0"), ("x_points", "-4"), ("radial_nodes", "0"), ("angular_nodes", "0"),
+        ("frame_radius", "nan"), ("frame_radius", "-1"), ("x_sigmas", "0"),
+    ])
+    def test_bad_cutoff_exit_two(self, tmp_path, capsys, key, value):
+        with pytest.raises(CutoffError):
+            ReconstructionCutoffs(**{key: (float if key in ("frame_radius", "x_sigmas") else int)(value)})
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = 8\n{key} = {value}\n")
+        out = tmp_path / "rho.txt"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:9: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdDiscrepancyReport:
