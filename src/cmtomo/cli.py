@@ -165,13 +165,18 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
     n_list = get_int_list(raw, "scan", "N_list", default=[4, 8, 16, 32, 64])
     levels = get_int_list(raw, "scan", "n_pattern", default=[1])
     rho_pattern = get_float_list(raw, "scan", "rho_pattern", default=[1.0])
+    if not n_list or min(n_list) < 1:
+        raw.fail(raw.last_line("scan", "N_list"), f"N_list entries must be at least 1, got {n_list}")
+    if not rho_pattern or not all(0 < rho < math.inf for rho in rho_pattern):
+        raw.fail(raw.last_line("scan", "rho_pattern"),
+                 f"rho_pattern entries must be positive and finite, got {rho_pattern}")
     theta = get_float(raw, "scan", "theta", default=0.0)
     pairs = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta))
              for rho in rho_pattern]
     r = get_float(raw, "scan", "r", default=0.5 * min(rho_pattern))
     big_r = get_float(raw, "scan", "R", default=2.0 * max(rho_pattern))
-    if E <= 0:
-        raise ConfigError(f"{raw.source}: scan energy E must be positive")
+    if not 0 < E < math.inf:
+        raw.fail(raw.last_line("scan", "E"), f"E (scan energy) must be positive and finite, got {E}")
     if any(n < 0 for n in levels):
         raise ConfigError(f"{raw.source}: n_pattern levels must be nonnegative")
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r, epsilon=args.epsilon)
@@ -195,6 +200,8 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
     if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
         raw.fail(line, f"hbar_list must be strictly decreasing, got {hbar_list}")
     epsilon = get_float(raw, "scan", "epsilon", default=args.epsilon)
+    if not 0 < epsilon < math.inf:
+        raw.fail(raw.last_line("scan", "epsilon"), f"epsilon must be positive and finite, got {epsilon}")
     reports = hbar_scan(sys_spec, frame, hbar_list, epsilon)
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
@@ -222,7 +229,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     except CutoffError as exc:
         raw.fail(raw.last_line("reconstruct", exc.field), str(exc))
     if dim < 2:
-        raise ConfigError(f"{raw.source}: reconstruct dim must be at least 2")
+        raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
     if isinstance(mode, Fock):
         def tomogram(X, m, n):
@@ -332,7 +339,14 @@ def main(argv=None) -> int:
         if args.seed < 0 or args.seed > 2 ** 64 - 1:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if args.epsilon is None:
-            args.epsilon = float(raw.last("run", "epsilon", 0.1))
+            args.epsilon = get_float(raw, "run", "epsilon", default=0.1)
+            if not 0 < args.epsilon < math.inf:
+                raw.fail(raw.last_line("run", "epsilon"),
+                         f"epsilon must be positive and finite, got {args.epsilon}")
+        elif not 0 < args.epsilon < math.inf:
+            raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon}")
+        if args.mc_samples <= 0:
+            raise ConfigError(f"--mc-samples must be positive, got {args.mc_samples}")
         return _COMMANDS[args.command](raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

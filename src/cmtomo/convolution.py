@@ -119,20 +119,45 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
     return CenterOfMassDensity(grid=grid, values=out, meta=meta)
 
 
-def _char_function(m: MarginalDensity, k: np.ndarray) -> np.ndarray:
-    """E[e^{ikX}] by trapezoid quadrature on the marginal's own grid."""
-    xs = m.grid.xs
-    w = np.full(m.grid.count, m.grid.dx)
+def _phase_sum(grid: Grid, v: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
+    """sum_j v[j] e^{sign i a x_j} over the nodes x_j of `grid`, for every a.
+
+    With Q = 2**floor(log2(count) / 2), node j = b Q + q sits at
+    x_{bQ} + q dx, so each phase is a coarse factor e^{sign i a x_{bQ}}
+    times a fine factor e^{sign i a q dx}.  Only len(a) (count/Q + Q)
+    exponentials are formed; the q sum is one matrix product and the b
+    sum a row-wise reduction, len(a) count multiply-adds in all.  Rows
+    of a go in blocks of _MAX_GRID // count to bound memory.
+    """
+    fine_len = 1 << (grid.count.bit_length() - 1) // 2
+    coarse_x = grid.xs[::fine_len]
+    fine_x = grid.dx * np.arange(fine_len)
+    blocks = v.reshape(len(coarse_x), fine_len).T
+    out = np.empty(len(a), dtype=complex)
+    step = max(1, _MAX_GRID // grid.count)
+    for i in range(0, len(a), step):
+        aa = sign * a[i:i + step, None]
+        fine = np.exp(1j * aa * fine_x[None, :])
+        coarse = np.exp(1j * aa * coarse_x[None, :])
+        out[i:i + step] = np.einsum("ij,ij->i", coarse, fine @ blocks)
+    return out
+
+
+def _trapezoid_weights(grid: Grid) -> np.ndarray:
+    w = np.full(grid.count, grid.dx)
     w[0] *= 0.5
     w[-1] *= 0.5
-    # phase matrix built row-block-wise to bound memory
-    out = np.empty(k.shape, dtype=complex)
-    step = max(1, 2 ** 22 // m.grid.count)
-    fv = m.values * w
-    for i in range(0, len(k), step):
-        kk = k[i:i + step, None]
-        out[i:i + step] = np.exp(1j * kk * xs[None, :]) @ fv
-    return out
+    return w
+
+
+def _char_function(m: MarginalDensity, k: np.ndarray) -> np.ndarray:
+    """E[e^{ikX}] by trapezoid quadrature on the marginal's own grid.
+
+    The phases are block-factored by `_phase_sum`: len(k) (count/Q + Q)
+    exponentials with Q ~ sqrt(count), and one len(k) x count matrix
+    product.
+    """
+    return _phase_sum(m.grid, m.values * _trapezoid_weights(m.grid), k, 1.0)
 
 
 def cf_grid_for(marginals: list[MarginalDensity], out_grid: Grid) -> Grid:
@@ -156,6 +181,11 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
     Independence makes the characteristic function of the sum the
     pointwise product; the inverse transform is evaluated as an explicit
     trapezoid sum onto the output grid (no FFT shared with backend one).
+    One forward transform is made per distinct marginal object and
+    multiplied in once per mode.  Both directions block-factor their
+    phases through `_phase_sum`, so a transform from n source nodes to
+    K points forms K (n/Q + Q) exponentials, Q ~ sqrt(n), and is bound
+    by a K x n matrix product.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
@@ -163,19 +193,13 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
         grid = common_grid(marginals)
     k_grid = cf_grid_for(marginals, grid)
     ks = k_grid.xs
+    transforms: dict[int, np.ndarray] = {}
     total = np.ones(k_grid.count, dtype=complex)
     for m in marginals:
-        total *= _char_function(m, ks)
-    w = np.full(k_grid.count, k_grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    tw = total * w
-    out = np.empty(grid.count)
-    step = max(1, 2 ** 22 // k_grid.count)
-    xs = grid.xs
-    for i in range(0, grid.count, step):
-        xx = xs[i:i + step, None]
-        out[i:i + step] = (np.exp(-1j * xx * ks[None, :]) @ tw).real
+        if id(m) not in transforms:
+            transforms[id(m)] = _char_function(m, ks)
+        total *= transforms[id(m)]
+    out = _phase_sum(k_grid, total * _trapezoid_weights(k_grid), grid.xs, -1.0).real
     out /= 2.0 * math.pi
     clamped = float(-out[out < 0].sum() * grid.dx)
     if clamped > 1e-6:

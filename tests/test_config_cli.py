@@ -165,6 +165,16 @@ class TestCmdCm:
         assert ks and ks[0] < 0.01
 
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_mc_samples_exit_two(self, tmp_path, capsys, samples):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
+        out = tmp_path / "cm.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out), "--all-backends",
+                     "--mc-samples", samples]) == 2
+        assert "config error: --mc-samples" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdCltScan:
     CFG = "[scan]\nE = 10\nN_list = 4 8 16\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\n"
 
@@ -180,6 +190,19 @@ class TestCmdCltScan:
             N, hbar, _, sigma2, rE, RE = row[0], row[1], row[2], row[3], row[4], row[5]
             assert rE <= sigma2 <= RE
             assert hbar == pytest.approx(10.0 / (N / 2 + N), rel=1e-12)
+
+    @pytest.mark.parametrize("key, value, line", [
+        ("N_list", "0 4", 3), ("N_list", "", 3), ("rho_pattern", "0", 5), ("rho_pattern", "-1", 5),
+        ("E", "nan", 2), ("E", "-1", 2),
+    ])
+    def test_bad_scan_value_exit_two(self, tmp_path, capsys, key, value, line):
+        text = "\n".join(f"{key} = {value}" if row.startswith(f"{key} =") else row
+                         for row in self.CFG.splitlines()) + "\n"
+        cfg = write(tmp_path, "c.cfg", text)
+        out = tmp_path / "scan.csv"
+        assert main(["clt-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:{line}: {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scan_section(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
@@ -210,6 +233,23 @@ class TestCmdHbarScan:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+    def test_bad_epsilon_exit_two(self, tmp_path, capsys, epsilon):
+        cfg = write(tmp_path, "c.cfg", self.CFG.replace("epsilon = 0.1", f"epsilon = {epsilon}"))
+        out = tmp_path / "scan.csv"
+        assert main(["hbar-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:8: epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan"])
+    def test_bad_epsilon_flag_exit_two(self, tmp_path, capsys, epsilon):
+        cfg = write(tmp_path, "c.cfg", self.CFG)
+        out = tmp_path / "scan.csv"
+        assert main(["hbar-scan", "--config", cfg, "--out", str(out), f"--epsilon={epsilon}"]) == 2
+        assert "config error: --epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdReconstruct:
     def test_vacuum_roundtrip(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG +
@@ -228,6 +268,13 @@ class TestCmdReconstruct:
         out = str(tmp_path / "rho.txt")
         assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
         assert "truncation_leakage yes" in open(out).read()
+
+    def test_dim_one_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\ndim = 1\n")
+        out = tmp_path / "rho.txt"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:8: reconstruct dim" in capsys.readouterr().err
+        assert not out.exists()
 
     # each case is checked at the ReconstructionCutoffs level before the
     # CLI runs, so a validation regression fails here instead of hanging

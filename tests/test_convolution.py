@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cmtomo import convolution
 from cmtomo.convolution import (
     CenterOfMassDensity,
     _char_function,
     backend_agreement,
+    cf_grid_for,
     cf_product,
     common_grid,
     convolve_fft,
@@ -32,6 +34,19 @@ MIXED_SYS = SystemSpec(
 MIXED_FRAME = FrameSpec(
     mu=(1.0, 0.6, 0.0, -0.8), nu=(0.0, 0.8, 1.0, 0.6), r=0.5, R=2.0
 )
+
+
+def trapezoid_weights(grid):
+    w = np.full(grid.count, grid.dx)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def direct_phase_sum(xs, v, a, sign):
+    """sum_j v[j] exp(sign i a x_j) with one exp per (a, x_j) entry, in row blocks."""
+    return np.concatenate([np.exp(sign * 1j * np.outer(a[i:i + 256], xs)) @ v
+                           for i in range(0, len(a), 256)])
 
 
 class TestConvolveFft:
@@ -106,6 +121,39 @@ class TestCfProduct:
         got = _char_function(m, ks)
         want = (1 - ks ** 2 / 2) * np.exp(-ks ** 2 / 4)
         np.testing.assert_allclose(got, want, atol=1e-7)
+
+    def test_char_function_matches_direct_sum_off_lattice(self):
+        ks = np.linspace(-8, 8, 161)
+        for m in marginals_for_system(MIXED_SYS, MIXED_FRAME):
+            want = direct_phase_sum(m.grid.xs, m.values * trapezoid_weights(m.grid), ks, 1.0)
+            np.testing.assert_allclose(_char_function(m, ks), want, rtol=0, atol=1e-12)
+
+    def test_matches_per_entry_reference_inverse(self):
+        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
+        grid = common_grid(marg)
+        k_grid = cf_grid_for(marg, grid)
+        ks = k_grid.xs
+        total = np.ones(k_grid.count, dtype=complex)
+        for m in marg:
+            total *= direct_phase_sum(m.grid.xs, m.values * trapezoid_weights(m.grid), ks, 1.0)
+        want = direct_phase_sum(ks, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
+        want = np.clip(want / (2.0 * math.pi), 0.0, None)
+        want /= np.trapezoid(want, dx=grid.dx)
+        np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
+
+    def test_one_forward_transform_per_distinct_marginal(self, monkeypatch):
+        sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
+        marg = marginals_for_system(sys, frame)
+        seen = []
+        original = convolution._char_function
+
+        def counting(m, k):
+            seen.append(m)
+            return original(m, k)
+
+        monkeypatch.setattr(convolution, "_char_function", counting)
+        cf_product(marg)
+        assert len(seen) == 1 and seen[0] is marg[0]
 
     def test_matches_fft_three_modes(self):
         sys = SystemSpec(modes=(Fock(0), Fock(1), Fock(2)), hbar=1.0)
