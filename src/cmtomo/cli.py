@@ -16,8 +16,6 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .clt import CltReport, hbar_scan, lyapunov_ratio, n_scan, per_mode_moments
 from .config import (
@@ -88,7 +86,7 @@ def _csv(header: list[str], columns: list[str], rows: list[list[str]],
 def _single_mode(raw: RawConfig):
     sys_spec = parse_system(raw)
     if sys_spec.n_modes != 1:
-        raise ConfigError(f"{raw.source}: this command needs exactly one mode, got {sys_spec.n_modes}")
+        raw.fail(raw.last_line("system", "mode"), f"this command needs exactly one mode, got {sys_spec.n_modes}")
     frame = parse_frame(raw, 1, required=False)
     if frame is None:
         mu, nu = 1.0, 0.0
@@ -126,12 +124,9 @@ def cmd_cm(raw: RawConfig, args) -> int:
     if args.all_backends:
         cf = cf_product(marginals, grid=cm.grid)
         mc = sample_sum(sys_spec, frame, args.mc_samples, args.seed, marginals=marginals)
-        edges = np.concatenate([cm.grid.xs - 0.5 * cm.grid.dx, [cm.grid.xs[-1] + 0.5 * cm.grid.dx]])
-        hist, _ = np.histogram(mc, bins=edges)
-        mc_density = hist / (len(mc) * cm.grid.dx)
-        columns += ["density_cf", "density_mc"]
-        data += [cf.values, mc_density]
         agree = backend_agreement(cm, cf, mc)
+        columns += ["density_cf", "density_mc"]
+        data += [cf.values, agree["density_mc"]]
         footer = [f"{key} {_fmt(agree[key])}" for key in ("tv_fft_cf", "tv_fft_mc", "ks_fft_mc")]
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
@@ -171,10 +166,19 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("scan", "rho_pattern"),
                  f"rho_pattern entries must be positive and finite, got {rho_pattern}")
     theta = get_float(raw, "scan", "theta", default=0.0)
+    if not math.isfinite(theta):
+        raw.fail(raw.last_line("scan", "theta"), f"theta must be finite, got {theta}")
     pairs = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta))
              for rho in rho_pattern]
+    # every point's FrameSpec needs r < mu^2 + nu^2 < R for each pair
+    radii = [mu * mu + nu * nu for mu, nu in pairs]
     r = get_float(raw, "scan", "r", default=0.5 * min(rho_pattern))
     big_r = get_float(raw, "scan", "R", default=2.0 * max(rho_pattern))
+    if not 0 < r < min(radii):
+        raw.fail(raw.last_line("scan", "r"),
+                 f"r must lie in (0, {min(radii):.6g}), below every frame radius, got {r}")
+    if not max(radii) < big_r:
+        raw.fail(raw.last_line("scan", "R"), f"R must exceed every frame radius {max(radii):.6g}, got {big_r}")
     if not 0 < E < math.inf:
         raw.fail(raw.last_line("scan", "E"), f"E (scan energy) must be positive and finite, got {E}")
     if any(n < 0 for n in levels):

@@ -20,6 +20,8 @@ from .states import FrameSpec, SystemSpec
 
 _MAX_GRID = 2 ** 22
 _CLAMP_LIMIT = 1e-9
+# Monte-Carlo draws per inverse-CDF lookup
+_MC_CHUNK = 2 ** 16
 
 
 @dataclass
@@ -216,6 +218,41 @@ def _mode_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray):
+    """Guide-table inverse of a CDF sampled at the nodes xs.
+
+    cdf must rise from exactly 0 to exactly 1 over a power-of-two count
+    G of nodes.  The returned function maps draws u in [0, 1) to values
+    equal bit for bit to np.interp(u, cdf, xs): it finds the unique node
+    j with cdf[j] <= u < cdf[j+1] (the node np.interp picks, also on
+    flat runs and at u = 0) and applies numpy's slope formula.  Bucket
+    b of the guide table holds the last node with cdf <= b/G, so
+    floor(u G) starts each draw at or below j; one vectorised step
+    forward settles most draws and a binary search the few left over.
+    Expected cost is O(1) per draw against log2(G) branches for the
+    search alone.
+    """
+    count = cdf.size
+    guide = np.searchsorted(cdf, np.arange(count) / count, side="right") - 1
+    np.minimum(guide, count - 2, out=guide)
+    upper = cdf[1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = np.diff(xs) / np.diff(cdf)
+    # no draw lands on a flat run; the only one that can meet a slope
+    # that overflowed is u = 0 = cdf[j], which np.interp returns as xs[j]
+    slope[np.isinf(slope)] = 0.0
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        j = guide[(u * count).astype(np.intp)]
+        j += upper[j] <= u
+        short = np.flatnonzero(upper[j] <= u)
+        if short.size:
+            j[short] = np.searchsorted(cdf, u[short], side="right") - 1
+        return slope[j] * (u - cdf[j]) + xs[j]
+
+    return invert
+
+
 def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
                marginals: list[MarginalDensity] | None = None) -> np.ndarray:
     """Backend three: n_samples draws of the summed observable.
@@ -223,18 +260,26 @@ def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
     Each mode draws through the inverse CDF of its gridded tomogram
     (cumulative trapezoid, linear inverse) from its own counter-based
     substream, so results are reproducible bit for bit for a fixed seed
-    regardless of execution interleaving.
+    regardless of execution interleaving.  One guide table is built per
+    distinct marginal object (`_inverse_cdf`), and draws go in chunks
+    of _MC_CHUNK so the lookup temporaries stay in cache.
     """
     if n_samples <= 0:
         raise ValueError("sample count must be positive")
     if marginals is None:
         marginals = marginals_for_system(sys, frame)
     out = np.zeros(n_samples)
+    inverses = {}
     for i, m in enumerate(marginals):
-        cdf = cumulative_trapezoid(m.values, m.grid.dx)
-        cdf /= cdf[-1]
-        u = _mode_stream(seed, i).random(n_samples)
-        out += np.interp(u, cdf, m.grid.xs)
+        if id(m) not in inverses:
+            cdf = cumulative_trapezoid(m.values, m.grid.dx)
+            cdf /= cdf[-1]
+            inverses[id(m)] = _inverse_cdf(cdf, m.grid.xs)
+        invert = inverses[id(m)]
+        stream = _mode_stream(seed, i)
+        for start in range(0, n_samples, _MC_CHUNK):
+            stop = min(start + _MC_CHUNK, n_samples)
+            out[start:stop] += invert(stream.random(stop - start))
     return out
 
 
@@ -244,8 +289,20 @@ def cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(mid)])
 
 
+def _bin_counts(sorted_samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(samples, bins=edges)[0] for samples sorted ascending.
+
+    Bins are half-open [a, b) except the last, which is closed, so the
+    last edge is searched from the right; no sample is sorted again.
+    """
+    cum = np.concatenate([np.searchsorted(sorted_samples, edges[:-1], side="left"),
+                          np.searchsorted(sorted_samples, edges[-1:], side="right")])
+    return np.diff(cum)
+
+
 def backend_agreement(cm: CenterOfMassDensity, cf: CenterOfMassDensity, samples: np.ndarray) -> dict:
-    """Distances between the three backends on the FFT density's grid.
+    """Distances between the three backends on the FFT density's grid,
+    and the sample density on that grid.
 
     tv_fft_cf: total variation between the FFT and CF densities.
     ks_fft_mc: Kolmogorov-Smirnov distance between the sample ECDF and
@@ -253,6 +310,9 @@ def backend_agreement(cm: CenterOfMassDensity, cf: CenterOfMassDensity, samples:
     tv_fft_mc: total variation between sample counts and FFT cell
     probabilities on cells 16 grid steps wide, which keeps the
     histogram noise floor well under the 0.01 contract.
+    density_mc: sample counts in the cells [x - dx/2, x + dx/2] around
+    the grid nodes, divided by the sample count and dx.
+    The samples are sorted once; every count is a binary search.
     """
     xs, dx = cm.grid.xs, cm.grid.dx
     samples = np.sort(samples)
@@ -260,10 +320,12 @@ def backend_agreement(cm: CenterOfMassDensity, cf: CenterOfMassDensity, samples:
     cdf /= cdf[-1]
     ecdf = np.searchsorted(samples, xs, side="right") / len(samples)
     coarse = xs[::16]
-    counts, _ = np.histogram(samples, bins=coarse)
+    counts = _bin_counts(samples, coarse)
     probs = np.diff(np.interp(coarse, xs, cdf))
+    cells = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
     return {
         "tv_fft_cf": 0.5 * float(np.trapezoid(np.abs(cm.values - cf.values), dx=dx)),
         "ks_fft_mc": float(np.max(np.abs(ecdf - cdf))),
         "tv_fft_mc": 0.5 * float(np.sum(np.abs(counts / len(samples) - probs))),
+        "density_mc": _bin_counts(samples, cells) / (len(samples) * dx),
     }

@@ -33,6 +33,7 @@ from .states import (
 
 _SQRT_PI = math.sqrt(math.pi)
 _MAX_GRID = 2 ** 22
+_TINY = np.finfo(float).tiny
 # levels the oracle expansion carries beyond the 1e-12 tail policy
 _ORACLE_EXTRA_LEVELS = 24
 
@@ -210,6 +211,9 @@ def evenodd_pointwise(alpha: complex, parity: str, mu: float, nu: float, hbar: f
     The interference exponent carries sqrt(hbar) so that the density in
     X (which scales like sqrt(hbar)) keeps a hbar-independent shape in
     the scaled variable; the normalization constant enters squared.
+    The exponents are combined before exponentiating, as
+    e^{A + 2|Re z|} |1 +- e^{-2 z'}|^2 with z' = z signed so that
+    Re z' = |Re z|, so a large |Re alpha| cannot form inf * 0.
     """
     sign = _check_parity(parity)
     alpha = complex(alpha)
@@ -218,10 +222,14 @@ def evenodd_pointwise(alpha: complex, parity: str, mu: float, nu: float, hbar: f
     n_sq = _cat_norm_sq(alpha, parity)
     X = np.asarray(X, dtype=float)
     quad = nu * (alpha ** 2 / (nu - 1j * mu) + np.conj(alpha) ** 2 / (nu + 1j * mu))
-    pref = np.exp(-0.5 * (2.0 * alpha.real) ** 2 - (X * X) / (hbar * rho) + quad.real)
     z = 1j * math.sqrt(2.0) * alpha * X / (math.sqrt(hbar) * (1j * mu - nu))
-    inner = np.abs(np.exp(z) + sign * np.exp(-z)) ** 2
-    return n_sq / (_SQRT_PI * s) * pref * inner
+    z = np.where(z.real < 0, -z, z)
+    log_pref = -0.5 * (2.0 * alpha.real) ** 2 - (X * X) / (hbar * rho) + quad.real
+    inner = np.abs(1.0 + sign * np.exp(-2.0 * z)) ** 2
+    vals = n_sq / (_SQRT_PI * s) * np.exp(log_pref + 2.0 * z.real) * inner
+    # subnormal values carry no probability but slow every later matrix
+    # product and FFT that reads them; they are returned as 0
+    return np.where(vals < _TINY, 0.0, vals)
 
 
 def _cat_var_exact(alpha: complex, parity: str, mu: float, nu: float, hbar: float) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmtomo import marginals
 from cmtomo.cli import main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
 from cmtomo.errors import ConfigError
@@ -126,6 +127,24 @@ class TestCmdMarginal:
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 0 x2\n")
         assert main(["marginal", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["marginal", "reconstruct"])
+    def test_multi_mode_error_names_mode_line(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1\nmode = fock 0\nmode = fock 1\n")
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:4: this command needs exactly one mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_even_cat_alpha_five(self, tmp_path):
+        # e^z and e^{A} are combined before exponentiating, so a large
+        # Re alpha no longer forms inf * 0
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = even 5 0\n")
+        out = str(tmp_path / "out.csv")
+        assert main(["marginal", "--config", cfg, "--out", out]) == 0
+        _, _, data, _ = read_csv(out)
+        assert np.all(np.isfinite(data))
+        assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-8)
+
 
 class TestCmdCm:
     def test_two_vacua_peak(self, tmp_path):
@@ -176,7 +195,7 @@ class TestCmdCm:
 
 
 class TestCmdCltScan:
-    CFG = "[scan]\nE = 10\nN_list = 4 8 16\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\n"
+    CFG = "[scan]\nE = 10\nN_list = 4 8 16\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\ntheta = 0\n"
 
     def test_scan_csv(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", self.CFG)
@@ -193,7 +212,8 @@ class TestCmdCltScan:
 
     @pytest.mark.parametrize("key, value, line", [
         ("N_list", "0 4", 3), ("N_list", "", 3), ("rho_pattern", "0", 5), ("rho_pattern", "-1", 5),
-        ("E", "nan", 2), ("E", "-1", 2),
+        ("E", "nan", 2), ("E", "-1", 2), ("theta", "nan", 8), ("theta", "inf", 8),
+        ("r", "5", 6), ("r", "-1", 6), ("R", "0.9", 7), ("R", "nan", 7),
     ])
     def test_bad_scan_value_exit_two(self, tmp_path, capsys, key, value, line):
         text = "\n".join(f"{key} = {value}" if row.startswith(f"{key} =") else row
@@ -393,11 +413,13 @@ class TestExitCodes:
         assert main(["marginal", "--config", cfg]) == 0
         assert out.exists()
 
-    def test_nonfinite_density_exit_three(self, tmp_path):
-        # at |alpha| = 5 the closed form evaluates to nan on every node;
-        # the density validator stops it before anything is written
+    def test_nonfinite_density_exit_three(self, tmp_path, monkeypatch):
+        # a closed form that evaluates to nan on every node: the density
+        # validator stops it before anything is written
+        monkeypatch.setattr(marginals, "evenodd_pointwise",
+                            lambda alpha, parity, mu, nu, hbar, X: np.full(np.shape(X), np.nan))
         out = tmp_path / "o.csv"
-        cfg = write(tmp_path, "c.cfg", "[system]\nmode = even 5 0\n")
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = even 1 0\n")
         assert main(["marginal", "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 

@@ -6,7 +6,10 @@ import pytest
 from cmtomo import convolution
 from cmtomo.convolution import (
     CenterOfMassDensity,
+    _bin_counts,
     _char_function,
+    _inverse_cdf,
+    _mode_stream,
     backend_agreement,
     cf_grid_for,
     cf_product,
@@ -212,6 +215,57 @@ class TestSampleSum:
         assert s.var() == pytest.approx(want, rel=0.02)
 
 
+class TestInverseCdf:
+    # 16 nodes: a leading flat run at 0 ending in a subnormal step (its
+    # slope overflows), a flat run at a guide bucket edge, four nodes and
+    # another flat run inside the bucket [0.25, 0.3125), so the binary
+    # search fallback runs there, and a trailing flat run at 1
+    CDF = np.array([0.0, 0.0, 0.0, 5e-324, 0.1, 0.25, 0.25, 0.26,
+                    0.27, 0.27, 0.29, 0.6, 0.9, 1.0, 1.0, 1.0])
+    XS = -2.0 + 0.25 * np.arange(16)
+
+    def test_matches_interp_bit_for_bit(self):
+        nodes = self.CDF[self.CDF < 1.0]
+        u = np.concatenate([
+            [0.0, 5e-324, 0.295, 1.0 - 2.0 ** -53],
+            nodes,                                    # u equal to node values
+            np.nextafter(nodes[1:], 0.0),             # just below them
+            np.arange(16) / 16.0,                     # guide bucket edges
+            np.random.default_rng(0).random(100_000),
+        ])
+        got = _inverse_cdf(self.CDF, self.XS)(u)
+        want = np.interp(u, self.CDF, self.XS)
+        assert got.tobytes() == want.tobytes()
+
+    def test_sample_sum_matches_per_mode_interp(self):
+        sys = SystemSpec(modes=(Fock(3), CoherentEven(1 + 0.5j), Fock(3), CoherentOdd(0.8),
+                                CoherentEven(1 + 0.5j)), hbar=0.7)
+        frame = FrameSpec(mu=(0.6, 1.0, 0.6, 0.0, 1.0), nu=(0.8, 0.0, 0.8, 1.0, 0.0), r=0.5, R=2.0)
+        marg = marginals_for_system(sys, frame)
+        n = 3 * 2 ** 16 + 5                           # a partial last chunk
+        want = np.zeros(n)
+        for i, m in enumerate(marg):
+            cdf = cumulative_trapezoid(m.values, m.grid.dx)
+            cdf /= cdf[-1]
+            want += np.interp(_mode_stream(11, i).random(n), cdf, m.grid.xs)
+        got = sample_sum(sys, frame, n, seed=11, marginals=marg)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_table_per_distinct_marginal(self, monkeypatch):
+        sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
+        marg = marginals_for_system(sys, frame)
+        seen = []
+        original = convolution._inverse_cdf
+
+        def counting(cdf, xs):
+            seen.append(xs)
+            return original(cdf, xs)
+
+        monkeypatch.setattr(convolution, "_inverse_cdf", counting)
+        sample_sum(sys, frame, 1000, seed=1, marginals=marg)
+        assert len(seen) == 1
+
+
 class TestBackendAgreement:
     def setup_method(self):
         sys, frame = iid_system(Fock(1), 2)
@@ -231,6 +285,25 @@ class TestBackendAgreement:
         shifted /= np.trapezoid(shifted, dx=grid.dx)
         cf = CenterOfMassDensity(grid=grid, values=shifted)
         assert backend_agreement(self.cm, cf, self.samples)["tv_fft_cf"] > 1e-6
+
+    def test_bin_counts_match_histogram(self):
+        edges = np.linspace(-3.0, 3.0, 97)
+        samples = np.concatenate([
+            np.random.default_rng(4).normal(size=50_000) * 1.5,
+            edges, edges[[0, -1, -1]], [-7.0, 7.0],   # on every edge, twice at the ends
+        ])
+        want, _ = np.histogram(samples, bins=edges)
+        got = _bin_counts(np.sort(samples), edges)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_bin_counts(np.sort(samples), edges[::16]),
+                                      np.histogram(samples, bins=edges[::16])[0])
+
+    def test_density_mc_is_cell_histogram(self):
+        xs, dx = self.cm.grid.xs, self.cm.grid.dx
+        edges = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
+        want = np.histogram(self.samples, bins=edges)[0] / (len(self.samples) * dx)
+        got = backend_agreement(self.cm, self.cm, self.samples)["density_mc"]
+        assert got.tobytes() == want.tobytes()
 
     def test_cumulative_trapezoid(self):
         np.testing.assert_allclose(cumulative_trapezoid(np.array([1.0, 3.0, 5.0]), 0.5), [0.0, 1.0, 3.0])

@@ -219,6 +219,44 @@ class TestEvenOddTomogram:
             evenodd_tomogram(1.0, "mixed", 1.0, 0.0, 1.0)
 
 
+def product_form_cat(alpha, parity, mu, nu, hbar, X):
+    """The even/odd closed form as e^A times |e^z +- e^{-z}|^2, each factor
+    exponentiated on its own: inf * 0 once |Re alpha| reaches ~5."""
+    sign = 1.0 if parity == "even" else -1.0
+    alpha = complex(alpha)
+    rho = mu * mu + nu * nu
+    n_sq = 1.0 / (2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2)))
+    quad = nu * (alpha ** 2 / (nu - 1j * mu) + np.conj(alpha) ** 2 / (nu + 1j * mu))
+    pref = np.exp(-0.5 * (2.0 * alpha.real) ** 2 - X * X / (hbar * rho) + quad.real)
+    z = 1j * math.sqrt(2.0) * alpha * X / (math.sqrt(hbar) * (1j * mu - nu))
+    return n_sq / (SQRT_PI * math.sqrt(hbar * rho)) * pref * np.abs(np.exp(z) + sign * np.exp(-z)) ** 2
+
+
+class TestEvenOddLogDomain:
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0, 1 + 0.5j, -1.5 + 1j, 3j, 2.1 - 2.1j])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_matches_product_form_where_finite(self, alpha, parity):
+        for mu, nu in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6), (2.0, 1.0)]:
+            for hbar in (1.0, 0.4):
+                xs = evenodd_tomogram(alpha, parity, mu, nu, hbar).grid.xs
+                want = product_form_cat(alpha, parity, mu, nu, hbar, xs)
+                got = evenodd_pointwise(alpha, parity, mu, nu, hbar, xs)
+                assert np.all(np.isfinite(want))
+                # relative, except near the density's zeros and in the
+                # far tails, where both forms round at the peak's scale
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * want.max())
+                # subnormal values are flushed to 0
+                assert not np.any((got > 0) & (got < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("alpha", [5.0, -6.0, 4 + 3j, 12.0])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_large_real_alpha_finite_unit_integral(self, alpha, parity):
+        for mu, nu in [(1.0, 0.0), (0.6, 0.8)]:
+            d = evenodd_tomogram(alpha, parity, mu, nu, 1.0)
+            assert np.all(np.isfinite(d.values))
+            assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-9)
+
+
 class TestTomogramOracle:
     def test_vacuum_anchor(self):
         psi = fock_expansion(Fock(0), D=4)
