@@ -181,8 +181,9 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("scan", "R"), f"R must exceed every frame radius {max(radii):.6g}, got {big_r}")
     if not 0 < E < math.inf:
         raw.fail(raw.last_line("scan", "E"), f"E (scan energy) must be positive and finite, got {E}")
-    if any(n < 0 for n in levels):
-        raise ConfigError(f"{raw.source}: n_pattern levels must be nonnegative")
+    if not levels or any(n < 0 for n in levels):
+        raw.fail(raw.last_line("scan", "n_pattern"),
+                 f"n_pattern levels must be nonnegative and at least one, got {levels}")
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r, epsilon=args.epsilon)
     header = _header(raw, args, [
         f"scan fixed-energy E {_fmt(E)} epsilon {_fmt(args.epsilon)}",
@@ -293,6 +294,8 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
                 except ValueError:
                     raw.fail(lineno, f"invalid frame: {value!r}")
         hbar = get_float(raw, "report", "hbar", default=1.0)
+        if not 0 < hbar < math.inf:
+            raw.fail(raw.last_line("report", "hbar"), f"hbar must be positive and finite, got {hbar}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = discrepancy_rows(alphas, frames, hbar)

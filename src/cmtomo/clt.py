@@ -53,20 +53,24 @@ def per_mode_moments(sys: SystemSpec, frame: FrameSpec,
 
     Number states use the closed variance and the exact dimensionless
     third moment; superposition modes use grid quadrature of their
-    density (the trusted oracle path).
+    density (the trusted oracle path).  Each distinct (mode, mu, nu) is
+    evaluated once; repeated modes share one Moments object.
     """
+    computed: dict = {}
     out = []
-    for i, mode in enumerate(sys.modes):
-        mu, nu = frame.mu[i], frame.nu[i]
-        if isinstance(mode, Fock):
-            s3 = (sys.hbar * (mu * mu + nu * nu)) ** 1.5
-            out.append(Moments(mean=0.0,
-                               var=fock_var_closed(mode.n, mu, nu, sys.hbar),
-                               abs3=s3 * fock_abs3_dimensionless(mode.n)))
-        else:
-            if marginals is None:
-                marginals = marginals_for_system(sys, frame)
-            out.append(moments(marginals[i]))
+    for i, key in enumerate(zip(sys.modes, frame.mu, frame.nu)):
+        if key not in computed:
+            mode, mu, nu = key
+            if isinstance(mode, Fock):
+                s3 = (sys.hbar * (mu * mu + nu * nu)) ** 1.5
+                computed[key] = Moments(mean=0.0,
+                                        var=fock_var_closed(mode.n, mu, nu, sys.hbar),
+                                        abs3=s3 * fock_abs3_dimensionless(mode.n))
+            else:
+                if marginals is None:
+                    marginals = marginals_for_system(sys, frame)
+                computed[key] = moments(marginals[i])
+        out.append(computed[key])
     return out
 
 

@@ -15,6 +15,7 @@ Errors carry file and line so a bad field is directly addressable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,28 +183,38 @@ def parse_system(raw: RawConfig, required: bool = True) -> SystemSpec | None:
         raw.fail(raw.last_line("system", "hbar") or 0, str(exc))
 
 
+def _frame_direction(raw: RawConfig, key: str, default: float, n_modes: int) -> list[float]:
+    """[frame] mu or nu, one finite value broadcast or one per mode."""
+    values = get_float_list(raw, "frame", key, default=[default])
+    if len(values) == 1:
+        values = values * n_modes
+    if len(values) != n_modes:
+        raw.fail(raw.last_line("frame", key), f"frame {key} must have 1 or {n_modes} entries, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raw.fail(raw.last_line("frame", key), f"frame {key} entries must be finite, got {values}")
+    return values
+
+
 def parse_frame(raw: RawConfig, n_modes: int, required: bool = True) -> FrameSpec | None:
     if "frame" not in raw.sections:
         if required:
             raise ConfigError(f"{raw.source}: missing [frame] section")
         return None
-    mu = get_float_list(raw, "frame", "mu", default=[1.0])
-    nu = get_float_list(raw, "frame", "nu", default=[0.0])
-    if len(mu) == 1:
-        mu = mu * n_modes
-    if len(nu) == 1:
-        nu = nu * n_modes
-    if len(mu) != n_modes or len(nu) != n_modes:
-        raise ConfigError(
-            f"{raw.source}: frame mu/nu must have 1 or {n_modes} entries "
-            f"(got {len(mu)} and {len(nu)})"
-        )
+    mu = _frame_direction(raw, "mu", 1.0, n_modes)
+    nu = _frame_direction(raw, "nu", 0.0, n_modes)
     rhos = [m * m + n * n for m, n in zip(mu, nu)]
-    if min(rhos) <= 0:
-        raise ConfigError(f"{raw.source}: degenerate frame (mu = nu = 0 somewhere)")
+    bad = [i for i, rho in enumerate(rhos) if not 0 < rho < math.inf]
+    if bad:
+        # both keys enter mu^2 + nu^2; the later of their lines is named
+        raw.fail(max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu")),
+                 f"degenerate frame: mu^2 + nu^2 = {rhos[bad[0]]} at mode {bad[0]}, "
+                 "must be positive and finite")
     r = get_float(raw, "frame", "r", default=0.5 * min(rhos))
     big_r = get_float(raw, "frame", "R", default=2.0 * max(rhos))
-    try:
-        return FrameSpec(mu=tuple(mu), nu=tuple(nu), r=r, R=big_r)
-    except ValueError as exc:
-        raise ConfigError(f"{raw.source}: invalid [frame]: {exc}") from exc
+    if not 0 < r < min(rhos):
+        raw.fail(raw.last_line("frame", "r"),
+                 f"frame r must lie in (0, {min(rhos):.6g}), below every frame radius, got {r}")
+    if not max(rhos) < big_r:
+        raw.fail(raw.last_line("frame", "R"),
+                 f"frame R must exceed every frame radius {max(rhos):.6g}, got {big_r}")
+    return FrameSpec(mu=tuple(mu), nu=tuple(nu), r=r, R=big_r)

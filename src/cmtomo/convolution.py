@@ -66,19 +66,40 @@ def marginals_for_system(sys: SystemSpec, frame: FrameSpec) -> list[MarginalDens
     return [built[k] for k in keys]
 
 
+def _distinct(marginals: list[MarginalDensity]) -> list[tuple[MarginalDensity, int]]:
+    """(marginal, count) per distinct object, in first-appearance order."""
+    groups: dict[int, list] = {}
+    for m in marginals:
+        groups.setdefault(id(m), [m, 0])[1] += 1
+    return [(m, count) for m, count in groups.values()]
+
+
 def common_grid(marginals: list[MarginalDensity], max_count: int = _MAX_GRID) -> Grid:
     """Output grid covering the sum: total mean +- 8 total sigma.
 
     The spacing is the finest marginal spacing, so marginals produced by
     the default grid policy land exactly on output nodes and resampling
-    is lossless.
+    is lossless.  Moments are taken once per distinct marginal and
+    weighted by its count.
     """
-    stats = [moments(m) for m in marginals]
-    mean = sum(s.mean for s in stats)
-    sigma = math.sqrt(sum(s.var for s in stats))
-    dx = min(m.grid.dx for m in marginals)
+    groups = _distinct(marginals)
+    stats = [(moments(m), count) for m, count in groups]
+    mean = sum(count * s.mean for s, count in stats)
+    sigma = math.sqrt(sum(count * s.var for s, count in stats))
+    dx = min(m.grid.dx for m, _ in groups)
     half = abs(mean) + 8.0 * sigma
     return centered_grid(half, dx, max_count=max_count)
+
+
+def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
+    """f**count in polar form, |f|^count e^{i count arg f}; f itself for count 1."""
+    if count == 1:
+        return f
+    phase = count * np.angle(f)
+    mag = np.abs(f) ** count
+    f.real = mag * np.cos(phase)
+    f.imag = mag * np.sin(phase)
+    return f
 
 
 def _resample(m: MarginalDensity, grid: Grid) -> np.ndarray:
@@ -88,11 +109,14 @@ def _resample(m: MarginalDensity, grid: Grid) -> np.ndarray:
 def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> CenterOfMassDensity:
     """Spectral convolution of the marginals on a shared centered grid.
 
-    Each resampled marginal is zero-padded to twice the output length.
-    Its spectrum is scaled by dx before the product, so every factor is
-    a discrete characteristic function bounded near one and the product
-    cannot overflow at any N.  The inverse is divided by dx once and
-    clamped at 0; more than 1e-9 of clamped mass fails the run.
+    Each distinct marginal is resampled once and zero-padded to twice
+    the output length.  Its spectrum is scaled by dx, so every factor is
+    a discrete characteristic function bounded near one, and raised to
+    the marginal's count (`_raise_to`), so the product cannot overflow
+    at any N.  The cost is one resample and one rfft of length 2 count
+    per distinct marginal, whatever the number of modes.  The inverse
+    is divided by dx once and clamped at 0; more than 1e-9 of clamped
+    mass fails the run.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
@@ -100,12 +124,13 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
         grid = common_grid(marginals)
     count = grid.count
     M = 2 * count
+    g = np.zeros(M)
     spec = None
-    for m in marginals:
-        g = np.zeros(M)
+    for m, repeats in _distinct(marginals):
         g[M // 2 - count // 2: M // 2 + count // 2] = _resample(m, grid)
         f = np.fft.rfft(np.fft.ifftshift(g))
         f *= grid.dx
+        f = _raise_to(f, repeats)
         if spec is None:
             spec = f
         else:
@@ -184,7 +209,7 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
     pointwise product; the inverse transform is evaluated as an explicit
     trapezoid sum onto the output grid (no FFT shared with backend one).
     One forward transform is made per distinct marginal object and
-    multiplied in once per mode.  Both directions block-factor their
+    raised to its count (`_raise_to`).  Both directions block-factor their
     phases through `_phase_sum`, so a transform from n source nodes to
     K points forms K (n/Q + Q) exponentials, Q ~ sqrt(n), and is bound
     by a K x n matrix product.
@@ -195,12 +220,9 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
         grid = common_grid(marginals)
     k_grid = cf_grid_for(marginals, grid)
     ks = k_grid.xs
-    transforms: dict[int, np.ndarray] = {}
     total = np.ones(k_grid.count, dtype=complex)
-    for m in marginals:
-        if id(m) not in transforms:
-            transforms[id(m)] = _char_function(m, ks)
-        total *= transforms[id(m)]
+    for m, repeats in _distinct(marginals):
+        total *= _raise_to(_char_function(m, ks), repeats)
     out = _phase_sum(k_grid, total * _trapezoid_weights(k_grid), grid.xs, -1.0).real
     out /= 2.0 * math.pi
     clamped = float(-out[out < 0].sum() * grid.dx)
@@ -270,11 +292,11 @@ def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
         marginals = marginals_for_system(sys, frame)
     out = np.zeros(n_samples)
     inverses = {}
+    for m, _ in _distinct(marginals):
+        cdf = cumulative_trapezoid(m.values, m.grid.dx)
+        cdf /= cdf[-1]
+        inverses[id(m)] = _inverse_cdf(cdf, m.grid.xs)
     for i, m in enumerate(marginals):
-        if id(m) not in inverses:
-            cdf = cumulative_trapezoid(m.values, m.grid.dx)
-            cdf /= cdf[-1]
-            inverses[id(m)] = _inverse_cdf(cdf, m.grid.xs)
         invert = inverses[id(m)]
         stream = _mode_stream(seed, i)
         for start in range(0, n_samples, _MC_CHUNK):

@@ -94,6 +94,15 @@ class TestSigma2:
         want = moments(marg[0]).var + 1.5
         assert sigma2_closed(sys, frame) == pytest.approx(want, rel=1e-9)
 
+    def test_repeated_modes_share_one_evaluation(self):
+        sys = SystemSpec(modes=(Fock(1), CoherentEven(1.0), Fock(1), Fock(2), CoherentEven(1.0)), hbar=0.5)
+        frame = FrameSpec(mu=(1.0, 1.0, 1.0, 0.6, 1.0), nu=(0.0, 0.0, 0.0, 0.8, 0.0), r=0.5, R=2.0)
+        pm = per_mode_moments(sys, frame)
+        assert pm[0] is pm[2] and pm[1] is pm[4]
+        marg = marginals_for_system(sys, frame)
+        assert pm[1] == moments(marg[1])
+        assert pm[3].var == pytest.approx(0.5 * 2.5, rel=1e-15)
+
 
 class TestGaussianDistance:
     def test_exact_gaussian_is_zero(self):
@@ -169,6 +178,43 @@ class TestNScan:
         for rep in single + mixed:
             assert math.isfinite(rep.ks_distance) and math.isfinite(rep.tv_distance)
             assert rep.ks_distance < 0.01
+
+
+class TestEdgeworthRate:
+    """The single-level Fock-1 scan at fixed energy against the leading
+    Edgeworth term (Petrov, Sums of Independent Random Variables, ch. VI).
+
+    Every tomogram is even, so kappa3 = 0 and the leading correction is
+    -(gamma2/24) He3(z) phi(z) with gamma2 = -4/(3N) for Fock 1.  Hence
+    KS N -> (4/3) 0.0229412 and TV N -> (4/3) 0.0583458, with the next
+    term O(1/N) relative; the measured (ratio - 1) N is 0.28-0.41.
+    """
+
+    KS_N = 0.0305882
+    TV_N = 0.0777944
+    N_LIST = [64, 256, 1024, 4096, 16384]
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return n_scan([1], [(1.0, 0.0)], E=10.0, N_list=self.N_LIST, r=0.5, R=2.0)
+
+    def test_ks_and_tv_match_leading_term(self, reports):
+        assert [r.N for r in reports] == self.N_LIST
+        for r in reports:
+            assert abs(r.ks_distance * r.N / self.KS_N - 1) <= 0.5 / r.N
+            assert abs(r.tv_distance * r.N / self.TV_N - 1) <= 0.5 / r.N
+
+    def test_berry_esseen_bound(self, reports):
+        for r in reports:
+            assert r.ks_distance <= 0.56 * r.S_N
+
+    def test_scan_at_65536(self):
+        (r,) = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[65536], r=0.5, R=2.0)
+        assert r.sigma2 == pytest.approx(10.0, rel=1e-12)
+        # the six-digit constant limits the check to ~1e-5 relative here
+        assert abs(r.ks_distance * r.N / self.KS_N - 1) <= 5e-5
+        assert abs(r.tv_distance * r.N / self.TV_N - 1) <= 5e-5
+        assert r.ks_distance <= 0.56 * r.S_N
 
 
 class TestHbarScan:

@@ -193,6 +193,22 @@ class TestCmdCm:
         assert "config error: --mc-samples" in capsys.readouterr().err
         assert not out.exists()
 
+    FRAME_CFG = "[system]\nmode = fock 0 x2\n[frame]\nmu = 1.0\nnu = 0.0\nr = 0.5\nR = 2.0\n"
+
+    @pytest.mark.parametrize("key, value, line", [
+        ("mu", "1 1 1", 4), ("nu", "0 0 0", 5), ("mu", "nan", 4), ("nu", "1 inf", 5),
+        ("mu", "0", 5), ("nu", "1e200", 5), ("r", "2", 6), ("r", "-1", 6), ("R", "0.9", 7), ("R", "nan", 7),
+    ])
+    def test_bad_frame_exit_two(self, tmp_path, capsys, key, value, line):
+        text = "\n".join(f"{key} = {value}" if row.startswith(f"{key} =") else row
+                         for row in self.FRAME_CFG.splitlines()) + "\n"
+        cfg = write(tmp_path, "c.cfg", text)
+        out = tmp_path / "cm.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: " in err and "frame" in err.replace(cfg, "")
+        assert not out.exists()
+
 
 class TestCmdCltScan:
     CFG = "[scan]\nE = 10\nN_list = 4 8 16\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\ntheta = 0\n"
@@ -214,6 +230,7 @@ class TestCmdCltScan:
         ("N_list", "0 4", 3), ("N_list", "", 3), ("rho_pattern", "0", 5), ("rho_pattern", "-1", 5),
         ("E", "nan", 2), ("E", "-1", 2), ("theta", "nan", 8), ("theta", "inf", 8),
         ("r", "5", 6), ("r", "-1", 6), ("R", "0.9", 7), ("R", "nan", 7),
+        ("n_pattern", "-1", 4), ("n_pattern", "1 -2", 4), ("n_pattern", "", 4),
     ])
     def test_bad_scan_value_exit_two(self, tmp_path, capsys, key, value, line):
         text = "\n".join(f"{key} = {value}" if row.startswith(f"{key} =") else row
@@ -346,6 +363,15 @@ class TestCmdDiscrepancyReport:
         odd_var = [r for r in rows if r["quantity"] == "variance" and r["parity"] == "odd"
                    and float(r["alpha_re"]) == 1 and float(r["alpha_im"]) == 0]
         assert odd_var and abs(float(odd_var[0]["ratio"]) - 1) > 0.05
+
+
+    @pytest.mark.parametrize("hbar", ["0", "-1", "inf", "nan"])
+    def test_bad_hbar_exit_two(self, tmp_path, capsys, hbar):
+        cfg = write(tmp_path, "c.cfg", self.CFG.replace("hbar = 1.0", f"hbar = {hbar}"))
+        out = tmp_path / "r.csv"
+        assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:7: hbar" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def read_csv_report(path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtomo import convolution
 from cmtomo.convolution import (
@@ -10,6 +12,7 @@ from cmtomo.convolution import (
     _char_function,
     _inverse_cdf,
     _mode_stream,
+    _phase_sum,
     backend_agreement,
     cf_grid_for,
     cf_product,
@@ -20,7 +23,7 @@ from cmtomo.convolution import (
     sample_sum,
 )
 from cmtomo.errors import GridSizeError
-from cmtomo.marginals import moments
+from cmtomo.marginals import centered_grid, moments
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec
 
 
@@ -106,6 +109,95 @@ class TestConvolveFft:
         marg = marginals_for_system(sys, frame)
         with pytest.raises(GridSizeError):
             common_grid(marg, max_count=64)
+
+
+def expanded_fft(marginals, grid, dtype=complex):
+    """The product of one dx-scaled rfft per mode, inverted as convolve_fft does.
+
+    The product accumulates in `dtype`.  In long double the reference's
+    own rounding over N factors stays well below the 1e-15 under test.
+    """
+    count = grid.count
+    M = 2 * count
+    spec = np.ones(M // 2 + 1, dtype=dtype)
+    for m in marginals:
+        g = np.zeros(M)
+        g[M // 2 - count // 2: M // 2 + count // 2] = np.interp(grid.xs, m.grid.xs, m.values,
+                                                                 left=0.0, right=0.0)
+        spec *= np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
+    out = np.fft.irfft(spec.astype(complex), n=M)
+    out = np.fft.fftshift(out)[M // 2 - count // 2: M // 2 + count // 2]
+    out = np.clip(out / grid.dx, 0.0, None)
+    return out / np.trapezoid(out, dx=grid.dx)
+
+
+# (mode, frame direction) pairs with mu^2 + nu^2 = 1
+MODE_POOL = (
+    (Fock(0), (1.0, 0.0)), (Fock(1), (0.6, 0.8)), (Fock(3), (0.0, 1.0)),
+    (CoherentEven(1 + 0.5j), (1.0, 0.0)), (CoherentOdd(0.8), (0.6, 0.8)), (CoherentEven(1.5), (0.0, 1.0)),
+)
+
+
+class TestMultiplicities:
+    """Repeated modes enter the FFT and CF products once, raised to their count."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(counts=st.dictionaries(st.integers(0, len(MODE_POOL) - 1), st.integers(1, 64),
+                                  min_size=1, max_size=3),
+           order=st.randoms(use_true_random=False))
+    def test_count_form_equals_expanded_product(self, counts, order):
+        picks = [i for i, c in counts.items() for _ in range(c)]
+        order.shuffle(picks)
+        sys = SystemSpec(modes=tuple(MODE_POOL[i][0] for i in picks), hbar=1.0)
+        frame = FrameSpec(mu=tuple(MODE_POOL[i][1][0] for i in picks),
+                          nu=tuple(MODE_POOL[i][1][1] for i in picks), r=0.5, R=2.0)
+        marg = marginals_for_system(sys, frame)
+        grid = common_grid(marg)
+        want = expanded_fft(marg, grid, dtype=np.clongdouble)
+        got = convolve_fft(marg, grid=grid).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+
+    def test_distinct_modes_bit_for_bit(self):
+        # every count is 1: the spectra multiply in as they are
+        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
+        grid = common_grid(marg)
+        assert convolve_fft(marg, grid=grid).values.tobytes() == expanded_fft(marg, grid).tobytes()
+
+    def test_one_rfft_per_distinct_marginal(self, monkeypatch):
+        sys = SystemSpec(modes=(Fock(1), CoherentEven(1 + 0.5j)) * 5 + (Fock(1),), hbar=0.5)
+        frame = FrameSpec(mu=(1.0,) * 10 + (0.6,), nu=(0.0,) * 10 + (0.8,), r=0.5, R=2.0)
+        marg = marginals_for_system(sys, frame)
+        lengths = []
+        original = np.fft.rfft
+
+        def counting(a, *args, **kwargs):
+            lengths.append(len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(convolution.np.fft, "rfft", counting)
+        cm = convolve_fft(marg)
+        assert lengths == [2 * cm.grid.count] * 3
+
+    def test_common_grid_weights_moments_by_count(self):
+        sys, frame = iid_system(Fock(2), 37, hbar=0.3)
+        marg = marginals_for_system(sys, frame)
+        one = moments(marg[0])
+        half = abs(37 * one.mean) + 8.0 * math.sqrt(37 * one.var)
+        assert common_grid(marg) == centered_grid(half, marg[0].grid.dx)
+
+    def test_cf_count_form_equals_expanded_product(self):
+        sys = SystemSpec(modes=(Fock(1), CoherentEven(1 + 0.5j)) * 6, hbar=0.5)
+        frame = FrameSpec(mu=(1.0,) * 12, nu=(0.0,) * 12, r=0.5, R=2.0)
+        marg = marginals_for_system(sys, frame)
+        grid = common_grid(marg)
+        k_grid = cf_grid_for(marg, grid)
+        total = np.ones(k_grid.count, dtype=complex)
+        for m in marg:
+            total *= _char_function(m, k_grid.xs)
+        want = _phase_sum(k_grid, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
+        want = np.clip(want / (2.0 * math.pi), 0.0, None)
+        want /= np.trapezoid(want, dx=grid.dx)
+        np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
 
 
 class TestCfProduct:
