@@ -23,6 +23,7 @@ from .marginals import (
     Grid,
     MarginalDensity,
     Moments,
+    char_function,
     evenodd_tomogram,
     evenodd_var_closed,
     fock_abs3_bound_check,

@@ -40,6 +40,20 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# printf form of _fmt, for formatting a whole row with one % operation
+_FIELD = "%.17g"
+
+
+def _rows(*columns: list) -> list[str]:
+    """CSV lines of equal-length float columns, each field as _fmt writes it.
+
+    Pass the columns as lists (ndarray.tolist()): formatting Python floats
+    with one row template is about twice as fast as a _fmt call per cell.
+    """
+    template = ",".join([_FIELD] * len(columns))
+    return [template % row for row in zip(*columns)]
+
+
 def _write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,11 +87,11 @@ def _header(raw: RawConfig, args, extra: list[str]) -> list[str]:
     return lines
 
 
-def _csv(header: list[str], columns: list[str], rows: list[list[str]],
+def _csv(header: list[str], columns: list[str], rows: list[str],
          footer: list[str] | None = None) -> str:
     out = [f"# {line}" for line in header]
     out.append(",".join(columns))
-    out.extend(",".join(row) for row in rows)
+    out.extend(rows)
     if footer:
         out.extend(f"# {line}" for line in footer)
     return "\n".join(out) + "\n"
@@ -105,7 +119,7 @@ def cmd_marginal(raw: RawConfig, args) -> int:
         f"rescale_factor {_fmt(dens.meta['rescale'])}",
         f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
     ])
-    rows = [[_fmt(x), _fmt(v)] for x, v in zip(dens.grid.xs, dens.values)]
+    rows = _rows(dens.grid.xs.tolist(), dens.values.tolist())
     _write_atomic(args.out, _csv(header, ["X", "density"], rows))
     return 0
 
@@ -135,12 +149,13 @@ def cmd_cm(raw: RawConfig, args) -> int:
         f"S_N {_fmt(s_n)}",
         f"clamped_mass {_fmt(cm.meta['clamped_mass'])}",
     ])
-    rows = [[_fmt(x)] + [_fmt(col[i]) for col in data] for i, x in enumerate(cm.grid.xs)]
+    rows = _rows(cm.grid.xs.tolist(), *(col.tolist() for col in data))
     _write_atomic(args.out, _csv(header, columns, rows, footer))
     return 0
 
 
-def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[list[str]]:
+def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[str]:
+    template = ",".join("%d" if c == "N" else _FIELD for c in columns)
     rows = []
     for rep in reports:
         lookup = {
@@ -149,7 +164,7 @@ def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[list[
             "mass_in_epsilon": rep.mass_in_epsilon,
             "gaussian_predicted_mass": rep.gaussian_mass,
         }
-        rows.append([_fmt(lookup[c]) if c != "N" else str(rep.N) for c in columns])
+        rows.append(template % tuple(lookup[c] for c in columns))
     return rows
 
 

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
-from .marginals import Grid, MarginalDensity, centered_grid, grid_policy, marginal_density, moments
+from .errors import GridSizeError, NumericalError
+from .marginals import Grid, MarginalDensity, centered_grid, char_function, grid_policy, marginal_density, moments
 from .states import FrameSpec, SystemSpec
 
 _MAX_GRID = 2 ** 22
 _CLAMP_LIMIT = 1e-9
+# modulus below which the characteristic-function product is cut off
+_CF_FLOOR = 1e-17
+_TINY = np.finfo(float).tiny
 # Monte-Carlo draws per inverse-CDF lookup
 _MC_CHUNK = 2 ** 16
 
@@ -92,9 +95,11 @@ def common_grid(marginals: list[MarginalDensity], max_count: int = _MAX_GRID) ->
 
 
 def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
-    """f**count in polar form, |f|^count e^{i count arg f}; f itself for count 1."""
+    """f**count, for complex f in polar form |f|^count e^{i count arg f}; f itself for count 1."""
     if count == 1:
         return f
+    if not np.iscomplexobj(f):
+        return f ** count
     phase = count * np.angle(f)
     mag = np.abs(f) ** count
     f.real = mag * np.cos(phase)
@@ -152,9 +157,11 @@ def _phase_sum(grid: Grid, v: np.ndarray, a: np.ndarray, sign: float) -> np.ndar
     With Q = 2**floor(log2(count) / 2), node j = b Q + q sits at
     x_{bQ} + q dx, so each phase is a coarse factor e^{sign i a x_{bQ}}
     times a fine factor e^{sign i a q dx}.  Only len(a) (count/Q + Q)
-    exponentials are formed; the q sum is one matrix product and the b
-    sum a row-wise reduction, len(a) count multiply-adds in all.  Rows
-    of a go in blocks of _MAX_GRID // count to bound memory.
+    exponentials are formed; the q sum is a matrix product and the b
+    sum a row-wise reduction, len(a) count multiply-adds in all.  The
+    fine factor enters as its cosine and sine, so a real v costs two
+    real matrix products, half of one complex product.  Rows of a go in
+    blocks of _MAX_GRID // count to bound memory.
     """
     fine_len = 1 << (grid.count.bit_length() - 1) // 2
     coarse_x = grid.xs[::fine_len]
@@ -164,9 +171,10 @@ def _phase_sum(grid: Grid, v: np.ndarray, a: np.ndarray, sign: float) -> np.ndar
     step = max(1, _MAX_GRID // grid.count)
     for i in range(0, len(a), step):
         aa = sign * a[i:i + step, None]
-        fine = np.exp(1j * aa * fine_x[None, :])
+        fine = aa * fine_x[None, :]
         coarse = np.exp(1j * aa * coarse_x[None, :])
-        out[i:i + step] = np.einsum("ij,ij->i", coarse, fine @ blocks)
+        inner = np.cos(fine) @ blocks + 1j * (np.sin(fine) @ blocks)
+        out[i:i + step] = np.einsum("ij,ij->i", coarse, inner)
     return out
 
 
@@ -177,53 +185,70 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def _char_function(m: MarginalDensity, k: np.ndarray) -> np.ndarray:
-    """E[e^{ikX}] by trapezoid quadrature on the marginal's own grid.
-
-    The phases are block-factored by `_phase_sum`: len(k) (count/Q + Q)
-    exponentials with Q ~ sqrt(count), and one len(k) x count matrix
-    product.
-    """
-    return _phase_sum(m.grid, m.values * _trapezoid_weights(m.grid), k, 1.0)
+def _cf_product_at(groups: list[tuple[MarginalDensity, int]], ks: np.ndarray) -> np.ndarray:
+    """Product of the closed-form characteristic functions at ks, one
+    evaluation per distinct marginal raised to its count."""
+    total = np.ones(len(ks))
+    for m, repeats in groups:
+        meta = m.meta
+        if "mode" not in meta:
+            raise ValueError("backend two needs marginals from marginal_density, which record meta['mode']")
+        total *= _raise_to(char_function(meta["mode"], meta["mu"], meta["nu"], meta["hbar"], ks), repeats)
+    return total
 
 
 def cf_grid_for(marginals: list[MarginalDensity], out_grid: Grid) -> Grid:
-    """Frequency grid wide enough for every marginal's spectral support.
+    """Frequency grid on which the characteristic-function product is resolved.
 
-    Marginals built in this package advertise their support through
-    meta['cf_k_max']; anything else falls back to the Nyquist-style
-    bound pi/(4 dx) from its own grid spacing.
+    The spacing dk keeps the inverse's periodization beyond twice the
+    output extent.  A centered dk lattice doubles until the product's
+    modulus is below _CF_FLOOR on its outer half; the grid then reaches
+    one node past the last lattice node where it is at least _CF_FLOOR,
+    so both outer nodes lie below the floor.  The trapezoid inverse sees
+    only lattice values, so what the cut drops is bounded by
+    _CF_FLOOR K dk.
     """
-    k_max = 0.0
-    for m in marginals:
-        k_max = max(k_max, float(m.meta.get("cf_k_max", math.pi / (4.0 * m.grid.dx))))
-    # inverse-transform periodization must exceed twice the output extent
     dk = 2.0 * math.pi / (2.2 * (out_grid.extent + out_grid.dx * out_grid.count))
-    return centered_grid(k_max, dk, max_count=_MAX_GRID)
+    groups = _distinct(marginals)
+    # the product is even in k, so the lattice is searched on k >= 0 only,
+    # and each doubling evaluates only the nodes it adds
+    half = 16
+    mag = np.abs(_cf_product_at(groups, dk * np.arange(half + 1)))
+    while np.any(mag[half // 2 + 1:] >= _CF_FLOOR):
+        if 4 * half > _MAX_GRID:
+            raise GridSizeError(f"frequency grid would need more than {_MAX_GRID} points")
+        mag = np.concatenate([mag, np.abs(_cf_product_at(groups, dk * np.arange(half + 1, 2 * half + 1)))])
+        half *= 2
+    last = int(np.flatnonzero(mag >= _CF_FLOOR)[-1])
+    # nodes run from -(count/2) dk to (count/2 - 1) dk with count >= 2 (last + 2)
+    return centered_grid((last + 2) * dk, dk, max_count=_MAX_GRID)
 
 
 def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> CenterOfMassDensity:
-    """Backend two: product of characteristic functions, inverted directly.
+    """Backend two: product of closed-form characteristic functions, inverted directly.
 
     Independence makes the characteristic function of the sum the
-    pointwise product; the inverse transform is evaluated as an explicit
-    trapezoid sum onto the output grid (no FFT shared with backend one).
-    One forward transform is made per distinct marginal object and
-    raised to its count (`_raise_to`).  Both directions block-factor their
-    phases through `_phase_sum`, so a transform from n source nodes to
-    K points forms K (n/Q + Q) exponentials, Q ~ sqrt(n), and is bound
-    by a K x n matrix product.
+    pointwise product of the modes' `char_function`s, evaluated once per
+    distinct marginal and raised to its count; no marginal grid is read.
+    The inverse transform is an explicit trapezoid sum over the K nodes
+    of the `cf_grid_for` k-grid onto the n output nodes (no FFT shared
+    with backend one), block-factored by `_phase_sum`: n (K/Q + Q)
+    exponentials, Q ~ sqrt(K), and an n x K matrix product.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
     if grid is None:
         grid = common_grid(marginals)
     k_grid = cf_grid_for(marginals, grid)
-    ks = k_grid.xs
-    total = np.ones(k_grid.count, dtype=complex)
-    for m, repeats in _distinct(marginals):
-        total *= _raise_to(_char_function(m, ks), repeats)
-    out = _phase_sum(k_grid, total * _trapezoid_weights(k_grid), grid.xs, -1.0).real
+    # the product is real and even in k: evaluated on k = 0..count/2 dk and
+    # mirrored onto the nodes -count/2 dk..-dk
+    half = k_grid.count // 2
+    total = _cf_product_at(_distinct(marginals), k_grid.dx * np.arange(half + 1))
+    v = np.concatenate([total[half:0:-1], total[:half]]) * _trapezoid_weights(k_grid)
+    # subnormal tail values carry nothing but slow the matrix products
+    # about twofold; they are flushed to 0
+    v[np.abs(v) < _TINY] = 0.0
+    out = _phase_sum(k_grid, v, grid.xs, -1.0).real
     out /= 2.0 * math.pi
     clamped = float(-out[out < 0].sum() * grid.dx)
     if clamped > 1e-6:

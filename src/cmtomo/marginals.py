@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, GridSizeError, NormalizationMismatchWarning, NumericalError
-from .specialfn import _orthonormal_poly_pair, hermite_functions, hermite_sq_density_factor
+from .specialfn import _orthonormal_poly_pair, hermite_functions, hermite_sq_density_factor, laguerre_gauss
 from .states import (
     Fock,
     FockExpansion,
@@ -175,11 +175,8 @@ def fock_marginal(n: int, mu: float, nu: float, hbar: float, grid: Grid | None =
     if grid is None:
         grid = centered_grid(*_fock_policy(n, mu, nu, hbar))
     vals = fock_tomogram(n, mu, nu, hbar, grid.xs)
-    s = _scale(mu, nu, hbar)
     meta = {"kind": f"fock {n}", "mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0,
-            "pre_rescale_integral": float(np.trapezoid(vals, dx=grid.dx)),
-            # spectral support: twice the classical wavenumber, plus Gaussian tails
-            "cf_k_max": (2.0 * math.sqrt(2.0 * n + 1.0) + 13.0) / s}
+            "pre_rescale_integral": float(np.trapezoid(vals, dx=grid.dx))}
     return MarginalDensity(grid=grid, values=vals, meta=meta)
 
 
@@ -303,9 +300,7 @@ def evenodd_tomogram(alpha: complex, parity: str, mu: float, nu: float, hbar: fl
         )
     meta = {"kind": f"{parity} {alpha.real:.17g} {alpha.imag:.17g}",
             "mu": mu, "nu": nu, "hbar": hbar,
-            "rescale": 1.0 / pre, "pre_rescale_integral": pre,
-            # fringe frequency sqrt(2)|alpha|/s doubled, plus Gaussian tails
-            "cf_k_max": (2.0 * math.sqrt(2.0) * abs(alpha) + 13.0) / _scale(mu, nu, hbar)}
+            "rescale": 1.0 / pre, "pre_rescale_integral": pre}
     return MarginalDensity(grid=grid, values=vals / pre, meta=meta)
 
 
@@ -375,8 +370,7 @@ def tomogram_oracle(psi: FockExpansion, mu: float, nu: float, hbar: float, grid:
             f"oracle density integrates to {total}; grid too small for the state"
         )
     meta = {"kind": "oracle", "mu": mu, "nu": nu, "hbar": hbar,
-            "rescale": 1.0 / total, "pre_rescale_integral": total,
-            "cf_k_max": (2.0 * math.sqrt(2.0 * psi.truncation + 1.0) + 13.0) / _scale(mu, nu, hbar)}
+            "rescale": 1.0 / total, "pre_rescale_integral": total}
     return MarginalDensity(grid=grid, values=vals / total, meta=meta)
 
 
@@ -392,10 +386,42 @@ def moments(d) -> Moments:
 
 def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
                      grid: Grid | None = None) -> MarginalDensity:
-    """Dispatch a mode to its closed-form gridded tomogram."""
+    """Dispatch a mode to its closed-form gridded tomogram, recorded as meta['mode']."""
     if isinstance(mode, Fock):
-        return fock_marginal(mode.n, mu, nu, hbar, grid)
-    return evenodd_tomogram(mode.alpha, mode.parity, mu, nu, hbar, grid)
+        d = fock_marginal(mode.n, mu, nu, hbar, grid)
+    else:
+        d = evenodd_tomogram(mode.alpha, mode.parity, mu, nu, hbar, grid)
+    d.meta["mode"] = mode
+    return d
+
+
+def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.ndarray:
+    """E e^{ikX} under the mode's tomogram at frame (mu, nu), in closed form.
+
+    Every mode here is a parity eigenstate, so its tomogram is even in X
+    and the value is real.  A number state gives e^{-u/2} L_n(u) with
+    u = k^2 s^2 / 2, s^2 = hbar (mu^2 + nu^2), from the scaled Laguerre
+    recurrence.  A superposition N(|a> + c|-a>) gives <cat|D(b)|cat>
+    with b = i k sqrt(hbar/2) (mu + i nu): the sum of c_g c_d <g|D(b)|d>
+    over g, d in {a, -a}, where <g|D(b)|d> has modulus
+    e^{-|g - b - d|^2/2} (Cahill and Glauber, Phys. Rev. 177, 1857
+    (1969)).  The two diagonal terms pair into
+    2 e^{-|b|^2/2} cos(k <X>_a), with <X>_a = sqrt(2 hbar)(mu Re a + nu Im a),
+    and the two cross terms are real and positive, e^{-|2a - b|^2/2} and
+    e^{-|2a + b|^2/2}.
+    No exponent is positive, so nothing overflows at any |a| or k.
+    """
+    k = np.asarray(k, dtype=float)
+    s = _scale(mu, nu, hbar)
+    if isinstance(mode, Fock):
+        return laguerre_gauss(mode.n, 0.5 * (k * s) ** 2)
+    sign = _check_parity(mode.parity)
+    alpha = mode.alpha
+    beta = 1j * math.sqrt(0.5 * hbar) * complex(mu, nu) * k
+    mean = math.sqrt(2.0 * hbar) * (mu * alpha.real + nu * alpha.imag)
+    diag = 2.0 * np.exp(-0.25 * (k * s) ** 2) * np.cos(k * mean)
+    cross = np.exp(-0.5 * np.abs(2.0 * alpha - beta) ** 2) + np.exp(-0.5 * np.abs(2.0 * alpha + beta) ** 2)
+    return _cat_norm_sq(alpha, mode.parity) * (diag + sign * cross)
 
 
 def oracle_marginal(mode: ModeSpec, mu: float, nu: float, hbar: float,

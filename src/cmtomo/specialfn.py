@@ -5,7 +5,9 @@ Everything here works with the physicists' Hermite polynomials H_n
 functions h_n(y) = H_n(y) e^{-y^2/2} / sqrt(2^n n! sqrt(pi)) or the
 orthonormal polynomials p_n = H_n / sqrt(2^n n! sqrt(pi)), whose
 three-term recurrences keep every intermediate bounded; the raw H_n
-overflow near n ~ 150 and are never formed.
+overflow near n ~ 150 and are never formed.  The Laguerre polynomials
+L_n, which give the number states' characteristic functions, are
+evaluated the same way, times their Gaussian factor e^{-u/2}.
 """
 
 from __future__ import annotations
@@ -52,6 +54,35 @@ def hermite_sq_density_factor(n: int, y):
     if np.isscalar(y):
         return float(result)
     return result
+
+
+def laguerre_gauss(n: int, u) -> np.ndarray:
+    """e^{-u/2} L_n(u) for u >= 0, stable for n up to at least 1000.
+
+    The Laguerre recurrence runs on the differences d_j = L_j - L_{j-1},
+    (j+1) d_{j+1} = j d_j - u L_j, which vanish at u = 0; the plain
+    three-term form adds a rounding error of the size of L_j at every
+    step, and those errors grow like n^2 eps near u = 0.  L_j and d_j
+    are carried as mantissas with a per-node log-scale that starts at
+    -u/2, so neither e^{-u/2} underflows nor L_n overflows before they
+    meet; the result is bounded by one in modulus.
+    """
+    u = np.asarray(u, dtype=float)
+    lag = np.ones_like(u)
+    diff = np.zeros_like(u)
+    ls = -0.5 * u
+    for j in range(n):
+        diff *= j
+        diff -= u * lag
+        diff /= j + 1
+        lag += diff
+        big = np.abs(lag) > _RESCALE
+        if big.any():
+            lag = np.where(big, lag / _RESCALE, lag)
+            diff = np.where(big, diff / _RESCALE, diff)
+            ls = np.where(big, ls + _LOG_RESCALE, ls)
+    with np.errstate(divide="ignore"):
+        return np.sign(lag) * np.exp(ls + np.log(np.abs(lag)))
 
 
 def _orthonormal_poly_pair(m: int, z: np.ndarray):

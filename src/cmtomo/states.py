@@ -206,9 +206,13 @@ def fock_expansion(mode: ModeSpec, D: int | None = None, cap: int = _DEFAULT_TRU
 
 
 def mode_mean_occupation(mode: ModeSpec) -> float:
+    """<n> in closed form: n, |a|^2 tanh|a|^2 (even) or |a|^2 coth|a|^2 (odd)."""
     if isinstance(mode, Fock):
         return float(mode.n)
-    return fock_expansion(mode).mean_occupation()
+    a2 = abs(mode.alpha) ** 2
+    if mode.parity == "even":
+        return a2 * math.tanh(a2)
+    return a2 / math.tanh(a2)
 
 
 def energy(sys: SystemSpec) -> float:
@@ -218,15 +222,11 @@ def energy(sys: SystemSpec) -> float:
 
 
 def hbar_for_fixed_energy(E: float, modes) -> float:
-    """The unique hbar giving total energy E for a product of number states."""
+    """The unique hbar giving total energy E: every <n>_i is independent of
+    hbar, so hbar = E / sum_i (1/2 + <n>_i)."""
     if E <= 0:
         raise ValueError("energy must be positive")
     modes = tuple(modes)
     if not modes:
         raise ValueError("need at least one mode")
-    total = 0.0
-    for m in modes:
-        if not isinstance(m, Fock):
-            raise ValueError("fixed-energy constraint is defined for number states only")
-        total += m.n
-    return E / (0.5 * len(modes) + total)
+    return E / (0.5 * len(modes) + sum(mode_mean_occupation(m) for m in modes))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmtomo import marginals
-from cmtomo.cli import main
+from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
 from cmtomo.errors import ConfigError
 from cmtomo.reconstruct import CutoffError, ReconstructionCutoffs
@@ -414,6 +414,24 @@ class TestDeterminism:
                          "--seed", "7", "--mc-samples", "100000"]) == 0
             blobs.append(open(out, "rb").read())
         assert blobs[0] == blobs[1]
+
+
+class TestRowFormatting:
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+             0.1, 1.0 / 3.0, 123456789.0, 1e16, 1e17, 1e-5]
+
+    def test_field_template_equals_fmt(self):
+        values = self.EDGES + np.random.default_rng(8).standard_normal(2000).tolist() + (
+            10.0 ** np.random.default_rng(9).uniform(-320, 308, 2000)).tolist()
+        for x in values:
+            assert _FIELD % x == _fmt(x)
+
+    def test_rows_equal_per_cell_fmt(self):
+        rng = np.random.default_rng(10)
+        cols = [np.array(self.EDGES), rng.standard_normal(len(self.EDGES)),
+                rng.exponential(size=len(self.EDGES)) * 1e-300]
+        want = [",".join(_fmt(col[i]) for col in cols) for i in range(len(self.EDGES))]
+        assert _rows(*(col.tolist() for col in cols)) == want
 
 
 class TestExitCodes:

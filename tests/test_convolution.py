@@ -9,7 +9,8 @@ from cmtomo import convolution
 from cmtomo.convolution import (
     CenterOfMassDensity,
     _bin_counts,
-    _char_function,
+    _cf_product_at,
+    _distinct,
     _inverse_cdf,
     _mode_stream,
     _phase_sum,
@@ -23,8 +24,16 @@ from cmtomo.convolution import (
     sample_sum,
 )
 from cmtomo.errors import GridSizeError
-from cmtomo.marginals import centered_grid, moments
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec
+from cmtomo.marginals import (
+    centered_grid,
+    char_function,
+    evenodd_pointwise,
+    fock_marginal,
+    fock_tomogram,
+    grid_policy,
+    moments,
+)
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, hbar_for_fixed_energy
 
 
 def iid_system(mode, N, hbar=1.0, mu=1.0, nu=0.0):
@@ -47,6 +56,11 @@ def trapezoid_weights(grid):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def mode_cf(m, ks):
+    """char_function of the mode a marginal was built from, at its frame."""
+    return char_function(m.meta["mode"], m.meta["mu"], m.meta["nu"], m.meta["hbar"], ks)
 
 
 def direct_phase_sum(xs, v, a, sign):
@@ -191,9 +205,9 @@ class TestMultiplicities:
         marg = marginals_for_system(sys, frame)
         grid = common_grid(marg)
         k_grid = cf_grid_for(marg, grid)
-        total = np.ones(k_grid.count, dtype=complex)
+        total = np.ones(k_grid.count)
         for m in marg:
-            total *= _char_function(m, k_grid.xs)
+            total *= mode_cf(m, k_grid.xs)
         want = _phase_sum(k_grid, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
@@ -202,18 +216,14 @@ class TestMultiplicities:
 
 class TestCfProduct:
     def test_vacuum_cf_closed_form(self):
-        sys, frame = iid_system(Fock(0), 1)
-        (m,) = marginals_for_system(sys, frame)
         ks = np.linspace(-8, 8, 161)
-        got = _char_function(m, ks)
+        got = char_function(Fock(0), 1.0, 0.0, 1.0, ks)
         np.testing.assert_allclose(got, np.exp(-ks ** 2 / 4), atol=1e-8)
 
     def test_fock1_cf_closed_form(self):
         # symbolic integration of 2 y^2 e^{-y^2}/sqrt(pi) against e^{iky}
-        sys, frame = iid_system(Fock(1), 1)
-        (m,) = marginals_for_system(sys, frame)
         ks = np.linspace(-8, 8, 161)
-        got = _char_function(m, ks)
+        got = char_function(Fock(1), 1.0, 0.0, 1.0, ks)
         want = (1 - ks ** 2 / 2) * np.exp(-ks ** 2 / 4)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
@@ -221,7 +231,7 @@ class TestCfProduct:
         ks = np.linspace(-8, 8, 161)
         for m in marginals_for_system(MIXED_SYS, MIXED_FRAME):
             want = direct_phase_sum(m.grid.xs, m.values * trapezoid_weights(m.grid), ks, 1.0)
-            np.testing.assert_allclose(_char_function(m, ks), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mode_cf(m, ks), want, rtol=0, atol=1e-12)
 
     def test_matches_per_entry_reference_inverse(self):
         marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
@@ -239,16 +249,17 @@ class TestCfProduct:
     def test_one_forward_transform_per_distinct_marginal(self, monkeypatch):
         sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
         marg = marginals_for_system(sys, frame)
+        k_grid = cf_grid_for(marg, common_grid(marg))
+        monkeypatch.setattr(convolution, "cf_grid_for", lambda marginals, out_grid: k_grid)
         seen = []
-        original = convolution._char_function
 
-        def counting(m, k):
-            seen.append(m)
-            return original(m, k)
+        def counting(mode, mu, nu, hbar, k):
+            seen.append(mode)
+            return char_function(mode, mu, nu, hbar, k)
 
-        monkeypatch.setattr(convolution, "_char_function", counting)
+        monkeypatch.setattr(convolution, "char_function", counting)
         cf_product(marg)
-        assert len(seen) == 1 and seen[0] is marg[0]
+        assert len(seen) == 1 and seen[0] is marg[0].meta["mode"]
 
     def test_matches_fft_three_modes(self):
         sys = SystemSpec(modes=(Fock(0), Fock(1), Fock(2)), hbar=1.0)
@@ -265,6 +276,98 @@ class TestCfProduct:
         cf = cf_product(marg, grid=cm.grid)
         tv = 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx)
         assert tv < 1e-6
+
+
+CF_FRAMES = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8))
+CF_MODES = tuple(Fock(n) for n in (0, 1, 5, 30, 1000)) + tuple(
+    kind(a) for a in (0.5, 1 + 0.5j, 3 + 4j, 5.0, 40.0) for kind in (CoherentEven, CoherentOdd))
+
+
+class TestCharFunction:
+    """The closed-form characteristic functions against quadrature of the densities."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.3])
+    @pytest.mark.parametrize("mu,nu", CF_FRAMES)
+    @pytest.mark.parametrize("mode", CF_MODES, ids=repr)
+    def test_matches_trapezoid_direct_sum(self, mode, mu, nu, hbar):
+        # the density on a grid reaching 10 s past its farthest bump, at the
+        # policy spacing; the trapezoid sum of a smooth density that small at
+        # its ends is exact to rounding for every k well below pi/dx
+        s = math.sqrt(hbar * (mu * mu + nu * nu))
+        if isinstance(mode, Fock):
+            reach = math.sqrt(2.0 * mode.n + 1.0)
+        else:
+            reach = math.sqrt(2.0) * abs(mode.alpha)
+        grid = centered_grid((reach + 10.0) * s, grid_policy(mode, mu, nu, hbar)[1])
+        if isinstance(mode, Fock):
+            values = fock_tomogram(mode.n, mu, nu, hbar, grid.xs)
+        else:
+            values = evenodd_pointwise(mode.alpha, mode.parity, mu, nu, hbar, grid.xs)
+        k_max = (2.0 * reach + 13.0) / s
+        # the shift puts a node near k = 0, where a plain Laguerre
+        # recurrence loses n^2 eps
+        ks = np.linspace(-k_max, k_max, 33) + 0.0123 / s
+        want = direct_phase_sum(grid.xs, values * trapezoid_weights(grid), ks, 1.0)
+        got = char_function(mode, mu, nu, hbar, ks)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.3])
+    def test_fock_1000_bounded_far_out(self, hbar):
+        s = math.sqrt(hbar)
+        ks = np.linspace(0.0, 200.0 / s, 4001)
+        got = char_function(Fock(1000), 1.0, 0.0, hbar, ks)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got)) <= 1.0 + 1e-12
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+
+
+FIXED_ENERGY_MODES = [Fock(1), CoherentEven(1.0)]
+
+
+class TestCfAtScale:
+    """Backend two at the paper's large N, its k-grid cut and its independence."""
+
+    @pytest.mark.parametrize("mode", FIXED_ENERGY_MODES, ids=repr)
+    def test_fixed_energy_65536_modes(self, mode):
+        N = 65536
+        sys, frame = iid_system(mode, N, hbar=hbar_for_fixed_energy(10.0, [mode] * N))
+        marg = marginals_for_system(sys, frame)
+        cm = convolve_fft(marg)
+        cf = cf_product(marg, grid=cm.grid)
+        assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
+
+    @pytest.mark.parametrize("system", [
+        iid_system(Fock(1), 65536, hbar=10.0 / (1.5 * 65536)),
+        iid_system(CoherentEven(1.0), 4096, hbar=0.01),
+        iid_system(Fock(30), 1),
+        iid_system(CoherentOdd(40.0), 1, mu=0.6, nu=0.8),
+        (MIXED_SYS, MIXED_FRAME),
+    ], ids=["fock1x65536", "even1x4096", "fock30", "odd40", "mixed"])
+    def test_product_below_floor_at_outer_nodes(self, system):
+        marg = marginals_for_system(*system)
+        k_grid = cf_grid_for(marg, common_grid(marg))
+        product = _cf_product_at(_distinct(marg), k_grid.xs)
+        assert abs(product[0]) < 1e-17 and abs(product[-1]) < 1e-17
+        # and the cut is tight: a grid half as long would drop nodes at or
+        # above the floor
+        assert np.max(np.abs(product[3 * k_grid.count // 4 - 1:])) >= 1e-17
+
+    def test_shares_no_fft_with_backend_one(self, monkeypatch):
+        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
+        grid = common_grid(marg)
+        want = cf_product(marg, grid=grid).values
+
+        class NoFft:
+            def __getattr__(self, name):
+                raise AssertionError(f"backend two called np.fft.{name}")
+
+        monkeypatch.setattr(convolution.np, "fft", NoFft())
+        assert cf_product(marg, grid=grid).values.tobytes() == want.tobytes()
+
+    def test_marginal_without_mode_rejected(self):
+        m = fock_marginal(1, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="mode"):
+            cf_product([m])
 
 
 class TestSampleSum:

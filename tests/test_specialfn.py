@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cmtomo.specialfn import hermite_functions, hermite_sq_density_factor
+from cmtomo.specialfn import hermite_functions, hermite_sq_density_factor, laguerre_gauss
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -101,3 +102,25 @@ class TestDensityFactor:
         vals = hermite_sq_density_factor(500, np.linspace(-45, 45, 301))
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= 0)
+
+
+def exact_laguerre(n, u):
+    """L_n(u) = sum_k C(n, k) (-u)^k / k! in exact rationals (oracle)."""
+    u = Fraction(u)
+    return float(sum(Fraction(math.comb(n, k)) * (-u) ** k / math.factorial(k) for k in range(n + 1)))
+
+
+class TestLaguerreGauss:
+    @pytest.mark.parametrize("n", [0, 1, 30, 1000])
+    def test_matches_exact_rationals(self, n):
+        # u = 2^-14 sits where the plain three-term recurrence loses n^2 eps
+        us = [0.0, 2.0 ** -14, 0.5, 3.0, 50.0]
+        want = [exact_laguerre(n, u) * math.exp(-0.5 * u) for u in us]
+        np.testing.assert_allclose(laguerre_gauss(n, np.array(us)), want, rtol=0, atol=1e-14)
+
+    def test_far_tail_underflows_to_zero(self):
+        # e^{-u/2} alone underflows past u ~ 1490; the carried scale keeps
+        # the product finite and it tends to 0
+        vals = laguerre_gauss(1000, np.array([4000.0, 2e4, 1e6]))
+        assert np.all(np.isfinite(vals))
+        assert vals[-1] == 0.0

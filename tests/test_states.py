@@ -84,9 +84,16 @@ class TestFixedEnergy:
         hbar = hbar_for_fixed_energy(3.7, modes)
         assert energy(SystemSpec(modes=modes, hbar=hbar)) == pytest.approx(3.7, rel=1e-15)
 
-    def test_rejects_cat_modes(self):
-        with pytest.raises(ValueError):
-            hbar_for_fixed_energy(1.0, [CoherentEven(1.0)])
+    def test_round_trip_with_cat_modes(self):
+        modes = (Fock(2), CoherentEven(1.0), CoherentOdd(0.8 + 0.6j), Fock(0), CoherentEven(3 - 4j),
+                 CoherentOdd(0.05), CoherentEven(0.0))
+        hbar = hbar_for_fixed_energy(10.0, modes)
+        assert energy(SystemSpec(modes=modes, hbar=hbar)) == pytest.approx(10.0, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [CoherentEven(1.3 + 0.4j), CoherentOdd(1.3 + 0.4j), CoherentOdd(0.05),
+                                      CoherentEven(3.0)])
+    def test_cat_occupation_matches_level_expansion(self, mode):
+        assert mode_mean_occupation(mode) == pytest.approx(fock_expansion(mode).mean_occupation(), rel=1e-10)
 
 
 class TestFockExpansion:
