@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridSizeError, NumericalError
-from .marginals import Grid, MarginalDensity, centered_grid, char_function, grid_policy, marginal_density, moments
+from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
+                        marginal_density, moments)
 from .states import FrameSpec, SystemSpec
 
 _MAX_GRID = 2 ** 22
@@ -185,15 +186,20 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
+def _mode_args(m: MarginalDensity) -> tuple:
+    """(mode, mu, nu, hbar) of a marginal, as `char_function` takes them."""
+    meta = m.meta
+    if "mode" not in meta:
+        raise ValueError("backend two needs marginals from marginal_density, which record meta['mode']")
+    return meta["mode"], meta["mu"], meta["nu"], meta["hbar"]
+
+
 def _cf_product_at(groups: list[tuple[MarginalDensity, int]], ks: np.ndarray) -> np.ndarray:
     """Product of the closed-form characteristic functions at ks, one
     evaluation per distinct marginal raised to its count."""
     total = np.ones(len(ks))
     for m, repeats in groups:
-        meta = m.meta
-        if "mode" not in meta:
-            raise ValueError("backend two needs marginals from marginal_density, which record meta['mode']")
-        total *= _raise_to(char_function(meta["mode"], meta["mu"], meta["nu"], meta["hbar"], ks), repeats)
+        total *= _raise_to(char_function(*_mode_args(m), ks), repeats)
     return total
 
 
@@ -201,25 +207,24 @@ def cf_grid_for(marginals: list[MarginalDensity], out_grid: Grid) -> Grid:
     """Frequency grid on which the characteristic-function product is resolved.
 
     The spacing dk keeps the inverse's periodization beyond twice the
-    output extent.  A centered dk lattice doubles until the product's
-    modulus is below _CF_FLOOR on its outer half; the grid then reaches
-    one node past the last lattice node where it is at least _CF_FLOOR,
-    so both outer nodes lie below the floor.  The trapezoid inverse sees
-    only lattice values, so what the cut drops is bounded by
-    _CF_FLOOR K dk.
+    output extent.  Every factor is at most one in modulus, so the
+    product is below _CF_FLOOR past the smallest `char_function_reach`
+    of the distinct marginals.  The product is evaluated once on the dk
+    lattice up to that reach, and the grid reaches one node past the
+    last node where it is at least _CF_FLOOR, so both outer nodes lie
+    below the floor.  The trapezoid inverse sees only lattice values, so
+    what the cut drops is bounded by _CF_FLOOR K dk.
     """
     dk = 2.0 * math.pi / (2.2 * (out_grid.extent + out_grid.dx * out_grid.count))
     groups = _distinct(marginals)
-    # the product is even in k, so the lattice is searched on k >= 0 only,
-    # and each doubling evaluates only the nodes it adds
-    half = 16
-    mag = np.abs(_cf_product_at(groups, dk * np.arange(half + 1)))
-    while np.any(mag[half // 2 + 1:] >= _CF_FLOOR):
-        if 4 * half > _MAX_GRID:
-            raise GridSizeError(f"frequency grid would need more than {_MAX_GRID} points")
-        mag = np.concatenate([mag, np.abs(_cf_product_at(groups, dk * np.arange(half + 1, 2 * half + 1)))])
-        half *= 2
+    reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m, _ in groups)
+    # the product is even in k, so the lattice is taken on k >= 0 only; its
+    # last node lies past the reach unless the grid cap stops it first
+    nodes = min(int(reach / dk) + 1, _MAX_GRID // 2)
+    mag = np.abs(_cf_product_at(groups, dk * np.arange(nodes + 1)))
     last = int(np.flatnonzero(mag >= _CF_FLOOR)[-1])
+    if last == nodes:
+        raise GridSizeError(f"frequency grid would need more than {_MAX_GRID} points")
     # nodes run from -(count/2) dk to (count/2 - 1) dk with count >= 2 (last + 2)
     return centered_grid((last + 2) * dk, dk, max_count=_MAX_GRID)
 

@@ -424,6 +424,27 @@ def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.nd
     return _cat_norm_sq(alpha, mode.parity) * (diag + sign * cross)
 
 
+def char_function_reach(mode: ModeSpec, mu: float, nu: float, hbar: float, floor: float) -> float:
+    """A k beyond which |char_function| stays below floor.
+
+    The closed forms are not monotone in k: a cat's cross terms are a
+    bump at |b| = 2|a|, far out for large |a|.  The reach is
+    (2 r + 2 sqrt(ln(c / floor))) / s.  A cat has r = sqrt(2)|a| and
+    c = 4|N|^2: for |b| = k s / sqrt(2) >= 2|a| the terms of
+    char_function sum to at most 4|N|^2 e^{-(|b| - 2|a|)^2 / 2}, so the
+    bound is rigorous.  A number state has r = sqrt(2n+1), its classical
+    turning point, and c = 1, the vacuum's Gaussian; past the turning
+    point the modulus falls faster for larger n.  At floor = 1e-17 it is
+    below the floor within 10.6 / s of the turning point for every
+    n <= 1000, against the 12.5 / s allowed here.
+    """
+    if isinstance(mode, Fock):
+        r, c = math.sqrt(2.0 * mode.n + 1.0), 1.0
+    else:
+        r, c = math.sqrt(2.0) * abs(mode.alpha), 4.0 * _cat_norm_sq(mode.alpha, mode.parity)
+    return (2.0 * r + 2.0 * math.sqrt(math.log(c / floor))) / _scale(mu, nu, hbar)
+
+
 def oracle_marginal(mode: ModeSpec, mu: float, nu: float, hbar: float,
                     grid: Grid | None = None) -> MarginalDensity:
     """Oracle-route tomogram for a mode, on the closed form's default grid.

@@ -27,6 +27,7 @@ from cmtomo.errors import GridSizeError
 from cmtomo.marginals import (
     centered_grid,
     char_function,
+    char_function_reach,
     evenodd_pointwise,
     fock_marginal,
     fock_tomogram,
@@ -320,6 +321,24 @@ class TestCharFunction:
         assert np.max(np.abs(got)) <= 1.0 + 1e-12
         assert got[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mu,nu", CF_FRAMES)
+    @pytest.mark.parametrize("mode", CF_MODES + (CoherentOdd(0.05), CoherentOdd(0.3), Fock(200)), ids=repr)
+    def test_below_floor_past_reach(self, mode, mu, nu):
+        reach = char_function_reach(mode, mu, nu, 0.3, 1e-17)
+        s = math.sqrt(0.3 * (mu * mu + nu * nu))
+        ks = reach + np.linspace(0.0, 40.0 / s, 8001)
+        assert np.max(np.abs(char_function(mode, mu, nu, 0.3, ks))) < 1e-17
+
+
+def far_k(system):
+    """A k past the farthest bump of every mode's characteristic function."""
+    sys, frame = system
+    out = 0.0
+    for mode, mu, nu in zip(sys.modes, frame.mu, frame.nu):
+        r = math.sqrt(2.0 * mode.n + 1.0) if isinstance(mode, Fock) else math.sqrt(2.0) * abs(mode.alpha)
+        out = max(out, (2.0 * r + 20.0) / math.sqrt(sys.hbar * (mu * mu + nu * nu)))
+    return out
+
 
 FIXED_ENERGY_MODES = [Fock(1), CoherentEven(1.0)]
 
@@ -341,16 +360,33 @@ class TestCfAtScale:
         iid_system(CoherentEven(1.0), 4096, hbar=0.01),
         iid_system(Fock(30), 1),
         iid_system(CoherentOdd(40.0), 1, mu=0.6, nu=0.8),
+        iid_system(CoherentOdd(40.0), 1, mu=0.0, nu=1.0),
+        iid_system(CoherentEven(40.0), 2, mu=0.0, nu=1.0),
         (MIXED_SYS, MIXED_FRAME),
-    ], ids=["fock1x65536", "even1x4096", "fock30", "odd40", "mixed"])
+    ], ids=["fock1x65536", "even1x4096", "fock30", "odd40", "odd40-p", "even40x2-p", "mixed"])
     def test_product_below_floor_at_outer_nodes(self, system):
         marg = marginals_for_system(*system)
         k_grid = cf_grid_for(marg, common_grid(marg))
-        product = _cf_product_at(_distinct(marg), k_grid.xs)
+        groups = _distinct(marg)
+        product = _cf_product_at(groups, k_grid.xs)
         assert abs(product[0]) < 1e-17 and abs(product[-1]) < 1e-17
         # and the cut is tight: a grid half as long would drop nodes at or
         # above the floor
         assert np.max(np.abs(product[3 * k_grid.count // 4 - 1:])) >= 1e-17
+        # no lattice node past the grid, out beyond every bump, reaches it
+        beyond = k_grid.dx * np.arange(k_grid.count // 2, int(far_k(system) / k_grid.dx) + 1)
+        assert np.all(np.abs(_cf_product_at(groups, beyond)) < 1e-17)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("mode", [CoherentEven(40.0), CoherentOdd(40.0)], ids=repr)
+    def test_large_cat_fringes_across_the_frame(self, mode, N):
+        # at frame (0, 1) the cat's cross-term bump sits at k = 2 sqrt(2) 40,
+        # far past where the diagonal term has fallen below the floor; the
+        # fringes it encodes must survive the cut
+        marg = marginals_for_system(*iid_system(mode, N, mu=0.0, nu=1.0))
+        cm = convolve_fft(marg)
+        cf = cf_product(marg, grid=cm.grid)
+        assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
 
     def test_shares_no_fft_with_backend_one(self, monkeypatch):
         marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
