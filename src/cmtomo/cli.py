@@ -29,11 +29,11 @@ from .config import (
     parse_system,
 )
 from .convolution import backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
-from .errors import CmtomoError, ConfigError, NumericalError, TruncationLeakageWarning
+from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import CutoffError, ReconstructionCutoffs, fidelity, reconstruct_single_mode
 from .report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_report
-from .states import Fock, fock_expansion
+from .states import ODD_ALPHA_MIN, Fock, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -294,9 +294,14 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
                 if len(toks) != 2:
                     raw.fail(lineno, "alpha takes two reals (Re, Im)")
                 try:
-                    alphas.append(complex(float(toks[0]), float(toks[1])))
+                    alpha = complex(float(toks[0]), float(toks[1]))
                 except ValueError:
                     raw.fail(lineno, f"invalid alpha: {value!r}")
+                # every nonzero alpha also gets an odd-parity row
+                if 0 < abs(alpha) < ODD_ALPHA_MIN:
+                    raw.fail(lineno, f"alpha must be 0 or of modulus at least {ODD_ALPHA_MIN:g} "
+                                     f"(odd coherent states), got {value!r}")
+                alphas.append(alpha)
         entries = raw.all("report", "frame")
         if entries:
             frames = []
@@ -311,8 +316,9 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
         hbar = get_float(raw, "report", "hbar", default=1.0)
         if not 0 < hbar < math.inf:
             raw.fail(raw.last_line("report", "hbar"), f"hbar must be positive and finite, got {hbar}")
+    # the report tabulates the pre-rescale integrals that this warning flags
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", NormalizationMismatchWarning)
         rows = discrepancy_rows(alphas, frames, hbar)
     _write_atomic(args.out, format_report(rows, _header(raw, args, ["closed forms vs oracle values"])))
     return 0

@@ -96,15 +96,37 @@ def common_grid(marginals: list[MarginalDensity], max_count: int = _MAX_GRID) ->
 
 
 def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
-    """f**count, for complex f in polar form |f|^count e^{i count arg f}; f itself for count 1."""
+    """f**count, complex f in place; f itself for count 1.
+
+    Complex entries with |f| >= 1/2 take the polar form
+    |f|^count e^{i count arg f}.  Every other entry is raised by binary
+    powering, squarings and multiplies: it errs by about
+    count eps |f|^count <= count 2^-count eps <= eps/2 of a unit peak,
+    and it cannot overflow.  Where |f|^count would fall below the
+    smallest normal double the entry is set to 0, so no product forms a
+    subnormal, whose arithmetic is some twenty times slower.  Few
+    entries of a dx-scaled spectrum reach modulus 1/2, so only those
+    pay for an angle, a power, a cosine and a sine.
+    """
     if count == 1:
         return f
     if not np.iscomplexobj(f):
         return f ** count
-    phase = count * np.angle(f)
-    mag = np.abs(f) ** count
-    f.real = mag * np.cos(phase)
-    f.imag = mag * np.sin(phase)
+    mod = np.abs(f)
+    big = np.flatnonzero(mod >= 0.5)
+    phase = count * np.angle(f[big])
+    mag = mod[big] ** count
+    small = np.flatnonzero((mod < 0.5) & (mod >= _TINY ** (1.0 / count)))
+    g = f[small]
+    base = g.copy()
+    for bit in bin(count)[3:]:
+        g *= g
+        if bit == "1":
+            g *= base
+    f.fill(0.0)
+    f[small] = g
+    f.real[big] = mag * np.cos(phase)
+    f.imag[big] = mag * np.sin(phase)
     return f
 
 
@@ -119,10 +141,12 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
     the output length.  Its spectrum is scaled by dx, so every factor is
     a discrete characteristic function bounded near one, and raised to
     the marginal's count (`_raise_to`), so the product cannot overflow
-    at any N.  The cost is one resample and one rfft of length 2 count
-    per distinct marginal, whatever the number of modes.  The inverse
-    is divided by dx once and clamped at 0; more than 1e-9 of clamped
-    mass fails the run.
+    at any N.  The power keeps the polar form where |f| >= 1/2 and
+    squares elsewhere, erring there by at most about eps/2 of the unit
+    peak; entries whose power underflows are 0.  The cost is one
+    resample and one rfft of length 2 count per distinct marginal,
+    whatever the number of modes.  The inverse is divided by dx once
+    and clamped at 0; more than 1e-9 of clamped mass fails the run.
     """
     if not marginals:
         raise ValueError("need at least one marginal")

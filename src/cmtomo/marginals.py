@@ -27,6 +27,7 @@ from .states import (
     Fock,
     FockExpansion,
     ModeSpec,
+    cat_weight,
     coherent_expansion,
     fock_expansion,
 )
@@ -183,15 +184,10 @@ def fock_marginal(n: int, mu: float, nu: float, hbar: float, grid: Grid | None =
 def _cat_norm_sq(alpha: complex, parity: str) -> float:
     """|N_+-|^2 for the even/odd superposition of |alpha> and |-alpha>.
 
-    Written as 1/(2(1 +- e^{-2|a|^2})) so no exponential can overflow.
+    Written as 1/(2(1 +- e^{-2|a|^2})) so no exponential can overflow,
+    with the odd 1 - e^{-2|a|^2} taken without cancellation (`cat_weight`).
     """
-    a2 = abs(alpha) ** 2
-    e = math.exp(-2.0 * a2)
-    if parity == "even":
-        return 1.0 / (2.0 * (1.0 + e))
-    if abs(alpha) == 0.0:
-        raise ValueError("odd superposition undefined at alpha = 0")
-    return 1.0 / (2.0 * (1.0 - e))
+    return 1.0 / (2.0 * cat_weight(alpha, parity))
 
 
 def _check_parity(parity: str) -> int:
@@ -237,7 +233,7 @@ def _cat_var_exact(alpha: complex, parity: str, mu: float, nu: float, hbar: floa
     rho = mu * mu + nu * nu
     n_sq = _cat_norm_sq(alpha, parity)
     return n_sq * hbar * (
-        (1.0 + sign * e) * rho
+        cat_weight(alpha, parity) * rho
         + 4.0 * (a * mu + b * nu) ** 2
         - sign * 4.0 * e * (b * mu - a * nu) ** 2
     )
@@ -409,19 +405,31 @@ def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.nd
     2 e^{-|b|^2/2} cos(k <X>_a), with <X>_a = sqrt(2 hbar)(mu Re a + nu Im a),
     and the two cross terms are real and positive, e^{-|2a - b|^2/2} and
     e^{-|2a + b|^2/2}.
+    The odd superposition subtracts the cross terms, which cancel the
+    diagonal ones to O(|a|^2) as |a| -> 0.  With w = 1 - e^{-2|a|^2} and
+    c = |2 Re(conj(a) b)| it is rearranged exactly into
+    e^{-|b|^2/2} (1 - 2 sin^2(k <X>_a / 2) / w)
+    - e^{-|b|^2/2 - 2|a|^2 + c} (1 - e^{-c})^2 / (2w),
+    whose parts are each O(1) near a -> 0 and differ only near the
+    genuine zeros; the second exponent is -|2a -+ b|^2/2.
     No exponent is positive, so nothing overflows at any |a| or k.
     """
     k = np.asarray(k, dtype=float)
     s = _scale(mu, nu, hbar)
     if isinstance(mode, Fock):
         return laguerre_gauss(mode.n, 0.5 * (k * s) ** 2)
-    sign = _check_parity(mode.parity)
     alpha = mode.alpha
-    beta = 1j * math.sqrt(0.5 * hbar) * complex(mu, nu) * k
     mean = math.sqrt(2.0 * hbar) * (mu * alpha.real + nu * alpha.imag)
-    diag = 2.0 * np.exp(-0.25 * (k * s) ** 2) * np.cos(k * mean)
-    cross = np.exp(-0.5 * np.abs(2.0 * alpha - beta) ** 2) + np.exp(-0.5 * np.abs(2.0 * alpha + beta) ** 2)
-    return _cat_norm_sq(alpha, mode.parity) * (diag + sign * cross)
+    if _check_parity(mode.parity) > 0:
+        beta = 1j * math.sqrt(0.5 * hbar) * complex(mu, nu) * k
+        diag = 2.0 * np.exp(-0.25 * (k * s) ** 2) * np.cos(k * mean)
+        cross = np.exp(-0.5 * np.abs(2.0 * alpha - beta) ** 2) + np.exp(-0.5 * np.abs(2.0 * alpha + beta) ** 2)
+        return _cat_norm_sq(alpha, mode.parity) * (diag + cross)
+    w = cat_weight(alpha, mode.parity)
+    c = np.abs(k) * math.sqrt(2.0 * hbar) * abs(mu * alpha.imag - nu * alpha.real)
+    near = np.exp(-0.25 * (k * s) ** 2) * (1.0 - 2.0 * np.sin(0.5 * k * mean) ** 2 / w)
+    far = np.exp(-0.25 * (k * s) ** 2 - 2.0 * abs(alpha) ** 2 + c) * np.expm1(-c) ** 2 / (2.0 * w)
+    return near - far
 
 
 def char_function_reach(mode: ModeSpec, mu: float, nu: float, hbar: float, floor: float) -> float:

@@ -16,6 +16,12 @@ from .errors import ConvergenceError
 
 _DEFAULT_TRUNCATION_CAP = 512
 _TAIL_BOUND = 1e-12
+# Smallest supported odd |alpha|.  The closed-form odd density forms
+# |1 - e^{-2z}|^2 with z = O(|alpha|) and errs by about 1e-16/|alpha| of
+# its peak.  Near |alpha| = 6e-6 that error reaches the state's whole
+# departure from the number state |1>, 0.55 |alpha|^2 of the peak; the
+# bound is the decade above.
+ODD_ALPHA_MIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class CoherentOdd:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
-        if abs(self.alpha) == 0.0:
-            # the odd superposition has zero norm at alpha = 0
-            raise ValueError("odd coherent states require |alpha| > 0")
+        if abs(self.alpha) < ODD_ALPHA_MIN:
+            # zero norm at alpha = 0; rounding swamps the state below the bound
+            raise ValueError(f"odd coherent states require |alpha| >= {ODD_ALPHA_MIN:g}, got {abs(self.alpha):.6g}")
 
 
 ModeSpec = Union[Fock, CoherentEven, CoherentOdd]
@@ -149,14 +155,25 @@ def coherent_expansion(alpha: complex, D: int) -> FockExpansion:
     return FockExpansion(coefficients=amp / norm, truncation=D)
 
 
+def cat_weight(alpha: complex, parity: str) -> float:
+    """1 + e^{-2|a|^2} (even) or 1 - e^{-2|a|^2} (odd): the squared norm
+    of |a> +- |-a>, over 2.
+
+    The odd weight is -expm1(-2|a|^2), which keeps full relative
+    precision as |a| -> 0 where 1 - e^{-2|a|^2} would round to 0.
+    """
+    a2 = abs(alpha) ** 2
+    if parity == "even":
+        return 1.0 + math.exp(-2.0 * a2)
+    if a2 == 0.0:
+        raise ValueError("odd superposition undefined at alpha = 0")
+    return -math.expm1(-2.0 * a2)
+
+
 def _cat_tail(alpha: complex, parity: str, D: int) -> float:
     """Relative weight above level D, from the exact even/odd series sums."""
-    a2 = abs(alpha) ** 2
-    e = math.exp(-2.0 * a2)
     # e^{-a2} cosh(a2) and e^{-a2} sinh(a2), overflow-free
-    total = 0.5 * (1.0 + e) if parity == "even" else 0.5 * (1.0 - e)
-    if total == 0.0:
-        raise ValueError("odd superposition undefined at alpha = 0")
+    total = 0.5 * cat_weight(alpha, parity)
     probs = np.abs(coherent_amplitudes(alpha, D)) ** 2
     partial = probs[0::2].sum() if parity == "even" else probs[1::2].sum()
     return max(0.0, 1.0 - partial / total)

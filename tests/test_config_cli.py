@@ -1,16 +1,22 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmtomo import marginals
+from cmtomo import cli, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
-from cmtomo.errors import ConfigError
+from cmtomo.errors import ConfigError, NormalizationMismatchWarning
 from cmtomo.reconstruct import CutoffError, ReconstructionCutoffs
 from cmtomo.states import CoherentEven, Fock
 
@@ -134,6 +140,25 @@ class TestCmdMarginal:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"{cfg}:4: this command needs exactly one mode" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["marginal", "cm"])
+    def test_tiny_odd_alpha_exit_two(self, tmp_path, capsys, command):
+        # below ODD_ALPHA_MIN the odd closed form loses its departure from |1>
+        # to rounding; 1e-9 used to divide by zero in the normalization
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = odd 1e-9 0\n[frame]\nmu = 1.0\nnu = 0.0\n")
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:2: invalid mode line: odd coherent states require |alpha| >= 1e-05" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_odd_alpha_tracks_fock1(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = odd 1e-5 0\n[frame]\nmu = 1.0\nnu = 0.0\n")
+        out = str(tmp_path / "o.csv")
+        assert main(["marginal", "--config", cfg, "--out", out]) == 0
+        _, _, data, _ = read_csv(out)
+        want = marginals.fock_tomogram(1, 1.0, 0.0, 1.0, data[:, 0])
+        # the O(|alpha|^2) departure from |1> is 0.55e-10 of the peak
+        assert np.max(np.abs(data[:, 1] - want)) <= 1e-10 * np.max(want)
 
     def test_even_cat_alpha_five(self, tmp_path):
         # e^z and e^{A} are combined before exponentiating, so a large
@@ -365,6 +390,26 @@ class TestCmdDiscrepancyReport:
         assert odd_var and abs(float(odd_var[0]["ratio"]) - 1) > 0.05
 
 
+    def test_tiny_alpha_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", "[report]\nalpha = 1e-12 0\nframe = 1 0\n")
+        out = tmp_path / "r.csv"
+        assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:2: alpha must be 0 or of modulus at least 1e-05" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_only_normalization_warnings_are_silenced(self, tmp_path, monkeypatch):
+        def noisy(alphas, frames, hbar):
+            warnings.warn("pre-rescale integral off", NormalizationMismatchWarning)
+            warnings.warn("something else", UserWarning)
+            return []
+
+        monkeypatch.setattr(cli, "discrepancy_rows", noisy)
+        cfg = write(tmp_path, "c.cfg", self.CFG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["discrepancy-report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert [str(w.message) for w in caught] == ["something else"]
+
     @pytest.mark.parametrize("hbar", ["0", "-1", "inf", "nan"])
     def test_bad_hbar_exit_two(self, tmp_path, capsys, hbar):
         cfg = write(tmp_path, "c.cfg", self.CFG.replace("hbar = 1.0", f"hbar = {hbar}"))
@@ -471,6 +516,57 @@ class TestExitCodes:
         cfg = write(tmp_path, "c.cfg", "[system]\nhbar = inf\nmode = fock 0\n[frame]\nmu = 1.0\nnu = 0.0\n")
         assert main(["cm", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert f"{cfg}:2:" in capsys.readouterr().err
+
+
+FRAME_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6))
+NUMERIC_HEADER = ("rescale_factor", "pre_rescale_integral", "sigma2", "S_N", "clamped_mass")
+
+
+@st.composite
+def generated_configs(draw):
+    """(command, config text, extra flags) for a `marginal` or `cm` run: Fock
+    levels 0-40, even/odd cats with |alpha| from 1e-12 to 5, hbar from 1e-3
+    to 1e3, 1-4 modes."""
+    command = draw(st.sampled_from(["marginal", "cm"]))
+    n_modes = 1 if command == "marginal" else draw(st.integers(1, 4))
+    lines = ["[system]", f"hbar = {10.0 ** draw(st.floats(-3.0, 3.0))!r}"]
+    for _ in range(n_modes):
+        kind = draw(st.sampled_from(["fock", "even", "odd"]))
+        if kind == "fock":
+            lines.append(f"mode = fock {draw(st.integers(0, 40))}")
+        else:
+            size = 10.0 ** draw(st.floats(-12.0, math.log10(5.0)))
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
+    directions = [draw(st.sampled_from(FRAME_DIRECTIONS)) for _ in range(n_modes)]
+    lines += ["[frame]", "mu = " + " ".join(repr(mu) for mu, _ in directions),
+              "nu = " + " ".join(repr(nu) for _, nu in directions)]
+    flags = ["--all-backends", "--mc-samples", "4096"] if command == "cm" and draw(st.booleans()) else []
+    return command, "\n".join(lines) + "\n", flags
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=generated_configs())
+    def test_exit_code_and_finite_artifact(self, case):
+        command, text, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write(Path(tmp), "c.cfg", text)
+            out = Path(tmp) / "o.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", cfg, "--out", str(out), *flags])
+            assert code in (0, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert not out.exists()
+                return
+            header, _, data, footer = read_csv(out)
+            assert np.all(np.isfinite(data))
+            for line in header + footer:
+                key, _, value = line.partition(" ")
+                if key in NUMERIC_HEADER or key.startswith(("tv_", "ks_")):
+                    assert math.isfinite(float(value)), line
 
 
 def test_cli_import_loads_no_scipy():

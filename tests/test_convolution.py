@@ -14,6 +14,7 @@ from cmtomo.convolution import (
     _inverse_cdf,
     _mode_stream,
     _phase_sum,
+    _raise_to,
     backend_agreement,
     cf_grid_for,
     cf_product,
@@ -215,6 +216,108 @@ class TestMultiplicities:
         np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
 
 
+def dx_spectrum(m, grid):
+    """One marginal's dx-scaled rfft, as convolve_fft forms it."""
+    count = grid.count
+    M = 2 * count
+    g = np.zeros(M)
+    g[M // 2 - count // 2: M // 2 + count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
+    return np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
+
+
+def polar_power(f, count):
+    """f**count in double-precision polar form over every entry."""
+    phase = count * np.angle(f)
+    mag = np.abs(f) ** count
+    out = np.empty_like(f)
+    out.real = mag * np.cos(phase)
+    out.imag = mag * np.sin(phase)
+    return out
+
+
+def long_double_power(f, count):
+    """f**count in long-double polar form."""
+    fl = f.astype(np.clongdouble)
+    mag = np.abs(fl) ** count
+    phase = count * np.angle(fl)
+    return mag * np.cos(phase) + 1j * (mag * np.sin(phase))
+
+
+def spectrum_density(spec, grid):
+    """convolve_fft's inverse of a product spectrum: clamped at 0, unit integral."""
+    count = grid.count
+    M = 2 * count
+    out = np.fft.irfft(spec.astype(complex), n=M)
+    out = np.fft.fftshift(out)[M // 2 - count // 2: M // 2 + count // 2]
+    out = np.clip(out / grid.dx, 0.0, None)
+    return out / np.trapezoid(out, dx=grid.dx)
+
+
+def multiset_marginals(groups, hbar):
+    """Marginals of (mode, (mu, nu), count) groups, each mode repeated count times."""
+    picks = [(mode, frame) for mode, frame, count in groups for _ in range(count)]
+    sys = SystemSpec(modes=tuple(mode for mode, _ in picks), hbar=hbar)
+    frame = FrameSpec(mu=tuple(f[0] for _, f in picks), nu=tuple(f[1] for _, f in picks), r=0.5, R=2.0)
+    return marginals_for_system(sys, frame)
+
+
+# counts far past the hypothesis test's 64
+FAR_COUNTS = {
+    "fock1-x4096": ((Fock(1), (1.0, 0.0), 4096),),
+    "even-x1000": ((CoherentEven(1 + 0.5j), (1.0, 0.0), 1000),),
+    "mixed": ((Fock(1), (0.6, 0.8), 700), (CoherentEven(1 + 0.5j), (1.0, 0.0), 300),
+              (CoherentOdd(0.8), (0.0, 1.0), 3), (Fock(3), (0.0, 1.0), 2)),
+}
+_TINY = np.finfo(float).tiny
+
+
+class TestGatedPower:
+    """_raise_to keeps the polar form where |f| >= 1/2 and powers the rest by squaring."""
+
+    @pytest.mark.parametrize("name", sorted(FAR_COUNTS))
+    def test_far_counts_match_long_double_polar(self, name):
+        marg = multiset_marginals(FAR_COUNTS[name], hbar=0.5)
+        grid = common_grid(marg)
+        spec = np.ones(grid.count + 1, dtype=np.clongdouble)
+        for m, count in _distinct(marg):
+            f = dx_spectrum(m, grid)
+            want = long_double_power(f, count)
+            got = _raise_to(f.copy(), count)
+            big = np.abs(f) >= 0.5
+            assert got[big].tobytes() == polar_power(f, count)[big].tobytes()
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            # entries below 1/2 whose power would underflow are set to 0
+            assert np.all(got[~big & (np.abs(f) < _TINY ** (1.0 / count))] == 0)
+            spec *= want
+        want = spectrum_density(spec, grid)
+        got = convolve_fft(marg, grid=grid).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_spectrum_straddling_the_cut(self, count):
+        # the fringes of a cat across the frame carry its spectrum above and
+        # below |f| = 1/2 several times
+        marg = multiset_marginals(((CoherentEven(1.5), (0.0, 1.0), count),), hbar=1.0)
+        grid = common_grid(marg)
+        f = dx_spectrum(marg[0], grid)
+        mod = np.abs(f)
+        big = mod >= 0.5
+        squared = ~big & (mod >= _TINY ** (1.0 / count))
+        assert np.count_nonzero(big) >= 10 and np.count_nonzero(squared & (mod > 0.1)) >= 10
+        got = _raise_to(f.copy(), count)
+        assert got[big].tobytes() == polar_power(f, count)[big].tobytes()
+        direct = f * f if count == 2 else f * f * f
+        assert got[squared].tobytes() == direct[squared].tobytes()
+        assert np.all(got[~big & ~squared] == 0)
+        want = long_double_power(f, count)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_real_factors_use_plain_power(self):
+        k = np.linspace(0.0, 6.0, 101)
+        f = char_function(Fock(2), 1.0, 0.0, 1.0, k)
+        assert _raise_to(f.copy(), 7).tobytes() == (f ** 7).tobytes()
+
+
 class TestCfProduct:
     def test_vacuum_cf_closed_form(self):
         ks = np.linspace(-8, 8, 161)
@@ -289,7 +392,9 @@ class TestCharFunction:
 
     @pytest.mark.parametrize("hbar", [1.0, 0.3])
     @pytest.mark.parametrize("mu,nu", CF_FRAMES)
-    @pytest.mark.parametrize("mode", CF_MODES, ids=repr)
+    # the small odd cats pin the odd form, whose terms would otherwise cancel
+    # to O(|alpha|^2) and lose eps/|alpha|^2
+    @pytest.mark.parametrize("mode", CF_MODES + (CoherentOdd(1e-5), CoherentOdd(1e-3 * (0.6 + 0.8j))), ids=repr)
     def test_matches_trapezoid_direct_sum(self, mode, mu, nu, hbar):
         # the density on a grid reaching 10 s past its farthest bump, at the
         # policy spacing; the trapezoid sum of a smooth density that small at

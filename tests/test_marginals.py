@@ -21,7 +21,7 @@ from cmtomo.marginals import (
     oracle_marginal,
     tomogram_oracle,
 )
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, fock_expansion
+from cmtomo.states import ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, fock_expansion
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -213,6 +213,18 @@ class TestEvenOddTomogram:
     def test_odd_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
             evenodd_tomogram(0.0, "odd", 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("phase", [1.0, 0.6 + 0.8j])
+    @pytest.mark.parametrize("frame", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
+    @pytest.mark.parametrize("hbar", [1.0, 1e-3, 1e3])
+    def test_smallest_odd_alpha_tracks_oracle(self, phase, frame, hbar):
+        # at the bound the closed form's rounding error, about 1e-16/|alpha|
+        # of the peak, stays below the O(|alpha|^2) departure from |1>
+        alpha = ODD_ALPHA_MIN * phase
+        mu, nu = frame
+        d = evenodd_tomogram(alpha, "odd", mu, nu, hbar)
+        o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
+        assert np.max(np.abs(d.values - o.values)) < 0.55 * abs(alpha) ** 2 * np.max(o.values)
 
     def test_unknown_parity_rejected(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ import pytest
 
 from cmtomo.errors import ConvergenceError
 from cmtomo.states import (
+    ODD_ALPHA_MIN,
     CoherentEven,
     CoherentOdd,
     Fock,
     FrameSpec,
     SystemSpec,
+    cat_weight,
     coherent_expansion,
     energy,
     fock_expansion,
@@ -26,6 +28,20 @@ class TestSpecs:
     def test_odd_rejects_zero_amplitude(self):
         with pytest.raises(ValueError):
             CoherentOdd(0.0)
+
+    def test_odd_rejects_amplitude_below_bound(self):
+        assert CoherentOdd(ODD_ALPHA_MIN * 1j).alpha == ODD_ALPHA_MIN * 1j
+        for alpha in (1e-12, 1e-9, 0.999 * ODD_ALPHA_MIN):
+            with pytest.raises(ValueError, match="odd coherent states require"):
+                CoherentOdd(alpha)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-5, 0.3, 2.0])
+    def test_odd_weight_has_no_cancellation(self, a):
+        # 1 - e^{-2a^2} = 2a^2 (1 - a^2 + 2a^4/3 - ...); 1 - math.exp(-2e-18) is 0
+        a2 = a * a
+        want = 2.0 * a2 * (1.0 - a2 + 2.0 * a2 * a2 / 3.0) if a < 1e-3 else 1.0 - math.exp(-2.0 * a2)
+        assert cat_weight(a, "odd") == pytest.approx(want, rel=1e-15 if a < 1e-3 else 1e-12)
+        assert cat_weight(a, "even") == 1.0 + math.exp(-2.0 * a2)
 
     def test_system_needs_modes(self):
         with pytest.raises(ValueError):
