@@ -33,7 +33,7 @@ from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, Nume
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import CutoffError, ReconstructionCutoffs, fidelity, reconstruct_single_mode
 from .report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_report
-from .states import ODD_ALPHA_MIN, Fock, fock_expansion
+from .states import FOCK_LEVEL_MAX, ODD_ALPHA_MIN, Fock, check_alpha, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -196,9 +196,9 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("scan", "R"), f"R must exceed every frame radius {max(radii):.6g}, got {big_r}")
     if not 0 < E < math.inf:
         raw.fail(raw.last_line("scan", "E"), f"E (scan energy) must be positive and finite, got {E}")
-    if not levels or any(n < 0 for n in levels):
+    if not levels or not all(0 <= n <= FOCK_LEVEL_MAX for n in levels):
         raw.fail(raw.last_line("scan", "n_pattern"),
-                 f"n_pattern levels must be nonnegative and at least one, got {levels}")
+                 f"n_pattern needs at least one level, each from 0 to {FOCK_LEVEL_MAX}, got {levels}")
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r, epsilon=args.epsilon)
     header = _header(raw, args, [
         f"scan fixed-energy E {_fmt(E)} epsilon {_fmt(args.epsilon)}",
@@ -295,8 +295,9 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
                     raw.fail(lineno, "alpha takes two reals (Re, Im)")
                 try:
                     alpha = complex(float(toks[0]), float(toks[1]))
-                except ValueError:
-                    raw.fail(lineno, f"invalid alpha: {value!r}")
+                    check_alpha(alpha)
+                except ValueError as exc:
+                    raw.fail(lineno, f"invalid alpha {value!r}: {exc}")
                 # every nonzero alpha also gets an odd-parity row
                 if 0 < abs(alpha) < ODD_ALPHA_MIN:
                     raw.fail(lineno, f"alpha must be 0 or of modulus at least {ODD_ALPHA_MIN:g} "

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import GridSizeError, NumericalError
 from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
                         marginal_density, moments)
+from .specialfn import phase_table
 from .states import FrameSpec, SystemSpec
 
 _MAX_GRID = 2 ** 22
@@ -176,31 +177,34 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
     return CenterOfMassDensity(grid=grid, values=out, meta=meta)
 
 
-def _phase_sum(grid: Grid, v: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
-    """sum_j v[j] e^{sign i a x_j} over the nodes x_j of `grid`, for every a.
+def _phase_sum(grid: Grid, v: np.ndarray, out: Grid, sign: float) -> np.ndarray:
+    """sum_j v[j] e^{sign i a x_j} over the nodes x_j of `grid`, at every node a of `out`.
 
     With Q = 2**floor(log2(count) / 2), node j = b Q + q sits at
     x_{bQ} + q dx, so each phase is a coarse factor e^{sign i a x_{bQ}}
-    times a fine factor e^{sign i a q dx}.  Only len(a) (count/Q + Q)
-    exponentials are formed; the q sum is a matrix product and the b
-    sum a row-wise reduction, len(a) count multiply-adds in all.  The
-    fine factor enters as its cosine and sine, so a real v costs two
-    real matrix products, half of one complex product.  Rows of a go in
-    blocks of _MAX_GRID // count to bound memory.
+    times a fine factor e^{sign i a q dx}.  The q sum is a matrix product
+    and the b sum a row-wise reduction, n count multiply-adds in all for
+    the n output nodes.  The fine factor enters as its cosine and sine,
+    so a real v costs two real matrix products, half of one complex
+    product.  The output nodes are uniform too, so both factor tables
+    are `phase_table`s over them: a block of R output nodes forms
+    (R/P + P)(count/Q + Q) exponentials, P ~ sqrt(R), not R (count/Q + Q).
+    Output nodes go in blocks of _MAX_GRID // count to bound memory.
     """
     fine_len = 1 << (grid.count.bit_length() - 1) // 2
-    coarse_x = grid.xs[::fine_len]
-    fine_x = grid.dx * np.arange(fine_len)
+    coarse_x = sign * grid.xs[::fine_len]
+    fine_x = sign * grid.dx * np.arange(fine_len)
     blocks = v.reshape(len(coarse_x), fine_len).T
-    out = np.empty(len(a), dtype=complex)
+    sums = np.empty(out.count, dtype=complex)
     step = max(1, _MAX_GRID // grid.count)
-    for i in range(0, len(a), step):
-        aa = sign * a[i:i + step, None]
-        fine = aa * fine_x[None, :]
-        coarse = np.exp(1j * aa * coarse_x[None, :])
-        inner = np.cos(fine) @ blocks + 1j * (np.sin(fine) @ blocks)
-        out[i:i + step] = np.einsum("ij,ij->i", coarse, inner)
-    return out
+    for i in range(0, out.count, step):
+        rows = min(step, out.count - i)
+        a0 = out.x0 + i * out.dx
+        coarse = phase_table(a0, out.dx, rows, coarse_x)
+        fine = phase_table(a0, out.dx, rows, fine_x)
+        inner = np.ascontiguousarray(fine.real) @ blocks + 1j * (np.ascontiguousarray(fine.imag) @ blocks)
+        sums[i:i + rows] = np.einsum("ij,ij->i", coarse, inner)
+    return sums
 
 
 def _trapezoid_weights(grid: Grid) -> np.ndarray:
@@ -261,8 +265,9 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
     distinct marginal and raised to its count; no marginal grid is read.
     The inverse transform is an explicit trapezoid sum over the K nodes
     of the `cf_grid_for` k-grid onto the n output nodes (no FFT shared
-    with backend one), block-factored by `_phase_sum`: n (K/Q + Q)
-    exponentials, Q ~ sqrt(K), and an n x K matrix product.
+    with backend one), block-factored on both grids by `_phase_sum`:
+    about 2 n (K/Q + Q) / sqrt(R) exponentials, Q ~ sqrt(K), with R the
+    output nodes per block, and an n x K matrix product.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
@@ -277,7 +282,7 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
     # subnormal tail values carry nothing but slow the matrix products
     # about twofold; they are flushed to 0
     v[np.abs(v) < _TINY] = 0.0
-    out = _phase_sum(k_grid, v, grid.xs, -1.0).real
+    out = _phase_sum(k_grid, v, grid, -1.0).real
     out /= 2.0 * math.pi
     clamped = float(-out[out < 0].sum() * grid.dx)
     if clamped > 1e-6:

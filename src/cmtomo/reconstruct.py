@@ -19,6 +19,13 @@ and one tomogram evaluation per angle:
 Every true tomogram is homogeneous; a callable that is not will be
 reconstructed wrongly.
 
+The X grid is uniform, so its phase table e^{i y k} over the x_count
+nodes and the radial nodes comes from `specialfn.phase_table`:
+(x_count/P + P) exponentials per radial node, P ~ sqrt(x_count), not
+x_count.  Its cosine and sine enter the X integral as two real matrix
+products with the real tomogram block.  The Gauss-Legendre radial rule
+is built once per node count and process.
+
 Truncation contract: the exponentials are evaluated in a padded working
 basis large enough to hold every displacement reached by the radial
 cutoff, then cropped; without the padding the exponential of the
@@ -27,6 +34,7 @@ truncated generator is wrong in exactly the entries being accumulated.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, TruncationLeakageWarning
+from .specialfn import phase_table
 from .states import FockExpansion
 
 
@@ -102,6 +111,17 @@ def quadrature_matrices(dim: int, hbar: float) -> tuple[np.ndarray, np.ndarray]:
     P = np.diag(-1j * off, 1) + np.diag(1j * off, -1)
     return Q.astype(complex), P
 
+
+@functools.cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count-node Gauss-Legendre rule on [-1, 1], built once per
+    process; the arrays are read-only because every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
                             cutoffs: ReconstructionCutoffs | None = None) -> DensityMatrix:
     """Integrate e^{iX} U(mu, nu) w(X, mu, nu) over X and all frames.
@@ -122,7 +142,7 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     pad = int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq) + 2.0 * math.sqrt(dim * xi_max_sq))) + 8
     W = dim + pad
 
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(cutoffs.radial_nodes)
+    gl_nodes, gl_weights = _gauss_legendre(cutoffs.radial_nodes)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
     k_weights = 0.5 * gl_weights * K
     n_theta = cutoffs.angular_nodes
@@ -132,7 +152,7 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     # unit-frame x-grid: any state inside the truncation has variance at
     # most hbar (dim + 1/2) there; radius k uses this grid scaled by k
     sigma_unit = math.sqrt(hbar * (dim + 0.5))
-    x_count = cutoffs.x_points
+    x_count = int(cutoffs.x_points)
     while x_count < 32 * dim:
         x_count *= 2
     dy = 2.0 * cutoffs.x_sigmas * sigma_unit / x_count
@@ -143,8 +163,12 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     w1 = np.empty((n_theta, x_count))
     for j, theta in enumerate(thetas):
         w1[j] = tomogram(ys, math.cos(theta), math.sin(theta))
-    # the trapezoid X integral at each (angle, radius), with its quadrature weight
-    coefs = (w1 @ (trap[:, None] * np.exp(1j * np.outer(ys, k_nodes)))) * (k_weights * k_nodes * d_theta)
+    # the trapezoid X integral at each (angle, radius), with its quadrature
+    # weight, as two real matrix products against the weighted cosine and
+    # sine; each weighted part is a contiguous temporary, freed after its product
+    phases = phase_table(ys[0], dy, x_count, k_nodes)
+    radial = k_weights * k_nodes * d_theta
+    coefs = (w1 @ (trap[:, None] * phases.real) + 1j * (w1 @ (trap[:, None] * phases.imag))) * radial
     # angular Fourier sum for each offset d = m - n of the cropped block
     offsets = np.arange(1 - dim, dim)
     C = np.exp(1j * np.outer(offsets, thetas)) @ coefs

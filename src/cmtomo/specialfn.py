@@ -7,7 +7,8 @@ orthonormal polynomials p_n = H_n / sqrt(2^n n! sqrt(pi)), whose
 three-term recurrences keep every intermediate bounded; the raw H_n
 overflow near n ~ 150 and are never formed.  The Laguerre polynomials
 L_n, which give the number states' characteristic functions, are
-evaluated the same way, times their Gaussian factor e^{-u/2}.
+evaluated the same way, times their Gaussian factor e^{-u/2}.  The
+Fourier sums over uniform grids take their phases from `phase_table`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,27 @@ def laguerre_gauss(n: int, u) -> np.ndarray:
             ls = np.where(big, ls + _LOG_RESCALE, ls)
     with np.errstate(divide="ignore"):
         return np.sign(lag) * np.exp(ls + np.log(np.abs(lag)))
+
+
+def phase_table(x0: float, dx: float, count: int, k) -> np.ndarray:
+    """e^{i (x0 + j dx) k} for j < count and every k, shape (count, len(k)).
+
+    With P = 2**floor(log2(count) / 2), node j = b P + q sits at
+    x0 + b P dx + q dx, so each entry is a coarse factor
+    e^{i (x0 + b P dx) k} times a fine factor e^{i q dx k}.  The table
+    costs (count/P + P) len(k) exponentials and one complex multiply
+    per entry, not count len(k) exponentials.  Each factor's phase is
+    rounded once, so an entry errs by a few eps times max_j |x_j k|, the
+    rounding that a directly formed e^{i x k} makes at the grid's
+    largest |x|.
+    """
+    k = np.asarray(k, dtype=float)
+    fine_len = 1 << (count.bit_length() - 1) // 2
+    blocks = -(-count // fine_len)
+    coarse = np.exp(1j * np.outer(x0 + dx * (fine_len * np.arange(blocks)), k))
+    fine = np.exp(1j * np.outer(dx * np.arange(fine_len), k))
+    table = coarse[:, None, :] * fine[None, :, :]
+    return table.reshape(blocks * fine_len, len(k))[:count]
 
 
 def _orthonormal_poly_pair(m: int, z: np.ndarray):

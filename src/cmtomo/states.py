@@ -16,12 +16,21 @@ from .errors import ConvergenceError
 
 _DEFAULT_TRUNCATION_CAP = 512
 _TAIL_BOUND = 1e-12
-# Smallest supported odd |alpha|.  The closed-form odd density forms
-# |1 - e^{-2z}|^2 with z = O(|alpha|) and errs by about 1e-16/|alpha| of
-# its peak.  Near |alpha| = 6e-6 that error reaches the state's whole
-# departure from the number state |1>, 0.55 |alpha|^2 of the peak; the
-# bound is the decade above.
+# Smallest supported odd |alpha|.  The odd density, normalization and
+# characteristic function are formed without cancellation and are exact
+# to rounding at any |alpha|, but smaller moduli are not tested through
+# the oracle and the report rows.  At the bound the state departs from
+# the number state |1> by 0.55 |alpha|^2 = 5.5e-11 of the peak.
 ODD_ALPHA_MIN = 1e-5
+# Largest supported cat |alpha|.  A cat grid resolves the interference
+# fringes, of wavelength pi s / (sqrt(2) |alpha|), across the envelope:
+# at least 81 |alpha| nodes on any frame, so no cat past |alpha| = 5.2e4
+# fits the 2**22-node grid cap.  The bound is the next power of ten and
+# keeps |alpha|^2 and the densities' exponents far from overflow.
+ALPHA_MAX = 1e5
+# Highest supported Fock level: the Hermite and Laguerre recurrences are
+# checked against high-precision values up to it.
+FOCK_LEVEL_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,18 @@ class Fock:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError("Fock level must be a nonnegative integer")
+        if self.n > FOCK_LEVEL_MAX:
+            raise ValueError(f"Fock level must be at most {FOCK_LEVEL_MAX}, got {self.n}")
+
+
+def check_alpha(alpha: complex) -> None:
+    """Reject a cat amplitude with a non-finite part or |alpha| > ALPHA_MAX."""
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    # hypot, not abs: abs raises OverflowError once |alpha| passes the largest double
+    size = math.hypot(alpha.real, alpha.imag)
+    if size > ALPHA_MAX:
+        raise ValueError(f"cat states require |alpha| <= {ALPHA_MAX:g}, got {size:.6g}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +61,7 @@ class CoherentEven:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -49,6 +71,7 @@ class CoherentOdd:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
+        check_alpha(self.alpha)
         if abs(self.alpha) < ODD_ALPHA_MIN:
             # zero norm at alpha = 0; rounding swamps the state below the bound
             raise ValueError(f"odd coherent states require |alpha| >= {ODD_ALPHA_MIN:g}, got {abs(self.alpha):.6g}")

@@ -18,7 +18,7 @@ from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning
 from cmtomo.reconstruct import CutoffError, ReconstructionCutoffs
-from cmtomo.states import CoherentEven, Fock
+from cmtomo.states import ALPHA_MAX, CoherentEven, Fock
 
 
 class TestConfigParser:
@@ -518,6 +518,55 @@ class TestExitCodes:
         assert f"{cfg}:2:" in capsys.readouterr().err
 
 
+class TestSupportedRanges:
+    # each of these ended in a traceback with exit 1
+    @pytest.mark.parametrize("command, text", [
+        ("discrepancy-report", "[report]\nalpha = inf 0\nframe = 1 0\n"),
+        ("discrepancy-report", "[report]\nalpha = nan 0\nframe = 1 0\n"),
+        ("discrepancy-report", "[report]\nalpha = 1e200 0\nframe = 1 0\n"),
+        ("marginal", "[system]\nmode = even 1e200 0\n"),
+    ], ids=["report_inf", "report_nan", "report_1e200", "mode_even_1e200"])
+    def test_bad_alpha_exit_two(self, tmp_path, capsys, command, text):
+        cfg = write(tmp_path, "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["odd nan 0", "even 0 inf", "odd 1e5 1", "even 1.7e308 1.7e308"])
+    def test_bad_alpha_mode_line_exit_two(self, tmp_path, capsys, mode):
+        cfg = write(tmp_path, "c.cfg", f"[system]\nmode = fock 1\nmode = {mode}\n[frame]\nmu = 1\nnu = 0\n")
+        assert main(["cm", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{cfg}:3: invalid mode line: " in capsys.readouterr().err
+
+    def test_alpha_bound_edge(self, tmp_path):
+        assert parse_system(parse_config_text(f"[system]\nmode = even {ALPHA_MAX!r} 0\n")).n_modes == 1
+        with pytest.raises(ConfigError, match=":2: invalid mode line: cat states require"):
+            parse_system(parse_config_text(f"[system]\nmode = odd 0 {ALPHA_MAX * (1 + 1e-15)!r}\n"))
+        # in range, but no grid within the node cap resolves its fringes
+        cfg = write(tmp_path, "c.cfg", f"[system]\nmode = even 0 {ALPHA_MAX!r}\n[frame]\nmu = 1\nnu = 0\n")
+        assert main(["marginal", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+
+    def test_fock_level_edge(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1000\n")
+        out = tmp_path / "o.csv"
+        assert main(["marginal", "--config", cfg, "--out", str(out)]) == 0
+        assert_finite_csv(out)
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1001\n")
+        assert main(["marginal", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"{cfg}:2: invalid mode line: Fock level must be at most 1000" in capsys.readouterr().err
+
+    def test_scan_level_edge(self, tmp_path, capsys):
+        # S_N needs E|y|^3 of the level, which used to come out nan past n ~ 350
+        cfg = write(tmp_path, "c.cfg", "[scan]\nE = 10\nN_list = 4\nn_pattern = 1000\n")
+        out = tmp_path / "o.csv"
+        assert main(["clt-scan", "--config", cfg, "--out", str(out)]) == 0
+        assert_finite_csv(out)
+        cfg = write(tmp_path, "c.cfg", "[scan]\nE = 10\nN_list = 4\nn_pattern = 0 1001\n")
+        assert main(["clt-scan", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"{cfg}:4: n_pattern" in capsys.readouterr().err
+
+
 FRAME_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6))
 NUMERIC_HEADER = ("rescale_factor", "pre_rescale_integral", "sigma2", "S_N", "clamped_mass")
 
@@ -545,28 +594,100 @@ def generated_configs(draw):
     return command, "\n".join(lines) + "\n", flags
 
 
+@st.composite
+def generated_reconstruct_configs(draw):
+    """A `reconstruct` config: Fock levels 0-8 or even/odd cats with |alpha|
+    from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16, small cutoffs."""
+    lines = ["[system]", f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}"]
+    kind = draw(st.sampled_from(["fock", "even", "odd"]))
+    if kind == "fock":
+        lines.append(f"mode = fock {draw(st.integers(0, 8))}")
+    else:
+        size = 10.0 ** draw(st.floats(-12.0, math.log10(2.0)))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
+    lines += ["[reconstruct]", f"dim = {draw(st.integers(2, 16))}",
+              f"radial_nodes = {draw(st.integers(4, 32))}",
+              f"angular_nodes = {draw(st.integers(4, 32))}",
+              f"x_points = {draw(st.sampled_from([16, 64, 256]))}"]
+    return "\n".join(lines) + "\n"
+
+
+# alpha lines outside the supported range, next to in-range values
+SPECIAL_ALPHAS = ("inf 0", "0 -inf", "nan 0", "0 nan", "1e200 0", "-1e200 1e200", "1e-12 0", "0 0")
+
+
+@st.composite
+def generated_report_configs(draw):
+    """A `discrepancy-report` config: 1-3 alpha lines, each a special value
+    (non-finite, huge, tiny, zero) one time in four, else |alpha| up to 3;
+    1-2 frames; hbar from 0.25 to 4."""
+    lines = ["[report]"]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(f"alpha = {draw(st.sampled_from(SPECIAL_ALPHAS))}")
+        else:
+            size = draw(st.floats(0.0, 3.0))
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            lines.append(f"alpha = {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
+    for mu, nu in draw(st.lists(st.sampled_from(FRAME_DIRECTIONS), min_size=1, max_size=2)):
+        lines.append(f"frame = {mu!r} {nu!r}")
+    lines.append(f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}")
+    return "\n".join(lines) + "\n"
+
+
+def run_generated(command, text, flags, check_artifact):
+    """Run one generated config: the exit code is 0, 2 or 3, nothing escapes
+    as a traceback, and an artifact exists only on exit 0, where
+    check_artifact(path) inspects it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), "c.cfg", text)
+        out = Path(tmp) / "o.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg, "--out", str(out), *flags])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert not out.exists()
+            return
+        check_artifact(out)
+
+
+def assert_finite_csv(out, numeric_header=NUMERIC_HEADER):
+    header, _, data, footer = read_csv(out)
+    assert np.all(np.isfinite(data))
+    for line in header + footer:
+        key, _, value = line.partition(" ")
+        if key in numeric_header or key.startswith(("tv_", "ks_")):
+            assert math.isfinite(float(value)), line
+
+
+def assert_finite_report(out):
+    for row in report_rows(out):
+        oracle = float(row["oracle_value"])
+        assert math.isfinite(float(row["published_value"])) and math.isfinite(oracle), row
+        # the ratio is nan by design where the oracle value vanishes
+        assert math.isfinite(float(row["ratio"])) or abs(oracle) < 1e-300, row
+
+
 class TestGeneratedConfigs:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(case=generated_configs())
     def test_exit_code_and_finite_artifact(self, case):
         command, text, flags = case
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = write(Path(tmp), "c.cfg", text)
-            out = Path(tmp) / "o.csv"
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([command, "--config", cfg, "--out", str(out), *flags])
-            assert code in (0, 2, 3), err.getvalue()
-            assert "Traceback" not in err.getvalue()
-            if code != 0:
-                assert not out.exists()
-                return
-            header, _, data, footer = read_csv(out)
-            assert np.all(np.isfinite(data))
-            for line in header + footer:
-                key, _, value = line.partition(" ")
-                if key in NUMERIC_HEADER or key.startswith(("tv_", "ks_")):
-                    assert math.isfinite(float(value)), line
+        run_generated(command, text, flags, assert_finite_csv)
+
+    @settings(max_examples=40)
+    @given(text=generated_reconstruct_configs())
+    def test_reconstruct_exit_code_and_finite_artifact(self, text):
+        run_generated("reconstruct", text, [],
+                      lambda out: assert_finite_csv(out, ("pre_rescale_trace", "fidelity")))
+
+    @settings(max_examples=30)
+    @given(text=generated_report_configs())
+    def test_report_exit_code_and_finite_artifact(self, text):
+        run_generated("discrepancy-report", text, [], assert_finite_report)
 
 
 def test_cli_import_loads_no_scipy():

@@ -157,7 +157,7 @@ MODE_POOL = (
 class TestMultiplicities:
     """Repeated modes enter the FFT and CF products once, raised to their count."""
 
-    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=15)
     @given(counts=st.dictionaries(st.integers(0, len(MODE_POOL) - 1), st.integers(1, 64),
                                   min_size=1, max_size=3),
            order=st.randoms(use_true_random=False))
@@ -210,7 +210,7 @@ class TestMultiplicities:
         total = np.ones(k_grid.count)
         for m in marg:
             total *= mode_cf(m, k_grid.xs)
-        want = _phase_sum(k_grid, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
+        want = _phase_sum(k_grid, total * trapezoid_weights(k_grid), grid, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
         np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)

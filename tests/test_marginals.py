@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ def exact_abs3_bigint(n):
     for p, c in enumerate(sq):
         if c:
             total += c * math.factorial(p // 2 + 1)
-    return total / (2 ** n * math.factorial(n) * SQRT_PI)
+    # as a fraction: both integers pass the largest double past n ~ 150
+    return float(Fraction(total, 2 ** n * math.factorial(n))) / SQRT_PI
 
 
 class TestGrids:
@@ -139,7 +141,7 @@ class TestMoments:
 
 
 class TestAbs3:
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 50, 100])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 50, 100, 401, 500])
     def test_dimensionless_moment_bigint_oracle(self, n):
         assert fock_abs3_dimensionless(n) == pytest.approx(exact_abs3_bigint(n), rel=1e-13)
 
@@ -225,6 +227,18 @@ class TestEvenOddTomogram:
         d = evenodd_tomogram(alpha, "odd", mu, nu, hbar)
         o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
         assert np.max(np.abs(d.values - o.values)) < 0.55 * abs(alpha) ** 2 * np.max(o.values)
+
+    @pytest.mark.parametrize("phase", [1.0, 0.6 + 0.8j])
+    @pytest.mark.parametrize("frame", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
+    @pytest.mark.parametrize("hbar", [1.0, 1e-3, 1e3])
+    def test_small_odd_alpha_exact_to_rounding(self, phase, frame, hbar):
+        # the odd factor |expm1(-2z)|^2 does not cancel as z -> 0; the
+        # cancelling |1 - e^{-2z}|^2 erred by 1.03e-11 of the peak here
+        alpha = 1e-5 * phase
+        mu, nu = frame
+        d = evenodd_tomogram(alpha, "odd", mu, nu, hbar)
+        o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
+        assert np.max(np.abs(d.values - o.values)) <= 1e-14 * np.max(o.values)
 
     def test_unknown_parity_rejected(self):
         with pytest.raises(ValueError):

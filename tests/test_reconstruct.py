@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cmtomo import reconstruct
 from cmtomo.errors import TruncationLeakageWarning
 from cmtomo.marginals import evenodd_pointwise, fock_tomogram
 from cmtomo.reconstruct import (
@@ -170,6 +171,21 @@ class TestOneEigendecomposition:
         assert rho.meta["working_dim"] == W
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
 
+    def test_displaced_state_matches_per_angle_reference(self):
+        # a coherent state's tomogram is not even in X, so the sine half of
+        # the X integral, which vanishes for every parity eigenstate, enters
+        hbar, dim, alpha = 0.5, 6, 0.4 - 0.3j
+        q0, p0 = math.sqrt(2.0 * hbar) * alpha.real, math.sqrt(2.0 * hbar) * alpha.imag
+
+        def tomogram(X, m, n):
+            var = 0.5 * hbar * (m * m + n * n)
+            return np.exp(-(X - m * q0 - n * p0) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+        want, _ = per_angle_reference(tomogram, dim, hbar, self.SMALL)
+        rho = reconstruct_single_mode(tomogram, dim, hbar, self.SMALL)
+        assert np.max(np.abs(rho.entries - want)) <= 1e-12
+        assert np.max(np.abs(rho.entries.imag)) > 0.05
+
     def test_one_tomogram_call_per_angle(self):
         calls = []
 
@@ -180,6 +196,56 @@ class TestOneEigendecomposition:
         reconstruct_single_mode(tomogram, 8, 1.0, FAST)
         assert len(calls) == FAST.angular_nodes
         np.testing.assert_allclose(np.hypot(*np.transpose(calls)), 1.0, rtol=1e-15)
+
+
+class TestSharedTables:
+    def test_one_gauss_legendre_rule_per_node_count(self, monkeypatch):
+        built = []
+        original = np.polynomial.legendre.leggauss
+
+        def counting(count):
+            built.append(count)
+            return original(count)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        reconstruct._gauss_legendre.cache_clear()
+
+        def tomogram(X, m, n):
+            return fock_tomogram(1, m, n, 1.0, X)
+
+        first = reconstruct_single_mode(tomogram, 8, 1.0, FAST)
+        second = reconstruct_single_mode(tomogram, 8, 1.0, FAST)
+        assert built == [FAST.radial_nodes]
+        assert first.entries.tobytes() == second.entries.tobytes()
+        nodes, weights = reconstruct._gauss_legendre(FAST.radial_nodes)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+    def test_exponential_count(self, monkeypatch):
+        # outside the tomogram calls: the block-factored x-integral table,
+        # (x_count/P + P) per radial node with P = sqrt(x_count) = 32, the
+        # angular phases and the eigenvalue phases, never x_count per node
+        formed = []
+        in_tomogram = []
+        original = np.exp
+
+        def counting(a, *args, **kwargs):
+            if not in_tomogram:
+                formed.append(np.size(a))
+            return original(a, *args, **kwargs)
+
+        def tomogram(X, m, n):
+            in_tomogram.append(True)
+            try:
+                return fock_tomogram(1, m, n, 1.0, X)
+            finally:
+                in_tomogram.pop()
+
+        monkeypatch.setattr(np, "exp", counting)
+        dim = 8
+        rho = reconstruct_single_mode(tomogram, dim, 1.0, FAST)
+        radial, angular = FAST.radial_nodes, FAST.angular_nodes
+        x_table = (FAST.x_points // 32 + 32) * radial
+        assert sum(formed) == x_table + (2 * dim - 1) * angular + radial * rho.meta["working_dim"]
 
 
 class TestCutoffValidation:

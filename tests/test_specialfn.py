@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmtomo.specialfn import hermite_functions, hermite_sq_density_factor, laguerre_gauss
+from cmtomo.specialfn import hermite_functions, hermite_sq_density_factor, laguerre_gauss, phase_table
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -124,3 +124,34 @@ class TestLaguerreGauss:
         vals = laguerre_gauss(1000, np.array([4000.0, 2e4, 1e6]))
         assert np.all(np.isfinite(vals))
         assert vals[-1] == 0.0
+
+
+class TestPhaseTable:
+    # (x0, dx, count, largest |k|): phases up to ~1e5 rad, grids off and
+    # across the origin, counts that are and are not powers of two
+    CASES = [(-31.2, 0.061, 1024, 30.0), (-5e3, 2.44, 4096, 20.0), (0.3, 0.01, 8192, 1e3),
+             (-327.68, 0.01, 65536, 305.0), (-50.0, 0.1, 1000, 1e3), (-1.0, 0.5, 2, 3.0), (2.0, 0.1, 1, 5.0)]
+
+    @pytest.mark.parametrize("x0, dx, count, k_max", CASES)
+    def test_matches_direct_exponentials(self, x0, dx, count, k_max):
+        k = np.random.default_rng(count).uniform(-k_max, k_max, 37)
+        xs = x0 + dx * np.arange(count)
+        got = phase_table(x0, dx, count, k)
+        assert got.shape == (count, len(k))
+        # a few eps of the largest phase in each column, as the direct table rounds
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(xs)) * np.abs(k))
+        assert np.all(np.abs(got - np.exp(1j * np.outer(xs, k))) <= bound)
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 1024, 1000])
+    def test_exponential_count(self, monkeypatch, count):
+        formed = []
+        original = np.exp
+
+        def counting(a, *args, **kwargs):
+            formed.append(np.size(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        phase_table(0.5, 0.01, count, np.linspace(-3.0, 3.0, 7))
+        fine = 2 ** (int(math.log2(count)) // 2)
+        assert sum(formed) == (-(-count // fine) + fine) * 7
