@@ -211,27 +211,33 @@ def _check_parity(parity: str) -> int:
 def evenodd_pointwise(alpha: complex, parity: str, mu: float, nu: float, hbar: float, X) -> np.ndarray:
     """Closed-form quadrature density of an even/odd coherent superposition.
 
-    The interference exponent carries sqrt(hbar) so that the density in
-    X (which scales like sqrt(hbar)) keeps a hbar-independent shape in
-    the scaled variable; the normalization constant enters squared.
-    The exponents are combined before exponentiating, as
-    e^{A + 2|Re z|} |1 +- e^{-2 z'}|^2 with z' = z signed so that
-    Re z' = |Re z|, so a large |Re alpha| cannot form inf * 0.  The odd
-    factor is taken as |expm1(-2 z')|^2, exact to rounding at any |alpha|.
+    In t = X/s, s = sqrt(hbar (mu^2 + nu^2)), the density is
+    e^{-(t^2 + u^2)} |e^{z} +- e^{-z}|^2 / (sqrt(pi) s) times the squared
+    normalization, with z = (u + iv) t, where u is the scaled centre of
+    |alpha>'s quadrature and v its scaled momentum along the frame; its
+    shape in t does not depend on hbar.  With a = |u t| and b = v t,
+    |e^{z} +- e^{-z}|^2 = e^{2a} |1 +- e^{-2(a + ib)}|^2, and the factor is
+    a sum of non-negative real terms,
+    |1 + e^{-2(a+ib)}|^2 = expm1(-2a)^2 + 4 e^{-2a} cos^2 b (even) and
+    |1 - e^{-2(a+ib)}|^2 = expm1(-2a)^2 + 4 e^{-2a} sin^2 b (odd),
+    so nothing cancels at any |alpha| and no complex transcendental is
+    formed.  The exponents are combined before exponentiating, as
+    e^{-(|t| - |u|)^2} expm1(-2a)^2 + 4 e^{-(t^2 + u^2)} trig^2: neither
+    exponent is positive, so a large |alpha| cannot form inf * 0, and the
+    completed square keeps full accuracy at the peaks |t| = |u|.
     """
     sign = _check_parity(parity)
     alpha = complex(alpha)
     s = _scale(mu, nu, hbar)
-    rho = mu * mu + nu * nu
+    root_rho = math.sqrt(mu * mu + nu * nu)
     n_sq = _cat_norm_sq(alpha, parity)
-    X = np.asarray(X, dtype=float)
-    quad = nu * (alpha ** 2 / (nu - 1j * mu) + np.conj(alpha) ** 2 / (nu + 1j * mu))
-    z = 1j * math.sqrt(2.0) * alpha * X / (math.sqrt(hbar) * (1j * mu - nu))
-    z = np.where(z.real < 0, -z, z)
-    log_pref = -0.5 * (2.0 * alpha.real) ** 2 - (X * X) / (hbar * rho) + quad.real
-    # odd: 1 - e^{-2z} = -expm1(-2z), which does not cancel at small z
-    inner = np.abs(1.0 + np.exp(-2.0 * z) if sign > 0 else np.expm1(-2.0 * z)) ** 2
-    vals = n_sq / (_SQRT_PI * s) * np.exp(log_pref + 2.0 * z.real) * inner
+    t = np.asarray(X, dtype=float) / s
+    u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / root_rho
+    v = math.sqrt(2.0) * (alpha.imag * mu - alpha.real * nu) / root_rho
+    a = np.abs(u * t)
+    trig = np.cos(v * t) if sign > 0 else np.sin(v * t)
+    vals = n_sq / (_SQRT_PI * s) * (np.exp(-(np.abs(t) - abs(u)) ** 2) * np.expm1(-2.0 * a) ** 2
+                                    + 4.0 * np.exp(-(t * t + u * u)) * trig ** 2)
     # subnormal values carry no probability but slow every later matrix
     # product and FFT that reads them; they are returned as 0
     return np.where(vals < _TINY, 0.0, vals)

@@ -5,16 +5,19 @@ tomogram, with U = exp(-i(mu Q + nu P)) and a constant hbar/(2 pi); the
 scalar X integral is the tomogram's characteristic function at 1.  The
 integral over frames runs in polar coordinates (k, theta) up to a
 radius cutoff, and two identities reduce it to one eigendecomposition
-and one tomogram evaluation per angle:
+and one tomogram evaluation per pair of opposite angles:
 
 * the rotated generator is a phase conjugation of Q alone,
   cos(theta) Q + sin(theta) P = D Q D^dagger with D = diag(e^{i theta m}),
   so the eigenvectors of the real symmetric Q serve every angle and
   entry (m, n) of each angle's term carries the phase e^{i theta (m-n)};
-* a tomogram is homogeneous in its frame, w(X; l mu, l nu) =
-  w(X / l; mu, nu) / l for every l > 0, and the X grid at radius k is
-  the unit-frame grid scaled by k, so the X integral at every radius is
-  a Fourier sum of the unit-frame tomogram on one grid.
+* a tomogram is homogeneous in its frame, w(l X; l mu, l nu) =
+  w(X; mu, nu) / |l| for every real l != 0.  For l > 0 the X grid at
+  radius k is the unit-frame grid scaled by k, so the X integral at
+  every radius is a Fourier sum of the unit-frame tomogram on one grid.
+  For l = -1 the tomogram at theta + pi is the one at theta with X
+  reversed, so the angular node count is even and each call, on the X
+  grid closed under X -> -X by one extra node, fills two rows.
 
 Every true tomogram is homogeneous; a callable that is not will be
 reconstructed wrongly.
@@ -30,6 +33,10 @@ Truncation contract: the exponentials are evaluated in a padded working
 basis large enough to hold every displacement reached by the radial
 cutoff, then cropped; without the padding the exponential of the
 truncated generator is wrong in exactly the entries being accumulated.
+
+Size contract: every table a job builds holds at most 2^22 entries,
+checked before the first is allocated; a larger job raises
+GridSizeError.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, TruncationLeakageWarning
+from .errors import GridSizeError, NumericalError, TruncationLeakageWarning
+from .marginals import _MAX_GRID
 from .specialfn import phase_table
 from .states import FockExpansion
 
@@ -76,6 +84,9 @@ class ReconstructionCutoffs:
                 continue
             if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < math.inf):
                 raise CutoffError(name, f"must be positive and finite, got {value!r}")
+        if self.angular_nodes % 2:
+            # opposite frames share one tomogram call (see the module docstring)
+            raise CutoffError("angular_nodes", f"must be even, got {self.angular_nodes!r}")
 
 
 @dataclass
@@ -122,25 +133,54 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[float, int, int]:
+    """(frame radius K, working dimension W, X node count) of a job.
+
+    Raises GridSizeError, before anything is allocated, if any table the
+    job builds would hold more entries than a grid may have nodes
+    (_MAX_GRID).
+    """
+    K = cutoffs.frame_radius if cutoffs.frame_radius is not None else 10.0 / math.sqrt(hbar)
+    xi_max_sq = hbar * K * K / 2.0   # phase-space displacement reach of the cutoff
+    # the working basis grows with the displacement reach of the cutoff; a
+    # reach past float range (K^2 overflowing) fails the W^2 check below
+    pad = xi_max_sq + 6.0 * math.sqrt(xi_max_sq) + 2.0 * math.sqrt(dim * xi_max_sq)
+    W = dim + math.ceil(pad) + 8 if pad < math.inf else math.inf
+    x_count = int(cutoffs.x_points)
+    while x_count < 32 * dim:
+        x_count *= 2
+    angular, radial = cutoffs.angular_nodes, cutoffs.radial_nodes
+    tables = {
+        "angular_nodes x x_count (tomogram rows)": angular * x_count,
+        "x_count x radial_nodes (X phase table)": x_count * radial,
+        "angular_nodes x radial_nodes (X integrals)": angular * radial,
+        "radial_nodes^2 (Gauss-Legendre rule)": radial * radial,
+        "W^2 (working-basis Q)": W * W,
+        "radial_nodes x W (eigenvalue phases)": radial * W,
+        "dim^2 x W (assembly)": dim * dim * W,
+    }
+    for name, entries in tables.items():
+        if entries > _MAX_GRID:
+            raise GridSizeError(f"reconstruction table {name} would hold more than {_MAX_GRID} "
+                                f"entries (dim {dim}, W {W:.6g}, x_count {x_count})")
+    return K, W, x_count
+
+
 def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
                             cutoffs: ReconstructionCutoffs | None = None) -> DensityMatrix:
     """Integrate e^{iX} U(mu, nu) w(X, mu, nu) over X and all frames.
 
     tomogram(X: ndarray, mu, nu) must return the normalized density of
-    the observable mu q + nu p; dim must contain the true state's
-    support.  The result is Hermitized and trace-rescaled; a pre-rescale
-    trace off by more than 5% flags truncation leakage (warning, not an
-    error) in the metadata.
+    the observable mu q + nu p; it is called only at angles in [0, pi).
+    dim must contain the true state's support.  The result is Hermitized
+    and trace-rescaled; a pre-rescale trace off by more than 5% flags
+    truncation leakage (warning, not an error) in the metadata.
     """
     if cutoffs is None:
         cutoffs = ReconstructionCutoffs()
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    K = cutoffs.frame_radius if cutoffs.frame_radius is not None else 10.0 / math.sqrt(hbar)
-    xi_max_sq = hbar * K * K / 2.0   # phase-space displacement reach of the cutoff
-    # the working basis grows with the displacement reach of the cutoff
-    pad = int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq) + 2.0 * math.sqrt(dim * xi_max_sq))) + 8
-    W = dim + pad
+    K, W, x_count = _job_sizes(dim, hbar, cutoffs)
 
     gl_nodes, gl_weights = _gauss_legendre(cutoffs.radial_nodes)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
@@ -150,19 +190,22 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     thetas = np.arange(n_theta) * d_theta
 
     # unit-frame x-grid: any state inside the truncation has variance at
-    # most hbar (dim + 1/2) there; radius k uses this grid scaled by k
+    # most hbar (dim + 1/2) there; radius k uses this grid scaled by k.
+    # The tomogram also gets one node at +x_count/2 dy, which closes the
+    # grid under X -> -X
     sigma_unit = math.sqrt(hbar * (dim + 0.5))
-    x_count = int(cutoffs.x_points)
-    while x_count < 32 * dim:
-        x_count *= 2
     dy = 2.0 * cutoffs.x_sigmas * sigma_unit / x_count
-    ys = (np.arange(x_count) - x_count / 2) * dy
+    ys = (np.arange(x_count + 1) - x_count / 2) * dy
     trap = np.full(x_count, dy)
     trap[[0, -1]] *= 0.5
 
+    half = n_theta // 2
     w1 = np.empty((n_theta, x_count))
-    for j, theta in enumerate(thetas):
-        w1[j] = tomogram(ys, math.cos(theta), math.sin(theta))
+    for j, theta in enumerate(thetas[:half]):
+        row = tomogram(ys, math.cos(theta), math.sin(theta))
+        w1[j] = row[:-1]
+        # w(X; -mu, -nu) = w(-X; mu, nu): the row at theta + pi, reversed
+        w1[j + half] = row[:0:-1]
     # the trapezoid X integral at each (angle, radius), with its quadrature
     # weight, as two real matrix products against the weighted cosine and
     # sine; each weighted part is a contiguous temporary, freed after its product

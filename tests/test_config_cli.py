@@ -342,6 +342,7 @@ class TestCmdReconstruct:
     # CLI runs, so a validation regression fails here instead of hanging
     @pytest.mark.parametrize("key, value", [
         ("x_points", "0"), ("x_points", "-4"), ("radial_nodes", "0"), ("angular_nodes", "0"),
+        ("angular_nodes", "1"), ("angular_nodes", "7"),
         ("frame_radius", "nan"), ("frame_radius", "-1"), ("x_sigmas", "0"),
     ])
     def test_bad_cutoff_exit_two(self, tmp_path, capsys, key, value):
@@ -351,6 +352,20 @@ class TestCmdReconstruct:
         out = tmp_path / "rho.txt"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
         assert f"{cfg}:9: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each of these ended in a memory error or an overflow traceback with exit 1
+    @pytest.mark.parametrize("key, value, table", [
+        ("frame_radius", "1e6", "W^2"), ("frame_radius", "1e300", "W^2"),
+        ("x_points", "100000000000000", "angular_nodes x x_count"),
+        ("radial_nodes", "100000", "x_count x radial_nodes"), ("dim", "109", "dim^2 x W"),
+    ])
+    def test_oversized_job_exit_three(self, tmp_path, capsys, key, value, table):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\n{key} = {value}\n")
+        out = tmp_path / "rho.txt"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: reconstruction table {table}" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -597,7 +612,8 @@ def generated_configs(draw):
 @st.composite
 def generated_reconstruct_configs(draw):
     """A `reconstruct` config: Fock levels 0-8 or even/odd cats with |alpha|
-    from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16, small cutoffs."""
+    from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16, small cutoffs (an even
+    angular node count; odd ones exit 2, see TestCmdReconstruct)."""
     lines = ["[system]", f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}"]
     kind = draw(st.sampled_from(["fock", "even", "odd"]))
     if kind == "fock":
@@ -608,8 +624,51 @@ def generated_reconstruct_configs(draw):
         lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
     lines += ["[reconstruct]", f"dim = {draw(st.integers(2, 16))}",
               f"radial_nodes = {draw(st.integers(4, 32))}",
-              f"angular_nodes = {draw(st.integers(4, 32))}",
+              f"angular_nodes = {2 * draw(st.integers(2, 16))}",
               f"x_points = {draw(st.sampled_from([16, 64, 256]))}"]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def generated_clt_scan_configs(draw):
+    """A `clt-scan` config: 1-3 levels from 0 to 60, with level 1001 past
+    the cap added in some draws; 1-3 frame radii from 1/4 to 4 at one
+    angle; E from 1e-3 to 1e3; 1-3 values of N from 1 to 64."""
+    levels = draw(st.lists(st.integers(0, 60), min_size=1, max_size=3))
+    if draw(st.integers(0, 9)) == 9:
+        levels.append(1001)
+    radii = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+    n_list = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64]), min_size=1, max_size=3))
+    lines = ["[scan]", f"E = {10.0 ** draw(st.floats(-3.0, 3.0))!r}",
+             "N_list = " + " ".join(map(str, n_list)),
+             "n_pattern = " + " ".join(map(str, levels)),
+             "rho_pattern = " + " ".join(repr(2.0 ** r) for r in radii),
+             f"theta = {draw(st.floats(0.0, 2.0 * math.pi))!r}"]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def generated_hbar_scan_configs(draw):
+    """An `hbar-scan` config: 1-3 mode lines (Fock levels 0-20 or even/odd
+    cats with |alpha| from 1e-12 to 3), each repeated 1-8 times, on frames
+    from FRAME_DIRECTIONS; 1-4 hbar values from 1e-3 to 1e3, sorted
+    decreasing; epsilon from 1e-3 to 1."""
+    lines = ["[system]"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["fock", "even", "odd"]))
+        count = draw(st.integers(1, 8))
+        if kind == "fock":
+            lines.append(f"mode = fock {draw(st.integers(0, 20))} x{count}")
+        else:
+            size = 10.0 ** draw(st.floats(-12.0, math.log10(3.0)))
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r} x{count}")
+    mu, nu = draw(st.sampled_from(FRAME_DIRECTIONS))
+    hbars = sorted((10.0 ** e for e in draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4,
+                                                      unique=True))), reverse=True)
+    lines += ["[frame]", f"mu = {mu!r}", f"nu = {nu!r}",
+              "[scan]", "hbar_list = " + " ".join(repr(h) for h in hbars),
+              f"epsilon = {10.0 ** draw(st.floats(-3.0, 0.0))!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -683,6 +742,16 @@ class TestGeneratedConfigs:
     def test_reconstruct_exit_code_and_finite_artifact(self, text):
         run_generated("reconstruct", text, [],
                       lambda out: assert_finite_csv(out, ("pre_rescale_trace", "fidelity")))
+
+    @settings(max_examples=50)
+    @given(text=generated_clt_scan_configs())
+    def test_clt_scan_exit_code_and_finite_artifact(self, text):
+        run_generated("clt-scan", text, [], assert_finite_csv)
+
+    @settings(max_examples=50)
+    @given(text=generated_hbar_scan_configs())
+    def test_hbar_scan_exit_code_and_finite_artifact(self, text):
+        run_generated("hbar-scan", text, [], assert_finite_csv)
 
     @settings(max_examples=30)
     @given(text=generated_report_configs())

@@ -17,12 +17,13 @@ from cmtomo.marginals import (
     fock_marginal,
     fock_tomogram,
     fock_var_closed,
+    grid_policy,
     marginal_density,
     moments,
     oracle_marginal,
     tomogram_oracle,
 )
-from cmtomo.states import ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, fock_expansion
+from cmtomo.states import ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, cat_weight, fock_expansion
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -232,8 +233,8 @@ class TestEvenOddTomogram:
     @pytest.mark.parametrize("frame", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
     @pytest.mark.parametrize("hbar", [1.0, 1e-3, 1e3])
     def test_small_odd_alpha_exact_to_rounding(self, phase, frame, hbar):
-        # the odd factor |expm1(-2z)|^2 does not cancel as z -> 0; the
-        # cancelling |1 - e^{-2z}|^2 erred by 1.03e-11 of the peak here
+        # the odd factor expm1(-2a)^2 + 4 e^{-2a} sin^2 b does not cancel as
+        # z -> 0; the cancelling |1 - e^{-2z}|^2 erred by 1.03e-11 of the peak here
         alpha = 1e-5 * phase
         mu, nu = frame
         d = evenodd_tomogram(alpha, "odd", mu, nu, hbar)
@@ -281,6 +282,81 @@ class TestEvenOddLogDomain:
             d = evenodd_tomogram(alpha, parity, mu, nu, 1.0)
             assert np.all(np.isfinite(d.values))
             assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-9)
+
+
+def complex_form_cat(alpha, parity, mu, nu, hbar, X):
+    """The even/odd closed form in complex arithmetic, as
+    e^{A + 2 Re z'} |1 +- e^{-2z'}|^2 with z' = +-z signed so that Re z' >= 0,
+    and the odd factor as |expm1(-2z')|^2: the form the real one replaced."""
+    sign = 1 if parity == "even" else -1
+    alpha = complex(alpha)
+    rho = mu * mu + nu * nu
+    n_sq = 1.0 / (2.0 * cat_weight(alpha, parity))
+    X = np.asarray(X, dtype=float)
+    quad = nu * (alpha ** 2 / (nu - 1j * mu) + np.conj(alpha) ** 2 / (nu + 1j * mu))
+    z = 1j * math.sqrt(2.0) * alpha * X / (math.sqrt(hbar) * (1j * mu - nu))
+    z = np.where(z.real < 0, -z, z)
+    log_pref = -0.5 * (2.0 * alpha.real) ** 2 - (X * X) / (hbar * rho) + quad.real
+    inner = np.abs(1.0 + np.exp(-2.0 * z) if sign > 0 else np.expm1(-2.0 * z)) ** 2
+    vals = n_sq / (SQRT_PI * math.sqrt(hbar * rho)) * np.exp(log_pref + 2.0 * z.real) * inner
+    return np.where(vals < np.finfo(float).tiny, 0.0, vals)
+
+
+def extended_product_form_cat(alpha, parity, mu, nu, hbar, X):
+    """e^A (e^{2 Re z} + e^{-2 Re z} +- 2 cos(2 Im z)), the squared modulus of
+    e^z +- e^{-z} times e^A, in np.longdouble with every exponent formed apart."""
+    ld = np.longdouble
+    sign = 1 if parity == "even" else -1
+    ar, ai, mu, nu, hbar = (ld(v) for v in (alpha.real, alpha.imag, mu, nu, hbar))
+    rho = mu * mu + nu * nu
+    X = np.asarray(X, dtype=float).astype(ld)
+    # A = -2 Re(alpha)^2 - X^2 / (hbar rho) + 2 nu Re(alpha^2 (nu + i mu)) / rho and
+    # z = sqrt(2) alpha (mu - i nu) X / (sqrt(hbar) rho)
+    A = -2 * ar * ar - X * X / (hbar * rho) + 2 * nu * ((ar * ar - ai * ai) * nu - 2 * ar * ai * mu) / rho
+    scale = np.sqrt(ld(2)) / (np.sqrt(hbar) * rho)
+    re_z, im_z = scale * (ar * mu + ai * nu) * X, scale * (ai * mu - ar * nu) * X
+    n_sq = 1 / (2 * (1 + sign * np.exp(-2 * (ar * ar + ai * ai))))
+    vals = np.exp(A + 2 * re_z) + np.exp(A - 2 * re_z) + 2 * sign * np.exp(A) * np.cos(2 * im_z)
+    return n_sq / (np.sqrt(ld(np.pi)) * np.sqrt(hbar * rho)) * vals
+
+
+EPS = np.finfo(float).eps
+
+
+class TestRealArithmeticCatDensity:
+    FRAMES = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.28, 0.96)]
+
+    @pytest.mark.parametrize("alpha", [1e-5, 1.0, 0.6 + 0.8j, 1.5j, 5.0, 40.0])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_no_less_accurate_than_complex_form(self, alpha, parity):
+        # against the oracle, or where it cannot expand the state (past its
+        # 512-level cap, and e^{-|alpha|^2 / 2} underflows past |alpha| ~ 38)
+        # against an extended-precision product form.  Both forms round the same arguments, so
+        # at rounding level they may trade a few units of the peak.  The
+        # complex form's exponent loses digits as |alpha|^2 grows (up to
+        # 2.7e-14 of the peak at |alpha| = 5 and 1.3e-12 at 40); the real
+        # form's completed square does not (under 7e-15)
+        if abs(alpha) > 5 and np.finfo(np.longdouble).precision < 18:
+            pytest.skip("np.longdouble is no wider than float here")
+        mode = CoherentEven(alpha) if parity == "even" else CoherentOdd(alpha)
+        for mu, nu in self.FRAMES:
+            for hbar in (1e-3, 1.0, 1e3):
+                grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
+                if abs(alpha) > 5:
+                    # every node's error is formed alike; 8192 of up to 2^18 nodes keep it quick
+                    xs = grid.xs[::max(1, grid.count // 8192)]
+                    want = extended_product_form_cat(complex(alpha), parity, mu, nu, hbar, xs)
+                else:
+                    xs = grid.xs
+                    o = oracle_marginal(mode, mu, nu, hbar, grid=grid)
+                    want = o.values * o.meta["pre_rescale_integral"]
+                got = evenodd_pointwise(alpha, parity, mu, nu, hbar, xs)
+                peak = float(np.max(want))
+                err = float(np.max(np.abs(got - want))) / peak
+                err_complex = float(np.max(np.abs(complex_form_cat(alpha, parity, mu, nu, hbar, xs) - want))) / peak
+                assert err <= err_complex + 8 * EPS, (mu, nu, hbar, err, err_complex)
+                assert err <= 1e-14, (mu, nu, hbar, err)
+                assert not np.any((got > 0) & (got < np.finfo(float).tiny))
 
 
 class TestTomogramOracle:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from cmtomo import reconstruct
-from cmtomo.errors import TruncationLeakageWarning
+from cmtomo.errors import GridSizeError, TruncationLeakageWarning
 from cmtomo.marginals import evenodd_pointwise, fock_tomogram
 from cmtomo.reconstruct import (
     CutoffError,
@@ -186,16 +186,24 @@ class TestOneEigendecomposition:
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
         assert np.max(np.abs(rho.entries.imag)) > 0.05
 
-    def test_one_tomogram_call_per_angle(self):
+    def test_one_tomogram_call_per_opposite_pair(self):
+        # theta + pi is theta with X reversed: n/2 calls, each at an angle in
+        # [0, pi), on an X grid closed under X -> -X
         calls = []
 
         def tomogram(X, m, n):
-            calls.append((m, n))
+            calls.append((X, m, n))
             return fock_tomogram(1, m, n, 1.0, X)
 
         reconstruct_single_mode(tomogram, 8, 1.0, FAST)
-        assert len(calls) == FAST.angular_nodes
-        np.testing.assert_allclose(np.hypot(*np.transpose(calls)), 1.0, rtol=1e-15)
+        assert len(calls) == FAST.angular_nodes // 2
+        angles = np.array([math.atan2(n, m) for _, m, n in calls])
+        assert np.all((angles >= 0.0) & (angles < math.pi))
+        np.testing.assert_allclose(angles, np.arange(len(calls)) * 2.0 * math.pi / FAST.angular_nodes,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.hypot(*np.transpose([(m, n) for _, m, n in calls])), 1.0, rtol=1e-15)
+        for X, _, _ in calls:
+            assert np.array_equal(X, -X[::-1])
 
 
 class TestSharedTables:
@@ -252,6 +260,7 @@ class TestCutoffValidation:
     # x_points first: a loop that doubles a nonpositive count never ends
     @pytest.mark.parametrize("field, value", [
         ("x_points", 0), ("x_points", -4), ("radial_nodes", 0), ("angular_nodes", 0),
+        ("angular_nodes", 1), ("angular_nodes", 7),
         ("frame_radius", float("nan")), ("frame_radius", -1.0), ("x_sigmas", 0.0),
     ])
     def test_rejected(self, field, value):
@@ -263,6 +272,58 @@ class TestCutoffValidation:
     def test_defaults_and_explicit_radius_accepted(self):
         assert ReconstructionCutoffs().frame_radius is None
         assert ReconstructionCutoffs(frame_radius=12.5).frame_radius == 12.5
+
+
+class TestJobSizeBounds:
+    # every table of a job holds at most 2^22 entries; each case sits on
+    # the edge of the table named in the match
+    CAP = 2 ** 22
+
+    def test_dim_edge_at_default_cutoffs(self):
+        _, W, _ = reconstruct._job_sizes(108, 1.0, ReconstructionCutoffs())
+        assert 108 * 108 * W <= self.CAP
+        with pytest.raises(GridSizeError, match=r"dim\^2 x W"):
+            reconstruct._job_sizes(109, 1.0, ReconstructionCutoffs())
+
+    def test_x_points_edge(self):
+        # 160 radial nodes: the X phase table binds first
+        _, _, x_count = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160))
+        assert x_count * 160 <= self.CAP
+        with pytest.raises(GridSizeError, match="x_count x radial_nodes"):
+            reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160 + 1))
+
+    def test_radial_nodes_edge(self):
+        # the Gauss-Legendre rule diagonalizes a radial_nodes^2 companion matrix
+        reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(radial_nodes=2048, x_points=1))
+        with pytest.raises(GridSizeError, match=r"radial_nodes\^2"):
+            reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(radial_nodes=2049, x_points=1))
+
+    def test_working_basis_edge(self):
+        # W = dim + ceil(pad) + 8 reaches 2048 = sqrt(2^22) at pad = 2038 for dim 2
+        def pad(xi):
+            return xi + 6.0 * math.sqrt(xi) + 2.0 * math.sqrt(2.0 * xi)
+
+        lo, hi = 0.0, 2038.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if pad(mid) < 2038.0 else (lo, mid)
+        radius = math.sqrt(2.0 * lo)   # hbar = 1
+        _, W, _ = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(frame_radius=radius, x_points=1))
+        assert W * W <= self.CAP
+        with pytest.raises(GridSizeError, match=r"W\^2"):
+            reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(frame_radius=radius * (1 + 1e-9), x_points=1))
+
+    @pytest.mark.parametrize("cutoffs", [
+        ReconstructionCutoffs(frame_radius=1e6), ReconstructionCutoffs(frame_radius=1e300),
+        ReconstructionCutoffs(x_points=10 ** 14), ReconstructionCutoffs(radial_nodes=10 ** 5),
+    ], ids=["radius_1e6", "radius_1e300", "x_points_1e14", "radial_1e5"])
+    def test_rejected_before_any_tomogram_call(self, cutoffs):
+        # each of these ended in a memory error or an overflow traceback
+        def tomogram(X, m, n):
+            raise AssertionError("tomogram called")
+
+        with pytest.raises(GridSizeError, match="reconstruction table"):
+            reconstruct_single_mode(tomogram, 8, 1.0, cutoffs)
 
 
 class TestFidelity:
