@@ -45,7 +45,8 @@ _FIELD = "%.17g"
 
 
 def _rows(*columns: list) -> list[str]:
-    """CSV lines of equal-length float columns, each field as _fmt writes it.
+    """CSV lines of equal-length float (or integer) columns, each field as
+    _fmt writes it.
 
     Pass the columns as lists (ndarray.tolist()): formatting Python floats
     with one row template is about twice as fast as a _fmt call per cell.
@@ -265,19 +266,17 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     warned = rho.meta["truncation_leakage"]
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
-    lines = [f"# {line}" for line in _header(raw, args, [
+    header = _header(raw, args, [
         f"mode {sys_spec.describe()}",
         f"dim {dim}",
         f"pre_rescale_trace {_fmt(rho.meta['pre_rescale_trace'])}",
+        f"cutoff_char_function {_fmt(rho.meta['cutoff_char_function'])}",
         f"truncation_leakage {'yes' if warned else 'no'}",
         f"fidelity {_fmt(fid)}",
-    ])]
-    lines.append("m,n,re,im")
-    for m_i in range(dim):
-        for n_i in range(dim):
-            val = rho.entries[m_i, n_i]
-            lines.append(f"{m_i},{n_i},{_fmt(val.real)},{_fmt(val.imag)}")
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    ])
+    rows = _rows([m for m in range(dim) for _ in range(dim)], list(range(dim)) * dim,
+                 rho.entries.real.ravel().tolist(), rho.entries.imag.ravel().tolist())
+    _write_atomic(args.out, _csv(header, ["m", "n", "re", "im"], rows))
     return 0
 
 

@@ -4,39 +4,38 @@ The state is the frame integral of e^{iX} U(mu, nu) against the
 tomogram, with U = exp(-i(mu Q + nu P)) and a constant hbar/(2 pi); the
 scalar X integral is the tomogram's characteristic function at 1.  The
 integral over frames runs in polar coordinates (k, theta) up to a
-radius cutoff, and two identities reduce it to one eigendecomposition
-and one tomogram evaluation per pair of opposite angles:
+radius cutoff, and three identities reduce it to closed-form matrix
+elements and one tomogram evaluation per pair of opposite angles:
 
-* the rotated generator is a phase conjugation of Q alone,
-  cos(theta) Q + sin(theta) P = D Q D^dagger with D = diag(e^{i theta m}),
-  so the eigenvectors of the real symmetric Q serve every angle and
-  entry (m, n) of each angle's term carries the phase e^{i theta (m-n)};
+* cos(theta) Q + sin(theta) P = D Q D^dagger with D = diag(e^{i theta m}),
+  so entry (m, n) of each angle's term is <m|e^{-ikQ}|n> e^{i theta (m-n)};
+* e^{-ikQ} is the displacement D(b), b = -ik sqrt(hbar/2), whose elements
+  are closed forms (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)):
+  <m|D(b)|n> = (-i)^|m-n| f_min(m,n)^(|m-n|)(hbar k^2 / 2), with the
+  normalized Laguerre functions of `specialfn.laguerre_gauss_levels`.
+  They are exact in the dim x dim block: no basis is padded and nothing
+  is diagonalized;
 * a tomogram is homogeneous in its frame, w(l X; l mu, l nu) =
-  w(X; mu, nu) / |l| for every real l != 0.  For l > 0 the X grid at
-  radius k is the unit-frame grid scaled by k, so the X integral at
+  w(X; mu, nu) / |l| for every real l != 0.  For l > 0 the X integral at
   every radius is a Fourier sum of the unit-frame tomogram on one grid.
   For l = -1 the tomogram at theta + pi is the one at theta with X
-  reversed, so the angular node count is even and each call, on the X
-  grid closed under X -> -X by one extra node, fills two rows.
+  reversed, so the angular node count is even and each call, on an X
+  grid closed under X -> -X, serves both: the trapezoid over that grid
+  makes the X integral at theta + pi the conjugate of the one at theta.
+  Offset d = m - n then sums twice the real part for even d and twice
+  i times the imaginary part for odd d, and the result is Hermitian.
 
 Every true tomogram is homogeneous; a callable that is not will be
 reconstructed wrongly.
 
-The X grid is uniform, so its phase table e^{i y k} over the x_count
-nodes and the radial nodes comes from `specialfn.phase_table`:
-(x_count/P + P) exponentials per radial node, P ~ sqrt(x_count), not
-x_count.  Its cosine and sine enter the X integral as two real matrix
-products with the real tomogram block.  The Gauss-Legendre radial rule
-is built once per node count and process.
+Each row folds into its even and odd parts on y >= 0, whose cosine and
+sine integrals are two real matrix products with a half-grid phase table
+from `specialfn.phase_table`.  The Gauss-Legendre radial rule is built
+once per node count and process.
 
-Truncation contract: the exponentials are evaluated in a padded working
-basis large enough to hold every displacement reached by the radial
-cutoff, then cropped; without the padding the exponential of the
-truncated generator is wrong in exactly the entries being accumulated.
-
-Size contract: every table a job builds holds at most 2^22 entries,
-checked before the first is allocated; a larger job raises
-GridSizeError.
+Size contract: every table a job builds holds at most 2^22 entries, and
+the X phases stay within the 1e5 rad phase_table is tested to, checked
+before the first table is allocated; a larger job raises GridSizeError.
 """
 
 from __future__ import annotations
@@ -51,8 +50,14 @@ import numpy as np
 
 from .errors import GridSizeError, NumericalError, TruncationLeakageWarning
 from .marginals import _MAX_GRID
-from .specialfn import phase_table
+from .specialfn import laguerre_gauss_levels, phase_table
 from .states import FockExpansion
+
+# the largest |y k| of the X phase table: phase_table is tested to 1e5 rad
+_MAX_PHASE = 1e5
+# |characteristic function| at the outermost radial node above which the
+# frame radius cuts off part of the state
+_CUTOFF_CHAR_MAX = 1e-4
 
 
 class CutoffError(ValueError):
@@ -109,20 +114,6 @@ class DensityMatrix:
             raise NumericalError("density matrix trace is not 1 within 1e-6")
 
 
-def quadrature_matrices(dim: int, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated position and momentum matrices Q, P in the level basis.
-
-    Q_{k,k+1} = sqrt(hbar (k+1)/2); P_{k,k+1} = -i sqrt(hbar (k+1)/2).
-    [Q, P] = i hbar I on all but the final basis level.
-    """
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    off = np.sqrt(hbar * (np.arange(1, dim)) / 2.0)
-    Q = np.diag(off, 1) + np.diag(off, -1)
-    P = np.diag(-1j * off, 1) + np.diag(1j * off, -1)
-    return Q.astype(complex), P
-
-
 @functools.cache
 def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     """The count-node Gauss-Legendre rule on [-1, 1], built once per
@@ -133,37 +124,38 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[float, int, int]:
-    """(frame radius K, working dimension W, X node count) of a job.
+def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[float, int]:
+    """(frame radius K, X node count) of a job.
 
     Raises GridSizeError, before anything is allocated, if any table the
     job builds would hold more entries than a grid may have nodes
-    (_MAX_GRID).
+    (_MAX_GRID), or if the X phase table would reach a phase past
+    _MAX_PHASE.
     """
     K = cutoffs.frame_radius if cutoffs.frame_radius is not None else 10.0 / math.sqrt(hbar)
-    xi_max_sq = hbar * K * K / 2.0   # phase-space displacement reach of the cutoff
-    # the working basis grows with the displacement reach of the cutoff; a
-    # reach past float range (K^2 overflowing) fails the W^2 check below
-    pad = xi_max_sq + 6.0 * math.sqrt(xi_max_sq) + 2.0 * math.sqrt(dim * xi_max_sq)
-    W = dim + math.ceil(pad) + 8 if pad < math.inf else math.inf
     x_count = int(cutoffs.x_points)
     while x_count < 32 * dim:
         x_count *= 2
+    # the largest |y k| of the X integral: the grid's half-width times K
+    phase = cutoffs.x_sigmas * math.sqrt(hbar * (dim + 0.5)) * K
+    if not phase <= _MAX_PHASE:
+        raise GridSizeError(f"reconstruction table X phases would reach {phase:.6g} rad, past the "
+                            f"{_MAX_PHASE:g} rad phase_table is tested to (dim {dim}, frame radius "
+                            f"{K:.6g}, x_sigmas {cutoffs.x_sigmas:.6g})")
     angular, radial = cutoffs.angular_nodes, cutoffs.radial_nodes
     tables = {
         "angular_nodes x x_count (tomogram rows)": angular * x_count,
         "x_count x radial_nodes (X phase table)": x_count * radial,
         "angular_nodes x radial_nodes (X integrals)": angular * radial,
         "radial_nodes^2 (Gauss-Legendre rule)": radial * radial,
-        "W^2 (working-basis Q)": W * W,
-        "radial_nodes x W (eigenvalue phases)": radial * W,
-        "dim^2 x W (assembly)": dim * dim * W,
+        "dim x radial_nodes (Laguerre functions)": dim * radial,
+        "dim^2 (density matrix)": dim * dim,
     }
     for name, entries in tables.items():
         if entries > _MAX_GRID:
             raise GridSizeError(f"reconstruction table {name} would hold more than {_MAX_GRID} "
-                                f"entries (dim {dim}, W {W:.6g}, x_count {x_count})")
-    return K, W, x_count
+                                f"entries (dim {dim}, x_count {x_count})")
+    return K, x_count
 
 
 def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
@@ -172,70 +164,73 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
 
     tomogram(X: ndarray, mu, nu) must return the normalized density of
     the observable mu q + nu p; it is called only at angles in [0, pi).
-    dim must contain the true state's support.  The result is Hermitized
-    and trace-rescaled; a pre-rescale trace off by more than 5% flags
-    truncation leakage (warning, not an error) in the metadata.
+    dim must contain the true state's support.  The result is
+    trace-rescaled.  Truncation leakage (a warning, not an error, and a
+    flag in the metadata) is flagged when the pre-rescale trace is off
+    by more than 5% or the characteristic function at the outermost
+    radial node exceeds _CUTOFF_CHAR_MAX at some angle.
     """
     if cutoffs is None:
         cutoffs = ReconstructionCutoffs()
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    K, W, x_count = _job_sizes(dim, hbar, cutoffs)
+    K, x_count = _job_sizes(dim, hbar, cutoffs)
 
     gl_nodes, gl_weights = _gauss_legendre(cutoffs.radial_nodes)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
     k_weights = 0.5 * gl_weights * K
-    n_theta = cutoffs.angular_nodes
-    d_theta = 2.0 * math.pi / n_theta
-    thetas = np.arange(n_theta) * d_theta
+    half = cutoffs.angular_nodes // 2
+    d_theta = 2.0 * math.pi / cutoffs.angular_nodes
 
-    # unit-frame x-grid: any state inside the truncation has variance at
-    # most hbar (dim + 1/2) there; radius k uses this grid scaled by k.
-    # The tomogram also gets one node at +x_count/2 dy, which closes the
-    # grid under X -> -X
-    sigma_unit = math.sqrt(hbar * (dim + 0.5))
-    dy = 2.0 * cutoffs.x_sigmas * sigma_unit / x_count
+    # unit-frame x-grid, closed under X -> -X: any state inside the
+    # truncation has variance at most hbar (dim + 1/2) there; radius k
+    # uses this grid scaled by k.  Each row folds into its even and odd
+    # parts on the half grid y >= 0, with trapezoid weights
+    dy = 2.0 * cutoffs.x_sigmas * math.sqrt(hbar * (dim + 0.5)) / x_count
     ys = (np.arange(x_count + 1) - x_count / 2) * dy
-    trap = np.full(x_count, dy)
-    trap[[0, -1]] *= 0.5
+    rows = np.array([tomogram(ys, math.cos(j * d_theta), math.sin(j * d_theta)) for j in range(half)])
+    pos, neg = rows[:, (x_count + 1) // 2:], rows[:, x_count // 2::-1]
+    count = x_count // 2 + 1
+    trap = np.full(count, dy)
+    trap[-1] *= 0.5
+    if x_count % 2 == 0:
+        trap[0] *= 0.5    # y = 0 is a node, counted in both halves of its even part
+    # the X integral at theta is cos_int + i sin_int, at theta + pi its conjugate
+    phases = phase_table((x_count % 2) * 0.5 * dy, dy, count, k_nodes)
+    cos_int = (pos + neg) @ (trap[:, None] * phases.real)
+    sin_int = (pos - neg) @ (trap[:, None] * phases.imag)
+    cutoff_char = float(np.max(np.hypot(cos_int[:, -1], sin_int[:, -1])))
 
-    half = n_theta // 2
-    w1 = np.empty((n_theta, x_count))
-    for j, theta in enumerate(thetas[:half]):
-        row = tomogram(ys, math.cos(theta), math.sin(theta))
-        w1[j] = row[:-1]
-        # w(X; -mu, -nu) = w(-X; mu, nu): the row at theta + pi, reversed
-        w1[j + half] = row[:0:-1]
-    # the trapezoid X integral at each (angle, radius), with its quadrature
-    # weight, as two real matrix products against the weighted cosine and
-    # sine; each weighted part is a contiguous temporary, freed after its product
-    phases = phase_table(ys[0], dy, x_count, k_nodes)
-    radial = k_weights * k_nodes * d_theta
-    coefs = (w1 @ (trap[:, None] * phases.real) + 1j * (w1 @ (trap[:, None] * phases.imag))) * radial
-    # angular Fourier sum for each offset d = m - n of the cropped block
-    offsets = np.arange(1 - dim, dim)
-    C = np.exp(1j * np.outer(offsets, thetas)) @ coefs
+    # angular Fourier sum for offset d = m - n >= 0, with the element
+    # phase (-i)^d folded in: even d sums the cosine integrals and odd d
+    # the sine ones, times 2 (-1)^{floor(d/2)}
+    offsets = np.arange(dim)
+    fourier = np.exp(1j * np.outer(offsets, np.arange(half) * d_theta))
+    C = np.empty((dim, len(k_nodes)), dtype=complex)
+    C[0::2] = fourier[0::2] @ cos_int
+    C[1::2] = fourier[1::2] @ sin_int
+    C *= np.where(offsets % 4 < 2, 2.0, -2.0)[:, None] * (k_weights * k_nodes * (d_theta * hbar / (2 * math.pi)))
 
-    lam, V = np.linalg.eigh(quadrature_matrices(W, hbar)[0].real)
-    G = C @ np.exp(-1j * np.outer(k_nodes, lam))
-    Vd = V[:dim]
-    levels = np.arange(dim)
-    acc = np.einsum("ml,nl,mnl->mn", Vd, Vd, G[levels[:, None] - levels[None, :] + dim - 1])
-    rho_m = acc * hbar / (2.0 * math.pi)
-    rho_m = 0.5 * (rho_m + rho_m.conj().T)
+    # column n of the lower triangle: entry (n + d, n) sums C[d] times the
+    # element modulus f_n^(d)(hbar k^2 / 2); the upper triangle is its conjugate
+    rho_m = np.zeros((dim, dim), dtype=complex)
+    for n, f in enumerate(laguerre_gauss_levels(dim, 0.5 * hbar * k_nodes * k_nodes, dim)):
+        rho_m[n:, n] = np.einsum("dr,dr->d", C[:dim - n], f)
+    rho_m += np.tril(rho_m, -1).conj().T
     pre_trace = float(np.trace(rho_m).real)
-    leakage = abs(pre_trace - 1.0) > 0.05
-    if leakage:
-        warnings.warn(
-            f"pre-rescale trace {pre_trace:.6g}: state support leaks out of dim={dim}",
-            TruncationLeakageWarning,
-        )
+    fired = []
+    if abs(pre_trace - 1.0) > 0.05:
+        fired.append(f"pre-rescale trace {pre_trace:.6g} is off 1 by more than 5%")
+    if cutoff_char > _CUTOFF_CHAR_MAX:
+        fired.append(f"characteristic function {cutoff_char:.3g} at the frame cutoff is above {_CUTOFF_CHAR_MAX:g}")
+    if fired:
+        warnings.warn(f"support leaks out of dim={dim} or the frame radius: {'; '.join(fired)}",
+                      TruncationLeakageWarning)
     if pre_trace <= 0:
         raise NumericalError(f"pre-rescale trace {pre_trace} is not positive")
-    rho_m = rho_m / pre_trace
-    meta = {"pre_rescale_trace": pre_trace, "truncation_leakage": leakage,
-            "frame_radius": K, "working_dim": W}
-    return DensityMatrix(dim=dim, entries=rho_m, meta=meta)
+    meta = {"pre_rescale_trace": pre_trace, "truncation_leakage": bool(fired),
+            "cutoff_char_function": cutoff_char, "frame_radius": K, "working_dim": dim}
+    return DensityMatrix(dim=dim, entries=rho_m / pre_trace, meta=meta)
 
 
 def fidelity(rho: DensityMatrix, psi: FockExpansion) -> float:

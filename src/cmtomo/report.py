@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .marginals import (
     evenodd_tomogram,
     evenodd_var_closed,
     moments,
     oracle_marginal,
 )
-from .reconstruct import quadrature_matrices
 from .states import CoherentEven, CoherentOdd, coherent_expansion, fock_expansion
 
 DEFAULT_ALPHAS = (
@@ -48,6 +49,20 @@ class ReportRow:
         if abs(self.oracle_value) < 1e-300:
             return float("nan")
         return self.published_value / self.oracle_value
+
+
+def quadrature_matrices(dim: int, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated position and momentum matrices Q, P in the level basis.
+
+    Q_{k,k+1} = sqrt(hbar (k+1)/2); P_{k,k+1} = -i sqrt(hbar (k+1)/2).
+    [Q, P] = i hbar I on all but the final basis level.
+    """
+    if dim < 2:
+        raise ValueError("dimension must be at least 2")
+    off = np.sqrt(hbar * (np.arange(1, dim)) / 2.0)
+    Q = np.diag(off, 1) + np.diag(off, -1)
+    P = np.diag(-1j * off, 1) + np.diag(1j * off, -1)
+    return Q.astype(complex), P
 
 
 def _coherent_pair_elements(alpha: complex, mu: float, nu: float, hbar: float):

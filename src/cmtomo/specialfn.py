@@ -58,32 +58,66 @@ def hermite_sq_density_factor(n: int, y):
 
 
 def laguerre_gauss(n: int, u) -> np.ndarray:
-    """e^{-u/2} L_n(u) for u >= 0, stable for n up to at least 1000.
+    """e^{-u/2} L_n(u) for u >= 0: the offset-0 function of level n in
+    `laguerre_gauss_levels`, bounded by one in modulus."""
+    return next(laguerre_gauss_levels(n + 1, u, first=n))[0]
 
-    The Laguerre recurrence runs on the differences d_j = L_j - L_{j-1},
-    (j+1) d_{j+1} = j d_j - u L_j, which vanish at u = 0; the plain
-    three-term form adds a rounding error of the size of L_j at every
-    step, and those errors grow like n^2 eps near u = 0.  L_j and d_j
-    are carried as mantissas with a per-node log-scale that starts at
-    -u/2, so neither e^{-u/2} underflows nor L_n overflows before they
-    meet; the result is bounded by one in modulus.
+
+def laguerre_gauss_levels(levels: int, u, offsets: int = 1, first: int = 0):
+    """Yield the normalized Laguerre functions of levels j = first..levels-1.
+
+    f_j^{(d)}(u) = sqrt(j!/(j+d)!) u^{d/2} e^{-u/2} L_j^{(d)}(u), u >= 0,
+    is the modulus of the displacement element <j+d|D(b)|j> at
+    |b|^2 = u (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)), so it
+    is bounded by one.  Step j yields the offsets d < offsets with
+    j + d < levels, shape (min(offsets, levels - j),) + shape(u): row d
+    of every step walks the d-th subdiagonal of a levels x levels matrix.
+
+    The recurrence runs in j at fixed d (the ladder recurrence in the
+    matrix indices is unstable), on the differences
+    D_j = L_j - L_{j-1}: (j+1) D_{j+1} = (j+d) D_j - u L_j and
+    L_{j+1} = L_j + D_{j+1}, each step times the ratio
+    sqrt((j+1)/(j+1+d)) of consecutive normalizations.  At d = 0 the
+    differences vanish at u = 0; the plain three-term form adds a
+    rounding error of the size of L_j at every step, and those errors
+    grow like j^2 eps near u = 0.  L_j and D_j, normalized, are carried
+    as mantissas with a per-node log-scale that starts at
+    log(u^{d/2} e^{-u/2} / sqrt(d!)), so neither that start value
+    underflows nor L_j overflows before they meet; a node's scale is
+    exponentiated again only when it is rescaled.  Levels below first
+    are not yielded, and their values are never formed.
     """
     u = np.asarray(u, dtype=float)
-    lag = np.ones_like(u)
-    diff = np.zeros_like(u)
-    ls = -0.5 * u
-    for j in range(n):
-        diff *= j
-        diff -= u * lag
-        diff /= j + 1
+    d = np.arange(offsets, dtype=float).reshape((offsets,) + (1,) * u.ndim)
+    ls = np.repeat((-0.5 * u)[None], offsets, axis=0)
+    if offsets > 1:
+        half_log_fact = np.array([0.5 * math.lgamma(k + 1.0) for k in range(1, offsets)])
+        with np.errstate(divide="ignore"):
+            ls[1:] += 0.5 * d[1:] * np.log(u) - half_log_fact.reshape(d[1:].shape)
+    lag = np.ones_like(ls)
+    diff = np.ones_like(ls)
+    scale = np.exp(ls)
+    work = np.empty_like(ls)
+    for j in range(levels):
+        rows = min(offsets, levels - j)
+        if rows < len(lag):
+            lag, diff, ls, scale, d, work = (a[:rows] for a in (lag, diff, ls, scale, d, work))
+        if j >= first:
+            yield lag * scale
+        if j + 1 == levels:
+            return
+        ratio = np.sqrt((j + 1) / (j + 1 + d))
+        diff *= j + d
+        diff -= np.multiply(u, lag, out=work)
+        diff *= ratio / (j + 1)
+        lag *= ratio
         lag += diff
-        big = np.abs(lag) > _RESCALE
-        if big.any():
-            lag = np.where(big, lag / _RESCALE, lag)
-            diff = np.where(big, diff / _RESCALE, diff)
-            ls = np.where(big, ls + _LOG_RESCALE, ls)
-    with np.errstate(divide="ignore"):
-        return np.sign(lag) * np.exp(ls + np.log(np.abs(lag)))
+        if np.abs(lag, out=work).max() > _RESCALE:
+            big = work > _RESCALE
+            lag[big] /= _RESCALE
+            diff[big] /= _RESCALE
+            ls[big] += _LOG_RESCALE
+            scale[big] = np.exp(ls[big])
 
 
 def phase_table(x0: float, dx: float, count: int, k) -> np.ndarray:

@@ -331,6 +331,40 @@ class TestCmdReconstruct:
         assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
         assert "truncation_leakage yes" in open(out).read()
 
+    def test_too_small_frame_radius_flagged(self, tmp_path):
+        # K = 10 cuts off Fock 20: fidelity 0.56 with a trace within 5% of 1,
+        # which the characteristic function at the cutoff gives away
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 20\n[reconstruct]\ndim = 32\n")
+        out = str(tmp_path / "rho.txt")
+        assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
+        keyed = dict(l[2:].split(" ", 1) for l in open(out).read().splitlines() if l.startswith("# "))
+        assert keyed["truncation_leakage"] == "yes"
+        assert float(keyed["cutoff_char_function"]) > 0.05
+        assert abs(float(keyed["pre_rescale_trace"]) - 1.0) < 0.05
+        assert float(keyed["fidelity"]) < 0.6
+
+    def test_rows_match_per_cell_form(self, tmp_path, monkeypatch):
+        # one row template per line writes the bytes a _fmt call per cell did
+        seen = []
+        original = cli.reconstruct_single_mode
+
+        def keep(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "reconstruct_single_mode", keep)
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 0.5\nmode = odd 0.6 0.8\n"
+                    "[reconstruct]\ndim = 6\nradial_nodes = 48\nangular_nodes = 32\n")
+        out = tmp_path / "rho.txt"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+        text = out.read_text()
+        head, _, body = text.partition("m,n,re,im\n")
+        entries = seen[0].entries
+        cells = [f"{m},{n},{_fmt(entries[m, n].real)},{_fmt(entries[m, n].imag)}"
+                 for m in range(6) for n in range(6)]
+        assert body == "\n".join(cells) + "\n"
+        assert head.endswith("\n") and "# cutoff_char_function " in head
+
     def test_dim_one_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\ndim = 1\n")
         out = tmp_path / "rho.txt"
@@ -356,9 +390,9 @@ class TestCmdReconstruct:
 
     # each of these ended in a memory error or an overflow traceback with exit 1
     @pytest.mark.parametrize("key, value, table", [
-        ("frame_radius", "1e6", "W^2"), ("frame_radius", "1e300", "W^2"),
+        ("frame_radius", "1e6", "X phases"), ("frame_radius", "1e300", "X phases"),
         ("x_points", "100000000000000", "angular_nodes x x_count"),
-        ("radial_nodes", "100000", "x_count x radial_nodes"), ("dim", "109", "dim^2 x W"),
+        ("radial_nodes", "100000", "x_count x radial_nodes"), ("dim", "513", "x_count x radial_nodes"),
     ])
     def test_oversized_job_exit_three(self, tmp_path, capsys, key, value, table):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\n{key} = {value}\n")

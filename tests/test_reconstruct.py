@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from cmtomo.reconstruct import (
     DensityMatrix,
     ReconstructionCutoffs,
     fidelity,
-    quadrature_matrices,
     reconstruct_single_mode,
 )
+from cmtomo.report import quadrature_matrices
+from cmtomo.specialfn import laguerre_gauss_levels
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, fock_expansion
 
 FAST = ReconstructionCutoffs(radial_nodes=96, angular_nodes=64)
@@ -56,7 +58,7 @@ class TestQuadratureMatrices:
 
 class TestEigenExponentials:
     def test_matches_pade_expm(self):
-        # the radial-shared eigendecomposition must equal the Pade
+        # per_angle_reference's eigendecomposition must equal the Pade
         # scaling-and-squaring exponential of the same generator
         Q, P = quadrature_matrices(24, 1.0)
         for mu, nu in [(0.3, -1.2), (2.0, 0.7), (0.0, 1.0)]:
@@ -123,8 +125,9 @@ class TestRoundTrip:
 
 
 def per_angle_reference(tomogram, dim, hbar, cutoffs):
-    """The frame integral with one eigendecomposition per angle and one
-    tomogram call per (angle, radius) on the radius-scaled X grid."""
+    """The frame integral with one eigendecomposition per angle, in a
+    working basis padded past the displacement reach of the cutoff, and
+    one tomogram call per (angle, radius) on the radius-scaled X grid."""
     K = 10.0 / math.sqrt(hbar)
     xi_max_sq = hbar * K * K / 2.0
     W = dim + int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq)
@@ -151,10 +154,10 @@ def per_angle_reference(tomogram, dim, hbar, cutoffs):
         acc += (V * g) @ V.conj().T
     rho = acc[:dim, :dim] * hbar / (2.0 * math.pi)
     rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real, W
+    return rho / np.trace(rho).real
 
 
-class TestOneEigendecomposition:
+class TestFrameIdentities:
     SMALL = ReconstructionCutoffs(radial_nodes=24, angular_nodes=16)
 
     @pytest.mark.parametrize("mode", [Fock(1), CoherentOdd(0.6 + 0.8j)], ids=["fock1", "odd_complex"])
@@ -166,9 +169,21 @@ class TestOneEigendecomposition:
         else:
             def tomogram(X, m, n):
                 return evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
-        want, W = per_angle_reference(tomogram, dim, hbar, self.SMALL)
+        want = per_angle_reference(tomogram, dim, hbar, self.SMALL)
         rho = reconstruct_single_mode(tomogram, dim, hbar, self.SMALL)
-        assert rho.meta["working_dim"] == W
+        assert rho.meta["working_dim"] == dim
+        assert np.max(np.abs(rho.entries - want)) <= 1e-12
+
+    def test_odd_x_count_matches_per_angle_reference(self):
+        # an odd x_count puts no node at y = 0: the half grid starts at dy/2
+        hbar, dim, alpha = 0.5, 6, 0.6 + 0.8j
+        cutoffs = ReconstructionCutoffs(radial_nodes=24, angular_nodes=16, x_points=1001)
+
+        def tomogram(X, m, n):
+            return evenodd_pointwise(alpha, "odd", m, n, hbar, X)
+
+        want = per_angle_reference(tomogram, dim, hbar, cutoffs)
+        rho = reconstruct_single_mode(tomogram, dim, hbar, cutoffs)
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
 
     def test_displaced_state_matches_per_angle_reference(self):
@@ -181,7 +196,7 @@ class TestOneEigendecomposition:
             var = 0.5 * hbar * (m * m + n * n)
             return np.exp(-(X - m * q0 - n * p0) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
-        want, _ = per_angle_reference(tomogram, dim, hbar, self.SMALL)
+        want = per_angle_reference(tomogram, dim, hbar, self.SMALL)
         rho = reconstruct_single_mode(tomogram, dim, hbar, self.SMALL)
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
         assert np.max(np.abs(rho.entries.imag)) > 0.05
@@ -229,9 +244,10 @@ class TestSharedTables:
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_exponential_count(self, monkeypatch):
-        # outside the tomogram calls: the block-factored x-integral table,
-        # (x_count/P + P) per radial node with P = sqrt(x_count) = 32, the
-        # angular phases and the eigenvalue phases, never x_count per node
+        # outside the tomogram calls: the block-factored half-grid X table,
+        # (count/P + P) per radial node with count = x_count/2 + 1 and
+        # P = 16, the angular phases of the offsets d >= 0 at the angles in
+        # [0, pi) and the Laguerre start scales, never x_count per node
         formed = []
         in_tomogram = []
         original = np.exp
@@ -250,10 +266,11 @@ class TestSharedTables:
 
         monkeypatch.setattr(np, "exp", counting)
         dim = 8
-        rho = reconstruct_single_mode(tomogram, dim, 1.0, FAST)
-        radial, angular = FAST.radial_nodes, FAST.angular_nodes
-        x_table = (FAST.x_points // 32 + 32) * radial
-        assert sum(formed) == x_table + (2 * dim - 1) * angular + radial * rho.meta["working_dim"]
+        reconstruct_single_mode(tomogram, dim, 1.0, FAST)
+        radial, half = FAST.radial_nodes, FAST.angular_nodes // 2
+        count = FAST.x_points // 2 + 1
+        x_table = (-(-count // 16) + 16) * radial
+        assert sum(formed) == x_table + dim * half + dim * radial
 
 
 class TestCutoffValidation:
@@ -275,19 +292,22 @@ class TestCutoffValidation:
 
 
 class TestJobSizeBounds:
-    # every table of a job holds at most 2^22 entries; each case sits on
-    # the edge of the table named in the match
+    # every table of a job holds at most 2^22 entries and its X phases stay
+    # within the 1e5 rad phase_table is tested to; each case sits on the
+    # edge of the bound named in the match
     CAP = 2 ** 22
 
     def test_dim_edge_at_default_cutoffs(self):
-        _, W, _ = reconstruct._job_sizes(108, 1.0, ReconstructionCutoffs())
-        assert 108 * 108 * W <= self.CAP
-        with pytest.raises(GridSizeError, match=r"dim\^2 x W"):
-            reconstruct._job_sizes(109, 1.0, ReconstructionCutoffs())
+        # x_count doubles from 1024 past 32 dim: 16384 up to dim 512, then
+        # 32768, whose X phase table over 160 radial nodes binds first
+        _, x_count = reconstruct._job_sizes(512, 1.0, ReconstructionCutoffs())
+        assert x_count * 160 <= self.CAP
+        with pytest.raises(GridSizeError, match="x_count x radial_nodes"):
+            reconstruct._job_sizes(513, 1.0, ReconstructionCutoffs())
 
     def test_x_points_edge(self):
         # 160 radial nodes: the X phase table binds first
-        _, _, x_count = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160))
+        _, x_count = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160))
         assert x_count * 160 <= self.CAP
         with pytest.raises(GridSizeError, match="x_count x radial_nodes"):
             reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160 + 1))
@@ -298,32 +318,152 @@ class TestJobSizeBounds:
         with pytest.raises(GridSizeError, match=r"radial_nodes\^2"):
             reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(radial_nodes=2049, x_points=1))
 
-    def test_working_basis_edge(self):
-        # W = dim + ceil(pad) + 8 reaches 2048 = sqrt(2^22) at pad = 2038 for dim 2
-        def pad(xi):
-            return xi + 6.0 * math.sqrt(xi) + 2.0 * math.sqrt(2.0 * xi)
+    @pytest.mark.parametrize("dim, hbar, x_sigmas", [(2, 1.0, 10.0), (40, 0.3, 6.0)])
+    def test_phase_edge(self, dim, hbar, x_sigmas):
+        # the X grid's half-width x_sigmas sqrt(hbar (dim + 1/2)) times K
+        radius = 1e5 / (x_sigmas * math.sqrt(hbar * (dim + 0.5)))
+        K, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs(
+            frame_radius=radius * (1 - 1e-9), x_sigmas=x_sigmas, x_points=1))
+        assert K == radius * (1 - 1e-9)
+        with pytest.raises(GridSizeError, match="X phases would reach 100000"):
+            reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs(
+                frame_radius=radius * (1 + 1e-9), x_sigmas=x_sigmas, x_points=1))
 
-        lo, hi = 0.0, 2038.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if pad(mid) < 2038.0 else (lo, mid)
-        radius = math.sqrt(2.0 * lo)   # hbar = 1
-        _, W, _ = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(frame_radius=radius, x_points=1))
-        assert W * W <= self.CAP
-        with pytest.raises(GridSizeError, match=r"W\^2"):
-            reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(frame_radius=radius * (1 + 1e-9), x_points=1))
+    def test_default_radius_far_inside_phase_bound(self):
+        # 100 sqrt(dim + 1/2) rad at the defaults, whatever hbar is
+        for dim, hbar in [(2, 1.0), (512, 1e-3), (512, 1e3)]:
+            K, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs())
+            assert 10.0 * math.sqrt(hbar * (dim + 0.5)) * K == pytest.approx(100.0 * math.sqrt(dim + 0.5))
 
-    @pytest.mark.parametrize("cutoffs", [
-        ReconstructionCutoffs(frame_radius=1e6), ReconstructionCutoffs(frame_radius=1e300),
-        ReconstructionCutoffs(x_points=10 ** 14), ReconstructionCutoffs(radial_nodes=10 ** 5),
+    @pytest.mark.parametrize("cutoffs, match", [
+        (ReconstructionCutoffs(frame_radius=1e6), "X phases"),
+        (ReconstructionCutoffs(frame_radius=1e300), "X phases"),
+        (ReconstructionCutoffs(x_points=10 ** 14), "angular_nodes x x_count"),
+        (ReconstructionCutoffs(radial_nodes=10 ** 5), "x_count x radial_nodes"),
     ], ids=["radius_1e6", "radius_1e300", "x_points_1e14", "radial_1e5"])
-    def test_rejected_before_any_tomogram_call(self, cutoffs):
+    def test_rejected_before_any_tomogram_call(self, cutoffs, match):
         # each of these ended in a memory error or an overflow traceback
         def tomogram(X, m, n):
             raise AssertionError("tomogram called")
 
-        with pytest.raises(GridSizeError, match="reconstruction table"):
+        with pytest.raises(GridSizeError, match=f"reconstruction table {match}"):
             reconstruct_single_mode(tomogram, 8, 1.0, cutoffs)
+
+
+def displacement_block(dim, k, hbar):
+    """<m| e^{-ikQ} |n> for m, n < dim from the closed form: (-i)^|m-n|
+    times the normalized Laguerre function of min(m, n), offset |m-n|."""
+    block = np.zeros((dim, dim), dtype=complex)
+    for n, f in enumerate(laguerre_gauss_levels(dim, np.array([0.5 * hbar * k * k]), dim)):
+        d = np.arange(dim - n)
+        block[n + d, n] = (-1j) ** d * f[:, 0]
+        block[n, n + d] = block[n + d, n]
+    return block
+
+
+class TestDisplacementElements:
+    @pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
+    @pytest.mark.parametrize("k", [0.05, 1.3, 4.0, 9.7])
+    def test_matches_padded_expm(self, k, hbar):
+        # the padded working basis, exponentiated by scipy and cropped: its
+        # reach (sqrt(dim) + k sqrt(hbar/2))^2 stays far inside W = 240
+        dim = 24
+        want = expm(-1j * k * quadrature_matrices(240, hbar)[0])[:dim, :dim]
+        np.testing.assert_allclose(displacement_block(dim, k, hbar), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0.4, 2.0, 3.5])
+    def test_unitary_where_not_truncated(self, k):
+        # D(b)|n> for n < 20 and |b|^2 = k^2/2 <= 6.2 lies inside 80 levels
+        dim, cols = 80, 20
+        block = displacement_block(dim, k, 1.0)[:, :cols]
+        np.testing.assert_allclose(block.conj().T @ block, np.eye(cols), rtol=0, atol=1e-13)
+
+    def test_complex_symmetric(self):
+        block = displacement_block(16, 2.3, 0.7)
+        assert np.array_equal(block, block.T)
+
+
+class TestClosedFormCost:
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rho = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0, FAST)
+        assert fidelity(rho, fock_expansion(Fock(1), D=7)) >= 0.99
+
+    def test_peak_memory_within_two_largest_tables(self):
+        # every table is at most max(x_count, dim) x radial_nodes complex
+        # entries; a dim^2 x radial_nodes table (4 times that here) or the
+        # old dim^2 x W assembly would push the peak past two of them.
+        # 16 angles keep the tomogram rows small; they alias offsets of 16
+        # and more, so only the vacuum's (0, 0) entry is checked
+        dim, cutoffs = 128, ReconstructionCutoffs(radial_nodes=64, angular_nodes=16, x_points=1)
+        x_count = 32 * dim
+
+        def vacuum(X, m, n):
+            var = 0.5 * (m * m + n * n)
+            return np.exp(-X * X / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rho = reconstruct_single_mode(vacuum, dim, 1.0, cutoffs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rho.entries[0, 0].real == pytest.approx(1.0, abs=1e-6)
+        assert peak <= 2 * 16 * max(x_count, dim) * cutoffs.radial_nodes
+
+
+class TestCutoffCharFunction:
+    # |characteristic function| at the outermost radial node, largest over
+    # the angles: past 1e-4 the frame radius cuts off part of the state
+
+    @pytest.mark.parametrize("mode, hbar, dim", [
+        (Fock(1), 1.0, 8), (CoherentEven(1.0), 1.0, 16), (CoherentOdd(0.6 + 0.8j), 0.5, 12),
+    ], ids=["fock1", "even1", "odd_complex"])
+    def test_benchmark_shapes_not_flagged(self, mode, hbar, dim):
+        rho = reconstruct_single_mode(self._tomogram(mode, hbar), dim, hbar)
+        assert 0.0 < rho.meta["cutoff_char_function"] < 1e-5
+        assert not rho.meta["truncation_leakage"]
+
+    @pytest.mark.parametrize("mode, dim, low", [
+        (Fock(20), 32, 0.05), (CoherentEven(3.0), 24, 0.1),
+    ], ids=["fock20", "even3"])
+    def test_too_small_radius_flagged(self, mode, dim, low):
+        # the pre-rescale trace of both is within 5% of 1
+        with pytest.warns(TruncationLeakageWarning, match="characteristic function") as record:
+            rho = reconstruct_single_mode(self._tomogram(mode, 1.0), dim, 1.0)
+        assert rho.meta["cutoff_char_function"] > low
+        assert abs(rho.meta["pre_rescale_trace"] - 1.0) <= 0.05
+        assert "trace" not in str(record[0].message)
+        assert rho.meta["truncation_leakage"]
+
+    def test_trace_test_named(self):
+        # half the mass on level 3, outside dim = 2; the radius is ample
+        def mix(X, m, n):
+            return 0.5 * fock_tomogram(0, m, n, 1.0, X) + 0.5 * fock_tomogram(3, m, n, 1.0, X)
+
+        with pytest.warns(TruncationLeakageWarning, match="trace") as record:
+            rho = reconstruct_single_mode(mix, 2, 1.0, FAST)
+        assert rho.meta["pre_rescale_trace"] == pytest.approx(0.5, abs=1e-6)
+        assert rho.meta["cutoff_char_function"] < 1e-6
+        assert "characteristic function" not in str(record[0].message)
+        assert rho.meta["truncation_leakage"]
+
+    def test_is_the_characteristic_function_at_the_outer_node(self):
+        # the vacuum's is e^{-hbar k^2 / 4} at every angle
+        hbar = 0.5
+        rho = reconstruct_single_mode(self._tomogram(Fock(0), hbar), 8, hbar, FAST)
+        k_outer = 0.5 * (reconstruct._gauss_legendre(FAST.radial_nodes)[0][-1] + 1.0) * 10.0 / math.sqrt(hbar)
+        assert rho.meta["cutoff_char_function"] == pytest.approx(math.exp(-hbar * k_outer ** 2 / 4), rel=1e-9)
+
+    @staticmethod
+    def _tomogram(mode, hbar):
+        if isinstance(mode, Fock):
+            return lambda X, m, n: fock_tomogram(mode.n, m, n, hbar, X)
+        return lambda X, m, n: evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
 
 
 class TestFidelity:

@@ -1,10 +1,17 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from cmtomo.specialfn import hermite_functions, hermite_sq_density_factor, laguerre_gauss, phase_table
+from cmtomo.specialfn import (
+    hermite_functions,
+    hermite_sq_density_factor,
+    laguerre_gauss,
+    laguerre_gauss_levels,
+    phase_table,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -124,6 +131,51 @@ class TestLaguerreGauss:
         vals = laguerre_gauss(1000, np.array([4000.0, 2e4, 1e6]))
         assert np.all(np.isfinite(vals))
         assert vals[-1] == 0.0
+
+
+def mp_laguerre_function(n, d, u):
+    """sqrt(n!/(n+d)!) u^{d/2} e^{-u/2} L_n^{(d)}(u) to 50 digits (oracle),
+    the alternating sum taken with enough guard digits for its cancellation."""
+    with mp.workdps(50 + 130):
+        x = mp.mpf(u)
+        series = mp.fsum((-1) ** j * mp.binomial(n + d, n - j) * x ** j / mp.factorial(j) for j in range(n + 1))
+        value = mp.sqrt(mp.factorial(n) / mp.factorial(n + d)) * x ** (mp.mpf(d) / 2) * mp.exp(-x / 2) * series
+    return float(value)
+
+
+class TestLaguerreGaussLevels:
+    LEVELS = [0, 1, 2, 7, 19, 33, 60]
+    OFFSETS = [0, 1, 2, 5, 13, 26, 40]
+    US = np.array([1e-3, 0.1, 1.0, 7.5, 30.0, 100.0, 240.0, 600.0, 2000.0])
+
+    def test_matches_50_digit_values(self):
+        got = list(laguerre_gauss_levels(101, self.US, 41))
+        for n in self.LEVELS:
+            for d in self.OFFSETS:
+                want = [mp_laguerre_function(n, d, u) for u in self.US]
+                np.testing.assert_allclose(got[n][d], want, rtol=0, atol=1e-14, err_msg=f"n {n} d {d}")
+
+    def test_shapes_walk_the_subdiagonals(self):
+        # step j holds the offsets d < offsets with j + d < levels
+        shapes = [f.shape for f in laguerre_gauss_levels(6, self.US, 4)]
+        assert shapes == [(4, 9), (4, 9), (4, 9), (3, 9), (2, 9), (1, 9)]
+
+    def test_offset_zero_is_laguerre_gauss(self):
+        for n, f in enumerate(laguerre_gauss_levels(31, self.US, 5)):
+            assert np.array_equal(f[0], laguerre_gauss(n, self.US))
+
+    def test_zero_argument(self):
+        # f_n^(d)(0) is 1 at d = 0 and 0 for every d > 0
+        for f in laguerre_gauss_levels(12, np.array([0.0]), 12):
+            assert f[0, 0] == 1.0 and np.all(f[1:] == 0.0)
+
+    def test_far_tail_underflows_to_zero(self):
+        # u^{d/2} e^{-u/2} alone underflows past u ~ 1500; the carried scale
+        # keeps every value finite and they tend to 0
+        us = np.array([4000.0, 2e4, 1e6])
+        for f in laguerre_gauss_levels(300, us, 60):
+            assert np.all(np.isfinite(f)) and np.all(np.abs(f) <= 1.0)
+        assert np.all(f[:, -1] == 0.0)
 
 
 class TestPhaseTable:
