@@ -17,6 +17,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
+from ._blas import one_blas_thread
 from .clt import CltReport, hbar_scan, lyapunov_ratio, n_scan, per_mode_moments
 from .config import (
     RawConfig,
@@ -125,6 +126,9 @@ def cmd_marginal(raw: RawConfig, args) -> int:
     return 0
 
 
+# sampling starts its threads right after the CF inverse's matrix products;
+# with one BLAS thread no OpenBLAS worker spins beside them
+@one_blas_thread()
 def cmd_cm(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     frame = parse_frame(raw, sys_spec.n_modes)
@@ -243,7 +247,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
         cut = ReconstructionCutoffs(
             frame_radius=get_float(raw, "reconstruct", "frame_radius", default=None),
             radial_nodes=get_int(raw, "reconstruct", "radial_nodes", default=160),
-            angular_nodes=get_int(raw, "reconstruct", "angular_nodes", default=128),
+            angular_nodes=get_int(raw, "reconstruct", "angular_nodes", default=None),
             x_sigmas=get_float(raw, "reconstruct", "x_sigmas", default=10.0),
             x_points=get_int(raw, "reconstruct", "x_points", default=1024),
         )
@@ -262,7 +266,10 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     # leakage is reported through the output flag, not a console warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationLeakageWarning)
-        rho = reconstruct_single_mode(tomogram, dim, hbar, cut)
+        try:
+            rho = reconstruct_single_mode(tomogram, dim, hbar, cut)
+        except CutoffError as exc:    # a cutoff too small for dim
+            raw.fail(raw.last_line("reconstruct", exc.field), str(exc))
     warned = rho.meta["truncation_leakage"]
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)

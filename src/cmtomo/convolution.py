@@ -10,6 +10,8 @@ Monte-Carlo sampling of the sum.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +27,9 @@ _CLAMP_LIMIT = 1e-9
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
 _TINY = np.finfo(float).tiny
-# Monte-Carlo draws per inverse-CDF lookup
-_MC_CHUNK = 2 ** 16
+# Monte-Carlo draws per inverse-CDF lookup and per block a worker owns; a
+# multiple of 4, because Philox advance(k) skips 4 k doubles
+_MC_CHUNK = 2 ** 15
 
 
 @dataclass
@@ -340,10 +343,15 @@ def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
 
     Each mode draws through the inverse CDF of its gridded tomogram
     (cumulative trapezoid, linear inverse) from its own counter-based
-    substream, so results are reproducible bit for bit for a fixed seed
-    regardless of execution interleaving.  One guide table is built per
-    distinct marginal object (`_inverse_cdf`), and draws go in chunks
-    of _MC_CHUNK so the lookup temporaries stay in cache.
+    substream.  One guide table is built per distinct marginal object
+    (`_inverse_cdf`).  The sample indices are cut into blocks of
+    _MC_CHUNK draws, so the lookup temporaries stay in cache, and the
+    blocks into one contiguous run per worker thread: one worker per
+    CPU this process may run on, at most one per block.  A worker jumps
+    each mode's stream to the start of its run and adds the modes in
+    mode order, so every draw and every sum is the same, bit for bit,
+    for any worker count.  numpy releases the interpreter lock in the
+    draws and in most of the lookups' array operations.
     """
     if n_samples <= 0:
         raise ValueError("sample count must be positive")
@@ -355,12 +363,34 @@ def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
         cdf = cumulative_trapezoid(m.values, m.grid.dx)
         cdf /= cdf[-1]
         inverses[id(m)] = _inverse_cdf(cdf, m.grid.xs)
-    for i, m in enumerate(marginals):
-        invert = inverses[id(m)]
-        stream = _mode_stream(seed, i)
-        for start in range(0, n_samples, _MC_CHUNK):
-            stop = min(start + _MC_CHUNK, n_samples)
-            out[start:stop] += invert(stream.random(stop - start))
+    order = [inverses[id(m)] for m in marginals]
+    failed = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            for i, invert in enumerate(order):
+                stream = _mode_stream(seed, i)
+                stream.bit_generator.advance(lo // 4)
+                for start in range(lo, hi, _MC_CHUNK):
+                    stop = min(start + _MC_CHUNK, hi)
+                    out[start:stop] += invert(stream.random(stop - start))
+        except Exception as exc:      # raised in the calling thread once every worker is done
+            failed.append(exc)
+
+    blocks = -(-n_samples // _MC_CHUNK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, blocks)
+    bounds = [min(w * blocks // workers * _MC_CHUNK, n_samples) for w in range(workers + 1)]
+    threads = [threading.Thread(target=run, args=bounds[w:w + 2]) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -393,10 +423,10 @@ def backend_agreement(cm: CenterOfMassDensity, cf: CenterOfMassDensity, samples:
     histogram noise floor well under the 0.01 contract.
     density_mc: sample counts in the cells [x - dx/2, x + dx/2] around
     the grid nodes, divided by the sample count and dx.
-    The samples are sorted once; every count is a binary search.
+    samples is sorted in place, once; every count is a binary search.
     """
     xs, dx = cm.grid.xs, cm.grid.dx
-    samples = np.sort(samples)
+    samples.sort()
     cdf = cumulative_trapezoid(cm.values, dx)
     cdf /= cdf[-1]
     ecdf = np.searchsorted(samples, xs, side="right") / len(samples)

@@ -74,13 +74,15 @@ class ReconstructionCutoffs:
 
     frame_radius: float | None = None     # default 10/sqrt(hbar)
     radial_nodes: int = 160
-    angular_nodes: int = 128
+    angular_nodes: int | None = None      # default max(128, 2 dim)
     x_sigmas: float = 10.0
     x_points: int = 1024
 
     def __post_init__(self) -> None:
         for name in ("radial_nodes", "angular_nodes", "x_points"):
             value = getattr(self, name)
+            if value is None and name == "angular_nodes":
+                continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise CutoffError(name, f"must be a positive integer, got {value!r}")
         for name in ("frame_radius", "x_sigmas"):
@@ -89,7 +91,7 @@ class ReconstructionCutoffs:
                 continue
             if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < math.inf):
                 raise CutoffError(name, f"must be positive and finite, got {value!r}")
-        if self.angular_nodes % 2:
+        if self.angular_nodes is not None and self.angular_nodes % 2:
             # opposite frames share one tomogram call (see the module docstring)
             raise CutoffError("angular_nodes", f"must be even, got {self.angular_nodes!r}")
 
@@ -124,14 +126,23 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[float, int]:
-    """(frame radius K, X node count) of a job.
+def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[float, int, int]:
+    """(frame radius K, X node count, angular node count) of a job.
 
-    Raises GridSizeError, before anything is allocated, if any table the
+    The angular Fourier sum over n nodes aliases offset d onto d +- n,
+    and the offsets of a dim x dim matrix span 2 dim - 1 values, so an
+    explicit angular_nodes below that raises CutoffError.  Raises
+    GridSizeError, before anything is allocated, if any table the
     job builds would hold more entries than a grid may have nodes
     (_MAX_GRID), or if the X phase table would reach a phase past
     _MAX_PHASE.
     """
+    angular = cutoffs.angular_nodes
+    if angular is None:
+        angular = max(128, 2 * dim)
+    elif angular < 2 * dim - 1:
+        raise CutoffError("angular_nodes", f"must be at least 2 dim - 1 = {2 * dim - 1} for dim {dim}, "
+                                           f"or offsets alias, got {angular!r}")
     K = cutoffs.frame_radius if cutoffs.frame_radius is not None else 10.0 / math.sqrt(hbar)
     x_count = int(cutoffs.x_points)
     while x_count < 32 * dim:
@@ -142,7 +153,7 @@ def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[f
         raise GridSizeError(f"reconstruction table X phases would reach {phase:.6g} rad, past the "
                             f"{_MAX_PHASE:g} rad phase_table is tested to (dim {dim}, frame radius "
                             f"{K:.6g}, x_sigmas {cutoffs.x_sigmas:.6g})")
-    angular, radial = cutoffs.angular_nodes, cutoffs.radial_nodes
+    radial = cutoffs.radial_nodes
     tables = {
         "angular_nodes x x_count (tomogram rows)": angular * x_count,
         "x_count x radial_nodes (X phase table)": x_count * radial,
@@ -155,7 +166,7 @@ def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[f
         if entries > _MAX_GRID:
             raise GridSizeError(f"reconstruction table {name} would hold more than {_MAX_GRID} "
                                 f"entries (dim {dim}, x_count {x_count})")
-    return K, x_count
+    return K, x_count, angular
 
 
 def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
@@ -174,13 +185,13 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
         cutoffs = ReconstructionCutoffs()
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    K, x_count = _job_sizes(dim, hbar, cutoffs)
+    K, x_count, angular = _job_sizes(dim, hbar, cutoffs)
 
     gl_nodes, gl_weights = _gauss_legendre(cutoffs.radial_nodes)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
     k_weights = 0.5 * gl_weights * K
-    half = cutoffs.angular_nodes // 2
-    d_theta = 2.0 * math.pi / cutoffs.angular_nodes
+    half = angular // 2
+    d_theta = 2.0 * math.pi / angular
 
     # unit-frame x-grid, closed under X -> -X: any state inside the
     # truncation has variance at most hbar (dim + 1/2) there; radius k

@@ -152,9 +152,6 @@ class FockExpansion:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"expansion norm {norm} is not 1 within 1e-10")
 
-    def mean_occupation(self) -> float:
-        return float(np.sum(np.arange(self.truncation + 1) * np.abs(self.coefficients) ** 2))
-
 
 def coherent_amplitudes(alpha: complex, D: int) -> np.ndarray:
     """Coherent-state amplitudes e^{-|a|^2/2} alpha^k / sqrt(k!), k = 0..D.

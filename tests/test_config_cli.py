@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtomo import cli, marginals
+from cmtomo import _blas, cli, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning
@@ -209,6 +209,30 @@ class TestCmdCm:
         assert ks and ks[0] < 0.01
 
 
+    @pytest.mark.parametrize("text, flags, code", [
+        ("[system]\nmode = fock 1 x2\n[frame]\nmu = 1.0\nnu = 0.0\n",
+         ["--all-backends", "--mc-samples", "70000"], 0),
+        ("[system]\nmode = fock 0 x2\n[frame]\nmu = 1 1 1\nnu = 0.0\n", [], 2),
+        # frame radii five decades apart force the shared lattice past the grid cap
+        ("[system]\nmode = fock 0 x2\n[frame]\nmu = 1e-4 10.0\nnu = 0 0\nr = 1e-9\nR = 1000\n", [], 3),
+    ], ids=["exit0", "exit2", "exit3"])
+    def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, text, flags, code):
+        before = _blas.blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS is loaded in this process")
+        inside = []
+        original = cli.sample_sum
+
+        def spy(*args, **kwargs):
+            inside.append(_blas.blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_sum", spy)
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main(["cm", "--config", cfg, "--out", str(tmp_path / "cm.csv"), *flags]) == code
+        assert inside == ([1] if code == 0 else [])
+        assert _blas.blas_threads() == before
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_bad_mc_samples_exit_two(self, tmp_path, capsys, samples):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
@@ -388,11 +412,21 @@ class TestCmdReconstruct:
         assert f"{cfg}:9: {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim, angular, code", [(8, 14, 2), (8, 16, 0), (20, 38, 2), (20, 40, 0)])
+    def test_aliasing_angular_nodes_exit_two(self, tmp_path, capsys, dim, angular, code):
+        # n angular nodes alias offset d onto d +- n: the 2 dim - 1 offsets need n >= 2 dim - 1
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = {dim}\nangular_nodes = {angular}\n")
+        out = tmp_path / "rho.txt"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == code
+        if code:
+            assert f"{cfg}:9: angular_nodes must be at least 2 dim - 1 = {2 * dim - 1}" in capsys.readouterr().err
+            assert not out.exists()
+
     # each of these ended in a memory error or an overflow traceback with exit 1
     @pytest.mark.parametrize("key, value, table", [
         ("frame_radius", "1e6", "X phases"), ("frame_radius", "1e300", "X phases"),
         ("x_points", "100000000000000", "angular_nodes x x_count"),
-        ("radial_nodes", "100000", "x_count x radial_nodes"), ("dim", "513", "x_count x radial_nodes"),
+        ("radial_nodes", "100000", "x_count x radial_nodes"), ("dim", "257", "angular_nodes x x_count"),
     ])
     def test_oversized_job_exit_three(self, tmp_path, capsys, key, value, table):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\n{key} = {value}\n")
@@ -647,7 +681,8 @@ def generated_configs(draw):
 def generated_reconstruct_configs(draw):
     """A `reconstruct` config: Fock levels 0-8 or even/odd cats with |alpha|
     from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16, small cutoffs (an even
-    angular node count; odd ones exit 2, see TestCmdReconstruct)."""
+    angular node count; odd ones exit 2, see TestCmdReconstruct, and so do
+    the few below 2 dim - 1)."""
     lines = ["[system]", f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}"]
     kind = draw(st.sampled_from(["fock", "even", "odd"]))
     if kind == "fock":
@@ -656,9 +691,10 @@ def generated_reconstruct_configs(draw):
         size = 10.0 ** draw(st.floats(-12.0, math.log10(2.0)))
         angle = draw(st.floats(0.0, 2.0 * math.pi))
         lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
-    lines += ["[reconstruct]", f"dim = {draw(st.integers(2, 16))}",
+    dim = draw(st.integers(2, 16))
+    lines += ["[reconstruct]", f"dim = {dim}",
               f"radial_nodes = {draw(st.integers(4, 32))}",
-              f"angular_nodes = {2 * draw(st.integers(2, 16))}",
+              f"angular_nodes = {2 * draw(st.integers(max(2, dim - 2), dim + 14))}",
               f"x_points = {draw(st.sampled_from([16, 64, 256]))}"]
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,6 @@
 import math
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -573,19 +575,62 @@ class TestInverseCdf:
         want = np.interp(u, self.CDF, self.XS)
         assert got.tobytes() == want.tobytes()
 
-    def test_sample_sum_matches_per_mode_interp(self):
+    # sample counts on both sides of the block size, and a partial last block
+    @pytest.mark.parametrize("n", [1, 3, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_sample_sum_matches_per_mode_interp(self, monkeypatch, n, cpus):
+        # each worker jumps every mode's stream to its own blocks: the sums
+        # are those of one serial stream per mode, whatever the worker count
         sys = SystemSpec(modes=(Fock(3), CoherentEven(1 + 0.5j), Fock(3), CoherentOdd(0.8),
                                 CoherentEven(1 + 0.5j)), hbar=0.7)
         frame = FrameSpec(mu=(0.6, 1.0, 0.6, 0.0, 1.0), nu=(0.8, 0.0, 0.8, 1.0, 0.0), r=0.5, R=2.0)
         marg = marginals_for_system(sys, frame)
-        n = 3 * 2 ** 16 + 5                           # a partial last chunk
         want = np.zeros(n)
         for i, m in enumerate(marg):
             cdf = cumulative_trapezoid(m.values, m.grid.dx)
             cdf /= cdf[-1]
             want += np.interp(_mode_stream(11, i).random(n), cdf, m.grid.xs)
+        streams = []
+
+        def counting(seed, index):
+            streams.append(index)
+            return _mode_stream(seed, index)
+
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(convolution, "_mode_stream", counting)
         got = sample_sum(sys, frame, n, seed=11, marginals=marg)
         assert got.tobytes() == want.tobytes()
+        workers = min(cpus, -(-n // convolution._MC_CHUNK))
+        assert sorted(streams) == sorted(list(range(len(marg))) * workers)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # eight workers write neighbouring runs of one array while the
+        # interpreter switches threads every microsecond
+        sys_spec, frame = MIXED_SYS, MIXED_FRAME
+        marg = marginals_for_system(sys_spec, frame)
+        n = 8 * convolution._MC_CHUNK + 5
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0})
+        want = sample_sum(sys_spec, frame, n, seed=21, marginals=marg)
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            got = sample_sum(sys_spec, frame, n, seed=21, marginals=marg)
+        finally:
+            setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    def test_worker_failure_raised_in_caller(self, monkeypatch):
+        def failing(seed, index):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            return _mode_stream(seed, index)
+
+        sys, frame = iid_system(Fock(1), 2)
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(convolution, "_mode_stream", failing)
+        with pytest.raises(MemoryError, match="worker"):
+            sample_sum(sys, frame, 3 * 2 ** 15, seed=1)
 
     def test_one_table_per_distinct_marginal(self, monkeypatch):
         sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
@@ -621,6 +666,15 @@ class TestBackendAgreement:
         shifted /= np.trapezoid(shifted, dx=grid.dx)
         cf = CenterOfMassDensity(grid=grid, values=shifted)
         assert backend_agreement(self.cm, cf, self.samples)["tv_fft_cf"] > 1e-6
+
+    def test_unsorted_samples_sorted_in_place(self):
+        # the counts are those of the samples as drawn; the array comes back sorted
+        shuffled = np.random.default_rng(8).permutation(self.samples)
+        want = backend_agreement(self.cm, self.cm, np.sort(self.samples))
+        got = backend_agreement(self.cm, self.cm, shuffled)
+        assert np.array_equal(shuffled, np.sort(self.samples))
+        assert got["density_mc"].tobytes() == want["density_mc"].tobytes()
+        assert all(got[key] == want[key] for key in ("tv_fft_cf", "ks_fft_mc", "tv_fft_mc"))
 
     def test_bin_counts_match_histogram(self):
         edges = np.linspace(-3.0, 3.0, 97)

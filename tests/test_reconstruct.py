@@ -290,6 +290,24 @@ class TestCutoffValidation:
         assert ReconstructionCutoffs().frame_radius is None
         assert ReconstructionCutoffs(frame_radius=12.5).frame_radius == 12.5
 
+    @pytest.mark.parametrize("dim, want", [(2, 128), (64, 128), (65, 130), (200, 400)])
+    def test_default_angular_nodes_from_dim(self, dim, want):
+        assert ReconstructionCutoffs().angular_nodes is None
+        assert reconstruct._job_sizes(dim, 1.0, ReconstructionCutoffs())[2] == want
+
+    @pytest.mark.parametrize("dim", [2, 8, 40, 100])
+    def test_aliasing_angular_nodes_rejected(self, dim):
+        # n angular nodes alias offset d onto d +- n, and a dim x dim matrix
+        # has offsets -(dim - 1)..dim - 1: the vacuum at dim 40 with 16 nodes
+        # was off by 0.092 at (23, 39) with no leakage flag
+        def tomogram(X, m, n):
+            raise AssertionError("tomogram called")
+
+        with pytest.raises(CutoffError, match=f"at least 2 dim - 1 = {2 * dim - 1}") as exc:
+            reconstruct_single_mode(tomogram, dim, 1.0, ReconstructionCutoffs(angular_nodes=2 * dim - 2))
+        assert exc.value.field == "angular_nodes"
+        assert reconstruct._job_sizes(dim, 1.0, ReconstructionCutoffs(angular_nodes=2 * dim))[2] == 2 * dim
+
 
 class TestJobSizeBounds:
     # every table of a job holds at most 2^22 entries and its X phases stay
@@ -298,16 +316,16 @@ class TestJobSizeBounds:
     CAP = 2 ** 22
 
     def test_dim_edge_at_default_cutoffs(self):
-        # x_count doubles from 1024 past 32 dim: 16384 up to dim 512, then
-        # 32768, whose X phase table over 160 radial nodes binds first
-        _, x_count = reconstruct._job_sizes(512, 1.0, ReconstructionCutoffs())
-        assert x_count * 160 <= self.CAP
-        with pytest.raises(GridSizeError, match="x_count x radial_nodes"):
-            reconstruct._job_sizes(513, 1.0, ReconstructionCutoffs())
+        # x_count doubles from 1024 past 32 dim: 8192 up to dim 256, then
+        # 16384, whose tomogram rows over the 2 dim angular nodes bind first
+        _, x_count, angular = reconstruct._job_sizes(256, 1.0, ReconstructionCutoffs())
+        assert (x_count, angular) == (8192, 512) and angular * x_count <= self.CAP
+        with pytest.raises(GridSizeError, match="angular_nodes x x_count"):
+            reconstruct._job_sizes(257, 1.0, ReconstructionCutoffs())
 
     def test_x_points_edge(self):
         # 160 radial nodes: the X phase table binds first
-        _, x_count = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160))
+        _, x_count, _ = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160))
         assert x_count * 160 <= self.CAP
         with pytest.raises(GridSizeError, match="x_count x radial_nodes"):
             reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160 + 1))
@@ -322,7 +340,7 @@ class TestJobSizeBounds:
     def test_phase_edge(self, dim, hbar, x_sigmas):
         # the X grid's half-width x_sigmas sqrt(hbar (dim + 1/2)) times K
         radius = 1e5 / (x_sigmas * math.sqrt(hbar * (dim + 0.5)))
-        K, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs(
+        K, _, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs(
             frame_radius=radius * (1 - 1e-9), x_sigmas=x_sigmas, x_points=1))
         assert K == radius * (1 - 1e-9)
         with pytest.raises(GridSizeError, match="X phases would reach 100000"):
@@ -331,8 +349,8 @@ class TestJobSizeBounds:
 
     def test_default_radius_far_inside_phase_bound(self):
         # 100 sqrt(dim + 1/2) rad at the defaults, whatever hbar is
-        for dim, hbar in [(2, 1.0), (512, 1e-3), (512, 1e3)]:
-            K, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs())
+        for dim, hbar in [(2, 1.0), (256, 1e-3), (256, 1e3)]:
+            K, _, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs())
             assert 10.0 * math.sqrt(hbar * (dim + 0.5)) * K == pytest.approx(100.0 * math.sqrt(dim + 0.5))
 
     @pytest.mark.parametrize("cutoffs, match", [
@@ -396,9 +414,8 @@ class TestClosedFormCost:
         # every table is at most max(x_count, dim) x radial_nodes complex
         # entries; a dim^2 x radial_nodes table (4 times that here) or the
         # old dim^2 x W assembly would push the peak past two of them.
-        # 16 angles keep the tomogram rows small; they alias offsets of 16
-        # and more, so only the vacuum's (0, 0) entry is checked
-        dim, cutoffs = 128, ReconstructionCutoffs(radial_nodes=64, angular_nodes=16, x_points=1)
+        # 128 radial nodes keep the 2 dim angular rows within that size
+        dim, cutoffs = 128, ReconstructionCutoffs(radial_nodes=128, x_points=1)
         x_count = 32 * dim
 
         def vacuum(X, m, n):
@@ -412,7 +429,9 @@ class TestClosedFormCost:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rho.entries[0, 0].real == pytest.approx(1.0, abs=1e-6)
+        want = np.zeros((dim, dim))
+        want[0, 0] = 1.0
+        assert np.max(np.abs(rho.entries - want)) <= 1e-9
         assert peak <= 2 * 16 * max(x_count, dim) * cutoffs.radial_nodes
 
 
