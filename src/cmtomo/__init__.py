@@ -7,7 +7,7 @@ classical-limit scans, and single-mode density-matrix reconstruction.
 
 __version__ = "0.1.0"
 
-from .clt import CltReport, gaussian_distance, hbar_scan, lyapunov_ratio, mass_within, n_scan, sigma2_closed
+from .clt import CltReport, gaussian_distance, hbar_scan, lyapunov_ratio, mass_within, n_scan
 from .convolution import CenterOfMassDensity, cf_product, convolve_fft, marginals_for_system, sample_sum
 from .errors import (
     CalibrationError,
@@ -26,7 +26,6 @@ from .marginals import (
     char_function,
     evenodd_tomogram,
     evenodd_var_closed,
-    fock_abs3_bound_check,
     fock_marginal,
     fock_tomogram,
     fock_var_closed,

@@ -29,7 +29,7 @@ from .config import (
     parse_frame,
     parse_system,
 )
-from .convolution import backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
+from .convolution import MC_SAMPLES_MAX, backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import CutoffError, ReconstructionCutoffs, fidelity, reconstruct_single_mode
@@ -126,8 +126,10 @@ def cmd_marginal(raw: RawConfig, args) -> int:
     return 0
 
 
-# sampling starts its threads right after the CF inverse's matrix products;
-# with one BLAS thread no OpenBLAS worker spins beside them
+# cm, reconstruct and discrepancy-report run with one OpenBLAS thread: a
+# second one buys their small matrix products almost no wall time, then
+# spins idle on a core (in cm, beside the sampling threads).  The scans
+# and cmd_marginal run no matrix product and keep OpenBLAS's threads.
 @one_blas_thread()
 def cmd_cm(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
@@ -238,6 +240,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
     return 0
 
 
+@one_blas_thread()
 def cmd_reconstruct(raw: RawConfig, args) -> int:
     sys_spec, mu, nu = _single_mode(raw)
     mode = sys_spec.modes[0]
@@ -287,6 +290,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     return 0
 
 
+@one_blas_thread()
 def cmd_discrepancy_report(raw: RawConfig, args) -> int:
     alphas = list(DEFAULT_ALPHAS)
     frames = list(DEFAULT_FRAMES)
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--all-backends", action="store_true",
                         help="emit every convolution backend plus cross-check footers")
     parser.add_argument("--mc-samples", type=int, default=10 ** 6,
-                        help="Monte-Carlo sample count for --all-backends")
+                        help="Monte-Carlo sample count for --all-backends, at most 2^27")
     return parser
 
 
@@ -382,6 +386,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon}")
         if args.mc_samples <= 0:
             raise ConfigError(f"--mc-samples must be positive, got {args.mc_samples}")
+        if args.mc_samples > MC_SAMPLES_MAX:
+            raise ConfigError(f"--mc-samples must be at most {MC_SAMPLES_MAX} (2^27), got {args.mc_samples}")
         return _COMMANDS[args.command](raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -74,12 +74,6 @@ def per_mode_moments(sys: SystemSpec, frame: FrameSpec,
     return out
 
 
-def sigma2_closed(sys: SystemSpec, frame: FrameSpec) -> float:
-    """Variance of the summed observable: closed form for number states,
-    quadrature for superposition modes."""
-    return float(sum(m.var for m in per_mode_moments(sys, frame)))
-
-
 def gaussian_distance(d: CenterOfMassDensity, sigma2: float) -> dict:
     """Kolmogorov-Smirnov and total-variation distance to N(0, sigma2).
 

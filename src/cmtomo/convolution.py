@@ -30,6 +30,8 @@ _TINY = np.finfo(float).tiny
 # Monte-Carlo draws per inverse-CDF lookup and per block a worker owns; a
 # multiple of 4, because Philox advance(k) skips 4 k doubles
 _MC_CHUNK = 2 ** 15
+# most Monte-Carlo draws one call takes: a 1 GiB sample array
+MC_SAMPLES_MAX = 2 ** 27
 
 
 @dataclass
@@ -180,6 +182,18 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
     return CenterOfMassDensity(grid=grid, values=out, meta=meta)
 
 
+def _phase_rows(count: int) -> int:
+    """Output nodes per `_phase_sum` block over a source grid of count nodes.
+
+    A block of R rows stands for R count phases.  On one BLAS thread
+    blocks of about 2**20 phases ran fastest, up to twice as fast as
+    blocks of _MAX_GRID phases; blocks under 512 rows ran slower, their
+    products being thin.  At most _MAX_GRID
+    phases per block bounds memory, and wins over the 512-row floor.
+    """
+    return min(max(512, 2 ** 20 // count), max(1, _MAX_GRID // count))
+
+
 def _phase_sum(grid: Grid, v: np.ndarray, out: Grid, sign: float) -> np.ndarray:
     """sum_j v[j] e^{sign i a x_j} over the nodes x_j of `grid`, at every node a of `out`.
 
@@ -192,14 +206,14 @@ def _phase_sum(grid: Grid, v: np.ndarray, out: Grid, sign: float) -> np.ndarray:
     product.  The output nodes are uniform too, so both factor tables
     are `phase_table`s over them: a block of R output nodes forms
     (R/P + P)(count/Q + Q) exponentials, P ~ sqrt(R), not R (count/Q + Q).
-    Output nodes go in blocks of _MAX_GRID // count to bound memory.
+    Output nodes go in blocks of _phase_rows(count).
     """
     fine_len = 1 << (grid.count.bit_length() - 1) // 2
     coarse_x = sign * grid.xs[::fine_len]
     fine_x = sign * grid.dx * np.arange(fine_len)
     blocks = v.reshape(len(coarse_x), fine_len).T
     sums = np.empty(out.count, dtype=complex)
-    step = max(1, _MAX_GRID // grid.count)
+    step = _phase_rows(grid.count)
     for i in range(0, out.count, step):
         rows = min(step, out.count - i)
         a0 = out.x0 + i * out.dx
@@ -353,8 +367,8 @@ def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
     for any worker count.  numpy releases the interpreter lock in the
     draws and in most of the lookups' array operations.
     """
-    if n_samples <= 0:
-        raise ValueError("sample count must be positive")
+    if not 0 < n_samples <= MC_SAMPLES_MAX:
+        raise ValueError(f"sample count must lie in 1..{MC_SAMPLES_MAX}, got {n_samples}")
     if marginals is None:
         marginals = marginals_for_system(sys, frame)
     out = np.zeros(n_samples)

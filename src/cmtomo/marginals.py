@@ -161,18 +161,6 @@ def fock_abs3_dimensionless(n: int) -> float:
     return 2.0 * (2.0 * lam * a1 + 0.5 * h0_sq) / 3.0
 
 
-def fock_abs3_bound_check(n: int, mu: float, nu: float, hbar: float) -> dict:
-    """Absolute third moment of the level-n tomogram and its growth ratio.
-
-    bound_ratio divides by n^{3/2} (hbar rho)^{3/2}; for n = 0 the ratio
-    is taken against (hbar rho)^{3/2} alone.
-    """
-    s = _scale(mu, nu, hbar)
-    abs3 = s ** 3 * fock_abs3_dimensionless(n)
-    denom = s ** 3 if n == 0 else n ** 1.5 * s ** 3
-    return {"abs3": abs3, "bound_ratio": abs3 / denom}
-
-
 def _fock_policy(n: int, mu: float, nu: float, hbar: float) -> tuple[float, float]:
     s = _scale(mu, nu, hbar)
     sigma = math.sqrt(fock_var_closed(n, mu, nu, hbar))

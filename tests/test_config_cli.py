@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from cmtomo import _blas, cli, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
-from cmtomo.errors import ConfigError, NormalizationMismatchWarning
+from cmtomo.convolution import MC_SAMPLES_MAX
+from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
 from cmtomo.reconstruct import CutoffError, ReconstructionCutoffs
 from cmtomo.states import ALPHA_MAX, CoherentEven, Fock
 
@@ -98,6 +99,26 @@ def read_csv(path):
             else:
                 rows.append(line.split(","))
     return header, columns, np.array([[float(v) for v in row] for row in rows]), footer
+
+
+def blas_threads_seen(monkeypatch, name):
+    """The OpenBLAS thread counts that the calls of cli.<name> see, in order."""
+    seen = []
+    original = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        seen.append(_blas.blas_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return seen
+
+
+def skip_without_openblas():
+    before = _blas.blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    return before
 
 
 class TestCmdMarginal:
@@ -217,30 +238,42 @@ class TestCmdCm:
         ("[system]\nmode = fock 0 x2\n[frame]\nmu = 1e-4 10.0\nnu = 0 0\nr = 1e-9\nR = 1000\n", [], 3),
     ], ids=["exit0", "exit2", "exit3"])
     def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, text, flags, code):
-        before = _blas.blas_threads()
-        if before is None:
-            pytest.skip("no OpenBLAS is loaded in this process")
-        inside = []
-        original = cli.sample_sum
-
-        def spy(*args, **kwargs):
-            inside.append(_blas.blas_threads())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "sample_sum", spy)
+        before = skip_without_openblas()
+        inside = blas_threads_seen(monkeypatch, "sample_sum")
         cfg = write(tmp_path, "c.cfg", text)
         assert main(["cm", "--config", cfg, "--out", str(tmp_path / "cm.csv"), *flags]) == code
         assert inside == ([1] if code == 0 else [])
         assert _blas.blas_threads() == before
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_bad_mc_samples_exit_two(self, tmp_path, capsys, samples):
+    @pytest.mark.parametrize("samples", ["0", "-5", str(MC_SAMPLES_MAX + 1)])
+    def test_bad_mc_samples_exit_two(self, tmp_path, capsys, monkeypatch, samples):
+        def never(*args, **kwargs):
+            raise AssertionError("sample_sum called with a rejected count")
+
+        monkeypatch.setattr(cli, "sample_sum", never)
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
         out = tmp_path / "cm.csv"
         assert main(["cm", "--config", cfg, "--out", str(out), "--all-backends",
                      "--mc-samples", samples]) == 2
-        assert "config error: --mc-samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: --mc-samples" in err
+        assert int(samples) <= 0 or f"at most {MC_SAMPLES_MAX}" in err
         assert not out.exists()
+
+    def test_mc_samples_at_bound_accepted(self, tmp_path, monkeypatch):
+        # the bound itself reaches sample_sum; the stub draws a few samples in its place
+        asked = []
+        original = cli.sample_sum
+
+        def few(sys_spec, frame, n_samples, seed, marginals=None):
+            asked.append(n_samples)
+            return original(sys_spec, frame, 1000, seed, marginals=marginals)
+
+        monkeypatch.setattr(cli, "sample_sum", few)
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
+        assert main(["cm", "--config", cfg, "--out", str(tmp_path / "cm.csv"), "--all-backends",
+                     "--mc-samples", str(MC_SAMPLES_MAX)]) == 0
+        assert asked == [MC_SAMPLES_MAX]
 
     FRAME_CFG = "[system]\nmode = fock 0 x2\n[frame]\nmu = 1.0\nnu = 0.0\nr = 0.5\nR = 2.0\n"
 
@@ -436,6 +469,20 @@ class TestCmdReconstruct:
         assert f"numerical failure: reconstruction table {table}" in err and "Traceback" not in err
         assert not out.exists()
 
+    # exit 2 and exit 3 are raised inside reconstruct_single_mode, by its size checks
+    @pytest.mark.parametrize("extra, code", [
+        ("dim = 8\nradial_nodes = 96\nangular_nodes = 64\n", 0),
+        ("dim = 8\nangular_nodes = 14\n", 2),
+        ("dim = 257\n", 3),
+    ], ids=["exit0", "exit2", "exit3"])
+    def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, extra, code):
+        before = skip_without_openblas()
+        inside = blas_threads_seen(monkeypatch, "reconstruct_single_mode")
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\n" + extra)
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == code
+        assert inside == [1]
+        assert _blas.blas_threads() == before
+
 
 class TestCmdDiscrepancyReport:
     CFG = ("[report]\nalpha = 0 0\nalpha = 1 0\nalpha = 1 0.5\n"
@@ -500,6 +547,52 @@ class TestCmdDiscrepancyReport:
         assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
         assert f"{cfg}:7: hbar" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("hbar, code", [("1.0", 0), ("0", 2), ("1.0", 3)], ids=["exit0", "exit2", "exit3"])
+    def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, hbar, code):
+        before = skip_without_openblas()
+        if code == 3:
+            def failing(alphas, frames, hbar):
+                raise NumericalError("report rows failed")
+
+            monkeypatch.setattr(cli, "discrepancy_rows", failing)
+        inside = blas_threads_seen(monkeypatch, "discrepancy_rows")
+        cfg = write(tmp_path, "c.cfg", self.CFG.replace("hbar = 1.0", f"hbar = {hbar}"))
+        assert main(["discrepancy-report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == code
+        # hbar = 0 is rejected before the rows are formed
+        assert inside == ([] if code == 2 else [1])
+        assert _blas.blas_threads() == before
+
+
+class TestBlasHold:
+    """Commands that multiply matrices hold OpenBLAS to one thread; the rest leave it alone."""
+
+    @pytest.mark.parametrize("command, name, text", [
+        ("clt-scan", "n_scan", TestCmdCltScan.CFG),
+        ("hbar-scan", "hbar_scan", TestCmdHbarScan.CFG),
+        ("marginal", "marginal_density", VACUUM_CFG),
+    ])
+    def test_matrix_free_commands_keep_blas_threads(self, tmp_path, monkeypatch, command, name, text):
+        before = skip_without_openblas()
+        inside = blas_threads_seen(monkeypatch, name)
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert inside == [before]
+        assert _blas.blas_threads() == before
+
+    @pytest.mark.parametrize("command, text", [
+        ("reconstruct", "[system]\nmode = even 1.0 0.0\n[reconstruct]\ndim = 16\n"),
+        ("reconstruct", "[system]\nhbar = 0.5\nmode = odd 0.6 0.8\n[reconstruct]\ndim = 12\n"),
+        ("discrepancy-report", TestCmdDiscrepancyReport.CFG),
+    ])
+    def test_artifact_bytes_without_the_hold(self, tmp_path, monkeypatch, command, text):
+        cfg = write(tmp_path, "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        held = out.read_bytes()
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == held
 
 
 def read_csv_report(path):
@@ -829,9 +922,20 @@ class TestGeneratedConfigs:
         run_generated("discrepancy-report", text, [], assert_finite_report)
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, cmtomo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def fresh_interpreter(code):
+    """What `code` prints in a new interpreter that imports cmtomo from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, cmtomo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_cli_import_leaves_blas_discovery_for_first_use():
+    # discovery reads /proc/self/maps; at import it would land in start-up time
+    code = "import cmtomo.cli, cmtomo._blas as b; print(b._openblas.cache_info().currsize)"
+    assert fresh_interpreter(code) == "0"

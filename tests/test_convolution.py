@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cmtomo import convolution
 from cmtomo.convolution import (
+    MC_SAMPLES_MAX,
     CenterOfMassDensity,
     _bin_counts,
     _cf_product_at,
@@ -28,6 +29,7 @@ from cmtomo.convolution import (
 )
 from cmtomo.errors import GridSizeError
 from cmtomo.marginals import (
+    Grid,
     centered_grid,
     char_function,
     char_function_reach,
@@ -37,6 +39,7 @@ from cmtomo.marginals import (
     grid_policy,
     moments,
 )
+from cmtomo.specialfn import phase_table
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, hbar_for_fixed_energy
 
 
@@ -69,8 +72,9 @@ def mode_cf(m, ks):
 
 def direct_phase_sum(xs, v, a, sign):
     """sum_j v[j] exp(sign i a x_j) with one exp per (a, x_j) entry, in row blocks."""
-    return np.concatenate([np.exp(sign * 1j * np.outer(a[i:i + 256], xs)) @ v
-                           for i in range(0, len(a), 256)])
+    step = max(1, 2 ** 20 // len(xs))
+    return np.concatenate([np.exp(sign * 1j * np.outer(a[i:i + step], xs)) @ v
+                           for i in range(0, len(a), step)])
 
 
 class TestConvolveFft:
@@ -352,6 +356,26 @@ class TestCfProduct:
         want /= np.trapezoid(want, dx=grid.dx)
         np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
 
+    # (k-grid count K, output nodes per block, output nodes): four blocks each
+    @pytest.mark.parametrize("K, rows, n", [(256, 4096, 16384), (2048, 512, 2048), (32768, 128, 512)])
+    def test_inverse_blocks_bounded_and_match_per_entry_reference(self, monkeypatch, K, rows, n):
+        k_grid = Grid(x0=-16.0, dx=32.0 / K, count=K)
+        out = Grid(x0=-10.0, dx=20.0 / n, count=n)
+        v = np.exp(-k_grid.xs ** 2 / 4) * trapezoid_weights(k_grid)
+        tables = []
+
+        def spy(x0, dx, count, k):
+            tables.append(count)
+            return phase_table(x0, dx, count, k)
+
+        monkeypatch.setattr(convolution, "phase_table", spy)
+        got = _phase_sum(k_grid, v, out, -1.0)
+        # a coarse and a fine table per block
+        block_rows = tables[::2]
+        assert block_rows == tables[1::2] == [rows] * 4
+        assert max(block_rows) * K <= 2 ** 22
+        np.testing.assert_allclose(got, direct_phase_sum(k_grid.xs, v, out.xs, -1.0), rtol=0, atol=1e-12)
+
     def test_one_forward_transform_per_distinct_marginal(self, monkeypatch):
         sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
         marg = marginals_for_system(sys, frame)
@@ -525,6 +549,13 @@ class TestSampleSum:
         a = sample_sum(sys, frame, 5000, seed=123)
         b = sample_sum(sys, frame, 5000, seed=124)
         assert a.tobytes() != b.tobytes()
+
+    @pytest.mark.parametrize("n", [0, -1, MC_SAMPLES_MAX + 1])
+    def test_count_outside_bounds_rejected_before_marginals(self, monkeypatch, n):
+        monkeypatch.setattr(convolution, "marginals_for_system", None)
+        sys, frame = iid_system(Fock(0), 1)
+        with pytest.raises(ValueError, match=f"sample count must lie in 1..{MC_SAMPLES_MAX}"):
+            sample_sum(sys, frame, n, seed=0)
 
     def test_vacuum_variance(self):
         sys, frame = iid_system(Fock(0), 1)

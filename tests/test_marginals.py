@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmtomo.clt import per_mode_moments
 from cmtomo.errors import NormalizationMismatchWarning, NumericalError
 from cmtomo.marginals import (
     Grid,
@@ -12,7 +13,6 @@ from cmtomo.marginals import (
     evenodd_pointwise,
     evenodd_tomogram,
     evenodd_var_closed,
-    fock_abs3_bound_check,
     fock_abs3_dimensionless,
     fock_marginal,
     fock_tomogram,
@@ -23,7 +23,8 @@ from cmtomo.marginals import (
     oracle_marginal,
     tomogram_oracle,
 )
-from cmtomo.states import ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, cat_weight, fock_expansion
+from cmtomo.states import (ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, cat_weight,
+                           fock_expansion)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -146,15 +147,22 @@ class TestAbs3:
     def test_dimensionless_moment_bigint_oracle(self, n):
         assert fock_abs3_dimensionless(n) == pytest.approx(exact_abs3_bigint(n), rel=1e-13)
 
+    @staticmethod
+    def fock_abs3(n, mu, nu, hbar):
+        """abs3 of the level-n tomogram at (mu, nu), as the CLI forms it."""
+        frame = FrameSpec(mu=(mu,), nu=(nu,), r=0.5, R=5.0)
+        return per_mode_moments(SystemSpec(modes=(Fock(n),), hbar=hbar), frame)[0].abs3
+
     def test_scaling_is_exact(self):
-        base = fock_abs3_bound_check(7, 1.0, 0.0, 1.0)["abs3"]
+        base = self.fock_abs3(7, 1.0, 0.0, 1.0)
         for mu, nu, hbar in [(0.6, 0.8, 2.0), (2.0, 0.0, 0.3), (0.9, -1.1, 5.0)]:
-            got = fock_abs3_bound_check(7, mu, nu, hbar)["abs3"]
+            got = self.fock_abs3(7, mu, nu, hbar)
             s3 = (hbar * (mu * mu + nu * nu)) ** 1.5
             assert got / base == pytest.approx(s3, rel=1e-9)
 
     def test_bound_ratio_sup_attained(self):
-        ratios = [fock_abs3_bound_check(n, 1.0, 0.0, 1.0)["bound_ratio"] for n in range(1, 101)]
+        # abs3 / (n^{3/2} (hbar rho)^{3/2}) at hbar rho = 1
+        ratios = [fock_abs3_dimensionless(n) / n ** 1.5 for n in range(1, 101)]
         sup = max(ratios)
         assert math.isfinite(sup)
         # the growth envelope abs3 ~ n^{3/2} makes the ratio settle, so the
