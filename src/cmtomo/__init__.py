@@ -33,7 +33,7 @@ from .marginals import (
     moments,
     tomogram_oracle,
 )
-from .reconstruct import DensityMatrix, ReconstructionCutoffs, fidelity, reconstruct_single_mode
+from .reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from .report import quadrature_matrices
 from .specialfn import hermite_sq_density_factor
 from .states import (

@@ -32,7 +32,7 @@ from .config import (
 from .convolution import MC_SAMPLES_MAX, backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
-from .reconstruct import CutoffError, ReconstructionCutoffs, fidelity, reconstruct_single_mode
+from .reconstruct import fidelity, reconstruct_single_mode
 from .report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_report
 from .states import FOCK_LEVEL_MAX, ODD_ALPHA_MIN, Fock, check_alpha, fock_expansion
 
@@ -245,17 +245,13 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     sys_spec, mu, nu = _single_mode(raw)
     mode = sys_spec.modes[0]
     hbar = sys_spec.hbar
+    # every quadrature size follows from dim and hbar; a key that set one
+    # before is named, not silently ignored
+    for key in raw.section("reconstruct"):
+        if key != "dim":
+            raw.fail(raw.last_line("reconstruct", key),
+                     f"[reconstruct] takes only dim; {key} is not read, the cutoffs follow dim and hbar")
     dim = get_int(raw, "reconstruct", "dim", default=8)
-    try:
-        cut = ReconstructionCutoffs(
-            frame_radius=get_float(raw, "reconstruct", "frame_radius", default=None),
-            radial_nodes=get_int(raw, "reconstruct", "radial_nodes", default=160),
-            angular_nodes=get_int(raw, "reconstruct", "angular_nodes", default=None),
-            x_sigmas=get_float(raw, "reconstruct", "x_sigmas", default=10.0),
-            x_points=get_int(raw, "reconstruct", "x_points", default=1024),
-        )
-    except CutoffError as exc:
-        raw.fail(raw.last_line("reconstruct", exc.field), str(exc))
     if dim < 2:
         raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
@@ -269,10 +265,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     # leakage is reported through the output flag, not a console warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationLeakageWarning)
-        try:
-            rho = reconstruct_single_mode(tomogram, dim, hbar, cut)
-        except CutoffError as exc:    # a cutoff too small for dim
-            raw.fail(raw.last_line("reconstruct", exc.field), str(exc))
+        rho = reconstruct_single_mode(tomogram, dim, hbar)
     warned = rho.meta["truncation_leakage"]
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
@@ -321,9 +314,14 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
                 if len(toks) != 2:
                     raw.fail(lineno, "frame takes two reals (mu, nu)")
                 try:
-                    frames.append((float(toks[0]), float(toks[1])))
+                    mu, nu = float(toks[0]), float(toks[1])
                 except ValueError:
                     raw.fail(lineno, f"invalid frame: {value!r}")
+                # the [frame] rule of parse_frame
+                if not (math.isfinite(mu) and math.isfinite(nu) and 0 < mu * mu + nu * nu < math.inf):
+                    raw.fail(lineno, f"degenerate frame {value!r}: entries must be finite and "
+                                     "mu^2 + nu^2 positive and finite")
+                frames.append((mu, nu))
         hbar = get_float(raw, "report", "hbar", default=1.0)
         if not 0 < hbar < math.inf:
             raw.fail(raw.last_line("report", "hbar"), f"hbar must be positive and finite, got {hbar}")

@@ -33,9 +33,14 @@ sine integrals are two real matrix products with a half-grid phase table
 from `specialfn.phase_table`.  The Gauss-Legendre radial rule is built
 once per node count and process.
 
-Size contract: every table a job builds holds at most 2^22 entries, and
-the X phases stay within the 1e5 rad phase_table is tested to, checked
-before the first table is allocated; a larger job raises GridSizeError.
+Every size follows from dim and hbar (`_job_sizes`); none is an option.
+The frame radius is the reach of level dim - 1 and scales as
+1/sqrt(hbar), the X grid as sqrt(hbar), so hbar cancels from every
+phase and Laguerre argument and the largest X phase is
+10 sqrt(dim + 1/2) sqrt(hbar) K, 8.9e3 rad at dim 256, inside the
+1e5 rad phase_table is tested to.  Size contract: every table a job
+builds holds at most 2^22 entries, checked before the first table is
+allocated; a larger dim (past 256) raises GridSizeError.
 """
 
 from __future__ import annotations
@@ -44,56 +49,21 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import GridSizeError, NumericalError, TruncationLeakageWarning
-from .marginals import _MAX_GRID
+from .marginals import _MAX_GRID, char_function_reach
 from .specialfn import laguerre_gauss_levels, phase_table
-from .states import FockExpansion
+from .states import Fock, FockExpansion
 
-# the largest |y k| of the X phase table: phase_table is tested to 1e5 rad
-_MAX_PHASE = 1e5
 # |characteristic function| at the outermost radial node above which the
 # frame radius cuts off part of the state
 _CUTOFF_CHAR_MAX = 1e-4
-
-
-class CutoffError(ValueError):
-    """An invalid ReconstructionCutoffs field, named by `field`."""
-
-    def __init__(self, name: str, problem: str) -> None:
-        super().__init__(f"{name} {problem}")
-        self.field = name
-
-
-@dataclass(frozen=True)
-class ReconstructionCutoffs:
-    """Quadrature cutoffs; None picks scale-aware defaults."""
-
-    frame_radius: float | None = None     # default 10/sqrt(hbar)
-    radial_nodes: int = 160
-    angular_nodes: int | None = None      # default max(128, 2 dim)
-    x_sigmas: float = 10.0
-    x_points: int = 1024
-
-    def __post_init__(self) -> None:
-        for name in ("radial_nodes", "angular_nodes", "x_points"):
-            value = getattr(self, name)
-            if value is None and name == "angular_nodes":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise CutoffError(name, f"must be a positive integer, got {value!r}")
-        for name in ("frame_radius", "x_sigmas"):
-            value = getattr(self, name)
-            if value is None and name == "frame_radius":
-                continue
-            if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < math.inf):
-                raise CutoffError(name, f"must be positive and finite, got {value!r}")
-        if self.angular_nodes is not None and self.angular_nodes % 2:
-            # opposite frames share one tomogram call (see the module docstring)
-            raise CutoffError("angular_nodes", f"must be even, got {self.angular_nodes!r}")
+# half-width of the unit-frame X grid in standard deviations of the
+# widest state inside the truncation
+_X_SIGMAS = 10.0
 
 
 @dataclass
@@ -126,51 +96,47 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _job_sizes(dim: int, hbar: float, cutoffs: ReconstructionCutoffs) -> tuple[float, int, int]:
-    """(frame radius K, X node count, angular node count) of a job.
+class _JobSizes(NamedTuple):
+    frame_radius: float
+    radial_nodes: int
+    angular_nodes: int
+    x_count: int
 
+
+def _job_sizes(dim: int, hbar: float) -> _JobSizes:
+    """Every quadrature size of a job, taken from dim and hbar.
+
+    The frame radius K is the reach of level dim - 1 at floor 1e-12
+    (`char_function_reach`), (2 sqrt(2 dim - 1) + 2 sqrt(ln 1e12)) /
+    sqrt(hbar); the radial rule grows with K, max(160, 3 dim) nodes.
     The angular Fourier sum over n nodes aliases offset d onto d +- n,
-    and the offsets of a dim x dim matrix span 2 dim - 1 values, so an
-    explicit angular_nodes below that raises CutoffError.  Raises
-    GridSizeError, before anything is allocated, if any table the
-    job builds would hold more entries than a grid may have nodes
-    (_MAX_GRID), or if the X phase table would reach a phase past
-    _MAX_PHASE.
+    and the offsets of a dim x dim matrix span 2 dim - 1 values, so n is
+    max(128, 2 dim).  The X grid has the smallest power of two at least
+    max(1024, 32 dim) intervals.  Raises GridSizeError, before anything
+    is allocated and before K is formed, if any table the job builds
+    would hold more entries than a grid may have nodes (_MAX_GRID).
     """
-    angular = cutoffs.angular_nodes
-    if angular is None:
-        angular = max(128, 2 * dim)
-    elif angular < 2 * dim - 1:
-        raise CutoffError("angular_nodes", f"must be at least 2 dim - 1 = {2 * dim - 1} for dim {dim}, "
-                                           f"or offsets alias, got {angular!r}")
-    K = cutoffs.frame_radius if cutoffs.frame_radius is not None else 10.0 / math.sqrt(hbar)
-    x_count = int(cutoffs.x_points)
-    while x_count < 32 * dim:
-        x_count *= 2
-    # the largest |y k| of the X integral: the grid's half-width times K
-    phase = cutoffs.x_sigmas * math.sqrt(hbar * (dim + 0.5)) * K
-    if not phase <= _MAX_PHASE:
-        raise GridSizeError(f"reconstruction table X phases would reach {phase:.6g} rad, past the "
-                            f"{_MAX_PHASE:g} rad phase_table is tested to (dim {dim}, frame radius "
-                            f"{K:.6g}, x_sigmas {cutoffs.x_sigmas:.6g})")
-    radial = cutoffs.radial_nodes
+    radial = max(160, 3 * dim)
+    angular = max(128, 2 * dim)
+    x_count = 1 << (max(1024, 32 * dim) - 1).bit_length()
+    half = angular // 2
     tables = {
-        "angular_nodes x x_count (tomogram rows)": angular * x_count,
-        "x_count x radial_nodes (X phase table)": x_count * radial,
-        "angular_nodes x radial_nodes (X integrals)": angular * radial,
-        "radial_nodes^2 (Gauss-Legendre rule)": radial * radial,
-        "dim x radial_nodes (Laguerre functions)": dim * radial,
-        "dim^2 (density matrix)": dim * dim,
+        "tomogram rows (angular_nodes/2 x (x_count + 1))": half * (x_count + 1),
+        "X phase table ((x_count/2 + 1) x radial_nodes)": (x_count // 2 + 1) * radial,
+        "X integrals (angular_nodes/2 x radial_nodes)": half * radial,
+        "Gauss-Legendre rule (radial_nodes^2)": radial * radial,
+        "Laguerre functions (dim x radial_nodes)": dim * radial,
+        "density matrix (dim^2)": dim * dim,
     }
     for name, entries in tables.items():
         if entries > _MAX_GRID:
             raise GridSizeError(f"reconstruction table {name} would hold more than {_MAX_GRID} "
                                 f"entries (dim {dim}, x_count {x_count})")
-    return K, x_count, angular
+    K = char_function_reach(Fock(dim - 1), 1.0, 0.0, hbar, 1e-12)
+    return _JobSizes(K, radial, angular, x_count)
 
 
-def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
-                            cutoffs: ReconstructionCutoffs | None = None) -> DensityMatrix:
+def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> DensityMatrix:
     """Integrate e^{iX} U(mu, nu) w(X, mu, nu) over X and all frames.
 
     tomogram(X: ndarray, mu, nu) must return the normalized density of
@@ -181,13 +147,11 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     by more than 5% or the characteristic function at the outermost
     radial node exceeds _CUTOFF_CHAR_MAX at some angle.
     """
-    if cutoffs is None:
-        cutoffs = ReconstructionCutoffs()
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    K, x_count, angular = _job_sizes(dim, hbar, cutoffs)
+    K, radial, angular, x_count = _job_sizes(dim, hbar)
 
-    gl_nodes, gl_weights = _gauss_legendre(cutoffs.radial_nodes)
+    gl_nodes, gl_weights = _gauss_legendre(radial)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
     k_weights = 0.5 * gl_weights * K
     half = angular // 2
@@ -197,17 +161,15 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float,
     # truncation has variance at most hbar (dim + 1/2) there; radius k
     # uses this grid scaled by k.  Each row folds into its even and odd
     # parts on the half grid y >= 0, with trapezoid weights
-    dy = 2.0 * cutoffs.x_sigmas * math.sqrt(hbar * (dim + 0.5)) / x_count
+    dy = 2.0 * _X_SIGMAS * math.sqrt(hbar * (dim + 0.5)) / x_count
     ys = (np.arange(x_count + 1) - x_count / 2) * dy
     rows = np.array([tomogram(ys, math.cos(j * d_theta), math.sin(j * d_theta)) for j in range(half)])
-    pos, neg = rows[:, (x_count + 1) // 2:], rows[:, x_count // 2::-1]
+    pos, neg = rows[:, x_count // 2:], rows[:, x_count // 2::-1]
     count = x_count // 2 + 1
     trap = np.full(count, dy)
-    trap[-1] *= 0.5
-    if x_count % 2 == 0:
-        trap[0] *= 0.5    # y = 0 is a node, counted in both halves of its even part
+    trap[[0, -1]] *= 0.5    # the end node, and y = 0, which both halves of the even part count
     # the X integral at theta is cos_int + i sin_int, at theta + pi its conjugate
-    phases = phase_table((x_count % 2) * 0.5 * dy, dy, count, k_nodes)
+    phases = phase_table(0.0, dy, count, k_nodes)
     cos_int = (pos + neg) @ (trap[:, None] * phases.real)
     sin_int = (pos - neg) @ (trap[:, None] * phases.imag)
     cutoff_char = float(np.max(np.hypot(cos_int[:, -1], sin_int[:, -1])))

@@ -18,7 +18,6 @@ from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
-from cmtomo.reconstruct import CutoffError, ReconstructionCutoffs
 from cmtomo.states import ALPHA_MAX, CoherentEven, Fock
 
 
@@ -371,8 +370,7 @@ class TestCmdHbarScan:
 
 class TestCmdReconstruct:
     def test_vacuum_roundtrip(self, tmp_path):
-        cfg = write(tmp_path, "c.cfg", VACUUM_CFG +
-                    "[reconstruct]\ndim = 8\nradial_nodes = 96\nangular_nodes = 64\n")
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\ndim = 8\n")
         out = str(tmp_path / "rho.txt")
         assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
         text = open(out).read()
@@ -383,22 +381,21 @@ class TestCmdReconstruct:
     def test_truncation_warning_flag_exit_zero(self, tmp_path):
         cfg = write(tmp_path, "c.cfg",
                     "[system]\nmode = even 2.0 0.0\n[frame]\nmu = 1.0\nnu = 0.0\n"
-                    "[reconstruct]\ndim = 4\nradial_nodes = 64\nangular_nodes = 48\n")
+                    "[reconstruct]\ndim = 4\n")
         out = str(tmp_path / "rho.txt")
         assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
         assert "truncation_leakage yes" in open(out).read()
 
-    def test_too_small_frame_radius_flagged(self, tmp_path):
-        # K = 10 cuts off Fock 20: fidelity 0.56 with a trace within 5% of 1,
-        # which the characteristic function at the cutoff gives away
+    def test_fock20_at_dim32_within_frame_radius(self, tmp_path):
+        # a frame radius of 10 whatever dim is cut off Fock 20: fidelity 0.56
+        # and truncation_leakage yes; the reach of level dim - 1 holds it
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 20\n[reconstruct]\ndim = 32\n")
         out = str(tmp_path / "rho.txt")
         assert main(["reconstruct", "--config", cfg, "--out", out]) == 0
         keyed = dict(l[2:].split(" ", 1) for l in open(out).read().splitlines() if l.startswith("# "))
-        assert keyed["truncation_leakage"] == "yes"
-        assert float(keyed["cutoff_char_function"]) > 0.05
-        assert abs(float(keyed["pre_rescale_trace"]) - 1.0) < 0.05
-        assert float(keyed["fidelity"]) < 0.6
+        assert keyed["truncation_leakage"] == "no"
+        assert float(keyed["cutoff_char_function"]) < 1e-12
+        assert float(keyed["fidelity"]) >= 1.0 - 1e-6
 
     def test_rows_match_per_cell_form(self, tmp_path, monkeypatch):
         # one row template per line writes the bytes a _fmt call per cell did
@@ -411,7 +408,7 @@ class TestCmdReconstruct:
 
         monkeypatch.setattr(cli, "reconstruct_single_mode", keep)
         cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 0.5\nmode = odd 0.6 0.8\n"
-                    "[reconstruct]\ndim = 6\nradial_nodes = 48\nangular_nodes = 32\n")
+                    "[reconstruct]\ndim = 6\n")
         out = tmp_path / "rho.txt"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
         text = out.read_text()
@@ -429,50 +426,31 @@ class TestCmdReconstruct:
         assert f"{cfg}:8: reconstruct dim" in capsys.readouterr().err
         assert not out.exists()
 
-    # each case is checked at the ReconstructionCutoffs level before the
-    # CLI runs, so a validation regression fails here instead of hanging
-    @pytest.mark.parametrize("key, value", [
-        ("x_points", "0"), ("x_points", "-4"), ("radial_nodes", "0"), ("angular_nodes", "0"),
-        ("angular_nodes", "1"), ("angular_nodes", "7"),
-        ("frame_radius", "nan"), ("frame_radius", "-1"), ("x_sigmas", "0"),
-    ])
-    def test_bad_cutoff_exit_two(self, tmp_path, capsys, key, value):
-        with pytest.raises(CutoffError):
-            ReconstructionCutoffs(**{key: (float if key in ("frame_radius", "x_sigmas") else int)(value)})
-        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = 8\n{key} = {value}\n")
+    # every cutoff follows dim and hbar; a config that still sets one is
+    # told so, not silently run at other sizes
+    @pytest.mark.parametrize("key", ["frame_radius", "radial_nodes", "angular_nodes", "x_sigmas", "x_points"])
+    def test_removed_cutoff_key_exit_two(self, tmp_path, capsys, key):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = 8\n{key} = 64\n")
         out = tmp_path / "rho.txt"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
-        assert f"{cfg}:9: {key}" in capsys.readouterr().err
+        assert f"{cfg}:9: [reconstruct] takes only dim; {key} is not read" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dim, angular, code", [(8, 14, 2), (8, 16, 0), (20, 38, 2), (20, 40, 0)])
-    def test_aliasing_angular_nodes_exit_two(self, tmp_path, capsys, dim, angular, code):
-        # n angular nodes alias offset d onto d +- n: the 2 dim - 1 offsets need n >= 2 dim - 1
-        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = {dim}\nangular_nodes = {angular}\n")
-        out = tmp_path / "rho.txt"
-        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == code
-        if code:
-            assert f"{cfg}:9: angular_nodes must be at least 2 dim - 1 = {2 * dim - 1}" in capsys.readouterr().err
-            assert not out.exists()
-
-    # each of these ended in a memory error or an overflow traceback with exit 1
-    @pytest.mark.parametrize("key, value, table", [
-        ("frame_radius", "1e6", "X phases"), ("frame_radius", "1e300", "X phases"),
-        ("x_points", "100000000000000", "angular_nodes x x_count"),
-        ("radial_nodes", "100000", "x_count x radial_nodes"), ("dim", "257", "angular_nodes x x_count"),
-    ])
-    def test_oversized_job_exit_three(self, tmp_path, capsys, key, value, table):
-        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\n{key} = {value}\n")
+    # the tables are checked before the frame radius is formed: at dim 10^9
+    # the reach of level dim - 1 would raise past Fock's level cap
+    @pytest.mark.parametrize("dim", ["257", "1000000000"])
+    def test_oversized_job_exit_three(self, tmp_path, capsys, dim):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = {dim}\n")
         out = tmp_path / "rho.txt"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"numerical failure: reconstruction table {table}" in err and "Traceback" not in err
+        assert "numerical failure: reconstruction table tomogram rows" in err and "Traceback" not in err
         assert not out.exists()
 
-    # exit 2 and exit 3 are raised inside reconstruct_single_mode, by its size checks
+    # exit 2 is raised before reconstruct_single_mode, exit 3 inside it by its size checks
     @pytest.mark.parametrize("extra, code", [
-        ("dim = 8\nradial_nodes = 96\nangular_nodes = 64\n", 0),
-        ("dim = 8\nangular_nodes = 14\n", 2),
+        ("dim = 8\n", 0),
+        ("dim = 8\nangular_nodes = 16\n", 2),
         ("dim = 257\n", 3),
     ], ids=["exit0", "exit2", "exit3"])
     def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, extra, code):
@@ -480,7 +458,7 @@ class TestCmdReconstruct:
         inside = blas_threads_seen(monkeypatch, "reconstruct_single_mode")
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\n" + extra)
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == code
-        assert inside == [1]
+        assert inside == ([] if code == 2 else [1])
         assert _blas.blas_threads() == before
 
 
@@ -539,6 +517,16 @@ class TestCmdDiscrepancyReport:
             warnings.simplefilter("always")
             assert main(["discrepancy-report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
         assert [str(w.message) for w in caught] == ["something else"]
+
+    # 1e-200 and 1e200 square to 0 and inf: the rule of parse_frame
+    @pytest.mark.parametrize("frame", ["0 0", "1e-200 0", "1e200 0", "nan 0", "inf 0"])
+    def test_degenerate_frame_exit_two(self, tmp_path, capsys, frame):
+        cfg = write(tmp_path, "c.cfg", self.CFG.replace("frame = 0.6 0.8", f"frame = {frame}"))
+        out = tmp_path / "r.csv"
+        assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:6: degenerate frame '{frame}'" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("hbar", ["0", "-1", "inf", "nan"])
     def test_bad_hbar_exit_two(self, tmp_path, capsys, hbar):
@@ -773,9 +761,7 @@ def generated_configs(draw):
 @st.composite
 def generated_reconstruct_configs(draw):
     """A `reconstruct` config: Fock levels 0-8 or even/odd cats with |alpha|
-    from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16, small cutoffs (an even
-    angular node count; odd ones exit 2, see TestCmdReconstruct, and so do
-    the few below 2 dim - 1)."""
+    from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16."""
     lines = ["[system]", f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}"]
     kind = draw(st.sampled_from(["fock", "even", "odd"]))
     if kind == "fock":
@@ -784,11 +770,7 @@ def generated_reconstruct_configs(draw):
         size = 10.0 ** draw(st.floats(-12.0, math.log10(2.0)))
         angle = draw(st.floats(0.0, 2.0 * math.pi))
         lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
-    dim = draw(st.integers(2, 16))
-    lines += ["[reconstruct]", f"dim = {dim}",
-              f"radial_nodes = {draw(st.integers(4, 32))}",
-              f"angular_nodes = {2 * draw(st.integers(max(2, dim - 2), dim + 14))}",
-              f"x_points = {draw(st.sampled_from([16, 64, 256]))}"]
+    lines += ["[reconstruct]", f"dim = {draw(st.integers(2, 16))}"]
     return "\n".join(lines) + "\n"
 
 

@@ -8,18 +8,22 @@ from scipy.linalg import expm
 from cmtomo import reconstruct
 from cmtomo.errors import GridSizeError, TruncationLeakageWarning
 from cmtomo.marginals import evenodd_pointwise, fock_tomogram
-from cmtomo.reconstruct import (
-    CutoffError,
-    DensityMatrix,
-    ReconstructionCutoffs,
-    fidelity,
-    reconstruct_single_mode,
-)
+from cmtomo.reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from cmtomo.report import quadrature_matrices
 from cmtomo.specialfn import laguerre_gauss_levels
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, fock_expansion
 
-FAST = ReconstructionCutoffs(radial_nodes=96, angular_nodes=64)
+
+def set_sizes(monkeypatch, **sizes):
+    """Run every job at the derived sizes with the named ones replaced."""
+    derived = reconstruct._job_sizes
+    monkeypatch.setattr(reconstruct, "_job_sizes", lambda dim, hbar: derived(dim, hbar)._replace(**sizes))
+
+
+def tomogram_of(mode, hbar):
+    if isinstance(mode, Fock):
+        return lambda X, m, n: fock_tomogram(mode.n, m, n, hbar, X)
+    return lambda X, m, n: evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
 
 
 class TestQuadratureMatrices:
@@ -71,14 +75,14 @@ class TestEigenExponentials:
 class TestRoundTrip:
     def test_vacuum(self):
         rho = reconstruct_single_mode(
-            lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), 8, 1.0, FAST)
+            lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), 8, 1.0)
         assert rho.entries[0, 0].real >= 0.99
         assert np.all(np.abs(np.diag(rho.entries)[1:]) <= 0.01)
         assert rho.meta["pre_rescale_trace"] == pytest.approx(1.0, abs=0.01)
 
     def test_fock1(self):
         rho = reconstruct_single_mode(
-            lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0, FAST)
+            lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0)
         psi = fock_expansion(Fock(1), D=7)
         assert fidelity(rho, psi) >= 0.99
         ev = np.linalg.eigvalsh(rho.entries)
@@ -87,7 +91,7 @@ class TestRoundTrip:
     def test_fock1_other_hbar(self):
         hbar = 0.5
         rho = reconstruct_single_mode(
-            lambda X, m, n: fock_tomogram(1, m, n, hbar, X), 8, hbar, FAST)
+            lambda X, m, n: fock_tomogram(1, m, n, hbar, X), 8, hbar)
         psi = fock_expansion(Fock(1), D=7)
         assert fidelity(rho, psi) >= 0.99
         assert rho.meta["pre_rescale_trace"] == pytest.approx(1.0, abs=0.01)
@@ -95,7 +99,7 @@ class TestRoundTrip:
     def test_even_cat(self):
         alpha = 1.0
         rho = reconstruct_single_mode(
-            lambda X, m, n: evenodd_pointwise(alpha, "even", m, n, 1.0, X), 16, 1.0, FAST)
+            lambda X, m, n: evenodd_pointwise(alpha, "even", m, n, 1.0, X), 16, 1.0)
         psi = fock_expansion(CoherentEven(alpha), D=15)
         assert fidelity(rho, psi) >= 0.98
         ev = np.linalg.eigvalsh(rho.entries)
@@ -108,9 +112,9 @@ class TestRoundTrip:
         def mix(X, m, n):
             return 0.5 * fock_tomogram(0, m, n, 1.0, X) + 0.5 * fock_tomogram(1, m, n, 1.0, X)
 
-        rho_mix = reconstruct_single_mode(mix, 8, 1.0, FAST)
-        rho_0 = reconstruct_single_mode(lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), 8, 1.0, FAST)
-        rho_1 = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0, FAST)
+        rho_mix = reconstruct_single_mode(mix, 8, 1.0)
+        rho_0 = reconstruct_single_mode(lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), 8, 1.0)
+        rho_1 = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0)
         pre = (rho_0.meta["pre_rescale_trace"] * rho_0.entries
                + rho_1.meta["pre_rescale_trace"] * rho_1.entries) / 2
         want = pre / np.trace(pre).real
@@ -120,34 +124,32 @@ class TestRoundTrip:
         # alpha = 2 populates levels past dim = 4
         with pytest.warns(TruncationLeakageWarning):
             rho = reconstruct_single_mode(
-                lambda X, m, n: evenodd_pointwise(2.0, "even", m, n, 1.0, X), 4, 1.0, FAST)
+                lambda X, m, n: evenodd_pointwise(2.0, "even", m, n, 1.0, X), 4, 1.0)
         assert rho.meta["truncation_leakage"]
 
 
-def per_angle_reference(tomogram, dim, hbar, cutoffs):
+def per_angle_reference(tomogram, dim, hbar):
     """The frame integral with one eigendecomposition per angle, in a
     working basis padded past the displacement reach of the cutoff, and
-    one tomogram call per (angle, radius) on the radius-scaled X grid."""
-    K = 10.0 / math.sqrt(hbar)
+    one tomogram call per (angle, radius) on the radius-scaled X grid,
+    at the sizes reconstruct._job_sizes gives."""
+    K, radial, angular, x_count = reconstruct._job_sizes(dim, hbar)
     xi_max_sq = hbar * K * K / 2.0
     W = dim + int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq)
                             + 2.0 * math.sqrt(dim * xi_max_sq))) + 8
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(cutoffs.radial_nodes)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(radial)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
     k_weights = 0.5 * gl_weights * K
-    d_theta = 2.0 * math.pi / cutoffs.angular_nodes
+    d_theta = 2.0 * math.pi / angular
     Q, P = quadrature_matrices(W, hbar)
     sigma_unit = math.sqrt(hbar * (dim + 0.5))
-    x_count = cutoffs.x_points
-    while x_count < 32 * dim:
-        x_count *= 2
     acc = np.zeros((W, W), dtype=complex)
-    for j in range(cutoffs.angular_nodes):
+    for j in range(angular):
         mu0, nu0 = math.cos(j * d_theta), math.sin(j * d_theta)
         lam, V = np.linalg.eigh(mu0 * Q + nu0 * P)
         g = np.zeros(W, dtype=complex)
         for k, weight in zip(k_nodes, k_weights):
-            dx = 2.0 * cutoffs.x_sigmas * k * sigma_unit / x_count
+            dx = 2.0 * reconstruct._X_SIGMAS * k * sigma_unit / x_count
             xs = (np.arange(x_count) - x_count / 2) * dx
             w = tomogram(xs, k * mu0, k * nu0)
             g += weight * d_theta * k * np.trapezoid(np.exp(1j * xs) * w, dx=dx) * np.exp(-1j * k * lam)
@@ -158,35 +160,23 @@ def per_angle_reference(tomogram, dim, hbar, cutoffs):
 
 
 class TestFrameIdentities:
-    SMALL = ReconstructionCutoffs(radial_nodes=24, angular_nodes=16)
+    @pytest.fixture
+    def small(self, monkeypatch):
+        # the reference makes one eigendecomposition per angle and one
+        # tomogram call per (angle, radius)
+        set_sizes(monkeypatch, radial_nodes=24, angular_nodes=16)
 
     @pytest.mark.parametrize("mode", [Fock(1), CoherentOdd(0.6 + 0.8j)], ids=["fock1", "odd_complex"])
-    def test_matches_per_angle_reference(self, mode):
+    def test_matches_per_angle_reference(self, small, mode):
         hbar, dim = 0.5, 6
-        if isinstance(mode, Fock):
-            def tomogram(X, m, n):
-                return fock_tomogram(mode.n, m, n, hbar, X)
-        else:
-            def tomogram(X, m, n):
-                return evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
-        want = per_angle_reference(tomogram, dim, hbar, self.SMALL)
-        rho = reconstruct_single_mode(tomogram, dim, hbar, self.SMALL)
+        tomogram = tomogram_of(mode, hbar)
+        want = per_angle_reference(tomogram, dim, hbar)
+        rho = reconstruct_single_mode(tomogram, dim, hbar)
         assert rho.meta["working_dim"] == dim
+        assert rho.meta["frame_radius"] == reconstruct._job_sizes(dim, hbar).frame_radius
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
 
-    def test_odd_x_count_matches_per_angle_reference(self):
-        # an odd x_count puts no node at y = 0: the half grid starts at dy/2
-        hbar, dim, alpha = 0.5, 6, 0.6 + 0.8j
-        cutoffs = ReconstructionCutoffs(radial_nodes=24, angular_nodes=16, x_points=1001)
-
-        def tomogram(X, m, n):
-            return evenodd_pointwise(alpha, "odd", m, n, hbar, X)
-
-        want = per_angle_reference(tomogram, dim, hbar, cutoffs)
-        rho = reconstruct_single_mode(tomogram, dim, hbar, cutoffs)
-        assert np.max(np.abs(rho.entries - want)) <= 1e-12
-
-    def test_displaced_state_matches_per_angle_reference(self):
+    def test_displaced_state_matches_per_angle_reference(self, small):
         # a coherent state's tomogram is not even in X, so the sine half of
         # the X integral, which vanishes for every parity eigenstate, enters
         hbar, dim, alpha = 0.5, 6, 0.4 - 0.3j
@@ -196,8 +186,8 @@ class TestFrameIdentities:
             var = 0.5 * hbar * (m * m + n * n)
             return np.exp(-(X - m * q0 - n * p0) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
-        want = per_angle_reference(tomogram, dim, hbar, self.SMALL)
-        rho = reconstruct_single_mode(tomogram, dim, hbar, self.SMALL)
+        want = per_angle_reference(tomogram, dim, hbar)
+        rho = reconstruct_single_mode(tomogram, dim, hbar)
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
         assert np.max(np.abs(rho.entries.imag)) > 0.05
 
@@ -210,11 +200,12 @@ class TestFrameIdentities:
             calls.append((X, m, n))
             return fock_tomogram(1, m, n, 1.0, X)
 
-        reconstruct_single_mode(tomogram, 8, 1.0, FAST)
-        assert len(calls) == FAST.angular_nodes // 2
+        reconstruct_single_mode(tomogram, 8, 1.0)
+        angular = reconstruct._job_sizes(8, 1.0).angular_nodes
+        assert len(calls) == angular // 2
         angles = np.array([math.atan2(n, m) for _, m, n in calls])
         assert np.all((angles >= 0.0) & (angles < math.pi))
-        np.testing.assert_allclose(angles, np.arange(len(calls)) * 2.0 * math.pi / FAST.angular_nodes,
+        np.testing.assert_allclose(angles, np.arange(len(calls)) * 2.0 * math.pi / angular,
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.hypot(*np.transpose([(m, n) for _, m, n in calls])), 1.0, rtol=1e-15)
         for X, _, _ in calls:
@@ -236,11 +227,12 @@ class TestSharedTables:
         def tomogram(X, m, n):
             return fock_tomogram(1, m, n, 1.0, X)
 
-        first = reconstruct_single_mode(tomogram, 8, 1.0, FAST)
-        second = reconstruct_single_mode(tomogram, 8, 1.0, FAST)
-        assert built == [FAST.radial_nodes]
+        first = reconstruct_single_mode(tomogram, 8, 1.0)
+        second = reconstruct_single_mode(tomogram, 8, 1.0)
+        radial = reconstruct._job_sizes(8, 1.0).radial_nodes
+        assert built == [radial]
         assert first.entries.tobytes() == second.entries.tobytes()
-        nodes, weights = reconstruct._gauss_legendre(FAST.radial_nodes)
+        nodes, weights = reconstruct._gauss_legendre(radial)
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_exponential_count(self, monkeypatch):
@@ -264,108 +256,93 @@ class TestSharedTables:
             finally:
                 in_tomogram.pop()
 
+        radial, angular, x_count = 96, 64, 1024
+        set_sizes(monkeypatch, radial_nodes=radial, angular_nodes=angular, x_count=x_count)
         monkeypatch.setattr(np, "exp", counting)
         dim = 8
-        reconstruct_single_mode(tomogram, dim, 1.0, FAST)
-        radial, half = FAST.radial_nodes, FAST.angular_nodes // 2
-        count = FAST.x_points // 2 + 1
+        reconstruct_single_mode(tomogram, dim, 1.0)
+        half = angular // 2
+        count = x_count // 2 + 1
         x_table = (-(-count // 16) + 16) * radial
         assert sum(formed) == x_table + dim * half + dim * radial
 
 
-class TestCutoffValidation:
-    # x_points first: a loop that doubles a nonpositive count never ends
-    @pytest.mark.parametrize("field, value", [
-        ("x_points", 0), ("x_points", -4), ("radial_nodes", 0), ("angular_nodes", 0),
-        ("angular_nodes", 1), ("angular_nodes", 7),
-        ("frame_radius", float("nan")), ("frame_radius", -1.0), ("x_sigmas", 0.0),
-    ])
-    def test_rejected(self, field, value):
-        with pytest.raises(CutoffError) as exc:
-            ReconstructionCutoffs(**{field: value})
-        assert exc.value.field == field
-        assert isinstance(exc.value, ValueError)
-
-    def test_defaults_and_explicit_radius_accepted(self):
-        assert ReconstructionCutoffs().frame_radius is None
-        assert ReconstructionCutoffs(frame_radius=12.5).frame_radius == 12.5
-
-    @pytest.mark.parametrize("dim, want", [(2, 128), (64, 128), (65, 130), (200, 400)])
-    def test_default_angular_nodes_from_dim(self, dim, want):
-        assert ReconstructionCutoffs().angular_nodes is None
-        assert reconstruct._job_sizes(dim, 1.0, ReconstructionCutoffs())[2] == want
-
-    @pytest.mark.parametrize("dim", [2, 8, 40, 100])
-    def test_aliasing_angular_nodes_rejected(self, dim):
-        # n angular nodes alias offset d onto d +- n, and a dim x dim matrix
-        # has offsets -(dim - 1)..dim - 1: the vacuum at dim 40 with 16 nodes
-        # was off by 0.092 at (23, 39) with no leakage flag
-        def tomogram(X, m, n):
-            raise AssertionError("tomogram called")
-
-        with pytest.raises(CutoffError, match=f"at least 2 dim - 1 = {2 * dim - 1}") as exc:
-            reconstruct_single_mode(tomogram, dim, 1.0, ReconstructionCutoffs(angular_nodes=2 * dim - 2))
-        assert exc.value.field == "angular_nodes"
-        assert reconstruct._job_sizes(dim, 1.0, ReconstructionCutoffs(angular_nodes=2 * dim))[2] == 2 * dim
-
-
 class TestJobSizeBounds:
-    # every table of a job holds at most 2^22 entries and its X phases stay
-    # within the 1e5 rad phase_table is tested to; each case sits on the
-    # edge of the bound named in the match
+    # every size follows from dim and hbar, and every table of a job holds
+    # at most 2^22 entries
     CAP = 2 ** 22
 
+    @pytest.mark.parametrize("dim, radial, angular, x_count", [
+        (2, 160, 128, 1024), (16, 160, 128, 1024), (33, 160, 128, 2048),
+        (54, 162, 128, 2048), (65, 195, 130, 4096), (256, 768, 512, 8192),
+    ])
+    @pytest.mark.parametrize("hbar", [1.0, 0.25, 1e3])
+    def test_sizes_from_dim(self, dim, radial, angular, x_count, hbar):
+        K = (2.0 * math.sqrt(2 * dim - 1) + 2.0 * math.sqrt(math.log(1e12))) / math.sqrt(hbar)
+        sizes = reconstruct._job_sizes(dim, hbar)
+        assert sizes[1:] == (radial, angular, x_count)
+        assert sizes.frame_radius == pytest.approx(K, rel=1e-14)
+
     def test_dim_edge_at_default_cutoffs(self):
-        # x_count doubles from 1024 past 32 dim: 8192 up to dim 256, then
-        # 16384, whose tomogram rows over the 2 dim angular nodes bind first
-        _, x_count, angular = reconstruct._job_sizes(256, 1.0, ReconstructionCutoffs())
-        assert (x_count, angular) == (8192, 512) and angular * x_count <= self.CAP
-        with pytest.raises(GridSizeError, match="angular_nodes x x_count"):
-            reconstruct._job_sizes(257, 1.0, ReconstructionCutoffs())
-
-    def test_x_points_edge(self):
-        # 160 radial nodes: the X phase table binds first
-        _, x_count, _ = reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160))
-        assert x_count * 160 <= self.CAP
-        with pytest.raises(GridSizeError, match="x_count x radial_nodes"):
-            reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(x_points=self.CAP // 160 + 1))
-
-    def test_radial_nodes_edge(self):
-        # the Gauss-Legendre rule diagonalizes a radial_nodes^2 companion matrix
-        reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(radial_nodes=2048, x_points=1))
-        with pytest.raises(GridSizeError, match=r"radial_nodes\^2"):
-            reconstruct._job_sizes(2, 1.0, ReconstructionCutoffs(radial_nodes=2049, x_points=1))
-
-    @pytest.mark.parametrize("dim, hbar, x_sigmas", [(2, 1.0, 10.0), (40, 0.3, 6.0)])
-    def test_phase_edge(self, dim, hbar, x_sigmas):
-        # the X grid's half-width x_sigmas sqrt(hbar (dim + 1/2)) times K
-        radius = 1e5 / (x_sigmas * math.sqrt(hbar * (dim + 0.5)))
-        K, _, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs(
-            frame_radius=radius * (1 - 1e-9), x_sigmas=x_sigmas, x_points=1))
-        assert K == radius * (1 - 1e-9)
-        with pytest.raises(GridSizeError, match="X phases would reach 100000"):
-            reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs(
-                frame_radius=radius * (1 + 1e-9), x_sigmas=x_sigmas, x_points=1))
+        # x_count doubles past 32 dim: 8192 up to dim 256, then 16384, whose
+        # tomogram rows over dim angles in [0, pi) bind first
+        _, _, angular, x_count = reconstruct._job_sizes(256, 1.0)
+        assert (angular // 2) * (x_count + 1) == 256 * 8193 <= self.CAP
+        with pytest.raises(GridSizeError, match="tomogram rows"):
+            reconstruct._job_sizes(257, 1.0)
 
     def test_default_radius_far_inside_phase_bound(self):
-        # 100 sqrt(dim + 1/2) rad at the defaults, whatever hbar is
-        for dim, hbar in [(2, 1.0), (256, 1e-3), (256, 1e3)]:
-            K, _, _ = reconstruct._job_sizes(dim, hbar, ReconstructionCutoffs())
-            assert 10.0 * math.sqrt(hbar * (dim + 0.5)) * K == pytest.approx(100.0 * math.sqrt(dim + 0.5))
+        # the X grid's half-width 10 sqrt(hbar (dim + 1/2)) times K: hbar
+        # cancels, and 8.9e3 rad at dim 256 is far inside the 1e5 rad
+        # phase_table is tested to
+        for dim in (2, 64, 256):
+            phases = [10.0 * math.sqrt(hbar * (dim + 0.5)) * reconstruct._job_sizes(dim, hbar).frame_radius
+                      for hbar in (1e-3, 1.0, 1e3)]
+            assert max(phases) == pytest.approx(min(phases), rel=1e-13)
+            assert max(phases) <= 9e3
 
-    @pytest.mark.parametrize("cutoffs, match", [
-        (ReconstructionCutoffs(frame_radius=1e6), "X phases"),
-        (ReconstructionCutoffs(frame_radius=1e300), "X phases"),
-        (ReconstructionCutoffs(x_points=10 ** 14), "angular_nodes x x_count"),
-        (ReconstructionCutoffs(radial_nodes=10 ** 5), "x_count x radial_nodes"),
-    ], ids=["radius_1e6", "radius_1e300", "x_points_1e14", "radial_1e5"])
-    def test_rejected_before_any_tomogram_call(self, cutoffs, match):
-        # each of these ended in a memory error or an overflow traceback
+    @pytest.mark.parametrize("dim", [257, 10 ** 9])
+    def test_rejected_before_any_tomogram_call(self, dim):
+        # at 10^9 the reach of level dim - 1 would raise past Fock's level
+        # cap: the tables are checked first
         def tomogram(X, m, n):
             raise AssertionError("tomogram called")
 
-        with pytest.raises(GridSizeError, match=f"reconstruction table {match}"):
-            reconstruct_single_mode(tomogram, 8, 1.0, cutoffs)
+        with pytest.raises(GridSizeError, match="reconstruction table tomogram rows"):
+            reconstruct_single_mode(tomogram, dim, 1.0)
+
+
+class TestDerivedCutoffs:
+    # a frame radius of 10 / sqrt(hbar) whatever dim is gave fidelity 0.594
+    # for Fock 20 at dim 24 and 0.322 for Fock 50 at dim 60
+
+    @pytest.mark.parametrize("dim", [8, 12, 24, 48, 100])
+    @pytest.mark.parametrize("hbar", [1.0, 0.25])
+    def test_fock_levels_exact(self, dim, hbar):
+        for n in (0, dim // 2, dim - 4):
+            rho = reconstruct_single_mode(tomogram_of(Fock(n), hbar), dim, hbar)
+            assert fidelity(rho, fock_expansion(Fock(n))) >= 1.0 - 1e-6, n
+            assert not rho.meta["truncation_leakage"]
+
+    @pytest.mark.parametrize("mode, dim", [
+        (CoherentEven(3.0), 40), (CoherentOdd(5.0), 64), (CoherentEven(4.0 + 3.0j), 64),
+        (CoherentOdd(3.0 - 4.0j), 64), (CoherentEven(-2.0 + 1.0j), 32), (CoherentOdd(0.6 + 0.8j), 12),
+    ], ids=["even3", "odd5", "even4+3i", "odd3-4i", "even-2+i", "odd0.6+0.8i"])
+    @pytest.mark.parametrize("hbar", [1.0, 0.25])
+    def test_cats_exact(self, mode, dim, hbar):
+        psi = fock_expansion(mode)
+        assert np.sum(np.abs(psi.coefficients[:dim]) ** 2) >= 1.0 - 1e-9
+        rho = reconstruct_single_mode(tomogram_of(mode, hbar), dim, hbar)
+        assert fidelity(rho, psi) >= 1.0 - 1e-6
+        assert not rho.meta["truncation_leakage"]
+
+    def test_hbar_cancels(self):
+        # K scales as 1/sqrt(hbar) and the X grid as sqrt(hbar): every
+        # phase and Laguerre argument, and so the matrix, is the same
+        mats = [reconstruct_single_mode(tomogram_of(CoherentOdd(1.5 - 0.5j), hbar), 12, hbar).entries
+                for hbar in (1e-3, 1.0, 1e3)]
+        assert np.max(np.abs(mats[0] - mats[1])) <= 1e-12
+        assert np.max(np.abs(mats[2] - mats[1])) <= 1e-12
 
 
 def displacement_block(dim, k, hbar):
@@ -407,16 +384,19 @@ class TestClosedFormCost:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        rho = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0, FAST)
+        rho = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0)
         assert fidelity(rho, fock_expansion(Fock(1), D=7)) >= 0.99
 
-    def test_peak_memory_within_two_largest_tables(self):
+    def test_peak_memory_within_two_largest_tables(self, monkeypatch):
         # every table is at most max(x_count, dim) x radial_nodes complex
         # entries; a dim^2 x radial_nodes table (4 times that here) or the
         # old dim^2 x W assembly would push the peak past two of them.
-        # 128 radial nodes keep the 2 dim angular rows within that size
-        dim, cutoffs = 128, ReconstructionCutoffs(radial_nodes=128, x_points=1)
-        x_count = 32 * dim
+        # 128 radial nodes keep the 2 dim angular rows within that size, and
+        # resolve the vacuum out to a frame radius of 10
+        dim, radial = 128, 128
+        set_sizes(monkeypatch, frame_radius=10.0, radial_nodes=radial)
+        x_count = reconstruct._job_sizes(dim, 1.0).x_count
+        assert x_count == 32 * dim
 
         def vacuum(X, m, n):
             var = 0.5 * (m * m + n * n)
@@ -425,14 +405,14 @@ class TestClosedFormCost:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rho = reconstruct_single_mode(vacuum, dim, 1.0, cutoffs)
+            rho = reconstruct_single_mode(vacuum, dim, 1.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         want = np.zeros((dim, dim))
         want[0, 0] = 1.0
         assert np.max(np.abs(rho.entries - want)) <= 1e-9
-        assert peak <= 2 * 16 * max(x_count, dim) * cutoffs.radial_nodes
+        assert peak <= 2 * 16 * max(x_count, dim) * radial
 
 
 class TestCutoffCharFunction:
@@ -443,19 +423,29 @@ class TestCutoffCharFunction:
         (Fock(1), 1.0, 8), (CoherentEven(1.0), 1.0, 16), (CoherentOdd(0.6 + 0.8j), 0.5, 12),
     ], ids=["fock1", "even1", "odd_complex"])
     def test_benchmark_shapes_not_flagged(self, mode, hbar, dim):
-        rho = reconstruct_single_mode(self._tomogram(mode, hbar), dim, hbar)
+        rho = reconstruct_single_mode(tomogram_of(mode, hbar), dim, hbar)
         assert 0.0 < rho.meta["cutoff_char_function"] < 1e-5
         assert not rho.meta["truncation_leakage"]
 
-    @pytest.mark.parametrize("mode, dim, low", [
-        (Fock(20), 32, 0.05), (CoherentEven(3.0), 24, 0.1),
-    ], ids=["fock20", "even3"])
-    def test_too_small_radius_flagged(self, mode, dim, low):
-        # the pre-rescale trace of both is within 5% of 1
+    @pytest.mark.parametrize("mode, dim", [(Fock(20), 32), (CoherentEven(3.0), 40)], ids=["fock20", "even3"])
+    def test_derived_radius_not_flagged(self, mode, dim):
+        # a frame radius of 10 whatever dim is cut both off (|characteristic
+        # function| 0.11 and 0.28 there) with the pre-rescale trace within 5%
+        rho = reconstruct_single_mode(tomogram_of(mode, 1.0), dim, 1.0)
+        assert rho.meta["cutoff_char_function"] < 1e-12
+        assert not rho.meta["truncation_leakage"]
+        assert fidelity(rho, fock_expansion(mode)) >= 1.0 - 1e-6
+
+    def test_characteristic_function_test_named(self):
+        # 3% of the mass on level 40, outside dim = 8: the trace stays within
+        # 5% of 1, but level 40 reaches past the frame radius of level 7
+        def mix(X, m, n):
+            return 0.97 * fock_tomogram(0, m, n, 1.0, X) + 0.03 * fock_tomogram(40, m, n, 1.0, X)
+
         with pytest.warns(TruncationLeakageWarning, match="characteristic function") as record:
-            rho = reconstruct_single_mode(self._tomogram(mode, 1.0), dim, 1.0)
-        assert rho.meta["cutoff_char_function"] > low
-        assert abs(rho.meta["pre_rescale_trace"] - 1.0) <= 0.05
+            rho = reconstruct_single_mode(mix, 8, 1.0)
+        assert rho.meta["pre_rescale_trace"] == pytest.approx(0.97, abs=1e-6)
+        assert rho.meta["cutoff_char_function"] > 1e-3
         assert "trace" not in str(record[0].message)
         assert rho.meta["truncation_leakage"]
 
@@ -465,24 +455,21 @@ class TestCutoffCharFunction:
             return 0.5 * fock_tomogram(0, m, n, 1.0, X) + 0.5 * fock_tomogram(3, m, n, 1.0, X)
 
         with pytest.warns(TruncationLeakageWarning, match="trace") as record:
-            rho = reconstruct_single_mode(mix, 2, 1.0, FAST)
+            rho = reconstruct_single_mode(mix, 2, 1.0)
         assert rho.meta["pre_rescale_trace"] == pytest.approx(0.5, abs=1e-6)
         assert rho.meta["cutoff_char_function"] < 1e-6
         assert "characteristic function" not in str(record[0].message)
         assert rho.meta["truncation_leakage"]
 
-    def test_is_the_characteristic_function_at_the_outer_node(self):
-        # the vacuum's is e^{-hbar k^2 / 4} at every angle
+    def test_is_the_characteristic_function_at_the_outer_node(self, monkeypatch):
+        # the vacuum's is e^{-hbar k^2 / 4} at every angle; a radius of
+        # 10 / sqrt(hbar) keeps it at 1.4e-11, above rounding
         hbar = 0.5
-        rho = reconstruct_single_mode(self._tomogram(Fock(0), hbar), 8, hbar, FAST)
-        k_outer = 0.5 * (reconstruct._gauss_legendre(FAST.radial_nodes)[0][-1] + 1.0) * 10.0 / math.sqrt(hbar)
+        set_sizes(monkeypatch, frame_radius=10.0 / math.sqrt(hbar))
+        rho = reconstruct_single_mode(tomogram_of(Fock(0), hbar), 8, hbar)
+        radial = reconstruct._job_sizes(8, hbar).radial_nodes
+        k_outer = 0.5 * (reconstruct._gauss_legendre(radial)[0][-1] + 1.0) * 10.0 / math.sqrt(hbar)
         assert rho.meta["cutoff_char_function"] == pytest.approx(math.exp(-hbar * k_outer ** 2 / 4), rel=1e-9)
-
-    @staticmethod
-    def _tomogram(mode, hbar):
-        if isinstance(mode, Fock):
-            return lambda X, m, n: fock_tomogram(mode.n, m, n, hbar, X)
-        return lambda X, m, n: evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
 
 
 class TestFidelity:
