@@ -21,10 +21,14 @@ from ._blas import one_blas_thread
 from .clt import CltReport, hbar_scan, lyapunov_ratio, n_scan, per_mode_moments
 from .config import (
     RawConfig,
+    get_alphas,
+    get_directions,
     get_float,
-    get_float_list,
+    get_frame_bounds,
     get_int,
     get_int_list,
+    get_positive,
+    get_positive_list,
     parse_config_file,
     parse_frame,
     parse_system,
@@ -33,8 +37,8 @@ from .convolution import MC_SAMPLES_MAX, backend_agreement, cf_product, convolve
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import fidelity, reconstruct_single_mode
-from .report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_report
-from .states import FOCK_LEVEL_MAX, ODD_ALPHA_MIN, Fock, check_alpha, fock_expansion
+from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
+from .states import FOCK_LEVEL_MAX, Fock, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -77,7 +81,6 @@ def _config_digest(raw: RawConfig, args) -> str:
             for value, _ in raw.sections[section][key]:
                 parts.append(f"[{section}] {key} = {value}")
     parts.append(f"seed = {args.seed}")
-    parts.append(f"epsilon = {args.epsilon}")
     parts.append(f"all_backends = {args.all_backends}")
     parts.append(f"mc_samples = {args.mc_samples}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -103,17 +106,13 @@ def _single_mode(raw: RawConfig):
     sys_spec = parse_system(raw)
     if sys_spec.n_modes != 1:
         raw.fail(raw.last_line("system", "mode"), f"this command needs exactly one mode, got {sys_spec.n_modes}")
-    frame = parse_frame(raw, 1, required=False)
-    if frame is None:
-        mu, nu = 1.0, 0.0
-    else:
-        mu, nu = frame.mu[0], frame.nu[0]
-    return sys_spec, mu, nu
+    return sys_spec
 
 
 def cmd_marginal(raw: RawConfig, args) -> int:
-    sys_spec, mu, nu = _single_mode(raw)
-    mode = sys_spec.modes[0]
+    sys_spec = _single_mode(raw)
+    frame = parse_frame(raw, 1, required=False)
+    mode, mu, nu = sys_spec.modes[0], frame.mu[0], frame.nu[0]
     dens = marginal_density(mode, mu, nu, sys_spec.hbar)
     header = _header(raw, args, [
         f"mode {sys_spec.describe()}",
@@ -161,55 +160,35 @@ def cmd_cm(raw: RawConfig, args) -> int:
     return 0
 
 
+# CltReport fields whose CSV column has another name
+_COLUMN_FIELD = {"ks": "ks_distance", "tv": "tv_distance", "gaussian_predicted_mass": "gaussian_mass"}
+
+
 def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[str]:
     template = ",".join("%d" if c == "N" else _FIELD for c in columns)
-    rows = []
-    for rep in reports:
-        lookup = {
-            "N": rep.N, "hbar": rep.hbar, "S_N": rep.S_N, "sigma2": rep.sigma2,
-            "rE": rep.rE, "RE": rep.RE, "ks": rep.ks_distance, "tv": rep.tv_distance,
-            "mass_in_epsilon": rep.mass_in_epsilon,
-            "gaussian_predicted_mass": rep.gaussian_mass,
-        }
-        rows.append(template % tuple(lookup[c] for c in columns))
-    return rows
+    fields = [_COLUMN_FIELD.get(c, c) for c in columns]
+    return [template % tuple(getattr(rep, f) for f in fields) for rep in reports]
 
 
 def cmd_clt_scan(raw: RawConfig, args) -> int:
-    if "scan" not in raw.sections:
-        raise ConfigError(f"{raw.source}: missing [scan] section")
-    E = get_float(raw, "scan", "E", required=True)
+    E = get_positive(raw, "scan", "E", required=True)
     n_list = get_int_list(raw, "scan", "N_list", default=[4, 8, 16, 32, 64])
-    levels = get_int_list(raw, "scan", "n_pattern", default=[1])
-    rho_pattern = get_float_list(raw, "scan", "rho_pattern", default=[1.0])
     if not n_list or min(n_list) < 1:
         raw.fail(raw.last_line("scan", "N_list"), f"N_list entries must be at least 1, got {n_list}")
-    if not rho_pattern or not all(0 < rho < math.inf for rho in rho_pattern):
-        raw.fail(raw.last_line("scan", "rho_pattern"),
-                 f"rho_pattern entries must be positive and finite, got {rho_pattern}")
+    levels = get_int_list(raw, "scan", "n_pattern", default=[1])
+    if not levels or not all(0 <= n <= FOCK_LEVEL_MAX for n in levels):
+        raw.fail(raw.last_line("scan", "n_pattern"),
+                 f"n_pattern needs at least one level, each from 0 to {FOCK_LEVEL_MAX}, got {levels}")
+    rho_pattern = get_positive_list(raw, "scan", "rho_pattern", default=[1.0])
     theta = get_float(raw, "scan", "theta", default=0.0)
     if not math.isfinite(theta):
         raw.fail(raw.last_line("scan", "theta"), f"theta must be finite, got {theta}")
     pairs = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta))
              for rho in rho_pattern]
     # every point's FrameSpec needs r < mu^2 + nu^2 < R for each pair
-    radii = [mu * mu + nu * nu for mu, nu in pairs]
-    r = get_float(raw, "scan", "r", default=0.5 * min(rho_pattern))
-    big_r = get_float(raw, "scan", "R", default=2.0 * max(rho_pattern))
-    if not 0 < r < min(radii):
-        raw.fail(raw.last_line("scan", "r"),
-                 f"r must lie in (0, {min(radii):.6g}), below every frame radius, got {r}")
-    if not max(radii) < big_r:
-        raw.fail(raw.last_line("scan", "R"), f"R must exceed every frame radius {max(radii):.6g}, got {big_r}")
-    if not 0 < E < math.inf:
-        raw.fail(raw.last_line("scan", "E"), f"E (scan energy) must be positive and finite, got {E}")
-    if not levels or not all(0 <= n <= FOCK_LEVEL_MAX for n in levels):
-        raw.fail(raw.last_line("scan", "n_pattern"),
-                 f"n_pattern needs at least one level, each from 0 to {FOCK_LEVEL_MAX}, got {levels}")
-    reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r, epsilon=args.epsilon)
-    header = _header(raw, args, [
-        f"scan fixed-energy E {_fmt(E)} epsilon {_fmt(args.epsilon)}",
-    ])
+    r, big_r = get_frame_bounds(raw, "scan", [mu * mu + nu * nu for mu, nu in pairs], rho_pattern)
+    reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)
+    header = _header(raw, args, [f"scan fixed-energy E {_fmt(E)}"])
     columns = ["N", "hbar", "S_N", "sigma2", "rE", "RE", "ks", "tv"]
     _write_atomic(args.out, _csv(header, columns, _report_rows_csv(reports, columns)))
     return 0
@@ -218,17 +197,10 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
 def cmd_hbar_scan(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     frame = parse_frame(raw, sys_spec.n_modes)
-    hbar_list = get_float_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
-    line = raw.last_line("scan", "hbar_list")
-    if not hbar_list:
-        raw.fail(line, "hbar_list is empty")
-    if not all(0 < h < math.inf for h in hbar_list):
-        raw.fail(line, f"hbar_list entries must be positive and finite, got {hbar_list}")
+    hbar_list = get_positive_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
     if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
-        raw.fail(line, f"hbar_list must be strictly decreasing, got {hbar_list}")
-    epsilon = get_float(raw, "scan", "epsilon", default=args.epsilon)
-    if not 0 < epsilon < math.inf:
-        raw.fail(raw.last_line("scan", "epsilon"), f"epsilon must be positive and finite, got {epsilon}")
+        raw.fail(raw.last_line("scan", "hbar_list"), f"hbar_list must be strictly decreasing, got {hbar_list}")
+    epsilon = get_positive(raw, "scan", "epsilon", default=0.1)
     reports = hbar_scan(sys_spec, frame, hbar_list, epsilon)
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
@@ -242,7 +214,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
 
 @one_blas_thread()
 def cmd_reconstruct(raw: RawConfig, args) -> int:
-    sys_spec, mu, nu = _single_mode(raw)
+    sys_spec = _single_mode(raw)
     mode = sys_spec.modes[0]
     hbar = sys_spec.hbar
     # every quadrature size follows from dim and hbar; a key that set one
@@ -285,51 +257,15 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
 
 @one_blas_thread()
 def cmd_discrepancy_report(raw: RawConfig, args) -> int:
-    alphas = list(DEFAULT_ALPHAS)
-    frames = list(DEFAULT_FRAMES)
-    hbar = 1.0
-    if "report" in raw.sections:
-        entries = raw.all("report", "alpha")
-        if entries:
-            alphas = []
-            for value, lineno in entries:
-                toks = value.split()
-                if len(toks) != 2:
-                    raw.fail(lineno, "alpha takes two reals (Re, Im)")
-                try:
-                    alpha = complex(float(toks[0]), float(toks[1]))
-                    check_alpha(alpha)
-                except ValueError as exc:
-                    raw.fail(lineno, f"invalid alpha {value!r}: {exc}")
-                # every nonzero alpha also gets an odd-parity row
-                if 0 < abs(alpha) < ODD_ALPHA_MIN:
-                    raw.fail(lineno, f"alpha must be 0 or of modulus at least {ODD_ALPHA_MIN:g} "
-                                     f"(odd coherent states), got {value!r}")
-                alphas.append(alpha)
-        entries = raw.all("report", "frame")
-        if entries:
-            frames = []
-            for value, lineno in entries:
-                toks = value.split()
-                if len(toks) != 2:
-                    raw.fail(lineno, "frame takes two reals (mu, nu)")
-                try:
-                    mu, nu = float(toks[0]), float(toks[1])
-                except ValueError:
-                    raw.fail(lineno, f"invalid frame: {value!r}")
-                # the [frame] rule of parse_frame
-                if not (math.isfinite(mu) and math.isfinite(nu) and 0 < mu * mu + nu * nu < math.inf):
-                    raw.fail(lineno, f"degenerate frame {value!r}: entries must be finite and "
-                                     "mu^2 + nu^2 positive and finite")
-                frames.append((mu, nu))
-        hbar = get_float(raw, "report", "hbar", default=1.0)
-        if not 0 < hbar < math.inf:
-            raw.fail(raw.last_line("report", "hbar"), f"hbar must be positive and finite, got {hbar}")
+    alphas = get_alphas(raw, "report", "alpha") or list(DEFAULT_ALPHAS)
+    frames = get_directions(raw, "report", "frame") or list(DEFAULT_FRAMES)
+    hbar = get_positive(raw, "report", "hbar", default=1.0)
     # the report tabulates the pre-rescale integrals that this warning flags
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NormalizationMismatchWarning)
         rows = discrepancy_rows(alphas, frames, hbar)
-    _write_atomic(args.out, format_report(rows, _header(raw, args, ["closed forms vs oracle values"])))
+    header = _header(raw, args, ["closed forms vs oracle values"])
+    _write_atomic(args.out, _csv(header, COLUMNS, format_rows(rows)))
     return 0
 
 
@@ -352,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default=None, help="output path (overrides [run] out)")
     parser.add_argument("--seed", type=int, default=None, help="64-bit sampling seed")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="half-width for the concentrated-mass diagnostics")
     parser.add_argument("--all-backends", action="store_true",
                         help="emit every convolution backend plus cross-check footers")
     parser.add_argument("--mc-samples", type=int, default=10 ** 6,
@@ -371,17 +305,9 @@ def main(argv=None) -> int:
         if args.out is None:
             raise ConfigError(f"{raw.source}: no output path (--out or [run] out)")
         if args.seed is None:
-            seed = raw.last("run", "seed")
-            args.seed = int(seed) if seed is not None else 0
+            args.seed = get_int(raw, "run", "seed", default=0)
         if args.seed < 0 or args.seed > 2 ** 64 - 1:
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if args.epsilon is None:
-            args.epsilon = get_float(raw, "run", "epsilon", default=0.1)
-            if not 0 < args.epsilon < math.inf:
-                raw.fail(raw.last_line("run", "epsilon"),
-                         f"epsilon must be positive and finite, got {args.epsilon}")
-        elif not 0 < args.epsilon < math.inf:
-            raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon}")
         if args.mc_samples <= 0:
             raise ConfigError(f"--mc-samples must be positive, got {args.mc_samples}")
         if args.mc_samples > MC_SAMPLES_MAX:

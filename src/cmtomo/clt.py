@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import CenterOfMassDensity, convolve_fft, cumulative_trapezoid, marginals_for_system
-from .marginals import Moments, fock_abs3_dimensionless, fock_var_closed, moments
+from .convolution import convolve_fft, cumulative_trapezoid, marginals_for_system
+from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, fock_var_closed, moments
 from .states import Fock, FrameSpec, SystemSpec, energy, hbar_for_fixed_energy
 
 
@@ -74,7 +74,7 @@ def per_mode_moments(sys: SystemSpec, frame: FrameSpec,
     return out
 
 
-def gaussian_distance(d: CenterOfMassDensity, sigma2: float) -> dict:
+def gaussian_distance(d: MarginalDensity, sigma2: float) -> dict:
     """Kolmogorov-Smirnov and total-variation distance to N(0, sigma2).
 
     Both cumulative distributions are built with the same cumulative
@@ -93,7 +93,7 @@ def gaussian_distance(d: CenterOfMassDensity, sigma2: float) -> dict:
     return {"ks": ks, "tv": tv}
 
 
-def mass_within(d: CenterOfMassDensity, epsilon: float) -> float:
+def mass_within(d: MarginalDensity, epsilon: float) -> float:
     """Probability mass of the density inside [-epsilon, epsilon]."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

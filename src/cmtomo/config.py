@@ -4,13 +4,16 @@ Grammar (documented in the README):
 
 * blank lines and lines starting with '#' are ignored,
 * '[name]' opens a section; keys before any section are an error,
-* 'key = value' assigns; repeated 'mode' keys accumulate in order,
-  every other repeated key keeps the last assignment,
+* 'key = value' assigns; repeated [system] 'mode' and [report] 'alpha'
+  and 'frame' keys accumulate in order, every other repeated key keeps
+  the last assignment,
 * mode lines: 'mode = fock N', 'mode = even RE IM', 'mode = odd RE IM',
   with an optional trailing 'xCOUNT' repetition suffix,
 * list values are whitespace-separated numbers.
 
-Errors carry file and line so a bad field is directly addressable.
+Each input rule is written once, here, and every section it serves
+reads through it.  Errors carry file and line so a bad field is
+directly addressable.
 """
 
 from __future__ import annotations
@@ -33,17 +36,12 @@ class RawConfig:
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.section(section)
-
-    def last(self, section: str, key: str, default=None):
-        entries = self.section(section).get(key)
-        if not entries:
-            return default
-        return entries[-1][0]
+    def last(self, section: str, key: str):
+        entries = self.all(section, key)
+        return entries[-1][0] if entries else None
 
     def last_line(self, section: str, key: str) -> int:
-        entries = self.section(section).get(key)
+        entries = self.all(section, key)
         return entries[-1][1] if entries else 0
 
     def all(self, section: str, key: str) -> list:
@@ -88,52 +86,112 @@ def parse_config_file(path: str | Path) -> RawConfig:
     return parse_config_text(text, source=str(path))
 
 
-def get_float(raw: RawConfig, section: str, key: str, default=None, required=False):
+def _get(raw: RawConfig, section: str, key: str, convert, what: str, default, required: bool):
+    """The last value of a key, converted; its default when absent, or an
+    error when it is required.  A value convert rejects names its line."""
     value = raw.last(section, key)
     if value is None:
         if required:
             raise ConfigError(f"{raw.source}: missing required key '{key}' in [{section}]")
         return default
     try:
-        return float(value)
+        return convert(value)
     except ValueError:
-        raw.fail(raw.last_line(section, key), f"'{key}' must be a number, got {value!r}")
+        raw.fail(raw.last_line(section, key), f"'{key}' must be {what}, got {value!r}")
+
+
+def get_float(raw: RawConfig, section: str, key: str, default=None, required=False):
+    return _get(raw, section, key, float, "a number", default, required)
 
 
 def get_int(raw: RawConfig, section: str, key: str, default=None, required=False):
-    value = raw.last(section, key)
-    if value is None:
-        if required:
-            raise ConfigError(f"{raw.source}: missing required key '{key}' in [{section}]")
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raw.fail(raw.last_line(section, key), f"'{key}' must be an integer, got {value!r}")
+    return _get(raw, section, key, int, "an integer", default, required)
 
 
 def get_float_list(raw: RawConfig, section: str, key: str, default=None, required=False):
-    value = raw.last(section, key)
-    if value is None:
-        if required:
-            raise ConfigError(f"{raw.source}: missing required key '{key}' in [{section}]")
-        return default
-    try:
-        return [float(tok) for tok in value.split()]
-    except ValueError:
-        raw.fail(raw.last_line(section, key), f"'{key}' must be a list of numbers, got {value!r}")
+    return _get(raw, section, key, lambda v: [float(t) for t in v.split()], "a list of numbers", default, required)
 
 
 def get_int_list(raw: RawConfig, section: str, key: str, default=None, required=False):
-    value = raw.last(section, key)
-    if value is None:
-        if required:
-            raise ConfigError(f"{raw.source}: missing required key '{key}' in [{section}]")
-        return default
-    try:
-        return [int(tok) for tok in value.split()]
-    except ValueError:
-        raw.fail(raw.last_line(section, key), f"'{key}' must be a list of integers, got {value!r}")
+    return _get(raw, section, key, lambda v: [int(t) for t in v.split()], "a list of integers", default, required)
+
+
+def get_positive(raw: RawConfig, section: str, key: str, default=None, required=False) -> float:
+    """A number that must be positive and finite."""
+    value = get_float(raw, section, key, default, required)
+    if not 0 < value < math.inf:
+        raw.fail(raw.last_line(section, key), f"{key} must be positive and finite, got {value}")
+    return value
+
+
+def get_positive_list(raw: RawConfig, section: str, key: str, default: list) -> list[float]:
+    """At least one number, each positive and finite."""
+    values = get_float_list(raw, section, key, default)
+    if not values or not all(0 < v < math.inf for v in values):
+        raw.fail(raw.last_line(section, key), f"{key} needs at least one entry, each positive and finite, got {values}")
+    return values
+
+
+def _pair_lines(raw: RawConfig, section: str, key: str, names: str):
+    """(x, y, value, line) of each 'x y' line of a key."""
+    for value, lineno in raw.all(section, key):
+        try:
+            x, y = (float(tok) for tok in value.split())
+        except ValueError:
+            raw.fail(lineno, f"{key} takes two reals ({names}), got {value!r}")
+        yield x, y, value, lineno
+
+
+def get_alphas(raw: RawConfig, section: str, key: str) -> list[complex]:
+    """Cat amplitudes 'RE IM', one per line.  Each must make an even cat
+    and, unless 0, an odd one, as a mode line would."""
+    alphas = []
+    for re, im, value, lineno in _pair_lines(raw, section, key, "Re, Im"):
+        alpha = complex(re, im)
+        try:
+            CoherentEven(alpha)
+            if alpha:
+                CoherentOdd(alpha)
+        except ValueError as exc:
+            raw.fail(lineno, f"{key} {value!r}: {exc}")
+        alphas.append(alpha)
+    return alphas
+
+
+def _frame_radius(raw: RawConfig, mu: float, nu: float, lines: tuple[int, int], where: str) -> float:
+    """mu^2 + nu^2 of one frame direction, which must be positive and
+    finite; no non-finite entry passes.  A non-finite entry names the
+    line of its key, a degenerate pair the later of the two lines."""
+    rho = mu * mu + nu * nu
+    if not 0 < rho < math.inf:
+        line = lines[0] if not math.isfinite(mu) else lines[1] if not math.isfinite(nu) else max(lines)
+        raw.fail(line, f"degenerate frame {where}: mu^2 + nu^2 = {rho}, "
+                       "entries must be finite and the sum positive and finite")
+    return rho
+
+
+def get_directions(raw: RawConfig, section: str, key: str) -> list[tuple[float, float]]:
+    """Frame directions 'mu nu', one per line, under the [frame] rule."""
+    frames = []
+    for mu, nu, value, lineno in _pair_lines(raw, section, key, "mu, nu"):
+        _frame_radius(raw, mu, nu, (lineno, lineno), repr(value))
+        frames.append((mu, nu))
+    return frames
+
+
+def get_frame_bounds(raw: RawConfig, section: str, radii: list[float], nominal: list[float]):
+    """r and R of a section, by default half the least and twice the
+    greatest nominal radius; every frame radius must lie in (r, R).  The
+    nominal radii are the radii as configured ([scan] rho_pattern, of which
+    the radii formed from sqrt(rho) and theta are rounded copies)."""
+    r = get_float(raw, section, "r", default=0.5 * min(nominal))
+    big_r = get_float(raw, section, "R", default=2.0 * max(nominal))
+    if not 0 < r < min(radii):
+        raw.fail(raw.last_line(section, "r"),
+                 f"r must lie in (0, {min(radii):.6g}), below every frame radius, got {r}")
+    if not max(radii) < big_r:
+        raw.fail(raw.last_line(section, "R"), f"R must exceed every frame radius {max(radii):.6g}, got {big_r}")
+    return r, big_r
 
 
 def _parse_mode(raw: RawConfig, value: str, lineno: int) -> list[ModeSpec]:
@@ -166,55 +224,36 @@ def _parse_mode(raw: RawConfig, value: str, lineno: int) -> list[ModeSpec]:
     return [mode] * count
 
 
-def parse_system(raw: RawConfig, required: bool = True) -> SystemSpec | None:
+def parse_system(raw: RawConfig) -> SystemSpec:
     if "system" not in raw.sections:
-        if required:
-            raise ConfigError(f"{raw.source}: missing [system] section")
-        return None
+        raise ConfigError(f"{raw.source}: missing [system] section")
     modes: list[ModeSpec] = []
     for value, lineno in raw.all("system", "mode"):
         modes.extend(_parse_mode(raw, value, lineno))
     if not modes:
         raise ConfigError(f"{raw.source}: [system] needs at least one mode line")
-    hbar = get_float(raw, "system", "hbar", default=1.0)
-    try:
-        return SystemSpec(modes=tuple(modes), hbar=hbar)
-    except ValueError as exc:
-        raw.fail(raw.last_line("system", "hbar") or 0, str(exc))
+    return SystemSpec(modes=tuple(modes), hbar=get_positive(raw, "system", "hbar", default=1.0))
 
 
-def _frame_direction(raw: RawConfig, key: str, default: float, n_modes: int) -> list[float]:
-    """[frame] mu or nu, one finite value broadcast or one per mode."""
+def _frame_list(raw: RawConfig, key: str, default: float, n_modes: int) -> list[float]:
+    """[frame] mu or nu, one value broadcast or one per mode."""
     values = get_float_list(raw, "frame", key, default=[default])
     if len(values) == 1:
         values = values * n_modes
     if len(values) != n_modes:
         raw.fail(raw.last_line("frame", key), f"frame {key} must have 1 or {n_modes} entries, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
-        raw.fail(raw.last_line("frame", key), f"frame {key} entries must be finite, got {values}")
     return values
 
 
-def parse_frame(raw: RawConfig, n_modes: int, required: bool = True) -> FrameSpec | None:
-    if "frame" not in raw.sections:
-        if required:
-            raise ConfigError(f"{raw.source}: missing [frame] section")
-        return None
-    mu = _frame_direction(raw, "mu", 1.0, n_modes)
-    nu = _frame_direction(raw, "nu", 0.0, n_modes)
-    rhos = [m * m + n * n for m, n in zip(mu, nu)]
-    bad = [i for i, rho in enumerate(rhos) if not 0 < rho < math.inf]
-    if bad:
-        # both keys enter mu^2 + nu^2; the later of their lines is named
-        raw.fail(max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu")),
-                 f"degenerate frame: mu^2 + nu^2 = {rhos[bad[0]]} at mode {bad[0]}, "
-                 "must be positive and finite")
-    r = get_float(raw, "frame", "r", default=0.5 * min(rhos))
-    big_r = get_float(raw, "frame", "R", default=2.0 * max(rhos))
-    if not 0 < r < min(rhos):
-        raw.fail(raw.last_line("frame", "r"),
-                 f"frame r must lie in (0, {min(rhos):.6g}), below every frame radius, got {r}")
-    if not max(rhos) < big_r:
-        raw.fail(raw.last_line("frame", "R"),
-                 f"frame R must exceed every frame radius {max(rhos):.6g}, got {big_r}")
+def parse_frame(raw: RawConfig, n_modes: int, required: bool = True) -> FrameSpec:
+    """[frame], each key defaulted: mu 1, nu 0 and the bounds of
+    get_frame_bounds.  Without the section the defaults hold, unless it is
+    required."""
+    if required and "frame" not in raw.sections:
+        raise ConfigError(f"{raw.source}: missing [frame] section")
+    mu = _frame_list(raw, "mu", 1.0, n_modes)
+    nu = _frame_list(raw, "nu", 0.0, n_modes)
+    lines = (raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
+    rhos = [_frame_radius(raw, m, n, lines, f"at mode {i}") for i, (m, n) in enumerate(zip(mu, nu))]
+    r, big_r = get_frame_bounds(raw, "frame", rhos, rhos)
     return FrameSpec(mu=tuple(mu), nu=tuple(nu), r=r, R=big_r)

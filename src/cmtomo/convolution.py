@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,27 +31,6 @@ _TINY = np.finfo(float).tiny
 _MC_CHUNK = 2 ** 15
 # most Monte-Carlo draws one call takes: a 1 GiB sample array
 MC_SAMPLES_MAX = 2 ** 27
-
-
-@dataclass
-class CenterOfMassDensity:
-    """Gridded density of sum_i (mu_i q_i + nu_i p_i), unit integral."""
-
-    grid: Grid
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.count,):
-            raise ValueError("value count must match the grid")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("density has non-finite values")
-        if np.any(self.values < 0):
-            raise NumericalError("density has negative values")
-        total = float(np.trapezoid(self.values, dx=self.grid.dx))
-        if not abs(total - 1.0) <= 1e-7:
-            raise NumericalError(f"density integral {total} is not 1 within 1e-7")
 
 
 def marginals_for_system(sys: SystemSpec, frame: FrameSpec) -> list[MarginalDensity]:
@@ -140,7 +118,7 @@ def _resample(m: MarginalDensity, grid: Grid) -> np.ndarray:
     return np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
 
 
-def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> CenterOfMassDensity:
+def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> MarginalDensity:
     """Spectral convolution of the marginals on a shared centered grid.
 
     Each distinct marginal is resampled once and zero-padded to twice
@@ -179,7 +157,7 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
     out = np.clip(out, 0.0, None)
     out /= np.trapezoid(out, dx=grid.dx)
     meta = {"backend": "fft", "clamped_mass": clamped, "n_modes": len(marginals)}
-    return CenterOfMassDensity(grid=grid, values=out, meta=meta)
+    return MarginalDensity(grid=grid, values=out, meta=meta)
 
 
 def _phase_rows(count: int) -> int:
@@ -274,7 +252,7 @@ def cf_grid_for(marginals: list[MarginalDensity], out_grid: Grid) -> Grid:
     return centered_grid((last + 2) * dk, dk, max_count=_MAX_GRID)
 
 
-def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> CenterOfMassDensity:
+def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> MarginalDensity:
     """Backend two: product of closed-form characteristic functions, inverted directly.
 
     Independence makes the characteristic function of the sum the
@@ -307,7 +285,7 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ce
     out = np.clip(out, 0.0, None)
     out /= np.trapezoid(out, dx=grid.dx)
     meta = {"backend": "cf", "clamped_mass": clamped, "n_modes": len(marginals)}
-    return CenterOfMassDensity(grid=grid, values=out, meta=meta)
+    return MarginalDensity(grid=grid, values=out, meta=meta)
 
 
 def _mode_stream(seed: int, index: int) -> np.random.Generator:
@@ -425,7 +403,7 @@ def _bin_counts(sorted_samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(cum)
 
 
-def backend_agreement(cm: CenterOfMassDensity, cf: CenterOfMassDensity, samples: np.ndarray) -> dict:
+def backend_agreement(cm: MarginalDensity, cf: MarginalDensity, samples: np.ndarray) -> dict:
     """Distances between the three backends on the FFT density's grid,
     and the sample density on that grid.
 

@@ -126,15 +126,13 @@ def discrepancy_rows(alphas=DEFAULT_ALPHAS, frames=DEFAULT_FRAMES, hbar: float =
     return rows
 
 
-def format_report(rows: list[ReportRow], header_lines: list[str]) -> str:
-    out = []
-    for line in header_lines:
-        out.append(f"# {line}")
-    out.append("quantity,alpha_re,alpha_im,parity,mu,nu,hbar,published_value,oracle_value,ratio")
-    for r in rows:
-        out.append(
-            f"{r.quantity},{r.alpha.real:.17g},{r.alpha.imag:.17g},{r.parity},"
+COLUMNS = ["quantity", "alpha_re", "alpha_im", "parity", "mu", "nu", "hbar",
+           "published_value", "oracle_value", "ratio"]
+
+
+def format_rows(rows: list[ReportRow]) -> list[str]:
+    """One CSV line per row, in COLUMNS order, floats to 17 digits."""
+    return [f"{r.quantity},{r.alpha.real:.17g},{r.alpha.imag:.17g},{r.parity},"
             f"{r.mu:.17g},{r.nu:.17g},{r.hbar:.17g},"
             f"{r.published_value:.17g},{r.oracle_value:.17g},{r.ratio:.17g}"
-        )
-    return "\n".join(out) + "\n"
+            for r in rows]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cmtomo import _blas, cli, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
-from cmtomo.config import parse_config_text, parse_frame, parse_system
+from cmtomo.config import RawConfig, parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
 from cmtomo.states import ALPHA_MAX, CoherentEven, Fock
@@ -359,12 +359,15 @@ class TestCmdHbarScan:
         assert f"{cfg}:8: epsilon" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("epsilon", ["-1", "nan"])
-    def test_bad_epsilon_flag_exit_two(self, tmp_path, capsys, epsilon):
+    # epsilon is set only by [scan] epsilon: --epsilon is no option, valid value or not
+    @pytest.mark.parametrize("epsilon", ["0.1", "nan"])
+    def test_epsilon_flag_usage_error(self, tmp_path, capsys, epsilon):
         cfg = write(tmp_path, "c.cfg", self.CFG)
         out = tmp_path / "scan.csv"
-        assert main(["hbar-scan", "--config", cfg, "--out", str(out), f"--epsilon={epsilon}"]) == 2
-        assert "config error: --epsilon" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["hbar-scan", "--config", cfg, "--out", str(out), f"--epsilon={epsilon}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -418,6 +421,19 @@ class TestCmdReconstruct:
                  for m in range(6) for n in range(6)]
         assert body == "\n".join(cells) + "\n"
         assert head.endswith("\n") and "# cutoff_char_function " in head
+
+    def test_frame_section_not_read(self, tmp_path):
+        # the frame integral covers every direction: a [frame], degenerate
+        # or not, changes nothing but the config digest
+        base = "[system]\nhbar = 0.5\nmode = odd 0.6 0.8\n[reconstruct]\ndim = 12\n"
+        texts = [base, base + "[frame]\nmu = 0.6\nnu = 0.8\n", base + "[frame]\nmu = 0\nnu = 0\n"]
+        artifacts = []
+        for i, text in enumerate(texts):
+            cfg = write(tmp_path, f"c{i}.cfg", text)
+            out = tmp_path / f"rho{i}.txt"
+            assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+            artifacts.append([l for l in out.read_text().splitlines() if not l.startswith("# config sha256")])
+        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
 
     def test_dim_one_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\ndim = 1\n")
@@ -502,7 +518,7 @@ class TestCmdDiscrepancyReport:
         cfg = write(tmp_path, "c.cfg", "[report]\nalpha = 1e-12 0\nframe = 1 0\n")
         out = tmp_path / "r.csv"
         assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
-        assert f"{cfg}:2: alpha must be 0 or of modulus at least 1e-05" in capsys.readouterr().err
+        assert f"{cfg}:2: alpha '1e-12 0': odd coherent states require |alpha| >= 1e-05" in capsys.readouterr().err
         assert not out.exists()
 
     def test_only_normalization_warnings_are_silenced(self, tmp_path, monkeypatch):
@@ -625,6 +641,46 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestSettableSurface:
+    """Every flag and every (section, key) pair a command reads; a new
+    setting must change this test."""
+
+    OPTIONS = ["-h", "--help", "--config", "--out", "--seed", "--all-backends", "--mc-samples"]
+    EVERYTHING = ("[system]\nhbar = 1.0\nmode = fock 1\n[frame]\nmu = 1.0\nnu = 0.0\nr = 0.5\nR = 2.0\n"
+                  "[scan]\nE = 10\nN_list = 4\nn_pattern = 1\nrho_pattern = 1.0\ntheta = 0\nr = 0.5\nR = 2\n"
+                  "hbar_list = 1 0.1\nepsilon = 0.1\n[reconstruct]\ndim = 4\n"
+                  "[report]\nalpha = 1 0\nframe = 1 0\nhbar = 1.0\n[run]\nseed = 3\nout = {out}\n")
+    RUN = {("run", "out"), ("run", "seed")}
+    SYSTEM = {("system", "mode"), ("system", "hbar")}
+    FRAME = {("frame", "mu"), ("frame", "nu"), ("frame", "r"), ("frame", "R")}
+    READS = {
+        "marginal": RUN | SYSTEM | FRAME,
+        "cm": RUN | SYSTEM | FRAME,
+        "clt-scan": RUN | {("scan", key) for key in ("E", "N_list", "n_pattern", "rho_pattern", "theta", "r", "R")},
+        "hbar-scan": RUN | SYSTEM | FRAME | {("scan", "hbar_list"), ("scan", "epsilon")},
+        "reconstruct": RUN | SYSTEM | {("reconstruct", "dim")},
+        "discrepancy-report": RUN | {("report", "alpha"), ("report", "frame"), ("report", "hbar")},
+    }
+
+    def test_flags_and_keys_read(self, tmp_path, monkeypatch):
+        parser = cli.build_parser()
+        assert [opt for action in parser._actions for opt in action.option_strings] == self.OPTIONS
+        assert sorted(cli._COMMANDS) == sorted(self.READS)
+        seen = set()
+        for name in ("last", "all"):
+            def spy(raw, section, key, original=getattr(RawConfig, name)):
+                seen.add((section, key))
+                return original(raw, section, key)
+
+            monkeypatch.setattr(RawConfig, name, spy)
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path, "c.cfg", self.EVERYTHING.format(out=out))
+        for command, want in self.READS.items():
+            seen.clear()
+            assert main([command, "--config", cfg]) == 0, command
+            assert seen == want, command
+
+
 class TestRowFormatting:
     EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
              0.1, 1.0 / 3.0, 123456789.0, 1e16, 1e17, 1e-5]
@@ -676,6 +732,16 @@ class TestExitCodes:
         assert main(["marginal", "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", "1.5"])
+    def test_bad_run_seed_exit_two(self, tmp_path, capsys, seed):
+        # [run] seed goes through the integer reader: a bad value names its line
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[run]\nseed = {seed}\n")
+        out = tmp_path / "o.csv"
+        assert main(["marginal", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:8: 'seed' must be an integer" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_infinite_hbar_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", "[system]\nhbar = inf\nmode = fock 0\n[frame]\nmu = 1.0\nnu = 0.0\n")
         assert main(["cm", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
@@ -688,8 +754,9 @@ class TestSupportedRanges:
         ("discrepancy-report", "[report]\nalpha = inf 0\nframe = 1 0\n"),
         ("discrepancy-report", "[report]\nalpha = nan 0\nframe = 1 0\n"),
         ("discrepancy-report", "[report]\nalpha = 1e200 0\nframe = 1 0\n"),
+        ("discrepancy-report", "[report]\nalpha = 1 0 0\nframe = 1 0\n"),
         ("marginal", "[system]\nmode = even 1e200 0\n"),
-    ], ids=["report_inf", "report_nan", "report_1e200", "mode_even_1e200"])
+    ], ids=["report_inf", "report_nan", "report_1e200", "report_three_reals", "mode_even_1e200"])
     def test_bad_alpha_exit_two(self, tmp_path, capsys, command, text):
         cfg = write(tmp_path, "c.cfg", text)
         out = tmp_path / "o.csv"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cmtomo import convolution
 from cmtomo.convolution import (
     MC_SAMPLES_MAX,
-    CenterOfMassDensity,
     _bin_counts,
     _cf_product_at,
     _distinct,
@@ -30,6 +29,7 @@ from cmtomo.convolution import (
 from cmtomo.errors import GridSizeError
 from cmtomo.marginals import (
     Grid,
+    MarginalDensity,
     centered_grid,
     char_function,
     char_function_reach,
@@ -695,7 +695,7 @@ class TestBackendAgreement:
         grid = self.cm.grid
         shifted = np.roll(self.cm.values, 1)
         shifted /= np.trapezoid(shifted, dx=grid.dx)
-        cf = CenterOfMassDensity(grid=grid, values=shifted)
+        cf = MarginalDensity(grid=grid, values=shifted)
         assert backend_agreement(self.cm, cf, self.samples)["tv_fft_cf"] > 1e-6
 
     def test_unsorted_samples_sorted_in_place(self):
