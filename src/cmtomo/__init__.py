@@ -7,7 +7,7 @@ classical-limit scans, and single-mode density-matrix reconstruction.
 
 __version__ = "0.1.0"
 
-from .clt import CltReport, gaussian_distance, hbar_scan, lyapunov_ratio, mass_within, n_scan
+from .clt import CltReport, HbarReport, gaussian_distance, hbar_scan, lyapunov_ratio, mass_within, n_scan
 from .convolution import cf_product, convolve_fft, marginals_for_system, sample_sum
 from .errors import (
     CalibrationError,

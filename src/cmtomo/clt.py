@@ -30,9 +30,14 @@ class CltReport:
     RE: float
     ks_distance: float
     tv_distance: float
+
+
+@dataclass(frozen=True)
+class HbarReport(CltReport):
+    """A classical-limit scan point, with the mass inside [-epsilon, epsilon]."""
+
     mass_in_epsilon: float
     gaussian_mass: float
-    epsilon: float
 
 
 def lyapunov_ratio(per_mode_moments: list[Moments]) -> float:
@@ -109,7 +114,7 @@ def gaussian_mass_within(sigma2: float, epsilon: float) -> float:
     return math.erf(epsilon / math.sqrt(2.0 * sigma2))
 
 
-def _report_for(sys: SystemSpec, frame: FrameSpec, epsilon: float) -> CltReport:
+def _report_for(sys: SystemSpec, frame: FrameSpec) -> tuple[CltReport, MarginalDensity]:
     marginals = marginals_for_system(sys, frame)
     pm = per_mode_moments(sys, frame, marginals)
     s_n = lyapunov_ratio(pm)
@@ -117,7 +122,7 @@ def _report_for(sys: SystemSpec, frame: FrameSpec, epsilon: float) -> CltReport:
     cm = convolve_fft(marginals)
     dist = gaussian_distance(cm, sigma2)
     e_total = energy(sys)
-    return CltReport(
+    report = CltReport(
         N=sys.n_modes,
         hbar=sys.hbar,
         S_N=s_n,
@@ -126,10 +131,8 @@ def _report_for(sys: SystemSpec, frame: FrameSpec, epsilon: float) -> CltReport:
         RE=frame.R * e_total,
         ks_distance=dist["ks"],
         tv_distance=dist["tv"],
-        mass_in_epsilon=mass_within(cm, epsilon),
-        gaussian_mass=gaussian_mass_within(sigma2, epsilon),
-        epsilon=epsilon,
     )
+    return report, cm
 
 
 def _cycle(pattern, N):
@@ -137,7 +140,7 @@ def _cycle(pattern, N):
 
 
 def n_scan(modes_schedule, frame_schedule, E: float, N_list,
-           r: float, R: float, epsilon: float = 0.1) -> list[CltReport]:
+           r: float, R: float) -> list[CltReport]:
     """Fixed-energy scan over the mode count.
 
     modes_schedule: cycled pattern of number-state levels (bounded sup).
@@ -154,13 +157,13 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
         sys = SystemSpec(modes=modes, hbar=hbar)
         mus, nus = zip(*_cycle(pairs, N))
         frame = FrameSpec(mu=mus, nu=nus, r=r, R=R)
-        return _report_for(sys, frame, epsilon)
+        return _report_for(sys, frame)[0]
 
     return [point(N) for N in N_list]
 
 
 def hbar_scan(sys_base: SystemSpec, frame: FrameSpec, hbar_list,
-              epsilon: float) -> list[CltReport]:
+              epsilon: float) -> list[HbarReport]:
     """Classical-limit scan: recompute everything at each hbar.
 
     hbar_list must be strictly decreasing; the reported mass inside
@@ -171,8 +174,10 @@ def hbar_scan(sys_base: SystemSpec, frame: FrameSpec, hbar_list,
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("hbar_list must be strictly decreasing")
 
-    def point(hbar: float) -> CltReport:
+    def point(hbar: float) -> HbarReport:
         sys = SystemSpec(modes=sys_base.modes, hbar=hbar)
-        return _report_for(sys, frame, epsilon)
+        report, cm = _report_for(sys, frame)
+        return HbarReport(**vars(report), mass_in_epsilon=mass_within(cm, epsilon),
+                          gaussian_mass=gaussian_mass_within(report.sigma2, epsilon))
 
     return [point(hbar) for hbar in values]

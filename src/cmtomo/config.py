@@ -158,13 +158,10 @@ def get_alphas(raw: RawConfig, section: str, key: str) -> list[complex]:
     return alphas
 
 
-def _frame_radius(raw: RawConfig, mu: float, nu: float, lines: tuple[int, int], where: str) -> float:
-    """mu^2 + nu^2 of one frame direction, which must be positive and
-    finite; no non-finite entry passes.  A non-finite entry names the
-    line of its key, a degenerate pair the later of the two lines."""
+def _frame_radius(raw: RawConfig, mu: float, nu: float, line: int, where: str) -> float:
+    """mu^2 + nu^2 of one frame direction, which must be positive and finite."""
     rho = mu * mu + nu * nu
     if not 0 < rho < math.inf:
-        line = lines[0] if not math.isfinite(mu) else lines[1] if not math.isfinite(nu) else max(lines)
         raw.fail(line, f"degenerate frame {where}: mu^2 + nu^2 = {rho}, "
                        "entries must be finite and the sum positive and finite")
     return rho
@@ -174,7 +171,7 @@ def get_directions(raw: RawConfig, section: str, key: str) -> list[tuple[float, 
     """Frame directions 'mu nu', one per line, under the [frame] rule."""
     frames = []
     for mu, nu, value, lineno in _pair_lines(raw, section, key, "mu, nu"):
-        _frame_radius(raw, mu, nu, (lineno, lineno), repr(value))
+        _frame_radius(raw, mu, nu, lineno, repr(value))
         frames.append((mu, nu))
     return frames
 
@@ -236,12 +233,14 @@ def parse_system(raw: RawConfig) -> SystemSpec:
 
 
 def _frame_list(raw: RawConfig, key: str, default: float, n_modes: int) -> list[float]:
-    """[frame] mu or nu, one value broadcast or one per mode."""
+    """[frame] mu or nu, one finite value broadcast or one per mode."""
     values = get_float_list(raw, "frame", key, default=[default])
     if len(values) == 1:
         values = values * n_modes
     if len(values) != n_modes:
         raw.fail(raw.last_line("frame", key), f"frame {key} must have 1 or {n_modes} entries, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raw.fail(raw.last_line("frame", key), f"frame {key} entries must be finite, got {values}")
     return values
 
 
@@ -253,7 +252,7 @@ def parse_frame(raw: RawConfig, n_modes: int, required: bool = True) -> FrameSpe
         raise ConfigError(f"{raw.source}: missing [frame] section")
     mu = _frame_list(raw, "mu", 1.0, n_modes)
     nu = _frame_list(raw, "nu", 0.0, n_modes)
-    lines = (raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
-    rhos = [_frame_radius(raw, m, n, lines, f"at mode {i}") for i, (m, n) in enumerate(zip(mu, nu))]
+    line = max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
+    rhos = [_frame_radius(raw, m, n, line, f"at mode {i}") for i, (m, n) in enumerate(zip(mu, nu))]
     r, big_r = get_frame_bounds(raw, "frame", rhos, rhos)
     return FrameSpec(mu=tuple(mu), nu=tuple(nu), r=r, R=big_r)

@@ -81,7 +81,8 @@ def centered_grid(half_width: float, dx: float, max_count: int = _MAX_GRID) -> G
 
 @dataclass
 class MarginalDensity:
-    """A gridded single-mode quadrature density, unit trapezoid integral."""
+    """A density on a uniform grid, unit trapezoid integral: a single-mode
+    tomogram or the center-of-mass density of N modes."""
 
     grid: Grid
     values: np.ndarray
