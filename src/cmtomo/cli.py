@@ -29,6 +29,7 @@ from .config import (
     get_int_list,
     get_positive,
     get_positive_list,
+    get_seed,
     parse_config_file,
     parse_frame,
     parse_system,
@@ -125,11 +126,6 @@ def cmd_marginal(raw: RawConfig, args) -> int:
     return 0
 
 
-# cm, reconstruct and discrepancy-report run with one OpenBLAS thread: a
-# second one buys their small matrix products almost no wall time, then
-# spins idle on a core (in cm, beside the sampling threads).  The scans
-# and cmd_marginal run no matrix product and keep OpenBLAS's threads.
-@one_blas_thread()
 def cmd_cm(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     frame = parse_frame(raw, sys_spec.n_modes)
@@ -212,6 +208,9 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
     return 0
 
 
+# reconstruct and discrepancy-report hold OpenBLAS to one thread: a second
+# buys their small matrix products almost no wall time, then spins idle on
+# a core.  The other commands multiply no matrices and keep its threads.
 @one_blas_thread()
 def cmd_reconstruct(raw: RawConfig, args) -> int:
     sys_spec = _single_mode(raw)
@@ -304,10 +303,7 @@ def main(argv=None) -> int:
             args.out = raw.last("run", "out")
         if args.out is None:
             raise ConfigError(f"{raw.source}: no output path (--out or [run] out)")
-        if args.seed is None:
-            args.seed = get_int(raw, "run", "seed", default=0)
-        if args.seed < 0 or args.seed > 2 ** 64 - 1:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+        args.seed = get_seed(raw, args.seed)
         if args.mc_samples <= 0:
             raise ConfigError(f"--mc-samples must be positive, got {args.mc_samples}")
         if args.mc_samples > MC_SAMPLES_MAX:

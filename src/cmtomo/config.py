@@ -108,6 +108,17 @@ def get_int(raw: RawConfig, section: str, key: str, default=None, required=False
     return _get(raw, section, key, int, "an integer", default, required)
 
 
+def get_seed(raw: RawConfig, flag: int | None) -> int:
+    """--seed, else [run] seed, else 0; out of 64 unsigned bits, it names its source."""
+    seed = get_int(raw, "run", "seed", default=0) if flag is None else flag
+    if not 0 <= seed < 2 ** 64:
+        message = f"seed must fit in 64 unsigned bits, got {seed}"
+        if flag is not None:
+            raise ConfigError("--" + message)
+        raw.fail(raw.last_line("run", "seed"), message)
+    return seed
+
+
 def get_float_list(raw: RawConfig, section: str, key: str, default=None, required=False):
     return _get(raw, section, key, lambda v: [float(t) for t in v.split()], "a list of numbers", default, required)
 

@@ -15,14 +15,11 @@ import threading
 
 import numpy as np
 
-from .errors import GridSizeError, NumericalError
-from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
-                        marginal_density, moments)
-from .specialfn import phase_table
+from .errors import NumericalError
+from .marginals import (_MAX_GRID, Grid, MarginalDensity, centered_grid, char_function, char_function_reach,
+                        grid_policy, marginal_density, moments)
 from .states import FrameSpec, SystemSpec
 
-_MAX_GRID = 2 ** 22
-_CLAMP_LIMIT = 1e-9
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
 _TINY = np.finfo(float).tiny
@@ -114,10 +111,6 @@ def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
     return f
 
 
-def _resample(m: MarginalDensity, grid: Grid) -> np.ndarray:
-    return np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
-
-
 def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> MarginalDensity:
     """Spectral convolution of the marginals on a shared centered grid.
 
@@ -125,23 +118,19 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
     the output length.  Its spectrum is scaled by dx, so every factor is
     a discrete characteristic function bounded near one, and raised to
     the marginal's count (`_raise_to`), so the product cannot overflow
-    at any N.  The power keeps the polar form where |f| >= 1/2 and
-    squares elsewhere, erring there by at most about eps/2 of the unit
-    peak; entries whose power underflows are 0.  The cost is one
-    resample and one rfft of length 2 count per distinct marginal,
-    whatever the number of modes.  The inverse is divided by dx once
-    and clamped at 0; more than 1e-9 of clamped mass fails the run.
+    at any N.  The cost is one resample and one rfft of length 2 count
+    per distinct marginal, whatever the number of modes.  `_inverse`
+    takes the product back, failing on more than 1e-9 of clamped mass.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
     if grid is None:
         grid = common_grid(marginals)
     count = grid.count
-    M = 2 * count
-    g = np.zeros(M)
+    g = np.zeros(2 * count)
     spec = None
     for m, repeats in _distinct(marginals):
-        g[M // 2 - count // 2: M // 2 + count // 2] = _resample(m, grid)
+        g[count // 2: 3 * count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
         f = np.fft.rfft(np.fft.ifftshift(g))
         f *= grid.dx
         f = _raise_to(f, repeats)
@@ -149,64 +138,27 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
             spec = f
         else:
             spec *= f
-    out = np.fft.irfft(spec, n=M) / grid.dx
-    out = np.fft.fftshift(out)[M // 2 - count // 2: M // 2 + count // 2]
+    return _inverse(spec, grid, 1e-9, "fft", len(marginals))
+
+
+def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float, backend: str, n_modes: int) -> MarginalDensity:
+    """The density on a centered grid whose characteristic function E e^{-i k X}
+    is spec at k_j = 2 pi j / (2 count dx), j = 0..count.
+
+    One irfft of length 2 count, divided by dx, keeps its centred count
+    nodes, so the sum is periodized over twice the output extent.
+    Negative values are clamped at 0; more than clamp_limit of clamped
+    mass fails the run.  The rest is renormalized to unit integral.
+    """
+    count = grid.count
+    out = np.fft.fftshift(np.fft.irfft(spec, n=2 * count))[count // 2: 3 * count // 2] / grid.dx
     clamped = float(-out[out < 0].sum() * grid.dx)
-    if clamped > _CLAMP_LIMIT:
-        raise NumericalError(f"clamped negative mass {clamped:.3e} exceeds {_CLAMP_LIMIT}")
+    if clamped > clamp_limit:
+        raise NumericalError(f"clamped negative mass {clamped:.3e} exceeds {clamp_limit}")
     out = np.clip(out, 0.0, None)
     out /= np.trapezoid(out, dx=grid.dx)
-    meta = {"backend": "fft", "clamped_mass": clamped, "n_modes": len(marginals)}
+    meta = {"backend": backend, "clamped_mass": clamped, "n_modes": n_modes}
     return MarginalDensity(grid=grid, values=out, meta=meta)
-
-
-def _phase_rows(count: int) -> int:
-    """Output nodes per `_phase_sum` block over a source grid of count nodes.
-
-    A block of R rows stands for R count phases.  On one BLAS thread
-    blocks of about 2**20 phases ran fastest, up to twice as fast as
-    blocks of _MAX_GRID phases; blocks under 512 rows ran slower, their
-    products being thin.  At most _MAX_GRID
-    phases per block bounds memory, and wins over the 512-row floor.
-    """
-    return min(max(512, 2 ** 20 // count), max(1, _MAX_GRID // count))
-
-
-def _phase_sum(grid: Grid, v: np.ndarray, out: Grid, sign: float) -> np.ndarray:
-    """sum_j v[j] e^{sign i a x_j} over the nodes x_j of `grid`, at every node a of `out`.
-
-    With Q = 2**floor(log2(count) / 2), node j = b Q + q sits at
-    x_{bQ} + q dx, so each phase is a coarse factor e^{sign i a x_{bQ}}
-    times a fine factor e^{sign i a q dx}.  The q sum is a matrix product
-    and the b sum a row-wise reduction, n count multiply-adds in all for
-    the n output nodes.  The fine factor enters as its cosine and sine,
-    so a real v costs two real matrix products, half of one complex
-    product.  The output nodes are uniform too, so both factor tables
-    are `phase_table`s over them: a block of R output nodes forms
-    (R/P + P)(count/Q + Q) exponentials, P ~ sqrt(R), not R (count/Q + Q).
-    Output nodes go in blocks of _phase_rows(count).
-    """
-    fine_len = 1 << (grid.count.bit_length() - 1) // 2
-    coarse_x = sign * grid.xs[::fine_len]
-    fine_x = sign * grid.dx * np.arange(fine_len)
-    blocks = v.reshape(len(coarse_x), fine_len).T
-    sums = np.empty(out.count, dtype=complex)
-    step = _phase_rows(grid.count)
-    for i in range(0, out.count, step):
-        rows = min(step, out.count - i)
-        a0 = out.x0 + i * out.dx
-        coarse = phase_table(a0, out.dx, rows, coarse_x)
-        fine = phase_table(a0, out.dx, rows, fine_x)
-        inner = np.ascontiguousarray(fine.real) @ blocks + 1j * (np.ascontiguousarray(fine.imag) @ blocks)
-        sums[i:i + rows] = np.einsum("ij,ij->i", coarse, inner)
-    return sums
-
-
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    w = np.full(grid.count, grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def _mode_args(m: MarginalDensity) -> tuple:
@@ -226,66 +178,45 @@ def _cf_product_at(groups: list[tuple[MarginalDensity, int]], ks: np.ndarray) ->
     return total
 
 
-def cf_grid_for(marginals: list[MarginalDensity], out_grid: Grid) -> Grid:
-    """Frequency grid on which the characteristic-function product is resolved.
-
-    The spacing dk keeps the inverse's periodization beyond twice the
-    output extent.  Every factor is at most one in modulus, so the
-    product is below _CF_FLOOR past the smallest `char_function_reach`
-    of the distinct marginals.  The product is evaluated once on the dk
-    lattice up to that reach, and the grid reaches one node past the
-    last node where it is at least _CF_FLOOR, so both outer nodes lie
-    below the floor.  The trapezoid inverse sees only lattice values, so
-    what the cut drops is bounded by _CF_FLOOR K dk.
+def cf_grid_for(grid: Grid) -> Grid:
+    """The lattice k_j = j dk, j = -count..count - 1, dk = 2 pi / (2 count dx),
+    that an irfft of length 2 count pairs with an output grid; its
+    Nyquist node count dk is pi / dx.  `centered_grid`'s cap would
+    refuse 2 count nodes at the largest output grid, so it is not used.
     """
-    dk = 2.0 * math.pi / (2.2 * (out_grid.extent + out_grid.dx * out_grid.count))
-    groups = _distinct(marginals)
-    reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m, _ in groups)
-    # the product is even in k, so the lattice is taken on k >= 0 only; its
-    # last node lies past the reach unless the grid cap stops it first
-    nodes = min(int(reach / dk) + 1, _MAX_GRID // 2)
-    mag = np.abs(_cf_product_at(groups, dk * np.arange(nodes + 1)))
-    last = int(np.flatnonzero(mag >= _CF_FLOOR)[-1])
-    if last == nodes:
-        raise GridSizeError(f"frequency grid would need more than {_MAX_GRID} points")
-    # nodes run from -(count/2) dk to (count/2 - 1) dk with count >= 2 (last + 2)
-    return centered_grid((last + 2) * dk, dk, max_count=_MAX_GRID)
+    dk = 2.0 * math.pi / (2 * grid.count * grid.dx)
+    return Grid(x0=-grid.count * dk, dx=dk, count=2 * grid.count)
 
 
 def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> MarginalDensity:
-    """Backend two: product of closed-form characteristic functions, inverted directly.
+    """Backend two: product of closed-form characteristic functions, inverted on a lattice.
 
     Independence makes the characteristic function of the sum the
-    pointwise product of the modes' `char_function`s, evaluated once per
-    distinct marginal and raised to its count; no marginal grid is read.
-    The inverse transform is an explicit trapezoid sum over the K nodes
-    of the `cf_grid_for` k-grid onto the n output nodes (no FFT shared
-    with backend one), block-factored on both grids by `_phase_sum`:
-    about 2 n (K/Q + Q) / sqrt(R) exponentials, Q ~ sqrt(K), with R the
-    output nodes per block, and an n x K matrix product.
+    pointwise product of the modes' `char_function`s, one per distinct
+    marginal raised to its count; no marginal grid is read.  The product
+    is real and even in k, and below _CF_FLOOR past the smallest
+    `char_function_reach`, every factor being at most one in modulus.
+    It is evaluated up to that reach on the k >= 0 nodes of the
+    `cf_grid_for` lattice, and `_inverse` takes it back, failing on more
+    than 1e-6 of clamped mass.  A reach past the Nyquist node pi / dx,
+    beyond which the lattice sees nothing, fails the run.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
     if grid is None:
         grid = common_grid(marginals)
-    k_grid = cf_grid_for(marginals, grid)
-    # the product is real and even in k: evaluated on k = 0..count/2 dk and
-    # mirrored onto the nodes -count/2 dk..-dk
-    half = k_grid.count // 2
-    total = _cf_product_at(_distinct(marginals), k_grid.dx * np.arange(half + 1))
-    v = np.concatenate([total[half:0:-1], total[:half]]) * _trapezoid_weights(k_grid)
-    # subnormal tail values carry nothing but slow the matrix products
-    # about twofold; they are flushed to 0
-    v[np.abs(v) < _TINY] = 0.0
-    out = _phase_sum(k_grid, v, grid, -1.0).real
-    out /= 2.0 * math.pi
-    clamped = float(-out[out < 0].sum() * grid.dx)
-    if clamped > 1e-6:
-        raise NumericalError(f"inverse transform negative mass {clamped:.3e}")
-    out = np.clip(out, 0.0, None)
-    out /= np.trapezoid(out, dx=grid.dx)
-    meta = {"backend": "cf", "clamped_mass": clamped, "n_modes": len(marginals)}
-    return MarginalDensity(grid=grid, values=out, meta=meta)
+    k_grid = cf_grid_for(grid)
+    groups = _distinct(marginals)
+    reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m, _ in groups)
+    nyquist = k_grid.dx * grid.count
+    if reach > nyquist:
+        raise NumericalError(f"characteristic function reaches k = {reach:.6g}, past the output grid's "
+                             f"Nyquist node pi / dx = {nyquist:.6g}")
+    # past the reach the product is below _CF_FLOOR and is left at 0
+    ks = k_grid.dx * np.arange(min(int(reach / k_grid.dx) + 1, grid.count) + 1)
+    spec = np.zeros(grid.count + 1)
+    spec[:len(ks)] = _cf_product_at(groups, ks)
+    return _inverse(spec, grid, 1e-6, "cf", len(marginals))
 
 
 def _mode_stream(seed: int, index: int) -> np.random.Generator:

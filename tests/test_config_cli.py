@@ -229,21 +229,6 @@ class TestCmdCm:
         assert ks and ks[0] < 0.01
 
 
-    @pytest.mark.parametrize("text, flags, code", [
-        ("[system]\nmode = fock 1 x2\n[frame]\nmu = 1.0\nnu = 0.0\n",
-         ["--all-backends", "--mc-samples", "70000"], 0),
-        ("[system]\nmode = fock 0 x2\n[frame]\nmu = 1 1 1\nnu = 0.0\n", [], 2),
-        # frame radii five decades apart force the shared lattice past the grid cap
-        ("[system]\nmode = fock 0 x2\n[frame]\nmu = 1e-4 10.0\nnu = 0 0\nr = 1e-9\nR = 1000\n", [], 3),
-    ], ids=["exit0", "exit2", "exit3"])
-    def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, text, flags, code):
-        before = skip_without_openblas()
-        inside = blas_threads_seen(monkeypatch, "sample_sum")
-        cfg = write(tmp_path, "c.cfg", text)
-        assert main(["cm", "--config", cfg, "--out", str(tmp_path / "cm.csv"), *flags]) == code
-        assert inside == ([1] if code == 0 else [])
-        assert _blas.blas_threads() == before
-
     @pytest.mark.parametrize("samples", ["0", "-5", str(MC_SAMPLES_MAX + 1)])
     def test_bad_mc_samples_exit_two(self, tmp_path, capsys, monkeypatch, samples):
         def never(*args, **kwargs):
@@ -571,16 +556,18 @@ class TestCmdDiscrepancyReport:
 class TestBlasHold:
     """Commands that multiply matrices hold OpenBLAS to one thread; the rest leave it alone."""
 
-    @pytest.mark.parametrize("command, name, text", [
-        ("clt-scan", "n_scan", TestCmdCltScan.CFG),
-        ("hbar-scan", "hbar_scan", TestCmdHbarScan.CFG),
-        ("marginal", "marginal_density", VACUUM_CFG),
+    @pytest.mark.parametrize("command, name, text, flags", [
+        ("clt-scan", "n_scan", TestCmdCltScan.CFG, []),
+        ("hbar-scan", "hbar_scan", TestCmdHbarScan.CFG, []),
+        ("marginal", "marginal_density", VACUUM_CFG, []),
+        ("cm", "sample_sum", "[system]\nmode = fock 1 x2\n[frame]\nmu = 1.0\nnu = 0.0\n",
+         ["--all-backends", "--mc-samples", "70000"]),
     ])
-    def test_matrix_free_commands_keep_blas_threads(self, tmp_path, monkeypatch, command, name, text):
+    def test_matrix_free_commands_keep_blas_threads(self, tmp_path, monkeypatch, command, name, text, flags):
         before = skip_without_openblas()
         inside = blas_threads_seen(monkeypatch, name)
         cfg = write(tmp_path, "c.cfg", text)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 0
         assert inside == [before]
         assert _blas.blas_threads() == before
 
@@ -740,6 +727,22 @@ class TestExitCodes:
         assert main(["marginal", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{cfg}:8: 'seed' must be an integer" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_run_seed_out_of_range_exit_two(self, tmp_path, capsys, seed):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[run]\nseed = {seed}\n")
+        out = tmp_path / "o.csv"
+        assert main(["marginal", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:8: seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_out_of_range_exit_two(self, tmp_path, capsys, seed):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
+        out = tmp_path / "o.csv"
+        assert main(["marginal", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 2
+        assert f"--seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_hbar_exit_two(self, tmp_path, capsys):

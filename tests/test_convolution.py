@@ -1,3 +1,4 @@
+import copy
 import math
 import threading
 from sys import getswitchinterval, setswitchinterval
@@ -15,7 +16,6 @@ from cmtomo.convolution import (
     _distinct,
     _inverse_cdf,
     _mode_stream,
-    _phase_sum,
     _raise_to,
     backend_agreement,
     cf_grid_for,
@@ -26,7 +26,7 @@ from cmtomo.convolution import (
     marginals_for_system,
     sample_sum,
 )
-from cmtomo.errors import GridSizeError
+from cmtomo.errors import GridSizeError, NumericalError
 from cmtomo.marginals import (
     Grid,
     MarginalDensity,
@@ -39,7 +39,6 @@ from cmtomo.marginals import (
     grid_policy,
     moments,
 )
-from cmtomo.specialfn import phase_table
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, hbar_for_fixed_energy
 
 
@@ -212,11 +211,11 @@ class TestMultiplicities:
         frame = FrameSpec(mu=(1.0,) * 12, nu=(0.0,) * 12, r=0.5, R=2.0)
         marg = marginals_for_system(sys, frame)
         grid = common_grid(marg)
-        k_grid = cf_grid_for(marg, grid)
+        k_grid = cf_grid_for(grid)
         total = np.ones(k_grid.count)
         for m in marg:
             total *= mode_cf(m, k_grid.xs)
-        want = _phase_sum(k_grid, total * trapezoid_weights(k_grid), grid, -1.0).real
+        want = direct_phase_sum(k_grid.xs, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
         np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
@@ -346,7 +345,7 @@ class TestCfProduct:
     def test_matches_per_entry_reference_inverse(self):
         marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
         grid = common_grid(marg)
-        k_grid = cf_grid_for(marg, grid)
+        k_grid = cf_grid_for(grid)
         ks = k_grid.xs
         total = np.ones(k_grid.count, dtype=complex)
         for m in marg:
@@ -356,31 +355,11 @@ class TestCfProduct:
         want /= np.trapezoid(want, dx=grid.dx)
         np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
 
-    # (k-grid count K, output nodes per block, output nodes): four blocks each
-    @pytest.mark.parametrize("K, rows, n", [(256, 4096, 16384), (2048, 512, 2048), (32768, 128, 512)])
-    def test_inverse_blocks_bounded_and_match_per_entry_reference(self, monkeypatch, K, rows, n):
-        k_grid = Grid(x0=-16.0, dx=32.0 / K, count=K)
-        out = Grid(x0=-10.0, dx=20.0 / n, count=n)
-        v = np.exp(-k_grid.xs ** 2 / 4) * trapezoid_weights(k_grid)
-        tables = []
-
-        def spy(x0, dx, count, k):
-            tables.append(count)
-            return phase_table(x0, dx, count, k)
-
-        monkeypatch.setattr(convolution, "phase_table", spy)
-        got = _phase_sum(k_grid, v, out, -1.0)
-        # a coarse and a fine table per block
-        block_rows = tables[::2]
-        assert block_rows == tables[1::2] == [rows] * 4
-        assert max(block_rows) * K <= 2 ** 22
-        np.testing.assert_allclose(got, direct_phase_sum(k_grid.xs, v, out.xs, -1.0), rtol=0, atol=1e-12)
-
     def test_one_forward_transform_per_distinct_marginal(self, monkeypatch):
         sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
         marg = marginals_for_system(sys, frame)
-        k_grid = cf_grid_for(marg, common_grid(marg))
-        monkeypatch.setattr(convolution, "cf_grid_for", lambda marginals, out_grid: k_grid)
+        k_grid = cf_grid_for(common_grid(marg))
+        monkeypatch.setattr(convolution, "cf_grid_for", lambda out_grid: k_grid)
         seen = []
 
         def counting(mode, mu, nu, hbar, k):
@@ -475,7 +454,7 @@ FIXED_ENERGY_MODES = [Fock(1), CoherentEven(1.0)]
 
 
 class TestCfAtScale:
-    """Backend two at the paper's large N, its k-grid cut and its independence."""
+    """Backend two at the paper's large N, its lattice guard and its independence."""
 
     @pytest.mark.parametrize("mode", FIXED_ENERGY_MODES, ids=repr)
     def test_fixed_energy_65536_modes(self, mode):
@@ -495,18 +474,24 @@ class TestCfAtScale:
         iid_system(CoherentEven(40.0), 2, mu=0.0, nu=1.0),
         (MIXED_SYS, MIXED_FRAME),
     ], ids=["fock1x65536", "even1x4096", "fock30", "odd40", "odd40-p", "even40x2-p", "mixed"])
-    def test_product_below_floor_at_outer_nodes(self, system):
+    def test_reach_inside_nyquist(self, system):
         marg = marginals_for_system(*system)
-        k_grid = cf_grid_for(marg, common_grid(marg))
+        grid = common_grid(marg)
+        k_grid = cf_grid_for(grid)
         groups = _distinct(marg)
-        product = _cf_product_at(groups, k_grid.xs)
-        assert abs(product[0]) < 1e-17 and abs(product[-1]) < 1e-17
-        # and the cut is tight: a grid half as long would drop nodes at or
-        # above the floor
-        assert np.max(np.abs(product[3 * k_grid.count // 4 - 1:])) >= 1e-17
-        # no lattice node past the grid, out beyond every bump, reaches it
-        beyond = k_grid.dx * np.arange(k_grid.count // 2, int(far_k(system) / k_grid.dx) + 1)
+        reach = min(char_function_reach(*convolution._mode_args(m), 1e-17) for m, _ in groups)
+        assert reach <= math.pi / grid.dx
+        # no lattice node past the reach, out to the Nyquist node and beyond every bump, reaches the floor
+        last = max(k_grid.count // 2, int(far_k(system) / k_grid.dx))
+        beyond = k_grid.dx * np.arange(int(reach / k_grid.dx) + 1, last + 1)
         assert np.all(np.abs(_cf_product_at(groups, beyond)) < 1e-17)
+
+    def test_reach_past_nyquist_fails(self):
+        # the vacuum's characteristic function reaches k ~ 14.5 at hbar 1;
+        # a grid of spacing 0.5 resolves k up to 2 pi only
+        marg = marginals_for_system(*iid_system(Fock(0), 1))
+        with pytest.raises(NumericalError, match="Nyquist"):
+            cf_product(marg, grid=Grid(x0=-8.0, dx=0.5, count=32))
 
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("mode", [CoherentEven(40.0), CoherentOdd(40.0)], ids=repr)
@@ -519,17 +504,14 @@ class TestCfAtScale:
         cf = cf_product(marg, grid=cm.grid)
         assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
 
-    def test_shares_no_fft_with_backend_one(self, monkeypatch):
+    def test_reads_no_marginal_grid(self):
+        # the same meta with every marginal value NaN: the closed forms alone make the output
         marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
         grid = common_grid(marg)
-        want = cf_product(marg, grid=grid).values
-
-        class NoFft:
-            def __getattr__(self, name):
-                raise AssertionError(f"backend two called np.fft.{name}")
-
-        monkeypatch.setattr(convolution.np, "fft", NoFft())
-        assert cf_product(marg, grid=grid).values.tobytes() == want.tobytes()
+        blank = [copy.copy(m) for m in marg]
+        for b in blank:
+            b.values = np.full(b.grid.count, np.nan)   # set after the constructor, which rejects NaN
+        assert cf_product(blank, grid=grid).values.tobytes() == cf_product(marg, grid=grid).values.tobytes()
 
     def test_marginal_without_mode_rejected(self):
         m = fock_marginal(1, 1.0, 0.0, 1.0)
