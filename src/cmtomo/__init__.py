@@ -41,7 +41,7 @@ from .states import (
     CoherentOdd,
     Fock,
     FockExpansion,
-    FrameSpec,
+    ModeGroup,
     ModeSpec,
     SystemSpec,
     energy,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from ._blas import one_blas_thread
-from .clt import CltReport, hbar_scan, lyapunov_ratio, n_scan, per_mode_moments
+from .clt import CltReport, hbar_scan, n_scan, summed_density
 from .config import (
     RawConfig,
     get_alphas,
@@ -34,12 +34,12 @@ from .config import (
     parse_frame,
     parse_system,
 )
-from .convolution import MC_SAMPLES_MAX, backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
+from .convolution import MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
-from .states import FOCK_LEVEL_MAX, Fock, fock_expansion
+from .states import FOCK_LEVEL_MAX, N_MAX, Fock, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -103,21 +103,21 @@ def _csv(header: list[str], columns: list[str], rows: list[str],
     return "\n".join(out) + "\n"
 
 
-def _single_mode(raw: RawConfig):
-    sys_spec = parse_system(raw)
+def _single_mode(raw: RawConfig, frame: bool):
+    sys_spec = parse_system(raw, frame)
     if sys_spec.n_modes != 1:
         raw.fail(raw.last_line("system", "mode"), f"this command needs exactly one mode, got {sys_spec.n_modes}")
     return sys_spec
 
 
 def cmd_marginal(raw: RawConfig, args) -> int:
-    sys_spec = _single_mode(raw)
-    frame = parse_frame(raw, 1, required=False)
-    mode, mu, nu = sys_spec.modes[0], frame.mu[0], frame.nu[0]
-    dens = marginal_density(mode, mu, nu, sys_spec.hbar)
+    sys_spec = _single_mode(raw, frame=True)
+    parse_frame(raw, sys_spec, required=False)
+    g = sys_spec.groups[0]
+    dens = marginal_density(g.mode, g.mu, g.nu, sys_spec.hbar)
     header = _header(raw, args, [
         f"mode {sys_spec.describe()}",
-        f"mu {_fmt(mu)} nu {_fmt(nu)} hbar {_fmt(sys_spec.hbar)}",
+        f"mu {_fmt(g.mu)} nu {_fmt(g.nu)} hbar {_fmt(sys_spec.hbar)}",
         f"rescale_factor {_fmt(dens.meta['rescale'])}",
         f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
     ])
@@ -128,25 +128,21 @@ def cmd_marginal(raw: RawConfig, args) -> int:
 
 def cmd_cm(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
-    frame = parse_frame(raw, sys_spec.n_modes)
-    marginals = marginals_for_system(sys_spec, frame)
-    pm = per_mode_moments(sys_spec, frame, marginals)
-    sigma2 = sum(m.var for m in pm)
-    s_n = lyapunov_ratio(pm)
-    cm = convolve_fft(marginals)
+    r, big_r = parse_frame(raw, sys_spec)
+    marginals, sigma2, s_n, cm = summed_density(sys_spec)
     columns = ["X", "density"]
     data = [cm.values]
     footer: list[str] = []
     if args.all_backends:
-        cf = cf_product(marginals, grid=cm.grid)
-        mc = sample_sum(sys_spec, frame, args.mc_samples, args.seed, marginals=marginals)
+        cf = cf_product(marginals, sys_spec.counts, grid=cm.grid)
+        mc = sample_sum(sys_spec, args.mc_samples, args.seed, marginals=marginals)
         agree = backend_agreement(cm, cf, mc)
         columns += ["density_cf", "density_mc"]
         data += [cf.values, agree["density_mc"]]
         footer = [f"{key} {_fmt(agree[key])}" for key in ("tv_fft_cf", "tv_fft_mc", "ks_fft_mc")]
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
-        f"frame {frame.describe()}",
+        f"frame {sys_spec.describe_frame(r, big_r)}",
         f"sigma2 {_fmt(sigma2)}",
         f"S_N {_fmt(s_n)}",
         f"clamped_mass {_fmt(cm.meta['clamped_mass'])}",
@@ -169,8 +165,8 @@ def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[str]:
 def cmd_clt_scan(raw: RawConfig, args) -> int:
     E = get_positive(raw, "scan", "E", required=True)
     n_list = get_int_list(raw, "scan", "N_list", default=[4, 8, 16, 32, 64])
-    if not n_list or min(n_list) < 1:
-        raw.fail(raw.last_line("scan", "N_list"), f"N_list entries must be at least 1, got {n_list}")
+    if not n_list or not all(1 <= n <= N_MAX for n in n_list):
+        raw.fail(raw.last_line("scan", "N_list"), f"N_list entries must lie in 1..N_MAX = {N_MAX}, got {n_list}")
     levels = get_int_list(raw, "scan", "n_pattern", default=[1])
     if not levels or not all(0 <= n <= FOCK_LEVEL_MAX for n in levels):
         raw.fail(raw.last_line("scan", "n_pattern"),
@@ -181,7 +177,7 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("scan", "theta"), f"theta must be finite, got {theta}")
     pairs = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta))
              for rho in rho_pattern]
-    # every point's FrameSpec needs r < mu^2 + nu^2 < R for each pair
+    # every point needs r < mu^2 + nu^2 < R for each pair
     r, big_r = get_frame_bounds(raw, "scan", [mu * mu + nu * nu for mu, nu in pairs], rho_pattern)
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)
     header = _header(raw, args, [f"scan fixed-energy E {_fmt(E)}"])
@@ -192,15 +188,15 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
 
 def cmd_hbar_scan(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
-    frame = parse_frame(raw, sys_spec.n_modes)
+    r, big_r = parse_frame(raw, sys_spec)
     hbar_list = get_positive_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
     if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
         raw.fail(raw.last_line("scan", "hbar_list"), f"hbar_list must be strictly decreasing, got {hbar_list}")
     epsilon = get_positive(raw, "scan", "epsilon", default=0.1)
-    reports = hbar_scan(sys_spec, frame, hbar_list, epsilon)
+    reports = hbar_scan(sys_spec, hbar_list, epsilon, r, big_r)
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
-        f"frame {frame.describe()}",
+        f"frame {sys_spec.describe_frame(r, big_r)}",
         f"epsilon {_fmt(epsilon)}",
     ])
     columns = ["hbar", "sigma2", "mass_in_epsilon", "gaussian_predicted_mass"]
@@ -213,8 +209,8 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
 # a core.  The other commands multiply no matrices and keep its threads.
 @one_blas_thread()
 def cmd_reconstruct(raw: RawConfig, args) -> int:
-    sys_spec = _single_mode(raw)
-    mode = sys_spec.modes[0]
+    sys_spec = _single_mode(raw, frame=False)
+    mode = sys_spec.groups[0].mode
     hbar = sys_spec.hbar
     # every quadrature size follows from dim and hbar; a key that set one
     # before is named, not silently ignored

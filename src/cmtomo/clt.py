@@ -15,7 +15,7 @@ import numpy as np
 
 from .convolution import convolve_fft, cumulative_trapezoid, marginals_for_system
 from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, fock_var_closed, moments
-from .states import Fock, FrameSpec, SystemSpec, energy, hbar_for_fixed_energy
+from .states import Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy
 
 
 @dataclass(frozen=True)
@@ -40,43 +40,44 @@ class HbarReport(CltReport):
     gaussian_mass: float
 
 
-def lyapunov_ratio(per_mode_moments: list[Moments]) -> float:
-    """(sum_j E|x_j|^3) / (sum_j Var x_j)^{3/2}."""
+def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
+    """(sum_j E|x_j|^3) / (sum_j Var x_j)^{3/2}, counts[g] modes sharing moments g."""
     var_total = 0.0
     abs3_total = 0.0
-    for m in per_mode_moments:
+    for m, count in zip(per_mode_moments, counts, strict=True):
         if not m.var > 0:
             raise ValueError("every per-mode variance must be positive")
-        var_total += m.var
-        abs3_total += m.abs3
+        var_total += count * m.var
+        abs3_total += count * m.abs3
     return abs3_total / var_total ** 1.5
 
 
-def per_mode_moments(sys: SystemSpec, frame: FrameSpec,
-                     marginals=None) -> list[Moments]:
-    """Mean/variance/absolute third moment per mode.
+def per_mode_moments(sys: SystemSpec, marginals=None) -> list[Moments]:
+    """Mean/variance/absolute third moment of each group's mode, in group order.
 
     Number states use the closed variance and the exact dimensionless
     third moment; superposition modes use grid quadrature of their
-    density (the trusted oracle path).  Each distinct (mode, mu, nu) is
-    evaluated once; repeated modes share one Moments object.
+    density (the trusted oracle path), from marginals_for_system's list.
     """
-    computed: dict = {}
     out = []
-    for i, key in enumerate(zip(sys.modes, frame.mu, frame.nu)):
-        if key not in computed:
-            mode, mu, nu = key
-            if isinstance(mode, Fock):
-                s3 = (sys.hbar * (mu * mu + nu * nu)) ** 1.5
-                computed[key] = Moments(mean=0.0,
-                                        var=fock_var_closed(mode.n, mu, nu, sys.hbar),
-                                        abs3=s3 * fock_abs3_dimensionless(mode.n))
-            else:
-                if marginals is None:
-                    marginals = marginals_for_system(sys, frame)
-                computed[key] = moments(marginals[i])
-        out.append(computed[key])
+    for i, g in enumerate(sys.groups):
+        if isinstance(g.mode, Fock):
+            s3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5
+            out.append(Moments(mean=0.0, var=fock_var_closed(g.mode.n, g.mu, g.nu, sys.hbar),
+                               abs3=s3 * fock_abs3_dimensionless(g.mode.n)))
+        else:
+            if marginals is None:
+                marginals = marginals_for_system(sys)
+            out.append(moments(marginals[i]))
     return out
+
+
+def summed_density(sys: SystemSpec) -> tuple[list[MarginalDensity], float, float, MarginalDensity]:
+    """The marginals, sigma^2 = sum_j Var x_j, S_N and the FFT density of the sum."""
+    marginals = marginals_for_system(sys)
+    pm = per_mode_moments(sys, marginals)
+    sigma2 = float(sum(count * m.var for m, count in zip(pm, sys.counts)))
+    return marginals, sigma2, lyapunov_ratio(pm, sys.counts), convolve_fft(marginals, sys.counts)
 
 
 def gaussian_distance(d: MarginalDensity, sigma2: float) -> dict:
@@ -114,12 +115,13 @@ def gaussian_mass_within(sigma2: float, epsilon: float) -> float:
     return math.erf(epsilon / math.sqrt(2.0 * sigma2))
 
 
-def _report_for(sys: SystemSpec, frame: FrameSpec) -> tuple[CltReport, MarginalDensity]:
-    marginals = marginals_for_system(sys, frame)
-    pm = per_mode_moments(sys, frame, marginals)
-    s_n = lyapunov_ratio(pm)
-    sigma2 = float(sum(m.var for m in pm))
-    cm = convolve_fft(marginals)
+def _report_for(sys: SystemSpec, r: float, R: float) -> tuple[CltReport, MarginalDensity]:
+    """One scan point, once every frame radius mu^2 + nu^2 is checked to lie in (r, R), r > 0."""
+    for g in sys.groups:
+        rho = g.mu * g.mu + g.nu * g.nu
+        if not 0 < r < rho < R:
+            raise ValueError(f"need 0 < r < mu^2+nu^2 < R, got r = {r:.6g}, {rho:.6g}, R = {R:.6g}")
+    _, sigma2, s_n, cm = summed_density(sys)
     dist = gaussian_distance(cm, sigma2)
     e_total = energy(sys)
     report = CltReport(
@@ -127,16 +129,12 @@ def _report_for(sys: SystemSpec, frame: FrameSpec) -> tuple[CltReport, MarginalD
         hbar=sys.hbar,
         S_N=s_n,
         sigma2=sigma2,
-        rE=frame.r * e_total,
-        RE=frame.R * e_total,
+        rE=r * e_total,
+        RE=R * e_total,
         ks_distance=dist["ks"],
         tv_distance=dist["tv"],
     )
     return report, cm
-
-
-def _cycle(pattern, N):
-    return [pattern[i % len(pattern)] for i in range(N)]
 
 
 def n_scan(modes_schedule, frame_schedule, E: float, N_list,
@@ -145,38 +143,38 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
 
     modes_schedule: cycled pattern of number-state levels (bounded sup).
     frame_schedule: cycled pattern of (mu, nu) pairs with r < mu^2+nu^2 < R.
-    For each N the scale is hbar = E / (N/2 + sum n_i), the unique value
-    holding the total energy at E.
+    Mode i takes level i mod L and frame i mod P, so a point holds at most
+    lcm(L, P) groups, whatever N.  For each N the scale is
+    hbar = E / (N/2 + sum n_i), the unique value holding the total energy at E.
     """
     levels = [int(n) for n in modes_schedule]
     pairs = [(float(m), float(n)) for (m, n) in frame_schedule]
+    period = math.lcm(len(levels), len(pairs))
 
     def point(N: int) -> CltReport:
-        modes = tuple(Fock(n) for n in _cycle(levels, N))
-        hbar = hbar_for_fixed_energy(E, modes)
-        sys = SystemSpec(modes=modes, hbar=hbar)
-        mus, nus = zip(*_cycle(pairs, N))
-        frame = FrameSpec(mu=mus, nu=nus, r=r, R=R)
-        return _report_for(sys, frame)[0]
+        groups = [ModeGroup(Fock(levels[i % len(levels)]), *pairs[i % len(pairs)],
+                            count=N // period + (i < N % period))
+                  for i in range(min(N, period))]
+        sys = SystemSpec(groups, hbar_for_fixed_energy(E, groups))
+        return _report_for(sys, r, R)[0]
 
     return [point(N) for N in N_list]
 
 
-def hbar_scan(sys_base: SystemSpec, frame: FrameSpec, hbar_list,
-              epsilon: float) -> list[HbarReport]:
+def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float,
+              r: float, R: float) -> list[HbarReport]:
     """Classical-limit scan: recompute everything at each hbar.
 
     hbar_list must be strictly decreasing; the reported mass inside
     [-epsilon, epsilon] then grows toward one as the summed variance
-    (linear in hbar) collapses.
+    (linear in hbar) collapses.  Every frame radius lies in (r, R).
     """
     values = [float(h) for h in hbar_list]
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("hbar_list must be strictly decreasing")
 
     def point(hbar: float) -> HbarReport:
-        sys = SystemSpec(modes=sys_base.modes, hbar=hbar)
-        report, cm = _report_for(sys, frame)
+        report, cm = _report_for(SystemSpec(sys_base.groups, hbar), r, R)
         return HbarReport(**vars(report), mass_in_epsilon=mass_within(cm, epsilon),
                           gaussian_mass=gaussian_mass_within(report.sigma2, epsilon))
 

@@ -8,7 +8,7 @@ Grammar (documented in the README):
   and 'frame' keys accumulate in order, every other repeated key keeps
   the last assignment,
 * mode lines: 'mode = fock N', 'mode = even RE IM', 'mode = odd RE IM',
-  with an optional trailing 'xCOUNT' repetition suffix,
+  with an optional trailing 'xCOUNT' suffix, the group's mode count,
 * list values are whitespace-separated numbers.
 
 Each input rule is written once, here, and every section it serves
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .states import CoherentEven, CoherentOdd, Fock, FrameSpec, ModeSpec, SystemSpec
+from .states import N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, ModeSpec, SystemSpec
 
 
 @dataclass
@@ -202,7 +202,8 @@ def get_frame_bounds(raw: RawConfig, section: str, radii: list[float], nominal: 
     return r, big_r
 
 
-def _parse_mode(raw: RawConfig, value: str, lineno: int) -> list[ModeSpec]:
+def _parse_mode(raw: RawConfig, value: str, lineno: int) -> tuple[ModeSpec, int]:
+    """(mode, count) of one mode line."""
     tokens = value.split()
     count = 1
     if tokens and tokens[-1].lower().startswith("x") and tokens[-1][1:].isdigit():
@@ -229,41 +230,48 @@ def _parse_mode(raw: RawConfig, value: str, lineno: int) -> list[ModeSpec]:
         raise
     except ValueError as exc:
         raw.fail(lineno, f"invalid mode line: {exc}")
-    return [mode] * count
-
-
-def parse_system(raw: RawConfig) -> SystemSpec:
-    if "system" not in raw.sections:
-        raise ConfigError(f"{raw.source}: missing [system] section")
-    modes: list[ModeSpec] = []
-    for value, lineno in raw.all("system", "mode"):
-        modes.extend(_parse_mode(raw, value, lineno))
-    if not modes:
-        raise ConfigError(f"{raw.source}: [system] needs at least one mode line")
-    return SystemSpec(modes=tuple(modes), hbar=get_positive(raw, "system", "hbar", default=1.0))
+    return mode, count
 
 
 def _frame_list(raw: RawConfig, key: str, default: float, n_modes: int) -> list[float]:
-    """[frame] mu or nu, one finite value broadcast or one per mode."""
+    """[frame] mu or nu: one finite value, broadcast, or one per mode."""
     values = get_float_list(raw, "frame", key, default=[default])
-    if len(values) == 1:
-        values = values * n_modes
-    if len(values) != n_modes:
+    if len(values) not in (1, n_modes):
         raw.fail(raw.last_line("frame", key), f"frame {key} must have 1 or {n_modes} entries, got {len(values)}")
     if not all(math.isfinite(v) for v in values):
         raw.fail(raw.last_line("frame", key), f"frame {key} entries must be finite, got {values}")
     return values
 
 
-def parse_frame(raw: RawConfig, n_modes: int, required: bool = True) -> FrameSpec:
-    """[frame], each key defaulted: mu 1, nu 0 and the bounds of
-    get_frame_bounds.  Without the section the defaults hold, unless it is
-    required."""
+def parse_system(raw: RawConfig, frame: bool = True) -> SystemSpec:
+    """[system] mode lines, one group each, on the [frame] directions, which
+    are not read without frame (every mode then lies on mu 1, nu 0)."""
+    if "system" not in raw.sections:
+        raise ConfigError(f"{raw.source}: missing [system] section")
+    lines: list[tuple[ModeSpec, int]] = []
+    n_modes = 0
+    for value, lineno in raw.all("system", "mode"):
+        lines.append(_parse_mode(raw, value, lineno))
+        n_modes += lines[-1][1]
+        if n_modes > N_MAX:
+            raw.fail(lineno, f"the mode lines hold more than N_MAX = {N_MAX} modes")
+    if not lines:
+        raise ConfigError(f"{raw.source}: [system] needs at least one mode line")
+    hbar = get_positive(raw, "system", "hbar", default=1.0)
+    mu = _frame_list(raw, "mu", 1.0, n_modes) if frame else [1.0]
+    nu = _frame_list(raw, "nu", 0.0, n_modes) if frame else [0.0]
+    if len(mu) == len(nu) == 1:
+        return SystemSpec(tuple(ModeGroup(mode, mu[0], nu[0], count) for mode, count in lines), hbar)
+    modes = [mode for mode, count in lines for _ in range(count)]
+    return SystemSpec.from_modes(modes, mu * (n_modes // len(mu)), nu * (n_modes // len(nu)), hbar)
+
+
+def parse_frame(raw: RawConfig, sys_spec: SystemSpec, required: bool = True) -> tuple[float, float]:
+    """The bounds (r, R) of [frame], by the rule of get_frame_bounds over
+    the system's frame radii, each of which must be positive and finite.
+    Without the section the defaults hold, unless it is required."""
     if required and "frame" not in raw.sections:
         raise ConfigError(f"{raw.source}: missing [frame] section")
-    mu = _frame_list(raw, "mu", 1.0, n_modes)
-    nu = _frame_list(raw, "nu", 0.0, n_modes)
     line = max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
-    rhos = [_frame_radius(raw, m, n, line, f"at mode {i}") for i, (m, n) in enumerate(zip(mu, nu))]
-    r, big_r = get_frame_bounds(raw, "frame", rhos, rhos)
-    return FrameSpec(mu=tuple(mu), nu=tuple(nu), r=r, R=big_r)
+    rhos = [_frame_radius(raw, g.mu, g.nu, line, f"(mu, nu) = ({g.mu:g}, {g.nu:g})") for g in sys_spec.groups]
+    return get_frame_bounds(raw, "frame", rhos, rhos)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalError
 from .marginals import (_MAX_GRID, Grid, MarginalDensity, centered_grid, char_function, char_function_reach,
                         grid_policy, marginal_density, moments)
-from .states import FrameSpec, SystemSpec
+from .states import SystemSpec
 
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
@@ -30,48 +30,31 @@ _MC_CHUNK = 2 ** 15
 MC_SAMPLES_MAX = 2 ** 27
 
 
-def marginals_for_system(sys: SystemSpec, frame: FrameSpec) -> list[MarginalDensity]:
-    """One gridded tomogram per mode, in mode order; identical (mode, frame)
-    pairs share one object.
+def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
+    """One gridded tomogram per mode group, in group order.
 
-    All grids share the finest per-mode policy spacing on a common
+    All grids share the finest per-group policy spacing on a common
     lattice, so downstream resampling onto the convolution grid is
     lossless.
     """
-    if len(frame.mu) != sys.n_modes:
-        raise ValueError("frame length must match the number of modes")
-    keys = [(sys.modes[i], frame.mu[i], frame.nu[i]) for i in range(sys.n_modes)]
-    distinct = list(dict.fromkeys(keys))
-    policies = {k: grid_policy(k[0], k[1], k[2], sys.hbar) for k in distinct}
-    dx = min(p[1] for p in policies.values())
-    built = {}
-    for key in distinct:
-        mode, mu, nu = key
-        built[key] = marginal_density(mode, mu, nu, sys.hbar, grid=centered_grid(policies[key][0], dx))
-    return [built[k] for k in keys]
+    policies = [grid_policy(g.mode, g.mu, g.nu, sys.hbar) for g in sys.groups]
+    dx = min(p[1] for p in policies)
+    return [marginal_density(g.mode, g.mu, g.nu, sys.hbar, grid=centered_grid(half, dx))
+            for g, (half, _) in zip(sys.groups, policies)]
 
 
-def _distinct(marginals: list[MarginalDensity]) -> list[tuple[MarginalDensity, int]]:
-    """(marginal, count) per distinct object, in first-appearance order."""
-    groups: dict[int, list] = {}
-    for m in marginals:
-        groups.setdefault(id(m), [m, 0])[1] += 1
-    return [(m, count) for m, count in groups.values()]
-
-
-def common_grid(marginals: list[MarginalDensity], max_count: int = _MAX_GRID) -> Grid:
+def common_grid(marginals: list[MarginalDensity], counts: list[int], max_count: int = _MAX_GRID) -> Grid:
     """Output grid covering the sum: total mean +- 8 total sigma.
 
     The spacing is the finest marginal spacing, so marginals produced by
     the default grid policy land exactly on output nodes and resampling
-    is lossless.  Moments are taken once per distinct marginal and
-    weighted by its count.
+    is lossless.  Moments are taken once per marginal and weighted by
+    its count.
     """
-    groups = _distinct(marginals)
-    stats = [(moments(m), count) for m, count in groups]
-    mean = sum(count * s.mean for s, count in stats)
-    sigma = math.sqrt(sum(count * s.var for s, count in stats))
-    dx = min(m.grid.dx for m, _ in groups)
+    stats = [moments(m) for m in marginals]
+    mean = sum(count * s.mean for s, count in zip(stats, counts, strict=True))
+    sigma = math.sqrt(sum(count * s.var for s, count in zip(stats, counts)))
+    dx = min(m.grid.dx for m in marginals)
     half = abs(mean) + 8.0 * sigma
     return centered_grid(half, dx, max_count=max_count)
 
@@ -111,25 +94,25 @@ def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
     return f
 
 
-def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> MarginalDensity:
-    """Spectral convolution of the marginals on a shared centered grid.
+def convolve_fft(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None = None) -> MarginalDensity:
+    """Spectral convolution of counts[i] copies of each marginals[i] on a shared centered grid.
 
-    Each distinct marginal is resampled once and zero-padded to twice
-    the output length.  Its spectrum is scaled by dx, so every factor is
-    a discrete characteristic function bounded near one, and raised to
-    the marginal's count (`_raise_to`), so the product cannot overflow
-    at any N.  The cost is one resample and one rfft of length 2 count
-    per distinct marginal, whatever the number of modes.  `_inverse`
-    takes the product back, failing on more than 1e-9 of clamped mass.
+    Each marginal is resampled once and zero-padded to twice the output
+    length.  Its spectrum is scaled by dx, so every factor is a discrete
+    characteristic function bounded near one, and raised to its count
+    (`_raise_to`), so the product cannot overflow at any N.  The cost is
+    one resample and one rfft of length 2 count per marginal, whatever
+    the number of modes.  `_inverse` takes the product back, failing on
+    more than 1e-9 of clamped mass.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
     if grid is None:
-        grid = common_grid(marginals)
+        grid = common_grid(marginals, counts)
     count = grid.count
     g = np.zeros(2 * count)
     spec = None
-    for m, repeats in _distinct(marginals):
+    for m, repeats in zip(marginals, counts, strict=True):
         g[count // 2: 3 * count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
         f = np.fft.rfft(np.fft.ifftshift(g))
         f *= grid.dx
@@ -138,10 +121,10 @@ def convolve_fft(marginals: list[MarginalDensity], grid: Grid | None = None) -> 
             spec = f
         else:
             spec *= f
-    return _inverse(spec, grid, 1e-9, "fft", len(marginals))
+    return _inverse(spec, grid, 1e-9)
 
 
-def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float, backend: str, n_modes: int) -> MarginalDensity:
+def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensity:
     """The density on a centered grid whose characteristic function E e^{-i k X}
     is spec at k_j = 2 pi j / (2 count dx), j = 0..count.
 
@@ -157,8 +140,7 @@ def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float, backend: str, n_m
         raise NumericalError(f"clamped negative mass {clamped:.3e} exceeds {clamp_limit}")
     out = np.clip(out, 0.0, None)
     out /= np.trapezoid(out, dx=grid.dx)
-    meta = {"backend": backend, "clamped_mass": clamped, "n_modes": n_modes}
-    return MarginalDensity(grid=grid, values=out, meta=meta)
+    return MarginalDensity(grid=grid, values=out, meta={"clamped_mass": clamped})
 
 
 def _mode_args(m: MarginalDensity) -> tuple:
@@ -169,11 +151,11 @@ def _mode_args(m: MarginalDensity) -> tuple:
     return meta["mode"], meta["mu"], meta["nu"], meta["hbar"]
 
 
-def _cf_product_at(groups: list[tuple[MarginalDensity, int]], ks: np.ndarray) -> np.ndarray:
+def _cf_product_at(marginals: list[MarginalDensity], counts: list[int], ks: np.ndarray) -> np.ndarray:
     """Product of the closed-form characteristic functions at ks, one
-    evaluation per distinct marginal raised to its count."""
+    evaluation per marginal raised to its count."""
     total = np.ones(len(ks))
-    for m, repeats in groups:
+    for m, repeats in zip(marginals, counts, strict=True):
         total *= _raise_to(char_function(*_mode_args(m), ks), repeats)
     return total
 
@@ -188,12 +170,12 @@ def cf_grid_for(grid: Grid) -> Grid:
     return Grid(x0=-grid.count * dk, dx=dk, count=2 * grid.count)
 
 
-def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> MarginalDensity:
+def cf_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None = None) -> MarginalDensity:
     """Backend two: product of closed-form characteristic functions, inverted on a lattice.
 
     Independence makes the characteristic function of the sum the
-    pointwise product of the modes' `char_function`s, one per distinct
-    marginal raised to its count; no marginal grid is read.  The product
+    pointwise product of the modes' `char_function`s, one per marginal
+    raised to its count; no marginal grid is read.  The product
     is real and even in k, and below _CF_FLOOR past the smallest
     `char_function_reach`, every factor being at most one in modulus.
     It is evaluated up to that reach on the k >= 0 nodes of the
@@ -204,10 +186,9 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ma
     if not marginals:
         raise ValueError("need at least one marginal")
     if grid is None:
-        grid = common_grid(marginals)
+        grid = common_grid(marginals, counts)
     k_grid = cf_grid_for(grid)
-    groups = _distinct(marginals)
-    reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m, _ in groups)
+    reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m in marginals)
     nyquist = k_grid.dx * grid.count
     if reach > nyquist:
         raise NumericalError(f"characteristic function reaches k = {reach:.6g}, past the output grid's "
@@ -215,8 +196,8 @@ def cf_product(marginals: list[MarginalDensity], grid: Grid | None = None) -> Ma
     # past the reach the product is below _CF_FLOOR and is left at 0
     ks = k_grid.dx * np.arange(min(int(reach / k_grid.dx) + 1, grid.count) + 1)
     spec = np.zeros(grid.count + 1)
-    spec[:len(ks)] = _cf_product_at(groups, ks)
-    return _inverse(spec, grid, 1e-6, "cf", len(marginals))
+    spec[:len(ks)] = _cf_product_at(marginals, counts, ks)
+    return _inverse(spec, grid, 1e-6)
 
 
 def _mode_stream(seed: int, index: int) -> np.random.Generator:
@@ -260,33 +241,32 @@ def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray):
     return invert
 
 
-def sample_sum(sys: SystemSpec, frame: FrameSpec, n_samples: int, seed: int,
+def sample_sum(sys: SystemSpec, n_samples: int, seed: int,
                marginals: list[MarginalDensity] | None = None) -> np.ndarray:
     """Backend three: n_samples draws of the summed observable.
 
     Each mode draws through the inverse CDF of its gridded tomogram
     (cumulative trapezoid, linear inverse) from its own counter-based
-    substream.  One guide table is built per distinct marginal object
-    (`_inverse_cdf`).  The sample indices are cut into blocks of
-    _MC_CHUNK draws, so the lookup temporaries stay in cache, and the
-    blocks into one contiguous run per worker thread: one worker per
-    CPU this process may run on, at most one per block.  A worker jumps
-    each mode's stream to the start of its run and adds the modes in
-    mode order, so every draw and every sum is the same, bit for bit,
-    for any worker count.  numpy releases the interpreter lock in the
-    draws and in most of the lookups' array operations.
+    substream; mode i is the i-th in group order.  One guide table is
+    built per group (`_inverse_cdf`).  The sample indices are cut into
+    blocks of _MC_CHUNK draws, so the lookup temporaries stay in cache,
+    and the blocks into one contiguous run per worker thread: one worker
+    per CPU this process may run on, at most one per block.  A worker
+    jumps each mode's stream to the start of its run and adds the modes
+    in order, so every draw and every sum is the same, bit for bit, for
+    any worker count.  numpy releases the interpreter lock in the draws
+    and in most of the lookups' array operations.
     """
     if not 0 < n_samples <= MC_SAMPLES_MAX:
         raise ValueError(f"sample count must lie in 1..{MC_SAMPLES_MAX}, got {n_samples}")
     if marginals is None:
-        marginals = marginals_for_system(sys, frame)
+        marginals = marginals_for_system(sys)
     out = np.zeros(n_samples)
-    inverses = {}
-    for m, _ in _distinct(marginals):
+    order = []
+    for m, count in zip(marginals, sys.counts, strict=True):
         cdf = cumulative_trapezoid(m.values, m.grid.dx)
         cdf /= cdf[-1]
-        inverses[id(m)] = _inverse_cdf(cdf, m.grid.xs)
-    order = [inverses[id(m)] for m in marginals]
+        order += [_inverse_cdf(cdf, m.grid.xs)] * count
     failed = []
 
     def run(lo: int, hi: int) -> None:

@@ -31,6 +31,9 @@ ALPHA_MAX = 1e5
 # Highest supported Fock level: the Hermite and Laguerre recurrences are
 # checked against high-precision values up to it.
 FOCK_LEVEL_MAX = 1000
+# Largest supported mode count.  No numerical layer's cost grows with N;
+# the header text and the Monte-Carlo streams, one per mode, do.
+N_MAX = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -81,60 +84,73 @@ ModeSpec = Union[Fock, CoherentEven, CoherentOdd]
 
 
 @dataclass(frozen=True)
-class SystemSpec:
-    """An ordered product of independent single-mode states."""
+class ModeGroup:
+    """count independent copies of one mode, each measured along mu x + nu p."""
 
-    modes: tuple
-    hbar: float
+    mode: ModeSpec
+    mu: float
+    nu: float
+    count: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if len(self.modes) == 0:
-            raise ValueError("a system needs at least one mode")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError("hbar must be positive and finite")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise ValueError(f"a mode group needs a positive integer count, got {self.count!r}")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
 
-    def describe(self) -> str:
-        parts = []
-        for m in self.modes:
-            if isinstance(m, Fock):
-                parts.append(f"fock {m.n}")
-            else:
-                parts.append(f"{m.parity} {m.alpha.real:.17g} {m.alpha.imag:.17g}")
-        return f"hbar={self.hbar:.17g}; " + "; ".join(parts)
+def _mode_text(mode: ModeSpec) -> str:
+    if isinstance(mode, Fock):
+        return f"fock {mode.n}"
+    return f"{mode.parity} {mode.alpha.real:.17g} {mode.alpha.imag:.17g}"
 
 
 @dataclass(frozen=True)
-class FrameSpec:
-    """Per-mode quadrature directions (mu_i, nu_i) with radius bounds r, R."""
+class SystemSpec:
+    """A product of independent single-mode states, as a multiset of groups:
+    equal (mode, mu, nu) merge into the first of them, in first-appearance order."""
 
-    mu: tuple
-    nu: tuple
-    r: float
-    R: float
+    groups: tuple
+    hbar: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
-        object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
-        if len(self.mu) != len(self.nu):
-            raise ValueError("mu and nu must have the same length")
-        if not (0 < self.r < self.R):
-            raise ValueError("need 0 < r < R")
-        for i, (m, n) in enumerate(zip(self.mu, self.nu)):
-            rho = m * m + n * n
-            if not (self.r < rho < self.R):
-                raise ValueError(
-                    f"frame radius mu^2+nu^2 = {rho:.6g} at mode {i} outside ({self.r:.6g}, {self.R:.6g})"
-                )
+        merged: dict = {}
+        for g in self.groups:
+            key = (g.mode, g.mu, g.nu)
+            merged[key] = merged.get(key, 0) + g.count
+        object.__setattr__(self, "groups", tuple(ModeGroup(*key, count) for key, count in merged.items()))
+        if not self.groups:
+            raise ValueError("a system needs at least one mode")
+        if self.n_modes > N_MAX:
+            raise ValueError(f"a system holds at most N_MAX = {N_MAX} modes, got {self.n_modes}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be positive and finite")
+
+    @classmethod
+    def from_modes(cls, modes, mu, nu, hbar: float) -> "SystemSpec":
+        """The system of per-mode sequences: mode i measured along mu[i] x + nu[i] p."""
+        modes, mu, nu = tuple(modes), tuple(mu), tuple(nu)
+        if not len(modes) == len(mu) == len(nu):
+            raise ValueError("modes, mu and nu must have the same length")
+        return cls(tuple(ModeGroup(*key) for key in zip(modes, mu, nu)), hbar)
+
+    @property
+    def n_modes(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def counts(self) -> list[int]:
+        return [g.count for g in self.groups]
+
+    def _per_mode(self, text, sep: str) -> str:
+        """text(group) once per mode, in group order, joined by sep."""
+        return sep.join(sep.join([text(g)] * g.count) for g in self.groups)
 
     def describe(self) -> str:
-        mus = " ".join(f"{v:.17g}" for v in self.mu)
-        nus = " ".join(f"{v:.17g}" for v in self.nu)
-        return f"mu={mus}; nu={nus}; r={self.r:.17g}; R={self.R:.17g}"
+        return f"hbar={self.hbar:.17g}; " + self._per_mode(lambda g: _mode_text(g.mode), "; ")
+
+    def describe_frame(self, r: float, R: float) -> str:
+        mus = self._per_mode(lambda g: f"{g.mu:.17g}", " ")
+        nus = self._per_mode(lambda g: f"{g.nu:.17g}", " ")
+        return f"mu={mus}; nu={nus}; r={r:.17g}; R={R:.17g}"
 
 
 @dataclass
@@ -254,16 +270,12 @@ def mode_mean_occupation(mode: ModeSpec) -> float:
 
 def energy(sys: SystemSpec) -> float:
     """Total oscillator energy hbar * sum_i (1/2 + <n>_i)."""
-    occ = sum(mode_mean_occupation(m) for m in sys.modes)
-    return sys.hbar * (0.5 * sys.n_modes + occ)
+    return sys.hbar * (0.5 * sys.n_modes + sum(g.count * mode_mean_occupation(g.mode) for g in sys.groups))
 
 
-def hbar_for_fixed_energy(E: float, modes) -> float:
-    """The unique hbar giving total energy E: every <n>_i is independent of
-    hbar, so hbar = E / sum_i (1/2 + <n>_i)."""
+def hbar_for_fixed_energy(E: float, groups) -> float:
+    """The unique hbar giving mode groups total energy E: every <n>_i is
+    independent of hbar, so hbar = E / sum_i (1/2 + <n>_i)."""
     if E <= 0:
         raise ValueError("energy must be positive")
-    modes = tuple(modes)
-    if not modes:
-        raise ValueError("need at least one mode")
-    return E / (0.5 * len(modes) + sum(mode_mean_occupation(m) for m in modes))
+    return E / energy(SystemSpec(tuple(groups), 1.0))

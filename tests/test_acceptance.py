@@ -24,7 +24,7 @@ from cmtomo.marginals import (
 )
 from cmtomo.reconstruct import fidelity, reconstruct_single_mode
 from cmtomo.report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, fock_expansion
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, SystemSpec, fock_expansion
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -34,8 +34,9 @@ def report(criterion, ok, elapsed, detail=""):
     print(f"criterion {criterion}: {status} ({elapsed:.1f} s) {detail}")
 
 
-def iid_frame(N, mu=1.0, nu=0.0, r=0.5, R=2.0):
-    return FrameSpec(mu=(mu,) * N, nu=(nu,) * N, r=r, R=R)
+def system(modes, hbar, mu=None, nu=None):
+    """A system of modes, on the frames mu, nu (default: each along x)."""
+    return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
 
 
 def test_criterion_1_fock_normalization_and_variance():
@@ -63,11 +64,10 @@ def test_criterion_1_fock_normalization_and_variance():
 def test_criterion_2_lyapunov_ratio_hbar_invariance():
     t0 = time.time()
     modes = (Fock(0), Fock(1), Fock(3), Fock(2), Fock(1), Fock(0), Fock(2), Fock(5))
-    frame = FrameSpec(mu=(1.0, 0.6, 0.0, 0.8, 1.2, 0.9, -1.0, 0.7),
-                      nu=(0.0, 0.8, 1.0, -0.7, 0.3, 0.9, 0.5, -0.9),
-                      r=0.3, R=3.0)
-    values = [lyapunov_ratio(per_mode_moments(SystemSpec(modes=modes, hbar=h), frame))
-              for h in (10.0, 1.0, 0.01)]
+    mu = [1.0, 0.6, 0.0, 0.8, 1.2, 0.9, -1.0, 0.7]
+    nu = [0.0, 0.8, 1.0, -0.7, 0.3, 0.9, 0.5, -0.9]
+    systems = [system(modes, h, mu, nu) for h in (10.0, 1.0, 0.01)]
+    values = [lyapunov_ratio(per_mode_moments(s), s.counts) for s in systems]
     spread = max(abs(v / values[1] - 1.0) for v in values)
     elapsed = time.time() - t0
     ok = spread < 1e-12
@@ -93,19 +93,16 @@ def test_criterion_3_fixed_energy_clt_scan():
 
 
 BACKEND_MATRIX = [
-    (SystemSpec(modes=(Fock(0),) * 2, hbar=1.0), iid_frame(2)),
-    (SystemSpec(modes=(Fock(0), Fock(1), Fock(2)), hbar=1.0), iid_frame(3)),
-    (SystemSpec(modes=(Fock(1),) * 8, hbar=0.5), iid_frame(8)),
-    (SystemSpec(modes=(Fock(3), Fock(0), Fock(2), Fock(5)), hbar=1.0),
-     FrameSpec(mu=(1.0, 0.6, 0.0, -0.8), nu=(0.0, 0.8, 1.0, 0.6), r=0.5, R=2.0)),
-    (SystemSpec(modes=(CoherentEven(1.0),), hbar=1.0), iid_frame(1)),
-    (SystemSpec(modes=(CoherentOdd(1.0),), hbar=1.0), iid_frame(1, mu=0.0, nu=1.0)),
-    (SystemSpec(modes=(CoherentEven(2.0), CoherentOdd(1.5)), hbar=1.0),
-     FrameSpec(mu=(0.0, 1.0), nu=(1.0, 0.0), r=0.5, R=2.0)),
-    (SystemSpec(modes=(CoherentEven(1 + 0.5j),) * 4, hbar=0.7), iid_frame(4)),
-    (SystemSpec(modes=(Fock(1), CoherentEven(1.0), CoherentOdd(0.8), Fock(0)), hbar=1.0),
-     FrameSpec(mu=(1.0, 0.6, 0.0, -0.8), nu=(0.0, 0.8, 1.0, 0.6), r=0.5, R=2.0)),
-    (SystemSpec(modes=(Fock(2), Fock(2), Fock(2), CoherentEven(0.5)), hbar=2.0), iid_frame(4)),
+    system((Fock(0),) * 2, 1.0),
+    system((Fock(0), Fock(1), Fock(2)), 1.0),
+    system((Fock(1),) * 8, 0.5),
+    system((Fock(3), Fock(0), Fock(2), Fock(5)), 1.0, [1.0, 0.6, 0.0, -0.8], [0.0, 0.8, 1.0, 0.6]),
+    system((CoherentEven(1.0),), 1.0),
+    system((CoherentOdd(1.0),), 1.0, [0.0], [1.0]),
+    system((CoherentEven(2.0), CoherentOdd(1.5)), 1.0, [0.0, 1.0], [1.0, 0.0]),
+    system((CoherentEven(1 + 0.5j),) * 4, 0.7),
+    system((Fock(1), CoherentEven(1.0), CoherentOdd(0.8), Fock(0)), 1.0, [1.0, 0.6, 0.0, -0.8], [0.0, 0.8, 1.0, 0.6]),
+    system((Fock(2), Fock(2), Fock(2), CoherentEven(0.5)), 2.0),
 ]
 
 
@@ -114,11 +111,11 @@ def test_criterion_4_backend_agreement():
     worst_tv = 0.0
     worst_ks = 0.0
     worst_mc_tv = 0.0
-    for idx, (sys_spec, frame) in enumerate(BACKEND_MATRIX):
-        marg = marginals_for_system(sys_spec, frame)
-        cm = convolve_fft(marg)
-        cf = cf_product(marg, grid=cm.grid)
-        samples = sample_sum(sys_spec, frame, 10 ** 6, seed=1000 + idx, marginals=marg)
+    for idx, sys_spec in enumerate(BACKEND_MATRIX):
+        marg = marginals_for_system(sys_spec)
+        cm = convolve_fft(marg, sys_spec.counts)
+        cf = cf_product(marg, sys_spec.counts, grid=cm.grid)
+        samples = sample_sum(sys_spec, 10 ** 6, seed=1000 + idx, marginals=marg)
         agree = backend_agreement(cm, cf, samples)
         worst_tv = max(worst_tv, agree["tv_fft_cf"])
         worst_ks = max(worst_ks, agree["ks_fft_mc"])
@@ -135,9 +132,7 @@ def test_criterion_4_backend_agreement():
 
 def test_criterion_5_classical_limit():
     t0 = time.time()
-    sys_spec = SystemSpec(modes=(Fock(1),) * 8, hbar=1.0)
-    frame = iid_frame(8)
-    reports = hbar_scan(sys_spec, frame, [1.0, 0.1, 0.01, 0.001], epsilon=0.1)
+    reports = hbar_scan(system((Fock(1),) * 8, 1.0), [1.0, 0.1, 0.01, 0.001], epsilon=0.1, r=0.5, R=2.0)
     masses = [r.mass_in_epsilon for r in reports]
     monotone = all(b > a for a, b in zip(masses, masses[1:]))
     worst = max(abs(r.mass_in_epsilon - math.erf(0.1 / math.sqrt(2.0 * r.sigma2)))

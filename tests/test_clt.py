@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmtomo.clt import (
+    _report_for,
     gaussian_distance,
     gaussian_mass_within,
     hbar_scan,
@@ -11,16 +12,32 @@ from cmtomo.clt import (
     mass_within,
     n_scan,
     per_mode_moments,
+    summed_density,
 )
 from cmtomo.convolution import convolve_fft, marginals_for_system
 from cmtomo.marginals import Moments, moments
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-def iid_frame(N, mu=1.0, nu=0.0, r=0.5, R=2.0):
-    return FrameSpec(mu=(mu,) * N, nu=(nu,) * N, r=r, R=R)
+def iid(mode, N, hbar=1.0, mu=1.0, nu=0.0):
+    """N copies of mode, each measured along mu x + nu p."""
+    return SystemSpec((ModeGroup(mode, mu, nu, N),), hbar)
+
+
+def on_x(modes, hbar, mu=None, nu=None):
+    """A system of modes, on the frames mu, nu (default: each along x)."""
+    modes = tuple(modes)
+    return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
+
+
+def s_n(sys):
+    return lyapunov_ratio(per_mode_moments(sys), sys.counts)
+
+
+def cm_of(sys):
+    return convolve_fft(marginals_for_system(sys), sys.counts)
 
 
 class TestLyapunovRatio:
@@ -28,91 +45,79 @@ class TestLyapunovRatio:
         # abs3 of the vacuum tomogram is 1/sqrt(pi); var is 1/2:
         # S_N = N (1/sqrt(pi)) / (N/2)^{3/2}
         for N in (4, 16, 100):
-            sys = SystemSpec(modes=(Fock(0),) * N, hbar=1.0)
-            pm = per_mode_moments(sys, iid_frame(N))
             want = N * (1 / SQRT_PI) / (N / 2) ** 1.5
-            assert lyapunov_ratio(pm) == pytest.approx(want, rel=1e-12)
+            assert s_n(iid(Fock(0), N)) == pytest.approx(want, rel=1e-12)
 
     def test_vacuum_n4_value(self):
-        sys = SystemSpec(modes=(Fock(0),) * 4, hbar=1.0)
-        got = lyapunov_ratio(per_mode_moments(sys, iid_frame(4)))
+        got = s_n(iid(Fock(0), 4))
         assert got == pytest.approx(2 ** 1.5 / SQRT_PI / 2, rel=1e-12)
 
     def test_quarter_rate(self):
         vals = {}
         for N in (4, 16):
-            sys = SystemSpec(modes=(Fock(2),) * N, hbar=1.0)
-            vals[N] = lyapunov_ratio(per_mode_moments(sys, iid_frame(N)))
+            vals[N] = s_n(iid(Fock(2), N))
         assert vals[16] / vals[4] == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("modes", [
         (Fock(0), Fock(1), Fock(3), Fock(2), Fock(1), Fock(0), Fock(2), Fock(5)),
     ])
     def test_hbar_invariance(self, modes):
-        frame = FrameSpec(mu=(1.0, 0.6, 0.0, 0.8, 1.2, 0.9, -1.0, 0.7),
-                          nu=(0.0, 0.8, 1.0, -0.7, 0.3, 0.9, 0.5, -0.9),
-                          r=0.3, R=3.0)
-        values = []
-        for hbar in (10.0, 1.0, 0.01):
-            sys = SystemSpec(modes=modes, hbar=hbar)
-            values.append(lyapunov_ratio(per_mode_moments(sys, frame)))
+        mu = [1.0, 0.6, 0.0, 0.8, 1.2, 0.9, -1.0, 0.7]
+        nu = [0.0, 0.8, 1.0, -0.7, 0.3, 0.9, 0.5, -0.9]
+        values = [s_n(on_x(modes, hbar, mu, nu)) for hbar in (10.0, 1.0, 0.01)]
         assert abs(values[0] / values[1] - 1) < 1e-12
         assert abs(values[2] / values[1] - 1) < 1e-12
 
     def test_rejects_zero_variance(self):
         with pytest.raises(ValueError):
-            lyapunov_ratio([Moments(mean=0.0, var=0.0, abs3=1.0)])
+            lyapunov_ratio([Moments(mean=0.0, var=0.0, abs3=1.0)], [3])
+
+    def test_counts_must_match_moments(self):
+        with pytest.raises(ValueError):
+            lyapunov_ratio([Moments(mean=0.0, var=1.0, abs3=1.0)] * 2, [3])
 
 
-def sigma2(sys, frame):
+def sigma2(sys):
     """Variance of the summed observable, as the CLI forms it."""
-    return sum(m.var for m in per_mode_moments(sys, frame))
+    return summed_density(sys)[1]
 
 
 class TestSigma2:
     def test_two_modes(self):
-        sys = SystemSpec(modes=(Fock(0), Fock(1)), hbar=1.0)
-        assert sigma2(sys, iid_frame(2)) == pytest.approx(2.0, rel=1e-14)
+        assert sigma2(on_x((Fock(0), Fock(1)), 1.0)) == pytest.approx(2.0, rel=1e-14)
 
     def test_linear_in_hbar(self):
-        frame = iid_frame(3)
-        a = sigma2(SystemSpec(modes=(Fock(1),) * 3, hbar=1.0), frame)
-        b = sigma2(SystemSpec(modes=(Fock(1),) * 3, hbar=0.5), frame)
+        a = sigma2(iid(Fock(1), 3, hbar=1.0))
+        b = sigma2(iid(Fock(1), 3, hbar=0.5))
         assert b / a == pytest.approx(0.5, rel=1e-14)
 
     def test_energy_bracket(self):
         from cmtomo.states import energy
 
         for modes in [(Fock(0), Fock(2), Fock(1)), (Fock(4),) * 5]:
-            N = len(modes)
-            frame = FrameSpec(mu=(1.0,) * N, nu=(0.4,) * N, r=0.5, R=2.0)
-            sys = SystemSpec(modes=modes, hbar=0.8)
-            s2 = sigma2(sys, frame)
+            sys = on_x(modes, 0.8, [1.0] * len(modes), [0.4] * len(modes))
             E = energy(sys)
-            assert frame.r * E <= s2 <= frame.R * E
+            assert 0.5 * E <= sigma2(sys) <= 2.0 * E
 
     def test_cat_modes_use_quadrature(self):
-        sys = SystemSpec(modes=(CoherentEven(1.0), Fock(1)), hbar=1.0)
-        frame = FrameSpec(mu=(1.0, 1.0), nu=(0.0, 0.0), r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
+        sys = on_x((CoherentEven(1.0), Fock(1)), 1.0)
+        marg = marginals_for_system(sys)
         want = moments(marg[0]).var + 1.5
-        assert sigma2(sys, frame) == pytest.approx(want, rel=1e-9)
+        assert sigma2(sys) == pytest.approx(want, rel=1e-9)
 
     def test_repeated_modes_share_one_evaluation(self):
-        sys = SystemSpec(modes=(Fock(1), CoherentEven(1.0), Fock(1), Fock(2), CoherentEven(1.0)), hbar=0.5)
-        frame = FrameSpec(mu=(1.0, 1.0, 1.0, 0.6, 1.0), nu=(0.0, 0.0, 0.0, 0.8, 0.0), r=0.5, R=2.0)
-        pm = per_mode_moments(sys, frame)
-        assert pm[0] is pm[2] and pm[1] is pm[4]
-        marg = marginals_for_system(sys, frame)
-        assert pm[1] == moments(marg[1])
-        assert pm[3].var == pytest.approx(0.5 * 2.5, rel=1e-15)
+        sys = on_x((Fock(1), CoherentEven(1.0), Fock(1), Fock(2), CoherentEven(1.0)), 0.5,
+                   [1.0, 1.0, 1.0, 0.6, 1.0], [0.0, 0.0, 0.0, 0.8, 0.0])
+        pm = per_mode_moments(sys)
+        assert sys.counts == [2, 2, 1] and len(pm) == 3
+        assert pm[1] == moments(marginals_for_system(sys)[1])
+        assert pm[2].var == pytest.approx(0.5 * 2.5, rel=1e-15)
 
 
 class TestGaussianDistance:
     def test_exact_gaussian_is_zero(self):
         # a Gaussian sampled on the grid against the same construction
-        sys = SystemSpec(modes=(Fock(0), Fock(0)), hbar=1.0)
-        cm = convolve_fft(marginals_for_system(sys, iid_frame(2)))
+        cm = cm_of(iid(Fock(0), 2))
         xs = cm.grid.xs
         gauss = np.exp(-xs ** 2 / 2) / math.sqrt(2 * math.pi)
         cm2 = type(cm)(grid=cm.grid, values=gauss / np.trapezoid(gauss, dx=cm.grid.dx))
@@ -131,8 +136,7 @@ class TestGaussianDistance:
         g = np.exp(-xs ** 2 / 3) / math.sqrt(3 * math.pi)
         tv_oracle = float(0.5 * np.trapezoid(np.abs(f - g), xs))
 
-        sys = SystemSpec(modes=(Fock(1),), hbar=1.0)
-        cm = convolve_fft(marginals_for_system(sys, iid_frame(1)))
+        cm = cm_of(iid(Fock(1), 1))
         dist = gaussian_distance(cm, 1.5)
         assert dist["ks"] == pytest.approx(ks_oracle, abs=1e-4)
         assert dist["tv"] == pytest.approx(tv_oracle, abs=1e-4)
@@ -143,9 +147,8 @@ class TestGaussianDistance:
     def test_ks_non_increasing_with_doubling(self):
         vals = []
         for N in (1, 2, 4, 8, 16):
-            sys = SystemSpec(modes=(Fock(1),) * N, hbar=1.0 / N)
-            cm = convolve_fft(marginals_for_system(sys, iid_frame(N)))
-            vals.append(gaussian_distance(cm, sigma2(sys, iid_frame(N)))["ks"])
+            sys = iid(Fock(1), N, hbar=1.0 / N)
+            vals.append(gaussian_distance(cm_of(sys), sigma2(sys))["ks"])
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
@@ -221,11 +224,43 @@ class TestEdgeworthRate:
         assert r.ks_distance <= 0.56 * r.S_N
 
 
+class TestSumsOverGroups:
+    """S_N and sigma^2 sum once per group, count times its moment: as
+    accurate as math.fsum over the modes, where a running sum over N
+    modes drifts by about N eps."""
+
+    @pytest.mark.parametrize("N", [65536, 262144])
+    def test_s_n_matches_fsum_over_modes(self, N):
+        (r,) = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[N], r=0.5, R=2.0)
+        (m,) = per_mode_moments(iid(Fock(1), N, hbar=r.hbar))
+        var = math.fsum([m.var] * N)
+        assert abs(r.S_N / (math.fsum([m.abs3] * N) / var ** 1.5) - 1) <= 1e-14
+        assert abs(r.sigma2 / var - 1) <= 1e-14
+
+    def test_scan_groups_follow_both_patterns(self, monkeypatch):
+        # mode i takes level i mod 2 and frame i mod 3: six groups at N = 14,
+        # counts 3, 3, 2, 2, 2, 2, in the modes' first-appearance order
+        from cmtomo import clt
+
+        seen = []
+        original = clt._report_for
+
+        def spy(sys, r, R):
+            seen.append(sys)
+            return original(sys, r, R)
+
+        monkeypatch.setattr(clt, "_report_for", spy)
+        frames = [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0)]
+        n_scan([0, 1], frames, E=10.0, N_list=[14, 1], r=0.5, R=2.0)
+        assert seen[0].groups == tuple(ModeGroup(Fock(i % 2), *frames[i % 3], count)
+                                       for i, count in enumerate([3, 3, 2, 2, 2, 2]))
+        assert seen[1].groups == (ModeGroup(Fock(0), 1.0, 0.0),)
+        assert seen[0].hbar == 10.0 / (14 / 2 + 7)
+
+
 class TestHbarScan:
     def test_fock_schedule_against_erf_oracle(self):
-        sys = SystemSpec(modes=(Fock(1),) * 8, hbar=1.0)
-        frame = iid_frame(8)
-        reports = hbar_scan(sys, frame, [1.0, 0.1, 0.01, 0.001], epsilon=0.1)
+        reports = hbar_scan(iid(Fock(1), 8), [1.0, 0.1, 0.01, 0.001], epsilon=0.1, r=0.5, R=2.0)
         masses = [r.mass_in_epsilon for r in reports]
         assert all(b > a for a, b in zip(masses, masses[1:]))
         for r in reports:
@@ -237,17 +272,24 @@ class TestHbarScan:
         assert reports[-1].gaussian_mass == pytest.approx(math.erf(0.1 / math.sqrt(0.024)), rel=1e-12)
 
     def test_cat_system_concentrates(self):
-        sys = SystemSpec(modes=(CoherentEven(1 + 0.5j),) * 4, hbar=1.0)
-        frame = iid_frame(4)
-        reports = hbar_scan(sys, frame, [1.0, 0.1, 0.01, 0.001], epsilon=0.1)
+        reports = hbar_scan(iid(CoherentEven(1 + 0.5j), 4), [1.0, 0.1, 0.01, 0.001], epsilon=0.1, r=0.5, R=2.0)
         masses = [r.mass_in_epsilon for r in reports]
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert masses[-1] > 0.5
 
     def test_requires_decreasing_list(self):
-        sys = SystemSpec(modes=(Fock(1),), hbar=1.0)
         with pytest.raises(ValueError):
-            hbar_scan(sys, iid_frame(1), [0.1, 1.0], epsilon=0.1)
+            hbar_scan(iid(Fock(1), 1), [0.1, 1.0], epsilon=0.1, r=0.5, R=2.0)
+
+    def test_frame_radius_bounds(self):
+        # each group's mu^2 + nu^2 must lie in (r, R), with r > 0
+        def sys(mu):
+            return SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 2), ModeGroup(Fock(2), mu, 0.0)), hbar=1.0)
+
+        assert _report_for(sys(1.0), 0.5, 2.0)[0].N == 3
+        for mu, r, R in [(2.0, 0.5, 2.0), (1.0, 2.0, 0.5), (1.0, 0.0, 2.0), (1.0, -0.5, 2.0)]:
+            with pytest.raises(ValueError, match="need 0 < r < mu"):
+                hbar_scan(sys(mu), [1.0], epsilon=0.1, r=r, R=R)
 
 
 class TestCatRateBound:
@@ -258,12 +300,10 @@ class TestCatRateBound:
         frames = [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0)]
         rates = []
         for N in (4, 16, 64, 256):
-            modes = tuple(pattern[i % 3] for i in range(N))
-            mus, nus = zip(*[frames[i % 3] for i in range(N)])
-            sys = SystemSpec(modes=modes, hbar=1.0)
-            frame = FrameSpec(mu=mus, nu=nus, r=0.5, R=2.0)
-            pm = per_mode_moments(sys, frame, marginals_for_system(sys, frame))
-            rates.append(lyapunov_ratio(pm) * math.sqrt(N))
+            sys = SystemSpec(tuple(ModeGroup(mode, *frame, N // 3 + (i < N % 3))
+                                   for i, (mode, frame) in enumerate(zip(pattern, frames))), hbar=1.0)
+            pm = per_mode_moments(sys, marginals_for_system(sys))
+            rates.append(lyapunov_ratio(pm, sys.counts) * math.sqrt(N))
         assert max(rates) <= 2.0 * min(rates)
 
 
@@ -271,13 +311,10 @@ class TestMassWithin:
     def test_gaussian_mass_matches_erf(self):
         # trapezoid CDF bias is O(dx^2) ~ 1e-5 at dx = sigma/64, far
         # inside the 0.02 contract tolerance of the scans
-        sys = SystemSpec(modes=(Fock(0),) * 2, hbar=1.0)
-        cm = convolve_fft(marginals_for_system(sys, iid_frame(2)))
-        got = mass_within(cm, 0.7)
+        got = mass_within(cm_of(iid(Fock(0), 2)), 0.7)
         assert got == pytest.approx(math.erf(0.7 / math.sqrt(2.0)), abs=1e-4)
 
     def test_rejects_nonpositive_epsilon(self):
-        sys = SystemSpec(modes=(Fock(0),), hbar=1.0)
-        cm = convolve_fft(marginals_for_system(sys, iid_frame(1)))
+        cm = cm_of(iid(Fock(0), 1))
         with pytest.raises(ValueError):
             mass_within(cm, 0.0)

@@ -18,7 +18,7 @@ from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import RawConfig, parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
-from cmtomo.states import ALPHA_MAX, CoherentEven, Fock
+from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup
 
 
 class TestConfigParser:
@@ -37,19 +37,30 @@ R = 2.0
 """)
         sys = parse_system(raw)
         assert sys.hbar == 0.5
-        assert sys.modes == (Fock(2), CoherentEven(1 + 0.5j))
-        frame = parse_frame(raw, 2)
-        assert frame.mu == (1.0, 0.6)
-        assert frame.r == 0.5 and frame.R == 2.0
+        assert sys.groups == (ModeGroup(Fock(2), 1.0, 0.0), ModeGroup(CoherentEven(1 + 0.5j), 0.6, 0.8))
+        assert parse_frame(raw, sys) == (0.5, 2.0)
 
     def test_mode_repetition_suffix(self):
         raw = parse_config_text("[system]\nmode = fock 1 x8\n")
-        assert parse_system(raw).modes == (Fock(1),) * 8
+        assert parse_system(raw).groups == (ModeGroup(Fock(1), 1.0, 0.0, 8),)
 
     def test_frame_broadcast(self):
-        raw = parse_config_text("[system]\nmode = fock 0 x3\n[frame]\nmu = 1.0\nnu = 0.0\n")
-        frame = parse_frame(raw, 3)
-        assert frame.mu == (1.0, 1.0, 1.0)
+        raw = parse_config_text("[system]\nmode = fock 0 x3\nmode = fock 1\n[frame]\nmu = 0.6\nnu = 0.8\n")
+        sys = parse_system(raw)
+        assert sys.groups == (ModeGroup(Fock(0), 0.6, 0.8, 3), ModeGroup(Fock(1), 0.6, 0.8))
+        assert parse_frame(raw, sys) == (0.5 * (0.6 * 0.6 + 0.8 * 0.8), 2.0 * (0.6 * 0.6 + 0.8 * 0.8))
+
+    def test_per_mode_frames_split_and_merge_groups(self):
+        # a per-mode direction list splits a line's group where the direction
+        # changes; equal (mode, direction) pairs merge in first-appearance order
+        raw = parse_config_text("[system]\nmode = fock 1 x3\nmode = fock 2\nmode = fock 1\n"
+                                "[frame]\nmu = 1 0.6 1 1 1\nnu = 0 0.8 0 0 0\n")
+        assert parse_system(raw).groups == (ModeGroup(Fock(1), 1.0, 0.0, 3), ModeGroup(Fock(1), 0.6, 0.8),
+                                            ModeGroup(Fock(2), 1.0, 0.0))
+
+    def test_frame_not_read_when_not_asked(self):
+        raw = parse_config_text("[system]\nmode = fock 1 x2\n[frame]\nmu = 0 0 0\nnu = 1\n")
+        assert parse_system(raw, frame=False).groups == (ModeGroup(Fock(1), 1.0, 0.0, 2),)
 
     def test_line_precise_errors(self):
         with pytest.raises(ConfigError, match=":3:"):
@@ -73,7 +84,7 @@ R = 2.0
         raw = parse_config_text(
             "[system]\nmode = fock 0\n[frame]\nmu = 3.0\nnu = 0.0\nr = 0.5\nR = 2.0\n")
         with pytest.raises(ConfigError, match="frame"):
-            parse_frame(raw, 1)
+            parse_frame(raw, parse_system(raw))
 
 
 def write(tmp_path, name, text):
@@ -249,9 +260,9 @@ class TestCmdCm:
         asked = []
         original = cli.sample_sum
 
-        def few(sys_spec, frame, n_samples, seed, marginals=None):
+        def few(sys_spec, n_samples, seed, marginals=None):
             asked.append(n_samples)
-            return original(sys_spec, frame, 1000, seed, marginals=marginals)
+            return original(sys_spec, 1000, seed, marginals=marginals)
 
         monkeypatch.setattr(cli, "sample_sum", few)
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
@@ -799,6 +810,42 @@ class TestSupportedRanges:
         cfg = write(tmp_path, "c.cfg", "[scan]\nE = 10\nN_list = 4\nn_pattern = 0 1001\n")
         assert main(["clt-scan", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
         assert f"{cfg}:4: n_pattern" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes, line", [
+        ("mode = fock 1 x99999999999999999999\n", 3), (f"mode = fock 1 x{N_MAX + 1}\n", 3),
+        (f"mode = fock 1 x{N_MAX}\nmode = even 1 0\n", 4),
+    ])
+    def test_mode_count_above_bound_exit_two(self, tmp_path, capsys, modes, line):
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1\n" + modes + "[frame]\nmu = 1\nnu = 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:{line}: the mode lines hold more than N_MAX = {N_MAX} modes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mode_count_at_bound_accepted(self):
+        # one group, however many modes it holds
+        sys_spec = parse_system(parse_config_text(f"[system]\nmode = fock 1 x{N_MAX}\n[frame]\nmu = 1\nnu = 0\n"))
+        assert sys_spec.groups == (ModeGroup(Fock(1), 1.0, 0.0, N_MAX),)
+
+    @pytest.mark.parametrize("n_list", [f"4 {N_MAX + 1}", "67108864"])
+    def test_scan_n_above_bound_exit_two(self, tmp_path, capsys, n_list):
+        cfg = write(tmp_path, "c.cfg", f"[scan]\nE = 10\nN_list = {n_list}\n")
+        out = tmp_path / "o.csv"
+        assert main(["clt-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:3: N_list entries must lie in 1..N_MAX = {N_MAX}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_n_at_bound_accepted(self, tmp_path, monkeypatch):
+        asked = []
+
+        def stub(levels, pairs, E, n_list, r, R):
+            asked.extend(n_list)
+            return []
+
+        monkeypatch.setattr(cli, "n_scan", stub)
+        cfg = write(tmp_path, "c.cfg", f"[scan]\nE = 10\nN_list = 4 {N_MAX}\n")
+        assert main(["clt-scan", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert asked == [4, N_MAX]
 
 
 FRAME_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6))

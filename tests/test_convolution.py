@@ -1,6 +1,7 @@
 import copy
 import math
 import threading
+from collections import Counter
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtomo import convolution
+from cmtomo.clt import per_mode_moments, summed_density
 from cmtomo.convolution import (
     MC_SAMPLES_MAX,
     _bin_counts,
     _cf_product_at,
-    _distinct,
     _inverse_cdf,
     _mode_stream,
     _raise_to,
@@ -36,25 +37,35 @@ from cmtomo.marginals import (
     evenodd_pointwise,
     fock_marginal,
     fock_tomogram,
+    fock_var_closed,
     grid_policy,
     moments,
 )
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, hbar_for_fixed_energy
+from cmtomo.states import (CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy,
+                           mode_mean_occupation)
 
 
 def iid_system(mode, N, hbar=1.0, mu=1.0, nu=0.0):
-    sys = SystemSpec(modes=(mode,) * N, hbar=hbar)
-    rho = mu * mu + nu * nu
-    frame = FrameSpec(mu=(mu,) * N, nu=(nu,) * N, r=0.5 * rho, R=2.0 * rho)
-    return sys, frame
+    """N copies of mode, each measured along mu x + nu p."""
+    return SystemSpec((ModeGroup(mode, mu, nu, N),), hbar)
 
 
-MIXED_SYS = SystemSpec(
-    modes=(Fock(1), CoherentEven(1 + 0.5j), CoherentOdd(0.8), Fock(0)), hbar=0.7
-)
-MIXED_FRAME = FrameSpec(
-    mu=(1.0, 0.6, 0.0, -0.8), nu=(0.0, 0.8, 1.0, 0.6), r=0.5, R=2.0
-)
+def system(modes, hbar, mu=None, nu=None):
+    """A system of modes, on the frames mu, nu (default: each along x)."""
+    return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
+
+
+def fft_of(sys, grid=None):
+    return convolve_fft(marginals_for_system(sys), sys.counts, grid=grid)
+
+
+def expand(marginals, counts):
+    """Each marginal repeated its count times: one entry per mode, in group order."""
+    return [m for m, count in zip(marginals, counts) for _ in range(count)]
+
+
+MIXED_SYS = system((Fock(1), CoherentEven(1 + 0.5j), CoherentOdd(0.8), Fock(0)), 0.7,
+                   [1.0, 0.6, 0.0, -0.8], [0.0, 0.8, 1.0, 0.6])
 
 
 def trapezoid_weights(grid):
@@ -78,62 +89,55 @@ def direct_phase_sum(xs, v, a, sign):
 
 class TestConvolveFft:
     def test_two_vacua_gaussian(self):
-        sys, frame = iid_system(Fock(0), 2)
-        cm = convolve_fft(marginals_for_system(sys, frame))
+        cm = fft_of(iid_system(Fock(0), 2))
         got = float(np.interp(0.0, cm.grid.xs, cm.values))
         assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-6)
         assert moments(cm).var == pytest.approx(1.0, rel=1e-9)
 
     def test_single_marginal_identity(self):
-        sys, frame = iid_system(Fock(1), 1)
-        (m,) = marginals_for_system(sys, frame)
-        cm = convolve_fft([m])
+        (m,) = marginals_for_system(iid_system(Fock(1), 1))
+        cm = convolve_fft([m], [1])
         back = np.interp(m.grid.xs, cm.grid.xs, cm.values)
         np.testing.assert_allclose(back, m.values, atol=1e-9)
 
     def test_three_mode_variance(self):
-        sys = SystemSpec(modes=(Fock(0), Fock(1), Fock(2)), hbar=1.0)
-        frame = FrameSpec(mu=(1.0,) * 3, nu=(0.0,) * 3, r=0.5, R=2.0)
-        cm = convolve_fft(marginals_for_system(sys, frame))
+        cm = fft_of(system((Fock(0), Fock(1), Fock(2)), 1.0))
         assert moments(cm).var == pytest.approx(4.5, rel=1e-6)
 
     @pytest.mark.parametrize("N", [1, 2, 8, 64])
     def test_variance_additivity(self, N):
-        sys, frame = iid_system(Fock(1), N, hbar=2.0 / N)
-        marg = marginals_for_system(sys, frame)
-        cm = convolve_fft(marg)
-        want = sum(moments(m).var for m in marg)
+        sys = iid_system(Fock(1), N, hbar=2.0 / N)
+        marg = marginals_for_system(sys)
+        cm = convolve_fft(marg, sys.counts)
+        want = N * moments(marg[0]).var
         assert moments(cm).var == pytest.approx(want, rel=1e-6)
         assert abs(moments(cm).mean) < 1e-8
 
     def test_mixed_modes_variance_additivity(self):
-        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
-        cm = convolve_fft(marg)
+        marg = marginals_for_system(MIXED_SYS)
+        cm = convolve_fft(marg, MIXED_SYS.counts)
         want = sum(moments(m).var for m in marg)
         assert moments(cm).var == pytest.approx(want, rel=1e-6)
         assert cm.meta["clamped_mass"] < 1e-9
 
     def test_homogeneity_of_sum_density(self):
         lam = 2.0
-        sys = SystemSpec(modes=(Fock(1), Fock(2)), hbar=1.0)
-        f1 = FrameSpec(mu=(1.0, 0.6), nu=(0.0, 0.8), r=0.5, R=2.0)
-        f2 = FrameSpec(mu=(lam, lam * 0.6), nu=(0.0, lam * 0.8), r=0.5 * lam ** 2, R=2.0 * lam ** 2)
-        cm1 = convolve_fft(marginals_for_system(sys, f1))
-        cm2 = convolve_fft(marginals_for_system(sys, f2))
+        cm1 = fft_of(system((Fock(1), Fock(2)), 1.0, [1.0, 0.6], [0.0, 0.8]))
+        cm2 = fft_of(system((Fock(1), Fock(2)), 1.0, [lam, lam * 0.6], [0.0, lam * 0.8]))
         probe = np.linspace(-4, 4, 201)
         v1 = np.interp(probe, cm1.grid.xs, cm1.values)
         v2 = np.interp(lam * probe, cm2.grid.xs, cm2.values)
         np.testing.assert_allclose(v2, v1 / lam, atol=1e-6)
 
     def test_grid_cap(self):
-        sys, frame = iid_system(Fock(0), 2)
-        marg = marginals_for_system(sys, frame)
+        sys = iid_system(Fock(0), 2)
         with pytest.raises(GridSizeError):
-            common_grid(marg, max_count=64)
+            common_grid(marginals_for_system(sys), sys.counts, max_count=64)
 
 
 def expanded_fft(marginals, grid, dtype=complex):
-    """The product of one dx-scaled rfft per mode, inverted as convolve_fft does.
+    """The product of one dx-scaled rfft per entry of marginals, one per
+    mode, inverted as convolve_fft does.
 
     The product accumulates in `dtype`.  In long double the reference's
     own rounding over N factors stays well below the 1e-15 under test.
@@ -159,35 +163,103 @@ MODE_POOL = (
 )
 
 
+MULTISETS = st.dictionaries(st.integers(0, len(MODE_POOL) - 1), st.integers(1, 64), min_size=1, max_size=3)
+
+
+def shuffled_picks(counts, order):
+    """counts[i] copies of MODE_POOL[i] in a shuffled order, so equal modes interleave."""
+    picks = [MODE_POOL[i] for i, count in counts.items() for _ in range(count)]
+    order.shuffle(picks)
+    return picks
+
+
+def picks_system(picks, hbar):
+    return system(tuple(mode for mode, _ in picks), hbar, [f[0] for _, f in picks], [f[1] for _, f in picks])
+
+
+def per_pick(picks, sys, values):
+    """values[g] of each pick's group g: one entry per mode, in pick order."""
+    index = {(g.mode, (g.mu, g.nu)): i for i, g in enumerate(sys.groups)}
+    return [values[index[pick]] for pick in picks]
+
+
 class TestMultiplicities:
-    """Repeated modes enter the FFT and CF products once, raised to their count."""
+    """A system is a multiset of groups: every layer's group form equals its
+    per-mode form over the shuffled, interleaved modes."""
 
     @settings(max_examples=15)
-    @given(counts=st.dictionaries(st.integers(0, len(MODE_POOL) - 1), st.integers(1, 64),
-                                  min_size=1, max_size=3),
-           order=st.randoms(use_true_random=False))
+    @given(counts=MULTISETS, order=st.randoms(use_true_random=False))
+    def test_from_modes_holds_the_multiset(self, counts, order):
+        picks = shuffled_picks(counts, order)
+        sys = picks_system(picks, hbar=1.0)
+        assert [(g.mode, (g.mu, g.nu)) for g in sys.groups] == list(dict.fromkeys(picks))
+        assert Counter(picks) == {(g.mode, (g.mu, g.nu)): g.count for g in sys.groups}
+        assert sys.n_modes == len(picks)
+
+    @settings(max_examples=15)
+    @given(counts=MULTISETS, order=st.randoms(use_true_random=False))
     def test_count_form_equals_expanded_product(self, counts, order):
-        picks = [i for i, c in counts.items() for _ in range(c)]
-        order.shuffle(picks)
-        sys = SystemSpec(modes=tuple(MODE_POOL[i][0] for i in picks), hbar=1.0)
-        frame = FrameSpec(mu=tuple(MODE_POOL[i][1][0] for i in picks),
-                          nu=tuple(MODE_POOL[i][1][1] for i in picks), r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
-        grid = common_grid(marg)
-        want = expanded_fft(marg, grid, dtype=np.clongdouble)
-        got = convolve_fft(marg, grid=grid).values
+        picks = shuffled_picks(counts, order)
+        sys = picks_system(picks, hbar=1.0)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
+        modes = per_pick(picks, sys, marg)
+        want = expanded_fft(modes, grid, dtype=np.clongdouble)
+        got = convolve_fft(marg, sys.counts, grid=grid).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        # backend two: one closed-form characteristic function per mode on the lattice
+        ks = cf_grid_for(grid).dx * np.arange(grid.count + 1)
+        spec = np.ones(grid.count + 1)
+        for m in modes:
+            spec *= mode_cf(m, ks)
+        want = spectrum_density(spec, grid)
+        got = cf_product(marg, sys.counts, grid=grid).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    @settings(max_examples=15)
+    @given(counts=MULTISETS, order=st.randoms(use_true_random=False))
+    def test_moments_and_sums_equal_fsum_over_modes(self, counts, order):
+        picks = shuffled_picks(counts, order)
+        sys = picks_system(picks, hbar=0.7)
+        marg = marginals_for_system(sys)
+        pm = per_mode_moments(sys, marg)
+        assert len(pm) == len(sys.groups)
+        for g, m, got in zip(sys.groups, marg, pm):
+            if isinstance(g.mode, Fock):
+                assert got.var == fock_var_closed(g.mode.n, g.mu, g.nu, sys.hbar)
+            else:
+                assert got == moments(m)
+        modes = per_pick(picks, sys, pm)
+        var = math.fsum(m.var for m in modes)
+        _, sigma2, s_n, _ = summed_density(sys)
+        assert sigma2 == pytest.approx(var, rel=1e-14, abs=0)
+        assert s_n == pytest.approx(math.fsum(m.abs3 for m in modes) / var ** 1.5, rel=1e-14, abs=0)
+        e = sys.hbar * math.fsum(0.5 + mode_mean_occupation(mode) for mode, _ in picks)
+        assert energy(sys) == pytest.approx(e, rel=1e-14, abs=0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(counts=MULTISETS, order=st.randoms(use_true_random=False))
+    def test_sample_sum_draws_one_stream_per_mode_in_group_order(self, counts, order):
+        sys = picks_system(shuffled_picks(counts, order), hbar=1.0)
+        marg = marginals_for_system(sys)
+        n = 3000
+        want = np.zeros(n)
+        for i, m in enumerate(expand(marg, sys.counts)):
+            cdf = cumulative_trapezoid(m.values, m.grid.dx)
+            cdf /= cdf[-1]
+            want += np.interp(_mode_stream(5, i).random(n), cdf, m.grid.xs)
+        assert sample_sum(sys, n, seed=5, marginals=marg).tobytes() == want.tobytes()
 
     def test_distinct_modes_bit_for_bit(self):
         # every count is 1: the spectra multiply in as they are
-        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
-        grid = common_grid(marg)
-        assert convolve_fft(marg, grid=grid).values.tobytes() == expanded_fft(marg, grid).tobytes()
+        marg = marginals_for_system(MIXED_SYS)
+        grid = common_grid(marg, MIXED_SYS.counts)
+        got = convolve_fft(marg, MIXED_SYS.counts, grid=grid).values
+        assert got.tobytes() == expanded_fft(marg, grid).tobytes()
 
     def test_one_rfft_per_distinct_marginal(self, monkeypatch):
-        sys = SystemSpec(modes=(Fock(1), CoherentEven(1 + 0.5j)) * 5 + (Fock(1),), hbar=0.5)
-        frame = FrameSpec(mu=(1.0,) * 10 + (0.6,), nu=(0.0,) * 10 + (0.8,), r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
+        sys = system((Fock(1), CoherentEven(1 + 0.5j)) * 5 + (Fock(1),), 0.5, [1.0] * 10 + [0.6], [0.0] * 10 + [0.8])
+        marg = marginals_for_system(sys)
         lengths = []
         original = np.fft.rfft
 
@@ -196,29 +268,35 @@ class TestMultiplicities:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(convolution.np.fft, "rfft", counting)
-        cm = convolve_fft(marg)
+        cm = convolve_fft(marg, sys.counts)
+        assert sys.counts == [5, 5, 1]
         assert lengths == [2 * cm.grid.count] * 3
 
     def test_common_grid_weights_moments_by_count(self):
-        sys, frame = iid_system(Fock(2), 37, hbar=0.3)
-        marg = marginals_for_system(sys, frame)
+        sys = iid_system(Fock(2), 37, hbar=0.3)
+        marg = marginals_for_system(sys)
         one = moments(marg[0])
         half = abs(37 * one.mean) + 8.0 * math.sqrt(37 * one.var)
-        assert common_grid(marg) == centered_grid(half, marg[0].grid.dx)
+        assert common_grid(marg, sys.counts) == centered_grid(half, marg[0].grid.dx)
+
+    def test_counts_must_match_marginals(self):
+        marg = marginals_for_system(MIXED_SYS)
+        for backend in (common_grid, convolve_fft, cf_product):
+            with pytest.raises(ValueError):
+                backend(marg, [1, 1])
 
     def test_cf_count_form_equals_expanded_product(self):
-        sys = SystemSpec(modes=(Fock(1), CoherentEven(1 + 0.5j)) * 6, hbar=0.5)
-        frame = FrameSpec(mu=(1.0,) * 12, nu=(0.0,) * 12, r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
-        grid = common_grid(marg)
+        sys = system((Fock(1), CoherentEven(1 + 0.5j)) * 6, 0.5)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
         k_grid = cf_grid_for(grid)
         total = np.ones(k_grid.count)
-        for m in marg:
+        for m in expand(marg, sys.counts):
             total *= mode_cf(m, k_grid.xs)
         want = direct_phase_sum(k_grid.xs, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
-        np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cf_product(marg, sys.counts, grid=grid).values, want, rtol=0, atol=1e-12)
 
 
 def dx_spectrum(m, grid):
@@ -258,12 +336,9 @@ def spectrum_density(spec, grid):
     return out / np.trapezoid(out, dx=grid.dx)
 
 
-def multiset_marginals(groups, hbar):
-    """Marginals of (mode, (mu, nu), count) groups, each mode repeated count times."""
-    picks = [(mode, frame) for mode, frame, count in groups for _ in range(count)]
-    sys = SystemSpec(modes=tuple(mode for mode, _ in picks), hbar=hbar)
-    frame = FrameSpec(mu=tuple(f[0] for _, f in picks), nu=tuple(f[1] for _, f in picks), r=0.5, R=2.0)
-    return marginals_for_system(sys, frame)
+def multiset_system(groups, hbar):
+    """The system of (mode, (mu, nu), count) groups."""
+    return SystemSpec(tuple(ModeGroup(mode, *frame, count) for mode, frame, count in groups), hbar)
 
 
 # counts far past the hypothesis test's 64
@@ -281,10 +356,11 @@ class TestGatedPower:
 
     @pytest.mark.parametrize("name", sorted(FAR_COUNTS))
     def test_far_counts_match_long_double_polar(self, name):
-        marg = multiset_marginals(FAR_COUNTS[name], hbar=0.5)
-        grid = common_grid(marg)
+        sys = multiset_system(FAR_COUNTS[name], hbar=0.5)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
         spec = np.ones(grid.count + 1, dtype=np.clongdouble)
-        for m, count in _distinct(marg):
+        for m, count in zip(marg, sys.counts):
             f = dx_spectrum(m, grid)
             want = long_double_power(f, count)
             got = _raise_to(f.copy(), count)
@@ -295,15 +371,16 @@ class TestGatedPower:
             assert np.all(got[~big & (np.abs(f) < _TINY ** (1.0 / count))] == 0)
             spec *= want
         want = spectrum_density(spec, grid)
-        got = convolve_fft(marg, grid=grid).values
+        got = convolve_fft(marg, sys.counts, grid=grid).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_spectrum_straddling_the_cut(self, count):
         # the fringes of a cat across the frame carry its spectrum above and
         # below |f| = 1/2 several times
-        marg = multiset_marginals(((CoherentEven(1.5), (0.0, 1.0), count),), hbar=1.0)
-        grid = common_grid(marg)
+        sys = multiset_system(((CoherentEven(1.5), (0.0, 1.0), count),), hbar=1.0)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
         f = dx_spectrum(marg[0], grid)
         mod = np.abs(f)
         big = mod >= 0.5
@@ -338,13 +415,13 @@ class TestCfProduct:
 
     def test_char_function_matches_direct_sum_off_lattice(self):
         ks = np.linspace(-8, 8, 161)
-        for m in marginals_for_system(MIXED_SYS, MIXED_FRAME):
+        for m in marginals_for_system(MIXED_SYS):
             want = direct_phase_sum(m.grid.xs, m.values * trapezoid_weights(m.grid), ks, 1.0)
             np.testing.assert_allclose(mode_cf(m, ks), want, rtol=0, atol=1e-12)
 
     def test_matches_per_entry_reference_inverse(self):
-        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
-        grid = common_grid(marg)
+        marg = marginals_for_system(MIXED_SYS)
+        grid = common_grid(marg, MIXED_SYS.counts)
         k_grid = cf_grid_for(grid)
         ks = k_grid.xs
         total = np.ones(k_grid.count, dtype=complex)
@@ -353,12 +430,12 @@ class TestCfProduct:
         want = direct_phase_sum(ks, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
-        np.testing.assert_allclose(cf_product(marg, grid=grid).values, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cf_product(marg, MIXED_SYS.counts, grid=grid).values, want, rtol=0, atol=1e-12)
 
     def test_one_forward_transform_per_distinct_marginal(self, monkeypatch):
-        sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
-        marg = marginals_for_system(sys, frame)
-        k_grid = cf_grid_for(common_grid(marg))
+        sys = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
+        marg = marginals_for_system(sys)
+        k_grid = cf_grid_for(common_grid(marg, sys.counts))
         monkeypatch.setattr(convolution, "cf_grid_for", lambda out_grid: k_grid)
         seen = []
 
@@ -367,22 +444,21 @@ class TestCfProduct:
             return char_function(mode, mu, nu, hbar, k)
 
         monkeypatch.setattr(convolution, "char_function", counting)
-        cf_product(marg)
+        cf_product(marg, sys.counts)
         assert len(seen) == 1 and seen[0] is marg[0].meta["mode"]
 
     def test_matches_fft_three_modes(self):
-        sys = SystemSpec(modes=(Fock(0), Fock(1), Fock(2)), hbar=1.0)
-        frame = FrameSpec(mu=(1.0,) * 3, nu=(0.0,) * 3, r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
-        cm = convolve_fft(marg)
-        cf = cf_product(marg, grid=cm.grid)
+        sys = system((Fock(0), Fock(1), Fock(2)), 1.0)
+        marg = marginals_for_system(sys)
+        cm = convolve_fft(marg, sys.counts)
+        cf = cf_product(marg, sys.counts, grid=cm.grid)
         tv = 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx)
         assert tv < 1e-6
 
     def test_matches_fft_mixed_modes(self):
-        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
-        cm = convolve_fft(marg)
-        cf = cf_product(marg, grid=cm.grid)
+        marg = marginals_for_system(MIXED_SYS)
+        cm = convolve_fft(marg, MIXED_SYS.counts)
+        cf = cf_product(marg, MIXED_SYS.counts, grid=cm.grid)
         tv = 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx)
         assert tv < 1e-6
 
@@ -440,13 +516,12 @@ class TestCharFunction:
         assert np.max(np.abs(char_function(mode, mu, nu, 0.3, ks))) < 1e-17
 
 
-def far_k(system):
+def far_k(sys):
     """A k past the farthest bump of every mode's characteristic function."""
-    sys, frame = system
     out = 0.0
-    for mode, mu, nu in zip(sys.modes, frame.mu, frame.nu):
-        r = math.sqrt(2.0 * mode.n + 1.0) if isinstance(mode, Fock) else math.sqrt(2.0) * abs(mode.alpha)
-        out = max(out, (2.0 * r + 20.0) / math.sqrt(sys.hbar * (mu * mu + nu * nu)))
+    for g in sys.groups:
+        r = math.sqrt(2.0 * g.mode.n + 1.0) if isinstance(g.mode, Fock) else math.sqrt(2.0) * abs(g.mode.alpha)
+        out = max(out, (2.0 * r + 20.0) / math.sqrt(sys.hbar * (g.mu * g.mu + g.nu * g.nu)))
     return out
 
 
@@ -459,10 +534,10 @@ class TestCfAtScale:
     @pytest.mark.parametrize("mode", FIXED_ENERGY_MODES, ids=repr)
     def test_fixed_energy_65536_modes(self, mode):
         N = 65536
-        sys, frame = iid_system(mode, N, hbar=hbar_for_fixed_energy(10.0, [mode] * N))
-        marg = marginals_for_system(sys, frame)
-        cm = convolve_fft(marg)
-        cf = cf_product(marg, grid=cm.grid)
+        sys = iid_system(mode, N, hbar=hbar_for_fixed_energy(10.0, [ModeGroup(mode, 1.0, 0.0, N)]))
+        marg = marginals_for_system(sys)
+        cm = convolve_fft(marg, sys.counts)
+        cf = cf_product(marg, sys.counts, grid=cm.grid)
         assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
 
     @pytest.mark.parametrize("system", [
@@ -472,26 +547,25 @@ class TestCfAtScale:
         iid_system(CoherentOdd(40.0), 1, mu=0.6, nu=0.8),
         iid_system(CoherentOdd(40.0), 1, mu=0.0, nu=1.0),
         iid_system(CoherentEven(40.0), 2, mu=0.0, nu=1.0),
-        (MIXED_SYS, MIXED_FRAME),
+        MIXED_SYS,
     ], ids=["fock1x65536", "even1x4096", "fock30", "odd40", "odd40-p", "even40x2-p", "mixed"])
     def test_reach_inside_nyquist(self, system):
-        marg = marginals_for_system(*system)
-        grid = common_grid(marg)
+        marg = marginals_for_system(system)
+        grid = common_grid(marg, system.counts)
         k_grid = cf_grid_for(grid)
-        groups = _distinct(marg)
-        reach = min(char_function_reach(*convolution._mode_args(m), 1e-17) for m, _ in groups)
+        reach = min(char_function_reach(*convolution._mode_args(m), 1e-17) for m in marg)
         assert reach <= math.pi / grid.dx
         # no lattice node past the reach, out to the Nyquist node and beyond every bump, reaches the floor
         last = max(k_grid.count // 2, int(far_k(system) / k_grid.dx))
         beyond = k_grid.dx * np.arange(int(reach / k_grid.dx) + 1, last + 1)
-        assert np.all(np.abs(_cf_product_at(groups, beyond)) < 1e-17)
+        assert np.all(np.abs(_cf_product_at(marg, system.counts, beyond)) < 1e-17)
 
     def test_reach_past_nyquist_fails(self):
         # the vacuum's characteristic function reaches k ~ 14.5 at hbar 1;
         # a grid of spacing 0.5 resolves k up to 2 pi only
-        marg = marginals_for_system(*iid_system(Fock(0), 1))
+        marg = marginals_for_system(iid_system(Fock(0), 1))
         with pytest.raises(NumericalError, match="Nyquist"):
-            cf_product(marg, grid=Grid(x0=-8.0, dx=0.5, count=32))
+            cf_product(marg, [1], grid=Grid(x0=-8.0, dx=0.5, count=32))
 
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("mode", [CoherentEven(40.0), CoherentOdd(40.0)], ids=repr)
@@ -499,58 +573,57 @@ class TestCfAtScale:
         # at frame (0, 1) the cat's cross-term bump sits at k = 2 sqrt(2) 40,
         # far past where the diagonal term has fallen below the floor; the
         # fringes it encodes must survive the cut
-        marg = marginals_for_system(*iid_system(mode, N, mu=0.0, nu=1.0))
-        cm = convolve_fft(marg)
-        cf = cf_product(marg, grid=cm.grid)
+        marg = marginals_for_system(iid_system(mode, N, mu=0.0, nu=1.0))
+        cm = convolve_fft(marg, [N])
+        cf = cf_product(marg, [N], grid=cm.grid)
         assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
 
     def test_reads_no_marginal_grid(self):
         # the same meta with every marginal value NaN: the closed forms alone make the output
-        marg = marginals_for_system(MIXED_SYS, MIXED_FRAME)
-        grid = common_grid(marg)
+        marg = marginals_for_system(MIXED_SYS)
+        counts = MIXED_SYS.counts
+        grid = common_grid(marg, counts)
         blank = [copy.copy(m) for m in marg]
         for b in blank:
             b.values = np.full(b.grid.count, np.nan)   # set after the constructor, which rejects NaN
-        assert cf_product(blank, grid=grid).values.tobytes() == cf_product(marg, grid=grid).values.tobytes()
+        assert (cf_product(blank, counts, grid=grid).values.tobytes()
+                == cf_product(marg, counts, grid=grid).values.tobytes())
 
     def test_marginal_without_mode_rejected(self):
         m = fock_marginal(1, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="mode"):
-            cf_product([m])
+            cf_product([m], [1])
 
 
 class TestSampleSum:
     def test_deterministic_for_fixed_seed(self):
-        sys, frame = iid_system(Fock(1), 3)
-        a = sample_sum(sys, frame, 5000, seed=123)
-        b = sample_sum(sys, frame, 5000, seed=123)
+        sys = iid_system(Fock(1), 3)
+        a = sample_sum(sys, 5000, seed=123)
+        b = sample_sum(sys, 5000, seed=123)
         assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_stream(self):
-        sys, frame = iid_system(Fock(1), 3)
-        a = sample_sum(sys, frame, 5000, seed=123)
-        b = sample_sum(sys, frame, 5000, seed=124)
+        sys = iid_system(Fock(1), 3)
+        a = sample_sum(sys, 5000, seed=123)
+        b = sample_sum(sys, 5000, seed=124)
         assert a.tobytes() != b.tobytes()
 
     @pytest.mark.parametrize("n", [0, -1, MC_SAMPLES_MAX + 1])
     def test_count_outside_bounds_rejected_before_marginals(self, monkeypatch, n):
         monkeypatch.setattr(convolution, "marginals_for_system", None)
-        sys, frame = iid_system(Fock(0), 1)
         with pytest.raises(ValueError, match=f"sample count must lie in 1..{MC_SAMPLES_MAX}"):
-            sample_sum(sys, frame, n, seed=0)
+            sample_sum(iid_system(Fock(0), 1), n, seed=0)
 
     def test_vacuum_variance(self):
-        sys, frame = iid_system(Fock(0), 1)
-        s = sample_sum(sys, frame, 10 ** 6, seed=7)
+        s = sample_sum(iid_system(Fock(0), 1), 10 ** 6, seed=7)
         assert s.var() == pytest.approx(0.5, abs=2e-3)
         assert s.mean() == pytest.approx(0.0, abs=2e-3)
 
     def test_ks_against_fft_cdf(self):
-        sys = SystemSpec(modes=(Fock(0), Fock(1), Fock(2)), hbar=1.0)
-        frame = FrameSpec(mu=(1.0,) * 3, nu=(0.0,) * 3, r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
-        cm = convolve_fft(marg)
-        samples = np.sort(sample_sum(sys, frame, 10 ** 6, seed=99, marginals=marg))
+        sys = system((Fock(0), Fock(1), Fock(2)), 1.0)
+        marg = marginals_for_system(sys)
+        cm = convolve_fft(marg, sys.counts)
+        samples = np.sort(sample_sum(sys, 10 ** 6, seed=99, marginals=marg))
         cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
         cdf /= cdf[-1]
         emp = np.searchsorted(samples, cm.grid.xs, side="right") / len(samples)
@@ -558,10 +631,9 @@ class TestSampleSum:
         assert ks < 0.005
 
     def test_cat_modes_sampleable(self):
-        sys = SystemSpec(modes=(CoherentEven(1.5), CoherentOdd(1.0)), hbar=1.0)
-        frame = FrameSpec(mu=(0.0, 1.0), nu=(1.0, 0.0), r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
-        s = sample_sum(sys, frame, 200000, seed=5, marginals=marg)
+        sys = system((CoherentEven(1.5), CoherentOdd(1.0)), 1.0, [0.0, 1.0], [1.0, 0.0])
+        marg = marginals_for_system(sys)
+        s = sample_sum(sys, 200000, seed=5, marginals=marg)
         want = sum(moments(m).var for m in marg)
         assert s.var() == pytest.approx(want, rel=0.02)
 
@@ -593,13 +665,13 @@ class TestInverseCdf:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_sample_sum_matches_per_mode_interp(self, monkeypatch, n, cpus):
         # each worker jumps every mode's stream to its own blocks: the sums
-        # are those of one serial stream per mode, whatever the worker count
-        sys = SystemSpec(modes=(Fock(3), CoherentEven(1 + 0.5j), Fock(3), CoherentOdd(0.8),
-                                CoherentEven(1 + 0.5j)), hbar=0.7)
-        frame = FrameSpec(mu=(0.6, 1.0, 0.6, 0.0, 1.0), nu=(0.8, 0.0, 0.8, 1.0, 0.0), r=0.5, R=2.0)
-        marg = marginals_for_system(sys, frame)
+        # are those of one serial stream per mode, in group order, whatever
+        # the worker count
+        sys = system((Fock(3), CoherentEven(1 + 0.5j), Fock(3), CoherentOdd(0.8), CoherentEven(1 + 0.5j)), 0.7,
+                     [0.6, 1.0, 0.6, 0.0, 1.0], [0.8, 0.0, 0.8, 1.0, 0.0])
+        marg = marginals_for_system(sys)
         want = np.zeros(n)
-        for i, m in enumerate(marg):
+        for i, m in enumerate(expand(marg, sys.counts)):
             cdf = cumulative_trapezoid(m.values, m.grid.dx)
             cdf /= cdf[-1]
             want += np.interp(_mode_stream(11, i).random(n), cdf, m.grid.xs)
@@ -611,24 +683,24 @@ class TestInverseCdf:
 
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(convolution, "_mode_stream", counting)
-        got = sample_sum(sys, frame, n, seed=11, marginals=marg)
+        got = sample_sum(sys, n, seed=11, marginals=marg)
         assert got.tobytes() == want.tobytes()
         workers = min(cpus, -(-n // convolution._MC_CHUNK))
-        assert sorted(streams) == sorted(list(range(len(marg))) * workers)
+        assert sorted(streams) == sorted(list(range(sys.n_modes)) * workers)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # eight workers write neighbouring runs of one array while the
         # interpreter switches threads every microsecond
-        sys_spec, frame = MIXED_SYS, MIXED_FRAME
-        marg = marginals_for_system(sys_spec, frame)
+        sys_spec = MIXED_SYS
+        marg = marginals_for_system(sys_spec)
         n = 8 * convolution._MC_CHUNK + 5
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0})
-        want = sample_sum(sys_spec, frame, n, seed=21, marginals=marg)
+        want = sample_sum(sys_spec, n, seed=21, marginals=marg)
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(8)))
         interval = getswitchinterval()
         setswitchinterval(1e-6)
         try:
-            got = sample_sum(sys_spec, frame, n, seed=21, marginals=marg)
+            got = sample_sum(sys_spec, n, seed=21, marginals=marg)
         finally:
             setswitchinterval(interval)
         assert got.tobytes() == want.tobytes()
@@ -639,15 +711,14 @@ class TestInverseCdf:
                 raise MemoryError("worker")
             return _mode_stream(seed, index)
 
-        sys, frame = iid_system(Fock(1), 2)
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(convolution, "_mode_stream", failing)
         with pytest.raises(MemoryError, match="worker"):
-            sample_sum(sys, frame, 3 * 2 ** 15, seed=1)
+            sample_sum(iid_system(Fock(1), 2), 3 * 2 ** 15, seed=1)
 
     def test_one_table_per_distinct_marginal(self, monkeypatch):
-        sys, frame = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
-        marg = marginals_for_system(sys, frame)
+        sys = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
+        marg = marginals_for_system(sys)
         seen = []
         original = convolution._inverse_cdf
 
@@ -656,16 +727,16 @@ class TestInverseCdf:
             return original(cdf, xs)
 
         monkeypatch.setattr(convolution, "_inverse_cdf", counting)
-        sample_sum(sys, frame, 1000, seed=1, marginals=marg)
+        sample_sum(sys, 1000, seed=1, marginals=marg)
         assert len(seen) == 1
 
 
 class TestBackendAgreement:
     def setup_method(self):
-        sys, frame = iid_system(Fock(1), 2)
-        marg = marginals_for_system(sys, frame)
-        self.cm = convolve_fft(marg)
-        self.samples = sample_sum(sys, frame, 200000, seed=3, marginals=marg)
+        sys = iid_system(Fock(1), 2)
+        marg = marginals_for_system(sys)
+        self.cm = convolve_fft(marg, sys.counts)
+        self.samples = sample_sum(sys, 200000, seed=3, marginals=marg)
 
     def test_identical_densities(self):
         agree = backend_agreement(self.cm, self.cm, self.samples)

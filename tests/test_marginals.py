@@ -23,7 +23,7 @@ from cmtomo.marginals import (
     oracle_marginal,
     tomogram_oracle,
 )
-from cmtomo.states import (ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, FrameSpec, SystemSpec, cat_weight,
+from cmtomo.states import (ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, cat_weight,
                            fock_expansion)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -150,8 +150,7 @@ class TestAbs3:
     @staticmethod
     def fock_abs3(n, mu, nu, hbar):
         """abs3 of the level-n tomogram at (mu, nu), as the CLI forms it."""
-        frame = FrameSpec(mu=(mu,), nu=(nu,), r=0.5, R=5.0)
-        return per_mode_moments(SystemSpec(modes=(Fock(n),), hbar=hbar), frame)[0].abs3
+        return per_mode_moments(SystemSpec((ModeGroup(Fock(n), mu, nu),), hbar=hbar))[0].abs3
 
     def test_scaling_is_exact(self):
         base = self.fock_abs3(7, 1.0, 0.0, 1.0)

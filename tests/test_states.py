@@ -8,8 +8,9 @@ from cmtomo.states import (
     ODD_ALPHA_MIN,
     CoherentEven,
     CoherentOdd,
+    N_MAX,
     Fock,
-    FrameSpec,
+    ModeGroup,
     SystemSpec,
     cat_weight,
     coherent_expansion,
@@ -18,6 +19,12 @@ from cmtomo.states import (
     hbar_for_fixed_energy,
     mode_mean_occupation,
 )
+
+
+def on_x(modes, hbar):
+    """A system of modes, each measured along x."""
+    modes = tuple(modes)
+    return SystemSpec.from_modes(modes, [1.0] * len(modes), [0.0] * len(modes), hbar)
 
 
 def level_mean(exp):
@@ -50,35 +57,53 @@ class TestSpecs:
 
     def test_system_needs_modes(self):
         with pytest.raises(ValueError):
-            SystemSpec(modes=(), hbar=1.0)
+            SystemSpec(groups=(), hbar=1.0)
 
     def test_system_needs_positive_hbar(self):
         with pytest.raises(ValueError):
-            SystemSpec(modes=(Fock(0),), hbar=0.0)
+            SystemSpec(groups=(ModeGroup(Fock(0), 1.0, 0.0),), hbar=0.0)
 
-    def test_frame_radius_bounds(self):
-        FrameSpec(mu=(1.0,), nu=(0.0,), r=0.5, R=2.0)
-        with pytest.raises(ValueError):
-            FrameSpec(mu=(2.0,), nu=(0.0,), r=0.5, R=2.0)
-        with pytest.raises(ValueError):
-            FrameSpec(mu=(1.0,), nu=(0.0,), r=2.0, R=0.5)
-        with pytest.raises(ValueError):
-            FrameSpec(mu=(1.0, 1.0), nu=(0.0,), r=0.5, R=2.0)
+    @pytest.mark.parametrize("count", [0, -1, 1.5, "2"])
+    def test_group_needs_positive_integer_count(self, count):
+        with pytest.raises(ValueError, match="positive integer count"):
+            ModeGroup(Fock(0), 1.0, 0.0, count)
+
+    def test_from_modes_needs_equal_lengths(self):
+        with pytest.raises(ValueError, match="same length"):
+            SystemSpec.from_modes((Fock(1), Fock(1)), (1.0, 1.0), (0.0,), 1.0)
+
+    def test_equal_groups_merge_in_first_appearance_order(self):
+        sys = SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 3), ModeGroup(Fock(2), 1, 0),
+                          ModeGroup(Fock(1), 0.6, 0.8), ModeGroup(Fock(1), 1.0, 0.0, 2)), hbar=1.0)
+        assert sys.groups == (ModeGroup(Fock(1), 1.0, 0.0, 5), ModeGroup(Fock(2), 1.0, 0.0),
+                              ModeGroup(Fock(1), 0.6, 0.8))
+        assert sys.counts == [5, 1, 1] and sys.n_modes == 7
+        assert sys == SystemSpec(sys.groups, hbar=1.0)
+
+    def test_mode_count_bound(self):
+        assert SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX),), hbar=1.0).n_modes == N_MAX
+        with pytest.raises(ValueError, match="N_MAX"):
+            SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX), ModeGroup(Fock(1), 1.0, 0.0)), hbar=1.0)
+
+    def test_describe_writes_one_entry_per_mode_in_group_order(self):
+        sys = SystemSpec.from_modes((Fock(1), CoherentEven(0.5j), Fock(1)), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0), 0.5)
+        assert sys.describe() == "hbar=0.5; fock 1; fock 1; even 0 0.5"
+        assert sys.describe_frame(0.5, 2.0) == "mu=1 1 0; nu=0 0 1; r=0.5; R=2"
 
 
 class TestEnergy:
     def test_two_fock_modes(self):
-        sys = SystemSpec(modes=(Fock(0), Fock(1)), hbar=1.0)
+        sys = on_x((Fock(0), Fock(1)), 1.0)
         assert energy(sys) == pytest.approx(2.0, rel=1e-15)
 
     def test_four_fock2_modes(self):
-        sys = SystemSpec(modes=(Fock(2),) * 4, hbar=0.5)
+        sys = on_x((Fock(2),) * 4, 0.5)
         assert energy(sys) == pytest.approx(5.0, rel=1e-15)
 
     def test_even_cat_energy_against_closed_occupation(self):
         # <n> of the even superposition is |a|^2 tanh(|a|^2)
         alpha = 1.0
-        sys = SystemSpec(modes=(CoherentEven(alpha),), hbar=1.0)
+        sys = on_x((CoherentEven(alpha),), 1.0)
         want = 1.0 * (0.5 + abs(alpha) ** 2 * math.tanh(abs(alpha) ** 2))
         assert energy(sys) == pytest.approx(want, rel=1e-10)
 
@@ -92,24 +117,24 @@ class TestEnergy:
 
 class TestFixedEnergy:
     def test_vacuum_modes(self):
-        assert hbar_for_fixed_energy(10.0, [Fock(0)] * 4) == pytest.approx(5.0)
+        assert hbar_for_fixed_energy(10.0, [ModeGroup(Fock(0), 1.0, 0.0, 4)]) == pytest.approx(5.0)
 
     def test_excited_modes(self):
-        assert hbar_for_fixed_energy(10.0, [Fock(1)] * 4) == pytest.approx(10.0 / 6.0)
+        assert hbar_for_fixed_energy(10.0, [ModeGroup(Fock(1), 1.0, 0.0, 4)]) == pytest.approx(10.0 / 6.0)
 
     def test_hundred_vacuum_modes(self):
-        assert hbar_for_fixed_energy(1.0, [Fock(0)] * 100) == pytest.approx(0.02)
+        assert hbar_for_fixed_energy(1.0, [ModeGroup(Fock(0), 1.0, 0.0, 100)]) == pytest.approx(0.02)
 
     def test_round_trip_is_exact(self):
         modes = (Fock(0), Fock(3), Fock(1), Fock(7))
-        hbar = hbar_for_fixed_energy(3.7, modes)
-        assert energy(SystemSpec(modes=modes, hbar=hbar)) == pytest.approx(3.7, rel=1e-15)
+        hbar = hbar_for_fixed_energy(3.7, on_x(modes, 1.0).groups)
+        assert energy(on_x(modes, hbar)) == pytest.approx(3.7, rel=1e-15)
 
     def test_round_trip_with_cat_modes(self):
         modes = (Fock(2), CoherentEven(1.0), CoherentOdd(0.8 + 0.6j), Fock(0), CoherentEven(3 - 4j),
                  CoherentOdd(0.05), CoherentEven(0.0))
-        hbar = hbar_for_fixed_energy(10.0, modes)
-        assert energy(SystemSpec(modes=modes, hbar=hbar)) == pytest.approx(10.0, rel=0, abs=1e-12)
+        hbar = hbar_for_fixed_energy(10.0, on_x(modes, 1.0).groups)
+        assert energy(on_x(modes, hbar)) == pytest.approx(10.0, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [CoherentEven(1.3 + 0.4j), CoherentOdd(1.3 + 0.4j), CoherentOdd(0.05),
                                       CoherentEven(3.0)])
