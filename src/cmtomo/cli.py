@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import warnings
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import __version__
@@ -48,6 +49,9 @@ def _fmt(x) -> str:
 
 # printf form of _fmt, for formatting a whole row with one % operation
 _FIELD = "%.17g"
+# rows formatted and written at a time, so a large grid's text is never
+# held whole
+_ROW_BLOCK = 4096
 
 
 def _rows(*columns: list) -> list[str]:
@@ -61,13 +65,21 @@ def _rows(*columns: list) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
+def _row_blocks(*columns) -> Iterator[list[str]]:
+    """_rows of equal-length numpy columns, _ROW_BLOCK rows at a time."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        yield _rows(*(col[lo:lo + _ROW_BLOCK].tolist() for col in columns))
+
+
+def _write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the text pieces to a temp file beside path, then rename it
+    over path; on any error the temp file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,14 +105,17 @@ def _header(raw: RawConfig, args, extra: list[str]) -> list[str]:
     return lines
 
 
-def _csv(header: list[str], columns: list[str], rows: list[str],
-         footer: list[str] | None = None) -> str:
-    out = [f"# {line}" for line in header]
-    out.append(",".join(columns))
-    out.extend(rows)
+def _csv(header: list[str], columns: list[str], blocks: Iterable[list[str]],
+         footer: list[str] | None = None) -> Iterator[str]:
+    """The CSV text in pieces: the header comments and column line, one
+    piece per block of rows, the footer comments; every line ends in a
+    newline."""
+    yield "".join(f"# {line}\n" for line in header) + ",".join(columns) + "\n"
+    for rows in blocks:
+        if rows:
+            yield "\n".join(rows) + "\n"
     if footer:
-        out.extend(f"# {line}" for line in footer)
-    return "\n".join(out) + "\n"
+        yield "".join(f"# {line}\n" for line in footer)
 
 
 def _single_mode(raw: RawConfig, frame: bool):
@@ -121,8 +136,7 @@ def cmd_marginal(raw: RawConfig, args) -> int:
         f"rescale_factor {_fmt(dens.meta['rescale'])}",
         f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
     ])
-    rows = _rows(dens.grid.xs.tolist(), dens.values.tolist())
-    _write_atomic(args.out, _csv(header, ["X", "density"], rows))
+    _write_atomic(args.out, _csv(header, ["X", "density"], _row_blocks(dens.grid.xs, dens.values)))
     return 0
 
 
@@ -135,7 +149,7 @@ def cmd_cm(raw: RawConfig, args) -> int:
     footer: list[str] = []
     if args.all_backends:
         cf = cf_product(marginals, sys_spec.counts, grid=cm.grid)
-        mc = sample_sum(sys_spec, args.mc_samples, args.seed, marginals=marginals)
+        mc = sample_sum(sys_spec, args.mc_samples, args.seed, cm.grid, marginals=marginals)
         agree = backend_agreement(cm, cf, mc)
         columns += ["density_cf", "density_mc"]
         data += [cf.values, agree["density_mc"]]
@@ -147,8 +161,7 @@ def cmd_cm(raw: RawConfig, args) -> int:
         f"S_N {_fmt(s_n)}",
         f"clamped_mass {_fmt(cm.meta['clamped_mass'])}",
     ])
-    rows = _rows(cm.grid.xs.tolist(), *(col.tolist() for col in data))
-    _write_atomic(args.out, _csv(header, columns, rows, footer))
+    _write_atomic(args.out, _csv(header, columns, _row_blocks(cm.grid.xs, *data), footer))
     return 0
 
 
@@ -182,7 +195,7 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)
     header = _header(raw, args, [f"scan fixed-energy E {_fmt(E)}"])
     columns = ["N", "hbar", "S_N", "sigma2", "rE", "RE", "ks", "tv"]
-    _write_atomic(args.out, _csv(header, columns, _report_rows_csv(reports, columns)))
+    _write_atomic(args.out, _csv(header, columns, [_report_rows_csv(reports, columns)]))
     return 0
 
 
@@ -200,7 +213,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
         f"epsilon {_fmt(epsilon)}",
     ])
     columns = ["hbar", "sigma2", "mass_in_epsilon", "gaussian_predicted_mass"]
-    _write_atomic(args.out, _csv(header, columns, _report_rows_csv(reports, columns)))
+    _write_atomic(args.out, _csv(header, columns, [_report_rows_csv(reports, columns)]))
     return 0
 
 
@@ -246,7 +259,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     ])
     rows = _rows([m for m in range(dim) for _ in range(dim)], list(range(dim)) * dim,
                  rho.entries.real.ravel().tolist(), rho.entries.imag.ravel().tolist())
-    _write_atomic(args.out, _csv(header, ["m", "n", "re", "im"], rows))
+    _write_atomic(args.out, _csv(header, ["m", "n", "re", "im"], [rows]))
     return 0
 
 
@@ -260,7 +273,7 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
         warnings.simplefilter("ignore", NormalizationMismatchWarning)
         rows = discrepancy_rows(alphas, frames, hbar)
     header = _header(raw, args, ["closed forms vs oracle values"])
-    _write_atomic(args.out, _csv(header, COLUMNS, format_rows(rows)))
+    _write_atomic(args.out, _csv(header, COLUMNS, [format_rows(rows)]))
     return 0
 
 
@@ -286,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--all-backends", action="store_true",
                         help="emit every convolution backend plus cross-check footers")
     parser.add_argument("--mc-samples", type=int, default=10 ** 6,
-                        help="Monte-Carlo sample count for --all-backends, at most 2^27")
+                        help="Monte-Carlo sample count for --all-backends, at most 2^27; "
+                             "it bounds the run time, memory does not grow with it")
     return parser
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,11 @@ _TINY = np.finfo(float).tiny
 # Monte-Carlo draws per inverse-CDF lookup and per block a worker owns; a
 # multiple of 4, because Philox advance(k) skips 4 k doubles
 _MC_CHUNK = 2 ** 15
-# most Monte-Carlo draws one call takes: a 1 GiB sample array
+# fewest Monte-Carlo draws a worker sums, sorts and counts at once, if
+# its run is that long; a multiple of _MC_CHUNK
+_MC_SPAN = 2 ** 17
+# most Monte-Carlo draws one call takes; it bounds the time of a call,
+# not its memory, which does not grow with the draw count
 MC_SAMPLES_MAX = 2 ** 27
 
 
@@ -241,9 +246,28 @@ def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray):
     return invert
 
 
-def sample_sum(sys: SystemSpec, n_samples: int, seed: int,
-               marginals: list[MarginalDensity] | None = None) -> np.ndarray:
-    """Backend three: n_samples draws of the summed observable.
+@dataclass(frozen=True, eq=False)
+class SampleCounts:
+    """Counts of n Monte-Carlo draws of the sum against an output grid.
+
+    at_or_below[j] = #{s <= x_j} and below[j] = #{s < x_j} at the grid
+    nodes x_j; cells[j] counts the draws in [x_j - dx/2, x_j + dx/2),
+    the last cell closed, as np.histogram bins them.  len() is n.
+    """
+
+    grid: Grid
+    n: int
+    at_or_below: np.ndarray
+    below: np.ndarray
+    cells: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
+               marginals: list[MarginalDensity] | None = None) -> SampleCounts:
+    """Backend three: n_samples draws of the summed observable, counted on grid.
 
     Each mode draws through the inverse CDF of its gridded tomogram
     (cumulative trapezoid, linear inverse) from its own counter-based
@@ -252,31 +276,68 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int,
     blocks of _MC_CHUNK draws, so the lookup temporaries stay in cache,
     and the blocks into one contiguous run per worker thread: one worker
     per CPU this process may run on, at most one per block.  A worker
-    jumps each mode's stream to the start of its run and adds the modes
-    in order, so every draw and every sum is the same, bit for bit, for
-    any worker count.  numpy releases the interpreter lock in the draws
-    and in most of the lookups' array operations.
+    takes its run a span of max(_MC_SPAN, grid.count) draws at a time
+    (both are powers of two, so a span is whole blocks): it jumps each
+    mode's stream to the span, adds the modes in order, sorts the sums,
+    binary-searches the grid's nodes and cell edges in them and adds the
+    counts to one set of integer tallies, under a lock.  A span at least
+    as long as the grid keeps the searches within the cost of the sort.
+    Every draw and every sum is the same, bit for bit, for any worker
+    count, and integer counts do not depend on how the draws were split.
+    Memory is O(grid + workers x span), whatever n_samples.  numpy
+    releases the interpreter lock in the draws, the sort, the searches
+    and most of the lookups' array operations.
     """
     if not 0 < n_samples <= MC_SAMPLES_MAX:
         raise ValueError(f"sample count must lie in 1..{MC_SAMPLES_MAX}, got {n_samples}")
     if marginals is None:
         marginals = marginals_for_system(sys)
-    out = np.zeros(n_samples)
     order = []
-    for m, count in zip(marginals, sys.counts, strict=True):
+    for m, repeats in zip(marginals, sys.counts, strict=True):
         cdf = cumulative_trapezoid(m.values, m.grid.dx)
         cdf /= cdf[-1]
-        order += [_inverse_cdf(cdf, m.grid.xs)] * count
+        order += [_inverse_cdf(cdf, m.grid.xs)] * repeats
+    xs, count, dx = grid.xs, grid.count, grid.dx
+    # #{s <= x_j}, #{s < x_j}, and #{s < x_j - dx/2} then #{s <= x_last + dx/2};
+    # one set for every worker, so memory does not grow with the grid
+    # times the worker count
+    at_or_below = np.zeros(count, dtype=np.int64)
+    below = np.zeros(count, dtype=np.int64)
+    edges = np.zeros(count + 1, dtype=np.int64)
+    last_edge = xs[-1] + 0.5 * dx
+    lock = threading.Lock()
+    span_size = max(_MC_SPAN, count)
     failed = []
+
+    def tally(span: np.ndarray) -> None:
+        """Add the counts of the sorted span, _MC_SPAN nodes at a time."""
+        for a in range(0, count, _MC_SPAN):
+            x = xs[a:a + _MC_SPAN]
+            le = np.searchsorted(span, x, side="right")
+            lt = np.searchsorted(span, x, side="left")
+            cell = np.searchsorted(span, x - 0.5 * dx, side="left")
+            with lock:
+                at_or_below[a:a + x.size] += le
+                below[a:a + x.size] += lt
+                edges[a:a + x.size] += cell
+        last = np.searchsorted(span, last_edge, side="right")
+        with lock:
+            edges[-1] += last
 
     def run(lo: int, hi: int) -> None:
         try:
-            for i, invert in enumerate(order):
-                stream = _mode_stream(seed, i)
-                stream.bit_generator.advance(lo // 4)
-                for start in range(lo, hi, _MC_CHUNK):
-                    stop = min(start + _MC_CHUNK, hi)
-                    out[start:stop] += invert(stream.random(stop - start))
+            buffer = np.empty(min(span_size, hi - lo))
+            for start in range(lo, hi, span_size):
+                span = buffer[:min(span_size, hi - start)]
+                span.fill(0.0)
+                for i, invert in enumerate(order):
+                    stream = _mode_stream(seed, i)
+                    stream.bit_generator.advance(start // 4)
+                    for a in range(0, span.size, _MC_CHUNK):
+                        b = min(a + _MC_CHUNK, span.size)
+                        span[a:b] += invert(stream.random(b - a))
+                span.sort()
+                tally(span)
         except Exception as exc:      # raised in the calling thread once every worker is done
             failed.append(exc)
 
@@ -294,7 +355,7 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int,
             t.join()
     if failed:
         raise failed[0]
-    return out
+    return SampleCounts(grid=grid, n=n_samples, at_or_below=at_or_below, below=below, cells=np.diff(edges))
 
 
 def cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
@@ -303,18 +364,7 @@ def cumulative_trapezoid(values: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(mid)])
 
 
-def _bin_counts(sorted_samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """np.histogram(samples, bins=edges)[0] for samples sorted ascending.
-
-    Bins are half-open [a, b) except the last, which is closed, so the
-    last edge is searched from the right; no sample is sorted again.
-    """
-    cum = np.concatenate([np.searchsorted(sorted_samples, edges[:-1], side="left"),
-                          np.searchsorted(sorted_samples, edges[-1:], side="right")])
-    return np.diff(cum)
-
-
-def backend_agreement(cm: MarginalDensity, cf: MarginalDensity, samples: np.ndarray) -> dict:
+def backend_agreement(cm: MarginalDensity, cf: MarginalDensity, counts: SampleCounts) -> dict:
     """Distances between the three backends on the FFT density's grid,
     and the sample density on that grid.
 
@@ -326,20 +376,20 @@ def backend_agreement(cm: MarginalDensity, cf: MarginalDensity, samples: np.ndar
     histogram noise floor well under the 0.01 contract.
     density_mc: sample counts in the cells [x - dx/2, x + dx/2] around
     the grid nodes, divided by the sample count and dx.
-    samples is sorted in place, once; every count is a binary search.
+    counts are `sample_sum`'s, taken on the FFT density's grid.
     """
+    if counts.grid != cm.grid:
+        raise ValueError("the sample counts were taken on another grid")
     xs, dx = cm.grid.xs, cm.grid.dx
-    samples.sort()
+    n = len(counts)
     cdf = cumulative_trapezoid(cm.values, dx)
     cdf /= cdf[-1]
-    ecdf = np.searchsorted(samples, xs, side="right") / len(samples)
-    coarse = xs[::16]
-    counts = _bin_counts(samples, coarse)
-    probs = np.diff(np.interp(coarse, xs, cdf))
-    cells = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
+    # cells [x_16i, x_16(i+1)), the last closed
+    coarse = np.diff(np.append(counts.below[::16][:-1], counts.at_or_below[::16][-1]))
+    probs = np.diff(np.interp(xs[::16], xs, cdf))
     return {
         "tv_fft_cf": 0.5 * float(np.trapezoid(np.abs(cm.values - cf.values), dx=dx)),
-        "ks_fft_mc": float(np.max(np.abs(ecdf - cdf))),
-        "tv_fft_mc": 0.5 * float(np.sum(np.abs(counts / len(samples) - probs))),
-        "density_mc": _bin_counts(samples, cells) / (len(samples) * dx),
+        "ks_fft_mc": float(np.max(np.abs(counts.at_or_below / n - cdf))),
+        "tv_fft_mc": 0.5 * float(np.sum(np.abs(coarse / n - probs))),
+        "density_mc": counts.cells / (n * dx),
     }

@@ -115,8 +115,8 @@ def test_criterion_4_backend_agreement():
         marg = marginals_for_system(sys_spec)
         cm = convolve_fft(marg, sys_spec.counts)
         cf = cf_product(marg, sys_spec.counts, grid=cm.grid)
-        samples = sample_sum(sys_spec, 10 ** 6, seed=1000 + idx, marginals=marg)
-        agree = backend_agreement(cm, cf, samples)
+        counts = sample_sum(sys_spec, 10 ** 6, 1000 + idx, cm.grid, marginals=marg)
+        agree = backend_agreement(cm, cf, counts)
         worst_tv = max(worst_tv, agree["tv_fft_cf"])
         worst_ks = max(worst_ks, agree["ks_fft_mc"])
         worst_mc_tv = max(worst_mc_tv, agree["tv_fft_mc"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtomo import _blas, cli, marginals
+from cmtomo import _blas, cli, convolution, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.config import RawConfig, parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_SAMPLES_MAX
@@ -260,9 +260,9 @@ class TestCmdCm:
         asked = []
         original = cli.sample_sum
 
-        def few(sys_spec, n_samples, seed, marginals=None):
+        def few(sys_spec, n_samples, seed, grid, marginals=None):
             asked.append(n_samples)
-            return original(sys_spec, 1000, seed, marginals=marginals)
+            return original(sys_spec, 1000, seed, grid, marginals=marginals)
 
         monkeypatch.setattr(cli, "sample_sum", few)
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
@@ -617,7 +617,7 @@ def report_rows(path):
 
 
 class TestDeterminism:
-    def test_byte_identical_runs_and_threads(self, tmp_path):
+    def test_byte_identical_runs_and_threads(self, tmp_path, monkeypatch):
         # scans run on one thread; two runs of one config and seed agree byte for byte
         cfg = write(tmp_path, "c.cfg",
                     "[scan]\nE = 10\nN_list = 4 8\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\n")
@@ -627,6 +627,17 @@ class TestDeterminism:
             assert main(["clt-scan", "--config", cfg, "--out", out, "--seed", "42"]) == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+        # the three-backend artifact is the same with one Monte-Carlo worker and with three
+        cfg = write(tmp_path, "cm.cfg", "[system]\nmode = fock 1\nmode = even 1.0 0.5\n[frame]\n"
+                                        "mu = 1.0 0.0\nnu = 0.0 1.0\n")
+        blobs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            out = str(tmp_path / f"cm{cpus}.csv")
+            assert main(["cm", "--config", cfg, "--out", out, "--all-backends", "--seed", "42",
+                         "--mc-samples", "200000"]) == 0
+            blobs.append(open(out, "rb").read())
+        assert blobs[0] == blobs[1]
 
     def test_mc_backend_deterministic(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1 x2\n[frame]\nmu = 1.0\nnu = 0.0\n")
@@ -695,6 +706,41 @@ class TestRowFormatting:
                 rng.exponential(size=len(self.EDGES)) * 1e-300]
         want = [",".join(_fmt(col[i]) for col in cols) for i in range(len(self.EDGES))]
         assert _rows(*(col.tolist() for col in cols)) == want
+
+    @pytest.mark.parametrize("command, flags", [("marginal", []), ("cm", ["--all-backends", "--mc-samples", "5000"])])
+    def test_row_blocks_join_to_the_same_bytes(self, tmp_path, monkeypatch, command, flags):
+        # rows written a few at a time, a partial block last, give the bytes
+        # of one block holding every row
+        cfg = write(tmp_path, "c.cfg", FOCK1_CFG)
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 2 ** 30)
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        whole = out.read_bytes()
+        rows = len([line for line in whole.splitlines() if not line.startswith(b"#")]) - 1
+        assert rows > 7 and rows % 7
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == whole
+
+    def test_failed_block_leaves_old_artifact_and_no_temp_file(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, "c.cfg", FOCK1_CFG)
+        out = tmp_path / "o.csv"
+        out.write_text("old\n")
+        original = cli._rows
+        calls = []
+
+        def failing(*columns):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("block")
+            return original(*columns)
+
+        monkeypatch.setattr(cli, "_rows", failing)
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 64)
+        with pytest.raises(MemoryError, match="block"):
+            main(["marginal", "--config", cfg, "--out", str(out)])
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "o.csv"]
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import copy
 import math
 import threading
+import tracemalloc
 from collections import Counter
 from sys import getswitchinterval, setswitchinterval
 
@@ -13,7 +14,6 @@ from cmtomo import convolution
 from cmtomo.clt import per_mode_moments, summed_density
 from cmtomo.convolution import (
     MC_SAMPLES_MAX,
-    _bin_counts,
     _cf_product_at,
     _inverse_cdf,
     _mode_stream,
@@ -62,6 +62,52 @@ def fft_of(sys, grid=None):
 def expand(marginals, counts):
     """Each marginal repeated its count times: one entry per mode, in group order."""
     return [m for m, count in zip(marginals, counts) for _ in range(count)]
+
+
+def interp_draws(sys, marg, n, seed):
+    """n sums of one serial np.interp inverse-CDF stream per mode, in group order."""
+    want = np.zeros(n)
+    for i, m in enumerate(expand(marg, sys.counts)):
+        cdf = cumulative_trapezoid(m.values, m.grid.dx)
+        cdf /= cdf[-1]
+        want += np.interp(_mode_stream(seed, i).random(n), cdf, m.grid.xs)
+    return want
+
+
+def assert_counts_of(got, draws):
+    """got holds exactly the counts of draws on got.grid: #{s <= x_j} and
+    #{s < x_j} at the nodes, and np.histogram over the cells around them."""
+    xs, dx = got.grid.xs, got.grid.dx
+    ordered = np.sort(draws)
+    assert len(got) == len(draws)
+    assert got.at_or_below.dtype == got.below.dtype == got.cells.dtype == np.int64
+    np.testing.assert_array_equal(got.at_or_below, np.searchsorted(ordered, xs, side="right"))
+    np.testing.assert_array_equal(got.below, np.searchsorted(ordered, xs, side="left"))
+    edges = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
+    np.testing.assert_array_equal(got.cells, np.histogram(draws, bins=edges)[0])
+
+
+def grid_point_draws(monkeypatch, grid, n, seed):
+    """Make a one-mode system draw from a table of the grid's nodes and
+    cell edges (the outer edges twice), two points outside the grid and
+    normal values; return the n draws that the stream of seed gives."""
+    xs, dx = grid.xs, grid.dx
+    edges = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
+    table = np.concatenate([xs, edges, edges[[0, -1, -1]], [xs[0] - 1.0, xs[-1] + 1.0],
+                            np.random.default_rng(4).normal(size=5000)])
+    monkeypatch.setattr(convolution, "_inverse_cdf",
+                        lambda cdf, nodes: lambda u: table[(u * table.size).astype(np.intp)])
+    return table[(_mode_stream(seed, 0).random(n) * table.size).astype(np.intp)]
+
+
+def cell_moments(got):
+    """Mean and variance of the draws binned to the grid nodes (every draw
+    must lie in a cell); binning adds about dx^2 / 12 to the variance."""
+    assert got.cells.sum() == len(got)
+    p = got.cells / len(got)
+    xs = got.grid.xs
+    mean = float(p @ xs)
+    return mean, float(p @ (xs - mean) ** 2)
 
 
 MIXED_SYS = system((Fock(1), CoherentEven(1 + 0.5j), CoherentOdd(0.8), Fock(0)), 0.7,
@@ -242,13 +288,9 @@ class TestMultiplicities:
     def test_sample_sum_draws_one_stream_per_mode_in_group_order(self, counts, order):
         sys = picks_system(shuffled_picks(counts, order), hbar=1.0)
         marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
         n = 3000
-        want = np.zeros(n)
-        for i, m in enumerate(expand(marg, sys.counts)):
-            cdf = cumulative_trapezoid(m.values, m.grid.dx)
-            cdf /= cdf[-1]
-            want += np.interp(_mode_stream(5, i).random(n), cdf, m.grid.xs)
-        assert sample_sum(sys, n, seed=5, marginals=marg).tobytes() == want.tobytes()
+        assert_counts_of(sample_sum(sys, n, 5, grid, marginals=marg), interp_draws(sys, marg, n, 5))
 
     def test_distinct_modes_bit_for_bit(self):
         # every count is 1: the spectra multiply in as they are
@@ -598,44 +640,63 @@ class TestCfAtScale:
 class TestSampleSum:
     def test_deterministic_for_fixed_seed(self):
         sys = iid_system(Fock(1), 3)
-        a = sample_sum(sys, 5000, seed=123)
-        b = sample_sum(sys, 5000, seed=123)
-        assert a.tobytes() == b.tobytes()
+        grid = fft_of(sys).grid
+        a = sample_sum(sys, 5000, 123, grid)
+        b = sample_sum(sys, 5000, 123, grid)
+        for field in ("at_or_below", "below", "cells"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_seed_changes_stream(self):
         sys = iid_system(Fock(1), 3)
-        a = sample_sum(sys, 5000, seed=123)
-        b = sample_sum(sys, 5000, seed=124)
-        assert a.tobytes() != b.tobytes()
+        grid = fft_of(sys).grid
+        a = sample_sum(sys, 5000, 123, grid)
+        b = sample_sum(sys, 5000, 124, grid)
+        assert a.cells.tobytes() != b.cells.tobytes()
 
     @pytest.mark.parametrize("n", [0, -1, MC_SAMPLES_MAX + 1])
     def test_count_outside_bounds_rejected_before_marginals(self, monkeypatch, n):
         monkeypatch.setattr(convolution, "marginals_for_system", None)
         with pytest.raises(ValueError, match=f"sample count must lie in 1..{MC_SAMPLES_MAX}"):
-            sample_sum(iid_system(Fock(0), 1), n, seed=0)
+            sample_sum(iid_system(Fock(0), 1), n, 0, Grid(x0=-1.0, dx=1.0, count=4))
 
     def test_vacuum_variance(self):
-        s = sample_sum(iid_system(Fock(0), 1), 10 ** 6, seed=7)
-        assert s.var() == pytest.approx(0.5, abs=2e-3)
-        assert s.mean() == pytest.approx(0.0, abs=2e-3)
+        sys = iid_system(Fock(0), 1)
+        mean, var = cell_moments(sample_sum(sys, 10 ** 6, 7, fft_of(sys).grid))
+        assert var == pytest.approx(0.5, abs=2e-3)
+        assert mean == pytest.approx(0.0, abs=2e-3)
 
     def test_ks_against_fft_cdf(self):
         sys = system((Fock(0), Fock(1), Fock(2)), 1.0)
         marg = marginals_for_system(sys)
         cm = convolve_fft(marg, sys.counts)
-        samples = np.sort(sample_sum(sys, 10 ** 6, seed=99, marginals=marg))
+        got = sample_sum(sys, 10 ** 6, 99, cm.grid, marginals=marg)
         cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
         cdf /= cdf[-1]
-        emp = np.searchsorted(samples, cm.grid.xs, side="right") / len(samples)
-        ks = float(np.max(np.abs(emp - cdf)))
+        ks = float(np.max(np.abs(got.at_or_below / len(got) - cdf)))
         assert ks < 0.005
 
     def test_cat_modes_sampleable(self):
         sys = system((CoherentEven(1.5), CoherentOdd(1.0)), 1.0, [0.0, 1.0], [1.0, 0.0])
         marg = marginals_for_system(sys)
-        s = sample_sum(sys, 200000, seed=5, marginals=marg)
+        _, var = cell_moments(sample_sum(sys, 200000, 5, common_grid(marg, sys.counts), marginals=marg))
         want = sum(moments(m).var for m in marg)
-        assert s.var() == pytest.approx(want, rel=0.02)
+        assert var == pytest.approx(want, rel=0.02)
+
+    def test_memory_bounded_by_grid_and_workers(self, monkeypatch):
+        # two workers count 2^22 draws in a few spans' worth of memory; an
+        # array of the draws alone would take 32 MiB
+        sys = iid_system(Fock(1), 2)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1})
+        tracemalloc.start()
+        try:
+            got = sample_sum(sys, 2 ** 22, 1, grid, marginals=marg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == got.at_or_below[-1] == 2 ** 22
+        assert peak < 12 * 2 ** 20
 
 
 class TestInverseCdf:
@@ -660,21 +721,19 @@ class TestInverseCdf:
         want = np.interp(u, self.CDF, self.XS)
         assert got.tobytes() == want.tobytes()
 
-    # sample counts on both sides of the block size, and a partial last block
-    @pytest.mark.parametrize("n", [1, 3, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5])
+    # sample counts on both sides of the block and span sizes, and partial
+    # last blocks and spans
+    @pytest.mark.parametrize("n", [1, 3, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5,
+                                   convolution._MC_SPAN - 1, convolution._MC_SPAN + 1])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_sample_sum_matches_per_mode_interp(self, monkeypatch, n, cpus):
-        # each worker jumps every mode's stream to its own blocks: the sums
-        # are those of one serial stream per mode, in group order, whatever
-        # the worker count
+        # each worker jumps every mode's stream to each span of its run: the
+        # counts are those of one serial stream per mode, summed in group
+        # order, whatever the worker count
         sys = system((Fock(3), CoherentEven(1 + 0.5j), Fock(3), CoherentOdd(0.8), CoherentEven(1 + 0.5j)), 0.7,
                      [0.6, 1.0, 0.6, 0.0, 1.0], [0.8, 0.0, 0.8, 1.0, 0.0])
         marg = marginals_for_system(sys)
-        want = np.zeros(n)
-        for i, m in enumerate(expand(marg, sys.counts)):
-            cdf = cumulative_trapezoid(m.values, m.grid.dx)
-            cdf /= cdf[-1]
-            want += np.interp(_mode_stream(11, i).random(n), cdf, m.grid.xs)
+        grid = common_grid(marg, sys.counts)
         streams = []
 
         def counting(seed, index):
@@ -683,27 +742,56 @@ class TestInverseCdf:
 
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(convolution, "_mode_stream", counting)
-        got = sample_sum(sys, n, seed=11, marginals=marg)
-        assert got.tobytes() == want.tobytes()
-        workers = min(cpus, -(-n // convolution._MC_CHUNK))
-        assert sorted(streams) == sorted(list(range(sys.n_modes)) * workers)
+        got = sample_sum(sys, n, 11, grid, marginals=marg)
+        assert_counts_of(got, interp_draws(sys, marg, n, 11))
+        # one stream per mode and span of each worker's run of whole blocks
+        chunk, span = convolution._MC_CHUNK, max(convolution._MC_SPAN, grid.count)
+        blocks = -(-n // chunk)
+        workers = min(cpus, blocks)
+        bounds = [min(w * blocks // workers * chunk, n) for w in range(workers + 1)]
+        spans = sum(-(-(hi - lo) // span) for lo, hi in zip(bounds, bounds[1:]))
+        assert Counter(streams) == {i: spans for i in range(sys.n_modes)}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_grid_longer_than_a_span(self, monkeypatch, cpus):
+        # a span grows to the grid's length, and the nodes are searched
+        # _MC_SPAN at a time
+        sys = iid_system(Fock(1), 2)
+        marg = marginals_for_system(sys)
+        count = 2 * convolution._MC_SPAN
+        grid = Grid(x0=-6.0, dx=12.0 / count, count=count)
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        n = count + 3 * convolution._MC_CHUNK + 5
+        assert_counts_of(sample_sum(sys, n, 6, grid, marginals=marg), interp_draws(sys, marg, n, 6))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_draws_on_nodes_and_cell_edges(self, monkeypatch, cpus):
+        # draws that sit exactly on nodes and cell edges, twice on the outer
+        # edges, and outside the grid: nodes count them as <= and < do, cells
+        # as np.histogram does, half-open but for the closed last cell
+        sys = iid_system(Fock(1), 1)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        n = 3 * convolution._MC_CHUNK + 7
+        draws = grid_point_draws(monkeypatch, grid, n, 2)
+        assert_counts_of(sample_sum(sys, n, 2, grid, marginals=marg), draws)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # eight workers write neighbouring runs of one array while the
-        # interpreter switches threads every microsecond
+        # eight workers count neighbouring runs while the interpreter
+        # switches threads every microsecond
         sys_spec = MIXED_SYS
         marg = marginals_for_system(sys_spec)
+        grid = common_grid(marg, sys_spec.counts)
         n = 8 * convolution._MC_CHUNK + 5
-        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0})
-        want = sample_sum(sys_spec, n, seed=21, marginals=marg)
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(8)))
         interval = getswitchinterval()
         setswitchinterval(1e-6)
         try:
-            got = sample_sum(sys_spec, n, seed=21, marginals=marg)
+            got = sample_sum(sys_spec, n, 21, grid, marginals=marg)
         finally:
             setswitchinterval(interval)
-        assert got.tobytes() == want.tobytes()
+        assert_counts_of(got, interp_draws(sys_spec, marg, n, 21))
 
     def test_worker_failure_raised_in_caller(self, monkeypatch):
         def failing(seed, index):
@@ -711,10 +799,11 @@ class TestInverseCdf:
                 raise MemoryError("worker")
             return _mode_stream(seed, index)
 
+        sys = iid_system(Fock(1), 2)
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(convolution, "_mode_stream", failing)
         with pytest.raises(MemoryError, match="worker"):
-            sample_sum(iid_system(Fock(1), 2), 3 * 2 ** 15, seed=1)
+            sample_sum(sys, 3 * 2 ** 15, 1, fft_of(sys).grid)
 
     def test_one_table_per_distinct_marginal(self, monkeypatch):
         sys = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
@@ -727,19 +816,19 @@ class TestInverseCdf:
             return original(cdf, xs)
 
         monkeypatch.setattr(convolution, "_inverse_cdf", counting)
-        sample_sum(sys, 1000, seed=1, marginals=marg)
+        sample_sum(sys, 1000, 1, common_grid(marg, sys.counts), marginals=marg)
         assert len(seen) == 1
 
 
 class TestBackendAgreement:
     def setup_method(self):
-        sys = iid_system(Fock(1), 2)
-        marg = marginals_for_system(sys)
-        self.cm = convolve_fft(marg, sys.counts)
-        self.samples = sample_sum(sys, 200000, seed=3, marginals=marg)
+        self.sys = iid_system(Fock(1), 2)
+        self.marg = marginals_for_system(self.sys)
+        self.cm = convolve_fft(self.marg, self.sys.counts)
+        self.counts = sample_sum(self.sys, 200000, 3, self.cm.grid, marginals=self.marg)
 
     def test_identical_densities(self):
-        agree = backend_agreement(self.cm, self.cm, self.samples)
+        agree = backend_agreement(self.cm, self.cm, self.counts)
         assert agree["tv_fft_cf"] == 0.0
         assert agree["ks_fft_mc"] < 0.005
         assert agree["tv_fft_mc"] < 0.01
@@ -749,35 +838,43 @@ class TestBackendAgreement:
         shifted = np.roll(self.cm.values, 1)
         shifted /= np.trapezoid(shifted, dx=grid.dx)
         cf = MarginalDensity(grid=grid, values=shifted)
-        assert backend_agreement(self.cm, cf, self.samples)["tv_fft_cf"] > 1e-6
+        assert backend_agreement(self.cm, cf, self.counts)["tv_fft_cf"] > 1e-6
 
-    def test_unsorted_samples_sorted_in_place(self):
-        # the counts are those of the samples as drawn; the array comes back sorted
-        shuffled = np.random.default_rng(8).permutation(self.samples)
-        want = backend_agreement(self.cm, self.cm, np.sort(self.samples))
-        got = backend_agreement(self.cm, self.cm, shuffled)
-        assert np.array_equal(shuffled, np.sort(self.samples))
-        assert got["density_mc"].tobytes() == want["density_mc"].tobytes()
-        assert all(got[key] == want[key] for key in ("tv_fft_cf", "ks_fft_mc", "tv_fft_mc"))
-
-    def test_bin_counts_match_histogram(self):
-        edges = np.linspace(-3.0, 3.0, 97)
-        samples = np.concatenate([
-            np.random.default_rng(4).normal(size=50_000) * 1.5,
-            edges, edges[[0, -1, -1]], [-7.0, 7.0],   # on every edge, twice at the ends
-        ])
-        want, _ = np.histogram(samples, bins=edges)
-        got = _bin_counts(np.sort(samples), edges)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(_bin_counts(np.sort(samples), edges[::16]),
-                                      np.histogram(samples, bins=edges[::16])[0])
+    @pytest.mark.parametrize("on_grid", [False, True])
+    def test_distances_are_those_of_the_draws(self, monkeypatch, on_grid):
+        # the counts give KS and the coarse TV exactly as the draws do:
+        # ECDF at the nodes, np.histogram over every 16th node; also for
+        # draws on the nodes and cell edges themselves
+        if on_grid:
+            one = iid_system(Fock(1), 1)
+            draws = grid_point_draws(monkeypatch, self.cm.grid, 200000, 3)
+            counts = sample_sum(one, 200000, 3, self.cm.grid, marginals=marginals_for_system(one))
+        else:
+            draws, counts = interp_draws(self.sys, self.marg, 200000, 3), self.counts
+        xs, n = self.cm.grid.xs, draws.size
+        cdf = cumulative_trapezoid(self.cm.values, self.cm.grid.dx)
+        cdf /= cdf[-1]
+        ks = float(np.max(np.abs(np.searchsorted(np.sort(draws), xs, side="right") / n - cdf)))
+        coarse = np.histogram(draws, bins=xs[::16])[0]
+        tv = 0.5 * float(np.sum(np.abs(coarse / n - np.diff(np.interp(xs[::16], xs, cdf)))))
+        agree = backend_agreement(self.cm, self.cm, counts)
+        assert agree["ks_fft_mc"] == ks
+        assert agree["tv_fft_mc"] == tv
 
     def test_density_mc_is_cell_histogram(self):
         xs, dx = self.cm.grid.xs, self.cm.grid.dx
         edges = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
-        want = np.histogram(self.samples, bins=edges)[0] / (len(self.samples) * dx)
-        got = backend_agreement(self.cm, self.cm, self.samples)["density_mc"]
+        draws = interp_draws(self.sys, self.marg, 200000, 3)
+        want = np.histogram(draws, bins=edges)[0] / (draws.size * dx)
+        got = backend_agreement(self.cm, self.cm, self.counts)["density_mc"]
         assert got.tobytes() == want.tobytes()
+
+    def test_counts_on_another_grid_rejected(self):
+        grid = self.cm.grid
+        other = Grid(x0=grid.x0 + grid.dx, dx=grid.dx, count=grid.count)
+        counts = sample_sum(self.sys, 1000, 3, other, marginals=self.marg)
+        with pytest.raises(ValueError, match="another grid"):
+            backend_agreement(self.cm, self.cm, counts)
 
     def test_cumulative_trapezoid(self):
         np.testing.assert_allclose(cumulative_trapezoid(np.array([1.0, 3.0, 5.0]), 0.5), [0.0, 1.0, 3.0])
