@@ -30,12 +30,14 @@ from .config import (
     get_int_list,
     get_positive,
     get_positive_list,
+    get_scale,
+    get_scale_list,
     get_seed,
     parse_config_file,
     parse_frame,
     parse_system,
 )
-from .convolution import MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
+from .convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
 from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
 from .reconstruct import fidelity, reconstruct_single_mode
@@ -143,6 +145,10 @@ def cmd_marginal(raw: RawConfig, args) -> int:
 def cmd_cm(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     r, big_r = parse_frame(raw, sys_spec)
+    if args.all_backends and sys_spec.n_modes * args.mc_samples > MC_MODE_DRAWS_MAX:
+        raw.fail(raw.last_line("system", "mode"),
+                 f"--all-backends draws every mode: {sys_spec.n_modes} modes x --mc-samples {args.mc_samples} "
+                 f"exceed 2^30 = {MC_MODE_DRAWS_MAX} mode-draws")
     marginals, sigma2, s_n, cm = summed_density(sys_spec)
     columns = ["X", "density"]
     data = [cm.values]
@@ -176,7 +182,7 @@ def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[str]:
 
 
 def cmd_clt_scan(raw: RawConfig, args) -> int:
-    E = get_positive(raw, "scan", "E", required=True)
+    E = get_scale(raw, "scan", "E", required=True)
     n_list = get_int_list(raw, "scan", "N_list", default=[4, 8, 16, 32, 64])
     if not n_list or not all(1 <= n <= N_MAX for n in n_list):
         raw.fail(raw.last_line("scan", "N_list"), f"N_list entries must lie in 1..N_MAX = {N_MAX}, got {n_list}")
@@ -202,7 +208,7 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
 def cmd_hbar_scan(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
     r, big_r = parse_frame(raw, sys_spec)
-    hbar_list = get_positive_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
+    hbar_list = get_scale_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
     if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
         raw.fail(raw.last_line("scan", "hbar_list"), f"hbar_list must be strictly decreasing, got {hbar_list}")
     epsilon = get_positive(raw, "scan", "epsilon", default=0.1)
@@ -267,7 +273,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
 def cmd_discrepancy_report(raw: RawConfig, args) -> int:
     alphas = get_alphas(raw, "report", "alpha") or list(DEFAULT_ALPHAS)
     frames = get_directions(raw, "report", "frame") or list(DEFAULT_FRAMES)
-    hbar = get_positive(raw, "report", "hbar", default=1.0)
+    hbar = get_scale(raw, "report", "hbar", default=1.0)
     # the report tabulates the pre-rescale integrals that this warning flags
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NormalizationMismatchWarning)
@@ -299,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--all-backends", action="store_true",
                         help="emit every convolution backend plus cross-check footers")
     parser.add_argument("--mc-samples", type=int, default=10 ** 6,
-                        help="Monte-Carlo sample count for --all-backends, at most 2^27; "
-                             "it bounds the run time, memory does not grow with it")
+                        help="Monte-Carlo sample count for --all-backends, at most 2^27, and at most "
+                             "2^30 / N for N modes; it bounds the run time, memory does not grow with it")
     return parser
 
 

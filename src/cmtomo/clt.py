@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import convolve_fft, cumulative_trapezoid, marginals_for_system
+from .errors import NumericalError
 from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, fock_var_closed, moments
 from .states import Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy
 
@@ -41,7 +42,10 @@ class HbarReport(CltReport):
 
 
 def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
-    """(sum_j E|x_j|^3) / (sum_j Var x_j)^{3/2}, counts[g] modes sharing moments g."""
+    """(sum_j E|x_j|^3) / (sum_j Var x_j)^{3/2}, counts[g] modes sharing moments g.
+
+    The sums carry hbar to the powers 3/2 and 3; where one of them leaves
+    the double range the ratio fails the run (NumericalError)."""
     var_total = 0.0
     abs3_total = 0.0
     for m, count in zip(per_mode_moments, counts, strict=True):
@@ -49,7 +53,14 @@ def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
             raise ValueError("every per-mode variance must be positive")
         var_total += count * m.var
         abs3_total += count * m.abs3
-    return abs3_total / var_total ** 1.5
+    try:
+        s_n = abs3_total / var_total ** 1.5
+    except (OverflowError, ZeroDivisionError):
+        s_n = math.nan
+    if not (math.isfinite(s_n) and s_n > 0):
+        raise NumericalError(f"S_N = sum E|x|^3 / (sum Var x)^1.5 = {abs3_total:.6g} / {var_total:.6g}^1.5 "
+                             "leaves the double range")
+    return s_n
 
 
 def per_mode_moments(sys: SystemSpec, marginals=None) -> list[Moments]:
@@ -62,7 +73,10 @@ def per_mode_moments(sys: SystemSpec, marginals=None) -> list[Moments]:
     out = []
     for i, g in enumerate(sys.groups):
         if isinstance(g.mode, Fock):
-            s3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5
+            try:
+                s3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5
+            except OverflowError:       # S_N then fails the run
+                s3 = math.inf
             out.append(Moments(mean=0.0, var=fock_var_closed(g.mode.n, g.mu, g.nu, sys.hbar),
                                abs3=s3 * fock_abs3_dimensionless(g.mode.n)))
         else:
@@ -77,6 +91,8 @@ def summed_density(sys: SystemSpec) -> tuple[list[MarginalDensity], float, float
     marginals = marginals_for_system(sys)
     pm = per_mode_moments(sys, marginals)
     sigma2 = float(sum(count * m.var for m, count in zip(pm, sys.counts)))
+    if not math.isfinite(sigma2):
+        raise NumericalError(f"sigma^2 = sum Var x overflows at hbar = {sys.hbar:g}")
     return marginals, sigma2, lyapunov_ratio(pm, sys.counts), convolve_fft(marginals, sys.counts)
 
 

@@ -127,6 +127,34 @@ def get_int_list(raw: RawConfig, section: str, key: str, default=None, required=
     return _get(raw, section, key, lambda v: [int(t) for t in v.split()], "a list of integers", default, required)
 
 
+# the supported range of hbar ([system] hbar, [report] hbar, each [scan]
+# hbar_list entry) and of the scan energy [scan] E, bounds included
+SCALE_MIN = 1e-200
+SCALE_MAX = 1e200
+
+
+def _check_scale(raw: RawConfig, section: str, key: str, values: list[float]) -> None:
+    for v in values:
+        if not SCALE_MIN <= v <= SCALE_MAX:
+            raw.fail(raw.last_line(section, key), f"{key} must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}], got {v!r}")
+
+
+def get_scale(raw: RawConfig, section: str, key: str, default=None, required=False) -> float:
+    """hbar or E: a number in [SCALE_MIN, SCALE_MAX]."""
+    value = get_float(raw, section, key, default, required)
+    _check_scale(raw, section, key, [value])
+    return value
+
+
+def get_scale_list(raw: RawConfig, section: str, key: str, default: list) -> list[float]:
+    """At least one hbar, each in [SCALE_MIN, SCALE_MAX]."""
+    values = get_float_list(raw, section, key, default)
+    if not values:
+        raw.fail(raw.last_line(section, key), f"{key} needs at least one entry")
+    _check_scale(raw, section, key, values)
+    return values
+
+
 def get_positive(raw: RawConfig, section: str, key: str, default=None, required=False) -> float:
     """A number that must be positive and finite."""
     value = get_float(raw, section, key, default, required)
@@ -257,7 +285,7 @@ def parse_system(raw: RawConfig, frame: bool = True) -> SystemSpec:
             raw.fail(lineno, f"the mode lines hold more than N_MAX = {N_MAX} modes")
     if not lines:
         raise ConfigError(f"{raw.source}: [system] needs at least one mode line")
-    hbar = get_positive(raw, "system", "hbar", default=1.0)
+    hbar = get_scale(raw, "system", "hbar", default=1.0)
     mu = _frame_list(raw, "mu", 1.0, n_modes) if frame else [1.0]
     nu = _frame_list(raw, "nu", 0.0, n_modes) if frame else [0.0]
     if len(mu) == len(nu) == 1:

@@ -30,9 +30,11 @@ _MC_CHUNK = 2 ** 15
 # fewest Monte-Carlo draws a worker sums, sorts and counts at once, if
 # its run is that long; a multiple of _MC_CHUNK
 _MC_SPAN = 2 ** 17
-# most Monte-Carlo draws one call takes; it bounds the time of a call,
-# not its memory, which does not grow with the draw count
+# most Monte-Carlo draws one call takes, and most mode-draws (modes times
+# draws, 17-27 ns of wall each on a 2-vCPU VM); they bound the time of a
+# call, not its memory, which does not grow with the draw count
 MC_SAMPLES_MAX = 2 ** 27
+MC_MODE_DRAWS_MAX = 2 ** 30
 
 
 def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
@@ -48,52 +50,76 @@ def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
             for g, (half, _) in zip(sys.groups, policies)]
 
 
+def _sum_half_width(marginals: list[MarginalDensity], counts: list[int]) -> float:
+    """|mean| + 8 sigma of the sum: the half-width its grid must cover.
+    Moments are taken once per marginal and weighted by its count."""
+    stats = [moments(m) for m in marginals]
+    mean = sum(count * s.mean for s, count in zip(stats, counts, strict=True))
+    sigma = math.sqrt(sum(count * s.var for s, count in zip(stats, counts)))
+    return abs(mean) + 8.0 * sigma
+
+
 def common_grid(marginals: list[MarginalDensity], counts: list[int], max_count: int = _MAX_GRID) -> Grid:
     """Output grid covering the sum: total mean +- 8 total sigma.
 
     The spacing is the finest marginal spacing, so marginals produced by
     the default grid policy land exactly on output nodes and resampling
-    is lossless.  Moments are taken once per marginal and weighted by
-    its count.
+    is lossless.
     """
-    stats = [moments(m) for m in marginals]
-    mean = sum(count * s.mean for s, count in zip(stats, counts, strict=True))
-    sigma = math.sqrt(sum(count * s.var for s, count in zip(stats, counts)))
     dx = min(m.grid.dx for m in marginals)
-    half = abs(mean) + 8.0 * sigma
-    return centered_grid(half, dx, max_count=max_count)
+    return centered_grid(_sum_half_width(marginals, counts), dx, max_count=max_count)
 
 
-def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
-    """f**count, complex f in place; f itself for count 1.
+def _output_grid(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None) -> Grid:
+    """The grid a spectral backend inverts onto: `common_grid`'s, or the
+    caller's if its period [x0, x0 + count dx) covers |mean| + 8 sigma of
+    the sum on both sides, by the moments `common_grid` takes.  Both
+    backends periodize over that period, so the sum's mass past it would
+    fold back onto the grid.  The moments only check the grid; neither
+    backend's output depends on them."""
+    if not marginals:
+        raise ValueError("need at least one marginal")
+    if grid is None:
+        return common_grid(marginals, counts)
+    half = _sum_half_width(marginals, counts)
+    if grid.x0 > -half or grid.x0 + grid.count * grid.dx < half:
+        raise ValueError(f"grid [{grid.x0:.6g}, {grid.x0 + grid.count * grid.dx:.6g}) does not cover the "
+                         f"sum's |mean| + 8 sigma = {half:.6g} on both sides")
+    return grid
+
+
+def _raise_to(f: np.ndarray, count: int, base: np.ndarray | None = None) -> np.ndarray:
+    """f**count, complex f in place; f itself for count 1.  base, if
+    given, is complex scratch of f's shape.
 
     Complex entries with |f| >= 1/2 take the polar form
     |f|^count e^{i count arg f}.  Every other entry is raised by binary
     powering, squarings and multiplies: it errs by about
     count eps |f|^count <= count 2^-count eps <= eps/2 of a unit peak,
     and it cannot overflow.  Where |f|^count would fall below the
-    smallest normal double the entry is set to 0, so no product forms a
-    subnormal, whose arithmetic is some twenty times slower.  Few
-    entries of a dx-scaled spectrum reach modulus 1/2, so only those
-    pay for an angle, a power, a cosine and a sine.
+    smallest normal double the entry is set to 0 before the powering,
+    so no product forms a subnormal, whose arithmetic is some twenty
+    times slower.  The powering runs over every entry in place; few
+    entries of a dx-scaled spectrum reach modulus 1/2, so only those pay
+    for an angle, a power, a cosine and a sine, which then overwrite
+    their powered values.
     """
     if count == 1:
         return f
     if not np.iscomplexobj(f):
         return f ** count
-    mod = np.abs(f)
+    if base is None:
+        base = np.empty_like(f)
+    mod = np.abs(f, out=base.real)
     big = np.flatnonzero(mod >= 0.5)
     phase = count * np.angle(f[big])
     mag = mod[big] ** count
-    small = np.flatnonzero((mod < 0.5) & (mod >= _TINY ** (1.0 / count)))
-    g = f[small]
-    base = g.copy()
+    f[mod < _TINY ** (1.0 / count)] = 0.0
+    np.copyto(base, f)
     for bit in bin(count)[3:]:
-        g *= g
+        f *= f
         if bit == "1":
-            g *= base
-    f.fill(0.0)
-    f[small] = g
+            f *= base
     f.real[big] = mag * np.cos(phase)
     f.imag[big] = mag * np.sin(phase)
     return f
@@ -102,48 +128,57 @@ def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
 def convolve_fft(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None = None) -> MarginalDensity:
     """Spectral convolution of counts[i] copies of each marginals[i] on a shared centered grid.
 
-    Each marginal is resampled once and zero-padded to twice the output
-    length.  Its spectrum is scaled by dx, so every factor is a discrete
-    characteristic function bounded near one, and raised to its count
-    (`_raise_to`), so the product cannot overflow at any N.  The cost is
-    one resample and one rfft of length 2 count per marginal, whatever
-    the number of modes.  `_inverse` takes the product back, failing on
-    more than 1e-9 of clamped mass.
+    Each marginal is resampled once onto the output nodes, placed in
+    ifftshift order (the node x = 0 first) and transformed by one rfft
+    of length count, so the sum is periodized over the output grid's own
+    period count dx; the grid covers mean +- 8 sigma of the sum, so the
+    wrap-around folds back no more than it leaves out.  Its spectrum is
+    scaled by dx, so every factor is a discrete characteristic function
+    bounded near one, and raised to its count (`_raise_to`), so the
+    product cannot overflow at any N.  The cost is one resample and one
+    rfft of length count per marginal, whatever the number of modes, in
+    one set of buffers per call.  `_inverse` takes the product back,
+    failing on more than 1e-9 of clamped mass.
     """
-    if not marginals:
-        raise ValueError("need at least one marginal")
-    if grid is None:
-        grid = common_grid(marginals, counts)
-    count = grid.count
-    g = np.zeros(2 * count)
-    spec = None
-    for m, repeats in zip(marginals, counts, strict=True):
-        g[count // 2: 3 * count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
-        f = np.fft.rfft(np.fft.ifftshift(g))
+    grid = _output_grid(marginals, counts, grid)
+    return _inverse(_spectrum_product(marginals, counts, grid), grid, 1e-9)
+
+
+def _spectrum_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid) -> np.ndarray:
+    """convolve_fft's product of dx-scaled spectra, each raised to its
+    count, at k_j = 2 pi j / (count dx), j = 0..count/2.  The buffers
+    live as long as the loop, so the inverse runs without them."""
+    half = grid.count // 2
+    # the output nodes in ifftshift order: x = 0 first
+    xs = np.roll(grid.xs, -half)
+    spec = np.empty(half + 1, dtype=complex)
+    factor = np.empty_like(spec)
+    base = np.empty_like(spec)
+    for i, (m, repeats) in enumerate(zip(marginals, counts, strict=True)):
+        f = factor if i else spec
+        np.fft.rfft(np.interp(xs, m.grid.xs, m.values, left=0.0, right=0.0), out=f)
         f *= grid.dx
-        f = _raise_to(f, repeats)
-        if spec is None:
-            spec = f
-        else:
+        _raise_to(f, repeats, base)
+        if i:
             spec *= f
-    return _inverse(spec, grid, 1e-9)
+    return spec
 
 
 def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensity:
     """The density on a centered grid whose characteristic function E e^{-i k X}
-    is spec at k_j = 2 pi j / (2 count dx), j = 0..count.
+    is spec at k_j = 2 pi j / (count dx), j = 0..count/2.
 
-    One irfft of length 2 count, divided by dx, keeps its centred count
-    nodes, so the sum is periodized over twice the output extent.
-    Negative values are clamped at 0; more than clamp_limit of clamped
-    mass fails the run.  The rest is renormalized to unit integral.
+    One irfft of length count, divided by dx and rotated to the grid's
+    order, so the sum is periodized over the output extent.  Negative
+    values are clamped at 0; more than clamp_limit of clamped mass fails
+    the run.  The rest is renormalized to unit integral, in place.
     """
-    count = grid.count
-    out = np.fft.fftshift(np.fft.irfft(spec, n=2 * count))[count // 2: 3 * count // 2] / grid.dx
+    out = np.fft.fftshift(np.fft.irfft(spec, n=grid.count))
+    out /= grid.dx
     clamped = float(-out[out < 0].sum() * grid.dx)
     if clamped > clamp_limit:
         raise NumericalError(f"clamped negative mass {clamped:.3e} exceeds {clamp_limit}")
-    out = np.clip(out, 0.0, None)
+    np.clip(out, 0.0, None, out=out)
     out /= np.trapezoid(out, dx=grid.dx)
     return MarginalDensity(grid=grid, values=out, meta={"clamped_mass": clamped})
 
@@ -166,13 +201,12 @@ def _cf_product_at(marginals: list[MarginalDensity], counts: list[int], ks: np.n
 
 
 def cf_grid_for(grid: Grid) -> Grid:
-    """The lattice k_j = j dk, j = -count..count - 1, dk = 2 pi / (2 count dx),
-    that an irfft of length 2 count pairs with an output grid; its
-    Nyquist node count dk is pi / dx.  `centered_grid`'s cap would
-    refuse 2 count nodes at the largest output grid, so it is not used.
+    """The lattice k_j = j dk, j = -count/2..count/2 - 1, dk = 2 pi / (count dx),
+    that an irfft of length count pairs with an output grid; its
+    Nyquist node (count/2) dk is pi / dx.
     """
-    dk = 2.0 * math.pi / (2 * grid.count * grid.dx)
-    return Grid(x0=-grid.count * dk, dx=dk, count=2 * grid.count)
+    dk = 2.0 * math.pi / (grid.count * grid.dx)
+    return Grid(x0=-(grid.count // 2) * dk, dx=dk, count=grid.count)
 
 
 def cf_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None = None) -> MarginalDensity:
@@ -183,24 +217,22 @@ def cf_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid |
     raised to its count; no marginal grid is read.  The product
     is real and even in k, and below _CF_FLOOR past the smallest
     `char_function_reach`, every factor being at most one in modulus.
-    It is evaluated up to that reach on the k >= 0 nodes of the
-    `cf_grid_for` lattice, and `_inverse` takes it back, failing on more
-    than 1e-6 of clamped mass.  A reach past the Nyquist node pi / dx,
-    beyond which the lattice sees nothing, fails the run.
+    It is evaluated up to that reach on the count/2 + 1 nodes k >= 0 of
+    the `cf_grid_for` lattice, and `_inverse` takes it back, failing on
+    more than 1e-6 of clamped mass.  A reach past the Nyquist node
+    pi / dx, beyond which the lattice sees nothing, fails the run.
     """
-    if not marginals:
-        raise ValueError("need at least one marginal")
-    if grid is None:
-        grid = common_grid(marginals, counts)
+    grid = _output_grid(marginals, counts, grid)
+    half = grid.count // 2
     k_grid = cf_grid_for(grid)
     reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m in marginals)
-    nyquist = k_grid.dx * grid.count
+    nyquist = k_grid.dx * half
     if reach > nyquist:
         raise NumericalError(f"characteristic function reaches k = {reach:.6g}, past the output grid's "
                              f"Nyquist node pi / dx = {nyquist:.6g}")
     # past the reach the product is below _CF_FLOOR and is left at 0
-    ks = k_grid.dx * np.arange(min(int(reach / k_grid.dx) + 1, grid.count) + 1)
-    spec = np.zeros(grid.count + 1)
+    ks = k_grid.dx * np.arange(min(int(reach / k_grid.dx) + 1, half) + 1)
+    spec = np.zeros(half + 1)
     spec[:len(ks)] = _cf_product_at(marginals, counts, ks)
     return _inverse(spec, grid, 1e-6)
 
@@ -290,6 +322,8 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
     """
     if not 0 < n_samples <= MC_SAMPLES_MAX:
         raise ValueError(f"sample count must lie in 1..{MC_SAMPLES_MAX}, got {n_samples}")
+    if sys.n_modes * n_samples > MC_MODE_DRAWS_MAX:
+        raise ValueError(f"{sys.n_modes} modes x {n_samples} samples exceed {MC_MODE_DRAWS_MAX} mode-draws")
     if marginals is None:
         marginals = marginals_for_system(sys)
     order = []

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from cmtomo import _blas, cli, convolution, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
-from cmtomo.config import RawConfig, parse_config_text, parse_frame, parse_system
-from cmtomo.convolution import MC_SAMPLES_MAX
+from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, parse_frame, parse_system
+from cmtomo.convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
 from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup
 
@@ -892,6 +892,100 @@ class TestSupportedRanges:
         cfg = write(tmp_path, "c.cfg", f"[scan]\nE = 10\nN_list = 4 {N_MAX}\n")
         assert main(["clt-scan", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
         assert asked == [4, N_MAX]
+
+    # (command, config with the value at {v}, line of the key, exit code at both edges)
+    SCALE_KEYS = {
+        "system-hbar-cm": ("cm", "[system]\nhbar = {v}\nmode = fock 1 x3\nmode = even 1 0.5\n[frame]\nmu = 1\nnu = 0\n", 2, 0),
+        "system-hbar-marginal": ("marginal", "[system]\nhbar = {v}\nmode = odd 0.6 0.8\n", 2, 0),
+        "system-hbar-reconstruct": ("reconstruct", "[system]\nhbar = {v}\nmode = odd 0.6 0.8\n[reconstruct]\ndim = 6\n", 2, 0),
+        "system-hbar-hbar-scan": ("hbar-scan", "[system]\nhbar = {v}\nmode = fock 1 x4\n[frame]\nmu = 1\nnu = 0\n", 2, 0),
+        "scan-hbar_list": ("hbar-scan", "[system]\nmode = fock 1 x4\n[frame]\nmu = 1\nnu = 0\n[scan]\nhbar_list = {v}\n", 7, 0),
+        # the oracle's calibration anchors compare absolute values, which
+        # fail at either edge (ROADMAP item 1)
+        "report-hbar": ("discrepancy-report", "[report]\nhbar = {v}\n", 2, 3),
+        "scan-E": ("clt-scan", "[scan]\nE = {v}\nN_list = 4 64\nn_pattern = 0 1\n", 2, 0),
+    }
+
+    @pytest.mark.parametrize("value", [SCALE_MIN, SCALE_MAX], ids=["min", "max"])
+    @pytest.mark.parametrize("key", sorted(SCALE_KEYS))
+    def test_scale_edges_run(self, tmp_path, capsys, key, value):
+        command, text, _, code = self.SCALE_KEYS[key]
+        cfg = write(tmp_path, "c.cfg", text.format(v=repr(value)))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            (assert_finite_report if command == "discrepancy-report" else assert_finite_csv)(out)
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", [SCALE_MIN / 10, SCALE_MAX * 10], ids=["below", "above"])
+    @pytest.mark.parametrize("key", sorted(SCALE_KEYS))
+    def test_scale_past_edges_exit_two(self, tmp_path, capsys, key, value):
+        command, text, line, _ = self.SCALE_KEYS[key]
+        cfg = write(tmp_path, "c.cfg", text.format(v=repr(value)))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        name = key.split("-")[1]
+        assert f"{cfg}:{line}: {name} must lie in [1e-200, 1e+200], got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hbar_list_entry_past_edge_exit_two(self, tmp_path, capsys):
+        command, text, line, _ = self.SCALE_KEYS["scan-hbar_list"]
+        cfg = write(tmp_path, "c.cfg", text.format(v="1e200 1 1e-201"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{cfg}:{line}: hbar_list must lie in [1e-200, 1e+200], got 1e-201" in capsys.readouterr().err
+
+    def test_overflowing_s_n_exit_three(self, tmp_path, capsys):
+        # the largest system the limits allow at the largest hbar: sum E|x|^3
+        # (and (sum Var x)^1.5) pass the double range
+        cfg = write(tmp_path, "c.cfg", f"[system]\nhbar = 1e200\nmode = fock 1000 x{N_MAX}\n[frame]\nmu = 1\nnu = 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: S_N" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_sigma2_exit_three(self, tmp_path, capsys):
+        # hbar in range on a wide frame: each variance is finite, their sum is not
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1e200\nmode = fock 1 x2\n[frame]\nmu = 1e54\nnu = 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 3
+        assert "numerical failure: sigma^2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_bound", "past_bound"])
+    def test_all_backends_mode_draws_bound(self, tmp_path, capsys, monkeypatch, extra):
+        # 2^10 modes x 2^20 draws is the bound; one draw more exits 2 before
+        # any marginal is built, naming both values
+        reached = []
+
+        def never(*args, **kwargs):
+            raise AssertionError("sample_sum called past the mode-draw bound")
+
+        def stop(sys_spec, n_samples, seed, grid, marginals=None):
+            reached.append(sys_spec.n_modes * n_samples)
+            raise NumericalError("sampling stub")
+
+        if extra:
+            monkeypatch.setattr(cli, "summed_density", never)
+        monkeypatch.setattr(cli, "sample_sum", never if extra else stop)
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1 x1024\n[frame]\nmu = 1\nnu = 0\n")
+        samples = 2 ** 20 + extra
+        code = main(["cm", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--all-backends",
+                     "--mc-samples", str(samples)])
+        err = capsys.readouterr().err
+        if extra:
+            assert code == 2
+            assert f"{cfg}:2: --all-backends draws every mode: 1024 modes x --mc-samples {samples}" in err
+            assert f"2^30 = {MC_MODE_DRAWS_MAX}" in err
+        else:
+            assert code == 3 and reached == [MC_MODE_DRAWS_MAX]
+
+    def test_sample_sum_mode_draws_bound(self):
+        sys_spec = parse_system(parse_config_text("[system]\nmode = fock 1 x1024\n"))
+        with pytest.raises(ValueError, match="1024 modes x 1048577 samples exceed"):
+            convolution.sample_sum(sys_spec, 2 ** 20 + 1, 0, convolution.Grid(x0=-1.0, dx=1.0, count=4))
 
 
 FRAME_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6))

@@ -188,18 +188,10 @@ def expanded_fft(marginals, grid, dtype=complex):
     The product accumulates in `dtype`.  In long double the reference's
     own rounding over N factors stays well below the 1e-15 under test.
     """
-    count = grid.count
-    M = 2 * count
-    spec = np.ones(M // 2 + 1, dtype=dtype)
+    spec = np.ones(grid.count // 2 + 1, dtype=dtype)
     for m in marginals:
-        g = np.zeros(M)
-        g[M // 2 - count // 2: M // 2 + count // 2] = np.interp(grid.xs, m.grid.xs, m.values,
-                                                                 left=0.0, right=0.0)
-        spec *= np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
-    out = np.fft.irfft(spec.astype(complex), n=M)
-    out = np.fft.fftshift(out)[M // 2 - count // 2: M // 2 + count // 2]
-    out = np.clip(out / grid.dx, 0.0, None)
-    return out / np.trapezoid(out, dx=grid.dx)
+        spec *= dx_spectrum(m, grid)
+    return spectrum_density(spec, grid)
 
 
 # (mode, frame direction) pairs with mu^2 + nu^2 = 1
@@ -254,8 +246,8 @@ class TestMultiplicities:
         got = convolve_fft(marg, sys.counts, grid=grid).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
         # backend two: one closed-form characteristic function per mode on the lattice
-        ks = cf_grid_for(grid).dx * np.arange(grid.count + 1)
-        spec = np.ones(grid.count + 1)
+        ks = cf_grid_for(grid).dx * np.arange(grid.count // 2 + 1)
+        spec = np.ones(grid.count // 2 + 1)
         for m in modes:
             spec *= mode_cf(m, ks)
         want = spectrum_density(spec, grid)
@@ -312,7 +304,7 @@ class TestMultiplicities:
         monkeypatch.setattr(convolution.np.fft, "rfft", counting)
         cm = convolve_fft(marg, sys.counts)
         assert sys.counts == [5, 5, 1]
-        assert lengths == [2 * cm.grid.count] * 3
+        assert lengths == [cm.grid.count] * 3
 
     def test_common_grid_weights_moments_by_count(self):
         sys = iid_system(Fock(2), 37, hbar=0.3)
@@ -342,12 +334,78 @@ class TestMultiplicities:
 
 
 def dx_spectrum(m, grid):
-    """One marginal's dx-scaled rfft, as convolve_fft forms it."""
-    count = grid.count
-    M = 2 * count
-    g = np.zeros(M)
-    g[M // 2 - count // 2: M // 2 + count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
+    """One marginal's dx-scaled rfft of length count, as convolve_fft forms it."""
+    g = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
     return np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
+
+
+def padded_dx_spectrum(m, grid):
+    """One marginal's dx-scaled rfft zero-padded to 2 count: the same
+    characteristic function on a lattice twice as fine."""
+    count = grid.count
+    g = np.zeros(2 * count)
+    g[count // 2: 3 * count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
+    return np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
+
+
+def subset_power(f, count):
+    """f**count as `_raise_to` defines it, computed on subsets: the polar
+    form gathered where |f| >= 1/2, binary powering on a gathered copy of
+    the entries from the underflow threshold to 1/2, and 0 elsewhere."""
+    mod = np.abs(f)
+    big = np.flatnonzero(mod >= 0.5)
+    phase = count * np.angle(f[big])
+    mag = mod[big] ** count
+    small = np.flatnonzero((mod < 0.5) & (mod >= _TINY ** (1.0 / count)))
+    g = f[small]
+    base = g.copy()
+    for bit in bin(count)[3:]:
+        g *= g
+        if bit == "1":
+            g *= base
+    out = np.zeros_like(f)
+    out[small] = g
+    out.real[big] = mag * np.cos(phase)
+    out.imag[big] = mag * np.sin(phase)
+    return out
+
+
+def padded_fft_spectrum(marginals, counts, grid):
+    """Backend one's product spectrum periodized over twice the output
+    extent: zero-padded rffts of length 2 count."""
+    spec = np.ones(grid.count + 1, dtype=complex)
+    for m, count in zip(marginals, counts):
+        f = padded_dx_spectrum(m, grid)
+        spec *= f if count == 1 else subset_power(f, count)
+    return spec
+
+
+def padded_cf_spectrum(marginals, counts, grid):
+    """Backend two's product on the lattice of twice the output extent,
+    dk = 2 pi / (2 count dx), out to the smallest reach."""
+    dk = math.pi / (grid.count * grid.dx)
+    reach = min(char_function_reach(*convolution._mode_args(m), 1e-17) for m in marginals)
+    ks = dk * np.arange(min(int(reach / dk) + 1, grid.count) + 1)
+    spec = np.zeros(grid.count + 1)
+    spec[:len(ks)] = np.prod([mode_cf(m, ks) ** count for m, count in zip(marginals, counts)], axis=0)
+    return spec
+
+
+def unit_density(values, grid):
+    """values / dx clamped at 0 and scaled to unit integral."""
+    out = np.clip(values / grid.dx, 0.0, None)
+    return out / np.trapezoid(out, dx=grid.dx)
+
+
+def padded_densities(spec, grid):
+    """The sum of a 2 count product spectrum on the output grid: its
+    centred count nodes (nothing folded back), and those nodes with the
+    other half of the period added (the fold a count-length inverse makes)."""
+    count = grid.count
+    out = np.fft.irfft(spec, n=2 * count)
+    kept = unit_density(np.fft.fftshift(out)[count // 2: 3 * count // 2], grid)
+    folded = unit_density(np.fft.fftshift(out[:count] + out[count:]), grid)
+    return kept, folded
 
 
 def polar_power(f, count):
@@ -370,10 +428,7 @@ def long_double_power(f, count):
 
 def spectrum_density(spec, grid):
     """convolve_fft's inverse of a product spectrum: clamped at 0, unit integral."""
-    count = grid.count
-    M = 2 * count
-    out = np.fft.irfft(spec.astype(complex), n=M)
-    out = np.fft.fftshift(out)[M // 2 - count // 2: M // 2 + count // 2]
+    out = np.fft.fftshift(np.fft.irfft(spec.astype(complex), n=grid.count))
     out = np.clip(out / grid.dx, 0.0, None)
     return out / np.trapezoid(out, dx=grid.dx)
 
@@ -401,7 +456,7 @@ class TestGatedPower:
         sys = multiset_system(FAR_COUNTS[name], hbar=0.5)
         marg = marginals_for_system(sys)
         grid = common_grid(marg, sys.counts)
-        spec = np.ones(grid.count + 1, dtype=np.clongdouble)
+        spec = np.ones(grid.count // 2 + 1, dtype=np.clongdouble)
         for m, count in zip(marg, sys.counts):
             f = dx_spectrum(m, grid)
             want = long_double_power(f, count)
@@ -423,7 +478,9 @@ class TestGatedPower:
         sys = multiset_system(((CoherentEven(1.5), (0.0, 1.0), count),), hbar=1.0)
         marg = marginals_for_system(sys)
         grid = common_grid(marg, sys.counts)
-        f = dx_spectrum(marg[0], grid)
+        # the count-length spectrum has only 8 entries above 1/2; the one
+        # periodized over 2 count samples the same curve twice as densely
+        f = padded_dx_spectrum(marg[0], grid)
         mod = np.abs(f)
         big = mod >= 0.5
         squared = ~big & (mod >= _TINY ** (1.0 / count))
@@ -440,6 +497,102 @@ class TestGatedPower:
         k = np.linspace(0.0, 6.0, 101)
         f = char_function(Fock(2), 1.0, 0.0, 1.0, k)
         assert _raise_to(f.copy(), 7).tobytes() == (f ** 7).tobytes()
+
+
+class TestOutputPeriod:
+    """Both spectral backends periodize over the output grid itself: count
+    nodes, one set of buffers per call."""
+
+    def assert_near_padded(self, sys):
+        # against the same product periodized over twice the extent: equal
+        # to rounding once its outer half is folded back, and that fold, the
+        # sum's density past the grid, is small; it is largest, ~3e-13 of the
+        # peak, for the even cat on the p axis, whose 8 sigma grid stops
+        # inside its Gaussian envelope
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
+        bound = max(4e-15, sys.n_modes * 2e-16)
+        for backend, padded in ((convolve_fft, padded_fft_spectrum), (cf_product, padded_cf_spectrum)):
+            kept, folded = padded_densities(padded(marg, sys.counts, grid), grid)
+            got = backend(marg, sys.counts, grid=grid).values
+            peak = np.max(kept)
+            assert np.max(np.abs(got - folded)) <= bound * peak
+            assert np.max(np.abs(folded - kept)) <= 1e-12 * peak
+            assert 0.5 * np.trapezoid(np.abs(folded - kept), dx=grid.dx) <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(counts=MULTISETS)
+    def test_multisets_match_twice_the_period(self, counts):
+        self.assert_near_padded(multiset_system([(*MODE_POOL[i], count) for i, count in counts.items()], 1.0))
+
+    @pytest.mark.parametrize("name", sorted(FAR_COUNTS))
+    def test_far_counts_match_twice_the_period(self, name):
+        self.assert_near_padded(multiset_system(FAR_COUNTS[name], hbar=0.5))
+
+    @pytest.mark.parametrize("length", [4097, 4098])
+    @pytest.mark.parametrize("count", [2, 3, 7, 64, 1000, 1021])
+    def test_raise_to_equals_subset_powering(self, length, count):
+        # moduli spread over [0, 1], with runs exactly at 1/2, at the
+        # underflow threshold and one ulp below it
+        rng = np.random.default_rng(count + length)
+        mod = rng.random(length) ** 4
+        cut = _TINY ** (1.0 / count)
+        for value in (0.5, cut, np.nextafter(cut, 0.0), 1.0):
+            mod[rng.random(length) < 0.05] = value
+        f = mod * np.exp(1j * rng.uniform(-math.pi, math.pi, length))
+        small = (mod < 0.5) & (mod >= cut)
+        assert np.count_nonzero(small) >= 2 and np.count_nonzero(mod == 0.5) and np.count_nonzero(mod == cut)
+        got = _raise_to(f.copy(), count, np.empty_like(f))
+        assert got.tobytes() == subset_power(f, count).tobytes()
+
+    def test_every_transform_has_the_output_length(self, monkeypatch):
+        marg = marginals_for_system(MIXED_SYS)
+        grid = common_grid(marg, MIXED_SYS.counts)
+        lengths = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def forward(a, *args, **kwargs):
+            lengths.append(len(a))
+            return rfft(a, *args, **kwargs)
+
+        def backward(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(convolution.np.fft, "rfft", forward)
+        monkeypatch.setattr(convolution.np.fft, "irfft", backward)
+        convolve_fft(marg, MIXED_SYS.counts, grid=grid)
+        assert lengths == [grid.count] * (len(marg) + 1)
+        lengths.clear()
+        cf_product(marg, MIXED_SYS.counts, grid=grid)
+        assert lengths == [grid.count]
+        assert cf_grid_for(grid).count == grid.count
+        assert cf_grid_for(grid).dx * (grid.count // 2) == pytest.approx(math.pi / grid.dx, rel=1e-15)
+
+    @pytest.mark.parametrize("backend", [convolve_fft, cf_product])
+    def test_grid_short_of_the_sum_rejected(self, backend):
+        marg = marginals_for_system(MIXED_SYS)
+        grid = common_grid(marg, MIXED_SYS.counts)
+        assert backend(marg, MIXED_SYS.counts, grid=grid).grid == grid
+        half = Grid(x0=grid.x0 / 2, dx=grid.dx, count=grid.count // 2)
+        with pytest.raises(ValueError, match="does not cover"):
+            backend(marg, MIXED_SYS.counts, grid=half)
+
+    def test_buffers_bounded_across_groups(self):
+        # twelve groups on 32,768 nodes: one set of count-length buffers
+        # for the call, not fresh padded arrays per group
+        sys = system(tuple(Fock(n) for n in range(12)), 1.0)
+        marg = marginals_for_system(sys)
+        wide = common_grid(marg, sys.counts)
+        grid = centered_grid(wide.count * wide.dx / 2, wide.dx * wide.count / 32768)
+        assert grid.count == 32768
+        tracemalloc.start()
+        try:
+            convolve_fft(marg, sys.counts, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestCfProduct:
