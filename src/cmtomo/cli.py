@@ -207,10 +207,11 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
 
 def cmd_hbar_scan(raw: RawConfig, args) -> int:
     sys_spec = parse_system(raw)
-    r, big_r = parse_frame(raw, sys_spec)
     hbar_list = get_scale_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
     if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
         raw.fail(raw.last_line("scan", "hbar_list"), f"hbar_list must be strictly decreasing, got {hbar_list}")
+    # the scan runs at each hbar_list entry, not at [system] hbar
+    r, big_r = parse_frame(raw, sys_spec, hbars=hbar_list)
     epsilon = get_positive(raw, "scan", "epsilon", default=0.1)
     reports = hbar_scan(sys_spec, hbar_list, epsilon, r, big_r)
     header = _header(raw, args, [

@@ -128,7 +128,8 @@ def get_int_list(raw: RawConfig, section: str, key: str, default=None, required=
 
 
 # the supported range of hbar ([system] hbar, [report] hbar, each [scan]
-# hbar_list entry) and of the scan energy [scan] E, bounds included
+# hbar_list entry), of the scan energy [scan] E and of the scale
+# hbar (mu^2 + nu^2) of each [frame] direction, bounds included
 SCALE_MIN = 1e-200
 SCALE_MAX = 1e200
 
@@ -294,12 +295,25 @@ def parse_system(raw: RawConfig, frame: bool = True) -> SystemSpec:
     return SystemSpec.from_modes(modes, mu * (n_modes // len(mu)), nu * (n_modes // len(nu)), hbar)
 
 
-def parse_frame(raw: RawConfig, sys_spec: SystemSpec, required: bool = True) -> tuple[float, float]:
+def parse_frame(raw: RawConfig, sys_spec: SystemSpec, required: bool = True,
+                hbars: list[float] | None = None) -> tuple[float, float]:
     """The bounds (r, R) of [frame], by the rule of get_frame_bounds over
     the system's frame radii, each of which must be positive and finite.
-    Without the section the defaults hold, unless it is required."""
+    The scale hbar (mu^2 + nu^2) of every frame, at the system's hbar or
+    at each of hbars if given, must lie in [SCALE_MIN, SCALE_MAX], where
+    the grids and moments stay in the double range; it is least at the
+    least hbar and radius and greatest at the greatest.  Without the
+    section the defaults hold, unless it is required."""
     if required and "frame" not in raw.sections:
         raise ConfigError(f"{raw.source}: missing [frame] section")
     line = max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
     rhos = [_frame_radius(raw, g.mu, g.nu, line, f"(mu, nu) = ({g.mu:g}, {g.nu:g})") for g in sys_spec.groups]
+    hbars = [sys_spec.hbar] if hbars is None else hbars
+    for hbar, pick in ((min(hbars), min), (max(hbars), max)):
+        i = pick(range(len(rhos)), key=rhos.__getitem__)
+        scale = hbar * rhos[i]
+        if not SCALE_MIN <= scale <= SCALE_MAX:
+            g = sys_spec.groups[i]
+            raw.fail(line, f"frame (mu, nu) = ({g.mu:g}, {g.nu:g}) at hbar = {hbar:g} has hbar (mu^2 + nu^2) = "
+                           f"{scale:g}, which must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}]")
     return get_frame_bounds(raw, "frame", rhos, rhos)

@@ -24,15 +24,15 @@ from .states import SystemSpec
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
 _TINY = np.finfo(float).tiny
-# Monte-Carlo draws per inverse-CDF lookup and per block a worker owns; a
-# multiple of 4, because Philox advance(k) skips 4 k doubles
+# Monte-Carlo draws per inverse-CDF lookup and per block a worker owns
 _MC_CHUNK = 2 ** 15
 # fewest Monte-Carlo draws a worker sums, sorts and counts at once, if
 # its run is that long; a multiple of _MC_CHUNK
 _MC_SPAN = 2 ** 17
 # most Monte-Carlo draws one call takes, and most mode-draws (modes times
-# draws, 17-27 ns of wall each on a 2-vCPU VM); they bound the time of a
-# call, not its memory, which does not grow with the draw count
+# draws, 15-28 ns of wall each with two workers on a 2-vCPU VM); they
+# bound the time of a call, not its memory, which does not grow with the
+# draw count
 MC_SAMPLES_MAX = 2 ** 27
 MC_MODE_DRAWS_MAX = 2 ** 30
 
@@ -238,9 +238,12 @@ def cf_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid |
 
 
 def _mode_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based substream for one mode: identical for any thread count."""
-    key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Mode index's substream: PCG64DXSM seeded by SeedSequence([index, seed]).
+    One generator step makes one double, so bit_generator.advance(k)
+    skips exactly k draws.  The index (below N_MAX < 2^32, one 32-bit
+    word) comes first: SeedSequence pads its entropy words with zeros,
+    so [seed, index] would give (2^32 + 5, 0) the stream of (5, 1)."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([index, seed])))
 
 
 def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray):
@@ -267,13 +270,14 @@ def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray):
     # that overflowed is u = 0 = cdf[j], which np.interp returns as xs[j]
     slope[np.isinf(slope)] = 0.0
 
+    # every lookup gathers with take, about half the cost of fancy indexing
     def invert(u: np.ndarray) -> np.ndarray:
-        j = guide[(u * count).astype(np.intp)]
-        j += upper[j] <= u
-        short = np.flatnonzero(upper[j] <= u)
+        j = guide.take((u * count).astype(np.intp))
+        j += upper.take(j) <= u
+        short = np.flatnonzero(upper.take(j) <= u)
         if short.size:
             j[short] = np.searchsorted(cdf, u[short], side="right") - 1
-        return slope[j] * (u - cdf[j]) + xs[j]
+        return slope.take(j) * (u - cdf.take(j)) + xs.take(j)
 
     return invert
 
@@ -302,18 +306,20 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
     """Backend three: n_samples draws of the summed observable, counted on grid.
 
     Each mode draws through the inverse CDF of its gridded tomogram
-    (cumulative trapezoid, linear inverse) from its own counter-based
-    substream; mode i is the i-th in group order.  One guide table is
-    built per group (`_inverse_cdf`).  The sample indices are cut into
-    blocks of _MC_CHUNK draws, so the lookup temporaries stay in cache,
-    and the blocks into one contiguous run per worker thread: one worker
-    per CPU this process may run on, at most one per block.  A worker
-    takes its run a span of max(_MC_SPAN, grid.count) draws at a time
-    (both are powers of two, so a span is whole blocks): it jumps each
-    mode's stream to the span, adds the modes in order, sorts the sums,
-    binary-searches the grid's nodes and cell edges in them and adds the
-    counts to one set of integer tallies, under a lock.  A span at least
-    as long as the grid keeps the searches within the cost of the sort.
+    (cumulative trapezoid, linear inverse) from its own PCG64DXSM
+    substream (`_mode_stream`); mode i is the i-th in group order.  One
+    guide table is built per group (`_inverse_cdf`).  The sample indices
+    are cut into blocks of _MC_CHUNK draws, so the lookup temporaries
+    stay in cache, and the blocks into one contiguous run per worker
+    thread: one worker per CPU this process may run on, at most one per
+    block.  A worker takes its run a span of max(_MC_SPAN, grid.count)
+    draws at a time (both are powers of two, so a span is whole blocks):
+    it jumps each mode's stream to the span, adds the modes in order,
+    sorts the sums, binary-searches in them the nodes and cell edges
+    that lie between the first and the last sum, and adds the counts to
+    one set of integer tallies, under a lock; the nodes past either end
+    take none or all of the span unsearched.  A span at least as long as
+    the grid keeps the searches within the cost of the sort.
     Every draw and every sum is the same, bit for bit, for any worker
     count, and integer counts do not depend on how the draws were split.
     Memory is O(grid + workers x span), whatever n_samples.  numpy
@@ -332,6 +338,8 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
         cdf /= cdf[-1]
         order += [_inverse_cdf(cdf, m.grid.xs)] * repeats
     xs, count, dx = grid.xs, grid.count, grid.dx
+    # the cells' lower edges x_j - dx/2, which never exceed their nodes
+    lower = xs - 0.5 * dx
     # #{s <= x_j}, #{s < x_j}, and #{s < x_j - dx/2} then #{s <= x_last + dx/2};
     # one set for every worker, so memory does not grow with the grid
     # times the worker count
@@ -344,18 +352,26 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
     failed = []
 
     def tally(span: np.ndarray) -> None:
-        """Add the counts of the sorted span, _MC_SPAN nodes at a time."""
-        for a in range(0, count, _MC_SPAN):
-            x = xs[a:a + _MC_SPAN]
-            le = np.searchsorted(span, x, side="right")
-            lt = np.searchsorted(span, x, side="left")
-            cell = np.searchsorted(span, x - 0.5 * dx, side="left")
+        """Add the counts of the sorted span.  Nodes below its first draw
+        count none of it and nodes whose cell starts past its last draw
+        count all of it; only the nodes between are searched, _MC_SPAN at
+        a time."""
+        first = int(np.searchsorted(xs, span[0], side="left"))
+        past = int(np.searchsorted(lower, span[-1], side="right"))
+        for a in range(first, past, _MC_SPAN):
+            b = min(a + _MC_SPAN, past)
+            le = np.searchsorted(span, xs[a:b], side="right")
+            lt = np.searchsorted(span, xs[a:b], side="left")
+            cell = np.searchsorted(span, lower[a:b], side="left")
             with lock:
-                at_or_below[a:a + x.size] += le
-                below[a:a + x.size] += lt
-                edges[a:a + x.size] += cell
+                at_or_below[a:b] += le
+                below[a:b] += lt
+                edges[a:b] += cell
         last = np.searchsorted(span, last_edge, side="right")
         with lock:
+            at_or_below[past:] += span.size
+            below[past:] += span.size
+            edges[past:-1] += span.size
             edges[-1] += last
 
     def run(lo: int, hi: int) -> None:
@@ -366,7 +382,7 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
                 span.fill(0.0)
                 for i, invert in enumerate(order):
                     stream = _mode_stream(seed, i)
-                    stream.bit_generator.advance(start // 4)
+                    stream.bit_generator.advance(start)
                     for a in range(0, span.size, _MC_CHUNK):
                         b = min(a + _MC_CHUNK, span.size)
                         span[a:b] += invert(stream.random(b - a))

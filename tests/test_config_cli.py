@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from cmtomo import _blas, cli, convolution, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
+from cmtomo.clt import summed_density
 from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
-from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup
+from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec
 
 
 class TestConfigParser:
@@ -946,13 +947,67 @@ class TestSupportedRanges:
         assert "numerical failure: S_N" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_overflowing_sigma2_exit_three(self, tmp_path, capsys):
-        # hbar in range on a wide frame: each variance is finite, their sum is not
+    def test_overflowing_sigma2_rejected(self, tmp_path, capsys):
+        # hbar in range on a wide frame: each variance is finite, their sum
+        # is not.  The config rule on hbar (mu^2 + nu^2) rejects the frame
+        # first; a library caller meets the numerical check
         cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1e200\nmode = fock 1 x2\n[frame]\nmu = 1e54\nnu = 0\n")
         out = tmp_path / "o.csv"
-        assert main(["cm", "--config", cfg, "--out", str(out)]) == 3
-        assert "numerical failure: sigma^2" in capsys.readouterr().err
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:6: frame (mu, nu) = (1e+54, 0) at hbar = 1e+200" in capsys.readouterr().err
         assert not out.exists()
+        with pytest.raises(NumericalError, match=r"sigma\^2 = sum Var x overflows"):
+            summed_density(SystemSpec((ModeGroup(Fock(1), 1e54, 0.0, 2),), 1e200))
+
+    # (command, config with hbar or hbar_list {h} and a first frame mu {m},
+    # line of the later of mu and nu); the scale hbar (mu^2 + nu^2) must lie in
+    # [SCALE_MIN, SCALE_MAX], and mu = 1/4, 1/2, 2, 4 keep it exact
+    FRAME_SCALES = {
+        "marginal": ("marginal", "[system]\nhbar = {h}\nmode = odd 0.6 0.8\n[frame]\nmu = {m}\n", 5),
+        "cm": ("cm", "[system]\nhbar = {h}\nmode = fock 1 x3\nmode = even 1 0.5\n[frame]\nmu = {m} 1 1 1\nnu = 0\n", 7),
+        "hbar-scan": ("hbar-scan", "[system]\nmode = fock 1 x4\n[frame]\nmu = {m} 1 1 1\nnu = 0\n[scan]\nhbar_list = {h}\n", 5),
+    }
+
+    @pytest.mark.parametrize("hbar, mu", [(4 * SCALE_MIN, 0.5), (SCALE_MAX / 4, 2.0)], ids=["min", "max"])
+    @pytest.mark.parametrize("command", sorted(FRAME_SCALES))
+    def test_frame_scale_edges_run(self, tmp_path, capsys, command, hbar, mu):
+        _, text, _ = self.FRAME_SCALES[command]
+        cfg = write(tmp_path, "c.cfg", text.format(h=repr(hbar), m=repr(mu)))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert_finite_csv(out)
+
+    # one step past each edge, and frames whose scale leaves the double range
+    @pytest.mark.parametrize("hbar, mu", [(4 * SCALE_MIN, 0.25), (SCALE_MAX / 4, 4.0), (1e-200, 1e-100), (1e200, 1e100)],
+                             ids=["below", "above", "underflow", "overflow"])
+    @pytest.mark.parametrize("command", sorted(FRAME_SCALES))
+    def test_frame_scale_past_edges_exit_two(self, tmp_path, capsys, command, hbar, mu):
+        _, text, line = self.FRAME_SCALES[command]
+        cfg = write(tmp_path, "c.cfg", text.format(h=repr(hbar), m=repr(mu)))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        scale = hbar * (mu * mu)
+        assert (f"{cfg}:{line}: frame (mu, nu) = ({mu:g}, 0) at hbar = {hbar:g} has hbar (mu^2 + nu^2) = {scale:g}, "
+                f"which must lie in [1e-200, 1e+200]") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hbar_list, code", [("2.5e199 4e-200", 0), ("2.5e199 2e-200", 2), ("5e199 4e-200", 2)],
+                             ids=["edges", "least_on_narrowest", "greatest_on_widest"])
+    def test_hbar_scan_checks_every_entry_on_every_frame(self, tmp_path, capsys, hbar_list, code):
+        # the least hbar meets the narrowest frame (mu = 1/2), the greatest
+        # the widest (mu = 2); [system] hbar is not what the scan runs at
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1e-200\nmode = fock 1 x4\n[frame]\nmu = 1 2 0.5 1\nnu = 0\n"
+                                       f"[scan]\nhbar_list = {hbar_list}\n")
+        out = tmp_path / "o.csv"
+        assert main(["hbar-scan", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            assert_finite_csv(out)
+        else:
+            assert f"{cfg}:6: frame (mu, nu) = " in err and "which must lie in [1e-200, 1e+200]" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_bound", "past_bound"])
     def test_all_backends_mode_draws_bound(self, tmp_path, capsys, monkeypatch, extra):

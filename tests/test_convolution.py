@@ -41,8 +41,8 @@ from cmtomo.marginals import (
     grid_policy,
     moments,
 )
-from cmtomo.states import (CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy,
-                           mode_mean_occupation)
+from cmtomo.states import (N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy,
+                           hbar_for_fixed_energy, mode_mean_occupation)
 
 
 def iid_system(mode, N, hbar=1.0, mu=1.0, nu=0.0):
@@ -87,17 +87,22 @@ def assert_counts_of(got, draws):
     np.testing.assert_array_equal(got.cells, np.histogram(draws, bins=edges)[0])
 
 
+def table_draws(monkeypatch, table, n, seed):
+    """Make a one-mode system draw u-th entries of table; return the n
+    draws that the stream of seed gives."""
+    monkeypatch.setattr(convolution, "_inverse_cdf",
+                        lambda cdf, nodes: lambda u: table[(u * table.size).astype(np.intp)])
+    return table[(_mode_stream(seed, 0).random(n) * table.size).astype(np.intp)]
+
+
 def grid_point_draws(monkeypatch, grid, n, seed):
-    """Make a one-mode system draw from a table of the grid's nodes and
-    cell edges (the outer edges twice), two points outside the grid and
-    normal values; return the n draws that the stream of seed gives."""
+    """table_draws from the grid's nodes and cell edges (the outer edges
+    twice), two points outside the grid and normal values."""
     xs, dx = grid.xs, grid.dx
     edges = np.concatenate([xs - 0.5 * dx, [xs[-1] + 0.5 * dx]])
     table = np.concatenate([xs, edges, edges[[0, -1, -1]], [xs[0] - 1.0, xs[-1] + 1.0],
                             np.random.default_rng(4).normal(size=5000)])
-    monkeypatch.setattr(convolution, "_inverse_cdf",
-                        lambda cdf, nodes: lambda u: table[(u * table.size).astype(np.intp)])
-    return table[(_mode_stream(seed, 0).random(n) * table.size).astype(np.intp)]
+    return table_draws(monkeypatch, table, n, seed)
 
 
 def cell_moments(got):
@@ -852,6 +857,24 @@ class TestSampleSum:
         assert peak < 12 * 2 ** 20
 
 
+class TestModeStream:
+    # jumps that are not multiples of 4, one past a block, and past a span
+    @pytest.mark.parametrize("k", [1, 3, 2 ** 15 + 1, 3 * 2 ** 17 + 7])
+    def test_advance_skips_exactly_k_draws(self, k):
+        serial = _mode_stream(9, 2).random(k + 1000)
+        jumped = _mode_stream(9, 2)
+        jumped.bit_generator.advance(k)
+        assert jumped.random(1000).tobytes() == serial[k:].tobytes()
+
+    def test_distinct_pairs_give_distinct_streams(self):
+        # the pairs that a [seed, index] entropy list would merge, (5, 1)
+        # with (2^32 + 5, 0) and (0, 1) with (2^32, 0), and extreme values
+        pairs = [(0, 0), (0, 1), (1, 0), (5, 1), (2 ** 32 + 5, 0), (2 ** 32, 0), (2 ** 32, 1),
+                 (2 ** 64 - 1, 0), (2 ** 64 - 1, N_MAX - 1), (0, N_MAX - 1)]
+        starts = {_mode_stream(seed, index).random(4).tobytes() for seed, index in pairs}
+        assert len(starts) == len(pairs)
+
+
 class TestInverseCdf:
     # 16 nodes: a leading flat run at 0 ending in a subnormal step (its
     # slope overflows), a flat run at a guide bucket edge, four nodes and
@@ -928,6 +951,35 @@ class TestInverseCdf:
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         n = 3 * convolution._MC_CHUNK + 7
         draws = grid_point_draws(monkeypatch, grid, n, 2)
+        assert_counts_of(sample_sum(sys, n, 2, grid, marginals=marg), draws)
+
+    @pytest.mark.parametrize("where", ["below", "first_cell", "past", "last_cell", "middle"])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_tally_searches_only_the_nodes_a_span_covers(self, monkeypatch, where, cpus):
+        # every span's draws lie below the first node (in its cell or under
+        # it), past the last node (in its closed cell or over it), or over a
+        # middle slice of _MC_SPAN + 1 nodes of a grid twice that long: the
+        # nodes past either end of a span take none or all of it unsearched
+        sys = iid_system(Fock(1), 1)
+        marg = marginals_for_system(sys)
+        if where == "middle":
+            grid = Grid(x0=-6.0, dx=12.0 / (2 * convolution._MC_SPAN), count=2 * convolution._MC_SPAN)
+        else:
+            grid = common_grid(marg, sys.counts)
+        xs, dx = grid.xs, grid.dx
+        lower, last_edge = xs - 0.5 * dx, xs[-1] + 0.5 * dx
+        noise = np.random.default_rng(8).random(5000)
+        a, b = grid.count // 4, 3 * grid.count // 4
+        table = {
+            "below": lower[0] - 1.0 - noise,
+            "first_cell": np.concatenate([lower[0] - noise, np.linspace(lower[0], xs[0], 50, endpoint=False)]),
+            "past": last_edge + 1.0 + noise,
+            "last_cell": np.concatenate([last_edge + noise, np.linspace(last_edge, xs[-1], 50, endpoint=False)]),
+            "middle": np.concatenate([xs[a:b + 1], lower[a:b + 1], xs[a] + (xs[b] - xs[a]) * noise]),
+        }[where]
+        monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        n = (grid.count if where == "middle" else 0) + 3 * convolution._MC_CHUNK + 7
+        draws = table_draws(monkeypatch, table, n, 2)
         assert_counts_of(sample_sum(sys, n, 2, grid, marginals=marg), draws)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
