@@ -24,14 +24,12 @@ from .marginals import (
     MarginalDensity,
     Moments,
     char_function,
-    evenodd_tomogram,
     evenodd_var_closed,
-    fock_marginal,
-    fock_tomogram,
-    fock_var_closed,
     marginal_density,
     moments,
+    tomogram,
     tomogram_oracle,
+    variance,
 )
 from .reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from .report import quadrature_matrices

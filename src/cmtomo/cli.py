@@ -39,10 +39,10 @@ from .config import (
 )
 from .convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
-from .marginals import evenodd_pointwise, fock_tomogram, marginal_density
+from .marginals import marginal_density, tomogram
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
-from .states import FOCK_LEVEL_MAX, N_MAX, Fock, fock_expansion
+from .states import FOCK_LEVEL_MAX, N_MAX, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -171,14 +171,9 @@ def cmd_cm(raw: RawConfig, args) -> int:
     return 0
 
 
-# CltReport fields whose CSV column has another name
-_COLUMN_FIELD = {"ks": "ks_distance", "tv": "tv_distance", "gaussian_predicted_mass": "gaussian_mass"}
-
-
 def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[str]:
     template = ",".join("%d" if c == "N" else _FIELD for c in columns)
-    fields = [_COLUMN_FIELD.get(c, c) for c in columns]
-    return [template % tuple(getattr(rep, f) for f in fields) for rep in reports]
+    return [template % tuple(getattr(rep, c) for c in columns) for rep in reports]
 
 
 def cmd_clt_scan(raw: RawConfig, args) -> int:
@@ -242,17 +237,10 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     if dim < 2:
         raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
-    if isinstance(mode, Fock):
-        def tomogram(X, m, n):
-            return fock_tomogram(mode.n, m, n, hbar, X)
-    else:
-        def tomogram(X, m, n):
-            return evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
-
     # leakage is reported through the output flag, not a console warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationLeakageWarning)
-        rho = reconstruct_single_mode(tomogram, dim, hbar)
+        rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, m, n, hbar, X), dim, hbar)
     warned = rho.meta["truncation_leakage"]
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .convolution import convolve_fft, cumulative_trapezoid, marginals_for_system
 from .errors import NumericalError
-from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, fock_var_closed, moments
+from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, moments, variance
 from .states import Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy
 
 
@@ -29,8 +29,8 @@ class CltReport:
     sigma2: float
     rE: float
     RE: float
-    ks_distance: float
-    tv_distance: float
+    ks: float
+    tv: float
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class HbarReport(CltReport):
     """A classical-limit scan point, with the mass inside [-epsilon, epsilon]."""
 
     mass_in_epsilon: float
-    gaussian_mass: float
+    gaussian_predicted_mass: float
 
 
 def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
@@ -77,7 +77,7 @@ def per_mode_moments(sys: SystemSpec, marginals=None) -> list[Moments]:
                 s3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5
             except OverflowError:       # S_N then fails the run
                 s3 = math.inf
-            out.append(Moments(mean=0.0, var=fock_var_closed(g.mode.n, g.mu, g.nu, sys.hbar),
+            out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu, sys.hbar),
                                abs3=s3 * fock_abs3_dimensionless(g.mode.n)))
         else:
             if marginals is None:
@@ -147,8 +147,8 @@ def _report_for(sys: SystemSpec, r: float, R: float) -> tuple[CltReport, Margina
         sigma2=sigma2,
         rE=r * e_total,
         RE=R * e_total,
-        ks_distance=dist["ks"],
-        tv_distance=dist["tv"],
+        ks=dist["ks"],
+        tv=dist["tv"],
     )
     return report, cm
 
@@ -192,6 +192,6 @@ def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float,
     def point(hbar: float) -> HbarReport:
         report, cm = _report_for(SystemSpec(sys_base.groups, hbar), r, R)
         return HbarReport(**vars(report), mass_in_epsilon=mass_within(cm, epsilon),
-                          gaussian_mass=gaussian_mass_within(report.sigma2, epsilon))
+                          gaussian_predicted_mass=gaussian_mass_within(report.sigma2, epsilon))
 
     return [point(hbar) for hbar in values]

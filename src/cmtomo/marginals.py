@@ -24,6 +24,8 @@ import numpy as np
 from .errors import CalibrationError, GridSizeError, NormalizationMismatchWarning, NumericalError
 from .specialfn import hermite_functions, hermite_sq_density_factor, laguerre_gauss
 from .states import (
+    CoherentEven,
+    CoherentOdd,
     Fock,
     FockExpansion,
     ModeSpec,
@@ -117,24 +119,6 @@ def _scale(mu: float, nu: float, hbar: float) -> float:
     return math.sqrt(hbar * rho)
 
 
-def fock_tomogram(n: int, mu: float, nu: float, hbar: float, X):
-    """Quadrature density of the number state |n>.
-
-    Equals hermite_sq_density_factor(n, X/s)/s with s^2 = hbar*(mu^2+nu^2);
-    it depends on the frame only through that combination.
-    """
-    s = _scale(mu, nu, hbar)
-    out = hermite_sq_density_factor(n, np.asarray(X, dtype=float) / s) / s
-    if np.isscalar(X):
-        return float(out)
-    return out
-
-
-def fock_var_closed(n: int, mu: float, nu: float, hbar: float) -> float:
-    """Closed-form variance hbar*(mu^2+nu^2)*(1/2 + n)."""
-    return hbar * (mu * mu + nu * nu) * (0.5 + n)
-
-
 @lru_cache(maxsize=1024)
 def fock_abs3_dimensionless(n: int) -> float:
     """E|y|^3 under the dimensionless level-n density h_n(y)^2, exactly.
@@ -162,42 +146,16 @@ def fock_abs3_dimensionless(n: int) -> float:
     return 2.0 * (2.0 * lam * a1 + 0.5 * h0_sq) / 3.0
 
 
-def _fock_policy(n: int, mu: float, nu: float, hbar: float) -> tuple[float, float]:
-    s = _scale(mu, nu, hbar)
-    sigma = math.sqrt(fock_var_closed(n, mu, nu, hbar))
-    # dx <= sigma/64, further capped so the fastest H_n^2 oscillation
-    # (wavelength ~ pi/sqrt(2n+1) in y) keeps >= 8 points
-    dx = min(sigma / 64.0, s * math.pi / (8.0 * math.sqrt(2.0 * n + 1.0)))
-    return 8.0 * sigma, dx
-
-
-def fock_marginal(n: int, mu: float, nu: float, hbar: float, grid: Grid | None = None) -> MarginalDensity:
-    if grid is None:
-        grid = centered_grid(*_fock_policy(n, mu, nu, hbar))
-    vals = fock_tomogram(n, mu, nu, hbar, grid.xs)
-    meta = {"kind": f"fock {n}", "mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0,
-            "pre_rescale_integral": float(np.trapezoid(vals, dx=grid.dx))}
-    return MarginalDensity(grid=grid, values=vals, meta=meta)
-
-
-def _cat_norm_sq(alpha: complex, parity: str) -> float:
+def _cat_norm_sq(mode: CoherentEven | CoherentOdd) -> float:
     """|N_+-|^2 for the even/odd superposition of |alpha> and |-alpha>.
 
     Written as 1/(2(1 +- e^{-2|a|^2})) so no exponential can overflow,
     with the odd 1 - e^{-2|a|^2} taken without cancellation (`cat_weight`).
     """
-    return 1.0 / (2.0 * cat_weight(alpha, parity))
+    return 1.0 / (2.0 * cat_weight(mode))
 
 
-def _check_parity(parity: str) -> int:
-    if parity == "even":
-        return 1
-    if parity == "odd":
-        return -1
-    raise ValueError("parity must be 'even' or 'odd'")
-
-
-def evenodd_pointwise(alpha: complex, parity: str, mu: float, nu: float, hbar: float, X) -> np.ndarray:
+def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu: float, nu: float, hbar: float, X) -> np.ndarray:
     """Closed-form quadrature density of an even/odd coherent superposition.
 
     In t = X/s, s = sqrt(hbar (mu^2 + nu^2)), the density is
@@ -215,16 +173,15 @@ def evenodd_pointwise(alpha: complex, parity: str, mu: float, nu: float, hbar: f
     exponent is positive, so a large |alpha| cannot form inf * 0, and the
     completed square keeps full accuracy at the peaks |t| = |u|.
     """
-    sign = _check_parity(parity)
-    alpha = complex(alpha)
+    alpha = mode.alpha
     s = _scale(mu, nu, hbar)
     root_rho = math.sqrt(mu * mu + nu * nu)
-    n_sq = _cat_norm_sq(alpha, parity)
+    n_sq = _cat_norm_sq(mode)
     t = np.asarray(X, dtype=float) / s
     u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / root_rho
     v = math.sqrt(2.0) * (alpha.imag * mu - alpha.real * nu) / root_rho
     a = np.abs(u * t)
-    trig = np.cos(v * t) if sign > 0 else np.sin(v * t)
+    trig = np.cos(v * t) if mode.sign > 0 else np.sin(v * t)
     vals = n_sq / (_SQRT_PI * s) * (np.exp(-(np.abs(t) - abs(u)) ** 2) * np.expm1(-2.0 * a) ** 2
                                     + 4.0 * np.exp(-(t * t + u * u)) * trig ** 2)
     # subnormal values carry no probability but slow every later matrix
@@ -232,68 +189,89 @@ def evenodd_pointwise(alpha: complex, parity: str, mu: float, nu: float, hbar: f
     return np.where(vals < _TINY, 0.0, vals)
 
 
-def _cat_var_exact(alpha: complex, parity: str, mu: float, nu: float, hbar: float) -> float:
-    """Variance of the even/odd tomogram from the level-basis algebra."""
-    sign = _check_parity(parity)
-    a, b = alpha.real, alpha.imag
-    e = math.exp(-2.0 * abs(alpha) ** 2)
+def tomogram(mode: ModeSpec, mu: float, nu: float, hbar: float, X):
+    """Closed-form quadrature density of the mode at X along mu x + nu p,
+    a float for a scalar X.
+
+    The number state |n> gives hermite_sq_density_factor(n, X/s)/s with
+    s^2 = hbar*(mu^2+nu^2), which depends on the frame only through that
+    combination; a cat gives `_cat_tomogram`.
+    """
+    if isinstance(mode, Fock):
+        s = _scale(mu, nu, hbar)
+        out = hermite_sq_density_factor(mode.n, np.asarray(X, dtype=float) / s) / s
+    else:
+        out = _cat_tomogram(mode, mu, nu, hbar, X)
+    if np.isscalar(X):
+        return float(out)
+    return out
+
+
+def variance(mode: ModeSpec, mu: float, nu: float, hbar: float) -> float:
+    """Exact variance of the mode's tomogram: hbar*(mu^2+nu^2)*(1/2 + n)
+    for |n>, and the level-basis algebra for a cat."""
     rho = mu * mu + nu * nu
-    n_sq = _cat_norm_sq(alpha, parity)
-    return n_sq * hbar * (
-        cat_weight(alpha, parity) * rho
+    if isinstance(mode, Fock):
+        return hbar * rho * (0.5 + mode.n)
+    a, b = mode.alpha.real, mode.alpha.imag
+    e = math.exp(-2.0 * abs(mode.alpha) ** 2)
+    return _cat_norm_sq(mode) * hbar * (
+        cat_weight(mode) * rho
         + 4.0 * (a * mu + b * nu) ** 2
-        - sign * 4.0 * e * (b * mu - a * nu) ** 2
+        - mode.sign * 4.0 * e * (b * mu - a * nu) ** 2
     )
 
 
-def evenodd_var_closed(alpha: complex, parity: str, mu: float, nu: float, hbar: float) -> float:
+def evenodd_var_closed(mode: CoherentEven | CoherentOdd, mu: float, nu: float, hbar: float) -> float:
     """Published closed-form variance of the even/odd tomogram, as printed.
 
     Kept verbatim (modulo squaring the normalization constant) for the
     discrepancy report; the trusted variance is the quadrature moment of
     the oracle density, which this expression does not always match.
     """
-    sign = _check_parity(parity)
-    a, b = alpha.real, alpha.imag
-    e = math.exp(-2.0 * abs(alpha) ** 2)
+    a, b = mode.alpha.real, mode.alpha.imag
+    e = math.exp(-2.0 * abs(mode.alpha) ** 2)
     rho = mu * mu + nu * nu
-    n_sq = _cat_norm_sq(alpha, parity)
-    return n_sq * hbar * (
+    return _cat_norm_sq(mode) * hbar * (
         (1.0 + e) * rho
         + 4.0 * (a * mu + b * nu) ** 2
-        - sign * 4.0 * e * (b * mu + a * nu) ** 2
+        - mode.sign * 4.0 * e * (b * mu + a * nu) ** 2
     )
 
 
-def _cat_policy(alpha: complex, parity: str, mu: float, nu: float, hbar: float) -> tuple[float, float]:
+def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[float, float]:
+    """(half_width, dx) the default grid policy assigns to this mode:
+    8 sigma each side and dx <= sigma/64, finer where the density oscillates."""
     s = _scale(mu, nu, hbar)
-    sigma = math.sqrt(_cat_var_exact(alpha, parity, mu, nu, hbar))
+    sigma = math.sqrt(variance(mode, mu, nu, hbar))
     dx = sigma / 64.0
-    if abs(alpha) > 0:
+    if isinstance(mode, Fock):
+        # the fastest H_n^2 oscillation (wavelength ~ pi/sqrt(2n+1) in y)
+        # keeps >= 8 points
+        dx = min(dx, s * math.pi / (8.0 * math.sqrt(2.0 * mode.n + 1.0)))
+    elif abs(mode.alpha) > 0:
         # resolve interference fringes: wavelength pi*s/(sqrt(2)|alpha|)
-        dx = min(dx, math.pi * s / (16.0 * math.sqrt(2.0) * abs(alpha)))
+        dx = min(dx, math.pi * s / (16.0 * math.sqrt(2.0) * abs(mode.alpha)))
     return 8.0 * sigma, dx
 
 
-def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[float, float]:
-    """(half_width, dx) the default grid policy assigns to this mode."""
-    if isinstance(mode, Fock):
-        return _fock_policy(mode.n, mu, nu, hbar)
-    return _cat_policy(mode.alpha, mode.parity, mu, nu, hbar)
-
-
-def evenodd_tomogram(alpha: complex, parity: str, mu: float, nu: float, hbar: float,
+def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
                      grid: Grid | None = None) -> MarginalDensity:
-    """Gridded even/odd superposition tomogram, rescaled to unit integral.
+    """The mode's closed-form tomogram on a grid, grid_policy's by default.
 
-    The applied rescale factor and the pre-rescale integral are reported
-    in the metadata; a pre-rescale integral further than 5% from one
-    raises NormalizationMismatchWarning but the computation proceeds.
+    The metadata record the mode, the frame, hbar, the rescale factor and
+    the pre-rescale integral.  A cat is rescaled to unit integral; a
+    pre-rescale integral further than 5% from one raises
+    NormalizationMismatchWarning but the computation proceeds.  A number
+    state is left unscaled (rescale 1).
     """
     if grid is None:
-        grid = centered_grid(*_cat_policy(alpha, parity, mu, nu, hbar))
-    vals = evenodd_pointwise(alpha, parity, mu, nu, hbar, grid.xs)
+        grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
+    vals = tomogram(mode, mu, nu, hbar, grid.xs)
     pre = float(np.trapezoid(vals, dx=grid.dx))
+    meta = {"mode": mode, "mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0, "pre_rescale_integral": pre}
+    if isinstance(mode, Fock):
+        return MarginalDensity(grid=grid, values=vals, meta=meta)
     if pre <= 0:
         raise NumericalError("closed-form density integrated to a nonpositive value")
     if abs(pre - 1.0) > 0.05:
@@ -301,9 +279,7 @@ def evenodd_tomogram(alpha: complex, parity: str, mu: float, nu: float, hbar: fl
             f"pre-rescale integral {pre:.6g} differs from 1 by more than 5%",
             NormalizationMismatchWarning,
         )
-    meta = {"kind": f"{parity} {alpha.real:.17g} {alpha.imag:.17g}",
-            "mu": mu, "nu": nu, "hbar": hbar,
-            "rescale": 1.0 / pre, "pre_rescale_integral": pre}
+    meta["rescale"] = 1.0 / pre
     return MarginalDensity(grid=grid, values=vals / pre, meta=meta)
 
 
@@ -338,7 +314,7 @@ def calibrate_oracle(mu: float, nu: float, hbar: float) -> None:
         c[k] = 1.0
         psi = FockExpansion(coefficients=c, truncation=k)
         got = np.abs(tomogram_amplitudes(psi, mu, nu, hbar, probe.xs)) ** 2
-        want = fock_tomogram(k, mu, nu, hbar, probe.xs)
+        want = tomogram(Fock(k), mu, nu, hbar, probe.xs)
         err = float(np.max(np.abs(got - want)))
         if err > 1e-8:
             raise CalibrationError(
@@ -372,8 +348,7 @@ def tomogram_oracle(psi: FockExpansion, mu: float, nu: float, hbar: float, grid:
         raise NumericalError(
             f"oracle density integrates to {total}; grid too small for the state"
         )
-    meta = {"kind": "oracle", "mu": mu, "nu": nu, "hbar": hbar,
-            "rescale": 1.0 / total, "pre_rescale_integral": total}
+    meta = {"mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0 / total, "pre_rescale_integral": total}
     return MarginalDensity(grid=grid, values=vals / total, meta=meta)
 
 
@@ -385,17 +360,6 @@ def moments(d) -> Moments:
     var = float(np.trapezoid((xs - mean) ** 2 * d.values, dx=dx))
     abs3 = float(np.trapezoid(np.abs(xs) ** 3 * d.values, dx=dx))
     return Moments(mean=mean, var=var, abs3=abs3)
-
-
-def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
-                     grid: Grid | None = None) -> MarginalDensity:
-    """Dispatch a mode to its closed-form gridded tomogram, recorded as meta['mode']."""
-    if isinstance(mode, Fock):
-        d = fock_marginal(mode.n, mu, nu, hbar, grid)
-    else:
-        d = evenodd_tomogram(mode.alpha, mode.parity, mu, nu, hbar, grid)
-    d.meta["mode"] = mode
-    return d
 
 
 def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.ndarray:
@@ -427,12 +391,12 @@ def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.nd
         return laguerre_gauss(mode.n, 0.5 * (k * s) ** 2)
     alpha = mode.alpha
     mean = math.sqrt(2.0 * hbar) * (mu * alpha.real + nu * alpha.imag)
-    if _check_parity(mode.parity) > 0:
+    if mode.sign > 0:
         beta = 1j * math.sqrt(0.5 * hbar) * complex(mu, nu) * k
         diag = 2.0 * np.exp(-0.25 * (k * s) ** 2) * np.cos(k * mean)
         cross = np.exp(-0.5 * np.abs(2.0 * alpha - beta) ** 2) + np.exp(-0.5 * np.abs(2.0 * alpha + beta) ** 2)
-        return _cat_norm_sq(alpha, mode.parity) * (diag + cross)
-    w = cat_weight(alpha, mode.parity)
+        return _cat_norm_sq(mode) * (diag + cross)
+    w = cat_weight(mode)
     c = np.abs(k) * math.sqrt(2.0 * hbar) * abs(mu * alpha.imag - nu * alpha.real)
     near = np.exp(-0.25 * (k * s) ** 2) * (1.0 - 2.0 * np.sin(0.5 * k * mean) ** 2 / w)
     far = np.exp(-0.25 * (k * s) ** 2 - 2.0 * abs(alpha) ** 2 + c) * np.expm1(-c) ** 2 / (2.0 * w)
@@ -456,7 +420,7 @@ def char_function_reach(mode: ModeSpec, mu: float, nu: float, hbar: float, floor
     if isinstance(mode, Fock):
         r, c = math.sqrt(2.0 * mode.n + 1.0), 1.0
     else:
-        r, c = math.sqrt(2.0) * abs(mode.alpha), 4.0 * _cat_norm_sq(mode.alpha, mode.parity)
+        r, c = math.sqrt(2.0) * abs(mode.alpha), 4.0 * _cat_norm_sq(mode)
     return (2.0 * r + 2.0 * math.sqrt(math.log(c / floor))) / _scale(mu, nu, hbar)
 
 

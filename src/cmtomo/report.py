@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import (
-    evenodd_tomogram,
-    evenodd_var_closed,
-    moments,
-    oracle_marginal,
-)
+from .marginals import evenodd_var_closed, marginal_density, moments, oracle_marginal
 from .states import CoherentEven, CoherentOdd, coherent_expansion, fock_expansion
 
 DEFAULT_ALPHAS = (
@@ -99,10 +94,12 @@ def _printed_elements(alpha: complex, mu: float, nu: float, hbar: float):
 def discrepancy_rows(alphas=DEFAULT_ALPHAS, frames=DEFAULT_FRAMES, hbar: float = 1.0) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for alpha in alphas:
+        even = CoherentEven(alpha)
         # the oracle's level expansion raises ConvergenceError past its
         # truncation cap; taken first, it also keeps a large |alpha| from
         # building the D x D matrices of _coherent_pair_elements, D ~ |alpha|^2
-        fock_expansion(CoherentEven(alpha))
+        fock_expansion(even)
+        modes = (even,) if abs(alpha) == 0 else (even, CoherentOdd(alpha))
         for mu, nu in frames:
             x_diag_p, x_cross_p, x2_diag_p, x2_cross_p = _printed_elements(alpha, mu, nu, hbar)
             x_diag_o, x_cross_o, x2_diag_o, x2_cross_o = _coherent_pair_elements(alpha, mu, nu, hbar)
@@ -112,16 +109,14 @@ def discrepancy_rows(alphas=DEFAULT_ALPHAS, frames=DEFAULT_FRAMES, hbar: float =
             rows.append(ReportRow("x2_diag", alpha, "-", mu, nu, hbar, x2_diag_p, x2_diag_o.real))
             rows.append(ReportRow("x2_cross_re", alpha, "-", mu, nu, hbar, x2_cross_p.real, x2_cross_o.real))
             rows.append(ReportRow("x2_cross_im", alpha, "-", mu, nu, hbar, x2_cross_p.imag, x2_cross_o.imag))
-            parities = ("even",) if abs(alpha) == 0 else ("even", "odd")
-            for parity in parities:
-                mode = CoherentEven(alpha) if parity == "even" else CoherentOdd(alpha)
-                closed = evenodd_tomogram(alpha, parity, mu, nu, hbar)
-                rows.append(ReportRow("integral", alpha, parity, mu, nu, hbar,
+            for mode in modes:
+                closed = marginal_density(mode, mu, nu, hbar)
+                rows.append(ReportRow("integral", alpha, mode.parity, mu, nu, hbar,
                                       closed.meta["pre_rescale_integral"], 1.0))
                 oracle = oracle_marginal(mode, mu, nu, hbar)
                 var_oracle = moments(oracle).var
-                var_paper = evenodd_var_closed(alpha, parity, mu, nu, hbar)
-                rows.append(ReportRow("variance", alpha, parity, mu, nu, hbar,
+                var_paper = evenodd_var_closed(mode, mu, nu, hbar)
+                rows.append(ReportRow("variance", alpha, mode.parity, mu, nu, hbar,
                                       var_paper, var_oracle))
     return rows
 

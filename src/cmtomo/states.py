@@ -61,6 +61,7 @@ def check_alpha(alpha: complex) -> None:
 class CoherentEven:
     alpha: complex
     parity = "even"
+    sign = 1            # |alpha> + sign |-alpha>
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -71,6 +72,7 @@ class CoherentEven:
 class CoherentOdd:
     alpha: complex
     parity = "odd"
+    sign = -1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -191,27 +193,25 @@ def coherent_expansion(alpha: complex, D: int) -> FockExpansion:
     return FockExpansion(coefficients=amp / norm, truncation=D)
 
 
-def cat_weight(alpha: complex, parity: str) -> float:
+def cat_weight(mode: CoherentEven | CoherentOdd) -> float:
     """1 + e^{-2|a|^2} (even) or 1 - e^{-2|a|^2} (odd): the squared norm
     of |a> +- |-a>, over 2.
 
     The odd weight is -expm1(-2|a|^2), which keeps full relative
     precision as |a| -> 0 where 1 - e^{-2|a|^2} would round to 0.
     """
-    a2 = abs(alpha) ** 2
-    if parity == "even":
+    a2 = abs(mode.alpha) ** 2
+    if mode.sign > 0:
         return 1.0 + math.exp(-2.0 * a2)
-    if a2 == 0.0:
-        raise ValueError("odd superposition undefined at alpha = 0")
     return -math.expm1(-2.0 * a2)
 
 
-def _cat_tail(alpha: complex, parity: str, D: int) -> float:
+def _cat_tail(mode: CoherentEven | CoherentOdd, D: int) -> float:
     """Relative weight above level D, from the exact even/odd series sums."""
     # e^{-a2} cosh(a2) and e^{-a2} sinh(a2), overflow-free
-    total = 0.5 * cat_weight(alpha, parity)
-    probs = np.abs(coherent_amplitudes(alpha, D)) ** 2
-    partial = probs[0::2].sum() if parity == "even" else probs[1::2].sum()
+    total = 0.5 * cat_weight(mode)
+    probs = np.abs(coherent_amplitudes(mode.alpha, D)) ** 2
+    partial = probs[0::2].sum() if mode.sign > 0 else probs[1::2].sum()
     return max(0.0, 1.0 - partial / total)
 
 
@@ -230,7 +230,6 @@ def fock_expansion(mode: ModeSpec, D: int | None = None, cap: int = _DEFAULT_TRU
         c[mode.n] = 1.0
         return FockExpansion(coefficients=c, truncation=size)
 
-    parity = mode.parity
     alpha = mode.alpha
     if D is None:
         a2 = abs(alpha) ** 2
@@ -239,21 +238,19 @@ def fock_expansion(mode: ModeSpec, D: int | None = None, cap: int = _DEFAULT_TRU
             raise ConvergenceError(
                 f"truncation cap {cap} below the level support needed for alpha={alpha}"
             )
-        while _cat_tail(alpha, parity, D) >= _TAIL_BOUND:
+        while _cat_tail(mode, D) >= _TAIL_BOUND:
             D *= 2
             if D > cap:
                 raise ConvergenceError(
                     f"truncation cap {cap} reached before tail bound for alpha={alpha}"
                 )
-    elif _cat_tail(alpha, parity, D) >= _TAIL_BOUND:
+    elif _cat_tail(mode, D) >= _TAIL_BOUND:
         raise ConvergenceError(f"tail above level {D} exceeds 1e-12 for alpha={alpha}")
 
     amp = coherent_amplitudes(alpha, D)
     c = np.zeros(D + 1, dtype=complex)
-    if parity == "even":
-        c[0::2] = amp[0::2]
-    else:
-        c[1::2] = amp[1::2]
+    lowest = 0 if mode.sign > 0 else 1
+    c[lowest::2] = amp[lowest::2]
     c = c / np.linalg.norm(c)
     return FockExpansion(coefficients=c, truncation=D)
 
@@ -263,7 +260,7 @@ def mode_mean_occupation(mode: ModeSpec) -> float:
     if isinstance(mode, Fock):
         return float(mode.n)
     a2 = abs(mode.alpha) ** 2
-    if mode.parity == "even":
+    if mode.sign > 0:
         return a2 * math.tanh(a2)
     return a2 / math.tanh(a2)
 

@@ -13,15 +13,7 @@ import numpy as np
 from cmtomo.cli import main
 from cmtomo.clt import hbar_scan, lyapunov_ratio, n_scan, per_mode_moments
 from cmtomo.convolution import backend_agreement, cf_product, convolve_fft, marginals_for_system, sample_sum
-from cmtomo.marginals import (
-    evenodd_pointwise,
-    evenodd_tomogram,
-    fock_marginal,
-    fock_tomogram,
-    fock_var_closed,
-    moments,
-    oracle_marginal,
-)
+from cmtomo.marginals import marginal_density, moments, oracle_marginal, tomogram, variance
 from cmtomo.reconstruct import fidelity, reconstruct_single_mode
 from cmtomo.report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, SystemSpec, fock_expansion
@@ -47,10 +39,10 @@ def test_criterion_1_fock_normalization_and_variance():
         for rho in (0.5, 1.0, 2.0):
             mu = math.sqrt(rho)
             for hbar in (0.01, 1.0, 10.0):
-                d = fock_marginal(n, mu, 0.0, hbar)
+                d = marginal_density(Fock(n), mu, 0.0, hbar)
                 total = float(np.trapezoid(d.values, dx=d.grid.dx))
                 m = moments(d)
-                want = fock_var_closed(n, mu, 0.0, hbar)
+                want = variance(Fock(n), mu, 0.0, hbar)
                 worst_norm = max(worst_norm, abs(total - 1.0))
                 worst_var = max(worst_var, abs(m.var - want) / want)
     elapsed = time.time() - t0
@@ -81,11 +73,11 @@ def test_criterion_3_fixed_energy_clt_scan():
     rate = [r.S_N * math.sqrt(r.N) for r in reports]
     rate_spread = max(rate) / min(rate) - 1.0
     bracket_ok = all(r.rE <= r.sigma2 <= r.RE for r in reports)
-    ks_drop = reports[-1].ks_distance < reports[0].ks_distance / 3.0
+    ks_drop = reports[-1].ks < reports[0].ks / 3.0
     elapsed = time.time() - t0
     ok = rate_spread < 1e-6 and bracket_ok and ks_drop and elapsed < 60.0
     report(3, ok, elapsed,
-           f"rate spread {rate_spread:.2e}, ks {reports[0].ks_distance:.4f} -> {reports[-1].ks_distance:.4f}")
+           f"rate spread {rate_spread:.2e}, ks {reports[0].ks:.4f} -> {reports[-1].ks:.4f}")
     assert rate_spread < 1e-6
     assert bracket_ok
     assert ks_drop
@@ -152,18 +144,17 @@ def test_criterion_6_cat_state_consistency():
     frames = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]
     worst = 0.0
     for alpha in alphas:
-        for parity in ("even", "odd"):
-            mode = CoherentEven(alpha) if parity == "even" else CoherentOdd(alpha)
+        for mode in (CoherentEven(alpha), CoherentOdd(alpha)):
             for mu, nu in frames:
-                d = evenodd_tomogram(alpha, parity, mu, nu, 1.0)
+                d = marginal_density(mode, mu, nu, 1.0)
                 o = oracle_marginal(mode, mu, nu, 1.0, grid=d.grid)
                 worst = max(worst, float(np.max(np.abs(d.values - o.values))))
             # nu-axis frame: odd densities carry an exact node at the origin
-            if parity == "odd":
-                at_zero = float(evenodd_pointwise(alpha, parity, 0.0, 1.0, 1.0, np.array([0.0]))[0])
+            if mode.sign < 0:
+                at_zero = float(tomogram(mode, 0.0, 1.0, 1.0, np.array([0.0]))[0])
                 assert at_zero == 0.0
-    vac = evenodd_tomogram(0.0, "even", 1.0, 0.0, 1.0)
-    vac_err = float(np.max(np.abs(vac.values - fock_tomogram(0, 1.0, 0.0, 1.0, vac.grid.xs))))
+    vac = marginal_density(CoherentEven(0.0), 1.0, 0.0, 1.0)
+    vac_err = float(np.max(np.abs(vac.values - tomogram(Fock(0), 1.0, 0.0, 1.0, vac.grid.xs))))
     elapsed = time.time() - t0
     ok = worst < 1e-6 and vac_err < 1e-10
     report(6, ok, elapsed, f"worst oracle gap {worst:.2e}, vacuum limit gap {vac_err:.2e}")
@@ -174,8 +165,8 @@ def test_criterion_6_cat_state_consistency():
 def test_criterion_7_homogeneity():
     t0 = time.time()
     densities = [
-        lambda mu, nu, X: fock_tomogram(3, mu, nu, 1.0, X),
-        lambda mu, nu, X: evenodd_pointwise(1.0, "even", mu, nu, 1.0, X),
+        lambda mu, nu, X: tomogram(Fock(3), mu, nu, 1.0, X),
+        lambda mu, nu, X: tomogram(CoherentEven(1.0), mu, nu, 1.0, X),
     ]
     mu, nu = 0.8, -0.6
     X = np.linspace(-6.0, 6.0, 481)
@@ -194,13 +185,13 @@ def test_criterion_7_homogeneity():
 def test_criterion_8_reconstruction_round_trip():
     t0 = time.time()
     cases = [
-        (lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), Fock(0), 8, 0.99),
-        (lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), Fock(1), 8, 0.99),
-        (lambda X, m, n: evenodd_pointwise(1.0, "even", m, n, 1.0, X), CoherentEven(1.0), 16, 0.98),
+        (lambda X, m, n: tomogram(Fock(0), m, n, 1.0, X), Fock(0), 8, 0.99),
+        (lambda X, m, n: tomogram(Fock(1), m, n, 1.0, X), Fock(1), 8, 0.99),
+        (lambda X, m, n: tomogram(CoherentEven(1.0), m, n, 1.0, X), CoherentEven(1.0), 16, 0.98),
     ]
     results = []
-    for tomogram, mode, dim, want in cases:
-        rho = reconstruct_single_mode(tomogram, dim, 1.0)
+    for tomo, mode, dim, want in cases:
+        rho = reconstruct_single_mode(tomo, dim, 1.0)
         psi = fock_expansion(mode, D=dim - 1)
         fid = fidelity(rho, psi)
         herm = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))

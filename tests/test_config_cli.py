@@ -188,7 +188,7 @@ class TestCmdMarginal:
         out = str(tmp_path / "o.csv")
         assert main(["marginal", "--config", cfg, "--out", out]) == 0
         _, _, data, _ = read_csv(out)
-        want = marginals.fock_tomogram(1, 1.0, 0.0, 1.0, data[:, 0])
+        want = marginals.tomogram(Fock(1), 1.0, 0.0, 1.0, data[:, 0])
         # the O(|alpha|^2) departure from |1> is 0.55e-10 of the peak
         assert np.max(np.abs(data[:, 1] - want)) <= 1e-10 * np.max(want)
 
@@ -770,8 +770,7 @@ class TestExitCodes:
     def test_nonfinite_density_exit_three(self, tmp_path, monkeypatch):
         # a closed form that evaluates to nan on every node: the density
         # validator stops it before anything is written
-        monkeypatch.setattr(marginals, "evenodd_pointwise",
-                            lambda alpha, parity, mu, nu, hbar, X: np.full(np.shape(X), np.nan))
+        monkeypatch.setattr(marginals, "tomogram", lambda mode, mu, nu, hbar, X: np.full(np.shape(X), np.nan))
         out = tmp_path / "o.csv"
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = even 1 0\n")
         assert main(["marginal", "--config", cfg, "--out", str(out)]) == 3

@@ -10,23 +10,21 @@ from cmtomo.marginals import (
     Grid,
     MarginalDensity,
     centered_grid,
-    evenodd_pointwise,
-    evenodd_tomogram,
     evenodd_var_closed,
     fock_abs3_dimensionless,
-    fock_marginal,
-    fock_tomogram,
-    fock_var_closed,
     grid_policy,
     marginal_density,
     moments,
     oracle_marginal,
+    tomogram,
     tomogram_oracle,
+    variance,
 )
 from cmtomo.states import (ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, cat_weight,
                            fock_expansion)
 
 SQRT_PI = math.sqrt(math.pi)
+CAT = {"even": CoherentEven, "odd": CoherentOdd}
 
 
 def exact_abs3_bigint(n):
@@ -79,47 +77,47 @@ class TestGrids:
 
 class TestFockTomogram:
     def test_vacuum_peak(self):
-        assert fock_tomogram(0, 1.0, 0.0, 1.0, 0.0) == pytest.approx(1 / SQRT_PI, rel=1e-14)
+        assert tomogram(Fock(0), 1.0, 0.0, 1.0, 0.0) == pytest.approx(1 / SQRT_PI, rel=1e-14)
 
     def test_level_one_value(self):
         # rho = 1, hbar = 2: (1/sqrt(2)) * 2 y^2 e^{-y^2}/sqrt(pi) at y = 1/sqrt(2)
         want = math.exp(-0.5) / (math.sqrt(2.0) * SQRT_PI)
-        assert fock_tomogram(1, 0.6, 0.8, 2.0, 1.0) == pytest.approx(want, rel=1e-12)
+        assert tomogram(Fock(1), 0.6, 0.8, 2.0, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_normalization_level_five(self):
-        d = fock_marginal(5, 1.0, 0.0, 1.0)
+        d = marginal_density(Fock(5), 1.0, 0.0, 1.0)
         assert np.trapezoid(d.values, dx=d.grid.dx) == pytest.approx(1.0, abs=1e-8)
 
     def test_normalization_level_1000(self):
         # the Gaussian factor alone underflows past |y| ~ 38.6, inside this
         # level's support; the log-scaled recurrence keeps the whole mass
-        d = fock_marginal(1000, 1.0, 0.0, 1.0)
+        d = marginal_density(Fock(1000), 1.0, 0.0, 1.0)
         assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
-            fock_tomogram(0, 0.0, 0.0, 1.0, 0.0)
+            tomogram(Fock(0), 0.0, 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("frame", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.6, 0.8)])
     def test_scale_collapse_equal_hbar_rho(self, frame):
         # depends on (mu, nu, hbar) only through hbar * (mu^2 + nu^2)
         xs = np.linspace(-5, 5, 101)
-        base = fock_tomogram(4, 1.0, 0.0, 1.0, xs)
+        base = tomogram(Fock(4), 1.0, 0.0, 1.0, xs)
         mu, nu = frame
-        np.testing.assert_allclose(fock_tomogram(4, mu, nu, 1.0, xs), base, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tomogram(Fock(4), mu, nu, 1.0, xs), base, rtol=0, atol=1e-15)
 
     def test_scale_collapse_across_hbar(self):
         xs = np.linspace(-5, 5, 101)
         np.testing.assert_allclose(
-            fock_tomogram(4, 0.5, 0.0, 4.0, xs),
-            fock_tomogram(4, 1.0, 0.0, 1.0, xs),
+            tomogram(Fock(4), 0.5, 0.0, 4.0, xs),
+            tomogram(Fock(4), 1.0, 0.0, 1.0, xs),
             rtol=1e-12,
         )
 
 
 class TestMoments:
     def test_vacuum_moments_gaussian_oracle(self):
-        d = fock_marginal(0, 1.0, 0.0, 1.0)
+        d = marginal_density(Fock(0), 1.0, 0.0, 1.0)
         m = moments(d)
         sigma = math.sqrt(0.5)
         assert m.mean == pytest.approx(0.0, abs=1e-12)
@@ -128,7 +126,7 @@ class TestMoments:
         assert m.abs3 == pytest.approx(2 * math.sqrt(2 / math.pi) * sigma ** 3, rel=1e-7)
 
     def test_fock1_variance(self):
-        m = moments(fock_marginal(1, 1.0, 0.0, 1.0))
+        m = moments(marginal_density(Fock(1), 1.0, 0.0, 1.0))
         assert m.var == pytest.approx(1.5, abs=1e-10)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 20, 50])
@@ -136,8 +134,8 @@ class TestMoments:
     def test_variance_matches_closed_form(self, n, rho_frame):
         mu, nu = rho_frame
         for hbar in (0.01, 1.0, 10.0):
-            m = moments(fock_marginal(n, mu, nu, hbar))
-            want = fock_var_closed(n, mu, nu, hbar)
+            m = moments(marginal_density(Fock(n), mu, nu, hbar))
+            want = variance(Fock(n), mu, nu, hbar)
             assert m.var == pytest.approx(want, rel=1e-8)
             assert abs(m.mean) < 1e-9 * math.sqrt(want)
 
@@ -169,14 +167,14 @@ class TestAbs3:
         assert ratios.index(sup) < 99
 
     def test_grid_abs3_agrees_with_exact(self):
-        d = fock_marginal(3, 1.0, 0.0, 1.0)
+        d = marginal_density(Fock(3), 1.0, 0.0, 1.0)
         assert moments(d).abs3 == pytest.approx(fock_abs3_dimensionless(3), rel=1e-7)
 
 
 class TestEvenOddTomogram:
     def test_alpha_zero_is_vacuum(self):
-        d = evenodd_tomogram(0.0, "even", 1.0, 0.0, 1.0)
-        want = fock_tomogram(0, 1.0, 0.0, 1.0, d.grid.xs)
+        d = marginal_density(CoherentEven(0.0), 1.0, 0.0, 1.0)
+        want = tomogram(Fock(0), 1.0, 0.0, 1.0, d.grid.xs)
         np.testing.assert_allclose(d.values, want, atol=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 1 + 0.5j, 1.5 * np.exp(1j * np.pi / 4)])
@@ -185,32 +183,32 @@ class TestEvenOddTomogram:
     def test_matches_oracle(self, alpha, parity, frame):
         mu, nu = frame
         for hbar in (1.0, 0.4):
-            d = evenodd_tomogram(alpha, parity, mu, nu, hbar)
-            mode = CoherentEven(alpha) if parity == "even" else CoherentOdd(alpha)
+            mode = CAT[parity](alpha)
+            d = marginal_density(mode, mu, nu, hbar)
             o = oracle_marginal(mode, mu, nu, hbar, grid=d.grid)
             np.testing.assert_allclose(d.values, o.values, atol=1e-9)
 
     def test_even_cat_interference_zeros_on_nu_axis(self):
         # real alpha, nu-axis frame: density ~ cos^2(sqrt(2) a X), zero at pi/(2 sqrt(2) a)
         alpha = 2.0
-        d = evenodd_tomogram(alpha, "even", 0.0, 1.0, 1.0)
+        d = marginal_density(CoherentEven(alpha), 0.0, 1.0, 1.0)
         node = math.pi / (2 * math.sqrt(2) * alpha)
-        vals = evenodd_pointwise(alpha, "even", 0.0, 1.0, 1.0, np.array([node]))
+        vals = tomogram(CoherentEven(alpha), 0.0, 1.0, 1.0, np.array([node]))
         assert vals[0] == pytest.approx(0.0, abs=1e-14)
         assert d.values.min() < 1e-12 * d.values.max()
 
     def test_odd_density_vanishes_at_origin(self):
         for frame in [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)]:
-            d = evenodd_tomogram(1.5, "odd", frame[0], frame[1], 1.0)
+            d = marginal_density(CoherentOdd(1.5), frame[0], frame[1], 1.0)
             assert float(np.interp(0.0, d.grid.xs, d.values)) < 1e-13
 
     def test_even_function_of_x_for_real_alpha_mu_axis(self):
         # node 0 (x = -count/2 dx) has no mirror on the half-open grid
-        d = evenodd_tomogram(1.2, "even", 1.0, 0.0, 1.0)
+        d = marginal_density(CoherentEven(1.2), 1.0, 0.0, 1.0)
         np.testing.assert_allclose(d.values[1:], d.values[1:][::-1], atol=1e-12)
 
     def test_rescale_metadata(self):
-        d = evenodd_tomogram(1.0, "even", 1.0, 0.0, 1.0)
+        d = marginal_density(CoherentEven(1.0), 1.0, 0.0, 1.0)
         assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-6)
         assert d.meta["rescale"] == pytest.approx(1.0, abs=1e-6)
 
@@ -218,11 +216,11 @@ class TestEvenOddTomogram:
         # a grid covering half the support misses mass: warning, not error
         g = centered_grid(0.4, 0.01)
         with pytest.warns(NormalizationMismatchWarning):
-            evenodd_tomogram(2.0, "even", 1.0, 0.0, 1.0, grid=g)
+            marginal_density(CoherentEven(2.0), 1.0, 0.0, 1.0, grid=g)
 
     def test_odd_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            evenodd_tomogram(0.0, "odd", 1.0, 0.0, 1.0)
+            marginal_density(CoherentOdd(0.0), 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("phase", [1.0, 0.6 + 0.8j])
     @pytest.mark.parametrize("frame", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)])
@@ -232,7 +230,7 @@ class TestEvenOddTomogram:
         # of the peak, stays below the O(|alpha|^2) departure from |1>
         alpha = ODD_ALPHA_MIN * phase
         mu, nu = frame
-        d = evenodd_tomogram(alpha, "odd", mu, nu, hbar)
+        d = marginal_density(CoherentOdd(alpha), mu, nu, hbar)
         o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
         assert np.max(np.abs(d.values - o.values)) < 0.55 * abs(alpha) ** 2 * np.max(o.values)
 
@@ -244,13 +242,9 @@ class TestEvenOddTomogram:
         # z -> 0; the cancelling |1 - e^{-2z}|^2 erred by 1.03e-11 of the peak here
         alpha = 1e-5 * phase
         mu, nu = frame
-        d = evenodd_tomogram(alpha, "odd", mu, nu, hbar)
+        d = marginal_density(CoherentOdd(alpha), mu, nu, hbar)
         o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
         assert np.max(np.abs(d.values - o.values)) <= 1e-14 * np.max(o.values)
-
-    def test_unknown_parity_rejected(self):
-        with pytest.raises(ValueError):
-            evenodd_tomogram(1.0, "mixed", 1.0, 0.0, 1.0)
 
 
 def product_form_cat(alpha, parity, mu, nu, hbar, X):
@@ -272,9 +266,9 @@ class TestEvenOddLogDomain:
     def test_matches_product_form_where_finite(self, alpha, parity):
         for mu, nu in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6), (2.0, 1.0)]:
             for hbar in (1.0, 0.4):
-                xs = evenodd_tomogram(alpha, parity, mu, nu, hbar).grid.xs
+                xs = marginal_density(CAT[parity](alpha), mu, nu, hbar).grid.xs
                 want = product_form_cat(alpha, parity, mu, nu, hbar, xs)
-                got = evenodd_pointwise(alpha, parity, mu, nu, hbar, xs)
+                got = tomogram(CAT[parity](alpha), mu, nu, hbar, xs)
                 assert np.all(np.isfinite(want))
                 # relative, except near the density's zeros and in the
                 # far tails, where both forms round at the peak's scale
@@ -286,7 +280,7 @@ class TestEvenOddLogDomain:
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_large_real_alpha_finite_unit_integral(self, alpha, parity):
         for mu, nu in [(1.0, 0.0), (0.6, 0.8)]:
-            d = evenodd_tomogram(alpha, parity, mu, nu, 1.0)
+            d = marginal_density(CAT[parity](alpha), mu, nu, 1.0)
             assert np.all(np.isfinite(d.values))
             assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-9)
 
@@ -298,7 +292,7 @@ def complex_form_cat(alpha, parity, mu, nu, hbar, X):
     sign = 1 if parity == "even" else -1
     alpha = complex(alpha)
     rho = mu * mu + nu * nu
-    n_sq = 1.0 / (2.0 * cat_weight(alpha, parity))
+    n_sq = 1.0 / (2.0 * cat_weight(CAT[parity](alpha)))
     X = np.asarray(X, dtype=float)
     quad = nu * (alpha ** 2 / (nu - 1j * mu) + np.conj(alpha) ** 2 / (nu + 1j * mu))
     z = 1j * math.sqrt(2.0) * alpha * X / (math.sqrt(hbar) * (1j * mu - nu))
@@ -345,7 +339,7 @@ class TestRealArithmeticCatDensity:
         # form's completed square does not (under 7e-15)
         if abs(alpha) > 5 and np.finfo(np.longdouble).precision < 18:
             pytest.skip("np.longdouble is no wider than float here")
-        mode = CoherentEven(alpha) if parity == "even" else CoherentOdd(alpha)
+        mode = CAT[parity](alpha)
         for mu, nu in self.FRAMES:
             for hbar in (1e-3, 1.0, 1e3):
                 grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
@@ -357,7 +351,7 @@ class TestRealArithmeticCatDensity:
                     xs = grid.xs
                     o = oracle_marginal(mode, mu, nu, hbar, grid=grid)
                     want = o.values * o.meta["pre_rescale_integral"]
-                got = evenodd_pointwise(alpha, parity, mu, nu, hbar, xs)
+                got = tomogram(mode, mu, nu, hbar, xs)
                 peak = float(np.max(want))
                 err = float(np.max(np.abs(got - want))) / peak
                 err_complex = float(np.max(np.abs(complex_form_cat(alpha, parity, mu, nu, hbar, xs) - want))) / peak
@@ -371,7 +365,7 @@ class TestTomogramOracle:
         psi = fock_expansion(Fock(0), D=4)
         g = centered_grid(8.0, 0.01)
         d = tomogram_oracle(psi, 1.0, 0.0, 1.0, g)
-        np.testing.assert_allclose(d.values, fock_tomogram(0, 1.0, 0.0, 1.0, g.xs), atol=1e-10)
+        np.testing.assert_allclose(d.values, tomogram(Fock(0), 1.0, 0.0, 1.0, g.xs), atol=1e-10)
 
     @pytest.mark.parametrize("frame", [(1.0, 0.0), (0.6, 0.8), (0.0, -1.0)])
     def test_level3_anchor(self, frame):
@@ -379,10 +373,10 @@ class TestTomogramOracle:
         psi = fock_expansion(Fock(3), D=6)
         g = centered_grid(16.0, 0.01)
         d = tomogram_oracle(psi, mu, nu, 1.0, g)
-        np.testing.assert_allclose(d.values, fock_tomogram(3, mu, nu, 1.0, g.xs), atol=1e-8)
+        np.testing.assert_allclose(d.values, tomogram(Fock(3), mu, nu, 1.0, g.xs), atol=1e-8)
 
     def test_even_cat_mutual_consistency(self):
-        d = evenodd_tomogram(2.0, "even", 0.6, 0.8, 1.0)
+        d = marginal_density(CoherentEven(2.0), 0.6, 0.8, 1.0)
         o = oracle_marginal(CoherentEven(2.0), 0.6, 0.8, 1.0, grid=d.grid)
         np.testing.assert_allclose(d.values, o.values, atol=1e-6)
 
@@ -396,36 +390,36 @@ class TestTomogramOracle:
 class TestVarianceClosedForms:
     def test_vacuum_limit_agrees(self):
         # alpha -> 0: published expression must reduce to the vacuum variance
-        got = evenodd_var_closed(0.0, "even", 1.0, 0.0, 1.0)
-        d = evenodd_tomogram(0.0, "even", 1.0, 0.0, 1.0)
+        got = evenodd_var_closed(CoherentEven(0.0), 1.0, 0.0, 1.0)
+        d = marginal_density(CoherentEven(0.0), 1.0, 0.0, 1.0)
         assert got == pytest.approx(moments(d).var, abs=1e-8)
         assert got == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_even_real_alpha_mu_axis_agrees(self, alpha):
-        got = evenodd_var_closed(alpha, "even", 1.0, 0.0, 1.0)
-        d = evenodd_tomogram(alpha, "even", 1.0, 0.0, 1.0)
+        got = evenodd_var_closed(CoherentEven(alpha), 1.0, 0.0, 1.0)
+        d = marginal_density(CoherentEven(alpha), 1.0, 0.0, 1.0)
         assert got == pytest.approx(moments(d).var, rel=1e-8)
 
     def test_odd_disagrees_with_quadrature(self):
         # the published odd-case expression does not match the density it
         # claims to describe; the report records this, nothing corrects it
         alpha = 1.0
-        formula = evenodd_var_closed(alpha, "odd", 1.0, 0.0, 1.0)
-        quad = moments(evenodd_tomogram(alpha, "odd", 1.0, 0.0, 1.0)).var
+        formula = evenodd_var_closed(CoherentOdd(alpha), 1.0, 0.0, 1.0)
+        quad = moments(marginal_density(CoherentOdd(alpha), 1.0, 0.0, 1.0)).var
         assert abs(formula - quad) / quad > 0.05
 
     def test_complex_alpha_tilted_frame_disagrees(self):
         alpha = 1 + 0.5j
-        formula = evenodd_var_closed(alpha, "even", 0.6, 0.8, 1.0)
-        quad = moments(evenodd_tomogram(alpha, "even", 0.6, 0.8, 1.0)).var
+        formula = evenodd_var_closed(CoherentEven(alpha), 0.6, 0.8, 1.0)
+        quad = moments(marginal_density(CoherentEven(alpha), 0.6, 0.8, 1.0)).var
         assert abs(formula - quad) / quad > 0.01
 
 
 HOMOGENEITY_CASES = [
-    ("fock3", lambda mu, nu, hbar, X: fock_tomogram(3, mu, nu, hbar, X)),
-    ("evencat", lambda mu, nu, hbar, X: evenodd_pointwise(1.0, "even", mu, nu, hbar, X)),
-    ("oddcat", lambda mu, nu, hbar, X: evenodd_pointwise(0.8 + 0.3j, "odd", mu, nu, hbar, X)),
+    ("fock3", lambda mu, nu, hbar, X: tomogram(Fock(3), mu, nu, hbar, X)),
+    ("evencat", lambda mu, nu, hbar, X: tomogram(CoherentEven(1.0), mu, nu, hbar, X)),
+    ("oddcat", lambda mu, nu, hbar, X: tomogram(CoherentOdd(0.8 + 0.3j), mu, nu, hbar, X)),
 ]
 
 
@@ -442,9 +436,16 @@ class TestHomogeneity:
 
 class TestMarginalDispatch:
     def test_dispatch_matches_direct(self):
-        d1 = marginal_density(Fock(2), 1.0, 0.0, 1.0)
-        d2 = fock_marginal(2, 1.0, 0.0, 1.0)
-        np.testing.assert_allclose(d1.values, d2.values, atol=0)
+        # the gridded density is the pointwise form, rescaled for a cat only
+        for mode in (Fock(2), CoherentEven(1.0), CoherentOdd(0.8 + 0.3j)):
+            d = marginal_density(mode, 0.6, 0.8, 1.0)
+            assert d.meta["mode"] == mode
+            want = tomogram(mode, 0.6, 0.8, 1.0, d.grid.xs)
+            if isinstance(mode, Fock):
+                assert d.meta["rescale"] == 1.0
+            else:
+                want = want / d.meta["pre_rescale_integral"]
+            np.testing.assert_array_equal(d.values, want)
 
     def test_density_validation(self):
         g = centered_grid(1.0, 0.1)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from cmtomo import reconstruct
 from cmtomo.errors import GridSizeError, TruncationLeakageWarning
-from cmtomo.marginals import evenodd_pointwise, fock_tomogram
+from cmtomo.marginals import tomogram
 from cmtomo.reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from cmtomo.report import quadrature_matrices
 from cmtomo.specialfn import laguerre_gauss_levels
@@ -21,9 +21,7 @@ def set_sizes(monkeypatch, **sizes):
 
 
 def tomogram_of(mode, hbar):
-    if isinstance(mode, Fock):
-        return lambda X, m, n: fock_tomogram(mode.n, m, n, hbar, X)
-    return lambda X, m, n: evenodd_pointwise(mode.alpha, mode.parity, m, n, hbar, X)
+    return lambda X, m, n: tomogram(mode, m, n, hbar, X)
 
 
 class TestQuadratureMatrices:
@@ -75,14 +73,14 @@ class TestEigenExponentials:
 class TestRoundTrip:
     def test_vacuum(self):
         rho = reconstruct_single_mode(
-            lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), 8, 1.0)
+            lambda X, m, n: tomogram(Fock(0), m, n, 1.0, X), 8, 1.0)
         assert rho.entries[0, 0].real >= 0.99
         assert np.all(np.abs(np.diag(rho.entries)[1:]) <= 0.01)
         assert rho.meta["pre_rescale_trace"] == pytest.approx(1.0, abs=0.01)
 
     def test_fock1(self):
         rho = reconstruct_single_mode(
-            lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0)
+            lambda X, m, n: tomogram(Fock(1), m, n, 1.0, X), 8, 1.0)
         psi = fock_expansion(Fock(1), D=7)
         assert fidelity(rho, psi) >= 0.99
         ev = np.linalg.eigvalsh(rho.entries)
@@ -91,7 +89,7 @@ class TestRoundTrip:
     def test_fock1_other_hbar(self):
         hbar = 0.5
         rho = reconstruct_single_mode(
-            lambda X, m, n: fock_tomogram(1, m, n, hbar, X), 8, hbar)
+            lambda X, m, n: tomogram(Fock(1), m, n, hbar, X), 8, hbar)
         psi = fock_expansion(Fock(1), D=7)
         assert fidelity(rho, psi) >= 0.99
         assert rho.meta["pre_rescale_trace"] == pytest.approx(1.0, abs=0.01)
@@ -99,7 +97,7 @@ class TestRoundTrip:
     def test_even_cat(self):
         alpha = 1.0
         rho = reconstruct_single_mode(
-            lambda X, m, n: evenodd_pointwise(alpha, "even", m, n, 1.0, X), 16, 1.0)
+            lambda X, m, n: tomogram(CoherentEven(alpha), m, n, 1.0, X), 16, 1.0)
         psi = fock_expansion(CoherentEven(alpha), D=15)
         assert fidelity(rho, psi) >= 0.98
         ev = np.linalg.eigvalsh(rho.entries)
@@ -110,11 +108,11 @@ class TestRoundTrip:
         # the frame integral is linear in the tomogram
 
         def mix(X, m, n):
-            return 0.5 * fock_tomogram(0, m, n, 1.0, X) + 0.5 * fock_tomogram(1, m, n, 1.0, X)
+            return 0.5 * tomogram(Fock(0), m, n, 1.0, X) + 0.5 * tomogram(Fock(1), m, n, 1.0, X)
 
         rho_mix = reconstruct_single_mode(mix, 8, 1.0)
-        rho_0 = reconstruct_single_mode(lambda X, m, n: fock_tomogram(0, m, n, 1.0, X), 8, 1.0)
-        rho_1 = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0)
+        rho_0 = reconstruct_single_mode(lambda X, m, n: tomogram(Fock(0), m, n, 1.0, X), 8, 1.0)
+        rho_1 = reconstruct_single_mode(lambda X, m, n: tomogram(Fock(1), m, n, 1.0, X), 8, 1.0)
         pre = (rho_0.meta["pre_rescale_trace"] * rho_0.entries
                + rho_1.meta["pre_rescale_trace"] * rho_1.entries) / 2
         want = pre / np.trace(pre).real
@@ -124,7 +122,7 @@ class TestRoundTrip:
         # alpha = 2 populates levels past dim = 4
         with pytest.warns(TruncationLeakageWarning):
             rho = reconstruct_single_mode(
-                lambda X, m, n: evenodd_pointwise(2.0, "even", m, n, 1.0, X), 4, 1.0)
+                lambda X, m, n: tomogram(CoherentEven(2.0), m, n, 1.0, X), 4, 1.0)
         assert rho.meta["truncation_leakage"]
 
 
@@ -196,11 +194,11 @@ class TestFrameIdentities:
         # [0, pi), on an X grid closed under X -> -X
         calls = []
 
-        def tomogram(X, m, n):
+        def recorded(X, m, n):
             calls.append((X, m, n))
-            return fock_tomogram(1, m, n, 1.0, X)
+            return tomogram(Fock(1), m, n, 1.0, X)
 
-        reconstruct_single_mode(tomogram, 8, 1.0)
+        reconstruct_single_mode(recorded, 8, 1.0)
         angular = reconstruct._job_sizes(8, 1.0).angular_nodes
         assert len(calls) == angular // 2
         angles = np.array([math.atan2(n, m) for _, m, n in calls])
@@ -224,11 +222,11 @@ class TestSharedTables:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         reconstruct._gauss_legendre.cache_clear()
 
-        def tomogram(X, m, n):
-            return fock_tomogram(1, m, n, 1.0, X)
+        def fock1(X, m, n):
+            return tomogram(Fock(1), m, n, 1.0, X)
 
-        first = reconstruct_single_mode(tomogram, 8, 1.0)
-        second = reconstruct_single_mode(tomogram, 8, 1.0)
+        first = reconstruct_single_mode(fock1, 8, 1.0)
+        second = reconstruct_single_mode(fock1, 8, 1.0)
         radial = reconstruct._job_sizes(8, 1.0).radial_nodes
         assert built == [radial]
         assert first.entries.tobytes() == second.entries.tobytes()
@@ -249,10 +247,10 @@ class TestSharedTables:
                 formed.append(np.size(a))
             return original(a, *args, **kwargs)
 
-        def tomogram(X, m, n):
+        def fock1(X, m, n):
             in_tomogram.append(True)
             try:
-                return fock_tomogram(1, m, n, 1.0, X)
+                return tomogram(Fock(1), m, n, 1.0, X)
             finally:
                 in_tomogram.pop()
 
@@ -260,7 +258,7 @@ class TestSharedTables:
         set_sizes(monkeypatch, radial_nodes=radial, angular_nodes=angular, x_count=x_count)
         monkeypatch.setattr(np, "exp", counting)
         dim = 8
-        reconstruct_single_mode(tomogram, dim, 1.0)
+        reconstruct_single_mode(fock1, dim, 1.0)
         half = angular // 2
         count = x_count // 2 + 1
         x_table = (-(-count // 16) + 16) * radial
@@ -384,7 +382,7 @@ class TestClosedFormCost:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        rho = reconstruct_single_mode(lambda X, m, n: fock_tomogram(1, m, n, 1.0, X), 8, 1.0)
+        rho = reconstruct_single_mode(lambda X, m, n: tomogram(Fock(1), m, n, 1.0, X), 8, 1.0)
         assert fidelity(rho, fock_expansion(Fock(1), D=7)) >= 0.99
 
     def test_peak_memory_within_two_largest_tables(self, monkeypatch):
@@ -440,7 +438,7 @@ class TestCutoffCharFunction:
         # 3% of the mass on level 40, outside dim = 8: the trace stays within
         # 5% of 1, but level 40 reaches past the frame radius of level 7
         def mix(X, m, n):
-            return 0.97 * fock_tomogram(0, m, n, 1.0, X) + 0.03 * fock_tomogram(40, m, n, 1.0, X)
+            return 0.97 * tomogram(Fock(0), m, n, 1.0, X) + 0.03 * tomogram(Fock(40), m, n, 1.0, X)
 
         with pytest.warns(TruncationLeakageWarning, match="characteristic function") as record:
             rho = reconstruct_single_mode(mix, 8, 1.0)
@@ -452,7 +450,7 @@ class TestCutoffCharFunction:
     def test_trace_test_named(self):
         # half the mass on level 3, outside dim = 2; the radius is ample
         def mix(X, m, n):
-            return 0.5 * fock_tomogram(0, m, n, 1.0, X) + 0.5 * fock_tomogram(3, m, n, 1.0, X)
+            return 0.5 * tomogram(Fock(0), m, n, 1.0, X) + 0.5 * tomogram(Fock(3), m, n, 1.0, X)
 
         with pytest.warns(TruncationLeakageWarning, match="trace") as record:
             rho = reconstruct_single_mode(mix, 2, 1.0)
