@@ -19,8 +19,10 @@ from pathlib import Path
 
 from . import __version__
 from ._blas import one_blas_thread
-from .clt import CltReport, hbar_scan, n_scan, summed_density
+from .clt import CltReport, HbarReport, hbar_scan, n_scan, summed_density
 from .config import (
+    SCALE_MAX,
+    SCALE_MIN,
     RawConfig,
     get_alphas,
     get_directions,
@@ -154,8 +156,8 @@ def cmd_cm(raw: RawConfig, args) -> int:
     data = [cm.values]
     footer: list[str] = []
     if args.all_backends:
-        cf = cf_product(marginals, sys_spec.counts, grid=cm.grid)
-        mc = sample_sum(sys_spec, args.mc_samples, args.seed, cm.grid, marginals=marginals)
+        cf = cf_product(marginals, sys_spec.counts)
+        mc = sample_sum(sys_spec, args.mc_samples, args.seed, marginals)
         agree = backend_agreement(cm, cf, mc)
         columns += ["density_cf", "density_mc"]
         data += [cf.values, agree["density_mc"]]
@@ -171,7 +173,7 @@ def cmd_cm(raw: RawConfig, args) -> int:
     return 0
 
 
-def _report_rows_csv(reports: list[CltReport], columns: list[str]) -> list[str]:
+def _report_rows_csv(reports: list[CltReport] | list[HbarReport], columns: list[str]) -> list[str]:
     template = ",".join("%d" if c == "N" else _FIELD for c in columns)
     return [template % tuple(getattr(rep, c) for c in columns) for rep in reports]
 
@@ -186,6 +188,11 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("scan", "n_pattern"),
                  f"n_pattern needs at least one level, each from 0 to {FOCK_LEVEL_MAX}, got {levels}")
     rho_pattern = get_positive_list(raw, "scan", "rho_pattern", default=[1.0])
+    # a point's sigma^2 lies between rho E for the least and the greatest rho
+    for rho in (min(rho_pattern), max(rho_pattern)):
+        if not SCALE_MIN <= rho * E <= SCALE_MAX:
+            raw.fail(raw.last_line("scan", "rho_pattern"), f"rho_pattern entry {rho!r} at E = {E!r} has "
+                     f"rho E = {rho * E!r}, which must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}]")
     theta = get_float(raw, "scan", "theta", default=0.0)
     if not math.isfinite(theta):
         raw.fail(raw.last_line("scan", "theta"), f"theta must be finite, got {theta}")
@@ -193,6 +200,8 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
              for rho in rho_pattern]
     # every point needs r < mu^2 + nu^2 < R for each pair
     r, big_r = get_frame_bounds(raw, "scan", [mu * mu + nu * nu for mu, nu in pairs], rho_pattern)
+    if not math.isfinite(big_r * E):
+        raw.fail(raw.last_line("scan", "R"), f"R E must be finite, got R = {big_r!r}, E = {E!r}")
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)
     header = _header(raw, args, [f"scan fixed-energy E {_fmt(E)}"])
     columns = ["N", "hbar", "S_N", "sigma2", "rE", "RE", "ks", "tv"]
@@ -208,7 +217,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
     # the scan runs at each hbar_list entry, not at [system] hbar
     r, big_r = parse_frame(raw, sys_spec, hbars=hbar_list)
     epsilon = get_positive(raw, "scan", "epsilon", default=0.1)
-    reports = hbar_scan(sys_spec, hbar_list, epsilon, r, big_r)
+    reports = hbar_scan(sys_spec, hbar_list, epsilon)
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
         f"frame {sys_spec.describe_frame(r, big_r)}",

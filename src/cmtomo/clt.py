@@ -34,9 +34,12 @@ class CltReport:
 
 
 @dataclass(frozen=True)
-class HbarReport(CltReport):
-    """A classical-limit scan point, with the mass inside [-epsilon, epsilon]."""
+class HbarReport:
+    """A classical-limit scan point: sigma^2 = sum_j Var x_j and the mass
+    inside [-epsilon, epsilon], computed and as N(0, sigma^2) predicts it."""
 
+    hbar: float
+    sigma2: float
     mass_in_epsilon: float
     gaussian_predicted_mass: float
 
@@ -63,12 +66,12 @@ def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
     return s_n
 
 
-def per_mode_moments(sys: SystemSpec, marginals=None) -> list[Moments]:
+def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity]) -> list[Moments]:
     """Mean/variance/absolute third moment of each group's mode, in group order.
 
     Number states use the closed variance and the exact dimensionless
     third moment; superposition modes use grid quadrature of their
-    density (the trusted oracle path), from marginals_for_system's list.
+    density (the trusted oracle path), from marginals_for_system(sys).
     """
     out = []
     for i, g in enumerate(sys.groups):
@@ -80,8 +83,6 @@ def per_mode_moments(sys: SystemSpec, marginals=None) -> list[Moments]:
             out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu, sys.hbar),
                                abs3=s3 * fock_abs3_dimensionless(g.mode.n)))
         else:
-            if marginals is None:
-                marginals = marginals_for_system(sys)
             out.append(moments(marginals[i]))
     return out
 
@@ -131,8 +132,8 @@ def gaussian_mass_within(sigma2: float, epsilon: float) -> float:
     return math.erf(epsilon / math.sqrt(2.0 * sigma2))
 
 
-def _report_for(sys: SystemSpec, r: float, R: float) -> tuple[CltReport, MarginalDensity]:
-    """One scan point, once every frame radius mu^2 + nu^2 is checked to lie in (r, R), r > 0."""
+def _report_for(sys: SystemSpec, r: float, R: float) -> CltReport:
+    """One fixed-energy scan point, once every frame radius mu^2 + nu^2 is checked to lie in (r, R), r > 0."""
     for g in sys.groups:
         rho = g.mu * g.mu + g.nu * g.nu
         if not 0 < r < rho < R:
@@ -140,7 +141,7 @@ def _report_for(sys: SystemSpec, r: float, R: float) -> tuple[CltReport, Margina
     _, sigma2, s_n, cm = summed_density(sys)
     dist = gaussian_distance(cm, sigma2)
     e_total = energy(sys)
-    report = CltReport(
+    return CltReport(
         N=sys.n_modes,
         hbar=sys.hbar,
         S_N=s_n,
@@ -150,7 +151,6 @@ def _report_for(sys: SystemSpec, r: float, R: float) -> tuple[CltReport, Margina
         ks=dist["ks"],
         tv=dist["tv"],
     )
-    return report, cm
 
 
 def n_scan(modes_schedule, frame_schedule, E: float, N_list,
@@ -172,26 +172,25 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
                             count=N // period + (i < N % period))
                   for i in range(min(N, period))]
         sys = SystemSpec(groups, hbar_for_fixed_energy(E, groups))
-        return _report_for(sys, r, R)[0]
+        return _report_for(sys, r, R)
 
     return [point(N) for N in N_list]
 
 
-def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float,
-              r: float, R: float) -> list[HbarReport]:
-    """Classical-limit scan: recompute everything at each hbar.
+def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float) -> list[HbarReport]:
+    """Classical-limit scan: the summed density at each hbar.
 
     hbar_list must be strictly decreasing; the reported mass inside
     [-epsilon, epsilon] then grows toward one as the summed variance
-    (linear in hbar) collapses.  Every frame radius lies in (r, R).
+    (linear in hbar) collapses.
     """
     values = [float(h) for h in hbar_list]
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("hbar_list must be strictly decreasing")
 
     def point(hbar: float) -> HbarReport:
-        report, cm = _report_for(SystemSpec(sys_base.groups, hbar), r, R)
-        return HbarReport(**vars(report), mass_in_epsilon=mass_within(cm, epsilon),
-                          gaussian_predicted_mass=gaussian_mass_within(report.sigma2, epsilon))
+        _, sigma2, _, cm = summed_density(SystemSpec(sys_base.groups, hbar))
+        return HbarReport(hbar=hbar, sigma2=sigma2, mass_in_epsilon=mass_within(cm, epsilon),
+                          gaussian_predicted_mass=gaussian_mass_within(sigma2, epsilon))
 
     return [point(hbar) for hbar in values]

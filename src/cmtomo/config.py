@@ -218,16 +218,18 @@ def get_directions(raw: RawConfig, section: str, key: str) -> list[tuple[float, 
 
 def get_frame_bounds(raw: RawConfig, section: str, radii: list[float], nominal: list[float]):
     """r and R of a section, by default half the least and twice the
-    greatest nominal radius; every frame radius must lie in (r, R).  The
-    nominal radii are the radii as configured ([scan] rho_pattern, of which
-    the radii formed from sqrt(rho) and theta are rounded copies)."""
+    greatest nominal radius; every frame radius must lie in (r, R), and R
+    must be finite.  The nominal radii are the radii as configured
+    ([scan] rho_pattern, of which the radii formed from sqrt(rho) and
+    theta are rounded copies)."""
     r = get_float(raw, section, "r", default=0.5 * min(nominal))
     big_r = get_float(raw, section, "R", default=2.0 * max(nominal))
     if not 0 < r < min(radii):
         raw.fail(raw.last_line(section, "r"),
                  f"r must lie in (0, {min(radii):.6g}), below every frame radius, got {r}")
-    if not max(radii) < big_r:
-        raw.fail(raw.last_line(section, "R"), f"R must exceed every frame radius {max(radii):.6g}, got {big_r}")
+    if not max(radii) < big_r < math.inf:
+        raw.fail(raw.last_line(section, "R"),
+                 f"R must be finite and exceed every frame radius {max(radii):.6g}, got {big_r}")
     return r, big_r
 
 
@@ -235,8 +237,10 @@ def _parse_mode(raw: RawConfig, value: str, lineno: int) -> tuple[ModeSpec, int]
     """(mode, count) of one mode line."""
     tokens = value.split()
     count = 1
-    if tokens and tokens[-1].lower().startswith("x") and tokens[-1][1:].isdigit():
-        count = int(tokens[-1][1:])
+    digits = tokens[-1][1:] if tokens and tokens[-1][:1].lower() == "x" else ""
+    # isdigit alone admits superscripts such as '²', which int rejects
+    if digits.isascii() and digits.isdigit():
+        count = int(digits)
         tokens = tokens[:-1]
         if count < 1:
             raw.fail(lineno, "mode repetition must be at least x1")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .marginals import (_MAX_GRID, Grid, MarginalDensity, centered_grid, char_function, char_function_reach,
-                        grid_policy, marginal_density, moments)
+from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
+                        marginal_density, moments)
 from .states import SystemSpec
 
 # modulus below which the characteristic-function product is cut off
@@ -50,49 +50,29 @@ def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
             for g, (half, _) in zip(sys.groups, policies)]
 
 
-def _sum_half_width(marginals: list[MarginalDensity], counts: list[int]) -> float:
-    """|mean| + 8 sigma of the sum: the half-width its grid must cover.
-    Moments are taken once per marginal and weighted by its count."""
+def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
+    """Output grid covering the sum: |total mean| + 8 total sigma on each side.
+
+    Each backend takes its grid from here; nothing else chooses one.
+    Moments are taken once per marginal and weighted by its count.  The
+    spacing is the finest marginal spacing, so marginals produced by the
+    default grid policy land exactly on output nodes and resampling is
+    lossless.
+    """
+    if not marginals:
+        raise ValueError("need at least one marginal")
     stats = [moments(m) for m in marginals]
     mean = sum(count * s.mean for s, count in zip(stats, counts, strict=True))
     sigma = math.sqrt(sum(count * s.var for s, count in zip(stats, counts)))
-    return abs(mean) + 8.0 * sigma
-
-
-def common_grid(marginals: list[MarginalDensity], counts: list[int], max_count: int = _MAX_GRID) -> Grid:
-    """Output grid covering the sum: total mean +- 8 total sigma.
-
-    The spacing is the finest marginal spacing, so marginals produced by
-    the default grid policy land exactly on output nodes and resampling
-    is lossless.
-    """
     dx = min(m.grid.dx for m in marginals)
-    return centered_grid(_sum_half_width(marginals, counts), dx, max_count=max_count)
+    return centered_grid(abs(mean) + 8.0 * sigma, dx)
 
 
-def _output_grid(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None) -> Grid:
-    """The grid a spectral backend inverts onto: `common_grid`'s, or the
-    caller's if its period [x0, x0 + count dx) covers |mean| + 8 sigma of
-    the sum on both sides, by the moments `common_grid` takes.  Both
-    backends periodize over that period, so the sum's mass past it would
-    fold back onto the grid.  The moments only check the grid; neither
-    backend's output depends on them."""
-    if not marginals:
-        raise ValueError("need at least one marginal")
-    if grid is None:
-        return common_grid(marginals, counts)
-    half = _sum_half_width(marginals, counts)
-    if grid.x0 > -half or grid.x0 + grid.count * grid.dx < half:
-        raise ValueError(f"grid [{grid.x0:.6g}, {grid.x0 + grid.count * grid.dx:.6g}) does not cover the "
-                         f"sum's |mean| + 8 sigma = {half:.6g} on both sides")
-    return grid
+def _raise_to(f: np.ndarray, count: int, base: np.ndarray) -> np.ndarray:
+    """f**count for complex f, in place; f itself for count 1.  base is
+    complex scratch of f's shape.
 
-
-def _raise_to(f: np.ndarray, count: int, base: np.ndarray | None = None) -> np.ndarray:
-    """f**count, complex f in place; f itself for count 1.  base, if
-    given, is complex scratch of f's shape.
-
-    Complex entries with |f| >= 1/2 take the polar form
+    Entries with |f| >= 1/2 take the polar form
     |f|^count e^{i count arg f}.  Every other entry is raised by binary
     powering, squarings and multiplies: it errs by about
     count eps |f|^count <= count 2^-count eps <= eps/2 of a unit peak,
@@ -106,10 +86,6 @@ def _raise_to(f: np.ndarray, count: int, base: np.ndarray | None = None) -> np.n
     """
     if count == 1:
         return f
-    if not np.iscomplexobj(f):
-        return f ** count
-    if base is None:
-        base = np.empty_like(f)
     mod = np.abs(f, out=base.real)
     big = np.flatnonzero(mod >= 0.5)
     phase = count * np.angle(f[big])
@@ -125,8 +101,8 @@ def _raise_to(f: np.ndarray, count: int, base: np.ndarray | None = None) -> np.n
     return f
 
 
-def convolve_fft(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None = None) -> MarginalDensity:
-    """Spectral convolution of counts[i] copies of each marginals[i] on a shared centered grid.
+def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> MarginalDensity:
+    """Spectral convolution of counts[i] copies of each marginals[i] on `common_grid`'s grid.
 
     Each marginal is resampled once onto the output nodes, placed in
     ifftshift order (the node x = 0 first) and transformed by one rfft
@@ -140,7 +116,7 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int], grid: Grid
     one set of buffers per call.  `_inverse` takes the product back,
     failing on more than 1e-9 of clamped mass.
     """
-    grid = _output_grid(marginals, counts, grid)
+    grid = common_grid(marginals, counts)
     return _inverse(_spectrum_product(marginals, counts, grid), grid, 1e-9)
 
 
@@ -193,10 +169,11 @@ def _mode_args(m: MarginalDensity) -> tuple:
 
 def _cf_product_at(marginals: list[MarginalDensity], counts: list[int], ks: np.ndarray) -> np.ndarray:
     """Product of the closed-form characteristic functions at ks, one
-    evaluation per marginal raised to its count."""
+    evaluation per marginal raised to its count.  The values are real,
+    so a plain power raises them."""
     total = np.ones(len(ks))
     for m, repeats in zip(marginals, counts, strict=True):
-        total *= _raise_to(char_function(*_mode_args(m), ks), repeats)
+        total *= char_function(*_mode_args(m), ks) ** repeats
     return total
 
 
@@ -209,20 +186,21 @@ def cf_grid_for(grid: Grid) -> Grid:
     return Grid(x0=-(grid.count // 2) * dk, dx=dk, count=grid.count)
 
 
-def cf_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid | None = None) -> MarginalDensity:
+def cf_product(marginals: list[MarginalDensity], counts: list[int]) -> MarginalDensity:
     """Backend two: product of closed-form characteristic functions, inverted on a lattice.
 
     Independence makes the characteristic function of the sum the
     pointwise product of the modes' `char_function`s, one per marginal
-    raised to its count; no marginal grid is read.  The product
+    raised to its count; it reads no marginal values.  The product
     is real and even in k, and below _CF_FLOOR past the smallest
     `char_function_reach`, every factor being at most one in modulus.
     It is evaluated up to that reach on the count/2 + 1 nodes k >= 0 of
-    the `cf_grid_for` lattice, and `_inverse` takes it back, failing on
-    more than 1e-6 of clamped mass.  A reach past the Nyquist node
-    pi / dx, beyond which the lattice sees nothing, fails the run.
+    the `cf_grid_for` lattice of `common_grid`'s grid, and `_inverse`
+    takes it back, failing on more than 1e-6 of clamped mass.  A reach
+    past the Nyquist node pi / dx, beyond which the lattice sees
+    nothing, fails the run.
     """
-    grid = _output_grid(marginals, counts, grid)
+    grid = common_grid(marginals, counts)
     half = grid.count // 2
     k_grid = cf_grid_for(grid)
     reach = min(char_function_reach(*_mode_args(m), _CF_FLOOR) for m in marginals)
@@ -301,13 +279,14 @@ class SampleCounts:
         return self.n
 
 
-def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
-               marginals: list[MarginalDensity] | None = None) -> SampleCounts:
-    """Backend three: n_samples draws of the summed observable, counted on grid.
+def sample_sum(sys: SystemSpec, n_samples: int, seed: int, marginals: list[MarginalDensity]) -> SampleCounts:
+    """Backend three: n_samples draws of the summed observable, counted on
+    `common_grid`'s grid.
 
-    Each mode draws through the inverse CDF of its gridded tomogram
-    (cumulative trapezoid, linear inverse) from its own PCG64DXSM
-    substream (`_mode_stream`); mode i is the i-th in group order.  One
+    marginals are `marginals_for_system(sys)`.  Each mode draws through
+    the inverse CDF of its gridded tomogram (cumulative trapezoid, linear
+    inverse) from its own PCG64DXSM substream (`_mode_stream`); mode i
+    is the i-th in group order.  One
     guide table is built per group (`_inverse_cdf`).  The sample indices
     are cut into blocks of _MC_CHUNK draws, so the lookup temporaries
     stay in cache, and the blocks into one contiguous run per worker
@@ -330,8 +309,7 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, grid: Grid,
         raise ValueError(f"sample count must lie in 1..{MC_SAMPLES_MAX}, got {n_samples}")
     if sys.n_modes * n_samples > MC_MODE_DRAWS_MAX:
         raise ValueError(f"{sys.n_modes} modes x {n_samples} samples exceed {MC_MODE_DRAWS_MAX} mode-draws")
-    if marginals is None:
-        marginals = marginals_for_system(sys)
+    grid = common_grid(marginals, sys.counts)
     order = []
     for m, repeats in zip(marginals, sys.counts, strict=True):
         cdf = cumulative_trapezoid(m.values, m.grid.dx)

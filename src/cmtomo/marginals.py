@@ -59,13 +59,10 @@ class Grid:
     def xs(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.count)
 
-    @property
-    def extent(self) -> float:
-        return self.dx * (self.count - 1)
 
-
-def centered_grid(half_width: float, dx: float, max_count: int = _MAX_GRID) -> Grid:
-    """Smallest power-of-two grid of this exact spacing with count*dx >= 2*half_width.
+def centered_grid(half_width: float, dx: float) -> Grid:
+    """Smallest power-of-two grid of this exact spacing with count*dx >= 2*half_width,
+    of at most _MAX_GRID nodes.
 
     Nodes sit at integer multiples of dx, from -(count/2) dx upward, so
     grids sharing one dx land on a common lattice and linear resampling
@@ -76,8 +73,8 @@ def centered_grid(half_width: float, dx: float, max_count: int = _MAX_GRID) -> G
     count = 2
     while count * dx < 2.0 * half_width:
         count *= 2
-        if count > max_count:
-            raise GridSizeError(f"grid would need more than {max_count} points")
+        if count > _MAX_GRID:
+            raise GridSizeError(f"grid would need more than {_MAX_GRID} points")
     return Grid(x0=-(count // 2) * dx, dx=dx, count=count)
 
 
@@ -424,14 +421,11 @@ def char_function_reach(mode: ModeSpec, mu: float, nu: float, hbar: float, floor
     return (2.0 * r + 2.0 * math.sqrt(math.log(c / floor))) / _scale(mu, nu, hbar)
 
 
-def oracle_marginal(mode: ModeSpec, mu: float, nu: float, hbar: float,
-                    grid: Grid | None = None) -> MarginalDensity:
+def oracle_marginal(mode: ModeSpec, mu: float, nu: float, hbar: float) -> MarginalDensity:
     """Oracle-route tomogram for a mode, on the closed form's default grid.
 
     The expansion runs past the 1e-12 tail policy so the amplitude-level
     truncation error sits well below 1e-9.
     """
-    if grid is None:
-        grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
     psi = fock_expansion(mode, D=fock_expansion(mode).truncation + _ORACLE_EXTRA_LEVELS)
-    return tomogram_oracle(psi, mu, nu, hbar, grid)
+    return tomogram_oracle(psi, mu, nu, hbar, centered_grid(*grid_policy(mode, mu, nu, hbar)))

@@ -169,7 +169,7 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     trap = np.full(count, dy)
     trap[[0, -1]] *= 0.5    # the end node, and y = 0, which both halves of the even part count
     # the X integral at theta is cos_int + i sin_int, at theta + pi its conjugate
-    phases = phase_table(0.0, dy, count, k_nodes)
+    phases = phase_table(dy, count, k_nodes)
     cos_int = (pos + neg) @ (trap[:, None] * phases.real)
     sin_int = (pos - neg) @ (trap[:, None] * phases.imag)
     cutoff_char = float(np.max(np.hypot(cos_int[:, -1], sin_int[:, -1])))

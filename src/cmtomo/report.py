@@ -91,7 +91,7 @@ def _printed_elements(alpha: complex, mu: float, nu: float, hbar: float):
     return x_diag, x_cross, x2_diag, complex(x2_cross)
 
 
-def discrepancy_rows(alphas=DEFAULT_ALPHAS, frames=DEFAULT_FRAMES, hbar: float = 1.0) -> list[ReportRow]:
+def discrepancy_rows(alphas, frames, hbar: float) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for alpha in alphas:
         even = CoherentEven(alpha)

@@ -120,22 +120,21 @@ def laguerre_gauss_levels(levels: int, u, offsets: int = 1, first: int = 0):
             scale[big] = np.exp(ls[big])
 
 
-def phase_table(x0: float, dx: float, count: int, k) -> np.ndarray:
-    """e^{i (x0 + j dx) k} for j < count and every k, shape (count, len(k)).
+def phase_table(dx: float, count: int, k) -> np.ndarray:
+    """e^{i j dx k} for j < count and every k, shape (count, len(k)).
 
     With P = 2**floor(log2(count) / 2), node j = b P + q sits at
-    x0 + b P dx + q dx, so each entry is a coarse factor
-    e^{i (x0 + b P dx) k} times a fine factor e^{i q dx k}.  The table
-    costs (count/P + P) len(k) exponentials and one complex multiply
-    per entry, not count len(k) exponentials.  Each factor's phase is
-    rounded once, so an entry errs by a few eps times max_j |x_j k|, the
-    rounding that a directly formed e^{i x k} makes at the grid's
-    largest |x|.
+    b P dx + q dx, so each entry is a coarse factor e^{i b P dx k} times
+    a fine factor e^{i q dx k}.  The table costs (count/P + P) len(k)
+    exponentials and one complex multiply per entry, not count len(k)
+    exponentials.  Each factor's phase is rounded once, so an entry errs
+    by a few eps times max_j |j dx k|, the rounding that a directly
+    formed e^{i x k} makes at the grid's largest |x|.
     """
     k = np.asarray(k, dtype=float)
     fine_len = 1 << (count.bit_length() - 1) // 2
     blocks = -(-count // fine_len)
-    coarse = np.exp(1j * np.outer(x0 + dx * (fine_len * np.arange(blocks)), k))
+    coarse = np.exp(1j * np.outer(dx * (fine_len * np.arange(blocks)), k))
     fine = np.exp(1j * np.outer(dx * np.arange(fine_len), k))
     table = coarse[:, None, :] * fine[None, :, :]
     return table.reshape(blocks * fine_len, len(k))[:count]

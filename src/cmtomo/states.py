@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-_DEFAULT_TRUNCATION_CAP = 512
+# most levels an auto-grown cat expansion may hold
+_TRUNCATION_CAP = 512
 _TAIL_BOUND = 1e-12
 # Smallest supported odd |alpha|.  The odd density, normalization and
 # characteristic function are formed without cancellation and are exact
@@ -215,12 +216,12 @@ def _cat_tail(mode: CoherentEven | CoherentOdd, D: int) -> float:
     return max(0.0, 1.0 - partial / total)
 
 
-def fock_expansion(mode: ModeSpec, D: int | None = None, cap: int = _DEFAULT_TRUNCATION_CAP) -> FockExpansion:
+def fock_expansion(mode: ModeSpec, D: int | None = None) -> FockExpansion:
     """Level-basis expansion of a mode, with auto-grown truncation.
 
     The truncation doubles until the pre-normalization tail weight drops
-    below 1e-12; even (odd) superpositions carry exactly zero amplitude
-    on odd (even) levels.
+    below 1e-12, up to _TRUNCATION_CAP levels; even (odd) superpositions
+    carry exactly zero amplitude on odd (even) levels.
     """
     if isinstance(mode, Fock):
         size = mode.n if D is None else D
@@ -234,15 +235,15 @@ def fock_expansion(mode: ModeSpec, D: int | None = None, cap: int = _DEFAULT_TRU
     if D is None:
         a2 = abs(alpha) ** 2
         D = max(8, int(math.ceil(a2 + 10.0 * math.sqrt(a2 + 1.0))))
-        if D > cap:
+        if D > _TRUNCATION_CAP:
             raise ConvergenceError(
-                f"truncation cap {cap} below the level support needed for alpha={alpha}"
+                f"truncation cap {_TRUNCATION_CAP} below the level support needed for alpha={alpha}"
             )
         while _cat_tail(mode, D) >= _TAIL_BOUND:
             D *= 2
-            if D > cap:
+            if D > _TRUNCATION_CAP:
                 raise ConvergenceError(
-                    f"truncation cap {cap} reached before tail bound for alpha={alpha}"
+                    f"truncation cap {_TRUNCATION_CAP} reached before tail bound for alpha={alpha}"
                 )
     elif _cat_tail(mode, D) >= _TAIL_BOUND:
         raise ConvergenceError(f"tail above level {D} exceeds 1e-12 for alpha={alpha}")

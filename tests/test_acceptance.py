@@ -59,7 +59,7 @@ def test_criterion_2_lyapunov_ratio_hbar_invariance():
     mu = [1.0, 0.6, 0.0, 0.8, 1.2, 0.9, -1.0, 0.7]
     nu = [0.0, 0.8, 1.0, -0.7, 0.3, 0.9, 0.5, -0.9]
     systems = [system(modes, h, mu, nu) for h in (10.0, 1.0, 0.01)]
-    values = [lyapunov_ratio(per_mode_moments(s), s.counts) for s in systems]
+    values = [lyapunov_ratio(per_mode_moments(s, marginals_for_system(s)), s.counts) for s in systems]
     spread = max(abs(v / values[1] - 1.0) for v in values)
     elapsed = time.time() - t0
     ok = spread < 1e-12
@@ -106,8 +106,8 @@ def test_criterion_4_backend_agreement():
     for idx, sys_spec in enumerate(BACKEND_MATRIX):
         marg = marginals_for_system(sys_spec)
         cm = convolve_fft(marg, sys_spec.counts)
-        cf = cf_product(marg, sys_spec.counts, grid=cm.grid)
-        counts = sample_sum(sys_spec, 10 ** 6, 1000 + idx, cm.grid, marginals=marg)
+        cf = cf_product(marg, sys_spec.counts)
+        counts = sample_sum(sys_spec, 10 ** 6, 1000 + idx, marg)
         agree = backend_agreement(cm, cf, counts)
         worst_tv = max(worst_tv, agree["tv_fft_cf"])
         worst_ks = max(worst_ks, agree["ks_fft_mc"])
@@ -124,7 +124,7 @@ def test_criterion_4_backend_agreement():
 
 def test_criterion_5_classical_limit():
     t0 = time.time()
-    reports = hbar_scan(system((Fock(1),) * 8, 1.0), [1.0, 0.1, 0.01, 0.001], epsilon=0.1, r=0.5, R=2.0)
+    reports = hbar_scan(system((Fock(1),) * 8, 1.0), [1.0, 0.1, 0.01, 0.001], epsilon=0.1)
     masses = [r.mass_in_epsilon for r in reports]
     monotone = all(b > a for a, b in zip(masses, masses[1:]))
     worst = max(abs(r.mass_in_epsilon - math.erf(0.1 / math.sqrt(2.0 * r.sigma2)))
@@ -147,7 +147,7 @@ def test_criterion_6_cat_state_consistency():
         for mode in (CoherentEven(alpha), CoherentOdd(alpha)):
             for mu, nu in frames:
                 d = marginal_density(mode, mu, nu, 1.0)
-                o = oracle_marginal(mode, mu, nu, 1.0, grid=d.grid)
+                o = oracle_marginal(mode, mu, nu, 1.0)
                 worst = max(worst, float(np.max(np.abs(d.values - o.values))))
             # nu-axis frame: odd densities carry an exact node at the origin
             if mode.sign < 0:
@@ -210,7 +210,7 @@ def test_criterion_8_reconstruction_round_trip():
 
 def test_criterion_9_discrepancy_report_completeness():
     t0 = time.time()
-    rows = discrepancy_rows()
+    rows = discrepancy_rows(DEFAULT_ALPHAS, DEFAULT_FRAMES, 1.0)
     element_kinds = {"x_diag", "x_cross_re", "x_cross_im", "x2_diag", "x2_cross_re", "x2_cross_im"}
     for alpha in DEFAULT_ALPHAS:
         for mu, nu in DEFAULT_FRAMES:

@@ -33,7 +33,7 @@ def on_x(modes, hbar, mu=None, nu=None):
 
 
 def s_n(sys):
-    return lyapunov_ratio(per_mode_moments(sys), sys.counts)
+    return lyapunov_ratio(per_mode_moments(sys, marginals_for_system(sys)), sys.counts)
 
 
 def cm_of(sys):
@@ -108,7 +108,7 @@ class TestSigma2:
     def test_repeated_modes_share_one_evaluation(self):
         sys = on_x((Fock(1), CoherentEven(1.0), Fock(1), Fock(2), CoherentEven(1.0)), 0.5,
                    [1.0, 1.0, 1.0, 0.6, 1.0], [0.0, 0.0, 0.0, 0.8, 0.0])
-        pm = per_mode_moments(sys)
+        pm = per_mode_moments(sys, marginals_for_system(sys))
         assert sys.counts == [2, 2, 1] and len(pm) == 3
         assert pm[1] == moments(marginals_for_system(sys)[1])
         assert pm[2].var == pytest.approx(0.5 * 2.5, rel=1e-15)
@@ -186,6 +186,16 @@ class TestNScan:
             assert math.isfinite(rep.ks) and math.isfinite(rep.tv)
             assert rep.ks < 0.01
 
+    def test_frame_radius_bounds(self):
+        # each group's mu^2 + nu^2 must lie in (r, R), with r > 0
+        def scan(mu, r, R):
+            return n_scan([1, 2], [(1.0, 0.0), (mu, 0.0)], E=10.0, N_list=[3], r=r, R=R)
+
+        assert scan(1.0, 0.5, 2.0)[0].N == 3
+        for mu, r, R in [(2.0, 0.5, 2.0), (1.0, 2.0, 0.5), (1.0, 0.0, 2.0), (1.0, -0.5, 2.0)]:
+            with pytest.raises(ValueError, match="need 0 < r < mu"):
+                scan(mu, r, R)
+
 
 class TestEdgeworthRate:
     """The single-level Fock-1 scan at fixed energy against the leading
@@ -232,7 +242,8 @@ class TestSumsOverGroups:
     @pytest.mark.parametrize("N", [65536, 262144])
     def test_s_n_matches_fsum_over_modes(self, N):
         (r,) = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[N], r=0.5, R=2.0)
-        (m,) = per_mode_moments(iid(Fock(1), N, hbar=r.hbar))
+        sys = iid(Fock(1), N, hbar=r.hbar)
+        (m,) = per_mode_moments(sys, marginals_for_system(sys))
         var = math.fsum([m.var] * N)
         assert abs(r.S_N / (math.fsum([m.abs3] * N) / var ** 1.5) - 1) <= 1e-14
         assert abs(r.sigma2 / var - 1) <= 1e-14
@@ -260,36 +271,25 @@ class TestSumsOverGroups:
 
 class TestHbarScan:
     def test_fock_schedule_against_erf_oracle(self):
-        reports = hbar_scan(iid(Fock(1), 8), [1.0, 0.1, 0.01, 0.001], epsilon=0.1, r=0.5, R=2.0)
+        reports = hbar_scan(iid(Fock(1), 8), [1.0, 0.1, 0.01, 0.001], epsilon=0.1)
         masses = [r.mass_in_epsilon for r in reports]
         assert all(b > a for a, b in zip(masses, masses[1:]))
         for r in reports:
             assert abs(r.mass_in_epsilon - gaussian_mass_within(r.sigma2, 0.1)) < 0.02
             assert r.sigma2 / r.hbar == pytest.approx(12.0, rel=1e-12)
-            assert r.rE <= r.sigma2 <= r.RE
         # final point: sigma2 = 0.012, erf(0.1/sqrt(0.024)) ~ 0.6387
         assert reports[-1].sigma2 == pytest.approx(0.012, rel=1e-12)
         assert reports[-1].gaussian_predicted_mass == pytest.approx(math.erf(0.1 / math.sqrt(0.024)), rel=1e-12)
 
     def test_cat_system_concentrates(self):
-        reports = hbar_scan(iid(CoherentEven(1 + 0.5j), 4), [1.0, 0.1, 0.01, 0.001], epsilon=0.1, r=0.5, R=2.0)
+        reports = hbar_scan(iid(CoherentEven(1 + 0.5j), 4), [1.0, 0.1, 0.01, 0.001], epsilon=0.1)
         masses = [r.mass_in_epsilon for r in reports]
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert masses[-1] > 0.5
 
     def test_requires_decreasing_list(self):
         with pytest.raises(ValueError):
-            hbar_scan(iid(Fock(1), 1), [0.1, 1.0], epsilon=0.1, r=0.5, R=2.0)
-
-    def test_frame_radius_bounds(self):
-        # each group's mu^2 + nu^2 must lie in (r, R), with r > 0
-        def sys(mu):
-            return SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 2), ModeGroup(Fock(2), mu, 0.0)), hbar=1.0)
-
-        assert _report_for(sys(1.0), 0.5, 2.0)[0].N == 3
-        for mu, r, R in [(2.0, 0.5, 2.0), (1.0, 2.0, 0.5), (1.0, 0.0, 2.0), (1.0, -0.5, 2.0)]:
-            with pytest.raises(ValueError, match="need 0 < r < mu"):
-                hbar_scan(sys(mu), [1.0], epsilon=0.1, r=r, R=R)
+            hbar_scan(iid(Fock(1), 1), [0.1, 1.0], epsilon=0.1)
 
 
 class TestCatRateBound:
@@ -330,7 +330,7 @@ class TestCatGaussianization:
         for N in (64, 256, 1024, 4096):
             groups = [ModeGroup(mode, *frame, N // len(pattern)) for mode, frame in pattern]
             sys = SystemSpec(groups, hbar_for_fixed_energy(10.0, groups))
-            reports.append(_report_for(sys, 0.5, 2.0)[0])
+            reports.append(_report_for(sys, 0.5, 2.0))
         for r in reports:
             assert r.ks <= 0.56 * r.S_N
         for a, b in zip(reports, reports[1:]):

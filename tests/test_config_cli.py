@@ -261,9 +261,9 @@ class TestCmdCm:
         asked = []
         original = cli.sample_sum
 
-        def few(sys_spec, n_samples, seed, grid, marginals=None):
+        def few(sys_spec, n_samples, seed, marginals):
             asked.append(n_samples)
-            return original(sys_spec, 1000, seed, grid, marginals=marginals)
+            return original(sys_spec, 1000, seed, marginals)
 
         monkeypatch.setattr(cli, "sample_sum", few)
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
@@ -893,6 +893,69 @@ class TestSupportedRanges:
         assert main(["clt-scan", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
         assert asked == [4, N_MAX]
 
+    # each of these used to write R = inf or RE = inf with exit 0
+    @pytest.mark.parametrize("command, text, line", [
+        ("cm", "[system]\nmode = fock 1\n[frame]\nmu = 1\nnu = 0\nR = inf\n", 6),
+        ("hbar-scan", "[system]\nmode = fock 1\n[frame]\nmu = 1\nnu = 0\nR = inf\n[scan]\nhbar_list = 1 0.1\n", 6),
+        ("clt-scan", "[scan]\nE = 10\nN_list = 4\nR = inf\n", 4),
+        ("clt-scan", "[scan]\nE = 1e100\nN_list = 4\nR = 1e300\n", 4),
+    ], ids=["cm", "hbar-scan", "clt-scan", "clt-scan-RE"])
+    def test_non_finite_frame_bound_exit_two(self, tmp_path, capsys, command, text, line):
+        cfg = write(tmp_path, "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}: R" in err and "finite" in err
+        assert not out.exists()
+
+    # str.isdigit accepts superscript digits, which int rejects: these
+    # used to end in a traceback with exit 1
+    @pytest.mark.parametrize("suffix", ["x\u00b2", "x\u00b9\u2070"], ids=["x2", "x10"])
+    def test_unicode_count_suffix_exit_two(self, tmp_path, capsys, suffix):
+        cfg = write(tmp_path, "c.cfg", f"[system]\nmode = fock 1 {suffix}\n[frame]\nmu = 1\nnu = 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    # a fixed-energy point's sigma^2 lies between rho E for the least and
+    # the greatest rho_pattern entry; 1/4 and 4 keep rho E exact at the edges
+    SCAN_SCALE = "[scan]\nE = {E}\nN_list = {N}\nrho_pattern = {rho}\n"
+
+    @pytest.mark.parametrize("E, rho", [(4 * SCALE_MIN, "0.25 1"), (SCALE_MAX / 4, "1 4")], ids=["min", "max"])
+    def test_scan_scale_edges_run(self, tmp_path, capsys, E, rho):
+        cfg = write(tmp_path, "c.cfg", self.SCAN_SCALE.format(E=repr(E), N=4, rho=rho))
+        out = tmp_path / "o.csv"
+        assert main(["clt-scan", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert_finite_csv(out)
+
+    @pytest.mark.parametrize("E, rho", [(4 * SCALE_MIN, "0.25"), (SCALE_MAX / 4, "4")], ids=["min", "max"])
+    def test_scan_scale_edges_at_most_modes(self, tmp_path, capsys, E, rho):
+        # a numerical failure is allowed at N_MAX modes, a traceback is not
+        cfg = write(tmp_path, "c.cfg", self.SCAN_SCALE.format(E=repr(E), N=N_MAX, rho=rho))
+        out = tmp_path / "o.csv"
+        code = main(["clt-scan", "--config", cfg, "--out", str(out)])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            assert_finite_csv(out)
+        else:
+            assert not out.exists()
+
+    # one step past each edge, and products that leave the double range:
+    # these used to exit 1 (a grid of zero width) and 3 (non-finite density)
+    @pytest.mark.parametrize("E, rho", [(4 * SCALE_MIN, "0.125 1"), (SCALE_MAX / 4, "1 8"),
+                                        (1e-200, "1e-200"), (1e200, "1e200")],
+                             ids=["below", "above", "underflow", "overflow"])
+    def test_scan_scale_past_edges_exit_two(self, tmp_path, capsys, E, rho):
+        cfg = write(tmp_path, "c.cfg", self.SCAN_SCALE.format(E=repr(E), N=4, rho=rho))
+        out = tmp_path / "o.csv"
+        assert main(["clt-scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: rho_pattern entry" in err and "which must lie in [1e-200, 1e+200]" in err
+        assert not out.exists()
+
     # (command, config with the value at {v}, line of the key, exit code at both edges)
     SCALE_KEYS = {
         "system-hbar-cm": ("cm", "[system]\nhbar = {v}\nmode = fock 1 x3\nmode = even 1 0.5\n[frame]\nmu = 1\nnu = 0\n", 2, 0),
@@ -1017,7 +1080,7 @@ class TestSupportedRanges:
         def never(*args, **kwargs):
             raise AssertionError("sample_sum called past the mode-draw bound")
 
-        def stop(sys_spec, n_samples, seed, grid, marginals=None):
+        def stop(sys_spec, n_samples, seed, marginals):
             reached.append(sys_spec.n_modes * n_samples)
             raise NumericalError("sampling stub")
 
@@ -1039,7 +1102,7 @@ class TestSupportedRanges:
     def test_sample_sum_mode_draws_bound(self):
         sys_spec = parse_system(parse_config_text("[system]\nmode = fock 1 x1024\n"))
         with pytest.raises(ValueError, match="1024 modes x 1048577 samples exceed"):
-            convolution.sample_sum(sys_spec, 2 ** 20 + 1, 0, convolution.Grid(x0=-1.0, dx=1.0, count=4))
+            convolution.sample_sum(sys_spec, 2 ** 20 + 1, 0, [])
 
 
 FRAME_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6))

@@ -40,7 +40,7 @@ from cmtomo.marginals import (
     tomogram,
     variance,
 )
-from cmtomo.states import (N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy,
+from cmtomo.states import (FOCK_LEVEL_MAX, N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy,
                            hbar_for_fixed_energy, mode_mean_occupation)
 
 
@@ -54,8 +54,8 @@ def system(modes, hbar, mu=None, nu=None):
     return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
 
 
-def fft_of(sys, grid=None):
-    return convolve_fft(marginals_for_system(sys), sys.counts, grid=grid)
+def fft_of(sys):
+    return convolve_fft(marginals_for_system(sys), sys.counts)
 
 
 def expand(marginals, counts):
@@ -102,6 +102,11 @@ def grid_point_draws(monkeypatch, grid, n, seed):
     table = np.concatenate([xs, edges, edges[[0, -1, -1]], [xs[0] - 1.0, xs[-1] + 1.0],
                             np.random.default_rng(4).normal(size=5000)])
     return table_draws(monkeypatch, table, n, seed)
+
+
+def use_grid(monkeypatch, grid):
+    """Make every backend invert or count onto grid, not common_grid's."""
+    monkeypatch.setattr(convolution, "common_grid", lambda marginals, counts: grid)
 
 
 def cell_moments(got):
@@ -179,10 +184,15 @@ class TestConvolveFft:
         v2 = np.interp(lam * probe, cm2.grid.xs, cm2.values)
         np.testing.assert_allclose(v2, v1 / lam, atol=1e-6)
 
-    def test_grid_cap(self):
+    def test_grid_cap(self, monkeypatch):
         sys = iid_system(Fock(0), 2)
-        with pytest.raises(GridSizeError):
-            common_grid(marginals_for_system(sys), sys.counts, max_count=64)
+        marg = marginals_for_system(sys)
+        # the cap is read at call time: the grid needs 2048 nodes
+        monkeypatch.setattr("cmtomo.marginals._MAX_GRID", 2048)
+        assert common_grid(marg, sys.counts).count == 2048
+        monkeypatch.setattr("cmtomo.marginals._MAX_GRID", 1024)
+        with pytest.raises(GridSizeError, match="more than 1024 points"):
+            common_grid(marg, sys.counts)
 
 
 def expanded_fft(marginals, grid, dtype=complex):
@@ -247,7 +257,7 @@ class TestMultiplicities:
         grid = common_grid(marg, sys.counts)
         modes = per_pick(picks, sys, marg)
         want = expanded_fft(modes, grid, dtype=np.clongdouble)
-        got = convolve_fft(marg, sys.counts, grid=grid).values
+        got = convolve_fft(marg, sys.counts).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
         # backend two: one closed-form characteristic function per mode on the lattice
         ks = cf_grid_for(grid).dx * np.arange(grid.count // 2 + 1)
@@ -255,7 +265,7 @@ class TestMultiplicities:
         for m in modes:
             spec *= mode_cf(m, ks)
         want = spectrum_density(spec, grid)
-        got = cf_product(marg, sys.counts, grid=grid).values
+        got = cf_product(marg, sys.counts).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
     @settings(max_examples=15)
@@ -286,13 +296,13 @@ class TestMultiplicities:
         marg = marginals_for_system(sys)
         grid = common_grid(marg, sys.counts)
         n = 3000
-        assert_counts_of(sample_sum(sys, n, 5, grid, marginals=marg), interp_draws(sys, marg, n, 5))
+        assert_counts_of(sample_sum(sys, n, 5, marg), interp_draws(sys, marg, n, 5))
 
     def test_distinct_modes_bit_for_bit(self):
         # every count is 1: the spectra multiply in as they are
         marg = marginals_for_system(MIXED_SYS)
         grid = common_grid(marg, MIXED_SYS.counts)
-        got = convolve_fft(marg, MIXED_SYS.counts, grid=grid).values
+        got = convolve_fft(marg, MIXED_SYS.counts).values
         assert got.tobytes() == expanded_fft(marg, grid).tobytes()
 
     def test_one_rfft_per_distinct_marginal(self, monkeypatch):
@@ -334,7 +344,7 @@ class TestMultiplicities:
         want = direct_phase_sum(k_grid.xs, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
-        np.testing.assert_allclose(cf_product(marg, sys.counts, grid=grid).values, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cf_product(marg, sys.counts).values, want, rtol=0, atol=1e-12)
 
 
 def dx_spectrum(m, grid):
@@ -453,7 +463,8 @@ _TINY = np.finfo(float).tiny
 
 
 class TestGatedPower:
-    """_raise_to keeps the polar form where |f| >= 1/2 and powers the rest by squaring."""
+    """_raise_to keeps the polar form where |f| >= 1/2 and powers the rest
+    by squaring; backend two's real factors take a plain power."""
 
     @pytest.mark.parametrize("name", sorted(FAR_COUNTS))
     def test_far_counts_match_long_double_polar(self, name):
@@ -464,7 +475,7 @@ class TestGatedPower:
         for m, count in zip(marg, sys.counts):
             f = dx_spectrum(m, grid)
             want = long_double_power(f, count)
-            got = _raise_to(f.copy(), count)
+            got = _raise_to(f.copy(), count, np.empty_like(f))
             big = np.abs(f) >= 0.5
             assert got[big].tobytes() == polar_power(f, count)[big].tobytes()
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -472,7 +483,7 @@ class TestGatedPower:
             assert np.all(got[~big & (np.abs(f) < _TINY ** (1.0 / count))] == 0)
             spec *= want
         want = spectrum_density(spec, grid)
-        got = convolve_fft(marg, sys.counts, grid=grid).values
+        got = convolve_fft(marg, sys.counts).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -489,7 +500,7 @@ class TestGatedPower:
         big = mod >= 0.5
         squared = ~big & (mod >= _TINY ** (1.0 / count))
         assert np.count_nonzero(big) >= 10 and np.count_nonzero(squared & (mod > 0.1)) >= 10
-        got = _raise_to(f.copy(), count)
+        got = _raise_to(f.copy(), count, np.empty_like(f))
         assert got[big].tobytes() == polar_power(f, count)[big].tobytes()
         direct = f * f if count == 2 else f * f * f
         assert got[squared].tobytes() == direct[squared].tobytes()
@@ -500,7 +511,8 @@ class TestGatedPower:
     def test_real_factors_use_plain_power(self):
         k = np.linspace(0.0, 6.0, 101)
         f = char_function(Fock(2), 1.0, 0.0, 1.0, k)
-        assert _raise_to(f.copy(), 7).tobytes() == (f ** 7).tobytes()
+        m = marginal_density(Fock(2), 1.0, 0.0, 1.0)
+        assert _cf_product_at([m], [7], k).tobytes() == (f ** 7).tobytes()
 
 
 class TestOutputPeriod:
@@ -518,7 +530,7 @@ class TestOutputPeriod:
         bound = max(4e-15, sys.n_modes * 2e-16)
         for backend, padded in ((convolve_fft, padded_fft_spectrum), (cf_product, padded_cf_spectrum)):
             kept, folded = padded_densities(padded(marg, sys.counts, grid), grid)
-            got = backend(marg, sys.counts, grid=grid).values
+            got = backend(marg, sys.counts).values
             peak = np.max(kept)
             assert np.max(np.abs(got - folded)) <= bound * peak
             assert np.max(np.abs(folded - kept)) <= 1e-12 * peak
@@ -565,24 +577,15 @@ class TestOutputPeriod:
 
         monkeypatch.setattr(convolution.np.fft, "rfft", forward)
         monkeypatch.setattr(convolution.np.fft, "irfft", backward)
-        convolve_fft(marg, MIXED_SYS.counts, grid=grid)
+        convolve_fft(marg, MIXED_SYS.counts)
         assert lengths == [grid.count] * (len(marg) + 1)
         lengths.clear()
-        cf_product(marg, MIXED_SYS.counts, grid=grid)
+        cf_product(marg, MIXED_SYS.counts)
         assert lengths == [grid.count]
         assert cf_grid_for(grid).count == grid.count
         assert cf_grid_for(grid).dx * (grid.count // 2) == pytest.approx(math.pi / grid.dx, rel=1e-15)
 
-    @pytest.mark.parametrize("backend", [convolve_fft, cf_product])
-    def test_grid_short_of_the_sum_rejected(self, backend):
-        marg = marginals_for_system(MIXED_SYS)
-        grid = common_grid(marg, MIXED_SYS.counts)
-        assert backend(marg, MIXED_SYS.counts, grid=grid).grid == grid
-        half = Grid(x0=grid.x0 / 2, dx=grid.dx, count=grid.count // 2)
-        with pytest.raises(ValueError, match="does not cover"):
-            backend(marg, MIXED_SYS.counts, grid=half)
-
-    def test_buffers_bounded_across_groups(self):
+    def test_buffers_bounded_across_groups(self, monkeypatch):
         # twelve groups on 32,768 nodes: one set of count-length buffers
         # for the call, not fresh padded arrays per group
         sys = system(tuple(Fock(n) for n in range(12)), 1.0)
@@ -590,9 +593,10 @@ class TestOutputPeriod:
         wide = common_grid(marg, sys.counts)
         grid = centered_grid(wide.count * wide.dx / 2, wide.dx * wide.count / 32768)
         assert grid.count == 32768
+        use_grid(monkeypatch, grid)
         tracemalloc.start()
         try:
-            convolve_fft(marg, sys.counts, grid=grid)
+            convolve_fft(marg, sys.counts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -629,7 +633,7 @@ class TestCfProduct:
         want = direct_phase_sum(ks, total * trapezoid_weights(k_grid), grid.xs, -1.0).real
         want = np.clip(want / (2.0 * math.pi), 0.0, None)
         want /= np.trapezoid(want, dx=grid.dx)
-        np.testing.assert_allclose(cf_product(marg, MIXED_SYS.counts, grid=grid).values, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cf_product(marg, MIXED_SYS.counts).values, want, rtol=0, atol=1e-12)
 
     def test_one_forward_transform_per_distinct_marginal(self, monkeypatch):
         sys = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
@@ -650,14 +654,14 @@ class TestCfProduct:
         sys = system((Fock(0), Fock(1), Fock(2)), 1.0)
         marg = marginals_for_system(sys)
         cm = convolve_fft(marg, sys.counts)
-        cf = cf_product(marg, sys.counts, grid=cm.grid)
+        cf = cf_product(marg, sys.counts)
         tv = 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx)
         assert tv < 1e-6
 
     def test_matches_fft_mixed_modes(self):
         marg = marginals_for_system(MIXED_SYS)
         cm = convolve_fft(marg, MIXED_SYS.counts)
-        cf = cf_product(marg, MIXED_SYS.counts, grid=cm.grid)
+        cf = cf_product(marg, MIXED_SYS.counts)
         tv = 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx)
         assert tv < 1e-6
 
@@ -733,7 +737,7 @@ class TestCfAtScale:
         sys = iid_system(mode, N, hbar=hbar_for_fixed_energy(10.0, [ModeGroup(mode, 1.0, 0.0, N)]))
         marg = marginals_for_system(sys)
         cm = convolve_fft(marg, sys.counts)
-        cf = cf_product(marg, sys.counts, grid=cm.grid)
+        cf = cf_product(marg, sys.counts)
         assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
 
     @pytest.mark.parametrize("system", [
@@ -756,12 +760,33 @@ class TestCfAtScale:
         beyond = k_grid.dx * np.arange(int(reach / k_grid.dx) + 1, last + 1)
         assert np.all(np.abs(_cf_product_at(marg, system.counts, beyond)) < 1e-17)
 
-    def test_reach_past_nyquist_fails(self):
+    def test_policy_keeps_every_reach_inside_nyquist(self):
+        # no supported mode's reach passes 0.51 of its own policy Nyquist
+        # node pi / dx (measured: 0.5071 at Fock 18, 0.348 over the cats).
+        # The output grid takes the finest spacing and cf_product the least
+        # reach, which is at most that mode's, so no system reaches the guard.
+        # reach dx is scale-free, so hbar = 1 and frame radii 1/2, 1, 2 do.
+        def margin(mode, mu, nu):
+            return char_function_reach(mode, mu, nu, 1.0, 1e-17) * grid_policy(mode, mu, nu, 1.0)[1] / math.pi
+
+        assert max(margin(Fock(n), 1.0, 0.0) for n in range(FOCK_LEVEL_MAX + 1)) <= 0.51
+        frames = [(rho * math.cos(j * math.pi / 9), rho * math.sin(j * math.pi / 9))
+                  for j, rho in zip(range(9), [1.0, 0.5, 2.0] * 3)]
+        worst = 0.0
+        for size in np.concatenate([[0.0], np.geomspace(1e-5, 7.9e4, 199)]):
+            for j in range(7):
+                alpha = complex(size * math.cos(j * math.pi / 7), size * math.sin(j * math.pi / 7))
+                for mode in (CoherentEven(alpha), CoherentOdd(alpha)) if size else (CoherentEven(alpha),):
+                    worst = max(worst, max(margin(mode, mu, nu) for mu, nu in frames))
+        assert worst <= 0.51
+
+    def test_reach_past_nyquist_fails(self, monkeypatch):
         # the vacuum's characteristic function reaches k ~ 14.5 at hbar 1;
         # a grid of spacing 0.5 resolves k up to 2 pi only
         marg = marginals_for_system(iid_system(Fock(0), 1))
+        use_grid(monkeypatch, Grid(x0=-8.0, dx=0.5, count=32))
         with pytest.raises(NumericalError, match="Nyquist"):
-            cf_product(marg, [1], grid=Grid(x0=-8.0, dx=0.5, count=32))
+            cf_product(marg, [1])
 
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("mode", [CoherentEven(40.0), CoherentOdd(40.0)], ids=repr)
@@ -771,19 +796,20 @@ class TestCfAtScale:
         # fringes it encodes must survive the cut
         marg = marginals_for_system(iid_system(mode, N, mu=0.0, nu=1.0))
         cm = convolve_fft(marg, [N])
-        cf = cf_product(marg, [N], grid=cm.grid)
+        cf = cf_product(marg, [N])
         assert 0.5 * np.trapezoid(np.abs(cm.values - cf.values), dx=cm.grid.dx) < 1e-6
 
-    def test_reads_no_marginal_grid(self):
-        # the same meta with every marginal value NaN: the closed forms alone make the output
+    def test_reads_no_marginal_grid(self, monkeypatch):
+        # the same meta with every marginal value NaN, on the grid of the
+        # real values: the closed forms alone make the product
         marg = marginals_for_system(MIXED_SYS)
         counts = MIXED_SYS.counts
-        grid = common_grid(marg, counts)
+        want = cf_product(marg, counts)
         blank = [copy.copy(m) for m in marg]
         for b in blank:
             b.values = np.full(b.grid.count, np.nan)   # set after the constructor, which rejects NaN
-        assert (cf_product(blank, counts, grid=grid).values.tobytes()
-                == cf_product(marg, counts, grid=grid).values.tobytes())
+        use_grid(monkeypatch, want.grid)
+        assert cf_product(blank, counts).values.tobytes() == want.values.tobytes()
 
     def test_marginal_without_mode_rejected(self):
         # every marginal_density result records its mode; a hand-built density does not
@@ -796,31 +822,31 @@ class TestCfAtScale:
 class TestSampleSum:
     def test_deterministic_for_fixed_seed(self):
         sys = iid_system(Fock(1), 3)
-        grid = fft_of(sys).grid
-        a = sample_sum(sys, 5000, 123, grid)
-        b = sample_sum(sys, 5000, 123, grid)
+        marg = marginals_for_system(sys)
+        a = sample_sum(sys, 5000, 123, marg)
+        b = sample_sum(sys, 5000, 123, marg)
         for field in ("at_or_below", "below", "cells"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_seed_changes_stream(self):
         sys = iid_system(Fock(1), 3)
-        grid = fft_of(sys).grid
-        a = sample_sum(sys, 5000, 123, grid)
-        b = sample_sum(sys, 5000, 124, grid)
+        marg = marginals_for_system(sys)
+        a = sample_sum(sys, 5000, 123, marg)
+        b = sample_sum(sys, 5000, 124, marg)
         assert a.cells.tobytes() != b.cells.tobytes()
 
     @pytest.mark.parametrize("n", [0, -1, MC_SAMPLES_MAX + 1])
     def test_count_outside_bounds_rejected_before_marginals(self, monkeypatch, n):
-        monkeypatch.setattr(convolution, "marginals_for_system", None)
+        monkeypatch.setattr(convolution, "common_grid", None)
         with pytest.raises(ValueError, match=f"sample count must lie in 1..{MC_SAMPLES_MAX}"):
-            sample_sum(iid_system(Fock(0), 1), n, 0, Grid(x0=-1.0, dx=1.0, count=4))
+            sample_sum(iid_system(Fock(0), 1), n, 0, [])
 
     def test_vacuum_variance(self):
         # pooled over eight seeds, 1.5e-3 is 6 standard errors of the mean
         # and of the variance; one seed at 2e-3 failed about 2% of seeds
         sys = iid_system(Fock(0), 1)
-        grid = fft_of(sys).grid
-        moments_by_seed = [cell_moments(sample_sum(sys, 10 ** 6, seed, grid)) for seed in range(7, 15)]
+        marg = marginals_for_system(sys)
+        moments_by_seed = [cell_moments(sample_sum(sys, 10 ** 6, seed, marg)) for seed in range(7, 15)]
         mean, var = np.mean(moments_by_seed, axis=0)
         assert var == pytest.approx(0.5, abs=1.5e-3)
         assert mean == pytest.approx(0.0, abs=1.5e-3)
@@ -829,7 +855,7 @@ class TestSampleSum:
         sys = system((Fock(0), Fock(1), Fock(2)), 1.0)
         marg = marginals_for_system(sys)
         cm = convolve_fft(marg, sys.counts)
-        got = sample_sum(sys, 10 ** 6, 99, cm.grid, marginals=marg)
+        got = sample_sum(sys, 10 ** 6, 99, marg)
         cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
         cdf /= cdf[-1]
         ks = float(np.max(np.abs(got.at_or_below / len(got) - cdf)))
@@ -838,7 +864,7 @@ class TestSampleSum:
     def test_cat_modes_sampleable(self):
         sys = system((CoherentEven(1.5), CoherentOdd(1.0)), 1.0, [0.0, 1.0], [1.0, 0.0])
         marg = marginals_for_system(sys)
-        _, var = cell_moments(sample_sum(sys, 200000, 5, common_grid(marg, sys.counts), marginals=marg))
+        _, var = cell_moments(sample_sum(sys, 200000, 5, marg))
         want = sum(moments(m).var for m in marg)
         assert var == pytest.approx(want, rel=0.02)
 
@@ -847,11 +873,10 @@ class TestSampleSum:
         # array of the draws alone would take 32 MiB
         sys = iid_system(Fock(1), 2)
         marg = marginals_for_system(sys)
-        grid = common_grid(marg, sys.counts)
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1})
         tracemalloc.start()
         try:
-            got = sample_sum(sys, 2 ** 22, 1, grid, marginals=marg)
+            got = sample_sum(sys, 2 ** 22, 1, marg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -920,7 +945,7 @@ class TestInverseCdf:
 
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(convolution, "_mode_stream", counting)
-        got = sample_sum(sys, n, 11, grid, marginals=marg)
+        got = sample_sum(sys, n, 11, marg)
         assert_counts_of(got, interp_draws(sys, marg, n, 11))
         # one stream per mode and span of each worker's run of whole blocks
         chunk, span = convolution._MC_CHUNK, max(convolution._MC_SPAN, grid.count)
@@ -937,10 +962,10 @@ class TestInverseCdf:
         sys = iid_system(Fock(1), 2)
         marg = marginals_for_system(sys)
         count = 2 * convolution._MC_SPAN
-        grid = Grid(x0=-6.0, dx=12.0 / count, count=count)
+        use_grid(monkeypatch, Grid(x0=-6.0, dx=12.0 / count, count=count))
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         n = count + 3 * convolution._MC_CHUNK + 5
-        assert_counts_of(sample_sum(sys, n, 6, grid, marginals=marg), interp_draws(sys, marg, n, 6))
+        assert_counts_of(sample_sum(sys, n, 6, marg), interp_draws(sys, marg, n, 6))
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_draws_on_nodes_and_cell_edges(self, monkeypatch, cpus):
@@ -953,7 +978,7 @@ class TestInverseCdf:
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         n = 3 * convolution._MC_CHUNK + 7
         draws = grid_point_draws(monkeypatch, grid, n, 2)
-        assert_counts_of(sample_sum(sys, n, 2, grid, marginals=marg), draws)
+        assert_counts_of(sample_sum(sys, n, 2, marg), draws)
 
     @pytest.mark.parametrize("where", ["below", "first_cell", "past", "last_cell", "middle"])
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -966,6 +991,7 @@ class TestInverseCdf:
         marg = marginals_for_system(sys)
         if where == "middle":
             grid = Grid(x0=-6.0, dx=12.0 / (2 * convolution._MC_SPAN), count=2 * convolution._MC_SPAN)
+            use_grid(monkeypatch, grid)
         else:
             grid = common_grid(marg, sys.counts)
         xs, dx = grid.xs, grid.dx
@@ -982,20 +1008,19 @@ class TestInverseCdf:
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         n = (grid.count if where == "middle" else 0) + 3 * convolution._MC_CHUNK + 7
         draws = table_draws(monkeypatch, table, n, 2)
-        assert_counts_of(sample_sum(sys, n, 2, grid, marginals=marg), draws)
+        assert_counts_of(sample_sum(sys, n, 2, marg), draws)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # eight workers count neighbouring runs while the interpreter
         # switches threads every microsecond
         sys_spec = MIXED_SYS
         marg = marginals_for_system(sys_spec)
-        grid = common_grid(marg, sys_spec.counts)
         n = 8 * convolution._MC_CHUNK + 5
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(8)))
         interval = getswitchinterval()
         setswitchinterval(1e-6)
         try:
-            got = sample_sum(sys_spec, n, 21, grid, marginals=marg)
+            got = sample_sum(sys_spec, n, 21, marg)
         finally:
             setswitchinterval(interval)
         assert_counts_of(got, interp_draws(sys_spec, marg, n, 21))
@@ -1010,7 +1035,7 @@ class TestInverseCdf:
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(convolution, "_mode_stream", failing)
         with pytest.raises(MemoryError, match="worker"):
-            sample_sum(sys, 3 * 2 ** 15, 1, fft_of(sys).grid)
+            sample_sum(sys, 3 * 2 ** 15, 1, marginals_for_system(sys))
 
     def test_one_table_per_distinct_marginal(self, monkeypatch):
         sys = iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7)
@@ -1023,7 +1048,7 @@ class TestInverseCdf:
             return original(cdf, xs)
 
         monkeypatch.setattr(convolution, "_inverse_cdf", counting)
-        sample_sum(sys, 1000, 1, common_grid(marg, sys.counts), marginals=marg)
+        sample_sum(sys, 1000, 1, marg)
         assert len(seen) == 1
 
 
@@ -1032,7 +1057,7 @@ class TestBackendAgreement:
         self.sys = iid_system(Fock(1), 2)
         self.marg = marginals_for_system(self.sys)
         self.cm = convolve_fft(self.marg, self.sys.counts)
-        self.counts = sample_sum(self.sys, 200000, 3, self.cm.grid, marginals=self.marg)
+        self.counts = sample_sum(self.sys, 200000, 3, self.marg)
 
     def test_identical_densities(self):
         agree = backend_agreement(self.cm, self.cm, self.counts)
@@ -1055,7 +1080,8 @@ class TestBackendAgreement:
         if on_grid:
             one = iid_system(Fock(1), 1)
             draws = grid_point_draws(monkeypatch, self.cm.grid, 200000, 3)
-            counts = sample_sum(one, 200000, 3, self.cm.grid, marginals=marginals_for_system(one))
+            use_grid(monkeypatch, self.cm.grid)
+            counts = sample_sum(one, 200000, 3, marginals_for_system(one))
         else:
             draws, counts = interp_draws(self.sys, self.marg, 200000, 3), self.counts
         xs, n = self.cm.grid.xs, draws.size
@@ -1076,10 +1102,10 @@ class TestBackendAgreement:
         got = backend_agreement(self.cm, self.cm, self.counts)["density_mc"]
         assert got.tobytes() == want.tobytes()
 
-    def test_counts_on_another_grid_rejected(self):
+    def test_counts_on_another_grid_rejected(self, monkeypatch):
         grid = self.cm.grid
-        other = Grid(x0=grid.x0 + grid.dx, dx=grid.dx, count=grid.count)
-        counts = sample_sum(self.sys, 1000, 3, other, marginals=self.marg)
+        use_grid(monkeypatch, Grid(x0=grid.x0 + grid.dx, dx=grid.dx, count=grid.count))
+        counts = sample_sum(self.sys, 1000, 3, self.marg)
         with pytest.raises(ValueError, match="another grid"):
             backend_agreement(self.cm, self.cm, counts)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cmtomo.clt import per_mode_moments
+from cmtomo.convolution import marginals_for_system
 from cmtomo.errors import NormalizationMismatchWarning, NumericalError
 from cmtomo.marginals import (
     Grid,
@@ -148,7 +149,8 @@ class TestAbs3:
     @staticmethod
     def fock_abs3(n, mu, nu, hbar):
         """abs3 of the level-n tomogram at (mu, nu), as the CLI forms it."""
-        return per_mode_moments(SystemSpec((ModeGroup(Fock(n), mu, nu),), hbar=hbar))[0].abs3
+        sys = SystemSpec((ModeGroup(Fock(n), mu, nu),), hbar=hbar)
+        return per_mode_moments(sys, marginals_for_system(sys))[0].abs3
 
     def test_scaling_is_exact(self):
         base = self.fock_abs3(7, 1.0, 0.0, 1.0)
@@ -185,7 +187,7 @@ class TestEvenOddTomogram:
         for hbar in (1.0, 0.4):
             mode = CAT[parity](alpha)
             d = marginal_density(mode, mu, nu, hbar)
-            o = oracle_marginal(mode, mu, nu, hbar, grid=d.grid)
+            o = oracle_marginal(mode, mu, nu, hbar)
             np.testing.assert_allclose(d.values, o.values, atol=1e-9)
 
     def test_even_cat_interference_zeros_on_nu_axis(self):
@@ -231,7 +233,7 @@ class TestEvenOddTomogram:
         alpha = ODD_ALPHA_MIN * phase
         mu, nu = frame
         d = marginal_density(CoherentOdd(alpha), mu, nu, hbar)
-        o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
+        o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar)
         assert np.max(np.abs(d.values - o.values)) < 0.55 * abs(alpha) ** 2 * np.max(o.values)
 
     @pytest.mark.parametrize("phase", [1.0, 0.6 + 0.8j])
@@ -243,7 +245,7 @@ class TestEvenOddTomogram:
         alpha = 1e-5 * phase
         mu, nu = frame
         d = marginal_density(CoherentOdd(alpha), mu, nu, hbar)
-        o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar, grid=d.grid)
+        o = oracle_marginal(CoherentOdd(alpha), mu, nu, hbar)
         assert np.max(np.abs(d.values - o.values)) <= 1e-14 * np.max(o.values)
 
 
@@ -349,7 +351,7 @@ class TestRealArithmeticCatDensity:
                     want = extended_product_form_cat(complex(alpha), parity, mu, nu, hbar, xs)
                 else:
                     xs = grid.xs
-                    o = oracle_marginal(mode, mu, nu, hbar, grid=grid)
+                    o = oracle_marginal(mode, mu, nu, hbar)
                     want = o.values * o.meta["pre_rescale_integral"]
                 got = tomogram(mode, mu, nu, hbar, xs)
                 peak = float(np.max(want))
@@ -377,7 +379,7 @@ class TestTomogramOracle:
 
     def test_even_cat_mutual_consistency(self):
         d = marginal_density(CoherentEven(2.0), 0.6, 0.8, 1.0)
-        o = oracle_marginal(CoherentEven(2.0), 0.6, 0.8, 1.0, grid=d.grid)
+        o = oracle_marginal(CoherentEven(2.0), 0.6, 0.8, 1.0)
         np.testing.assert_allclose(d.values, o.values, atol=1e-6)
 
     def test_oracle_detects_small_grid(self):

@@ -179,16 +179,16 @@ class TestLaguerreGaussLevels:
 
 
 class TestPhaseTable:
-    # (x0, dx, count, largest |k|): phases up to ~1e5 rad, grids off and
-    # across the origin, counts that are and are not powers of two
-    CASES = [(-31.2, 0.061, 1024, 30.0), (-5e3, 2.44, 4096, 20.0), (0.3, 0.01, 8192, 1e3),
-             (-327.68, 0.01, 65536, 305.0), (-50.0, 0.1, 1000, 1e3), (-1.0, 0.5, 2, 3.0), (2.0, 0.1, 1, 5.0)]
+    # (dx, count, largest |k|): phases up to ~2e5 rad, counts that are
+    # and are not powers of two
+    CASES = [(0.061, 1024, 30.0), (2.44, 4096, 20.0), (0.01, 8192, 1e3),
+             (0.01, 65536, 305.0), (0.1, 1000, 1e3), (0.5, 2, 3.0), (0.1, 1, 5.0)]
 
-    @pytest.mark.parametrize("x0, dx, count, k_max", CASES)
-    def test_matches_direct_exponentials(self, x0, dx, count, k_max):
+    @pytest.mark.parametrize("dx, count, k_max", CASES)
+    def test_matches_direct_exponentials(self, dx, count, k_max):
         k = np.random.default_rng(count).uniform(-k_max, k_max, 37)
-        xs = x0 + dx * np.arange(count)
-        got = phase_table(x0, dx, count, k)
+        xs = dx * np.arange(count)
+        got = phase_table(dx, count, k)
         assert got.shape == (count, len(k))
         # a few eps of the largest phase in each column, as the direct table rounds
         bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(xs)) * np.abs(k))
@@ -204,6 +204,6 @@ class TestPhaseTable:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting)
-        phase_table(0.5, 0.01, count, np.linspace(-3.0, 3.0, 7))
+        phase_table(0.01, count, np.linspace(-3.0, 3.0, 7))
         fine = 2 ** (int(math.log2(count)) // 2)
         assert sum(formed) == (-(-count // fine) + fine) * 7

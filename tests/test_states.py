@@ -179,9 +179,14 @@ class TestFockExpansion:
         assert np.all(even.coefficients[1::2] == 0)
         assert np.all(odd.coefficients[0::2] == 0)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(ConvergenceError):
-            fock_expansion(CoherentEven(30.0), cap=64)
+            fock_expansion(CoherentEven(30.0))
+        # the cap is read at call time: |alpha| = 5 needs more than 64 levels
+        assert fock_expansion(CoherentEven(5.0)).truncation > 64
+        monkeypatch.setattr("cmtomo.states._TRUNCATION_CAP", 64)
+        with pytest.raises(ConvergenceError, match="cap 64"):
+            fock_expansion(CoherentEven(5.0))
 
     def test_explicit_truncation_checked(self):
         with pytest.raises(ConvergenceError):
