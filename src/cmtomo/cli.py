@@ -199,7 +199,8 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
     pairs = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta))
              for rho in rho_pattern]
     # every point needs r < mu^2 + nu^2 < R for each pair
-    r, big_r = get_frame_bounds(raw, "scan", [mu * mu + nu * nu for mu, nu in pairs], rho_pattern)
+    r, big_r = get_frame_bounds(raw, "scan", [mu * mu + nu * nu for mu, nu in pairs], rho_pattern,
+                                raw.last_line("scan", "rho_pattern"))
     if not math.isfinite(big_r * E):
         raw.fail(raw.last_line("scan", "R"), f"R E must be finite, got R = {big_r!r}, E = {E!r}")
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)

@@ -69,21 +69,20 @@ def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
 def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity]) -> list[Moments]:
     """Mean/variance/absolute third moment of each group's mode, in group order.
 
-    Number states use the closed variance and the exact dimensionless
-    third moment; superposition modes use grid quadrature of their
-    density (the trusted oracle path), from marginals_for_system(sys).
+    Every mode is a parity eigenstate: mean 0, and the closed `variance`
+    that `common_grid` reads.  A number state takes the exact third moment,
+    a cat the grid quadrature of its marginal from marginals_for_system(sys).
     """
     out = []
-    for i, g in enumerate(sys.groups):
+    for g, m in zip(sys.groups, marginals, strict=True):
         if isinstance(g.mode, Fock):
             try:
-                s3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5
+                abs3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5 * fock_abs3_dimensionless(g.mode.n)
             except OverflowError:       # S_N then fails the run
-                s3 = math.inf
-            out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu, sys.hbar),
-                               abs3=s3 * fock_abs3_dimensionless(g.mode.n)))
+                abs3 = math.inf
         else:
-            out.append(moments(marginals[i]))
+            abs3 = moments(m).abs3
+        out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu, sys.hbar), abs3=abs3))
     return out
 
 

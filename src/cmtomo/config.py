@@ -11,9 +11,10 @@ Grammar (documented in the README):
   with an optional trailing 'xCOUNT' suffix, the group's mode count,
 * list values are whitespace-separated numbers.
 
-Each input rule is written once, here, and every section it serves
-reads through it.  Errors carry file and line so a bad field is
-directly addressable.
+Each rule that more than one section or command applies is written
+once, here, and every section it serves reads through it; a rule of
+one command only sits beside that command in cli.py.  Errors carry
+file and line so a bad field is directly addressable.
 """
 
 from __future__ import annotations
@@ -216,19 +217,20 @@ def get_directions(raw: RawConfig, section: str, key: str) -> list[tuple[float, 
     return frames
 
 
-def get_frame_bounds(raw: RawConfig, section: str, radii: list[float], nominal: list[float]):
+def get_frame_bounds(raw: RawConfig, section: str, radii: list[float], nominal: list[float], line: int):
     """r and R of a section, by default half the least and twice the
     greatest nominal radius; every frame radius must lie in (r, R), and R
     must be finite.  The nominal radii are the radii as configured
     ([scan] rho_pattern, of which the radii formed from sqrt(rho) and
-    theta are rounded copies)."""
+    theta are rounded copies), on the given line, which a failing
+    default names."""
     r = get_float(raw, section, "r", default=0.5 * min(nominal))
     big_r = get_float(raw, section, "R", default=2.0 * max(nominal))
     if not 0 < r < min(radii):
-        raw.fail(raw.last_line(section, "r"),
+        raw.fail(raw.last_line(section, "r") or line,
                  f"r must lie in (0, {min(radii):.6g}), below every frame radius, got {r}")
     if not max(radii) < big_r < math.inf:
-        raw.fail(raw.last_line(section, "R"),
+        raw.fail(raw.last_line(section, "R") or line,
                  f"R must be finite and exceed every frame radius {max(radii):.6g}, got {big_r}")
     return r, big_r
 
@@ -320,4 +322,4 @@ def parse_frame(raw: RawConfig, sys_spec: SystemSpec, required: bool = True,
             g = sys_spec.groups[i]
             raw.fail(line, f"frame (mu, nu) = ({g.mu:g}, {g.nu:g}) at hbar = {hbar:g} has hbar (mu^2 + nu^2) = "
                            f"{scale:g}, which must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}]")
-    return get_frame_bounds(raw, "frame", rhos, rhos)
+    return get_frame_bounds(raw, "frame", rhos, rhos, line)

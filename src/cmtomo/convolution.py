@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
-                        marginal_density, moments)
+                        marginal_density)
 from .states import SystemSpec
 
 # modulus below which the characteristic-function product is cut off
@@ -51,21 +51,18 @@ def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
 
 
 def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
-    """Output grid covering the sum: |total mean| + 8 total sigma on each side.
+    """Output grid covering the sum: the groups' `grid_policy` half-widths
+    added in quadrature, sqrt(sum count half^2), at the finest marginal spacing.
 
-    Each backend takes its grid from here; nothing else chooses one.
-    Moments are taken once per marginal and weighted by its count.  The
-    spacing is the finest marginal spacing, so marginals produced by the
-    default grid policy land exactly on output nodes and resampling is
-    lossless.
+    Each backend takes its grid from here; nothing else chooses one.  It
+    reads closed forms, no grid moment; every mode is a parity eigenstate,
+    so the sum's mean is zero.  Marginals on the default grid policy land
+    exactly on output nodes, so resampling is lossless.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
-    stats = [moments(m) for m in marginals]
-    mean = sum(count * s.mean for s, count in zip(stats, counts, strict=True))
-    sigma = math.sqrt(sum(count * s.var for s, count in zip(stats, counts)))
-    dx = min(m.grid.dx for m in marginals)
-    return centered_grid(abs(mean) + 8.0 * sigma, dx)
+    half_sq = sum(count * grid_policy(*_mode_args(m))[0] ** 2 for m, count in zip(marginals, counts, strict=True))
+    return centered_grid(math.sqrt(half_sq), min(m.grid.dx for m in marginals))
 
 
 def _raise_to(f: np.ndarray, count: int, base: np.ndarray) -> np.ndarray:
@@ -107,7 +104,7 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
     Each marginal is resampled once onto the output nodes, placed in
     ifftshift order (the node x = 0 first) and transformed by one rfft
     of length count, so the sum is periodized over the output grid's own
-    period count dx; the grid covers mean +- 8 sigma of the sum, so the
+    period count dx; the grid covers +- 8 sigma of the sum, so the
     wrap-around folds back no more than it leaves out.  Its spectrum is
     scaled by dx, so every factor is a discrete characteristic function
     bounded near one, and raised to its count (`_raise_to`), so the
@@ -160,10 +157,10 @@ def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensit
 
 
 def _mode_args(m: MarginalDensity) -> tuple:
-    """(mode, mu, nu, hbar) of a marginal, as `char_function` takes them."""
+    """(mode, mu, nu, hbar) of a marginal, as the closed forms take them."""
     meta = m.meta
     if "mode" not in meta:
-        raise ValueError("backend two needs marginals from marginal_density, which record meta['mode']")
+        raise ValueError("the backends need marginals from marginal_density, which record meta['mode']")
     return meta["mode"], meta["mu"], meta["nu"], meta["hbar"]
 
 
@@ -183,7 +180,7 @@ def cf_grid_for(grid: Grid) -> Grid:
     Nyquist node (count/2) dk is pi / dx.
     """
     dk = 2.0 * math.pi / (grid.count * grid.dx)
-    return Grid(x0=-(grid.count // 2) * dk, dx=dk, count=grid.count)
+    return Grid(dk, grid.count)
 
 
 def cf_product(marginals: list[MarginalDensity], counts: list[int]) -> MarginalDensity:

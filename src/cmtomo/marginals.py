@@ -43,9 +43,8 @@ _ORACLE_EXTRA_LEVELS = 24
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid x0 + j*dx, j = 0..count-1, with power-of-two count."""
+    """Uniform grid x0 + j*dx, j = 0..count-1, power-of-two count, centred by type: x0 = -(count/2) dx."""
 
-    x0: float
     dx: float
     count: int
 
@@ -54,6 +53,10 @@ class Grid:
             raise ValueError("grid spacing must be positive")
         if self.count < 2 or self.count & (self.count - 1):
             raise ValueError("grid count must be a power of two")
+
+    @property
+    def x0(self) -> float:
+        return -(self.count // 2) * self.dx
 
     @property
     def xs(self) -> np.ndarray:
@@ -75,7 +78,7 @@ def centered_grid(half_width: float, dx: float) -> Grid:
         count *= 2
         if count > _MAX_GRID:
             raise GridSizeError(f"grid would need more than {_MAX_GRID} points")
-    return Grid(x0=-(count // 2) * dx, dx=dx, count=count)
+    return Grid(dx, count)
 
 
 @dataclass
@@ -238,18 +241,26 @@ def evenodd_var_closed(mode: CoherentEven | CoherentOdd, mu: float, nu: float, h
 
 def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[float, float]:
     """(half_width, dx) the default grid policy assigns to this mode:
-    8 sigma each side and dx <= sigma/64, finer where the density oscillates."""
+    8 sigma each side and dx <= sigma/64, finer where the density oscillates.
+
+    A cat's density lies under two vacuum Gaussians centred on
+    +-<X>_alpha (`_cat_tomogram`), and interference can squeeze its
+    variance below what those tails need, so its half-width reaches at
+    least 8 vacuum deviations past |<X>_alpha|."""
     s = _scale(mu, nu, hbar)
     sigma = math.sqrt(variance(mode, mu, nu, hbar))
     dx = sigma / 64.0
     if isinstance(mode, Fock):
         # the fastest H_n^2 oscillation (wavelength ~ pi/sqrt(2n+1) in y)
         # keeps >= 8 points
-        dx = min(dx, s * math.pi / (8.0 * math.sqrt(2.0 * mode.n + 1.0)))
-    elif abs(mode.alpha) > 0:
+        return 8.0 * sigma, min(dx, s * math.pi / (8.0 * math.sqrt(2.0 * mode.n + 1.0)))
+    if abs(mode.alpha) > 0:
         # resolve interference fringes: wavelength pi*s/(sqrt(2)|alpha|)
         dx = min(dx, math.pi * s / (16.0 * math.sqrt(2.0) * abs(mode.alpha)))
-    return 8.0 * sigma, dx
+    # the vacuum deviation from its closed variance, which an alpha = 0 cat
+    # matches bit for bit, so its grid stays the vacuum's
+    peak = math.sqrt(2.0 * hbar) * abs(mu * mode.alpha.real + nu * mode.alpha.imag)
+    return max(8.0 * sigma, peak + 8.0 * math.sqrt(variance(Fock(0), mu, nu, hbar))), dx
 
 
 def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,

@@ -908,6 +908,20 @@ class TestSupportedRanges:
         assert f"{cfg}:{line}: R" in err and "finite" in err
         assert not out.exists()
 
+    # a default bound that leaves the double range names the line that set
+    # the radius it doubles or halves; these used to name line 0
+    @pytest.mark.parametrize("command, text, line, bound", [
+        ("clt-scan", "[scan]\nE = 1e-200\nrho_pattern = 1e308\n", 3, "R"),
+        ("cm", "[system]\nhbar = 1e-200\nmode = fock 1\n[frame]\nmu = 1e154\n", 5, "R"),
+        ("clt-scan", "[scan]\nE = 1e200\nN_list = 4\nrho_pattern = 5e-324\n", 4, "r"),
+    ], ids=["clt-scan-R", "cm-R", "clt-scan-r"])
+    def test_overflowing_default_bound_names_the_radius_line(self, tmp_path, capsys, command, text, line, bound):
+        cfg = write(tmp_path, "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:{line}: {bound} must" in capsys.readouterr().err
+        assert not out.exists()
+
     # str.isdigit accepts superscript digits, which int rejects: these
     # used to end in a traceback with exit 1
     @pytest.mark.parametrize("suffix", ["x\u00b2", "x\u00b9\u2070"], ids=["x2", "x10"])

@@ -277,10 +277,10 @@ class TestMultiplicities:
         pm = per_mode_moments(sys, marg)
         assert len(pm) == len(sys.groups)
         for g, m, got in zip(sys.groups, marg, pm):
-            if isinstance(g.mode, Fock):
-                assert got.var == variance(g.mode, g.mu, g.nu, sys.hbar)
-            else:
-                assert got == moments(m)
+            assert got.mean == 0.0
+            assert got.var == variance(g.mode, g.mu, g.nu, sys.hbar)
+            if not isinstance(g.mode, Fock):
+                assert got.abs3 == moments(m).abs3
         modes = per_pick(picks, sys, pm)
         var = math.fsum(m.var for m in modes)
         _, sigma2, s_n, _ = summed_density(sys)
@@ -460,6 +460,54 @@ FAR_COUNTS = {
               (CoherentOdd(0.8), (0.0, 1.0), 3), (Fock(3), (0.0, 1.0), 2)),
 }
 _TINY = np.finfo(float).tiny
+
+
+class TestClosedFormGrid:
+    """The output grid is the marginals' own grid rule with the closed-form
+    variances added: no grid moment decides it."""
+
+    def test_half_widths_add_in_quadrature(self):
+        marg = marginals_for_system(MIXED_SYS)
+        halves = [grid_policy(g.mode, g.mu, g.nu, MIXED_SYS.hbar)[0] for g in MIXED_SYS.groups]
+        half = math.sqrt(sum(count * h ** 2 for h, count in zip(halves, MIXED_SYS.counts)))
+        assert common_grid(marg, MIXED_SYS.counts) == centered_grid(half, min(m.grid.dx for m in marg))
+
+    def test_takes_no_grid_moment(self, monkeypatch):
+        marg = marginals_for_system(MIXED_SYS)
+        want = common_grid(marg, MIXED_SYS.counts)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("common_grid took a grid moment")
+
+        monkeypatch.setattr("cmtomo.marginals.moments", boom)
+        monkeypatch.setattr(np, "trapezoid", boom)
+        assert common_grid(marg, MIXED_SYS.counts) == want
+
+    def test_needs_marginals_that_record_their_mode(self):
+        m = marginals_for_system(iid_system(Fock(1), 1))[0]
+        with pytest.raises(ValueError, match="meta"):
+            common_grid([MarginalDensity(grid=m.grid, values=m.values)], [1])
+
+    def test_no_knife_edge_on_random_frames(self):
+        # N identical Fock-1 modes need exactly sqrt(N) times the marginal's
+        # 1024 nodes: the closed forms land on the boundary exactly, on the
+        # small side, where grid moments doubled the grid in 39-50% of
+        # these cases
+        thetas = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 200)
+        for N in (4, 16, 64, 256):
+            for theta in thetas:
+                for hbar in (1.0, 10.0 / (1.5 * N)):
+                    sys = iid_system(Fock(1), N, hbar, math.cos(theta), math.sin(theta))
+                    marg = marginals_for_system(sys)
+                    assert marg[0].grid.count == 1024
+                    assert common_grid(marg, sys.counts).count == 1024 * math.isqrt(N), (N, theta, hbar)
+
+    def test_squeezed_cat_sum_spans_its_marginal(self):
+        # the even cat's interference squeezes its variance below the
+        # vacuum's; the one-mode sum still spans the marginal's whole grid
+        m = marginal_density(CoherentEven(0.5), 0.0, 1.0, 1.0)
+        cm = convolve_fft([m], [1])
+        assert cm.grid.count >= m.grid.count and cm.grid.dx == m.grid.dx
 
 
 class TestGatedPower:
@@ -784,7 +832,7 @@ class TestCfAtScale:
         # the vacuum's characteristic function reaches k ~ 14.5 at hbar 1;
         # a grid of spacing 0.5 resolves k up to 2 pi only
         marg = marginals_for_system(iid_system(Fock(0), 1))
-        use_grid(monkeypatch, Grid(x0=-8.0, dx=0.5, count=32))
+        use_grid(monkeypatch, Grid(dx=0.5, count=32))
         with pytest.raises(NumericalError, match="Nyquist"):
             cf_product(marg, [1])
 
@@ -962,7 +1010,7 @@ class TestInverseCdf:
         sys = iid_system(Fock(1), 2)
         marg = marginals_for_system(sys)
         count = 2 * convolution._MC_SPAN
-        use_grid(monkeypatch, Grid(x0=-6.0, dx=12.0 / count, count=count))
+        use_grid(monkeypatch, Grid(dx=12.0 / count, count=count))
         monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         n = count + 3 * convolution._MC_CHUNK + 5
         assert_counts_of(sample_sum(sys, n, 6, marg), interp_draws(sys, marg, n, 6))
@@ -990,7 +1038,7 @@ class TestInverseCdf:
         sys = iid_system(Fock(1), 1)
         marg = marginals_for_system(sys)
         if where == "middle":
-            grid = Grid(x0=-6.0, dx=12.0 / (2 * convolution._MC_SPAN), count=2 * convolution._MC_SPAN)
+            grid = Grid(dx=12.0 / (2 * convolution._MC_SPAN), count=2 * convolution._MC_SPAN)
             use_grid(monkeypatch, grid)
         else:
             grid = common_grid(marg, sys.counts)
@@ -1102,9 +1150,11 @@ class TestBackendAgreement:
         got = backend_agreement(self.cm, self.cm, self.counts)["density_mc"]
         assert got.tobytes() == want.tobytes()
 
-    def test_counts_on_another_grid_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("dx_factor, count_factor", [(0.5, 2), (1.0, 2)], ids=["finer", "wider"])
+    def test_counts_on_another_grid_rejected(self, monkeypatch, dx_factor, count_factor):
+        # a grid is centred by type, so another grid has another dx or count
         grid = self.cm.grid
-        use_grid(monkeypatch, Grid(x0=grid.x0 + grid.dx, dx=grid.dx, count=grid.count))
+        use_grid(monkeypatch, Grid(dx=grid.dx * dx_factor, count=grid.count * count_factor))
         counts = sample_sum(self.sys, 1000, 3, self.marg)
         with pytest.raises(ValueError, match="another grid"):
             backend_agreement(self.cm, self.cm, counts)

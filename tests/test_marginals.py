@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cmtomo.marginals import (
     Grid,
     MarginalDensity,
     centered_grid,
+    char_function,
     evenodd_var_closed,
     fock_abs3_dimensionless,
     grid_policy,
@@ -59,7 +61,13 @@ def exact_abs3_bigint(n):
 class TestGrids:
     def test_count_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            Grid(x0=0.0, dx=0.1, count=100)
+            Grid(dx=0.1, count=100)
+
+    def test_grid_is_centred_by_type(self):
+        g = Grid(dx=0.25, count=16)
+        assert [f.name for f in dataclasses.fields(Grid)] == ["dx", "count"]
+        assert g.x0 == -2.0
+        assert g.xs.tobytes() == (-2.0 + 0.25 * np.arange(16)).tobytes()
 
     def test_centered_grid_symmetric(self):
         g = centered_grid(3.0, 0.01)
@@ -389,7 +397,54 @@ class TestTomogramOracle:
             tomogram_oracle(psi, 1.0, 0.0, 1.0, g)
 
 
+# the five unit phases below keep |alpha| at or above ODD_ALPHA_MIN in doubles
+PIN_PHASES = (1.0, 0.6 + 0.8j, -0.8 + 0.6j, -0.28 - 0.96j, 0.96 - 0.28j)
+
+
+class TestCatGridFloor:
+    """An even cat on (0, 1) has variance below the vacuum's; its grid still
+    spans the vacuum tails, so every grid integral is exact to rounding."""
+
+    MODE = CoherentEven(0.5)
+
+    def test_grid_integrals_exact(self):
+        m = marginal_density(self.MODE, 0.0, 1.0, 1.0)
+        assert abs(m.meta["pre_rescale_integral"] - 1.0) <= 1e-14
+        assert abs(moments(m).var / variance(self.MODE, 0.0, 1.0, 1.0) - 1.0) <= 1e-14
+        ks = np.linspace(0.0, 4.0, 41)
+        cf = [np.trapezoid(m.values * np.cos(k * m.grid.xs), dx=m.grid.dx) for k in ks]
+        assert np.max(np.abs(cf - char_function(self.MODE, 0.0, 1.0, 1.0, ks))) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 0.96 - 0.28j])
+    @pytest.mark.parametrize("frame", [(0.0, 1.0), (0.6, 0.8)])
+    def test_half_width_reaches_past_the_peaks(self, alpha, frame):
+        # 8 vacuum deviations beyond the coherent peak <X>_alpha, and never
+        # less than 8 sigma
+        mu, nu = frame
+        mode = CoherentEven(alpha)
+        half, _ = grid_policy(mode, mu, nu, 1.0)
+        peak = math.sqrt(2.0) * abs(mu * mode.alpha.real + nu * mode.alpha.imag)
+        assert half >= max(peak + 8.0 * math.sqrt(0.5), 8.0 * math.sqrt(variance(mode, mu, nu, 1.0)))
+
+    def test_vacuum_cat_keeps_the_vacuum_grid(self):
+        assert grid_policy(CoherentEven(0.0), 0.6, 0.8, 0.3)[0] == grid_policy(Fock(0), 0.6, 0.8, 0.3)[0]
+
+
 class TestVarianceClosedForms:
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_cat_variance_matches_oracle_quadrature(self, kind):
+        # the closed form that sigma^2 and the output grid read, against the
+        # oracle density's quadrature, over 360 cases per parity
+        worst = 0.0
+        for size in (1e-5, 0.1, 0.5, 1.0, 2.0, 3.0):
+            for phase in PIN_PHASES:
+                mode = CAT[kind](size * phase)
+                for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.28, 0.96)):
+                    for hbar in (0.01, 1.0, 7.0):
+                        quad = moments(oracle_marginal(mode, mu, nu, hbar)).var
+                        worst = max(worst, abs(variance(mode, mu, nu, hbar) / quad - 1.0))
+        assert worst <= 1e-12
+
     def test_vacuum_limit_agrees(self):
         # alpha -> 0: published expression must reduce to the vacuum variance
         got = evenodd_var_closed(CoherentEven(0.0), 1.0, 0.0, 1.0)

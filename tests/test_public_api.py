@@ -31,7 +31,7 @@ SIGNATURES = {
     "DensityMatrix": "(dim: 'int', entries: 'np.ndarray', meta: 'dict' = <factory>) -> None",
     "Fock": "(n: 'int') -> None",
     "FockExpansion": "(coefficients: 'np.ndarray', truncation: 'int') -> None",
-    "Grid": "(x0: 'float', dx: 'float', count: 'int') -> None",
+    "Grid": "(dx: 'float', count: 'int') -> None",
     "HbarReport": ("(hbar: 'float', sigma2: 'float', mass_in_epsilon: 'float', "
                    "gaussian_predicted_mass: 'float') -> None"),
     "MarginalDensity": "(grid: 'Grid', values: 'np.ndarray', meta: 'dict' = <factory>) -> None",
