@@ -15,7 +15,7 @@ import numpy as np
 
 from .convolution import convolve_fft, cumulative_trapezoid, marginals_for_system
 from .errors import NumericalError
-from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, moments, variance
+from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, variance
 from .states import Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy
 
 
@@ -71,7 +71,8 @@ def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity]) -> list[
 
     Every mode is a parity eigenstate: mean 0, and the closed `variance`
     that `common_grid` reads.  A number state takes the exact third moment,
-    a cat the grid quadrature of its marginal from marginals_for_system(sys).
+    a cat the grid quadrature of E|x|^3 over its marginal from
+    marginals_for_system(sys), the one `moments` takes.
     """
     out = []
     for g, m in zip(sys.groups, marginals, strict=True):
@@ -81,7 +82,7 @@ def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity]) -> list[
             except OverflowError:       # S_N then fails the run
                 abs3 = math.inf
         else:
-            abs3 = moments(m).abs3
+            abs3 = float(np.trapezoid(np.abs(m.grid.xs) ** 3 * m.values, dx=m.grid.dx))
         out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu, sys.hbar), abs3=abs3))
     return out
 

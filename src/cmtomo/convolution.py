@@ -65,36 +65,31 @@ def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
     return centered_grid(math.sqrt(half_sq), min(m.grid.dx for m in marginals))
 
 
-def _raise_to(f: np.ndarray, count: int, base: np.ndarray) -> np.ndarray:
-    """f**count for complex f, in place; f itself for count 1.  base is
-    complex scratch of f's shape.
+def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
+    """f**count for real f, in place; f itself for count 1.
 
-    Entries with |f| >= 1/2 take the polar form
-    |f|^count e^{i count arg f}.  Every other entry is raised by binary
-    powering, squarings and multiplies: it errs by about
-    count eps |f|^count <= count 2^-count eps <= eps/2 of a unit peak,
-    and it cannot overflow.  Where |f|^count would fall below the
+    Entries with |f| >= 1/2 take a plain power.  Every other entry is
+    raised by binary powering, squarings and multiplies: it errs by
+    about count eps |f|^count <= count 2^-count eps <= eps/2 of a unit
+    peak, and it cannot overflow.  Where |f|^count would fall below the
     smallest normal double the entry is set to 0 before the powering,
     so no product forms a subnormal, whose arithmetic is some twenty
     times slower.  The powering runs over every entry in place; few
     entries of a dx-scaled spectrum reach modulus 1/2, so only those pay
-    for an angle, a power, a cosine and a sine, which then overwrite
-    their powered values.
+    for a power, which then overwrites their powered values.
     """
     if count == 1:
         return f
-    mod = np.abs(f, out=base.real)
+    mod = np.abs(f)
     big = np.flatnonzero(mod >= 0.5)
-    phase = count * np.angle(f[big])
-    mag = mod[big] ** count
+    top = f[big] ** count
     f[mod < _TINY ** (1.0 / count)] = 0.0
-    np.copyto(base, f)
+    base = f.copy()
     for bit in bin(count)[3:]:
         f *= f
         if bit == "1":
             f *= base
-    f.real[big] = mag * np.cos(phase)
-    f.imag[big] = mag * np.sin(phase)
+    f[big] = top
     return f
 
 
@@ -106,12 +101,13 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
     of length count, so the sum is periodized over the output grid's own
     period count dx; the grid covers +- 8 sigma of the sum, so the
     wrap-around folds back no more than it leaves out.  Its spectrum is
-    scaled by dx, so every factor is a discrete characteristic function
-    bounded near one, and raised to its count (`_raise_to`), so the
-    product cannot overflow at any N.  The cost is one resample and one
-    rfft of length count per marginal, whatever the number of modes, in
-    one set of buffers per call.  `_inverse` takes the product back,
-    failing on more than 1e-9 of clamped mass.
+    real (`_spectrum_product`) and scaled by dx, so every factor is a
+    discrete characteristic function bounded near one, and raised to its
+    count in real arithmetic (`_raise_to`), so the product cannot
+    overflow at any N.  The cost is one resample and one rfft of length
+    count per marginal, whatever the number of modes, into one complex
+    buffer per call.  `_inverse` takes the product back, failing on more
+    than 1e-9 of clamped mass.
     """
     grid = common_grid(marginals, counts)
     return _inverse(_spectrum_product(marginals, counts, grid), grid, 1e-9)
@@ -119,22 +115,21 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
 
 def _spectrum_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid) -> np.ndarray:
     """convolve_fft's product of dx-scaled spectra, each raised to its
-    count, at k_j = 2 pi j / (count dx), j = 0..count/2.  The buffers
-    live as long as the loop, so the inverse runs without them."""
+    count, at k_j = 2 pi j / (count dx), j = 0..count/2.
+
+    A parity eigenstate's marginal is even, so its samples in ifftshift
+    order are even under j -> count - j and their transform is real: the
+    rfft's imaginary part is rounding only, and is dropped.  The product
+    accumulates in one real array."""
     half = grid.count // 2
     # the output nodes in ifftshift order: x = 0 first
     xs = np.roll(grid.xs, -half)
-    spec = np.empty(half + 1, dtype=complex)
-    factor = np.empty_like(spec)
-    base = np.empty_like(spec)
-    for i, (m, repeats) in enumerate(zip(marginals, counts, strict=True)):
-        f = factor if i else spec
-        np.fft.rfft(np.interp(xs, m.grid.xs, m.values, left=0.0, right=0.0), out=f)
-        f *= grid.dx
-        _raise_to(f, repeats, base)
-        if i:
-            spec *= f
-    return spec
+    spectrum = np.empty(half + 1, dtype=complex)
+    product = np.ones(half + 1)
+    for m, repeats in zip(marginals, counts, strict=True):
+        np.fft.rfft(np.interp(xs, m.grid.xs, m.values, left=0.0, right=0.0), out=spectrum)
+        product *= _raise_to(spectrum.real * grid.dx, repeats)
+    return product
 
 
 def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensity:

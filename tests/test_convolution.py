@@ -195,9 +195,9 @@ class TestConvolveFft:
             common_grid(marg, sys.counts)
 
 
-def expanded_fft(marginals, grid, dtype=complex):
-    """The product of one dx-scaled rfft per entry of marginals, one per
-    mode, inverted as convolve_fft does.
+def expanded_fft(marginals, grid, dtype=float):
+    """The product of one dx-scaled real spectrum per entry of marginals,
+    one per mode, inverted as convolve_fft does.
 
     The product accumulates in `dtype`.  In long double the reference's
     own rounding over N factors stays well below the 1e-15 under test.
@@ -256,7 +256,7 @@ class TestMultiplicities:
         marg = marginals_for_system(sys)
         grid = common_grid(marg, sys.counts)
         modes = per_pick(picks, sys, marg)
-        want = expanded_fft(modes, grid, dtype=np.clongdouble)
+        want = expanded_fft(modes, grid, dtype=np.longdouble)
         got = convolve_fft(marg, sys.counts).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
         # backend two: one closed-form characteristic function per mode on the lattice
@@ -320,12 +320,17 @@ class TestMultiplicities:
         assert sys.counts == [5, 5, 1]
         assert lengths == [cm.grid.count] * 3
 
-    def test_common_grid_weights_moments_by_count(self):
+    def test_common_grid_weights_half_widths_by_count(self):
+        # 37 copies widen the marginal's half-width by sqrt(37): 1024 nodes
+        # become 8192, where counts added linearly would give 65,536
         sys = iid_system(Fock(2), 37, hbar=0.3)
         marg = marginals_for_system(sys)
-        one = moments(marg[0])
-        half = abs(37 * one.mean) + 8.0 * math.sqrt(37 * one.var)
-        assert common_grid(marg, sys.counts) == centered_grid(half, marg[0].grid.dx)
+        half, dx = grid_policy(Fock(2), 1.0, 0.0, 0.3)
+        grid = common_grid(marg, sys.counts)
+        assert marg[0].grid.count == 1024
+        assert grid == centered_grid(math.sqrt(37) * half, dx)
+        assert grid.count == 8192
+        assert centered_grid(37 * half, dx).count == 65536
 
     def test_counts_must_match_marginals(self):
         marg = marginals_for_system(MIXED_SYS)
@@ -348,28 +353,28 @@ class TestMultiplicities:
 
 
 def dx_spectrum(m, grid):
-    """One marginal's dx-scaled rfft of length count, as convolve_fft forms it."""
+    """One marginal's dx-scaled real spectrum of length count, as
+    convolve_fft forms it: the real part of its rfft."""
     g = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
-    return np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
+    return np.fft.rfft(np.fft.ifftshift(g)).real * grid.dx
 
 
 def padded_dx_spectrum(m, grid):
-    """One marginal's dx-scaled rfft zero-padded to 2 count: the same
-    characteristic function on a lattice twice as fine."""
+    """One marginal's dx-scaled real spectrum zero-padded to 2 count: the
+    same characteristic function on a lattice twice as fine."""
     count = grid.count
     g = np.zeros(2 * count)
     g[count // 2: 3 * count // 2] = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
-    return np.fft.rfft(np.fft.ifftshift(g)) * grid.dx
+    return np.fft.rfft(np.fft.ifftshift(g)).real * grid.dx
 
 
 def subset_power(f, count):
-    """f**count as `_raise_to` defines it, computed on subsets: the polar
-    form gathered where |f| >= 1/2, binary powering on a gathered copy of
-    the entries from the underflow threshold to 1/2, and 0 elsewhere."""
+    """f**count for real f as `_raise_to` defines it, computed on subsets:
+    a plain power gathered where |f| >= 1/2, binary powering on a gathered
+    copy of the entries from the underflow threshold to 1/2, and 0
+    elsewhere."""
     mod = np.abs(f)
     big = np.flatnonzero(mod >= 0.5)
-    phase = count * np.angle(f[big])
-    mag = mod[big] ** count
     small = np.flatnonzero((mod < 0.5) & (mod >= _TINY ** (1.0 / count)))
     g = f[small]
     base = g.copy()
@@ -379,15 +384,14 @@ def subset_power(f, count):
             g *= base
     out = np.zeros_like(f)
     out[small] = g
-    out.real[big] = mag * np.cos(phase)
-    out.imag[big] = mag * np.sin(phase)
+    out[big] = f[big] ** count
     return out
 
 
 def padded_fft_spectrum(marginals, counts, grid):
     """Backend one's product spectrum periodized over twice the output
     extent: zero-padded rffts of length 2 count."""
-    spec = np.ones(grid.count + 1, dtype=complex)
+    spec = np.ones(grid.count + 1)
     for m, count in zip(marginals, counts):
         f = padded_dx_spectrum(m, grid)
         spec *= f if count == 1 else subset_power(f, count)
@@ -422,22 +426,9 @@ def padded_densities(spec, grid):
     return kept, folded
 
 
-def polar_power(f, count):
-    """f**count in double-precision polar form over every entry."""
-    phase = count * np.angle(f)
-    mag = np.abs(f) ** count
-    out = np.empty_like(f)
-    out.real = mag * np.cos(phase)
-    out.imag = mag * np.sin(phase)
-    return out
-
-
 def long_double_power(f, count):
-    """f**count in long-double polar form."""
-    fl = f.astype(np.clongdouble)
-    mag = np.abs(fl) ** count
-    phase = count * np.angle(fl)
-    return mag * np.cos(phase) + 1j * (mag * np.sin(phase))
+    """f**count for real f, in long double."""
+    return f.astype(np.longdouble) ** count
 
 
 def spectrum_density(spec, grid):
@@ -511,21 +502,21 @@ class TestClosedFormGrid:
 
 
 class TestGatedPower:
-    """_raise_to keeps the polar form where |f| >= 1/2 and powers the rest
+    """_raise_to takes a plain power where |f| >= 1/2 and powers the rest
     by squaring; backend two's real factors take a plain power."""
 
     @pytest.mark.parametrize("name", sorted(FAR_COUNTS))
-    def test_far_counts_match_long_double_polar(self, name):
+    def test_far_counts_match_long_double_power(self, name):
         sys = multiset_system(FAR_COUNTS[name], hbar=0.5)
         marg = marginals_for_system(sys)
         grid = common_grid(marg, sys.counts)
-        spec = np.ones(grid.count // 2 + 1, dtype=np.clongdouble)
+        spec = np.ones(grid.count // 2 + 1, dtype=np.longdouble)
         for m, count in zip(marg, sys.counts):
             f = dx_spectrum(m, grid)
             want = long_double_power(f, count)
-            got = _raise_to(f.copy(), count, np.empty_like(f))
+            got = _raise_to(f.copy(), count)
             big = np.abs(f) >= 0.5
-            assert got[big].tobytes() == polar_power(f, count)[big].tobytes()
+            assert got[big].tobytes() == (f ** count)[big].tobytes()
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
             # entries below 1/2 whose power would underflow are set to 0
             assert np.all(got[~big & (np.abs(f) < _TINY ** (1.0 / count))] == 0)
@@ -548,8 +539,8 @@ class TestGatedPower:
         big = mod >= 0.5
         squared = ~big & (mod >= _TINY ** (1.0 / count))
         assert np.count_nonzero(big) >= 10 and np.count_nonzero(squared & (mod > 0.1)) >= 10
-        got = _raise_to(f.copy(), count, np.empty_like(f))
-        assert got[big].tobytes() == polar_power(f, count)[big].tobytes()
+        got = _raise_to(f.copy(), count)
+        assert got[big].tobytes() == (f ** count)[big].tobytes()
         direct = f * f if count == 2 else f * f * f
         assert got[squared].tobytes() == direct[squared].tobytes()
         assert np.all(got[~big & ~squared] == 0)
@@ -597,17 +588,21 @@ class TestOutputPeriod:
     @pytest.mark.parametrize("count", [2, 3, 7, 64, 1000, 1021])
     def test_raise_to_equals_subset_powering(self, length, count):
         # moduli spread over [0, 1], with runs exactly at 1/2, at the
-        # underflow threshold and one ulp below it
+        # underflow threshold and one ulp below it, and either sign
         rng = np.random.default_rng(count + length)
         mod = rng.random(length) ** 4
         cut = _TINY ** (1.0 / count)
         for value in (0.5, cut, np.nextafter(cut, 0.0), 1.0):
             mod[rng.random(length) < 0.05] = value
-        f = mod * np.exp(1j * rng.uniform(-math.pi, math.pi, length))
+        f = mod * rng.choice([-1.0, 1.0], length)
         small = (mod < 0.5) & (mod >= cut)
-        assert np.count_nonzero(small) >= 2 and np.count_nonzero(mod == 0.5) and np.count_nonzero(mod == cut)
-        got = _raise_to(f.copy(), count, np.empty_like(f))
+        for part in (small, mod >= 0.5, mod < cut):
+            assert np.count_nonzero(part & (f < 0)) >= 2 and np.count_nonzero(part & (f > 0)) >= 2
+        assert np.count_nonzero(mod == 0.5) and np.count_nonzero(mod == cut)
+        got = _raise_to(f.copy(), count)
         assert got.tobytes() == subset_power(f, count).tobytes()
+        want = long_double_power(f, count)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_every_transform_has_the_output_length(self, monkeypatch):
         marg = marginals_for_system(MIXED_SYS)
@@ -649,6 +644,32 @@ class TestOutputPeriod:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+class TestRealSpectrum:
+    """Every mode is a parity eigenstate, so its spectrum is real: backend
+    one keeps the rfft's real part, powers in real arithmetic, and its
+    density is even to rounding."""
+
+    @pytest.mark.parametrize("name", sorted(FAR_COUNTS) + ["fock1-x65536-E10"])
+    def test_density_is_even(self, name):
+        if name in FAR_COUNTS:
+            sys = multiset_system(FAR_COUNTS[name], hbar=0.5)
+        else:
+            sys = iid_system(Fock(1), 65536, hbar=hbar_for_fixed_energy(10.0, [ModeGroup(Fock(1), 1.0, 0.0, 65536)]))
+        d = fft_of(sys).values
+        # node j lies at (j - count/2) dx: past the first, nodes j and count - j are x and -x
+        tail = d[1:]
+        assert np.max(np.abs(tail - tail[::-1])) <= 1e-15 * np.max(d)
+
+    def test_powering_and_product_are_real(self):
+        assert _raise_to(np.array([-0.9, -0.3, 0.2, 0.7, 1.0]), 5).dtype == np.float64
+        assert _raise_to(np.array([-0.9, 0.7]), 1).dtype == np.float64
+        sys = multiset_system(FAR_COUNTS["mixed"], hbar=0.5)
+        marg = marginals_for_system(sys)
+        grid = common_grid(marg, sys.counts)
+        spec = convolution._spectrum_product(marg, sys.counts, grid)
+        assert spec.dtype == np.float64 and spec.shape == (grid.count // 2 + 1,)
 
 
 class TestCfProduct:
