@@ -45,12 +45,6 @@ def _openblas():
     return None
 
 
-def blas_threads() -> int | None:
-    """The loaded OpenBLAS's thread count, or None where none was found."""
-    found = _openblas()
-    return None if found is None else found[0]()
-
-
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with one OpenBLAS thread; restore the count on every exit."""

@@ -40,9 +40,10 @@ MC_MODE_DRAWS_MAX = 2 ** 30
 def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
     """One gridded tomogram per mode group, in group order.
 
-    All grids share the finest per-group policy spacing on a common
-    lattice, so downstream resampling onto the convolution grid is
-    lossless.
+    All grids share the finest per-group policy spacing, the one spacing
+    `convolve_fft` accepts: a grid is centred by type, so each marginal's
+    nodes are nodes of the output grid, and backend one places its values
+    there by index.
     """
     policies = [grid_policy(g.mode, g.mu, g.nu, sys.hbar) for g in sys.groups]
     dx = min(p[1] for p in policies)
@@ -56,8 +57,8 @@ def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
 
     Each backend takes its grid from here; nothing else chooses one.  It
     reads closed forms, no grid moment; every mode is a parity eigenstate,
-    so the sum's mean is zero.  Marginals on the default grid policy land
-    exactly on output nodes, so resampling is lossless.
+    so the sum's mean is zero.  Marginals from `marginals_for_system`
+    share this spacing, so their nodes are output nodes.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
@@ -96,18 +97,20 @@ def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
 def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> MarginalDensity:
     """Spectral convolution of counts[i] copies of each marginals[i] on `common_grid`'s grid.
 
-    Each marginal is resampled once onto the output nodes, placed in
-    ifftshift order (the node x = 0 first) and transformed by one rfft
-    of length count, so the sum is periodized over the output grid's own
-    period count dx; the grid covers +- 8 sigma of the sum, so the
-    wrap-around folds back no more than it leaves out.  Its spectrum is
-    real (`_spectrum_product`) and scaled by dx, so every factor is a
+    Each marginal must share the output grid's spacing, as those of
+    `marginals_for_system` do, and another spacing raises ValueError.
+    It is copied by index onto the output nodes in ifftshift order (the
+    node x = 0 first) and transformed by one rfft of length count, so
+    the sum is periodized over the output grid's own period count dx;
+    the grid covers +- 8 sigma of the sum, so the wrap-around folds back
+    no more than it leaves out.  Its spectrum is real
+    (`_spectrum_product`) and scaled by dx, so every factor is a
     discrete characteristic function bounded near one, and raised to its
     count in real arithmetic (`_raise_to`), so the product cannot
-    overflow at any N.  The cost is one resample and one rfft of length
-    count per marginal, whatever the number of modes, into one complex
-    buffer per call.  `_inverse` takes the product back, failing on more
-    than 1e-9 of clamped mass.
+    overflow at any N.  The cost is two slice copies and one rfft of
+    length count per marginal, whatever the number of modes, through
+    one real and one complex buffer per call.  `_inverse` takes the
+    product back, failing on more than 1e-9 of clamped mass.
     """
     grid = common_grid(marginals, counts)
     return _inverse(_spectrum_product(marginals, counts, grid), grid, 1e-9)
@@ -117,17 +120,31 @@ def _spectrum_product(marginals: list[MarginalDensity], counts: list[int], grid:
     """convolve_fft's product of dx-scaled spectra, each raised to its
     count, at k_j = 2 pi j / (count dx), j = 0..count/2.
 
-    A parity eigenstate's marginal is even, so its samples in ifftshift
-    order are even under j -> count - j and their transform is real: the
-    rfft's imaginary part is rounding only, and is dropped.  The product
+    A marginal on the output spacing has its node x = 0 at index
+    count/2 of its own grid, so its halves x >= 0 and x < 0 are copied
+    into one zeroed buffer at its start and its end, ifftshift order;
+    output nodes past the marginal's hold 0, and marginal nodes past the
+    output grid are left out.  After its rfft the two slices are zeroed
+    again for the next marginal.  A parity
+    eigenstate's marginal is even, so its samples in that order are
+    even under j -> count - j and their transform is real: the rfft's
+    imaginary part is rounding only, and is dropped.  The product
     accumulates in one real array."""
-    half = grid.count // 2
-    # the output nodes in ifftshift order: x = 0 first
-    xs = np.roll(grid.xs, -half)
+    count, half = grid.count, grid.count // 2
+    placed = np.zeros(count)
     spectrum = np.empty(half + 1, dtype=complex)
     product = np.ones(half + 1)
     for m, repeats in zip(marginals, counts, strict=True):
-        np.fft.rfft(np.interp(xs, m.grid.xs, m.values, left=0.0, right=0.0), out=spectrum)
+        if m.grid.dx != grid.dx:
+            raise ValueError(f"marginal spacing {m.grid.dx!r} is not the output grid's {grid.dx!r}; "
+                             "convolve_fft takes the marginals of marginals_for_system")
+        mid = m.grid.count // 2
+        width = min(mid, half)
+        placed[:width] = m.values[mid:mid + width]
+        placed[count - width:] = m.values[mid - width:mid]
+        np.fft.rfft(placed, out=spectrum)
+        placed[:width] = 0.0
+        placed[count - width:] = 0.0
         product *= _raise_to(spectrum.real * grid.dx, repeats)
     return product
 
@@ -143,7 +160,8 @@ def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensit
     """
     out = np.fft.fftshift(np.fft.irfft(spec, n=grid.count))
     out /= grid.dx
-    clamped = float(-out[out < 0].sum() * grid.dx)
+    # 0.0 minus the sum: with no negative node the empty sum records +0.0, not -0.0
+    clamped = 0.0 - float(out[out < 0].sum()) * grid.dx
     if clamped > clamp_limit:
         raise NumericalError(f"clamped negative mass {clamped:.3e} exceeds {clamp_limit}")
     np.clip(out, 0.0, None, out=out)

@@ -68,8 +68,9 @@ def centered_grid(half_width: float, dx: float) -> Grid:
     of at most _MAX_GRID nodes.
 
     Nodes sit at integer multiples of dx, from -(count/2) dx upward, so
-    grids sharing one dx land on a common lattice and linear resampling
-    between them is lossless.
+    grids sharing one dx land on a common lattice: every node of the
+    narrower is a node of the wider, at an index offset by half their
+    count difference.
     """
     if half_width <= 0 or dx <= 0:
         raise ValueError("grid parameters must be positive")

@@ -14,10 +14,16 @@ import threading
 import pytest
 from hypothesis import settings
 
-from cmtomo._blas import blas_threads
+from cmtomo import _blas
 
 settings.register_profile("cmtomo", deadline=None, derandomize=True, database=None)
 settings.load_profile("cmtomo")
+
+
+def blas_threads():
+    """The loaded OpenBLAS's thread count, or None where none was found."""
+    found = _blas._openblas()
+    return None if found is None else found[0]()
 
 
 @pytest.fixture(autouse=True)

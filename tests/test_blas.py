@@ -1,7 +1,9 @@
 import pytest
 
+from conftest import blas_threads
+
 from cmtomo import _blas
-from cmtomo._blas import blas_threads, one_blas_thread
+from cmtomo._blas import one_blas_thread
 
 
 class TestOneBlasThread:

@@ -151,6 +151,23 @@ class TestGaussianDistance:
             vals.append(gaussian_distance(cm_of(sys), sigma2(sys))["ks"])
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
+    def test_ks_at_large_n_matches_long_double_cdfs(self):
+        # Fock 1 at E = 10, N = 65,536 on 262,144 nodes: KS ~ 5e-7, where
+        # two O(1) CDFs subtracted in double lose ~1e-8 of it; the same two
+        # sampled curves, each integrated in long double, are the reference
+        groups = [ModeGroup(Fock(1), 1.0, 0.0, 65536)]
+        _, sig2, _, cm = summed_density(SystemSpec(groups, hbar_for_fixed_energy(10.0, groups)))
+        assert cm.grid.count == 262144
+        xs, dx = cm.grid.xs, np.longdouble(cm.grid.dx)
+        gauss = np.exp(-xs * xs / (2.0 * sig2)) / math.sqrt(2.0 * math.pi * sig2)
+
+        def cdf(values):
+            v = values.astype(np.longdouble)
+            return np.concatenate([[np.longdouble(0)], np.cumsum((v[1:] + v[:-1]) * np.longdouble(0.5) * dx)])
+
+        want = float(np.max(np.abs(cdf(cm.values) - cdf(gauss))))
+        assert gaussian_distance(cm, sig2)["ks"] == pytest.approx(want, rel=1e-11, abs=0)
+
 
 class TestNScan:
     def test_fixed_energy_schedule(self):

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import blas_threads
+
 from cmtomo import _blas, cli, convolution, marginals
 from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.clt import summed_density
@@ -118,7 +120,7 @@ def blas_threads_seen(monkeypatch, name):
     original = getattr(cli, name)
 
     def spy(*args, **kwargs):
-        seen.append(_blas.blas_threads())
+        seen.append(blas_threads())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, spy)
@@ -126,7 +128,7 @@ def blas_threads_seen(monkeypatch, name):
 
 
 def skip_without_openblas():
-    before = _blas.blas_threads()
+    before = blas_threads()
     if before is None:
         pytest.skip("no OpenBLAS is loaded in this process")
     return before
@@ -239,6 +241,15 @@ class TestCmdCm:
         assert tv and tv[0] < 0.01
         assert tv_mc and tv_mc[0] < 0.01
         assert ks and ks[0] < 0.01
+
+    def test_no_clamped_mass_reads_zero(self, tmp_path):
+        # the vacuum's density has no negative node: its clamped mass is
+        # the empty sum, written 0, not -0
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
+        out = str(tmp_path / "out.csv")
+        assert main(["cm", "--config", cfg, "--out", out]) == 0
+        header, _, _, _ = read_csv(out)
+        assert [line for line in header if line.startswith("clamped_mass")] == ["clamped_mass 0"]
 
 
     @pytest.mark.parametrize("samples", ["0", "-5", str(MC_SAMPLES_MAX + 1)])
@@ -472,7 +483,7 @@ class TestCmdReconstruct:
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + "[reconstruct]\n" + extra)
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == code
         assert inside == ([] if code == 2 else [1])
-        assert _blas.blas_threads() == before
+        assert blas_threads() == before
 
 
 class TestCmdDiscrepancyReport:
@@ -562,7 +573,7 @@ class TestCmdDiscrepancyReport:
         assert main(["discrepancy-report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == code
         # hbar = 0 is rejected before the rows are formed
         assert inside == ([] if code == 2 else [1])
-        assert _blas.blas_threads() == before
+        assert blas_threads() == before
 
 
 class TestBlasHold:
@@ -581,7 +592,7 @@ class TestBlasHold:
         cfg = write(tmp_path, "c.cfg", text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv"), *flags]) == 0
         assert inside == [before]
-        assert _blas.blas_threads() == before
+        assert blas_threads() == before
 
     @pytest.mark.parametrize("command, text", [
         ("reconstruct", "[system]\nmode = even 1.0 0.0\n[reconstruct]\ndim = 16\n"),

@@ -354,8 +354,11 @@ class TestMultiplicities:
 
 def dx_spectrum(m, grid):
     """One marginal's dx-scaled real spectrum of length count, as
-    convolve_fft forms it: the real part of its rfft."""
-    g = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
+    convolve_fft forms it: its values placed by index on the centred
+    output nodes of its own spacing, the real part of their rfft."""
+    g = np.zeros(grid.count)
+    start = (grid.count - m.grid.count) // 2
+    g[start:start + m.grid.count] = m.values
     return np.fft.rfft(np.fft.ifftshift(g)).real * grid.dx
 
 
@@ -628,15 +631,13 @@ class TestOutputPeriod:
         assert cf_grid_for(grid).count == grid.count
         assert cf_grid_for(grid).dx * (grid.count // 2) == pytest.approx(math.pi / grid.dx, rel=1e-15)
 
-    def test_buffers_bounded_across_groups(self, monkeypatch):
-        # twelve groups on 32,768 nodes: one set of count-length buffers
-        # for the call, not fresh padded arrays per group
-        sys = system(tuple(Fock(n) for n in range(12)), 1.0)
+    def test_buffers_bounded_across_groups(self):
+        # twelve groups, four modes each, on their own 32,768-node grid:
+        # one set of count-length buffers for the call, not fresh arrays
+        # per group
+        sys = SystemSpec(tuple(ModeGroup(Fock(n), 1.0, 0.0, 4) for n in range(12)), 1.0)
         marg = marginals_for_system(sys)
-        wide = common_grid(marg, sys.counts)
-        grid = centered_grid(wide.count * wide.dx / 2, wide.dx * wide.count / 32768)
-        assert grid.count == 32768
-        use_grid(monkeypatch, grid)
+        assert common_grid(marg, sys.counts).count == 32768
         tracemalloc.start()
         try:
             convolve_fft(marg, sys.counts)
@@ -644,6 +645,47 @@ class TestOutputPeriod:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+class TestIndexPlacement:
+    """Backend one copies each marginal onto the output nodes by index: it
+    interpolates nothing and takes no marginal on another spacing."""
+
+    def test_other_spacing_rejected(self):
+        # each mode's own default grid: Fock 3 oscillates faster, so its
+        # spacing is the finer one, and the vacuum's is rejected
+        marg = [marginal_density(Fock(0), 1.0, 0.0, 1.0), marginal_density(Fock(3), 1.0, 0.0, 1.0)]
+        assert marg[0].grid.dx != marg[1].grid.dx
+        with pytest.raises(ValueError, match="marginals_for_system"):
+            convolve_fft(marg, [1, 1])
+
+    def test_no_interpolation_and_no_nodes(self, monkeypatch):
+        marg = marginals_for_system(MIXED_SYS)
+        want = convolve_fft(marg, MIXED_SYS.counts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("backend one formed or interpolated grid nodes")
+
+        monkeypatch.setattr(np, "interp", refuse)
+        monkeypatch.setattr(Grid, "xs", property(refuse))
+        got = convolve_fft(marg, MIXED_SYS.counts)
+        monkeypatch.undo()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_equals_interpolation_onto_output_nodes(self, scale):
+        # on its policy grid and on one four times wider, whose outer nodes
+        # the output grid lacks: the spectrum the old np.interp onto the
+        # output nodes gave, to rounding
+        sys = iid_system(CoherentEven(1 + 0.5j), 3)
+        (m,) = marginals_for_system(sys)
+        grid = common_grid([m], sys.counts)
+        if scale > 1:
+            m = marginal_density(m.meta["mode"], 1.0, 0.0, 1.0, grid=Grid(m.grid.dx, scale * grid.count))
+        g = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
+        want = _raise_to(np.fft.rfft(np.fft.ifftshift(g)).real * grid.dx, 3)
+        got = convolution._spectrum_product([m], sys.counts, grid)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestRealSpectrum:
