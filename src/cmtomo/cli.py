@@ -270,6 +270,11 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
 
 @one_blas_thread()
 def cmd_discrepancy_report(raw: RawConfig, args) -> int:
+    # the report reads [report] only; a [system] key, such as an hbar meant
+    # for it, is named, not silently ignored
+    for key in raw.section("system"):
+        raw.fail(raw.last_line("system", key),
+                 f"discrepancy-report reads no [system] key; {key} is not read, set [report] hbar for its hbar")
     alphas = get_alphas(raw, "report", "alpha") or list(DEFAULT_ALPHAS)
     frames = get_directions(raw, "report", "frame") or list(DEFAULT_FRAMES)
     hbar = get_scale(raw, "report", "hbar", default=1.0)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError
 from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
                         marginal_density)
-from .states import SystemSpec
+from .states import ModeGroup, SystemSpec
 
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
@@ -45,25 +45,37 @@ def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
     nodes are nodes of the output grid, and backend one places its values
     there by index.
     """
-    policies = [grid_policy(g.mode, g.mu, g.nu, sys.hbar) for g in sys.groups]
-    dx = min(p[1] for p in policies)
-    return [marginal_density(g.mode, g.mu, g.nu, sys.hbar, grid=centered_grid(half, dx))
-            for g, (half, _) in zip(sys.groups, policies)]
+    dx = min(grid_policy(g.mode, g.mu, g.nu, sys.hbar)[1] for g in sys.groups)
+    return list(_marginals_on(sys.groups, sys.hbar, dx))
+
+
+def _marginals_on(groups, hbar: float, dx: float):
+    """Each group's tomogram on its policy half-width at spacing dx, built
+    as it is taken."""
+    for g in groups:
+        half = grid_policy(g.mode, g.mu, g.nu, hbar)[0]
+        yield marginal_density(g.mode, g.mu, g.nu, hbar, grid=centered_grid(half, dx))
 
 
 def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
     """Output grid covering the sum: the groups' `grid_policy` half-widths
     added in quadrature, sqrt(sum count half^2), at the finest marginal spacing.
 
-    Each backend takes its grid from here; nothing else chooses one.  It
+    Each backend takes its grid from here, and `convolve_cycled` from the
+    same rule on its points' groups; nothing else chooses one.  It
     reads closed forms, no grid moment; every mode is a parity eigenstate,
     so the sum's mean is zero.  Marginals from `marginals_for_system`
     share this spacing, so their nodes are output nodes.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
-    half_sq = sum(count * grid_policy(*_mode_args(m))[0] ** 2 for m, count in zip(marginals, counts, strict=True))
-    return centered_grid(math.sqrt(half_sq), min(m.grid.dx for m in marginals))
+    return _sum_grid([grid_policy(*_mode_args(m))[0] for m in marginals], counts,
+                     min(m.grid.dx for m in marginals))
+
+
+def _sum_grid(halves: list[float], counts: list[int], dx: float) -> Grid:
+    """The grid of spacing dx over the half-widths added in quadrature, count times each."""
+    return centered_grid(math.sqrt(sum(count * half ** 2 for half, count in zip(halves, counts, strict=True))), dx)
 
 
 def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
@@ -104,7 +116,7 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
     the sum is periodized over the output grid's own period count dx;
     the grid covers +- 8 sigma of the sum, so the wrap-around folds back
     no more than it leaves out.  Its spectrum is real
-    (`_spectrum_product`) and scaled by dx, so every factor is a
+    (`_spectrum_products`) and scaled by dx, so every factor is a
     discrete characteristic function bounded near one, and raised to its
     count in real arithmetic (`_raise_to`), so the product cannot
     overflow at any N.  The cost is two slice copies and one rfft of
@@ -113,12 +125,73 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
     product back, failing on more than 1e-9 of clamped mass.
     """
     grid = common_grid(marginals, counts)
-    return _inverse(_spectrum_product(marginals, counts, grid), grid, 1e-9)
+    for product in _spectrum_products(marginals, counts, grid):
+        pass
+    return _inverse(product, grid, 1e-9)
 
 
-def _spectrum_product(marginals: list[MarginalDensity], counts: list[int], grid: Grid) -> np.ndarray:
-    """convolve_fft's product of dx-scaled spectra, each raised to its
-    count, at k_j = 2 pi j / (count dx), j = 0..count/2.
+def convolve_cycled(pattern: list[ModeGroup], hbar: float, n_list: list[int]):
+    """`convolve_fft` of each system `SystemSpec.cycled(pattern, N, hbar)`,
+    N in n_list, building and transforming each pattern group once per
+    pass, not once per N.  Yields (i, density of N = n_list[i]) one
+    point at a time, in pass order, so no caller holds every density.
+
+    With P pattern groups, N modes hold q = N // P copies of every group
+    and one more of the first r = N % P, so the spectrum product is
+    F^q F_r, where F_r is the product of the first r groups' spectra and
+    F = F_P.  The points that share one output spacing dx share a pass:
+    it places and transforms the groups in pattern order on the lattice
+    of the widest of their output grids, count C, keeps the running
+    product (`_spectrum_products`) and copies it at each r a point
+    needs.  A point whose groups set another spacing (N < P, without
+    the finest group) takes its own pass.  Every count is a power of
+    two, so a point of count c reads the spectra at stride C/c: the DFT
+    of length c of each marginal periodized over c dx, where
+    `convolve_fft` leaves out the marginal's nodes past the point's
+    grid.  Either way those nodes lie past the marginal's policy
+    half-width, so the two agree to rounding.  Each point is inverted
+    on its own grid (`_inverse`).  A pass holds one running product
+    and one copy per remainder needed, whatever P.
+    """
+    period = len(pattern)
+    grids = []
+    for n in n_list:
+        sys = SystemSpec.cycled(pattern, n, hbar)
+        policies = [grid_policy(g.mode, g.mu, g.nu, hbar) for g in sys.groups]
+        grids.append(_sum_grid([half for half, _ in policies], sys.counts, min(dx for _, dx in policies)))
+    for dx in dict.fromkeys(g.dx for g in grids):
+        members = [i for i, g in enumerate(grids) if g.dx == dx]
+        splits = {i: divmod(n_list[i], period) for i in members}
+        length = period if any(q for q, _ in splits.values()) else max(r for _, r in splits.values())
+        lattice = Grid(dx, max(grids[i].count for i in members))
+        needed = {r for _, r in splits.values()}
+        prefixes = {}
+        for r, product in enumerate(_spectrum_products(_marginals_on(pattern[:length], hbar, dx), [1] * length,
+                                                       lattice), start=1):
+            if r in needed and r < length:
+                prefixes[r] = product.copy()
+        prefixes[length] = product
+        # the last point to raise F at full stride raises it in place, so a
+        # one-point scan holds F once, as convolve_fft holds its product
+        raising = sum(1 for q, _ in splits.values() if q)
+        for i in members:
+            q, r = splits[i]
+            step = lattice.count // grids[i].count
+            if q:
+                raising -= 1
+                full = prefixes[period][::step]
+                spec = _raise_to(full if raising == 0 and step == 1 else full.copy(), q)
+                if r:
+                    spec *= prefixes[r][::step]
+            else:
+                spec = prefixes[r][::step]
+            yield i, _inverse(spec, grids[i], 1e-9)
+
+
+def _spectrum_products(marginals, counts: list[int], grid: Grid):
+    """The running product of dx-scaled spectra, each raised to its
+    count, at k_j = 2 pi j / (count dx), j = 0..count/2: one real array,
+    yielded after each marginal and updated in place.
 
     A marginal on the output spacing has its node x = 0 at index
     count/2 of its own grid, so its halves x >= 0 and x < 0 are copied
@@ -128,8 +201,8 @@ def _spectrum_product(marginals: list[MarginalDensity], counts: list[int], grid:
     again for the next marginal.  A parity
     eigenstate's marginal is even, so its samples in that order are
     even under j -> count - j and their transform is real: the rfft's
-    imaginary part is rounding only, and is dropped.  The product
-    accumulates in one real array."""
+    imaginary part is rounding only, and is dropped.  The marginals may
+    be an iterator, so they can be built one at a time."""
     count, half = grid.count, grid.count // 2
     placed = np.zeros(count)
     spectrum = np.empty(half + 1, dtype=complex)
@@ -146,7 +219,7 @@ def _spectrum_product(marginals: list[MarginalDensity], counts: list[int], grid:
         placed[:width] = 0.0
         placed[count - width:] = 0.0
         product *= _raise_to(spectrum.real * grid.dx, repeats)
-    return product
+        yield product
 
 
 def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensity:

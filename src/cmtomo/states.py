@@ -135,6 +135,15 @@ class SystemSpec:
             raise ValueError("modes, mu and nu must have the same length")
         return cls(tuple(ModeGroup(*key) for key in zip(modes, mu, nu)), hbar)
 
+    @classmethod
+    def cycled(cls, pattern, n_modes: int, hbar: float) -> "SystemSpec":
+        """n_modes modes, mode i the (mode, mu, nu) of pattern[i mod P]: the
+        first n_modes mod P groups of the pattern take one copy more than
+        the rest, which take n_modes // P."""
+        period = len(pattern)
+        return cls(tuple(ModeGroup(g.mode, g.mu, g.nu, n_modes // period + (i < n_modes % period))
+                         for i, g in enumerate(pattern[:n_modes])), hbar)
+
     @property
     def n_modes(self) -> int:
         return sum(self.counts)

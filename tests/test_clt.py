@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cmtomo import clt, convolution
 from cmtomo.clt import (
-    _report_for,
     gaussian_distance,
     gaussian_mass_within,
     hbar_scan,
@@ -14,7 +14,7 @@ from cmtomo.clt import (
     per_mode_moments,
     summed_density,
 )
-from cmtomo.convolution import convolve_fft, marginals_for_system
+from cmtomo.convolution import common_grid, convolve_cycled, convolve_fft, marginals_for_system
 from cmtomo.marginals import Moments, moments, variance
 from cmtomo.states import CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, hbar_for_fixed_energy
 
@@ -268,14 +268,12 @@ class TestSumsOverGroups:
     def test_scan_groups_follow_both_patterns(self, monkeypatch):
         # mode i takes level i mod 2 and frame i mod 3: six groups at N = 14,
         # counts 3, 3, 2, 2, 2, 2, in the modes' first-appearance order
-        from cmtomo import clt
-
         seen = []
         original = clt._report_for
 
-        def spy(sys, r, R):
+        def spy(sys, *args):
             seen.append(sys)
-            return original(sys, r, R)
+            return original(sys, *args)
 
         monkeypatch.setattr(clt, "_report_for", spy)
         frames = [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0)]
@@ -284,6 +282,138 @@ class TestSumsOverGroups:
                                        for i, count in enumerate([3, 3, 2, 2, 2, 2]))
         assert seen[1].groups == (ModeGroup(Fock(0), 1.0, 0.0),)
         assert seen[0].hbar == 10.0 / (14 / 2 + 7)
+
+
+class TestScansAtUnitHbar:
+    """Both scans take their densities at a unit hbar, 1 for frame radii
+    near 1: `n_scan` builds and transforms each pattern group once per
+    spacing, `hbar_scan` convolves once.  hbar, sigma^2 and the energy
+    bracket stay closed forms at each point's own hbar."""
+
+    # levels 2 0 1 on radii 1 and 0.6^2 + 0.8^2: the first group alone,
+    # at N = 1, has a coarser spacing than every other point
+    PATTERN = [ModeGroup(Fock(2), 1.0, 0.0), ModeGroup(Fock(0), 0.6, 0.8), ModeGroup(Fock(1), 1.0, 0.0),
+               ModeGroup(Fock(2), 0.6, 0.8), ModeGroup(Fock(0), 1.0, 0.0), ModeGroup(Fock(1), 0.6, 0.8)]
+
+    def test_s_n_does_not_depend_on_energy(self):
+        # at its own hbar S_N differed by 6.3e-15 between these energies
+        (a,) = n_scan([1], [(1.0, 0.0)], E=10.0, N_list=[65536], r=0.5, R=2.0)
+        (b,) = n_scan([1], [(1.0, 0.0)], E=1e-200, N_list=[65536], r=0.5, R=2.0)
+        assert repr(a.S_N) == repr(b.S_N)
+        assert (a.ks, a.tv) == (b.ks, b.tv)
+
+    def test_points_match_one_convolution_each(self, monkeypatch):
+        # unsorted N, points with N < P = 6, and N = 1 on its own spacing,
+        # which takes a second pass through the same code
+        lattices = []
+        original = convolution._spectrum_products
+
+        def spy(marginals, counts, grid):
+            lattices.append((grid, len(counts)))
+            return original(marginals, counts, grid)
+
+        monkeypatch.setattr(convolution, "_spectrum_products", spy)
+        n_list = [13, 1, 4, 6, 9, 2]
+        order, got = zip(*convolve_cycled(self.PATTERN, 1.0, n_list))
+        monkeypatch.undo()
+        # the first pass takes every point of the fine spacing, in n_list order
+        assert order == (0, 2, 3, 4, 5, 1)
+        got = [got[order.index(i)] for i in range(len(n_list))]
+        fine, coarse = got[0].grid.dx, got[1].grid.dx
+        assert coarse > fine and all(d.grid.dx == fine for i, d in enumerate(got) if i != 1)
+        assert lattices == [(got[0].grid, 6), (got[1].grid, 1)]
+        for N, d in zip(n_list, got):
+            sys = SystemSpec.cycled(self.PATTERN, N, 1.0)
+            want = convolve_fft(marginals_for_system(sys), sys.counts)
+            assert d.grid == want.grid
+            assert np.max(np.abs(d.values - want.values)) <= 4e-15 * np.max(want.values)
+
+    def test_scan_points_in_any_order(self):
+        levels, frames = [2, 0, 1], [(1.0, 0.0), (0.6, 0.8)]
+        one_by_one = [n_scan(levels, frames, E=10.0, N_list=[N], r=0.5, R=2.0)[0] for N in (13, 1, 4, 6)]
+        together = n_scan(levels, frames, E=10.0, N_list=[13, 1, 4, 6], r=0.5, R=2.0)
+        for a, b in zip(one_by_one, together):
+            assert (a.N, a.hbar, a.S_N, a.sigma2, a.rE, a.RE) == (b.N, b.hbar, b.S_N, b.sigma2, b.rE, b.RE)
+            assert a.ks == pytest.approx(b.ks, rel=1e-12) and a.tv == pytest.approx(b.tv, rel=1e-12)
+
+    def own_hbar_counts(self, levels, frames, n_list, monkeypatch):
+        """(count n_scan inverts on, count common_grid gives at the point's own hbar) per point."""
+        seen = []
+        original = clt.gaussian_distance
+
+        def spy(d, sigma2):
+            seen.append(d.grid.count)
+            return original(d, sigma2)
+
+        monkeypatch.setattr(clt, "gaussian_distance", spy)
+        reports = n_scan(levels, frames, E=10.0, N_list=n_list, r=0.3, R=3.0)
+        monkeypatch.undo()
+        pattern = [ModeGroup(Fock(levels[i % len(levels)]), *frames[i % len(frames)])
+                   for i in range(math.lcm(len(levels), len(frames)))]
+        own = []
+        for rep in reports:
+            sys = SystemSpec.cycled(pattern, rep.N, rep.hbar)
+            own.append(common_grid(marginals_for_system(sys), sys.counts).count)
+        return seen, own
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 2, 0)])
+    @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+    def test_benchmark_grids_unchanged(self, monkeypatch, order, theta):
+        # the benchmark's mixed and single-level scans at every angle it draws
+        frames = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta)) for rho in (0.6, 1.0, 1.5)]
+        seen, own = self.own_hbar_counts(list(order), frames, [4, 8, 16, 32, 64], monkeypatch)
+        assert seen == own
+        seen, own = self.own_hbar_counts([1], frames[1:2], [4, 8, 16, 32, 64, 128], monkeypatch)
+        assert seen == own
+
+    def test_random_frame_grids_unchanged(self, monkeypatch):
+        # TestClosedFormGrid's frames: the count at the unit hbar is the one
+        # at each point's own hbar
+        for theta in np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 200):
+            seen, own = self.own_hbar_counts([1], [(math.cos(theta), math.sin(theta))], [4, 16, 64, 256],
+                                             monkeypatch)
+            assert seen == own == [1024 * math.isqrt(N) for N in (4, 16, 64, 256)], theta
+
+    def test_hbar_scan_convolves_once(self, monkeypatch):
+        sys = SystemSpec((ModeGroup(Fock(1), 0.6, 0.8, 8), ModeGroup(CoherentEven(1 + 0.5j), 1.0, 0.0, 4)), 1.0)
+        hbars = [1.0, 0.1, 0.01, 0.001]
+        inverses = []
+        irfft = np.fft.irfft
+
+        def counting(a, n=None, *args, **kwargs):
+            inverses.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(convolution.np.fft, "irfft", counting)
+        reports = hbar_scan(sys, hbars, epsilon=0.1)
+        monkeypatch.undo()
+        assert len(inverses) == 1
+        for hbar, rep in zip(hbars, reports):
+            _, sig2, _, cm = summed_density(SystemSpec(sys.groups, hbar))
+            assert rep.sigma2 == sig2 and rep.gaussian_predicted_mass == gaussian_mass_within(sig2, 0.1)
+            want = mass_within(cm, 0.1)
+            if hbar == 1.0:
+                assert rep.mass_in_epsilon == want
+            assert abs(rep.mass_in_epsilon - want) <= 1e-15
+
+    def test_far_frame_radii_run_at_a_power_of_two(self):
+        # at hbar = 1 a radius of 1e250 would put E|x|^3 past the double
+        # range; the unit hbar takes it near 1, and the scale-free columns
+        # are those of radius 1 at the same rho E
+        (far,) = n_scan([0, 1], [(1e125, 0.0)], E=1e-150, N_list=[64], r=1e249, R=1e251)
+        (near,) = n_scan([0, 1], [(1.0, 0.0)], E=1e100, N_list=[64], r=0.5, R=2.0)
+        assert far.S_N == pytest.approx(near.S_N, rel=1e-15)
+        assert far.ks == pytest.approx(near.ks, rel=1e-9) and far.tv == pytest.approx(near.tv, rel=1e-9)
+        # hbar (mu^2 + nu^2) is 1e190 and 1e188 in both scans, sigma ~ 2.4e95 at the first
+        far_scan = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1e150, 0.0, 4),), 1.0), [1e-110, 1e-112], 2e95)
+        near_scan = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 4),), 1.0), [1e190, 1e188], 2e95)
+        for a, b in zip(far_scan, near_scan):
+            assert 0.5 < a.mass_in_epsilon <= 1.0
+            assert a.mass_in_epsilon == pytest.approx(b.mass_in_epsilon, abs=1e-15)
+
+    def test_epsilon_below_the_unit_range_holds_no_mass(self):
+        (rep,) = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 4),), 1.0), [1e200], 1e-300)
+        assert rep.mass_in_epsilon == 0.0
 
 
 class TestHbarScan:
@@ -347,11 +477,12 @@ class TestCatGaussianization:
         for N in (64, 256, 1024, 4096):
             groups = [ModeGroup(mode, *frame, N // len(pattern)) for mode, frame in pattern]
             sys = SystemSpec(groups, hbar_for_fixed_energy(10.0, groups))
-            reports.append(_report_for(sys, 0.5, 2.0))
-        for r in reports:
-            assert r.ks <= 0.56 * r.S_N
-        for a, b in zip(reports, reports[1:]):
-            assert abs(b.ks * b.N / (a.ks * a.N) - 1) <= 4 / a.N
+            _, sig2, s_n, cm = summed_density(sys)
+            reports.append((N, s_n, gaussian_distance(cm, sig2)["ks"]))
+        for _, s_n, ks in reports:
+            assert ks <= 0.56 * s_n
+        for (n_a, _, ks_a), (n_b, _, ks_b) in zip(reports, reports[1:]):
+            assert abs(ks_b * n_b / (ks_a * n_a) - 1) <= 4 / n_a
 
 
 class TestMassWithin:

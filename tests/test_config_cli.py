@@ -522,6 +522,17 @@ class TestCmdDiscrepancyReport:
         assert odd_var and abs(float(odd_var[0]["ratio"]) - 1) > 0.05
 
 
+    # the report reads [report] only: [system] hbar = 0.5 used to exit 0 at
+    # the default [report] hbar = 1
+    @pytest.mark.parametrize("key, value", [("hbar", "0.5"), ("mode", "fock 1")])
+    def test_system_key_exit_two(self, tmp_path, capsys, key, value):
+        cfg = write(tmp_path, "c.cfg", f"[system]\n{key} = {value}\n" + self.CFG)
+        out = tmp_path / "r.csv"
+        assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: discrepancy-report reads no [system] key; {key} is not read, set [report] hbar" in err
+        assert not out.exists()
+
     def test_tiny_alpha_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", "[report]\nalpha = 1e-12 0\nframe = 1 0\n")
         out = tmp_path / "r.csv"
@@ -696,9 +707,11 @@ class TestSettableSurface:
             monkeypatch.setattr(RawConfig, name, spy)
         out = tmp_path / "o.csv"
         cfg = write(tmp_path, "c.cfg", self.EVERYTHING.format(out=out))
+        # discrepancy-report rejects every [system] key, so it reads the rest
+        no_system = write(tmp_path, "r.cfg", self.EVERYTHING[self.EVERYTHING.index("[frame]"):].format(out=out))
         for command, want in self.READS.items():
             seen.clear()
-            assert main([command, "--config", cfg]) == 0, command
+            assert main([command, "--config", no_system if command == "discrepancy-report" else cfg]) == 0, command
             assert seen == want, command
 
 
@@ -989,7 +1002,7 @@ class TestSupportedRanges:
         "system-hbar-hbar-scan": ("hbar-scan", "[system]\nhbar = {v}\nmode = fock 1 x4\n[frame]\nmu = 1\nnu = 0\n", 2, 0),
         "scan-hbar_list": ("hbar-scan", "[system]\nmode = fock 1 x4\n[frame]\nmu = 1\nnu = 0\n[scan]\nhbar_list = {v}\n", 7, 0),
         # the oracle's calibration anchors compare absolute values, which
-        # fail at either edge (ROADMAP item 1)
+        # fail at either edge (ROADMAP item 3)
         "report-hbar": ("discrepancy-report", "[report]\nhbar = {v}\n", 2, 3),
         "scan-E": ("clt-scan", "[scan]\nE = {v}\nN_list = 4 64\nn_pattern = 0 1\n", 2, 0),
     }
@@ -1176,14 +1189,18 @@ def generated_reconstruct_configs(draw):
 @st.composite
 def generated_clt_scan_configs(draw):
     """A `clt-scan` config: 1-3 levels from 0 to 60, with level 1001 past
-    the cap added in some draws; 1-3 frame radii from 1/4 to 4 at one
-    angle; E from 1e-3 to 1e3; 1-3 values of N from 1 to 64."""
+    the cap added in some draws; E log-uniform over [SCALE_MIN, SCALE_MAX];
+    1-3 frame radii from 1/4 to 4, narrowed near the edges of E's range so
+    that rho E stays inside it, at one angle; 1-3 values of N from 1 to 64."""
     levels = draw(st.lists(st.integers(0, 60), min_size=1, max_size=3))
     if draw(st.integers(0, 9)) == 9:
         levels.append(1001)
-    radii = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+    E = 10.0 ** draw(st.floats(math.log10(SCALE_MIN), math.log10(SCALE_MAX)))
+    low = max(-2.0, math.log2(SCALE_MIN) - math.log2(E))
+    radii = draw(st.lists(st.floats(low, max(low, min(2.0, math.log2(SCALE_MAX) - math.log2(E)))),
+                          min_size=1, max_size=3))
     n_list = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 16, 32, 64]), min_size=1, max_size=3))
-    lines = ["[scan]", f"E = {10.0 ** draw(st.floats(-3.0, 3.0))!r}",
+    lines = ["[scan]", f"E = {E!r}",
              "N_list = " + " ".join(map(str, n_list)),
              "n_pattern = " + " ".join(map(str, levels)),
              "rho_pattern = " + " ".join(repr(2.0 ** r) for r in radii),
@@ -1195,8 +1212,8 @@ def generated_clt_scan_configs(draw):
 def generated_hbar_scan_configs(draw):
     """An `hbar-scan` config: 1-3 mode lines (Fock levels 0-20 or even/odd
     cats with |alpha| from 1e-12 to 3), each repeated 1-8 times, on frames
-    from FRAME_DIRECTIONS; 1-4 hbar values from 1e-3 to 1e3, sorted
-    decreasing; epsilon from 1e-3 to 1."""
+    from FRAME_DIRECTIONS; 1-4 hbar values log-uniform over [SCALE_MIN,
+    SCALE_MAX], sorted decreasing; epsilon from 1e-3 to 1."""
     lines = ["[system]"]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["fock", "even", "odd"]))
@@ -1208,8 +1225,8 @@ def generated_hbar_scan_configs(draw):
             angle = draw(st.floats(0.0, 2.0 * math.pi))
             lines.append(f"mode = {kind} {size * math.cos(angle)!r} {size * math.sin(angle)!r} x{count}")
     mu, nu = draw(st.sampled_from(FRAME_DIRECTIONS))
-    hbars = sorted((10.0 ** e for e in draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4,
-                                                      unique=True))), reverse=True)
+    exponents = st.floats(math.log10(SCALE_MIN), math.log10(SCALE_MAX))
+    hbars = sorted((10.0 ** e for e in draw(st.lists(exponents, min_size=1, max_size=4, unique=True))), reverse=True)
     lines += ["[frame]", f"mu = {mu!r}", f"nu = {nu!r}",
               "[scan]", "hbar_list = " + " ".join(repr(h) for h in hbars),
               f"epsilon = {10.0 ** draw(st.floats(-3.0, 0.0))!r}"]

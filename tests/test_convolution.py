@@ -22,6 +22,7 @@ from cmtomo.convolution import (
     cf_grid_for,
     cf_product,
     common_grid,
+    convolve_cycled,
     convolve_fft,
     cumulative_trapezoid,
     marginals_for_system,
@@ -647,6 +648,34 @@ class TestOutputPeriod:
         assert peak < 2 * 2 ** 20
 
 
+class TestConvolveCycled:
+    """`convolve_cycled` transforms a scan's pattern once, keeping a
+    running product and one copy per remainder a point needs."""
+
+    # twelve frames with mu^2 + nu^2 exactly 1: Fock 3 has one marginal on all of them
+    FRAMES = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] + [
+        (a * x, b * y) for x, y in ((0.6, 0.8), (0.8, 0.6)) for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
+
+    def test_buffers_do_not_grow_with_the_group_count(self):
+        # N = 4096 on 65,536 nodes: 341 copies of twelve groups and one more
+        # of the first four, against 4096 copies of one group.  The twelve
+        # keep one remainder more (the product of the first four); a
+        # spectrum kept per group would add eleven
+        spectrum = (65536 // 2 + 1) * 8
+        peaks = []
+        for pattern in ([ModeGroup(Fock(3), 1.0, 0.0)], [ModeGroup(Fock(3), mu, nu) for mu, nu in self.FRAMES]):
+            tracemalloc.start()
+            try:
+                ((_, d),) = convolve_cycled(pattern, 1.0, [4096])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert d.grid.count == 65536
+            peaks.append(peak)
+        assert len(self.FRAMES) == 12 and all(mu * mu + nu * nu == 1.0 for mu, nu in self.FRAMES)
+        assert peaks[1] < peaks[0] + 2 * spectrum
+
+
 class TestIndexPlacement:
     """Backend one copies each marginal onto the output nodes by index: it
     interpolates nothing and takes no marginal on another spacing."""
@@ -684,7 +713,7 @@ class TestIndexPlacement:
             m = marginal_density(m.meta["mode"], 1.0, 0.0, 1.0, grid=Grid(m.grid.dx, scale * grid.count))
         g = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
         want = _raise_to(np.fft.rfft(np.fft.ifftshift(g)).real * grid.dx, 3)
-        got = convolution._spectrum_product([m], sys.counts, grid)
+        (got,) = convolution._spectrum_products([m], sys.counts, grid)
         assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -710,7 +739,7 @@ class TestRealSpectrum:
         sys = multiset_system(FAR_COUNTS["mixed"], hbar=0.5)
         marg = marginals_for_system(sys)
         grid = common_grid(marg, sys.counts)
-        spec = convolution._spectrum_product(marg, sys.counts, grid)
+        *_, spec = convolution._spectrum_products(marg, sys.counts, grid)
         assert spec.dtype == np.float64 and spec.shape == (grid.count // 2 + 1,)
 
 
