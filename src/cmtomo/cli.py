@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from ._blas import one_blas_thread
+from ._malloc import keep_freed_memory
 from .clt import CltReport, HbarReport, hbar_scan, n_scan, summed_density
 from .config import (
     SCALE_MAX,
@@ -75,20 +76,38 @@ def _row_blocks(*columns) -> Iterator[list[str]]:
         yield _rows(*(col[lo:lo + _ROW_BLOCK].tolist() for col in columns))
 
 
-def _write_atomic(path: str | Path, pieces: Iterable[str]) -> None:
-    """Write the text pieces to a temp file beside path, then rename it
-    over path; on any error the temp file is removed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _write_atomic(args, pieces: Iterable[str]) -> None:
+    """Write the text pieces to a temp file beside args.out, then rename it
+    over args.out; on any error the temp file is removed, and an OSError
+    is a config error that names the path and where it was set
+    (args.out_at)."""
+    path = Path(args.out)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(pieces)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(pieces)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} ({args.out_at}): {exc}") from exc
+
+
+def _unwritable(path: str | Path) -> str | None:
+    """Why path cannot be written, where that shows before anything is
+    computed: it is a directory, or its nearest existing ancestor is not
+    one; else None."""
+    path = Path(path)
+    if path.is_dir():
+        return "it is a directory"
+    for parent in path.parents:
+        if parent.exists():
+            return None if parent.is_dir() else f"{parent} is not a directory"
+    return None
 
 
 def _config_digest(raw: RawConfig, args) -> str:
@@ -140,7 +159,7 @@ def cmd_marginal(raw: RawConfig, args) -> int:
         f"rescale_factor {_fmt(dens.meta['rescale'])}",
         f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
     ])
-    _write_atomic(args.out, _csv(header, ["X", "density"], _row_blocks(dens.grid.xs, dens.values)))
+    _write_atomic(args, _csv(header, ["X", "density"], _row_blocks(dens.grid.xs, dens.values)))
     return 0
 
 
@@ -169,7 +188,7 @@ def cmd_cm(raw: RawConfig, args) -> int:
         f"S_N {_fmt(s_n)}",
         f"clamped_mass {_fmt(cm.meta['clamped_mass'])}",
     ])
-    _write_atomic(args.out, _csv(header, columns, _row_blocks(cm.grid.xs, *data), footer))
+    _write_atomic(args, _csv(header, columns, _row_blocks(cm.grid.xs, *data), footer))
     return 0
 
 
@@ -206,7 +225,7 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)
     header = _header(raw, args, [f"scan fixed-energy E {_fmt(E)}"])
     columns = ["N", "hbar", "S_N", "sigma2", "rE", "RE", "ks", "tv"]
-    _write_atomic(args.out, _csv(header, columns, [_report_rows_csv(reports, columns)]))
+    _write_atomic(args, _csv(header, columns, [_report_rows_csv(reports, columns)]))
     return 0
 
 
@@ -225,7 +244,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
         f"epsilon {_fmt(epsilon)}",
     ])
     columns = ["hbar", "sigma2", "mass_in_epsilon", "gaussian_predicted_mass"]
-    _write_atomic(args.out, _csv(header, columns, [_report_rows_csv(reports, columns)]))
+    _write_atomic(args, _csv(header, columns, [_report_rows_csv(reports, columns)]))
     return 0
 
 
@@ -264,7 +283,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     ])
     rows = _rows([m for m in range(dim) for _ in range(dim)], list(range(dim)) * dim,
                  rho.entries.real.ravel().tolist(), rho.entries.imag.ravel().tolist())
-    _write_atomic(args.out, _csv(header, ["m", "n", "re", "im"], [rows]))
+    _write_atomic(args, _csv(header, ["m", "n", "re", "im"], [rows]))
     return 0
 
 
@@ -283,7 +302,7 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
         warnings.simplefilter("ignore", NormalizationMismatchWarning)
         rows = discrepancy_rows(alphas, frames, hbar)
     header = _header(raw, args, ["closed forms vs oracle values"])
-    _write_atomic(args.out, _csv(header, COLUMNS, [format_rows(rows)]))
+    _write_atomic(args, _csv(header, COLUMNS, [format_rows(rows)]))
     return 0
 
 
@@ -315,14 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # set here, not at import: a library caller keeps its own allocator policy
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         raw = parse_config_file(args.config)
+        args.out_at = "--out"
         if args.out is None:
             args.out = raw.last("run", "out")
+            args.out_at = f"{raw.source}:{raw.last_line('run', 'out')}, [run] out"
         if args.out is None:
             raise ConfigError(f"{raw.source}: no output path (--out or [run] out)")
+        reason = _unwritable(args.out)
+        if reason is not None:
+            raise ConfigError(f"cannot write {args.out} ({args.out_at}): {reason}")
         args.seed = get_seed(raw, args.seed)
         if args.mc_samples <= 0:
             raise ConfigError(f"--mc-samples must be positive, got {args.mc_samples}")

@@ -791,6 +791,51 @@ class TestExitCodes:
         assert main(["marginal", "--config", cfg]) == 0
         assert out.exists()
 
+    SCAN_CFG = "[scan]\nE = 10\nN_list = 4 8\nn_pattern = 1\nrho_pattern = 1.0\nr = 0.5\nR = 2\n"
+
+    @pytest.mark.parametrize("command, computation", [("cm", "summed_density"), ("clt-scan", "n_scan")])
+    def test_out_under_a_file_exit_two_before_computing(self, tmp_path, capsys, monkeypatch, command, computation):
+        cfg = write(tmp_path, "c.cfg", FOCK1_CFG if command == "cm" else self.SCAN_CFG)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "x.csv"
+        computed = []
+        monkeypatch.setattr(cli, computation, lambda *args, **kwargs: computed.append(args))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out} (--out): {afile} is not a directory" in err
+        assert "Traceback" not in err
+        assert computed == []
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.cfg"]
+
+    def test_run_out_under_a_file_names_its_line(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "x.csv"
+        cfg = write(tmp_path, "c.cfg", self.SCAN_CFG + f"[run]\nout = {out}\n")
+        assert main(["clt-scan", "--config", cfg]) == 2
+        assert f"cannot write {out} ({cfg}:9, [run] out): {afile} is not a directory" in capsys.readouterr().err
+
+    def test_out_is_a_directory_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
+        assert main(["cm", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"cannot write {tmp_path} (--out): it is a directory" in capsys.readouterr().err
+
+    def test_failed_write_exit_two_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        # a failure the check before the computation cannot see, at the rename
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        cfg = write(tmp_path, "c.cfg", self.SCAN_CFG)
+        out = tmp_path / "o" / "scan.csv"
+        assert main(["clt-scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out} (--out): [Errno 13] Permission denied" in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_nonfinite_density_exit_three(self, tmp_path, monkeypatch):
         # a closed form that evaluates to nan on every node: the density
         # validator stops it before anything is written
@@ -1337,3 +1382,26 @@ def test_cli_import_leaves_blas_discovery_for_first_use():
     # discovery reads /proc/self/maps; at import it would land in start-up time
     code = "import cmtomo.cli, cmtomo._blas as b; print(b._openblas.cache_info().currsize)"
     assert fresh_interpreter(code) == "0"
+
+
+def test_cli_import_leaves_the_allocator_policy_for_main():
+    # library callers keep their own process's allocator; main sets it on its first call
+    code = "import cmtomo.cli, cmtomo._malloc as m; print(m.keep_freed_memory.cache_info().currsize)"
+    assert fresh_interpreter(code) == "0"
+
+
+def test_repeated_scan_reuses_freed_memory(tmp_path):
+    # the seed-5 mixed scan of the benchmark's gaussianize workload; glibc's
+    # dynamic mmap threshold faulted in ~2,000 fresh pages on every run
+    cfg = write(tmp_path, "c.cfg", "[scan]\nE = 10\nN_list = 4 8 16 32 64\nn_pattern = 3 1 2 0\n"
+                "rho_pattern = 0.6 1.0 1.5\ntheta = 3.141592653589793\nr = 0.3\nR = 3\n")
+    argv = ["clt-scan", "--config", cfg, "--out", str(tmp_path / "o.csv")]
+    code = (f"import resource, cmtomo.cli as cli, cmtomo._malloc as m\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print(m.keep_freed_memory(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    policy, faults = fresh_interpreter(code).split()
+    if policy != "True":
+        pytest.skip("no glibc mallopt in this process")
+    assert int(faults) < 100
