@@ -8,6 +8,7 @@ deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -42,10 +43,10 @@ from .config import (
 )
 from .convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
 from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
-from .marginals import marginal_density, tomogram
+from .marginals import _scale, marginal_density, tomogram
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
-from .states import FOCK_LEVEL_MAX, N_MAX, fock_expansion
+from .states import FOCK_LEVEL_MAX, N_MAX, Fock, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -266,10 +267,26 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     if dim < 2:
         raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
+    if isinstance(mode, Fock):
+        # a number state's row depends on the frame only through its scale
+        # s = sqrt(hbar (m*m + n*n)), which takes a few values over a job's
+        # angles; every call of a job passes one X grid, so one row per exact
+        # s serves every angle with the bytes its own call would return
+        by_scale = {}
+
+        def row(X, m, n):
+            key = _scale(m, n, hbar)
+            if key not in by_scale:
+                by_scale[key] = tomogram(mode, m, n, hbar, X)
+            return by_scale[key]
+    else:
+        def row(X, m, n):
+            return tomogram(mode, m, n, hbar, X)
+
     # leakage is reported through the output flag, not a console warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationLeakageWarning)
-        rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, m, n, hbar, X), dim, hbar)
+        rho = reconstruct_single_mode(row, dim, hbar)
     warned = rho.meta["truncation_leakage"]
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
@@ -316,7 +333,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process for every main call."""
     parser = argparse.ArgumentParser(
         prog="cmtomo",
         description="Quadrature and center-of-mass tomograms of oscillator states",
@@ -336,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # set here, not at import: a library caller keeps its own allocator policy
     keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         raw = parse_config_file(args.config)
         args.out_at = "--out"

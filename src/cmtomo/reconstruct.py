@@ -140,7 +140,8 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     """Integrate e^{iX} U(mu, nu) w(X, mu, nu) over X and all frames.
 
     tomogram(X: ndarray, mu, nu) must return the normalized density of
-    the observable mu q + nu p; it is called only at angles in [0, pi).
+    the observable mu q + nu p; it is called only at angles in [0, pi),
+    and every call of a job passes the same X grid.
     dim must contain the true state's support.  The result is
     trace-rescaled.  Truncation leakage (a warning, not an error, and a
     flag in the metadata) is flagged when the pre-rescale trace is off

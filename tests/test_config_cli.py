@@ -21,6 +21,7 @@ from cmtomo.clt import summed_density
 from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
+from cmtomo.reconstruct import reconstruct_single_mode
 from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec
 
 
@@ -430,6 +431,48 @@ class TestCmdReconstruct:
         assert body == "\n".join(cells) + "\n"
         assert head.endswith("\n") and "# cutoff_char_function " in head
 
+    def test_number_state_one_row_per_frame_scale(self, tmp_path, monkeypatch):
+        # a number state's row depends on the frame only through its scale
+        # sqrt(hbar (m*m + n*n)), which takes 2 values over the 64 angles of
+        # a dim-8 job at hbar = 1
+        calls = []
+        original = cli.tomogram
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "tomogram", spy)
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1\n[reconstruct]\ndim = 8\n")
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == 0
+        assert len(calls) == 2
+        assert len({marginals._scale(mu, nu, hbar) for _, mu, nu, hbar, _ in calls}) == 2
+
+    @pytest.mark.parametrize("level, dim, hbar", [(1, 8, 1.0), (3, 12, 0.5)])
+    def test_number_state_matrix_is_the_per_angle_one(self, tmp_path, monkeypatch, level, dim, hbar):
+        seen = []
+        original = cli.reconstruct_single_mode
+
+        def keep(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "reconstruct_single_mode", keep)
+        cfg = write(tmp_path, "c.cfg", f"[system]\nhbar = {hbar}\nmode = fock {level}\n[reconstruct]\ndim = {dim}\n")
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == 0
+        mode = Fock(level)
+        want = reconstruct_single_mode(lambda X, m, n: marginals.tomogram(mode, m, n, hbar, X), dim, hbar)
+        assert seen[0].entries.tobytes() == want.entries.tobytes()
+
+    def test_fock250_at_dim256(self, tmp_path):
+        # the supported edge: 2 Hermite rows of level 250, not 256
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 250\n[reconstruct]\ndim = 256\n")
+        out = tmp_path / "rho.txt"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+        keyed = dict(l[2:].split(" ", 1) for l in out.read_text().splitlines() if l.startswith("# "))
+        assert keyed["truncation_leakage"] == "no"
+        assert float(keyed["fidelity"]) >= 1.0 - 1e-12
+
     def test_frame_section_not_read(self, tmp_path):
         # the frame integral covers every direction: a [frame], degenerate
         # or not, changes nothing but the config digest
@@ -713,6 +756,13 @@ class TestSettableSurface:
             seen.clear()
             assert main([command, "--config", no_system if command == "discrepancy-report" else cfg]) == 0, command
             assert seen == want, command
+
+    def test_parser_built_once_per_process(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", VACUUM_CFG)
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["marginal", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestRowFormatting:

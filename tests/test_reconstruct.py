@@ -209,6 +209,18 @@ class TestFrameIdentities:
         for X, _, _ in calls:
             assert np.array_equal(X, -X[::-1])
 
+    def test_every_call_passes_one_x_grid(self):
+        # cmd_reconstruct serves a number state's angles from one row per
+        # frame radius, which holds only on one grid
+        grids = []
+
+        def recorded(X, m, n):
+            grids.append(X.copy())
+            return tomogram(CoherentOdd(0.6 + 0.8j), m, n, 0.5, X)
+
+        reconstruct_single_mode(recorded, 12, 0.5)
+        assert all(np.array_equal(X, grids[0]) for X in grids)
+
 
 class TestSharedTables:
     def test_one_gauss_legendre_rule_per_node_count(self, monkeypatch):
