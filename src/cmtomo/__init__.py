@@ -15,9 +15,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     GridSizeError,
-    NormalizationMismatchWarning,
     NumericalError,
-    TruncationLeakageWarning,
 )
 from .marginals import (
     Grid,

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .config import (
     parse_system,
 )
 from .convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
-from .errors import CmtomoError, ConfigError, NormalizationMismatchWarning, NumericalError, TruncationLeakageWarning
+from .errors import CmtomoError, ConfigError, NumericalError
 from .marginals import _scale, marginal_density, tomogram
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
@@ -157,7 +156,6 @@ def cmd_marginal(raw: RawConfig, args) -> int:
     header = _header(raw, args, [
         f"mode {sys_spec.describe()}",
         f"mu {_fmt(g.mu)} nu {_fmt(g.nu)} hbar {_fmt(sys_spec.hbar)}",
-        f"rescale_factor {_fmt(dens.meta['rescale'])}",
         f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
     ])
     _write_atomic(args, _csv(header, ["X", "density"], _row_blocks(dens.grid.xs, dens.values)))
@@ -283,11 +281,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
         def row(X, m, n):
             return tomogram(mode, m, n, hbar, X)
 
-    # leakage is reported through the output flag, not a console warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationLeakageWarning)
-        rho = reconstruct_single_mode(row, dim, hbar)
-    warned = rho.meta["truncation_leakage"]
+    rho = reconstruct_single_mode(row, dim, hbar)
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
     header = _header(raw, args, [
@@ -295,7 +289,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
         f"dim {dim}",
         f"pre_rescale_trace {_fmt(rho.meta['pre_rescale_trace'])}",
         f"cutoff_char_function {_fmt(rho.meta['cutoff_char_function'])}",
-        f"truncation_leakage {'yes' if warned else 'no'}",
+        f"truncation_leakage {'yes' if rho.meta['truncation_leakage'] else 'no'}",
         f"fidelity {_fmt(fid)}",
     ])
     rows = _rows([m for m in range(dim) for _ in range(dim)], list(range(dim)) * dim,
@@ -314,10 +308,7 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
     alphas = get_alphas(raw, "report", "alpha") or list(DEFAULT_ALPHAS)
     frames = get_directions(raw, "report", "frame") or list(DEFAULT_FRAMES)
     hbar = get_scale(raw, "report", "hbar", default=1.0)
-    # the report tabulates the pre-rescale integrals that this warning flags
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NormalizationMismatchWarning)
-        rows = discrepancy_rows(alphas, frames, hbar)
+    rows = discrepancy_rows(alphas, frames, hbar)
     header = _header(raw, args, ["closed forms vs oracle values"])
     _write_atomic(args, _csv(header, COLUMNS, [format_rows(rows)]))
     return 0

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class CmtomoError(Exception):
@@ -23,11 +23,3 @@ class CalibrationError(NumericalError):
 
 class GridSizeError(NumericalError):
     """A requested grid exceeds the configured maximum size or underflows."""
-
-
-class NormalizationMismatchWarning(UserWarning):
-    """A closed-form density integrated far from one before rescaling."""
-
-
-class TruncationLeakageWarning(UserWarning):
-    """Reconstruction trace indicates support outside the truncated basis."""

@@ -15,13 +15,12 @@ w(lam*X, lam*mu, lam*nu) = w(X, mu, nu)/|lam|.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CalibrationError, GridSizeError, NormalizationMismatchWarning, NumericalError
+from .errors import CalibrationError, GridSizeError, NumericalError
 from .specialfn import hermite_functions, hermite_sq_density_factor, laguerre_gauss
 from .states import (
     CoherentEven,
@@ -268,28 +267,19 @@ def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
                      grid: Grid | None = None) -> MarginalDensity:
     """The mode's closed-form tomogram on a grid, grid_policy's by default.
 
-    The metadata record the mode, the frame, hbar, the rescale factor and
-    the pre-rescale integral.  A cat is rescaled to unit integral; a
-    pre-rescale integral further than 5% from one raises
-    NormalizationMismatchWarning but the computation proceeds.  A number
-    state is left unscaled (rescale 1).
+    Every closed form is a normalized density, so the values are the
+    tomogram's as they are: on a policy grid a cat's trapezoid integral
+    is 1 within 1e-14.  MarginalDensity fails with NumericalError when
+    the integral is further than 1e-8 from 1, as on a caller grid that
+    cuts the tails.  The metadata record the mode, the frame, hbar and
+    that integral (pre_rescale_integral).
     """
     if grid is None:
         grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
     vals = tomogram(mode, mu, nu, hbar, grid.xs)
     pre = float(np.trapezoid(vals, dx=grid.dx))
-    meta = {"mode": mode, "mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0, "pre_rescale_integral": pre}
-    if isinstance(mode, Fock):
-        return MarginalDensity(grid=grid, values=vals, meta=meta)
-    if pre <= 0:
-        raise NumericalError("closed-form density integrated to a nonpositive value")
-    if abs(pre - 1.0) > 0.05:
-        warnings.warn(
-            f"pre-rescale integral {pre:.6g} differs from 1 by more than 5%",
-            NormalizationMismatchWarning,
-        )
-    meta["rescale"] = 1.0 / pre
-    return MarginalDensity(grid=grid, values=vals / pre, meta=meta)
+    meta = {"mode": mode, "mu": mu, "nu": nu, "hbar": hbar, "pre_rescale_integral": pre}
+    return MarginalDensity(grid=grid, values=vals, meta=meta)
 
 
 def tomogram_amplitudes(psi: FockExpansion, mu: float, nu: float, hbar: float, X) -> np.ndarray:
@@ -314,7 +304,11 @@ def calibrate_oracle(mu: float, nu: float, hbar: float) -> None:
 
     Anchors: |amplitude|^2 of pure levels 0 and 3 against the closed
     form, and mean/variance of a displaced Gaussian (coherent state)
-    against sqrt(2 hbar)(mu Re a + nu Im a) and hbar rho / 2.
+    against sqrt(2 hbar)(mu Re a + nu Im a) and hbar rho / 2.  Each is
+    compared within 1e-8 in units of the frame scale
+    s = sqrt(hbar (mu^2 + nu^2)): a density times s, a mean over s and a
+    variance over s^2, so the test does not move with hbar; on a unit
+    frame at hbar = 1 it is the absolute test.
     """
     s = _scale(mu, nu, hbar)
     probe = centered_grid(10.0 * s * math.sqrt(3.5), s / 16.0)
@@ -324,7 +318,7 @@ def calibrate_oracle(mu: float, nu: float, hbar: float) -> None:
         psi = FockExpansion(coefficients=c, truncation=k)
         got = np.abs(tomogram_amplitudes(psi, mu, nu, hbar, probe.xs)) ** 2
         want = tomogram(Fock(k), mu, nu, hbar, probe.xs)
-        err = float(np.max(np.abs(got - want)))
+        err = s * float(np.max(np.abs(got - want)))
         if err > 1e-8:
             raise CalibrationError(
                 f"level-{k} anchor off by {err:.3e} at frame ({mu}, {nu}), hbar={hbar}"
@@ -337,7 +331,7 @@ def calibrate_oracle(mu: float, nu: float, hbar: float) -> None:
     dens = np.abs(tomogram_amplitudes(psi, mu, nu, hbar, grid.xs)) ** 2
     mean_got = float(np.trapezoid(grid.xs * dens, dx=grid.dx))
     var_got = float(np.trapezoid((grid.xs - mean_got) ** 2 * dens, dx=grid.dx))
-    if abs(mean_got - mean_want) > 1e-8 or abs(var_got - sigma * sigma) > 1e-8:
+    if abs(mean_got - mean_want) / s > 1e-8 or abs(var_got - sigma * sigma) / (s * s) > 1e-8:
         raise CalibrationError(
             f"coherent anchor off at frame ({mu}, {nu}): mean {mean_got} vs {mean_want}, "
             f"var {var_got} vs {sigma * sigma}"
@@ -357,7 +351,7 @@ def tomogram_oracle(psi: FockExpansion, mu: float, nu: float, hbar: float, grid:
         raise NumericalError(
             f"oracle density integrates to {total}; grid too small for the state"
         )
-    meta = {"mu": mu, "nu": nu, "hbar": hbar, "rescale": 1.0 / total, "pre_rescale_integral": total}
+    meta = {"mu": mu, "nu": nu, "hbar": hbar, "pre_rescale_integral": total}
     return MarginalDensity(grid=grid, values=vals / total, meta=meta)
 
 

@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GridSizeError, NumericalError, TruncationLeakageWarning
+from .errors import GridSizeError, NumericalError
 from .marginals import _MAX_GRID, char_function_reach
 from .specialfn import laguerre_gauss_levels, phase_table
 from .states import Fock, FockExpansion
@@ -143,10 +142,11 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     the observable mu q + nu p; it is called only at angles in [0, pi),
     and every call of a job passes the same X grid.
     dim must contain the true state's support.  The result is
-    trace-rescaled.  Truncation leakage (a warning, not an error, and a
-    flag in the metadata) is flagged when the pre-rescale trace is off
-    by more than 5% or the characteristic function at the outermost
-    radial node exceeds _CUTOFF_CHAR_MAX at some angle.
+    trace-rescaled.  Truncation leakage is a flag in the metadata, not
+    an error: meta["truncation_leakage"] is set when the pre-rescale
+    trace is off by more than 5% or the characteristic function at the
+    outermost radial node exceeds _CUTOFF_CHAR_MAX at some angle, and
+    meta holds both values.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -192,17 +192,10 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
         rho_m[n:, n] = np.einsum("dr,dr->d", C[:dim - n], f)
     rho_m += np.tril(rho_m, -1).conj().T
     pre_trace = float(np.trace(rho_m).real)
-    fired = []
-    if abs(pre_trace - 1.0) > 0.05:
-        fired.append(f"pre-rescale trace {pre_trace:.6g} is off 1 by more than 5%")
-    if cutoff_char > _CUTOFF_CHAR_MAX:
-        fired.append(f"characteristic function {cutoff_char:.3g} at the frame cutoff is above {_CUTOFF_CHAR_MAX:g}")
-    if fired:
-        warnings.warn(f"support leaks out of dim={dim} or the frame radius: {'; '.join(fired)}",
-                      TruncationLeakageWarning)
     if pre_trace <= 0:
         raise NumericalError(f"pre-rescale trace {pre_trace} is not positive")
-    meta = {"pre_rescale_trace": pre_trace, "truncation_leakage": bool(fired),
+    leakage = abs(pre_trace - 1.0) > 0.05 or cutoff_char > _CUTOFF_CHAR_MAX
+    meta = {"pre_rescale_trace": pre_trace, "truncation_leakage": leakage,
             "cutoff_char_function": cutoff_char, "frame_radius": K, "working_dim": dim}
     return DensityMatrix(dim=dim, entries=rho_m / pre_trace, meta=meta)
 

@@ -20,7 +20,7 @@ from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.clt import summed_density
 from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, parse_frame, parse_system
 from cmtomo.convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX
-from cmtomo.errors import ConfigError, NormalizationMismatchWarning, NumericalError
+from cmtomo.errors import ConfigError, NumericalError
 from cmtomo.reconstruct import reconstruct_single_mode
 from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec
 
@@ -157,11 +157,12 @@ class TestCmdMarginal:
         assert peaks.sum() == 2                            # bimodal
 
     def test_odd_cat_rescale_header(self, tmp_path):
+        # the integral is recorded; no factor rescales the density
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = odd 1.0 0.0\n[frame]\nmu = 1.0\nnu = 0.0\n")
         out = str(tmp_path / "out.csv")
         assert main(["marginal", "--config", cfg, "--out", out]) == 0
         header, _, _, _ = read_csv(out)
-        assert any(line.startswith("rescale_factor") for line in header)
+        assert not any(line.startswith("rescale_factor") for line in header)
         assert any(line.startswith("pre_rescale_integral") for line in header)
 
     def test_multi_mode_rejected(self, tmp_path):
@@ -583,10 +584,10 @@ class TestCmdDiscrepancyReport:
         assert f"{cfg}:2: alpha '1e-12 0': odd coherent states require |alpha| >= 1e-05" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_only_normalization_warnings_are_silenced(self, tmp_path, monkeypatch):
+    def test_no_warning_is_silenced(self, tmp_path, monkeypatch):
         def noisy(alphas, frames, hbar):
-            warnings.warn("pre-rescale integral off", NormalizationMismatchWarning)
-            warnings.warn("something else", UserWarning)
+            warnings.warn("pre-rescale integral off", UserWarning)
+            warnings.warn("something else", RuntimeWarning)
             return []
 
         monkeypatch.setattr(cli, "discrepancy_rows", noisy)
@@ -594,7 +595,7 @@ class TestCmdDiscrepancyReport:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["discrepancy-report", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-        assert [str(w.message) for w in caught] == ["something else"]
+        assert [str(w.message) for w in caught] == ["pre-rescale integral off", "something else"]
 
     # 1e-200 and 1e200 square to 0 and inf: the rule of parse_frame
     @pytest.mark.parametrize("frame", ["0 0", "1e-200 0", "1e200 0", "nan 0", "inf 0"])
@@ -1096,9 +1097,7 @@ class TestSupportedRanges:
         "system-hbar-reconstruct": ("reconstruct", "[system]\nhbar = {v}\nmode = odd 0.6 0.8\n[reconstruct]\ndim = 6\n", 2, 0),
         "system-hbar-hbar-scan": ("hbar-scan", "[system]\nhbar = {v}\nmode = fock 1 x4\n[frame]\nmu = 1\nnu = 0\n", 2, 0),
         "scan-hbar_list": ("hbar-scan", "[system]\nmode = fock 1 x4\n[frame]\nmu = 1\nnu = 0\n[scan]\nhbar_list = {v}\n", 7, 0),
-        # the oracle's calibration anchors compare absolute values, which
-        # fail at either edge (ROADMAP item 3)
-        "report-hbar": ("discrepancy-report", "[report]\nhbar = {v}\n", 2, 3),
+        "report-hbar": ("discrepancy-report", "[report]\nhbar = {v}\n", 2, 0),
         "scan-E": ("clt-scan", "[scan]\nE = {v}\nN_list = 4 64\nn_pattern = 0 1\n", 2, 0),
     }
 
@@ -1239,17 +1238,17 @@ class TestSupportedRanges:
 
 
 FRAME_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6))
-NUMERIC_HEADER = ("rescale_factor", "pre_rescale_integral", "sigma2", "S_N", "clamped_mass")
+NUMERIC_HEADER = ("pre_rescale_integral", "sigma2", "S_N", "clamped_mass")
 
 
 @st.composite
 def generated_configs(draw):
     """(command, config text, extra flags) for a `marginal` or `cm` run: Fock
-    levels 0-40, even/odd cats with |alpha| from 1e-12 to 5, hbar from 1e-3
-    to 1e3, 1-4 modes."""
+    levels 0-40, even/odd cats with |alpha| from 1e-12 to 5, hbar
+    log-uniform over [SCALE_MIN, SCALE_MAX], 1-4 modes."""
     command = draw(st.sampled_from(["marginal", "cm"]))
     n_modes = 1 if command == "marginal" else draw(st.integers(1, 4))
-    lines = ["[system]", f"hbar = {10.0 ** draw(st.floats(-3.0, 3.0))!r}"]
+    lines = ["[system]", f"hbar = {10.0 ** draw(st.floats(math.log10(SCALE_MIN), math.log10(SCALE_MAX)))!r}"]
     for _ in range(n_modes):
         kind = draw(st.sampled_from(["fock", "even", "odd"]))
         if kind == "fock":
@@ -1336,7 +1335,7 @@ SPECIAL_ALPHAS = ("inf 0", "0 -inf", "nan 0", "0 nan", "1e200 0", "-1e200 1e200"
 def generated_report_configs(draw):
     """A `discrepancy-report` config: 1-3 alpha lines, each a special value
     (non-finite, huge, tiny, zero) one time in four, else |alpha| up to 3;
-    1-2 frames; hbar from 0.25 to 4."""
+    1-2 frames; hbar log-uniform over [SCALE_MIN, SCALE_MAX]."""
     lines = ["[report]"]
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.integers(0, 3)) == 0:
@@ -1347,7 +1346,7 @@ def generated_report_configs(draw):
             lines.append(f"alpha = {size * math.cos(angle)!r} {size * math.sin(angle)!r}")
     for mu, nu in draw(st.lists(st.sampled_from(FRAME_DIRECTIONS), min_size=1, max_size=2)):
         lines.append(f"frame = {mu!r} {nu!r}")
-    lines.append(f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}")
+    lines.append(f"hbar = {10.0 ** draw(st.floats(math.log10(SCALE_MIN), math.log10(SCALE_MAX)))!r}")
     return "\n".join(lines) + "\n"
 
 

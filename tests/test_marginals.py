@@ -7,7 +7,7 @@ import pytest
 
 from cmtomo.clt import per_mode_moments
 from cmtomo.convolution import marginals_for_system
-from cmtomo.errors import NormalizationMismatchWarning, NumericalError
+from cmtomo.errors import NumericalError
 from cmtomo.marginals import (
     Grid,
     MarginalDensity,
@@ -218,15 +218,18 @@ class TestEvenOddTomogram:
         np.testing.assert_allclose(d.values[1:], d.values[1:][::-1], atol=1e-12)
 
     def test_rescale_metadata(self):
+        # the integral is recorded; nothing is rescaled by it
         d = marginal_density(CoherentEven(1.0), 1.0, 0.0, 1.0)
         assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-6)
-        assert d.meta["rescale"] == pytest.approx(1.0, abs=1e-6)
+        assert "rescale" not in d.meta
 
-    def test_normalization_warning_on_bad_grid(self):
-        # a grid covering half the support misses mass: warning, not error
+    @pytest.mark.parametrize("mode", [CoherentEven(2.0), Fock(3)], ids=["even", "fock"])
+    def test_normalization_error_on_bad_grid(self, mode):
+        # a grid covering half the support misses mass: a numerical error,
+        # for a cat as for a number state
         g = centered_grid(0.4, 0.01)
-        with pytest.warns(NormalizationMismatchWarning):
-            marginal_density(CoherentEven(2.0), 1.0, 0.0, 1.0, grid=g)
+        with pytest.raises(NumericalError, match="is not 1 within 1e-8"):
+            marginal_density(mode, 1.0, 0.0, 1.0, grid=g)
 
     def test_odd_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -429,6 +432,22 @@ class TestCatGridFloor:
     def test_vacuum_cat_keeps_the_vacuum_grid(self):
         assert grid_policy(CoherentEven(0.0), 0.6, 0.8, 0.3)[0] == grid_policy(Fock(0), 0.6, 0.8, 0.3)[0]
 
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_policy_grid_integral_is_one(self, kind):
+        # nothing rescales a cat's density, so its closed form must integrate
+        # to 1 on the policy grid: 450 cats per parity, |alpha| from
+        # ODD_ALPHA_MIN to 30, hbar from 1e-150 to 1e150.  Worst measured:
+        # 2.7e-15 here, 6.9e-15 over 28,800 cats of the same frames and hbar
+        # (72 moduli by 8 phases)
+        worst = 0.0
+        for size in np.geomspace(ODD_ALPHA_MIN, 30.0, 6):
+            for phase in PIN_PHASES[:3]:
+                for mu, nu in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (3.0, -4.0), (0.01, 0.02)]:
+                    for hbar in (1e-150, 1e-3, 1.0, 7.0, 1e150):
+                        d = marginal_density(CAT[kind](size * phase), mu, nu, hbar)
+                        worst = max(worst, abs(d.meta["pre_rescale_integral"] - 1.0))
+        assert worst <= 1e-14
+
 
 class TestVarianceClosedForms:
     @pytest.mark.parametrize("kind", ["even", "odd"])
@@ -493,16 +512,12 @@ class TestHomogeneity:
 
 class TestMarginalDispatch:
     def test_dispatch_matches_direct(self):
-        # the gridded density is the pointwise form, rescaled for a cat only
+        # the gridded density is the pointwise form, bit for bit, for every mode
         for mode in (Fock(2), CoherentEven(1.0), CoherentOdd(0.8 + 0.3j)):
             d = marginal_density(mode, 0.6, 0.8, 1.0)
             assert d.meta["mode"] == mode
             want = tomogram(mode, 0.6, 0.8, 1.0, d.grid.xs)
-            if isinstance(mode, Fock):
-                assert d.meta["rescale"] == 1.0
-            else:
-                want = want / d.meta["pre_rescale_integral"]
-            np.testing.assert_array_equal(d.values, want)
+            assert d.values.tobytes() == want.tobytes()
 
     def test_density_validation(self):
         g = centered_grid(1.0, 0.1)

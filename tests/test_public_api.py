@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import cmtomo
 
@@ -10,13 +12,13 @@ def test_public_names_are_pinned():
         "CalibrationError", "CltReport", "CmtomoError", "CoherentEven", "CoherentOdd",
         "ConfigError", "ConvergenceError", "DensityMatrix", "Fock", "FockExpansion", "Grid",
         "GridSizeError", "HbarReport", "MarginalDensity", "ModeGroup", "ModeSpec", "Moments",
-        "NormalizationMismatchWarning", "NumericalError", "SampleCounts", "SystemSpec",
-        "TruncationLeakageWarning", "cf_product", "char_function", "clt", "convolution",
-        "convolve_fft", "energy", "errors", "evenodd_var_closed", "fidelity", "fock_expansion",
-        "gaussian_distance", "hbar_for_fixed_energy", "hbar_scan", "hermite_sq_density_factor",
-        "lyapunov_ratio", "marginal_density", "marginals", "marginals_for_system", "mass_within",
-        "moments", "n_scan", "quadrature_matrices", "reconstruct", "reconstruct_single_mode",
-        "report", "sample_sum", "specialfn", "states", "tomogram", "tomogram_oracle", "variance",
+        "NumericalError", "SampleCounts", "SystemSpec", "cf_product", "char_function", "clt",
+        "convolution", "convolve_fft", "energy", "errors", "evenodd_var_closed", "fidelity",
+        "fock_expansion", "gaussian_distance", "hbar_for_fixed_energy", "hbar_scan",
+        "hermite_sq_density_factor", "lyapunov_ratio", "marginal_density", "marginals",
+        "marginals_for_system", "mass_within", "moments", "n_scan", "quadrature_matrices",
+        "reconstruct", "reconstruct_single_mode", "report", "sample_sum", "specialfn", "states",
+        "tomogram", "tomogram_oracle", "variance",
     ]
 
 
@@ -76,3 +78,18 @@ def test_public_signatures_are_pinned():
     got = {name: str(inspect.signature(obj)) for name, obj in objects.items()
            if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, BaseException))}
     assert got == SIGNATURES
+
+
+def test_library_emits_and_silences_no_warning():
+    # every diagnostic is returned in metadata and written to a header, so
+    # no module raises a warning or filters one away
+    calls = {"warn", "warn_explicit", "simplefilter", "filterwarnings"}
+    found = []
+    for path in sorted(Path(cmtomo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "warnings"):
+                found.append(f"{path.name}:{node.lineno} warnings.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                found.append(f"{path.name}:{node.lineno} from warnings import")
+    assert found == []
