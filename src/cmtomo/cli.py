@@ -42,10 +42,10 @@ from .config import (
 )
 from .convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX, backend_agreement, cf_product, sample_sum
 from .errors import CmtomoError, ConfigError, NumericalError
-from .marginals import _scale, marginal_density, tomogram
+from .marginals import marginal_density, tomogram
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
-from .states import FOCK_LEVEL_MAX, N_MAX, Fock, fock_expansion
+from .states import FOCK_LEVEL_MAX, N_MAX, fock_expansion
 
 
 def _fmt(x) -> str:
@@ -265,23 +265,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     if dim < 2:
         raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
-    if isinstance(mode, Fock):
-        # a number state's row depends on the frame only through its scale
-        # s = sqrt(hbar (m*m + n*n)), which takes a few values over a job's
-        # angles; every call of a job passes one X grid, so one row per exact
-        # s serves every angle with the bytes its own call would return
-        by_scale = {}
-
-        def row(X, m, n):
-            key = _scale(m, n, hbar)
-            if key not in by_scale:
-                by_scale[key] = tomogram(mode, m, n, hbar, X)
-            return by_scale[key]
-    else:
-        def row(X, m, n):
-            return tomogram(mode, m, n, hbar, X)
-
-    rho = reconstruct_single_mode(row, dim, hbar)
+    rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, m, n, hbar, X), dim, hbar)
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
     header = _header(raw, args, [

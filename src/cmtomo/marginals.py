@@ -84,11 +84,13 @@ def centered_grid(half_width: float, dx: float) -> Grid:
 @dataclass
 class MarginalDensity:
     """A density on a uniform grid, unit trapezoid integral: a single-mode
-    tomogram or the center-of-mass density of N modes."""
+    tomogram or the center-of-mass density of N modes.  `integral` is
+    that trapezoid integral, taken once by the check."""
 
     grid: Grid
     values: np.ndarray
     meta: dict = field(default_factory=dict)
+    integral: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -98,9 +100,9 @@ class MarginalDensity:
             raise NumericalError("density has non-finite values")
         if np.any(self.values < 0):
             raise NumericalError("density has negative values")
-        total = float(np.trapezoid(self.values, dx=self.grid.dx))
-        if not abs(total - 1.0) <= 1e-8:
-            raise NumericalError(f"density integral {total} is not 1 within 1e-8")
+        self.integral = float(np.trapezoid(self.values, dx=self.grid.dx))
+        if not abs(self.integral - 1.0) <= 1e-8:
+            raise NumericalError(f"density integral {self.integral} is not 1 within 1e-8")
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,23 @@ class Moments:
     abs3: float
 
 
-def _scale(mu: float, nu: float, hbar: float) -> float:
+def _sqrt(x):
+    """math.sqrt of a scalar, np.sqrt of each entry of an array.
+
+    Both are correctly rounded, so an entry of a frame table gets the
+    bytes that a scalar call at that frame gets."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _scale(mu, nu, hbar: float):
+    """s = sqrt(hbar (mu^2 + nu^2)), entrywise for array frames."""
     rho = mu * mu + nu * nu
-    if rho <= 0:
+    vanishing = np.any(rho <= 0) if isinstance(rho, np.ndarray) else rho <= 0
+    if vanishing:
         raise ValueError("mu and nu cannot both vanish")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    return math.sqrt(hbar * rho)
+    return _sqrt(hbar * rho)
 
 
 @lru_cache(maxsize=1024)
@@ -155,7 +167,7 @@ def _cat_norm_sq(mode: CoherentEven | CoherentOdd) -> float:
     return 1.0 / (2.0 * cat_weight(mode))
 
 
-def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu: float, nu: float, hbar: float, X) -> np.ndarray:
+def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu, nu, hbar: float, X) -> np.ndarray:
     """Closed-form quadrature density of an even/odd coherent superposition.
 
     In t = X/s, s = sqrt(hbar (mu^2 + nu^2)), the density is
@@ -172,10 +184,11 @@ def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu: float, nu: float, hbar: 
     e^{-(|t| - |u|)^2} expm1(-2a)^2 + 4 e^{-(t^2 + u^2)} trig^2: neither
     exponent is positive, so a large |alpha| cannot form inf * 0, and the
     completed square keeps full accuracy at the peaks |t| = |u|.
+    Array frames broadcast against X through the same expression.
     """
     alpha = mode.alpha
     s = _scale(mu, nu, hbar)
-    root_rho = math.sqrt(mu * mu + nu * nu)
+    root_rho = _sqrt(mu * mu + nu * nu)
     n_sq = _cat_norm_sq(mode)
     t = np.asarray(X, dtype=float) / s
     u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / root_rho
@@ -189,20 +202,30 @@ def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu: float, nu: float, hbar: 
     return np.where(vals < _TINY, 0.0, vals)
 
 
-def tomogram(mode: ModeSpec, mu: float, nu: float, hbar: float, X):
+def tomogram(mode: ModeSpec, mu, nu, hbar: float, X):
     """Closed-form quadrature density of the mode at X along mu x + nu p,
-    a float for a scalar X.
+    a float for a scalar X and scalar frame.
 
+    mu and nu may be arrays of frames that broadcast against X, such as
+    (m, 1) columns against a row of nodes: the result is the table of
+    every frame's density, each entry bit for bit the scalar call's.
     The number state |n> gives hermite_sq_density_factor(n, X/s)/s with
     s^2 = hbar*(mu^2+nu^2), which depends on the frame only through that
-    combination; a cat gives `_cat_tomogram`.
+    combination, so a frame table evaluates one row per distinct exact s
+    and gathers it to every frame of that s; a cat gives `_cat_tomogram`.
     """
     if isinstance(mode, Fock):
         s = _scale(mu, nu, hbar)
-        out = hermite_sq_density_factor(mode.n, np.asarray(X, dtype=float) / s) / s
+        x = np.asarray(X, dtype=float)
+        if isinstance(s, np.ndarray):
+            scales, which = np.unique(s, return_inverse=True)
+            rows = np.array([hermite_sq_density_factor(mode.n, x / c) / c for c in scales])
+            out = rows.reshape(len(scales), -1)[which.reshape(s.shape), np.arange(x.size).reshape(x.shape)]
+        else:
+            out = hermite_sq_density_factor(mode.n, x / s) / s
     else:
         out = _cat_tomogram(mode, mu, nu, hbar, X)
-    if np.isscalar(X):
+    if np.isscalar(X) and np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -276,10 +299,10 @@ def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
     """
     if grid is None:
         grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
-    vals = tomogram(mode, mu, nu, hbar, grid.xs)
-    pre = float(np.trapezoid(vals, dx=grid.dx))
-    meta = {"mode": mode, "mu": mu, "nu": nu, "hbar": hbar, "pre_rescale_integral": pre}
-    return MarginalDensity(grid=grid, values=vals, meta=meta)
+    meta = {"mode": mode, "mu": mu, "nu": nu, "hbar": hbar}
+    density = MarginalDensity(grid=grid, values=tomogram(mode, mu, nu, hbar, grid.xs), meta=meta)
+    meta["pre_rescale_integral"] = density.integral
+    return density
 
 
 def tomogram_amplitudes(psi: FockExpansion, mu: float, nu: float, hbar: float, X) -> np.ndarray:

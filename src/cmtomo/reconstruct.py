@@ -4,8 +4,9 @@ The state is the frame integral of e^{iX} U(mu, nu) against the
 tomogram, with U = exp(-i(mu Q + nu P)) and a constant hbar/(2 pi); the
 scalar X integral is the tomogram's characteristic function at 1.  The
 integral over frames runs in polar coordinates (k, theta) up to a
-radius cutoff, and three identities reduce it to closed-form matrix
-elements and one tomogram evaluation per pair of opposite angles:
+radius cutoff, and three identities and the parity of the tomogram
+reduce it to closed-form matrix elements and one tomogram evaluation
+per job:
 
 * cos(theta) Q + sin(theta) P = D Q D^dagger with D = diag(e^{i theta m}),
   so entry (m, n) of each angle's term is <m|e^{-ikQ}|n> e^{i theta (m-n)};
@@ -19,19 +20,22 @@ elements and one tomogram evaluation per pair of opposite angles:
   w(X; mu, nu) / |l| for every real l != 0.  For l > 0 the X integral at
   every radius is a Fourier sum of the unit-frame tomogram on one grid.
   For l = -1 the tomogram at theta + pi is the one at theta with X
-  reversed, so the angular node count is even and each call, on an X
-  grid closed under X -> -X, serves both: the trapezoid over that grid
-  makes the X integral at theta + pi the conjugate of the one at theta.
-  Offset d = m - n then sums twice the real part for even d and twice
-  i times the imaginary part for odd d, and the result is Hermitian.
+  reversed, so the angular node count is even and the angles in
+  [0, pi) serve the whole circle.
 
-Every true tomogram is homogeneous; a callable that is not will be
-reconstructed wrongly.
+Every state reconstructed here is a parity eigenstate, or a mixture of
+them, so every row is even in X: w(-X; mu, nu) = w(X; mu, nu).  Its X
+integral is then real and the same at theta and theta + pi: twice the
+cosine integral over y >= 0.  Angle theta + pi weighs offset d = m - n
+by (-1)^d against theta, so odd offsets cancel and each even one sums
+twice the integral at theta; the result is Hermitian.  So one call
+evaluates the rows of every angle in [0, pi) on the half grid y >= 0,
+and their cosine integrals are one real matrix product with a half-grid
+phase table from `specialfn.phase_table`.  The Gauss-Legendre radial
+rule is built once per node count and process.
 
-Each row folds into its even and odd parts on y >= 0, whose cosine and
-sine integrals are two real matrix products with a half-grid phase table
-from `specialfn.phase_table`.  The Gauss-Legendre radial rule is built
-once per node count and process.
+Every true tomogram is homogeneous; a callable that is not homogeneous,
+or not even in X, will be reconstructed wrongly.
 
 Every size follows from dim and hbar (`_job_sizes`); none is an option.
 The frame radius is the reach of level dim - 1 and scales as
@@ -120,7 +124,7 @@ def _job_sizes(dim: int, hbar: float) -> _JobSizes:
     x_count = 1 << (max(1024, 32 * dim) - 1).bit_length()
     half = angular // 2
     tables = {
-        "tomogram rows (angular_nodes/2 x (x_count + 1))": half * (x_count + 1),
+        "tomogram rows (angular_nodes/2 x (x_count/2 + 1))": half * (x_count // 2 + 1),
         "X phase table ((x_count/2 + 1) x radial_nodes)": (x_count // 2 + 1) * radial,
         "X integrals (angular_nodes/2 x radial_nodes)": half * radial,
         "Gauss-Legendre rule (radial_nodes^2)": radial * radial,
@@ -138,9 +142,15 @@ def _job_sizes(dim: int, hbar: float) -> _JobSizes:
 def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> DensityMatrix:
     """Integrate e^{iX} U(mu, nu) w(X, mu, nu) over X and all frames.
 
-    tomogram(X: ndarray, mu, nu) must return the normalized density of
-    the observable mu q + nu p; it is called only at angles in [0, pi),
-    and every call of a job passes the same X grid.
+    tomogram(y, mu, nu) must return the normalized density of the
+    observable mu q + nu p, and it must be even in X, as every parity
+    eigenstate's tomogram and every mixture of them is.  It is called
+    once per job: y is the half grid y >= 0 (x_count/2 + 1 nodes from
+    exactly 0.0), and mu, nu are (angular_nodes/2, 1) columns holding
+    the unit frames (cos theta, sin theta) at theta = j 2 pi /
+    angular_nodes in [0, pi).  It returns the (angular_nodes/2,
+    x_count/2 + 1) table of every frame's row, as `marginals.tomogram`
+    does for array frames.
     dim must contain the true state's support.  The result is
     trace-rescaled.  Truncation leakage is a flag in the metadata, not
     an error: meta["truncation_leakage"] is set when the pre-rescale
@@ -158,38 +168,37 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     half = angular // 2
     d_theta = 2.0 * math.pi / angular
 
-    # unit-frame x-grid, closed under X -> -X: any state inside the
-    # truncation has variance at most hbar (dim + 1/2) there; radius k
-    # uses this grid scaled by k.  Each row folds into its even and odd
-    # parts on the half grid y >= 0, with trapezoid weights
-    dy = 2.0 * _X_SIGMAS * math.sqrt(hbar * (dim + 0.5)) / x_count
-    ys = (np.arange(x_count + 1) - x_count / 2) * dy
-    rows = np.array([tomogram(ys, math.cos(j * d_theta), math.sin(j * d_theta)) for j in range(half)])
-    pos, neg = rows[:, x_count // 2:], rows[:, x_count // 2::-1]
+    # unit-frame X grid: any state inside the truncation has variance at
+    # most hbar (dim + 1/2) there; radius k uses this grid scaled by k.
+    # Rows are even, so one call on the half grid y >= 0 at the unit
+    # frames of [0, pi) gives every row, and their cosine integrals over
+    # the whole grid are twice the half grid's trapezoid, whose end node
+    # and y = 0 count half
     count = x_count // 2 + 1
-    trap = np.full(count, dy)
-    trap[[0, -1]] *= 0.5    # the end node, and y = 0, which both halves of the even part count
-    # the X integral at theta is cos_int + i sin_int, at theta + pi its conjugate
-    phases = phase_table(dy, count, k_nodes)
-    cos_int = (pos + neg) @ (trap[:, None] * phases.real)
-    sin_int = (pos - neg) @ (trap[:, None] * phases.imag)
-    cutoff_char = float(np.max(np.hypot(cos_int[:, -1], sin_int[:, -1])))
+    dy = 2.0 * _X_SIGMAS * math.sqrt(hbar * (dim + 0.5)) / x_count
+    ys = np.arange(count) * dy
+    mus = np.array([[math.cos(j * d_theta)] for j in range(half)])
+    nus = np.array([[math.sin(j * d_theta)] for j in range(half)])
+    rows = tomogram(ys, mus, nus)
+    trap = np.full(count, 2.0 * dy)
+    trap[[0, -1]] *= 0.5
+    # the X integral at theta and at theta + pi
+    cos_int = rows @ (trap[:, None] * phase_table(dy, count, k_nodes).real)
+    cutoff_char = float(np.max(np.abs(cos_int[:, -1])))
 
-    # angular Fourier sum for offset d = m - n >= 0, with the element
-    # phase (-i)^d folded in: even d sums the cosine integrals and odd d
-    # the sine ones, times 2 (-1)^{floor(d/2)}
-    offsets = np.arange(dim)
+    # angular Fourier sum for the even offsets d = m - n >= 0, with the
+    # element phase (-i)^d folded in: twice the cosine integrals times
+    # (-1)^{d/2}.  Odd offsets, whose sine integrals vanish, stay zero
+    offsets = np.arange(0, dim, 2)
     fourier = np.exp(1j * np.outer(offsets, np.arange(half) * d_theta))
-    C = np.empty((dim, len(k_nodes)), dtype=complex)
-    C[0::2] = fourier[0::2] @ cos_int
-    C[1::2] = fourier[1::2] @ sin_int
-    C *= np.where(offsets % 4 < 2, 2.0, -2.0)[:, None] * (k_weights * k_nodes * (d_theta * hbar / (2 * math.pi)))
+    C = (fourier @ cos_int) * (np.where(offsets % 4 == 0, 2.0, -2.0)[:, None]
+                               * (k_weights * k_nodes * (d_theta * hbar / (2 * math.pi))))
 
-    # column n of the lower triangle: entry (n + d, n) sums C[d] times the
+    # column n of the lower triangle: entry (n + d, n) sums C[d/2] times the
     # element modulus f_n^(d)(hbar k^2 / 2); the upper triangle is its conjugate
     rho_m = np.zeros((dim, dim), dtype=complex)
     for n, f in enumerate(laguerre_gauss_levels(dim, 0.5 * hbar * k_nodes * k_nodes, dim)):
-        rho_m[n:, n] = np.einsum("dr,dr->d", C[:dim - n], f)
+        rho_m[n::2, n] = np.einsum("dr,dr->d", C[:(dim - n + 1) // 2], f[0::2])
     rho_m += np.tril(rho_m, -1).conj().T
     pre_trace = float(np.trace(rho_m).real)
     if pre_trace <= 0:

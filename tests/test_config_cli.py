@@ -435,19 +435,19 @@ class TestCmdReconstruct:
     def test_number_state_one_row_per_frame_scale(self, tmp_path, monkeypatch):
         # a number state's row depends on the frame only through its scale
         # sqrt(hbar (m*m + n*n)), which takes 2 values over the 64 angles of
-        # a dim-8 job at hbar = 1
-        calls = []
-        original = cli.tomogram
+        # a dim-8 job at hbar = 1: the job's one tomogram call evaluates 2
+        # Hermite rows
+        rows = []
+        original = marginals.hermite_sq_density_factor
 
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
+        def spy(n, y):
+            rows.append(np.shape(y))
+            return original(n, y)
 
-        monkeypatch.setattr(cli, "tomogram", spy)
+        monkeypatch.setattr(marginals, "hermite_sq_density_factor", spy)
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1\n[reconstruct]\ndim = 8\n")
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == 0
-        assert len(calls) == 2
-        assert len({marginals._scale(mu, nu, hbar) for _, mu, nu, hbar, _ in calls}) == 2
+        assert rows == [(513,), (513,)]
 
     @pytest.mark.parametrize("level, dim, hbar", [(1, 8, 1.0), (3, 12, 0.5)])
     def test_number_state_matrix_is_the_per_angle_one(self, tmp_path, monkeypatch, level, dim, hbar):
@@ -462,7 +462,12 @@ class TestCmdReconstruct:
         cfg = write(tmp_path, "c.cfg", f"[system]\nhbar = {hbar}\nmode = fock {level}\n[reconstruct]\ndim = {dim}\n")
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == 0
         mode = Fock(level)
-        want = reconstruct_single_mode(lambda X, m, n: marginals.tomogram(mode, m, n, hbar, X), dim, hbar)
+
+        def per_angle(X, m, n):
+            frames = zip(m[:, 0].tolist(), n[:, 0].tolist())
+            return np.array([marginals.tomogram(mode, a, b, hbar, X) for a, b in frames])
+
+        want = reconstruct_single_mode(per_angle, dim, hbar)
         assert seen[0].entries.tobytes() == want.entries.tobytes()
 
     def test_fock250_at_dim256(self, tmp_path):
@@ -506,13 +511,14 @@ class TestCmdReconstruct:
 
     # the tables are checked before the frame radius is formed: at dim 10^9
     # the reach of level dim - 1 would raise past Fock's level cap
-    @pytest.mark.parametrize("dim", ["257", "1000000000"])
-    def test_oversized_job_exit_three(self, tmp_path, capsys, dim):
+    @pytest.mark.parametrize("dim, table", [("257", "X phase table"), ("1000000000", "tomogram rows")],
+                             ids=["257", "1000000000"])
+    def test_oversized_job_exit_three(self, tmp_path, capsys, dim, table):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = {dim}\n")
         out = tmp_path / "rho.txt"
         assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure: reconstruction table tomogram rows" in err and "Traceback" not in err
+        assert f"numerical failure: reconstruction table {table}" in err and "Traceback" not in err
         assert not out.exists()
 
     # exit 2 is raised before reconstruct_single_mode, exit 3 inside it by its size checks
@@ -1267,8 +1273,9 @@ def generated_configs(draw):
 @st.composite
 def generated_reconstruct_configs(draw):
     """A `reconstruct` config: Fock levels 0-8 or even/odd cats with |alpha|
-    from 1e-12 to 2, hbar from 0.25 to 4, dim 2-16."""
-    lines = ["[system]", f"hbar = {2.0 ** draw(st.floats(-2.0, 2.0))!r}"]
+    from 1e-12 to 2, hbar log-uniform over [SCALE_MIN, SCALE_MAX], dim 2-16."""
+    hbar = 10.0 ** draw(st.floats(math.log10(SCALE_MIN), math.log10(SCALE_MAX)))
+    lines = ["[system]", f"hbar = {hbar!r}"]
     kind = draw(st.sampled_from(["fock", "even", "odd"]))
     if kind == "fock":
         lines.append(f"mode = fock {draw(st.integers(0, 8))}")

@@ -66,7 +66,7 @@ SIGNATURES = {
     "reconstruct_single_mode": "(tomogram: 'Callable', dim: 'int', hbar: 'float') -> 'DensityMatrix'",
     "sample_sum": ("(sys: 'SystemSpec', n_samples: 'int', seed: 'int', "
                    "marginals: 'list[MarginalDensity]') -> 'SampleCounts'"),
-    "tomogram": "(mode: 'ModeSpec', mu: 'float', nu: 'float', hbar: 'float', X)",
+    "tomogram": "(mode: 'ModeSpec', mu, nu, hbar: 'float', X)",
     "tomogram_oracle": ("(psi: 'FockExpansion', mu: 'float', nu: 'float', hbar: 'float', "
                         "grid: 'Grid') -> 'MarginalDensity'"),
     "variance": "(mode: 'ModeSpec', mu: 'float', nu: 'float', hbar: 'float') -> 'float'",

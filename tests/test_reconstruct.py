@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cmtomo import reconstruct
+from cmtomo import marginals, reconstruct
 from cmtomo.errors import GridSizeError
 from cmtomo.marginals import tomogram
 from cmtomo.reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from cmtomo.report import quadrature_matrices
-from cmtomo.specialfn import laguerre_gauss_levels
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, fock_expansion
+from cmtomo.specialfn import hermite_sq_density_factor, laguerre_gauss_levels
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, cat_weight, fock_expansion
 
 
 def set_sizes(monkeypatch, **sizes):
@@ -174,51 +174,130 @@ class TestFrameIdentities:
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
 
     def test_displaced_state_matches_per_angle_reference(self, small):
-        # a coherent state's tomogram is not even in X, so the sine half of
-        # the X integral, which vanishes for every parity eigenstate, enters
+        # the parity-invariant mixture (|a><a| + |-a><-a|) / 2 of two
+        # coherent states: a Gaussian pair at +-<X>_a, even in X bit for
+        # bit, whose even-offset entries are complex
         hbar, dim, alpha = 0.5, 6, 0.4 - 0.3j
         q0, p0 = math.sqrt(2.0 * hbar) * alpha.real, math.sqrt(2.0 * hbar) * alpha.imag
 
         def tomogram(X, m, n):
             var = 0.5 * hbar * (m * m + n * n)
-            return np.exp(-(X - m * q0 - n * p0) ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+            centre = m * q0 + n * p0
+            pair = np.exp(-(X - centre) ** 2 / (2.0 * var)) + np.exp(-(X + centre) ** 2 / (2.0 * var))
+            return 0.5 * pair / np.sqrt(2.0 * math.pi * var)
 
         want = per_angle_reference(tomogram, dim, hbar)
         rho = reconstruct_single_mode(tomogram, dim, hbar)
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
         assert np.max(np.abs(rho.entries.imag)) > 0.05
 
-    def test_one_tomogram_call_per_opposite_pair(self):
-        # theta + pi is theta with X reversed: n/2 calls, each at an angle in
-        # [0, pi), on an X grid closed under X -> -X
+    @pytest.mark.parametrize("mode, dim, hbar", [(Fock(1), 8, 1.0), (CoherentOdd(0.6 + 0.8j), 12, 0.5)],
+                             ids=["fock1", "odd_complex"])
+    def test_one_tomogram_call_per_job(self, mode, dim, hbar):
+        # rows are even and theta + pi is theta with X reversed: one call on
+        # the half grid y >= 0 at the unit frames of the angles in [0, pi)
         calls = []
 
         def recorded(X, m, n):
-            calls.append((X, m, n))
-            return tomogram(Fock(1), m, n, 1.0, X)
+            calls.append((X.copy(), m.copy(), n.copy()))
+            return tomogram(mode, m, n, hbar, X)
 
-        reconstruct_single_mode(recorded, 8, 1.0)
-        angular = reconstruct._job_sizes(8, 1.0).angular_nodes
-        assert len(calls) == angular // 2
-        angles = np.array([math.atan2(n, m) for _, m, n in calls])
+        reconstruct_single_mode(recorded, dim, hbar)
+        _, _, angular, x_count = reconstruct._job_sizes(dim, hbar)
+        assert len(calls) == 1
+        y, mu, nu = calls[0]
+        assert y.shape == (x_count // 2 + 1,) and y[0] == 0.0
+        np.testing.assert_allclose(np.diff(y), y[1], rtol=1e-12)
+        assert y[-1] == pytest.approx(reconstruct._X_SIGMAS * math.sqrt(hbar * (dim + 0.5)), rel=1e-14)
+        assert mu.shape == nu.shape == (angular // 2, 1)
+        angles = np.arctan2(nu[:, 0], mu[:, 0])
         assert np.all((angles >= 0.0) & (angles < math.pi))
-        np.testing.assert_allclose(angles, np.arange(len(calls)) * 2.0 * math.pi / angular,
+        np.testing.assert_allclose(angles, np.arange(angular // 2) * 2.0 * math.pi / angular,
                                    rtol=0, atol=1e-15)
-        np.testing.assert_allclose(np.hypot(*np.transpose([(m, n) for _, m, n in calls])), 1.0, rtol=1e-15)
-        for X, _, _ in calls:
-            assert np.array_equal(X, -X[::-1])
+        np.testing.assert_allclose(np.hypot(mu, nu), 1.0, rtol=1e-15)
 
-    def test_every_call_passes_one_x_grid(self):
-        # cmd_reconstruct serves a number state's angles from one row per
-        # frame radius, which holds only on one grid
-        grids = []
 
-        def recorded(X, m, n):
-            grids.append(X.copy())
-            return tomogram(CoherentOdd(0.6 + 0.8j), m, n, 0.5, X)
+def half_grid(dim, hbar):
+    """The reconstruction's half grid y >= 0 at dim and hbar."""
+    x_count = reconstruct._job_sizes(dim, hbar).x_count
+    dy = 2.0 * reconstruct._X_SIGMAS * math.sqrt(hbar * (dim + 0.5)) / x_count
+    return np.arange(x_count // 2 + 1) * dy
 
-        reconstruct_single_mode(recorded, 12, 0.5)
-        assert all(np.array_equal(X, grids[0]) for X in grids)
+
+def half_circle(dim, hbar):
+    """The unit frames (cos theta, sin theta) at the reconstruction's
+    angles in [0, pi), as lists of floats."""
+    angular = reconstruct._job_sizes(dim, hbar).angular_nodes
+    thetas = [j * 2.0 * math.pi / angular for j in range(angular // 2)]
+    return [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
+
+
+def scalar_tomogram(mode, mu, nu, hbar, X):
+    """The closed forms at one scalar frame, written as they were before
+    marginals.tomogram took frame tables: the reference for its bytes."""
+    if isinstance(mode, Fock):
+        s = math.sqrt(hbar * (mu * mu + nu * nu))
+        return hermite_sq_density_factor(mode.n, X / s) / s
+    alpha = mode.alpha
+    s = math.sqrt(hbar * (mu * mu + nu * nu))
+    root_rho = math.sqrt(mu * mu + nu * nu)
+    t = X / s
+    u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / root_rho
+    v = math.sqrt(2.0) * (alpha.imag * mu - alpha.real * nu) / root_rho
+    trig = np.cos(v * t) if mode.sign > 0 else np.sin(v * t)
+    n_sq = 1.0 / (2.0 * cat_weight(mode))
+    vals = n_sq / (math.sqrt(math.pi) * s) * (np.exp(-(np.abs(t) - abs(u)) ** 2) * np.expm1(-2.0 * np.abs(u * t)) ** 2
+                                              + 4.0 * np.exp(-(t * t + u * u)) * trig ** 2)
+    return np.where(vals < np.finfo(float).tiny, 0.0, vals)
+
+
+PARITY_MODES = [Fock(n) for n in (0, 1, 2, 7, 250, 1000)] + [
+    kind(size * phase) for kind in (CoherentEven, CoherentOdd)
+    for size in (1e-5, 1.0, 18.0) for phase in (1.0, complex(math.cos(0.7), math.sin(0.7)))]
+
+
+class TestTomogramTables:
+    # the reconstruction calls the tomogram once, on the half grid y >= 0,
+    # at a table of frames: that rests on every row being even in X to
+    # the bit, and on the table holding each frame's own row
+
+    @pytest.mark.parametrize("mode", PARITY_MODES, ids=repr)
+    def test_rows_even_bit_for_bit(self, mode):
+        # |alpha| = 18 is about the reach of the 512-level cat expansion
+        for hbar in (1e-200, 1.0, 1e200):
+            y = half_grid(32, hbar)
+            xs = np.concatenate([-y[:0:-1], y])
+            for mu, nu in [(1.0, 0.0), (0.6, 0.8), (3.0, -4.0), (0.01, 0.02)]:
+                vals = tomogram(mode, mu, nu, hbar, xs)
+                assert np.max(vals) > 0.0
+                assert vals.tobytes() == vals[::-1].tobytes(), (hbar, mu, nu)
+
+    @pytest.mark.parametrize("mode, dim, hbar, stride", [
+        (Fock(1), 8, 1.0, 1), (CoherentEven(1.0), 16, 1.0, 1), (CoherentOdd(0.6 + 0.8j), 12, 0.5, 1),
+        (Fock(250), 256, 1.0, 8),
+    ], ids=["fock1", "even1", "odd_complex", "fock250"])
+    def test_table_is_the_per_frame_rows(self, mode, dim, hbar, stride):
+        # fock 250 compares every 8th frame, covering every distinct scale
+        y = half_grid(dim, hbar)
+        mus, nus = half_circle(dim, hbar)
+        table = tomogram(mode, np.array(mus)[:, None], np.array(nus)[:, None], hbar, y)
+        frames = list(zip(mus, nus))[::stride]
+        rows = np.array([tomogram(mode, m, n, hbar, y) for m, n in frames])
+        assert table.shape == (len(mus), len(y))
+        assert table[::stride].tobytes() == rows.tobytes()
+        scales = {math.sqrt(hbar * (m * m + n * n)) for m, n in zip(mus, nus)}
+        assert {math.sqrt(hbar * (m * m + n * n)) for m, n in frames} == scales
+
+    @pytest.mark.parametrize("mode", PARITY_MODES, ids=repr)
+    def test_scalar_frames_keep_their_bytes(self, mode):
+        y = half_grid(8, 1.0)
+        for mu, nu in [(1.0, 0.0), (0.6, 0.8), (3.0, -4.0)]:
+            assert tomogram(mode, mu, nu, 1.0, y).tobytes() == scalar_tomogram(mode, mu, nu, 1.0, y).tobytes()
+            assert tomogram(mode, mu, nu, 1.0, 0.3) == float(scalar_tomogram(mode, mu, nu, 1.0, np.float64(0.3)))
+
+    def test_array_frames_reject_a_vanishing_frame(self):
+        with pytest.raises(ValueError, match="cannot both vanish"):
+            tomogram(CoherentEven(1.0), np.array([1.0, 0.0]), np.array([0.0, 0.0]), 1.0, np.zeros(3))
 
 
 class TestSharedTables:
@@ -245,10 +324,11 @@ class TestSharedTables:
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_exponential_count(self, monkeypatch):
-        # outside the tomogram calls: the block-factored half-grid X table,
+        # outside the tomogram call: the block-factored half-grid X table,
         # (count/P + P) per radial node with count = x_count/2 + 1 and
-        # P = 16, the angular phases of the offsets d >= 0 at the angles in
-        # [0, pi) and the Laguerre start scales, never x_count per node
+        # P = 16, the angular phases of the even offsets d >= 0 at the
+        # angles in [0, pi) and the Laguerre start scales, never x_count
+        # per node
         formed = []
         in_tomogram = []
         original = np.exp
@@ -273,7 +353,7 @@ class TestSharedTables:
         half = angular // 2
         count = x_count // 2 + 1
         x_table = (-(-count // 16) + 16) * radial
-        assert sum(formed) == x_table + dim * half + dim * radial
+        assert sum(formed) == x_table + (dim + 1) // 2 * half + dim * radial
 
 
 class TestJobSizeBounds:
@@ -294,10 +374,12 @@ class TestJobSizeBounds:
 
     def test_dim_edge_at_default_cutoffs(self):
         # x_count doubles past 32 dim: 8192 up to dim 256, then 16384, whose
-        # tomogram rows over dim angles in [0, pi) bind first
-        _, _, angular, x_count = reconstruct._job_sizes(256, 1.0)
-        assert (angular // 2) * (x_count + 1) == 256 * 8193 <= self.CAP
-        with pytest.raises(GridSizeError, match="tomogram rows"):
+        # X phase table over the half grid binds first; the half-grid
+        # tomogram rows, 257 x 8193, would still fit
+        _, radial, angular, x_count = reconstruct._job_sizes(256, 1.0)
+        assert (x_count // 2 + 1) * radial == 4097 * 768 <= self.CAP
+        assert (angular // 2) * (x_count // 2 + 1) == 256 * 4097
+        with pytest.raises(GridSizeError, match="X phase table"):
             reconstruct._job_sizes(257, 1.0)
 
     def test_default_radius_far_inside_phase_bound(self):
@@ -310,14 +392,15 @@ class TestJobSizeBounds:
             assert max(phases) == pytest.approx(min(phases), rel=1e-13)
             assert max(phases) <= 9e3
 
-    @pytest.mark.parametrize("dim", [257, 10 ** 9])
-    def test_rejected_before_any_tomogram_call(self, dim):
+    @pytest.mark.parametrize("dim, table", [(257, "X phase table"), (10 ** 9, "tomogram rows")],
+                             ids=["257", "1000000000"])
+    def test_rejected_before_any_tomogram_call(self, dim, table):
         # at 10^9 the reach of level dim - 1 would raise past Fock's level
         # cap: the tables are checked first
         def tomogram(X, m, n):
             raise AssertionError("tomogram called")
 
-        with pytest.raises(GridSizeError, match="reconstruction table tomogram rows"):
+        with pytest.raises(GridSizeError, match=f"reconstruction table {table}"):
             reconstruct_single_mode(tomogram, dim, 1.0)
 
 
@@ -409,7 +492,7 @@ class TestClosedFormCost:
 
         def vacuum(X, m, n):
             var = 0.5 * (m * m + n * n)
-            return np.exp(-X * X / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+            return np.exp(-X * X / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
 
         tracemalloc.start()
         try:
