@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from ._blas import one_blas_thread
 from ._malloc import keep_freed_memory
-from .clt import CltReport, HbarReport, hbar_scan, n_scan, summed_density
+from .clt import hbar_scan, n_scan, summed_density
 from .config import (
     SCALE_MAX,
     SCALE_MIN,
@@ -61,7 +61,7 @@ _ROW_BLOCK = 4096
 
 def _rows(*columns: list) -> list[str]:
     """CSV lines of equal-length float (or integer) columns, each field as
-    _fmt writes it.
+    _fmt writes it (an integer below 2^53 in its %d digits).
 
     Pass the columns as lists (ndarray.tolist()): formatting Python floats
     with one row template is about twice as fast as a _fmt call per cell.
@@ -191,11 +191,6 @@ def cmd_cm(raw: RawConfig, args) -> int:
     return 0
 
 
-def _report_rows_csv(reports: list[CltReport] | list[HbarReport], columns: list[str]) -> list[str]:
-    template = ",".join("%d" if c == "N" else _FIELD for c in columns)
-    return [template % tuple(getattr(rep, c) for c in columns) for rep in reports]
-
-
 def cmd_clt_scan(raw: RawConfig, args) -> int:
     E = get_scale(raw, "scan", "E", required=True)
     n_list = get_int_list(raw, "scan", "N_list", default=[4, 8, 16, 32, 64])
@@ -224,7 +219,8 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
     reports = n_scan(levels, pairs, E, n_list, r=r, R=big_r)
     header = _header(raw, args, [f"scan fixed-energy E {_fmt(E)}"])
     columns = ["N", "hbar", "S_N", "sigma2", "rE", "RE", "ks", "tv"]
-    _write_atomic(args, _csv(header, columns, [_report_rows_csv(reports, columns)]))
+    rows = _rows(*([getattr(rep, c) for rep in reports] for c in columns))
+    _write_atomic(args, _csv(header, columns, [rows]))
     return 0
 
 
@@ -243,7 +239,8 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
         f"epsilon {_fmt(epsilon)}",
     ])
     columns = ["hbar", "sigma2", "mass_in_epsilon", "gaussian_predicted_mass"]
-    _write_atomic(args, _csv(header, columns, [_report_rows_csv(reports, columns)]))
+    rows = _rows(*([getattr(rep, c) for rep in reports] for c in columns))
+    _write_atomic(args, _csv(header, columns, [rows]))
     return 0
 
 

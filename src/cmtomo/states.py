@@ -32,8 +32,8 @@ ALPHA_MAX = 1e5
 # Highest supported Fock level: the Hermite and Laguerre recurrences are
 # checked against high-precision values up to it.
 FOCK_LEVEL_MAX = 1000
-# Largest supported mode count.  No numerical layer's cost grows with N;
-# the header text and the Monte-Carlo streams, one per mode, do.
+# Largest supported mode count.  No numerical layer's cost and no header
+# grows with N; the Monte-Carlo streams, one per mode, do.
 N_MAX = 2 ** 22
 
 
@@ -152,16 +152,15 @@ class SystemSpec:
     def counts(self) -> list[int]:
         return [g.count for g in self.groups]
 
-    def _per_mode(self, text, sep: str) -> str:
-        """text(group) once per mode, in group order, joined by sep."""
-        return sep.join(sep.join([text(g)] * g.count) for g in self.groups)
-
     def describe(self) -> str:
-        return f"hbar={self.hbar:.17g}; " + self._per_mode(lambda g: _mode_text(g.mode), "; ")
+        """hbar, then each group as a config mode line, with ' xCOUNT' past one mode."""
+        return "; ".join([f"hbar={self.hbar:.17g}"]
+                         + [_mode_text(g.mode) + (f" x{g.count}" if g.count > 1 else "") for g in self.groups])
 
     def describe_frame(self, r: float, R: float) -> str:
-        mus = self._per_mode(lambda g: f"{g.mu:.17g}", " ")
-        nus = self._per_mode(lambda g: f"{g.nu:.17g}", " ")
+        """mu and nu of each group, aligned with describe's mode lines."""
+        mus = " ".join(f"{g.mu:.17g}" for g in self.groups)
+        nus = " ".join(f"{g.nu:.17g}" for g in self.groups)
         return f"mu={mus}; nu={nus}; r={r:.17g}; R={R:.17g}"
 
 

@@ -253,6 +253,14 @@ class TestCmdCm:
         header, _, _, _ = read_csv(out)
         assert [line for line in header if line.startswith("clamped_mass")] == ["clamped_mass 0"]
 
+    def test_header_does_not_grow_with_modes(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1 x65536\n[frame]\nmu = 0.6\nnu = 0.8\n")
+        out = tmp_path / "out.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 0
+        comments = [line for line in out.read_text().splitlines(keepends=True) if line.startswith("#")]
+        assert "# system hbar=1; fock 1 x65536\n" in comments
+        assert sum(len(line) for line in comments) < 1024
+
 
     @pytest.mark.parametrize("samples", ["0", "-5", str(MC_SAMPLES_MAX + 1)])
     def test_bad_mc_samples_exit_two(self, tmp_path, capsys, monkeypatch, samples):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from cmtomo.config import RawConfig, _parse_mode
 from cmtomo.errors import ConvergenceError
 from cmtomo.states import (
+    FOCK_LEVEL_MAX,
     ODD_ALPHA_MIN,
     CoherentEven,
     CoherentOdd,
@@ -86,10 +88,41 @@ class TestSpecs:
         with pytest.raises(ValueError, match="N_MAX"):
             SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX), ModeGroup(Fock(1), 1.0, 0.0)), hbar=1.0)
 
-    def test_describe_writes_one_entry_per_mode_in_group_order(self):
+    def test_describe_writes_one_entry_per_group_in_group_order(self):
         sys = SystemSpec.from_modes((Fock(1), CoherentEven(0.5j), Fock(1)), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0), 0.5)
-        assert sys.describe() == "hbar=0.5; fock 1; fock 1; even 0 0.5"
-        assert sys.describe_frame(0.5, 2.0) == "mu=1 1 0; nu=0 0 1; r=0.5; R=2"
+        assert sys.describe() == "hbar=0.5; fock 1 x2; even 0 0.5"
+        assert sys.describe_frame(0.5, 2.0) == "mu=1 0; nu=0 1; r=0.5; R=2"
+
+    @pytest.mark.parametrize("mode", [Fock(FOCK_LEVEL_MAX), CoherentOdd(-0.1 - 0.7j)])
+    def test_headers_of_n_max_modes_are_short(self, mode):
+        sys = SystemSpec((ModeGroup(mode, 0.6, 0.8, N_MAX - 1), ModeGroup(Fock(0), -0.6, 0.8)), hbar=1e-5)
+        assert sys.n_modes == N_MAX
+        assert len(sys.describe()) < 200
+        assert len(sys.describe_frame(0.5, 2.0)) < 200
+
+    @pytest.mark.parametrize("sys", [
+        # a repeated group beside a single mode
+        SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 5), ModeGroup(Fock(3), 1.0, 0.0)), hbar=1e-5),
+        # per-mode frames that split one mode's copies into two groups
+        SystemSpec.from_modes((Fock(2), Fock(2), Fock(2), Fock(0)), (1.0, 0.6, 1.0, 0.1), (0.0, 0.8, 0.0, -3.0),
+                              0.7),
+        # cats, at every rounding of their parts, on a rotated frame
+        SystemSpec((ModeGroup(CoherentEven(0.1 + 0.2j), 0.3, -1.7, 3), ModeGroup(CoherentOdd(-1e-5), 0.1, 0.2),
+                    ModeGroup(CoherentEven(complex(-0.0, 5.0)), 1 / 3, 2 / 3, N_MAX - 4)), hbar=1 / 3),
+    ])
+    def test_header_round_trip(self, sys):
+        # each mode entry parses as a config mode line, and pairs with the
+        # mu and nu entries at its place
+        hbar_text, *mode_lines = sys.describe().split("; ")
+        mus, nus, r, big_r = sys.describe_frame(0.25, 4.0).split("; ")
+        assert (r, big_r) == ("r=0.25", "R=4")
+        raw = RawConfig(sections={}, source="<header>")
+        groups = []
+        for line, mu, nu in zip(mode_lines, mus.removeprefix("mu=").split(), nus.removeprefix("nu=").split(),
+                                strict=True):
+            mode, count = _parse_mode(raw, line, 0)
+            groups.append(ModeGroup(mode, float(mu), float(nu), count))
+        assert SystemSpec(tuple(groups), float(hbar_text.removeprefix("hbar="))) == sys
 
 
 class TestEnergy:
