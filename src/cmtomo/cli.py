@@ -45,7 +45,7 @@ from .errors import CmtomoError, ConfigError, NumericalError
 from .marginals import marginal_density, tomogram
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
-from .states import FOCK_LEVEL_MAX, N_MAX, fock_expansion
+from .states import FOCK_LEVEL_MAX, N_MAX, SystemSpec, fock_expansion, fold_hbar, unit_frames
 
 
 def _fmt(x) -> str:
@@ -70,10 +70,13 @@ def _rows(*columns: list) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
-def _row_blocks(*columns) -> Iterator[list[str]]:
-    """_rows of equal-length numpy columns, _ROW_BLOCK rows at a time."""
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        yield _rows(*(col[lo:lo + _ROW_BLOCK].tolist() for col in columns))
+def _row_blocks(s_ref: float, xs, *densities) -> Iterator[list[str]]:
+    """_rows of a result on unit frames (`unit_frames`) at the configured
+    hbar: the X column times s_ref and each density column over s_ref,
+    _ROW_BLOCK rows at a time."""
+    for lo in range(0, len(xs), _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        yield _rows((xs[lo:hi] * s_ref).tolist(), *((d[lo:hi] / s_ref).tolist() for d in densities))
 
 
 def _write_atomic(args, pieces: Iterable[str]) -> None:
@@ -152,13 +155,14 @@ def cmd_marginal(raw: RawConfig, args) -> int:
     sys_spec = _single_mode(raw, frame=True)
     parse_frame(raw, sys_spec, required=False)
     g = sys_spec.groups[0]
-    dens = marginal_density(g.mode, g.mu, g.nu, sys_spec.hbar)
+    (unit,), s_ref = unit_frames(sys_spec.groups, sys_spec.hbar)
+    dens = marginal_density(unit.mode, unit.mu, unit.nu)
     header = _header(raw, args, [
         f"mode {sys_spec.describe()}",
         f"mu {_fmt(g.mu)} nu {_fmt(g.nu)} hbar {_fmt(sys_spec.hbar)}",
         f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
     ])
-    _write_atomic(args, _csv(header, ["X", "density"], _row_blocks(dens.grid.xs, dens.values)))
+    _write_atomic(args, _csv(header, ["X", "density"], _row_blocks(s_ref, dens.grid.xs, dens.values)))
     return 0
 
 
@@ -169,13 +173,15 @@ def cmd_cm(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("system", "mode"),
                  f"--all-backends draws every mode: {sys_spec.n_modes} modes x --mc-samples {args.mc_samples} "
                  f"exceed 2^30 = {MC_MODE_DRAWS_MAX} mode-draws")
-    marginals, sigma2, s_n, cm = summed_density(sys_spec)
+    groups, s_ref = unit_frames(sys_spec.groups, sys_spec.hbar)
+    unit = SystemSpec(groups, 1.0)
+    marginals, sigma2, s_n, cm = summed_density(unit)
     columns = ["X", "density"]
     data = [cm.values]
     footer: list[str] = []
     if args.all_backends:
-        cf = cf_product(marginals, sys_spec.counts)
-        mc = sample_sum(sys_spec, args.mc_samples, args.seed, marginals)
+        cf = cf_product(marginals, unit.counts)
+        mc = sample_sum(unit, args.mc_samples, args.seed, marginals)
         agree = backend_agreement(cm, cf, mc)
         columns += ["density_cf", "density_mc"]
         data += [cf.values, agree["density_mc"]]
@@ -183,11 +189,11 @@ def cmd_cm(raw: RawConfig, args) -> int:
     header = _header(raw, args, [
         f"system {sys_spec.describe()}",
         f"frame {sys_spec.describe_frame(r, big_r)}",
-        f"sigma2 {_fmt(sigma2)}",
+        f"sigma2 {_fmt(sigma2 * s_ref * s_ref)}",
         f"S_N {_fmt(s_n)}",
         f"clamped_mass {_fmt(cm.meta['clamped_mass'])}",
     ])
-    _write_atomic(args, _csv(header, columns, _row_blocks(cm.grid.xs, *data), footer))
+    _write_atomic(args, _csv(header, columns, _row_blocks(s_ref, cm.grid.xs, *data), footer))
     return 0
 
 
@@ -262,7 +268,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     if dim < 2:
         raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
-    rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, m, n, hbar, X), dim, hbar)
+    rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, *fold_hbar(m, n, hbar), X), dim, hbar)
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
     header = _header(raw, args, [

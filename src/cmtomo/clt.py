@@ -16,7 +16,7 @@ import numpy as np
 from .convolution import convolve_cycled, convolve_fft, cumulative_trapezoid, marginals_for_system
 from .errors import NumericalError
 from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, variance
-from .states import Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy
+from .states import Fock, ModeGroup, SystemSpec, energy, fold_hbar, hbar_for_fixed_energy, unit_frames
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ class HbarReport:
 def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
     """(sum_j E|x_j|^3) / (sum_j Var x_j)^{3/2}, counts[g] modes sharing moments g.
 
-    The sums carry hbar to the powers 3/2 and 3; where one of them leaves
-    the double range the ratio fails the run (NumericalError)."""
+    The sums grow as the frames' scale to the powers 2 and 3; where one
+    of them leaves the double range the ratio fails (NumericalError).  On
+    unit frames (`unit_frames`) they stay near the mode count."""
     var_total = 0.0
     abs3_total = 0.0
     for m, count in zip(per_mode_moments, counts, strict=True):
@@ -67,7 +68,8 @@ def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
 
 
 def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity] | None) -> list[Moments]:
-    """Mean/variance/absolute third moment of each group's mode, in group order.
+    """Mean/variance/absolute third moment of each group's mode, in group
+    order, at the group's frame with the system's hbar folded in.
 
     Every mode is a parity eigenstate: mean 0, and the closed `variance`
     that `common_grid` reads.  A number state takes the exact third moment
@@ -77,46 +79,35 @@ def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity] | None) -
     """
     out = []
     for g, m in zip(sys.groups, [None] * len(sys.groups) if marginals is None else marginals, strict=True):
+        mu, nu = fold_hbar(g.mu, g.nu, sys.hbar)
         if isinstance(g.mode, Fock):
             try:
-                abs3 = (sys.hbar * (g.mu * g.mu + g.nu * g.nu)) ** 1.5 * fock_abs3_dimensionless(g.mode.n)
-            except OverflowError:       # S_N then fails the run
+                abs3 = (mu * mu + nu * nu) ** 1.5 * fock_abs3_dimensionless(g.mode.n)
+            except OverflowError:       # S_N then fails the call
                 abs3 = math.inf
         else:
             abs3 = float(np.trapezoid(np.abs(m.grid.xs) ** 3 * m.values, dx=m.grid.dx))
-        out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu, sys.hbar), abs3=abs3))
+        out.append(Moments(mean=0.0, var=variance(g.mode, mu, nu), abs3=abs3))
     return out
 
 
 def _sigma2(sys: SystemSpec) -> float:
-    """sigma^2 = sum_j Var x_j from the closed variances, once per group;
-    NumericalError where it leaves the double range."""
-    sigma2 = float(sum(g.count * variance(g.mode, g.mu, g.nu, sys.hbar) for g in sys.groups))
+    """sigma^2 = sum_j Var x_j from the closed variances at the system's
+    hbar, once per group; NumericalError where it leaves the double range."""
+    sigma2 = float(sum(g.count * variance(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar)) for g in sys.groups))
     if not math.isfinite(sigma2):
         raise NumericalError(f"sigma^2 = sum Var x overflows at hbar = {sys.hbar:g}")
     return sigma2
 
 
 def summed_density(sys: SystemSpec) -> tuple[list[MarginalDensity], float, float, MarginalDensity]:
-    """The marginals, sigma^2 = sum_j Var x_j, S_N and the FFT density of the sum."""
+    """The marginals, sigma^2 = sum_j Var x_j, S_N and the FFT density of
+    the sum, at the system's hbar.  `cm` passes the system on its unit
+    frames (`unit_frames`)."""
     marginals = marginals_for_system(sys)
     sigma2 = _sigma2(sys)
     s_n = lyapunov_ratio(per_mode_moments(sys, marginals), sys.counts)
     return marginals, sigma2, s_n, convolve_fft(marginals, sys.counts)
-
-
-def _unit_hbar(groups) -> float:
-    """The hbar at which a scan computes what does not depend on hbar:
-    1, or where the frame radii rho = mu^2 + nu^2 stray far from 1, the
-    power of two nearest 1 / sqrt(rho_min rho_max).
-
-    Every mode is fixed by its level or by a dimensionless alpha, so its
-    tomogram at hbar is the one at this unit with X scaled by
-    sqrt(hbar / unit).  The unit depends on the frames alone, and each
-    hbar rho lies within sqrt(rho_max / rho_min) of 1, inside the double
-    range wherever the configured hbar rho are."""
-    rhos = [g.mu * g.mu + g.nu * g.nu for g in groups]
-    return math.ldexp(1.0, -round(0.5 * (math.log2(min(rhos)) + math.log2(max(rhos)))))
 
 
 def gaussian_distance(d: MarginalDensity, sigma2: float) -> dict:
@@ -159,17 +150,17 @@ def gaussian_mass_within(sigma2: float, epsilon: float) -> float:
     return math.erf(epsilon / math.sqrt(2.0 * sigma2))
 
 
-def _report_for(sys: SystemSpec, r: float, R: float, unit: float, density: MarginalDensity) -> CltReport:
+def _report_for(sys: SystemSpec, r: float, R: float, unit: SystemSpec, density: MarginalDensity) -> CltReport:
     """One fixed-energy scan point: hbar, sigma^2 and the energy bracket
     [rE, RE] in closed form at the system's own hbar; S_N, KS and TV, which
-    do not depend on hbar, at the unit hbar, whose FFT density is given."""
-    unit_sys = SystemSpec(sys.groups, unit)
-    dist = gaussian_distance(density, _sigma2(unit_sys))
+    do not depend on hbar, on the system's unit frames, the system unit,
+    whose FFT density is given."""
+    dist = gaussian_distance(density, _sigma2(unit))
     e_total = energy(sys)
     return CltReport(
         N=sys.n_modes,
         hbar=sys.hbar,
-        S_N=lyapunov_ratio(per_mode_moments(unit_sys, None), unit_sys.counts),
+        S_N=lyapunov_ratio(per_mode_moments(unit, None), unit.counts),
         sigma2=_sigma2(sys),
         rE=r * e_total,
         RE=R * e_total,
@@ -187,9 +178,10 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
     Mode i takes level i mod L and frame i mod P, so a point holds at most
     lcm(L, P) groups, whatever N.  For each N the scale is
     hbar = E / (N/2 + sum n_i), the unique value holding the total energy at E.
-    Each point's density is taken at the scan's unit hbar (`_unit_hbar`),
-    where the groups are the same at every N: `convolve_cycled` builds and
-    transforms each of them once for the whole scan.
+    Each point's density is taken on the pattern's unit frames
+    (`unit_frames`), where the groups are the same at every N:
+    `convolve_cycled` builds and transforms each of them once for the
+    whole scan.
     """
     levels = [int(n) for n in modes_schedule]
     pairs = [(float(m), float(n)) for (m, n) in frame_schedule]
@@ -201,11 +193,12 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
         rho = g.mu * g.mu + g.nu * g.nu
         if not 0 < r < rho < R:
             raise ValueError(f"need 0 < r < mu^2+nu^2 < R, got r = {r:.6g}, {rho:.6g}, R = {R:.6g}")
-    unit = _unit_hbar(pattern)
+    unit_pattern = unit_frames(pattern, 1.0)[0]
     reports: list = [None] * len(n_values)
-    for i, density in convolve_cycled(pattern, unit, n_values):
-        groups = SystemSpec.cycled(pattern, n_values[i], unit).groups
-        reports[i] = _report_for(SystemSpec(groups, hbar_for_fixed_energy(E, groups)), r, R, unit, density)
+    for i, density in convolve_cycled(unit_pattern, n_values):
+        unit = SystemSpec.cycled(unit_pattern, n_values[i], 1.0)
+        sys = SystemSpec.cycled(pattern, n_values[i], hbar_for_fixed_energy(E, unit.groups))
+        reports[i] = _report_for(sys, r, R, unit, density)
     return reports
 
 
@@ -214,24 +207,23 @@ def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float) -> list[HbarRepor
 
     hbar_list must be strictly decreasing; the reported mass inside
     [-epsilon, epsilon] then grows toward one as the summed variance
-    (linear in hbar) collapses.  The system is convolved once, at its
-    unit hbar (`_unit_hbar`): the mass inside epsilon at hbar is the
-    unit density's mass inside epsilon sqrt(unit / hbar).  sigma^2 is the
-    closed form at each hbar.
+    (linear in hbar) collapses.  The system is convolved once, on its
+    unit frames (`unit_frames`): the mass inside epsilon at hbar is the
+    unit density's mass inside epsilon / s_ref, with s_ref the reference
+    scale at that hbar.  sigma^2 is the closed form at each hbar.
     """
     values = [float(h) for h in hbar_list]
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError("hbar_list must be strictly decreasing")
-    unit = _unit_hbar(sys_base.groups)
-    unit_sys = SystemSpec(sys_base.groups, unit)
-    cm = convolve_fft(marginals_for_system(unit_sys), unit_sys.counts)
+    unit = SystemSpec(unit_frames(sys_base.groups, 1.0)[0], 1.0)
+    cm = convolve_fft(marginals_for_system(unit), unit.counts)
     cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
     xs = cm.grid.xs
 
     def point(hbar: float) -> HbarReport:
         sigma2 = _sigma2(SystemSpec(sys_base.groups, hbar))
         # an epsilon that underflows in unit X holds no mass
-        mass = _mass_inside(cdf, xs, epsilon * math.sqrt(unit / hbar))
+        mass = _mass_inside(cdf, xs, epsilon / unit_frames(sys_base.groups, hbar)[1])
         return HbarReport(hbar=hbar, sigma2=sigma2, mass_in_epsilon=mass,
                           gaussian_predicted_mass=gaussian_mass_within(sigma2, epsilon))
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError
 from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
                         marginal_density)
-from .states import ModeGroup, SystemSpec
+from .states import ModeGroup, SystemSpec, fold_hbar
 
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
@@ -38,23 +38,25 @@ MC_MODE_DRAWS_MAX = 2 ** 30
 
 
 def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
-    """One gridded tomogram per mode group, in group order.
+    """One gridded tomogram per mode group, in group order, at the group's
+    frame with the system's hbar folded in (`fold_hbar`).
 
     All grids share the finest per-group policy spacing, the one spacing
     `convolve_fft` accepts: a grid is centred by type, so each marginal's
     nodes are nodes of the output grid, and backend one places its values
     there by index.
     """
-    dx = min(grid_policy(g.mode, g.mu, g.nu, sys.hbar)[1] for g in sys.groups)
-    return list(_marginals_on(sys.groups, sys.hbar, dx))
+    groups = [ModeGroup(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar), g.count) for g in sys.groups]
+    dx = min(grid_policy(g.mode, g.mu, g.nu)[1] for g in groups)
+    return list(_marginals_on(groups, dx))
 
 
-def _marginals_on(groups, hbar: float, dx: float):
+def _marginals_on(groups, dx: float):
     """Each group's tomogram on its policy half-width at spacing dx, built
     as it is taken."""
     for g in groups:
-        half = grid_policy(g.mode, g.mu, g.nu, hbar)[0]
-        yield marginal_density(g.mode, g.mu, g.nu, hbar, grid=centered_grid(half, dx))
+        half = grid_policy(g.mode, g.mu, g.nu)[0]
+        yield marginal_density(g.mode, g.mu, g.nu, grid=centered_grid(half, dx))
 
 
 def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
@@ -130,11 +132,12 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
     return _inverse(product, grid, 1e-9)
 
 
-def convolve_cycled(pattern: list[ModeGroup], hbar: float, n_list: list[int]):
-    """`convolve_fft` of each system `SystemSpec.cycled(pattern, N, hbar)`,
-    N in n_list, building and transforming each pattern group once per
-    pass, not once per N.  Yields (i, density of N = n_list[i]) one
-    point at a time, in pass order, so no caller holds every density.
+def convolve_cycled(pattern: list[ModeGroup], n_list: list[int]):
+    """`convolve_fft` of each system `SystemSpec.cycled(pattern, N, 1.0)`,
+    N in n_list, on the pattern's frames as given, building and
+    transforming each pattern group once per pass, not once per N.
+    Yields (i, density of N = n_list[i]) one point at a time, in pass
+    order, so no caller holds every density.
 
     With P pattern groups, N modes hold q = N // P copies of every group
     and one more of the first r = N % P, so the spectrum product is
@@ -156,8 +159,8 @@ def convolve_cycled(pattern: list[ModeGroup], hbar: float, n_list: list[int]):
     period = len(pattern)
     grids = []
     for n in n_list:
-        sys = SystemSpec.cycled(pattern, n, hbar)
-        policies = [grid_policy(g.mode, g.mu, g.nu, hbar) for g in sys.groups]
+        sys = SystemSpec.cycled(pattern, n, 1.0)
+        policies = [grid_policy(g.mode, g.mu, g.nu) for g in sys.groups]
         grids.append(_sum_grid([half for half, _ in policies], sys.counts, min(dx for _, dx in policies)))
     for dx in dict.fromkeys(g.dx for g in grids):
         members = [i for i, g in enumerate(grids) if g.dx == dx]
@@ -166,7 +169,7 @@ def convolve_cycled(pattern: list[ModeGroup], hbar: float, n_list: list[int]):
         lattice = Grid(dx, max(grids[i].count for i in members))
         needed = {r for _, r in splits.values()}
         prefixes = {}
-        for r, product in enumerate(_spectrum_products(_marginals_on(pattern[:length], hbar, dx), [1] * length,
+        for r, product in enumerate(_spectrum_products(_marginals_on(pattern[:length], dx), [1] * length,
                                                        lattice), start=1):
             if r in needed and r < length:
                 prefixes[r] = product.copy()
@@ -243,11 +246,11 @@ def _inverse(spec: np.ndarray, grid: Grid, clamp_limit: float) -> MarginalDensit
 
 
 def _mode_args(m: MarginalDensity) -> tuple:
-    """(mode, mu, nu, hbar) of a marginal, as the closed forms take them."""
+    """(mode, mu, nu) of a marginal, as the closed forms take them."""
     meta = m.meta
     if "mode" not in meta:
         raise ValueError("the backends need marginals from marginal_density, which record meta['mode']")
-    return meta["mode"], meta["mu"], meta["nu"], meta["hbar"]
+    return meta["mode"], meta["mu"], meta["nu"]
 
 
 def _cf_product_at(marginals: list[MarginalDensity], counts: list[int], ks: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Single-mode quadrature distributions (symplectic tomograms) and moments.
 
 A tomogram w(X, mu, nu) is the probability density of the observable
-mu*q + nu*p in a given state.  Three routes are implemented:
+mu*q + nu*p in a given state, at hbar = 1: a frame carries its own scale
+s = sqrt(mu^2 + nu^2), and the tomogram of mu q + nu p at another hbar is
+the one at the frame sqrt(hbar) (mu, nu) (`states.fold_hbar`).  Three
+routes are implemented:
 
 * closed forms for number states and even/odd coherent superpositions,
 * an independent amplitude oracle built from the level expansion, used
@@ -120,15 +123,13 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _scale(mu, nu, hbar: float):
-    """s = sqrt(hbar (mu^2 + nu^2)), entrywise for array frames."""
+def _scale(mu, nu):
+    """The frame's scale s = sqrt(mu^2 + nu^2), entrywise for array frames."""
     rho = mu * mu + nu * nu
     vanishing = np.any(rho <= 0) if isinstance(rho, np.ndarray) else rho <= 0
     if vanishing:
         raise ValueError("mu and nu cannot both vanish")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    return _sqrt(hbar * rho)
+    return _sqrt(rho)
 
 
 @lru_cache(maxsize=1024)
@@ -167,14 +168,14 @@ def _cat_norm_sq(mode: CoherentEven | CoherentOdd) -> float:
     return 1.0 / (2.0 * cat_weight(mode))
 
 
-def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu, nu, hbar: float, X) -> np.ndarray:
+def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu, nu, X) -> np.ndarray:
     """Closed-form quadrature density of an even/odd coherent superposition.
 
-    In t = X/s, s = sqrt(hbar (mu^2 + nu^2)), the density is
+    In t = X/s, s = sqrt(mu^2 + nu^2), the density is
     e^{-(t^2 + u^2)} |e^{z} +- e^{-z}|^2 / (sqrt(pi) s) times the squared
     normalization, with z = (u + iv) t, where u is the scaled centre of
     |alpha>'s quadrature and v its scaled momentum along the frame; its
-    shape in t does not depend on hbar.  With a = |u t| and b = v t,
+    shape in t depends on the frame's angle alone.  With a = |u t| and b = v t,
     |e^{z} +- e^{-z}|^2 = e^{2a} |1 +- e^{-2(a + ib)}|^2, and the factor is
     a sum of non-negative real terms,
     |1 + e^{-2(a+ib)}|^2 = expm1(-2a)^2 + 4 e^{-2a} cos^2 b (even) and
@@ -187,12 +188,11 @@ def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu, nu, hbar: float, X) -> n
     Array frames broadcast against X through the same expression.
     """
     alpha = mode.alpha
-    s = _scale(mu, nu, hbar)
-    root_rho = _sqrt(mu * mu + nu * nu)
+    s = _scale(mu, nu)
     n_sq = _cat_norm_sq(mode)
     t = np.asarray(X, dtype=float) / s
-    u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / root_rho
-    v = math.sqrt(2.0) * (alpha.imag * mu - alpha.real * nu) / root_rho
+    u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / s
+    v = math.sqrt(2.0) * (alpha.imag * mu - alpha.real * nu) / s
     a = np.abs(u * t)
     trig = np.cos(v * t) if mode.sign > 0 else np.sin(v * t)
     vals = n_sq / (_SQRT_PI * s) * (np.exp(-(np.abs(t) - abs(u)) ** 2) * np.expm1(-2.0 * a) ** 2
@@ -202,7 +202,7 @@ def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu, nu, hbar: float, X) -> n
     return np.where(vals < _TINY, 0.0, vals)
 
 
-def tomogram(mode: ModeSpec, mu, nu, hbar: float, X):
+def tomogram(mode: ModeSpec, mu, nu, X):
     """Closed-form quadrature density of the mode at X along mu x + nu p,
     a float for a scalar X and scalar frame.
 
@@ -210,12 +210,12 @@ def tomogram(mode: ModeSpec, mu, nu, hbar: float, X):
     (m, 1) columns against a row of nodes: the result is the table of
     every frame's density, each entry bit for bit the scalar call's.
     The number state |n> gives hermite_sq_density_factor(n, X/s)/s with
-    s^2 = hbar*(mu^2+nu^2), which depends on the frame only through that
-    combination, so a frame table evaluates one row per distinct exact s
-    and gathers it to every frame of that s; a cat gives `_cat_tomogram`.
+    s^2 = mu^2 + nu^2, the frame's scale, so a frame table evaluates one
+    row per distinct exact s and gathers it to every frame of that s; a
+    cat gives `_cat_tomogram`.
     """
     if isinstance(mode, Fock):
-        s = _scale(mu, nu, hbar)
+        s = _scale(mu, nu)
         x = np.asarray(X, dtype=float)
         if isinstance(s, np.ndarray):
             scales, which = np.unique(s, return_inverse=True)
@@ -224,28 +224,28 @@ def tomogram(mode: ModeSpec, mu, nu, hbar: float, X):
         else:
             out = hermite_sq_density_factor(mode.n, x / s) / s
     else:
-        out = _cat_tomogram(mode, mu, nu, hbar, X)
+        out = _cat_tomogram(mode, mu, nu, X)
     if np.isscalar(X) and np.ndim(out) == 0:
         return float(out)
     return out
 
 
-def variance(mode: ModeSpec, mu: float, nu: float, hbar: float) -> float:
-    """Exact variance of the mode's tomogram: hbar*(mu^2+nu^2)*(1/2 + n)
+def variance(mode: ModeSpec, mu: float, nu: float) -> float:
+    """Exact variance of the mode's tomogram: (mu^2+nu^2)*(1/2 + n)
     for |n>, and the level-basis algebra for a cat."""
     rho = mu * mu + nu * nu
     if isinstance(mode, Fock):
-        return hbar * rho * (0.5 + mode.n)
+        return rho * (0.5 + mode.n)
     a, b = mode.alpha.real, mode.alpha.imag
     e = math.exp(-2.0 * abs(mode.alpha) ** 2)
-    return _cat_norm_sq(mode) * hbar * (
+    return _cat_norm_sq(mode) * (
         cat_weight(mode) * rho
         + 4.0 * (a * mu + b * nu) ** 2
         - mode.sign * 4.0 * e * (b * mu - a * nu) ** 2
     )
 
 
-def evenodd_var_closed(mode: CoherentEven | CoherentOdd, mu: float, nu: float, hbar: float) -> float:
+def evenodd_var_closed(mode: CoherentEven | CoherentOdd, mu: float, nu: float) -> float:
     """Published closed-form variance of the even/odd tomogram, as printed.
 
     Kept verbatim (modulo squaring the normalization constant) for the
@@ -255,14 +255,14 @@ def evenodd_var_closed(mode: CoherentEven | CoherentOdd, mu: float, nu: float, h
     a, b = mode.alpha.real, mode.alpha.imag
     e = math.exp(-2.0 * abs(mode.alpha) ** 2)
     rho = mu * mu + nu * nu
-    return _cat_norm_sq(mode) * hbar * (
+    return _cat_norm_sq(mode) * (
         (1.0 + e) * rho
         + 4.0 * (a * mu + b * nu) ** 2
         - mode.sign * 4.0 * e * (b * mu + a * nu) ** 2
     )
 
 
-def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[float, float]:
+def grid_policy(mode: ModeSpec, mu: float, nu: float) -> tuple[float, float]:
     """(half_width, dx) the default grid policy assigns to this mode:
     8 sigma each side and dx <= sigma/64, finer where the density oscillates.
 
@@ -270,8 +270,8 @@ def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[floa
     +-<X>_alpha (`_cat_tomogram`), and interference can squeeze its
     variance below what those tails need, so its half-width reaches at
     least 8 vacuum deviations past |<X>_alpha|."""
-    s = _scale(mu, nu, hbar)
-    sigma = math.sqrt(variance(mode, mu, nu, hbar))
+    s = _scale(mu, nu)
+    sigma = math.sqrt(variance(mode, mu, nu))
     dx = sigma / 64.0
     if isinstance(mode, Fock):
         # the fastest H_n^2 oscillation (wavelength ~ pi/sqrt(2n+1) in y)
@@ -282,38 +282,37 @@ def grid_policy(mode: ModeSpec, mu: float, nu: float, hbar: float) -> tuple[floa
         dx = min(dx, math.pi * s / (16.0 * math.sqrt(2.0) * abs(mode.alpha)))
     # the vacuum deviation from its closed variance, which an alpha = 0 cat
     # matches bit for bit, so its grid stays the vacuum's
-    peak = math.sqrt(2.0 * hbar) * abs(mu * mode.alpha.real + nu * mode.alpha.imag)
-    return max(8.0 * sigma, peak + 8.0 * math.sqrt(variance(Fock(0), mu, nu, hbar))), dx
+    peak = math.sqrt(2.0) * abs(mu * mode.alpha.real + nu * mode.alpha.imag)
+    return max(8.0 * sigma, peak + 8.0 * math.sqrt(variance(Fock(0), mu, nu))), dx
 
 
-def marginal_density(mode: ModeSpec, mu: float, nu: float, hbar: float,
-                     grid: Grid | None = None) -> MarginalDensity:
+def marginal_density(mode: ModeSpec, mu: float, nu: float, grid: Grid | None = None) -> MarginalDensity:
     """The mode's closed-form tomogram on a grid, grid_policy's by default.
 
     Every closed form is a normalized density, so the values are the
     tomogram's as they are: on a policy grid a cat's trapezoid integral
     is 1 within 1e-14.  MarginalDensity fails with NumericalError when
     the integral is further than 1e-8 from 1, as on a caller grid that
-    cuts the tails.  The metadata record the mode, the frame, hbar and
-    that integral (pre_rescale_integral).
+    cuts the tails.  The metadata record the mode, the frame and that
+    integral (pre_rescale_integral).
     """
     if grid is None:
-        grid = centered_grid(*grid_policy(mode, mu, nu, hbar))
-    meta = {"mode": mode, "mu": mu, "nu": nu, "hbar": hbar}
-    density = MarginalDensity(grid=grid, values=tomogram(mode, mu, nu, hbar, grid.xs), meta=meta)
+        grid = centered_grid(*grid_policy(mode, mu, nu))
+    meta = {"mode": mode, "mu": mu, "nu": nu}
+    density = MarginalDensity(grid=grid, values=tomogram(mode, mu, nu, grid.xs), meta=meta)
     meta["pre_rescale_integral"] = density.integral
     return density
 
 
-def tomogram_amplitudes(psi: FockExpansion, mu: float, nu: float, hbar: float, X) -> np.ndarray:
+def tomogram_amplitudes(psi: FockExpansion, mu: float, nu: float, X) -> np.ndarray:
     """Probability amplitude <X; mu, nu | psi> of the quadrature observable.
 
     The level-k amplitude is e^{-ik theta} h_k(X/s)/sqrt(s) with
-    theta = atan2(nu, mu) and s^2 = hbar (mu^2+nu^2): its squared
+    theta = atan2(nu, mu) and s^2 = mu^2+nu^2: its squared
     modulus reproduces the number-state tomogram and the phase is fixed
     by the coherent-state (Gaussian) case.  See calibrate_oracle.
     """
-    s = _scale(mu, nu, hbar)
+    s = _scale(mu, nu)
     theta = math.atan2(nu, mu)
     X = np.asarray(X, dtype=float)
     funcs = hermite_functions(psi.truncation, X / s)
@@ -322,36 +321,35 @@ def tomogram_amplitudes(psi: FockExpansion, mu: float, nu: float, hbar: float, X
 
 
 @lru_cache(maxsize=512)
-def calibrate_oracle(mu: float, nu: float, hbar: float) -> None:
+def calibrate_oracle(mu: float, nu: float) -> None:
     """Verify the amplitude route at this frame; raise CalibrationError if off.
 
     Anchors: |amplitude|^2 of pure levels 0 and 3 against the closed
     form, and mean/variance of a displaced Gaussian (coherent state)
-    against sqrt(2 hbar)(mu Re a + nu Im a) and hbar rho / 2.  Each is
-    compared within 1e-8 in units of the frame scale
-    s = sqrt(hbar (mu^2 + nu^2)): a density times s, a mean over s and a
-    variance over s^2, so the test does not move with hbar; on a unit
-    frame at hbar = 1 it is the absolute test.
+    against sqrt(2)(mu Re a + nu Im a) and rho / 2.  Each is compared
+    within 1e-8 in units of the frame scale s = sqrt(mu^2 + nu^2): a
+    density times s, a mean over s and a variance over s^2, so the test
+    does not move with the scale; on a unit frame it is the absolute test.
     """
-    s = _scale(mu, nu, hbar)
+    s = _scale(mu, nu)
     probe = centered_grid(10.0 * s * math.sqrt(3.5), s / 16.0)
     for k in (0, 3):
         c = np.zeros(k + 1, dtype=complex)
         c[k] = 1.0
         psi = FockExpansion(coefficients=c, truncation=k)
-        got = np.abs(tomogram_amplitudes(psi, mu, nu, hbar, probe.xs)) ** 2
-        want = tomogram(Fock(k), mu, nu, hbar, probe.xs)
+        got = np.abs(tomogram_amplitudes(psi, mu, nu, probe.xs)) ** 2
+        want = tomogram(Fock(k), mu, nu, probe.xs)
         err = s * float(np.max(np.abs(got - want)))
         if err > 1e-8:
             raise CalibrationError(
-                f"level-{k} anchor off by {err:.3e} at frame ({mu}, {nu}), hbar={hbar}"
+                f"level-{k} anchor off by {err:.3e} at frame ({mu}, {nu})"
             )
     a = 0.7 + 0.3j
     psi = coherent_expansion(a, 40)
-    mean_want = math.sqrt(2.0 * hbar) * (mu * a.real + nu * a.imag)
-    sigma = math.sqrt(hbar * (mu * mu + nu * nu) / 2.0)
+    mean_want = math.sqrt(2.0) * (mu * a.real + nu * a.imag)
+    sigma = math.sqrt((mu * mu + nu * nu) / 2.0)
     grid = centered_grid(abs(mean_want) + 10.0 * sigma, sigma / 64.0)
-    dens = np.abs(tomogram_amplitudes(psi, mu, nu, hbar, grid.xs)) ** 2
+    dens = np.abs(tomogram_amplitudes(psi, mu, nu, grid.xs)) ** 2
     mean_got = float(np.trapezoid(grid.xs * dens, dx=grid.dx))
     var_got = float(np.trapezoid((grid.xs - mean_got) ** 2 * dens, dx=grid.dx))
     if abs(mean_got - mean_want) / s > 1e-8 or abs(var_got - sigma * sigma) / (s * s) > 1e-8:
@@ -361,20 +359,20 @@ def calibrate_oracle(mu: float, nu: float, hbar: float) -> None:
         )
 
 
-def tomogram_oracle(psi: FockExpansion, mu: float, nu: float, hbar: float, grid: Grid) -> MarginalDensity:
+def tomogram_oracle(psi: FockExpansion, mu: float, nu: float, grid: Grid) -> MarginalDensity:
     """Tomogram of an arbitrary pure expansion via the amplitude route.
 
     Independent of the closed forms above except through the calibration
     anchors, which are checked (once per frame) before first use.
     """
-    calibrate_oracle(mu, nu, hbar)
-    vals = np.abs(tomogram_amplitudes(psi, mu, nu, hbar, grid.xs)) ** 2
+    calibrate_oracle(mu, nu)
+    vals = np.abs(tomogram_amplitudes(psi, mu, nu, grid.xs)) ** 2
     total = float(np.trapezoid(vals, dx=grid.dx))
     if abs(total - 1.0) > 1e-6:
         raise NumericalError(
             f"oracle density integrates to {total}; grid too small for the state"
         )
-    meta = {"mu": mu, "nu": nu, "hbar": hbar, "pre_rescale_integral": total}
+    meta = {"mu": mu, "nu": nu, "pre_rescale_integral": total}
     return MarginalDensity(grid=grid, values=vals / total, meta=meta)
 
 
@@ -388,18 +386,18 @@ def moments(d) -> Moments:
     return Moments(mean=mean, var=var, abs3=abs3)
 
 
-def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.ndarray:
+def char_function(mode: ModeSpec, mu: float, nu: float, k) -> np.ndarray:
     """E e^{ikX} under the mode's tomogram at frame (mu, nu), in closed form.
 
     Every mode here is a parity eigenstate, so its tomogram is even in X
     and the value is real.  A number state gives e^{-u/2} L_n(u) with
-    u = k^2 s^2 / 2, s^2 = hbar (mu^2 + nu^2), from the scaled Laguerre
+    u = k^2 s^2 / 2, s^2 = mu^2 + nu^2, from the scaled Laguerre
     recurrence.  A superposition N(|a> + c|-a>) gives <cat|D(b)|cat>
-    with b = i k sqrt(hbar/2) (mu + i nu): the sum of c_g c_d <g|D(b)|d>
+    with b = i k (mu + i nu) / sqrt(2): the sum of c_g c_d <g|D(b)|d>
     over g, d in {a, -a}, where <g|D(b)|d> has modulus
     e^{-|g - b - d|^2/2} (Cahill and Glauber, Phys. Rev. 177, 1857
     (1969)).  The two diagonal terms pair into
-    2 e^{-|b|^2/2} cos(k <X>_a), with <X>_a = sqrt(2 hbar)(mu Re a + nu Im a),
+    2 e^{-|b|^2/2} cos(k <X>_a), with <X>_a = sqrt(2)(mu Re a + nu Im a),
     and the two cross terms are real and positive, e^{-|2a - b|^2/2} and
     e^{-|2a + b|^2/2}.
     The odd superposition subtracts the cross terms, which cancel the
@@ -412,24 +410,24 @@ def char_function(mode: ModeSpec, mu: float, nu: float, hbar: float, k) -> np.nd
     No exponent is positive, so nothing overflows at any |a| or k.
     """
     k = np.asarray(k, dtype=float)
-    s = _scale(mu, nu, hbar)
+    s = _scale(mu, nu)
     if isinstance(mode, Fock):
         return laguerre_gauss(mode.n, 0.5 * (k * s) ** 2)
     alpha = mode.alpha
-    mean = math.sqrt(2.0 * hbar) * (mu * alpha.real + nu * alpha.imag)
+    mean = math.sqrt(2.0) * (mu * alpha.real + nu * alpha.imag)
     if mode.sign > 0:
-        beta = 1j * math.sqrt(0.5 * hbar) * complex(mu, nu) * k
+        beta = 1j * math.sqrt(0.5) * complex(mu, nu) * k
         diag = 2.0 * np.exp(-0.25 * (k * s) ** 2) * np.cos(k * mean)
         cross = np.exp(-0.5 * np.abs(2.0 * alpha - beta) ** 2) + np.exp(-0.5 * np.abs(2.0 * alpha + beta) ** 2)
         return _cat_norm_sq(mode) * (diag + cross)
     w = cat_weight(mode)
-    c = np.abs(k) * math.sqrt(2.0 * hbar) * abs(mu * alpha.imag - nu * alpha.real)
+    c = np.abs(k) * math.sqrt(2.0) * abs(mu * alpha.imag - nu * alpha.real)
     near = np.exp(-0.25 * (k * s) ** 2) * (1.0 - 2.0 * np.sin(0.5 * k * mean) ** 2 / w)
     far = np.exp(-0.25 * (k * s) ** 2 - 2.0 * abs(alpha) ** 2 + c) * np.expm1(-c) ** 2 / (2.0 * w)
     return near - far
 
 
-def char_function_reach(mode: ModeSpec, mu: float, nu: float, hbar: float, floor: float) -> float:
+def char_function_reach(mode: ModeSpec, mu: float, nu: float, floor: float) -> float:
     """A k beyond which |char_function| stays below floor.
 
     The closed forms are not monotone in k: a cat's cross terms are a
@@ -447,14 +445,14 @@ def char_function_reach(mode: ModeSpec, mu: float, nu: float, hbar: float, floor
         r, c = math.sqrt(2.0 * mode.n + 1.0), 1.0
     else:
         r, c = math.sqrt(2.0) * abs(mode.alpha), 4.0 * _cat_norm_sq(mode)
-    return (2.0 * r + 2.0 * math.sqrt(math.log(c / floor))) / _scale(mu, nu, hbar)
+    return (2.0 * r + 2.0 * math.sqrt(math.log(c / floor))) / _scale(mu, nu)
 
 
-def oracle_marginal(mode: ModeSpec, mu: float, nu: float, hbar: float) -> MarginalDensity:
+def oracle_marginal(mode: ModeSpec, mu: float, nu: float) -> MarginalDensity:
     """Oracle-route tomogram for a mode, on the closed form's default grid.
 
     The expansion runs past the 1e-12 tail policy so the amplitude-level
     truncation error sits well below 1e-9.
     """
     psi = fock_expansion(mode, D=fock_expansion(mode).truncation + _ORACLE_EXTRA_LEVELS)
-    return tomogram_oracle(psi, mu, nu, hbar, centered_grid(*grid_policy(mode, mu, nu, hbar)))
+    return tomogram_oracle(psi, mu, nu, centered_grid(*grid_policy(mode, mu, nu)))

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import GridSizeError, NumericalError
 from .marginals import _MAX_GRID, char_function_reach
 from .specialfn import laguerre_gauss_levels, phase_table
-from .states import Fock, FockExpansion
+from .states import Fock, FockExpansion, fold_hbar
 
 # |characteristic function| at the outermost radial node above which the
 # frame radius cuts off part of the state
@@ -135,7 +135,7 @@ def _job_sizes(dim: int, hbar: float) -> _JobSizes:
         if entries > _MAX_GRID:
             raise GridSizeError(f"reconstruction table {name} would hold more than {_MAX_GRID} "
                                 f"entries (dim {dim}, x_count {x_count})")
-    K = char_function_reach(Fock(dim - 1), 1.0, 0.0, hbar, 1e-12)
+    K = char_function_reach(Fock(dim - 1), *fold_hbar(1.0, 0.0, hbar), 1e-12)
     return _JobSizes(K, radial, angular, x_count)
 
 
@@ -197,8 +197,8 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     # column n of the lower triangle: entry (n + d, n) sums C[d/2] times the
     # element modulus f_n^(d)(hbar k^2 / 2); the upper triangle is its conjugate
     rho_m = np.zeros((dim, dim), dtype=complex)
-    for n, f in enumerate(laguerre_gauss_levels(dim, 0.5 * hbar * k_nodes * k_nodes, dim)):
-        rho_m[n::2, n] = np.einsum("dr,dr->d", C[:(dim - n + 1) // 2], f[0::2])
+    for n, f in enumerate(laguerre_gauss_levels(dim, 0.5 * hbar * k_nodes * k_nodes, offsets)):
+        rho_m[n::2, n] = np.einsum("dr,dr->d", C[:len(f)], f)
     rho_m += np.tril(rho_m, -1).conj().T
     pre_trace = float(np.trace(rho_m).real)
     if pre_trace <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .marginals import evenodd_var_closed, marginal_density, moments, oracle_marginal
-from .states import CoherentEven, CoherentOdd, coherent_expansion, fock_expansion
+from .states import CoherentEven, CoherentOdd, coherent_expansion, fock_expansion, fold_hbar
 
 DEFAULT_ALPHAS = (
     0.0 + 0.0j,
@@ -109,13 +109,14 @@ def discrepancy_rows(alphas, frames, hbar: float) -> list[ReportRow]:
             rows.append(ReportRow("x2_diag", alpha, "-", mu, nu, hbar, x2_diag_p, x2_diag_o.real))
             rows.append(ReportRow("x2_cross_re", alpha, "-", mu, nu, hbar, x2_cross_p.real, x2_cross_o.real))
             rows.append(ReportRow("x2_cross_im", alpha, "-", mu, nu, hbar, x2_cross_p.imag, x2_cross_o.imag))
+            frame = fold_hbar(mu, nu, hbar)
             for mode in modes:
-                closed = marginal_density(mode, mu, nu, hbar)
+                closed = marginal_density(mode, *frame)
                 rows.append(ReportRow("integral", alpha, mode.parity, mu, nu, hbar,
                                       closed.meta["pre_rescale_integral"], 1.0))
-                oracle = oracle_marginal(mode, mu, nu, hbar)
+                oracle = oracle_marginal(mode, *frame)
                 var_oracle = moments(oracle).var
-                var_paper = evenodd_var_closed(mode, mu, nu, hbar)
+                var_paper = evenodd_var_closed(mode, *frame)
                 rows.append(ReportRow("variance", alpha, mode.parity, mu, nu, hbar,
                                       var_paper, var_oracle))
     return rows

@@ -63,15 +63,18 @@ def laguerre_gauss(n: int, u) -> np.ndarray:
     return next(laguerre_gauss_levels(n + 1, u, first=n))[0]
 
 
-def laguerre_gauss_levels(levels: int, u, offsets: int = 1, first: int = 0):
+def laguerre_gauss_levels(levels: int, u, offsets=(0,), first: int = 0):
     """Yield the normalized Laguerre functions of levels j = first..levels-1.
 
     f_j^{(d)}(u) = sqrt(j!/(j+d)!) u^{d/2} e^{-u/2} L_j^{(d)}(u), u >= 0,
     is the modulus of the displacement element <j+d|D(b)|j> at
     |b|^2 = u (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)), so it
-    is bounded by one.  Step j yields the offsets d < offsets with
-    j + d < levels, shape (min(offsets, levels - j),) + shape(u): row d
-    of every step walks the d-th subdiagonal of a levels x levels matrix.
+    is bounded by one.  offsets are the distinct d >= 0 to walk, in
+    increasing order; step j yields those with j + d < levels, one row
+    each, shape (count,) + shape(u): row i of every step walks the
+    offsets[i]-th subdiagonal of a levels x levels matrix.  Each offset's
+    recurrence and rescaling are elementwise, so a row does not depend
+    on which other offsets are walked beside it.
 
     The recurrence runs in j at fixed d (the ladder recurrence in the
     matrix indices is unstable), on the differences
@@ -88,18 +91,20 @@ def laguerre_gauss_levels(levels: int, u, offsets: int = 1, first: int = 0):
     are not yielded, and their values are never formed.
     """
     u = np.asarray(u, dtype=float)
-    d = np.arange(offsets, dtype=float).reshape((offsets,) + (1,) * u.ndim)
-    ls = np.repeat((-0.5 * u)[None], offsets, axis=0)
-    if offsets > 1:
-        half_log_fact = np.array([0.5 * math.lgamma(k + 1.0) for k in range(1, offsets)])
+    offsets = np.asarray(offsets, dtype=int)
+    d = offsets.astype(float).reshape((len(offsets),) + (1,) * u.ndim)
+    ls = np.repeat((-0.5 * u)[None], len(offsets), axis=0)
+    moved = offsets > 0
+    if moved.any():
+        half_log_fact = np.array([0.5 * math.lgamma(k + 1.0) for k in offsets[moved]])
         with np.errstate(divide="ignore"):
-            ls[1:] += 0.5 * d[1:] * np.log(u) - half_log_fact.reshape(d[1:].shape)
+            ls[moved] += 0.5 * d[moved] * np.log(u) - half_log_fact.reshape(d[moved].shape)
     lag = np.ones_like(ls)
     diff = np.ones_like(ls)
     scale = np.exp(ls)
     work = np.empty_like(ls)
     for j in range(levels):
-        rows = min(offsets, levels - j)
+        rows = int(np.searchsorted(offsets, levels - j))
         if rows < len(lag):
             lag, diff, ls, scale, d, work = (a[:rows] for a in (lag, diff, ls, scale, d, work))
         if j >= first:

@@ -1,7 +1,10 @@
 """Mode and system descriptions, Fock-basis expansions, energy bookkeeping.
 
-Units: oscillator mass and frequency are 1 throughout; the action scale
-hbar stays explicit so the classical limit hbar -> 0 can be scanned.
+Units: oscillator mass and frequency are 1 throughout.  A system keeps
+the action scale hbar for its energy and its description; every closed
+form takes hbar = 1, and the frame (mu, nu) at hbar is the frame
+sqrt(hbar) (mu, nu) there (`fold_hbar`), so the classical limit
+hbar -> 0 is a rescaling of the frames.
 """
 
 from __future__ import annotations
@@ -98,6 +101,30 @@ class ModeGroup:
     def __post_init__(self) -> None:
         if not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise ValueError(f"a mode group needs a positive integer count, got {self.count!r}")
+
+
+def fold_hbar(mu, nu, hbar: float):
+    """The frame sqrt(hbar) (mu, nu): the closed forms, which take hbar = 1,
+    give there the tomogram of mu q + nu p at hbar.  mu and nu may be arrays."""
+    root = math.sqrt(hbar)
+    return root * mu, root * nu
+
+
+def unit_frames(groups, hbar: float) -> tuple[tuple, float]:
+    """The groups on the frames 2^k (mu, nu), and the reference scale
+    s_ref = sqrt(hbar) 2^-k.
+
+    k, the integer nearest -(log2 rho_min + log2 rho_max) / 4 over the
+    radii rho = mu^2 + nu^2, brings the radii nearest 1 (k = 0 on unit
+    frames) and depends on the frames alone.  The scaling is exact and
+    every closed form is homogeneous in its frame, so a command computes
+    here, where sums of moments stay near the mode count, and writes X
+    times s_ref and densities over s_ref: what is scale-free has the same
+    bytes at every hbar."""
+    rhos = [g.mu * g.mu + g.nu * g.nu for g in groups]
+    k = -round(0.25 * (math.log2(min(rhos)) + math.log2(max(rhos))))
+    scaled = tuple(ModeGroup(g.mode, math.ldexp(g.mu, k), math.ldexp(g.nu, k), g.count) for g in groups)
+    return scaled, math.ldexp(math.sqrt(hbar), -k)
 
 
 def _mode_text(mode: ModeSpec) -> str:

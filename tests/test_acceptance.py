@@ -16,7 +16,7 @@ from cmtomo.convolution import backend_agreement, cf_product, convolve_fft, marg
 from cmtomo.marginals import marginal_density, moments, oracle_marginal, tomogram, variance
 from cmtomo.reconstruct import fidelity, reconstruct_single_mode
 from cmtomo.report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, SystemSpec, fock_expansion
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, SystemSpec, fock_expansion, fold_hbar
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,10 +39,10 @@ def test_criterion_1_fock_normalization_and_variance():
         for rho in (0.5, 1.0, 2.0):
             mu = math.sqrt(rho)
             for hbar in (0.01, 1.0, 10.0):
-                d = marginal_density(Fock(n), mu, 0.0, hbar)
+                d = marginal_density(Fock(n), *fold_hbar(mu, 0.0, hbar))
                 total = float(np.trapezoid(d.values, dx=d.grid.dx))
                 m = moments(d)
-                want = variance(Fock(n), mu, 0.0, hbar)
+                want = variance(Fock(n), *fold_hbar(mu, 0.0, hbar))
                 worst_norm = max(worst_norm, abs(total - 1.0))
                 worst_var = max(worst_var, abs(m.var - want) / want)
     elapsed = time.time() - t0
@@ -146,15 +146,15 @@ def test_criterion_6_cat_state_consistency():
     for alpha in alphas:
         for mode in (CoherentEven(alpha), CoherentOdd(alpha)):
             for mu, nu in frames:
-                d = marginal_density(mode, mu, nu, 1.0)
-                o = oracle_marginal(mode, mu, nu, 1.0)
+                d = marginal_density(mode, mu, nu)
+                o = oracle_marginal(mode, mu, nu)
                 worst = max(worst, float(np.max(np.abs(d.values - o.values))))
             # nu-axis frame: odd densities carry an exact node at the origin
             if mode.sign < 0:
-                at_zero = float(tomogram(mode, 0.0, 1.0, 1.0, np.array([0.0]))[0])
+                at_zero = float(tomogram(mode, 0.0, 1.0, np.array([0.0]))[0])
                 assert at_zero == 0.0
-    vac = marginal_density(CoherentEven(0.0), 1.0, 0.0, 1.0)
-    vac_err = float(np.max(np.abs(vac.values - tomogram(Fock(0), 1.0, 0.0, 1.0, vac.grid.xs))))
+    vac = marginal_density(CoherentEven(0.0), 1.0, 0.0)
+    vac_err = float(np.max(np.abs(vac.values - tomogram(Fock(0), 1.0, 0.0, vac.grid.xs))))
     elapsed = time.time() - t0
     ok = worst < 1e-6 and vac_err < 1e-10
     report(6, ok, elapsed, f"worst oracle gap {worst:.2e}, vacuum limit gap {vac_err:.2e}")
@@ -165,8 +165,8 @@ def test_criterion_6_cat_state_consistency():
 def test_criterion_7_homogeneity():
     t0 = time.time()
     densities = [
-        lambda mu, nu, X: tomogram(Fock(3), mu, nu, 1.0, X),
-        lambda mu, nu, X: tomogram(CoherentEven(1.0), mu, nu, 1.0, X),
+        lambda mu, nu, X: tomogram(Fock(3), mu, nu, X),
+        lambda mu, nu, X: tomogram(CoherentEven(1.0), mu, nu, X),
     ]
     mu, nu = 0.8, -0.6
     X = np.linspace(-6.0, 6.0, 481)
@@ -185,9 +185,9 @@ def test_criterion_7_homogeneity():
 def test_criterion_8_reconstruction_round_trip():
     t0 = time.time()
     cases = [
-        (lambda X, m, n: tomogram(Fock(0), m, n, 1.0, X), Fock(0), 8, 0.99),
-        (lambda X, m, n: tomogram(Fock(1), m, n, 1.0, X), Fock(1), 8, 0.99),
-        (lambda X, m, n: tomogram(CoherentEven(1.0), m, n, 1.0, X), CoherentEven(1.0), 16, 0.98),
+        (lambda X, m, n: tomogram(Fock(0), m, n, X), Fock(0), 8, 0.99),
+        (lambda X, m, n: tomogram(Fock(1), m, n, X), Fock(1), 8, 0.99),
+        (lambda X, m, n: tomogram(CoherentEven(1.0), m, n, X), CoherentEven(1.0), 16, 0.98),
     ]
     results = []
     for tomo, mode, dim, want in cases:

@@ -16,7 +16,7 @@ from cmtomo.clt import (
 )
 from cmtomo.convolution import common_grid, convolve_cycled, convolve_fft, marginals_for_system
 from cmtomo.marginals import Moments, moments, variance
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, hbar_for_fixed_energy
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, fold_hbar, hbar_for_fixed_energy
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -101,7 +101,7 @@ class TestSigma2:
 
     def test_cat_modes_use_the_closed_variance(self):
         sys = on_x((CoherentEven(1.0), Fock(1)), 1.0)
-        assert sigma2(sys) == variance(CoherentEven(1.0), 1.0, 0.0, 1.0) + 1.5
+        assert sigma2(sys) == variance(CoherentEven(1.0), 1.0, 0.0) + 1.5
 
     def test_repeated_modes_share_one_evaluation(self):
         sys = on_x((Fock(1), CoherentEven(1.0), Fock(1), Fock(2), CoherentEven(1.0)), 0.5,
@@ -109,7 +109,7 @@ class TestSigma2:
         pm = per_mode_moments(sys, marginals_for_system(sys))
         assert sys.counts == [2, 2, 1] and len(pm) == 3
         assert pm[1].mean == 0.0
-        assert pm[1].var == variance(CoherentEven(1.0), 1.0, 0.0, 0.5)
+        assert pm[1].var == variance(CoherentEven(1.0), *fold_hbar(1.0, 0.0, 0.5))
         assert pm[1].abs3 == moments(marginals_for_system(sys)[1]).abs3
         assert pm[2].var == pytest.approx(0.5 * 2.5, rel=1e-15)
 
@@ -314,7 +314,7 @@ class TestScansAtUnitHbar:
 
         monkeypatch.setattr(convolution, "_spectrum_products", spy)
         n_list = [13, 1, 4, 6, 9, 2]
-        order, got = zip(*convolve_cycled(self.PATTERN, 1.0, n_list))
+        order, got = zip(*convolve_cycled(self.PATTERN, n_list))
         monkeypatch.undo()
         # the first pass takes every point of the fine spacing, in n_list order
         assert order == (0, 2, 3, 4, 5, 1)

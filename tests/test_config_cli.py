@@ -22,7 +22,7 @@ from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, pa
 from cmtomo.convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NumericalError
 from cmtomo.reconstruct import reconstruct_single_mode
-from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec
+from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec, fold_hbar
 
 
 class TestConfigParser:
@@ -192,7 +192,7 @@ class TestCmdMarginal:
         out = str(tmp_path / "o.csv")
         assert main(["marginal", "--config", cfg, "--out", out]) == 0
         _, _, data, _ = read_csv(out)
-        want = marginals.tomogram(Fock(1), 1.0, 0.0, 1.0, data[:, 0])
+        want = marginals.tomogram(Fock(1), 1.0, 0.0, data[:, 0])
         # the O(|alpha|^2) departure from |1> is 0.55e-10 of the peak
         assert np.max(np.abs(data[:, 1] - want)) <= 1e-10 * np.max(want)
 
@@ -473,7 +473,7 @@ class TestCmdReconstruct:
 
         def per_angle(X, m, n):
             frames = zip(m[:, 0].tolist(), n[:, 0].tolist())
-            return np.array([marginals.tomogram(mode, a, b, hbar, X) for a, b in frames])
+            return np.array([marginals.tomogram(mode, *fold_hbar(a, b, hbar), X) for a, b in frames])
 
         want = reconstruct_single_mode(per_angle, dim, hbar)
         assert seen[0].entries.tobytes() == want.entries.tobytes()
@@ -904,7 +904,7 @@ class TestExitCodes:
     def test_nonfinite_density_exit_three(self, tmp_path, monkeypatch):
         # a closed form that evaluates to nan on every node: the density
         # validator stops it before anything is written
-        monkeypatch.setattr(marginals, "tomogram", lambda mode, mu, nu, hbar, X: np.full(np.shape(X), np.nan))
+        monkeypatch.setattr(marginals, "tomogram", lambda mode, mu, nu, X: np.full(np.shape(X), np.nan))
         out = tmp_path / "o.csv"
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = even 1 0\n")
         assert main(["marginal", "--config", cfg, "--out", str(out)]) == 3
@@ -1146,14 +1146,25 @@ class TestSupportedRanges:
         assert f"{cfg}:{line}: hbar_list must lie in [1e-200, 1e+200], got 1e-201" in capsys.readouterr().err
 
     def test_overflowing_s_n_exit_three(self, tmp_path, capsys):
-        # the largest system the limits allow at the largest hbar: sum E|x|^3
-        # (and (sum Var x)^1.5) pass the double range
+        # the largest system the limits allow at the largest hbar: S_N is
+        # taken on unit frames, where sum E|x|^3 stays in the double range,
+        # so the run stops on the output grid's cap, as it does at hbar = 1
         cfg = write(tmp_path, "c.cfg", f"[system]\nhbar = 1e200\nmode = fock 1000 x{N_MAX}\n[frame]\nmu = 1\nnu = 0\n")
         out = tmp_path / "o.csv"
         assert main(["cm", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure: S_N" in err and "Traceback" not in err
+        assert "numerical failure: grid would need more than 4194304 points" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_large_system_at_largest_hbar_keeps_unit_s_n(self, tmp_path, capsys):
+        # 2^20 modes at hbar = 1e200: sum E|x|^3 would reach ~1e306 at the
+        # configured scale; on unit frames S_N is the hbar = 1 value, bit for bit
+        cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1e200\nmode = fock 1 x1048576\n[frame]\nmu = 1\nnu = 0\n")
+        out = tmp_path / "o.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            assert "# S_N 0.0011996324634421371\n" in [next(fh) for _ in range(7)]
 
     def test_overflowing_sigma2_rejected(self, tmp_path, capsys):
         # hbar in range on a wide frame: each variance is finite, their sum
@@ -1392,6 +1403,44 @@ def assert_finite_csv(out, numeric_header=NUMERIC_HEADER):
             assert math.isfinite(float(value)), line
 
 
+# header and footer keys whose values do not depend on hbar
+SCALE_FREE = ("pre_rescale_integral", "S_N", "clamped_mass", "tv_fft_cf", "tv_fft_mc", "ks_fft_mc")
+
+
+def run_at_unit_hbar(command, text, flags):
+    """The artifact of the same config at hbar = 1: (header dict, columns, data, footer dict)."""
+    lines = [("hbar = 1.0" if line.startswith("hbar = ") else line) for line in text.splitlines()]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), "c.cfg", "\n".join(lines) + "\n")
+        out = Path(tmp) / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        return keyed(*read_csv(out))
+
+
+def keyed(header, columns, data, footer):
+    return dict(line.split(" ", 1) for line in header), columns, data, dict(line.split(" ", 1) for line in footer)
+
+
+def assert_scale_free(command, text, flags, out):
+    """A `marginal` or `cm` artifact on unit directions against the same
+    config at hbar = 1: every scale-free header and footer value has the
+    same bytes, sigma^2 is the hbar = 1 value times hbar, and the X and
+    density columns are the hbar = 1 columns times and over the reference
+    scale sqrt(hbar), rounded once."""
+    hbar = float(next(line for line in text.splitlines() if line.startswith("hbar = ")).split("=")[1])
+    header, columns, data, footer = keyed(*read_csv(out))
+    unit_header, unit_columns, unit_data, unit_footer = run_at_unit_hbar(command, text, flags)
+    assert columns == unit_columns and data.shape == unit_data.shape
+    for key in SCALE_FREE:
+        assert header.get(key) == unit_header.get(key), key
+        assert footer.get(key) == unit_footer.get(key), key
+    if "sigma2" in header:
+        assert float(header["sigma2"]) == pytest.approx(float(unit_header["sigma2"]) * hbar, rel=4e-16)
+    s_ref = math.sqrt(hbar)
+    want = np.column_stack([unit_data[:, 0] * s_ref] + [unit_data[:, j] / s_ref for j in range(1, len(columns))])
+    assert np.array_equal(data, want)
+
+
 def assert_finite_report(out):
     for row in report_rows(out):
         oracle = float(row["oracle_value"])
@@ -1405,7 +1454,12 @@ class TestGeneratedConfigs:
     @given(case=generated_configs())
     def test_exit_code_and_finite_artifact(self, case):
         command, text, flags = case
-        run_generated(command, text, flags, assert_finite_csv)
+
+        def check(out):
+            assert_finite_csv(out)
+            assert_scale_free(command, text, flags, out)
+
+        run_generated(command, text, flags, check)
 
     @settings(max_examples=40)
     @given(text=generated_reconstruct_configs())
@@ -1427,6 +1481,34 @@ class TestGeneratedConfigs:
     @given(text=generated_report_configs())
     def test_report_exit_code_and_finite_artifact(self, text):
         run_generated("discrepancy-report", text, [], assert_finite_report)
+
+
+# the four `cm` systems of the benchmark's crosscheck workload, Fock
+# directions fixed; the hbar line is set per run
+CROSSCHECK_SYSTEMS = {
+    "cm-fock3025": "mode = fock 3\nmode = fock 0\nmode = fock 2\nmode = fock 5\n"
+                   "[frame]\nmu = 0.6 1.0 0.0 -0.28\nnu = 0.8 0.0 1.0 0.96\n",
+    "cm-mixed": "mode = fock 1\nmode = even 1.0 0.0\nmode = odd 0.8 0.0\nmode = fock 0\n"
+                "[frame]\nmu = 0.8 0.6 0.0 -1.0\nnu = 0.6 0.8 1.0 0.0\n",
+    "cm-cats": "mode = even 2.0 0.0\nmode = odd 1.5 0.0\n[frame]\nmu = 0.0 1.0\nnu = 1.0 0.0\n",
+    "cm-even4": "mode = even 1.0 0.5 x4\n[frame]\nmu = 1.0\nnu = 0.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSCHECK_SYSTEMS))
+def test_cm_scale_free_values_do_not_move_with_hbar(tmp_path, name):
+    # every backend computes on unit frames, so S_N, the clamped mass and
+    # the backend distances have the same bytes at every hbar
+    seen = set()
+    for hbar in ("1e-200", "1e-9", "0.7", "1", "3", "1e8", "1e200"):
+        cfg = write(tmp_path, "c.cfg", f"[system]\nhbar = {hbar}\n" + CROSSCHECK_SYSTEMS[name])
+        out = tmp_path / "o.csv"
+        assert main(["cm", "--config", cfg, "--out", str(out), "--all-backends", "--mc-samples", "65536",
+                     "--seed", "5"]) == 0
+        header, _, _, footer = keyed(*read_csv(out))
+        seen.add(tuple(header[key] for key in ("S_N", "clamped_mass"))
+                 + tuple(footer[key] for key in ("tv_fft_cf", "tv_fft_mc", "ks_fft_mc")))
+    assert len(seen) == 1, seen
 
 
 def fresh_interpreter(code):

@@ -42,7 +42,7 @@ from cmtomo.marginals import (
     variance,
 )
 from cmtomo.states import (FOCK_LEVEL_MAX, N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy,
-                           hbar_for_fixed_energy, mode_mean_occupation)
+                           fold_hbar, hbar_for_fixed_energy, mode_mean_occupation)
 
 
 def iid_system(mode, N, hbar=1.0, mu=1.0, nu=0.0):
@@ -133,7 +133,7 @@ def trapezoid_weights(grid):
 
 def mode_cf(m, ks):
     """char_function of the mode a marginal was built from, at its frame."""
-    return char_function(m.meta["mode"], m.meta["mu"], m.meta["nu"], m.meta["hbar"], ks)
+    return char_function(m.meta["mode"], m.meta["mu"], m.meta["nu"], ks)
 
 
 def direct_phase_sum(xs, v, a, sign):
@@ -279,7 +279,7 @@ class TestMultiplicities:
         assert len(pm) == len(sys.groups)
         for g, m, got in zip(sys.groups, marg, pm):
             assert got.mean == 0.0
-            assert got.var == variance(g.mode, g.mu, g.nu, sys.hbar)
+            assert got.var == variance(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar))
             if not isinstance(g.mode, Fock):
                 assert got.abs3 == moments(m).abs3
         modes = per_pick(picks, sys, pm)
@@ -326,7 +326,7 @@ class TestMultiplicities:
         # become 8192, where counts added linearly would give 65,536
         sys = iid_system(Fock(2), 37, hbar=0.3)
         marg = marginals_for_system(sys)
-        half, dx = grid_policy(Fock(2), 1.0, 0.0, 0.3)
+        half, dx = grid_policy(Fock(2), *fold_hbar(1.0, 0.0, 0.3))
         grid = common_grid(marg, sys.counts)
         assert marg[0].grid.count == 1024
         assert grid == centered_grid(math.sqrt(37) * half, dx)
@@ -463,7 +463,7 @@ class TestClosedFormGrid:
 
     def test_half_widths_add_in_quadrature(self):
         marg = marginals_for_system(MIXED_SYS)
-        halves = [grid_policy(g.mode, g.mu, g.nu, MIXED_SYS.hbar)[0] for g in MIXED_SYS.groups]
+        halves = [grid_policy(g.mode, *fold_hbar(g.mu, g.nu, MIXED_SYS.hbar))[0] for g in MIXED_SYS.groups]
         half = math.sqrt(sum(count * h ** 2 for h, count in zip(halves, MIXED_SYS.counts)))
         assert common_grid(marg, MIXED_SYS.counts) == centered_grid(half, min(m.grid.dx for m in marg))
 
@@ -500,7 +500,7 @@ class TestClosedFormGrid:
     def test_squeezed_cat_sum_spans_its_marginal(self):
         # the even cat's interference squeezes its variance below the
         # vacuum's; the one-mode sum still spans the marginal's whole grid
-        m = marginal_density(CoherentEven(0.5), 0.0, 1.0, 1.0)
+        m = marginal_density(CoherentEven(0.5), 0.0, 1.0)
         cm = convolve_fft([m], [1])
         assert cm.grid.count >= m.grid.count and cm.grid.dx == m.grid.dx
 
@@ -553,8 +553,8 @@ class TestGatedPower:
 
     def test_real_factors_use_plain_power(self):
         k = np.linspace(0.0, 6.0, 101)
-        f = char_function(Fock(2), 1.0, 0.0, 1.0, k)
-        m = marginal_density(Fock(2), 1.0, 0.0, 1.0)
+        f = char_function(Fock(2), 1.0, 0.0, k)
+        m = marginal_density(Fock(2), 1.0, 0.0)
         assert _cf_product_at([m], [7], k).tobytes() == (f ** 7).tobytes()
 
 
@@ -666,7 +666,7 @@ class TestConvolveCycled:
         for pattern in ([ModeGroup(Fock(3), 1.0, 0.0)], [ModeGroup(Fock(3), mu, nu) for mu, nu in self.FRAMES]):
             tracemalloc.start()
             try:
-                ((_, d),) = convolve_cycled(pattern, 1.0, [4096])
+                ((_, d),) = convolve_cycled(pattern, [4096])
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -683,7 +683,7 @@ class TestIndexPlacement:
     def test_other_spacing_rejected(self):
         # each mode's own default grid: Fock 3 oscillates faster, so its
         # spacing is the finer one, and the vacuum's is rejected
-        marg = [marginal_density(Fock(0), 1.0, 0.0, 1.0), marginal_density(Fock(3), 1.0, 0.0, 1.0)]
+        marg = [marginal_density(Fock(0), 1.0, 0.0), marginal_density(Fock(3), 1.0, 0.0)]
         assert marg[0].grid.dx != marg[1].grid.dx
         with pytest.raises(ValueError, match="marginals_for_system"):
             convolve_fft(marg, [1, 1])
@@ -710,7 +710,7 @@ class TestIndexPlacement:
         (m,) = marginals_for_system(sys)
         grid = common_grid([m], sys.counts)
         if scale > 1:
-            m = marginal_density(m.meta["mode"], 1.0, 0.0, 1.0, grid=Grid(m.grid.dx, scale * grid.count))
+            m = marginal_density(m.meta["mode"], 1.0, 0.0, grid=Grid(m.grid.dx, scale * grid.count))
         g = np.interp(grid.xs, m.grid.xs, m.values, left=0.0, right=0.0)
         want = _raise_to(np.fft.rfft(np.fft.ifftshift(g)).real * grid.dx, 3)
         (got,) = convolution._spectrum_products([m], sys.counts, grid)
@@ -746,13 +746,13 @@ class TestRealSpectrum:
 class TestCfProduct:
     def test_vacuum_cf_closed_form(self):
         ks = np.linspace(-8, 8, 161)
-        got = char_function(Fock(0), 1.0, 0.0, 1.0, ks)
+        got = char_function(Fock(0), 1.0, 0.0, ks)
         np.testing.assert_allclose(got, np.exp(-ks ** 2 / 4), atol=1e-8)
 
     def test_fock1_cf_closed_form(self):
         # symbolic integration of 2 y^2 e^{-y^2}/sqrt(pi) against e^{iky}
         ks = np.linspace(-8, 8, 161)
-        got = char_function(Fock(1), 1.0, 0.0, 1.0, ks)
+        got = char_function(Fock(1), 1.0, 0.0, ks)
         want = (1 - ks ** 2 / 2) * np.exp(-ks ** 2 / 4)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
@@ -782,9 +782,9 @@ class TestCfProduct:
         monkeypatch.setattr(convolution, "cf_grid_for", lambda out_grid: k_grid)
         seen = []
 
-        def counting(mode, mu, nu, hbar, k):
+        def counting(mode, mu, nu, k):
             seen.append(mode)
-            return char_function(mode, mu, nu, hbar, k)
+            return char_function(mode, mu, nu, k)
 
         monkeypatch.setattr(convolution, "char_function", counting)
         cf_product(marg, sys.counts)
@@ -828,21 +828,21 @@ class TestCharFunction:
             reach = math.sqrt(2.0 * mode.n + 1.0)
         else:
             reach = math.sqrt(2.0) * abs(mode.alpha)
-        grid = centered_grid((reach + 10.0) * s, grid_policy(mode, mu, nu, hbar)[1])
-        values = tomogram(mode, mu, nu, hbar, grid.xs)
+        grid = centered_grid((reach + 10.0) * s, grid_policy(mode, *fold_hbar(mu, nu, hbar))[1])
+        values = tomogram(mode, *fold_hbar(mu, nu, hbar), grid.xs)
         k_max = (2.0 * reach + 13.0) / s
         # the shift puts a node near k = 0, where a plain Laguerre
         # recurrence loses n^2 eps
         ks = np.linspace(-k_max, k_max, 33) + 0.0123 / s
         want = direct_phase_sum(grid.xs, values * trapezoid_weights(grid), ks, 1.0)
-        got = char_function(mode, mu, nu, hbar, ks)
+        got = char_function(mode, *fold_hbar(mu, nu, hbar), ks)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("hbar", [1.0, 0.3])
     def test_fock_1000_bounded_far_out(self, hbar):
         s = math.sqrt(hbar)
         ks = np.linspace(0.0, 200.0 / s, 4001)
-        got = char_function(Fock(1000), 1.0, 0.0, hbar, ks)
+        got = char_function(Fock(1000), *fold_hbar(1.0, 0.0, hbar), ks)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got)) <= 1.0 + 1e-12
         assert got[0] == pytest.approx(1.0, abs=1e-12)
@@ -850,10 +850,10 @@ class TestCharFunction:
     @pytest.mark.parametrize("mu,nu", CF_FRAMES)
     @pytest.mark.parametrize("mode", CF_MODES + (CoherentOdd(0.05), CoherentOdd(0.3), Fock(200)), ids=repr)
     def test_below_floor_past_reach(self, mode, mu, nu):
-        reach = char_function_reach(mode, mu, nu, 0.3, 1e-17)
+        reach = char_function_reach(mode, *fold_hbar(mu, nu, 0.3), 1e-17)
         s = math.sqrt(0.3 * (mu * mu + nu * nu))
         ks = reach + np.linspace(0.0, 40.0 / s, 8001)
-        assert np.max(np.abs(char_function(mode, mu, nu, 0.3, ks))) < 1e-17
+        assert np.max(np.abs(char_function(mode, *fold_hbar(mu, nu, 0.3), ks))) < 1e-17
 
 
 def far_k(sys):
@@ -907,7 +907,7 @@ class TestCfAtScale:
         # reach, which is at most that mode's, so no system reaches the guard.
         # reach dx is scale-free, so hbar = 1 and frame radii 1/2, 1, 2 do.
         def margin(mode, mu, nu):
-            return char_function_reach(mode, mu, nu, 1.0, 1e-17) * grid_policy(mode, mu, nu, 1.0)[1] / math.pi
+            return char_function_reach(mode, mu, nu, 1e-17) * grid_policy(mode, mu, nu)[1] / math.pi
 
         assert max(margin(Fock(n), 1.0, 0.0) for n in range(FOCK_LEVEL_MAX + 1)) <= 0.51
         frames = [(rho * math.cos(j * math.pi / 9), rho * math.sin(j * math.pi / 9))
@@ -953,7 +953,7 @@ class TestCfAtScale:
 
     def test_marginal_without_mode_rejected(self):
         # every marginal_density result records its mode; a hand-built density does not
-        d = marginal_density(Fock(1), 1.0, 0.0, 1.0)
+        d = marginal_density(Fock(1), 1.0, 0.0)
         m = MarginalDensity(grid=d.grid, values=d.values)
         with pytest.raises(ValueError, match="mode"):
             cf_product([m], [1])

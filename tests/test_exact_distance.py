@@ -142,10 +142,10 @@ def library_ks(family: str, n: int, backend: str) -> tuple:
     pattern = FAMILIES[family]
     sys = SystemSpec.cycled(pattern, n, 1.0)
     if backend == "fft":
-        ((_, density),) = convolve_cycled(pattern, 1.0, [n])
+        ((_, density),) = convolve_cycled(pattern, [n])
     else:
         density = cf_product(marginals_for_system(sys), sys.counts)
-    sigma2 = float(sum(g.count * variance(g.mode, g.mu, g.nu, 1.0) for g in sys.groups))
+    sigma2 = float(sum(g.count * variance(g.mode, g.mu, g.nu) for g in sys.groups))
     xs = density.grid.xs
     gauss = np.exp(-xs * xs / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
     node = int(np.argmax(np.abs(cumulative_trapezoid(density.values - gauss, density.grid.dx))))

@@ -43,11 +43,10 @@ SIGNATURES = {
                      "cells: 'np.ndarray') -> None"),
     "SystemSpec": "(groups: 'tuple', hbar: 'float') -> None",
     "cf_product": "(marginals: 'list[MarginalDensity]', counts: 'list[int]') -> 'MarginalDensity'",
-    "char_function": "(mode: 'ModeSpec', mu: 'float', nu: 'float', hbar: 'float', k) -> 'np.ndarray'",
+    "char_function": "(mode: 'ModeSpec', mu: 'float', nu: 'float', k) -> 'np.ndarray'",
     "convolve_fft": "(marginals: 'list[MarginalDensity]', counts: 'list[int]') -> 'MarginalDensity'",
     "energy": "(sys: 'SystemSpec') -> 'float'",
-    "evenodd_var_closed": ("(mode: 'CoherentEven | CoherentOdd', mu: 'float', nu: 'float', "
-                           "hbar: 'float') -> 'float'"),
+    "evenodd_var_closed": "(mode: 'CoherentEven | CoherentOdd', mu: 'float', nu: 'float') -> 'float'",
     "fidelity": "(rho: 'DensityMatrix', psi: 'FockExpansion') -> 'float'",
     "fock_expansion": "(mode: 'ModeSpec', D: 'int | None' = None) -> 'FockExpansion'",
     "gaussian_distance": "(d: 'MarginalDensity', sigma2: 'float') -> 'dict'",
@@ -55,7 +54,7 @@ SIGNATURES = {
     "hbar_scan": "(sys_base: 'SystemSpec', hbar_list, epsilon: 'float') -> 'list[HbarReport]'",
     "hermite_sq_density_factor": "(n: 'int', y)",
     "lyapunov_ratio": "(per_mode_moments: 'list[Moments]', counts: 'list[int]') -> 'float'",
-    "marginal_density": ("(mode: 'ModeSpec', mu: 'float', nu: 'float', hbar: 'float', "
+    "marginal_density": ("(mode: 'ModeSpec', mu: 'float', nu: 'float', "
                          "grid: 'Grid | None' = None) -> 'MarginalDensity'"),
     "marginals_for_system": "(sys: 'SystemSpec') -> 'list[MarginalDensity]'",
     "mass_within": "(d: 'MarginalDensity', epsilon: 'float') -> 'float'",
@@ -66,10 +65,9 @@ SIGNATURES = {
     "reconstruct_single_mode": "(tomogram: 'Callable', dim: 'int', hbar: 'float') -> 'DensityMatrix'",
     "sample_sum": ("(sys: 'SystemSpec', n_samples: 'int', seed: 'int', "
                    "marginals: 'list[MarginalDensity]') -> 'SampleCounts'"),
-    "tomogram": "(mode: 'ModeSpec', mu, nu, hbar: 'float', X)",
-    "tomogram_oracle": ("(psi: 'FockExpansion', mu: 'float', nu: 'float', hbar: 'float', "
-                        "grid: 'Grid') -> 'MarginalDensity'"),
-    "variance": "(mode: 'ModeSpec', mu: 'float', nu: 'float', hbar: 'float') -> 'float'",
+    "tomogram": "(mode: 'ModeSpec', mu, nu, X)",
+    "tomogram_oracle": "(psi: 'FockExpansion', mu: 'float', nu: 'float', grid: 'Grid') -> 'MarginalDensity'",
+    "variance": "(mode: 'ModeSpec', mu: 'float', nu: 'float') -> 'float'",
 }
 
 

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cmtomo.reconstruct import _gauss_legendre, _job_sizes
 from cmtomo.specialfn import (
     hermite_functions,
     hermite_sq_density_factor,
@@ -149,33 +150,48 @@ class TestLaguerreGaussLevels:
     US = np.array([1e-3, 0.1, 1.0, 7.5, 30.0, 100.0, 240.0, 600.0, 2000.0])
 
     def test_matches_50_digit_values(self):
-        got = list(laguerre_gauss_levels(101, self.US, 41))
+        got = list(laguerre_gauss_levels(101, self.US, range(41)))
         for n in self.LEVELS:
             for d in self.OFFSETS:
                 want = [mp_laguerre_function(n, d, u) for u in self.US]
                 np.testing.assert_allclose(got[n][d], want, rtol=0, atol=1e-14, err_msg=f"n {n} d {d}")
 
     def test_shapes_walk_the_subdiagonals(self):
-        # step j holds the offsets d < offsets with j + d < levels
-        shapes = [f.shape for f in laguerre_gauss_levels(6, self.US, 4)]
+        # step j holds the offsets d walked with j + d < levels
+        shapes = [f.shape for f in laguerre_gauss_levels(6, self.US, range(4))]
         assert shapes == [(4, 9), (4, 9), (4, 9), (3, 9), (2, 9), (1, 9)]
+        shapes = [f.shape for f in laguerre_gauss_levels(6, self.US, [0, 2, 4])]
+        assert shapes == [(3, 9), (3, 9), (2, 9), (2, 9), (1, 9), (1, 9)]
 
     def test_offset_zero_is_laguerre_gauss(self):
-        for n, f in enumerate(laguerre_gauss_levels(31, self.US, 5)):
+        for n, f in enumerate(laguerre_gauss_levels(31, self.US, range(5))):
             assert np.array_equal(f[0], laguerre_gauss(n, self.US))
 
     def test_zero_argument(self):
         # f_n^(d)(0) is 1 at d = 0 and 0 for every d > 0
-        for f in laguerre_gauss_levels(12, np.array([0.0]), 12):
+        for f in laguerre_gauss_levels(12, np.array([0.0]), range(12)):
             assert f[0, 0] == 1.0 and np.all(f[1:] == 0.0)
 
     def test_far_tail_underflows_to_zero(self):
         # u^{d/2} e^{-u/2} alone underflows past u ~ 1500; the carried scale
         # keeps every value finite and they tend to 0
         us = np.array([4000.0, 2e4, 1e6])
-        for f in laguerre_gauss_levels(300, us, 60):
+        for f in laguerre_gauss_levels(300, us, range(60)):
             assert np.all(np.isfinite(f)) and np.all(np.abs(f) <= 1.0)
         assert np.all(f[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("dim", [8, 12, 16, 33, 64, 128, 256])
+    def test_even_walk_keeps_the_full_walks_even_rows(self, dim):
+        # reconstruction walks the even offsets only; each offset's
+        # recurrence and rescaling are elementwise, so its rows keep every
+        # bit, at u over the radial nodes of a dim-level reconstruction
+        sizes = _job_sizes(dim, 1.0)
+        k_nodes = 0.5 * (_gauss_legendre(sizes.radial_nodes)[0] + 1.0) * sizes.frame_radius
+        us = 0.5 * k_nodes * k_nodes
+        full = laguerre_gauss_levels(dim, us, range(dim))
+        even = laguerre_gauss_levels(dim, us, range(0, dim, 2))
+        for n, (f, g) in enumerate(zip(full, even, strict=True)):
+            assert g.tobytes() == f[0::2].tobytes(), n
 
 
 class TestPhaseTable:
