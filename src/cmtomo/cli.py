@@ -45,7 +45,7 @@ from .errors import CmtomoError, ConfigError, NumericalError
 from .marginals import marginal_density, tomogram
 from .reconstruct import fidelity, reconstruct_single_mode
 from .report import COLUMNS, DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows, format_rows
-from .states import FOCK_LEVEL_MAX, N_MAX, SystemSpec, fock_expansion, fold_hbar, unit_frames
+from .states import FOCK_LEVEL_MAX, N_MAX, SystemSpec, fock_expansion, unit_frames
 
 
 def _fmt(x) -> str:
@@ -160,7 +160,7 @@ def cmd_marginal(raw: RawConfig, args) -> int:
     header = _header(raw, args, [
         f"mode {sys_spec.describe()}",
         f"mu {_fmt(g.mu)} nu {_fmt(g.nu)} hbar {_fmt(sys_spec.hbar)}",
-        f"pre_rescale_integral {_fmt(dens.meta['pre_rescale_integral'])}",
+        f"pre_rescale_integral {_fmt(dens.integral)}",
     ])
     _write_atomic(args, _csv(header, ["X", "density"], _row_blocks(s_ref, dens.grid.xs, dens.values)))
     return 0
@@ -257,18 +257,16 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
 def cmd_reconstruct(raw: RawConfig, args) -> int:
     sys_spec = _single_mode(raw, frame=False)
     mode = sys_spec.groups[0].mode
-    hbar = sys_spec.hbar
-    # every quadrature size follows from dim and hbar; a key that set one
-    # before is named, not silently ignored
+    # every size follows from dim; a key that set one before is named
     for key in raw.section("reconstruct"):
         if key != "dim":
             raw.fail(raw.last_line("reconstruct", key),
-                     f"[reconstruct] takes only dim; {key} is not read, the cutoffs follow dim and hbar")
+                     f"[reconstruct] takes only dim; {key} is not read, the cutoffs follow dim")
     dim = get_int(raw, "reconstruct", "dim", default=8)
     if dim < 2:
         raw.fail(raw.last_line("reconstruct", "dim"), f"reconstruct dim must be at least 2, got {dim}")
 
-    rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, *fold_hbar(m, n, hbar), X), dim, hbar)
+    rho = reconstruct_single_mode(lambda X, m, n: tomogram(mode, m, n, X), dim)  # hbar only labels it
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
     header = _header(raw, args, [
@@ -293,8 +291,8 @@ def cmd_discrepancy_report(raw: RawConfig, args) -> int:
         raw.fail(raw.last_line("system", key),
                  f"discrepancy-report reads no [system] key; {key} is not read, set [report] hbar for its hbar")
     alphas = get_alphas(raw, "report", "alpha") or list(DEFAULT_ALPHAS)
-    frames = get_directions(raw, "report", "frame") or list(DEFAULT_FRAMES)
     hbar = get_scale(raw, "report", "hbar", default=1.0)
+    frames = get_directions(raw, "report", "frame", hbar) or list(DEFAULT_FRAMES)
     rows = discrepancy_rows(alphas, frames, hbar)
     header = _header(raw, args, ["closed forms vs oracle values"])
     _write_atomic(args, _csv(header, COLUMNS, [format_rows(rows)]))

@@ -91,12 +91,14 @@ def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity] | None) -
     return out
 
 
-def _sigma2(sys: SystemSpec) -> float:
+def _sigma2(sys: SystemSpec, s_ref: float = 1.0) -> float:
     """sigma^2 = sum_j Var x_j from the closed variances at the system's
-    hbar, once per group; NumericalError where it leaves the double range."""
+    hbar, once per group, times s_ref^2, which is how a scan on unit
+    frames writes it; NumericalError where it leaves the double range."""
     sigma2 = float(sum(g.count * variance(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar)) for g in sys.groups))
+    sigma2 = sigma2 * s_ref * s_ref
     if not math.isfinite(sigma2):
-        raise NumericalError(f"sigma^2 = sum Var x overflows at hbar = {sys.hbar:g}")
+        raise NumericalError(f"sigma^2 = sum Var x overflows the double range, s_ref = {s_ref:g}")
     return sigma2
 
 
@@ -150,18 +152,19 @@ def gaussian_mass_within(sigma2: float, epsilon: float) -> float:
     return math.erf(epsilon / math.sqrt(2.0 * sigma2))
 
 
-def _report_for(sys: SystemSpec, r: float, R: float, unit: SystemSpec, density: MarginalDensity) -> CltReport:
-    """One fixed-energy scan point: hbar, sigma^2 and the energy bracket
-    [rE, RE] in closed form at the system's own hbar; S_N, KS and TV, which
-    do not depend on hbar, on the system's unit frames, the system unit,
-    whose FFT density is given."""
+def _report_for(unit: SystemSpec, hbar: float, s_ref: float, r: float, R: float,
+                density: MarginalDensity) -> CltReport:
+    """One fixed-energy scan point at hbar, on the system's unit frames
+    (`unit_frames`), whose FFT density is given: S_N, KS and TV are
+    scale-free, sigma^2 is the unit value times s_ref^2, [rE, RE] the
+    unit energy times hbar times r and R."""
     dist = gaussian_distance(density, _sigma2(unit))
-    e_total = energy(sys)
+    e_total = hbar * energy(unit)
     return CltReport(
-        N=sys.n_modes,
-        hbar=sys.hbar,
+        N=unit.n_modes,
+        hbar=hbar,
         S_N=lyapunov_ratio(per_mode_moments(unit, None), unit.counts),
-        sigma2=_sigma2(sys),
+        sigma2=_sigma2(unit, s_ref),
         rE=r * e_total,
         RE=R * e_total,
         ks=dist["ks"],
@@ -197,8 +200,8 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
     reports: list = [None] * len(n_values)
     for i, density in convolve_cycled(unit_pattern, n_values):
         unit = SystemSpec.cycled(unit_pattern, n_values[i], 1.0)
-        sys = SystemSpec.cycled(pattern, n_values[i], hbar_for_fixed_energy(E, unit.groups))
-        reports[i] = _report_for(sys, r, R, unit, density)
+        hbar = hbar_for_fixed_energy(E, unit.groups)
+        reports[i] = _report_for(unit, hbar, unit_frames(pattern, hbar)[1], r, R, density)
     return reports
 
 
@@ -208,22 +211,22 @@ def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float) -> list[HbarRepor
     hbar_list must be strictly decreasing; the reported mass inside
     [-epsilon, epsilon] then grows toward one as the summed variance
     (linear in hbar) collapses.  The system is convolved once, on its
-    unit frames (`unit_frames`): the mass inside epsilon at hbar is the
-    unit density's mass inside epsilon / s_ref, with s_ref the reference
-    scale at that hbar.  sigma^2 is the closed form at each hbar.
+    unit frames (`unit_frames`); at each hbar, with s_ref its reference
+    scale, the mass inside epsilon is the unit density's inside
+    epsilon / s_ref and sigma^2 the unit value times s_ref^2.
     """
     values = [float(h) for h in hbar_list]
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ValueError("hbar_list must be strictly decreasing")
+    if any(b >= a for a, b in zip(values, values[1:])) or not all(0 < h < math.inf for h in values):
+        raise ValueError("hbar_list must be strictly decreasing, each entry positive and finite")
     unit = SystemSpec(unit_frames(sys_base.groups, 1.0)[0], 1.0)
     cm = convolve_fft(marginals_for_system(unit), unit.counts)
     cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
-    xs = cm.grid.xs
 
     def point(hbar: float) -> HbarReport:
-        sigma2 = _sigma2(SystemSpec(sys_base.groups, hbar))
+        s_ref = unit_frames(sys_base.groups, hbar)[1]
+        sigma2 = _sigma2(unit, s_ref)
         # an epsilon that underflows in unit X holds no mass
-        mass = _mass_inside(cdf, xs, epsilon / unit_frames(sys_base.groups, hbar)[1])
+        mass = _mass_inside(cdf, cm.grid.xs, epsilon / s_ref)
         return HbarReport(hbar=hbar, sigma2=sigma2, mass_in_epsilon=mass,
                           gaussian_predicted_mass=gaussian_mass_within(sigma2, epsilon))
 

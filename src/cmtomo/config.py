@@ -129,8 +129,8 @@ def get_int_list(raw: RawConfig, section: str, key: str, default=None, required=
 
 
 # the supported range of hbar ([system] hbar, [report] hbar, each [scan]
-# hbar_list entry), of the scan energy [scan] E and of the scale
-# hbar (mu^2 + nu^2) of each [frame] direction, bounds included
+# hbar_list entry), of the scan energy [scan] E and of the scale hbar
+# (mu^2 + nu^2) of each [frame] and [report] frame direction, inclusive
 SCALE_MIN = 1e-200
 SCALE_MAX = 1e200
 
@@ -208,11 +208,19 @@ def _frame_radius(raw: RawConfig, mu: float, nu: float, line: int, where: str) -
     return rho
 
 
-def get_directions(raw: RawConfig, section: str, key: str) -> list[tuple[float, float]]:
-    """Frame directions 'mu nu', one per line, under the [frame] rule."""
+def _check_frame_scale(raw: RawConfig, mu: float, nu: float, rho: float, hbar: float, line: int) -> None:
+    """hbar (mu^2 + nu^2) must lie in [SCALE_MIN, SCALE_MAX], where grids and moments are finite."""
+    scale = hbar * rho
+    if not SCALE_MIN <= scale <= SCALE_MAX:
+        raw.fail(line, f"frame (mu, nu) = ({mu:g}, {nu:g}) at hbar = {hbar:g} has hbar (mu^2 + nu^2) = "
+                       f"{scale:g}, which must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}]")
+
+
+def get_directions(raw: RawConfig, section: str, key: str, hbar: float) -> list[tuple[float, float]]:
+    """Frame directions 'mu nu', one per line, under the [frame] rule at hbar."""
     frames = []
     for mu, nu, value, lineno in _pair_lines(raw, section, key, "mu, nu"):
-        _frame_radius(raw, mu, nu, lineno, repr(value))
+        _check_frame_scale(raw, mu, nu, _frame_radius(raw, mu, nu, lineno, repr(value)), hbar, lineno)
         frames.append((mu, nu))
     return frames
 
@@ -305,21 +313,15 @@ def parse_frame(raw: RawConfig, sys_spec: SystemSpec, required: bool = True,
                 hbars: list[float] | None = None) -> tuple[float, float]:
     """The bounds (r, R) of [frame], by the rule of get_frame_bounds over
     the system's frame radii, each of which must be positive and finite.
-    The scale hbar (mu^2 + nu^2) of every frame, at the system's hbar or
-    at each of hbars if given, must lie in [SCALE_MIN, SCALE_MAX], where
-    the grids and moments stay in the double range; it is least at the
-    least hbar and radius and greatest at the greatest.  Without the
-    section the defaults hold, unless it is required."""
+    Every frame, at the system's hbar or at each of hbars if given, meets
+    `_check_frame_scale`; its scale is least at the least hbar and radius
+    and greatest at the greatest.  Without the section the defaults
+    hold, unless it is required."""
     if required and "frame" not in raw.sections:
         raise ConfigError(f"{raw.source}: missing [frame] section")
     line = max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
     rhos = [_frame_radius(raw, g.mu, g.nu, line, f"(mu, nu) = ({g.mu:g}, {g.nu:g})") for g in sys_spec.groups]
     hbars = [sys_spec.hbar] if hbars is None else hbars
-    for hbar, pick in ((min(hbars), min), (max(hbars), max)):
-        i = pick(range(len(rhos)), key=rhos.__getitem__)
-        scale = hbar * rhos[i]
-        if not SCALE_MIN <= scale <= SCALE_MAX:
-            g = sys_spec.groups[i]
-            raw.fail(line, f"frame (mu, nu) = ({g.mu:g}, {g.nu:g}) at hbar = {hbar:g} has hbar (mu^2 + nu^2) = "
-                           f"{scale:g}, which must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}]")
+    for hbar, i in ((min(hbars), rhos.index(min(rhos))), (max(hbars), rhos.index(max(rhos)))):
+        _check_frame_scale(raw, sys_spec.groups[i].mu, sys_spec.groups[i].nu, rhos[i], hbar, line)
     return get_frame_bounds(raw, "frame", rhos, rhos, line)

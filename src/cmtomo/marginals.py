@@ -293,15 +293,12 @@ def marginal_density(mode: ModeSpec, mu: float, nu: float, grid: Grid | None = N
     tomogram's as they are: on a policy grid a cat's trapezoid integral
     is 1 within 1e-14.  MarginalDensity fails with NumericalError when
     the integral is further than 1e-8 from 1, as on a caller grid that
-    cuts the tails.  The metadata record the mode, the frame and that
-    integral (pre_rescale_integral).
+    cuts the tails.  The metadata record the mode and the frame.
     """
     if grid is None:
         grid = centered_grid(*grid_policy(mode, mu, nu))
     meta = {"mode": mode, "mu": mu, "nu": nu}
-    density = MarginalDensity(grid=grid, values=tomogram(mode, mu, nu, grid.xs), meta=meta)
-    meta["pre_rescale_integral"] = density.integral
-    return density
+    return MarginalDensity(grid=grid, values=tomogram(mode, mu, nu, grid.xs), meta=meta)
 
 
 def tomogram_amplitudes(psi: FockExpansion, mu: float, nu: float, X) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Recover a truncated density matrix from a single-mode tomogram.
 
-The state is the frame integral of e^{iX} U(mu, nu) against the
-tomogram, with U = exp(-i(mu Q + nu P)) and a constant hbar/(2 pi); the
-scalar X integral is the tomogram's characteristic function at 1.  The
-integral over frames runs in polar coordinates (k, theta) up to a
-radius cutoff, and three identities and the parity of the tomogram
-reduce it to closed-form matrix elements and one tomogram evaluation
-per job:
+The matrix does not depend on hbar, which only rescales the frames
+(`states.fold_hbar`), so no function here takes hbar: the state is the
+frame integral, at hbar = 1, of e^{iX} U(mu, nu) against the unit-scale
+tomogram `marginals.tomogram` gives, with U = exp(-i(mu Q + nu P)) and
+a constant 1/(2 pi); the scalar X integral is the tomogram's
+characteristic function at 1.  The integral over frames runs in polar
+coordinates (k, theta) up to a radius cutoff, and three identities and
+the parity of the tomogram reduce it to closed-form matrix elements and
+one tomogram evaluation per job:
 
 * cos(theta) Q + sin(theta) P = D Q D^dagger with D = diag(e^{i theta m}),
   so entry (m, n) of each angle's term is <m|e^{-ikQ}|n> e^{i theta (m-n)};
-* e^{-ikQ} is the displacement D(b), b = -ik sqrt(hbar/2), whose elements
+* e^{-ikQ} is the displacement D(b), b = -ik / sqrt(2), whose elements
   are closed forms (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)):
-  <m|D(b)|n> = (-i)^|m-n| f_min(m,n)^(|m-n|)(hbar k^2 / 2), with the
+  <m|D(b)|n> = (-i)^|m-n| f_min(m,n)^(|m-n|)(k^2 / 2), with the
   normalized Laguerre functions of `specialfn.laguerre_gauss_levels`.
   They are exact in the dim x dim block: no basis is padded and nothing
   is diagonalized;
@@ -37,14 +39,12 @@ rule is built once per node count and process.
 Every true tomogram is homogeneous; a callable that is not homogeneous,
 or not even in X, will be reconstructed wrongly.
 
-Every size follows from dim and hbar (`_job_sizes`); none is an option.
-The frame radius is the reach of level dim - 1 and scales as
-1/sqrt(hbar), the X grid as sqrt(hbar), so hbar cancels from every
-phase and Laguerre argument and the largest X phase is
-10 sqrt(dim + 1/2) sqrt(hbar) K, 8.9e3 rad at dim 256, inside the
-1e5 rad phase_table is tested to.  Size contract: every table a job
-builds holds at most 2^22 entries, checked before the first table is
-allocated; a larger dim (past 256) raises GridSizeError.
+Every size follows from dim (`_job_sizes`); none is an option.  The
+frame radius K is the reach of level dim - 1, and the largest X phase
+is 10 sqrt(dim + 1/2) K, 8.9e3 rad at dim 256, inside the 1e5 rad
+phase_table is tested to.  Size contract: every table a job builds
+holds at most 2^22 entries, checked before the first table is allocated;
+a larger dim (past 256) raises GridSizeError.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 from .errors import GridSizeError, NumericalError
 from .marginals import _MAX_GRID, char_function_reach
 from .specialfn import laguerre_gauss_levels, phase_table
-from .states import Fock, FockExpansion, fold_hbar
+from .states import Fock, FockExpansion
 
 # |characteristic function| at the outermost radial node above which the
 # frame radius cuts off part of the state
@@ -106,18 +106,18 @@ class _JobSizes(NamedTuple):
     x_count: int
 
 
-def _job_sizes(dim: int, hbar: float) -> _JobSizes:
-    """Every quadrature size of a job, taken from dim and hbar.
+def _job_sizes(dim: int) -> _JobSizes:
+    """Every quadrature size of a job, taken from dim.
 
     The frame radius K is the reach of level dim - 1 at floor 1e-12
-    (`char_function_reach`), (2 sqrt(2 dim - 1) + 2 sqrt(ln 1e12)) /
-    sqrt(hbar); the radial rule grows with K, max(160, 3 dim) nodes.
-    The angular Fourier sum over n nodes aliases offset d onto d +- n,
-    and the offsets of a dim x dim matrix span 2 dim - 1 values, so n is
-    max(128, 2 dim).  The X grid has the smallest power of two at least
-    max(1024, 32 dim) intervals.  Raises GridSizeError, before anything
-    is allocated and before K is formed, if any table the job builds
-    would hold more entries than a grid may have nodes (_MAX_GRID).
+    (`char_function_reach`), 2 sqrt(2 dim - 1) + 2 sqrt(ln 1e12); the
+    radial rule grows with K, max(160, 3 dim) nodes.  The angular Fourier
+    sum over n nodes aliases offset d onto d +- n, and the offsets of a
+    dim x dim matrix span 2 dim - 1 values, so n is max(128, 2 dim).  The
+    X grid has the smallest power of two at least max(1024, 32 dim)
+    intervals.  Raises GridSizeError, before anything is allocated and
+    before K is formed, if any table the job builds would hold more
+    entries than a grid may have nodes (_MAX_GRID).
     """
     radial = max(160, 3 * dim)
     angular = max(128, 2 * dim)
@@ -135,16 +135,17 @@ def _job_sizes(dim: int, hbar: float) -> _JobSizes:
         if entries > _MAX_GRID:
             raise GridSizeError(f"reconstruction table {name} would hold more than {_MAX_GRID} "
                                 f"entries (dim {dim}, x_count {x_count})")
-    K = char_function_reach(Fock(dim - 1), *fold_hbar(1.0, 0.0, hbar), 1e-12)
+    K = char_function_reach(Fock(dim - 1), 1.0, 0.0, 1e-12)
     return _JobSizes(K, radial, angular, x_count)
 
 
-def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> DensityMatrix:
+def reconstruct_single_mode(tomogram: Callable, dim: int) -> DensityMatrix:
     """Integrate e^{iX} U(mu, nu) w(X, mu, nu) over X and all frames.
 
     tomogram(y, mu, nu) must return the normalized density of the
-    observable mu q + nu p, and it must be even in X, as every parity
-    eigenstate's tomogram and every mixture of them is.  It is called
+    observable mu q + nu p at hbar = 1 (a tomogram w at hbar enters as
+    s w(s y; mu, nu), s = sqrt(hbar)), and it must be even in X, as every
+    parity eigenstate's tomogram and every mixture of them is.  It is called
     once per job: y is the half grid y >= 0 (x_count/2 + 1 nodes from
     exactly 0.0), and mu, nu are (angular_nodes/2, 1) columns holding
     the unit frames (cos theta, sin theta) at theta = j 2 pi /
@@ -158,9 +159,7 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     outermost radial node exceeds _CUTOFF_CHAR_MAX at some angle, and
     meta holds both values.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    K, radial, angular, x_count = _job_sizes(dim, hbar)
+    K, radial, angular, x_count = _job_sizes(dim)
 
     gl_nodes, gl_weights = _gauss_legendre(radial)
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
@@ -169,13 +168,13 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     d_theta = 2.0 * math.pi / angular
 
     # unit-frame X grid: any state inside the truncation has variance at
-    # most hbar (dim + 1/2) there; radius k uses this grid scaled by k.
-    # Rows are even, so one call on the half grid y >= 0 at the unit
-    # frames of [0, pi) gives every row, and their cosine integrals over
-    # the whole grid are twice the half grid's trapezoid, whose end node
-    # and y = 0 count half
+    # most dim + 1/2 there; radius k uses this grid scaled by k.  Rows are
+    # even, so one call on the half grid y >= 0 at the unit frames of
+    # [0, pi) gives every row, and their cosine integrals over the whole
+    # grid are twice the half grid's trapezoid, whose end node and y = 0
+    # count half
     count = x_count // 2 + 1
-    dy = 2.0 * _X_SIGMAS * math.sqrt(hbar * (dim + 0.5)) / x_count
+    dy = 2.0 * _X_SIGMAS * math.sqrt(dim + 0.5) / x_count
     ys = np.arange(count) * dy
     mus = np.array([[math.cos(j * d_theta)] for j in range(half)])
     nus = np.array([[math.sin(j * d_theta)] for j in range(half)])
@@ -192,12 +191,12 @@ def reconstruct_single_mode(tomogram: Callable, dim: int, hbar: float) -> Densit
     offsets = np.arange(0, dim, 2)
     fourier = np.exp(1j * np.outer(offsets, np.arange(half) * d_theta))
     C = (fourier @ cos_int) * (np.where(offsets % 4 == 0, 2.0, -2.0)[:, None]
-                               * (k_weights * k_nodes * (d_theta * hbar / (2 * math.pi))))
+                               * (k_weights * k_nodes * (d_theta / (2 * math.pi))))
 
     # column n of the lower triangle: entry (n + d, n) sums C[d/2] times the
-    # element modulus f_n^(d)(hbar k^2 / 2); the upper triangle is its conjugate
+    # element modulus f_n^(d)(k^2 / 2); the upper triangle is its conjugate
     rho_m = np.zeros((dim, dim), dtype=complex)
-    for n, f in enumerate(laguerre_gauss_levels(dim, 0.5 * hbar * k_nodes * k_nodes, offsets)):
+    for n, f in enumerate(laguerre_gauss_levels(dim, 0.5 * k_nodes * k_nodes, offsets)):
         rho_m[n::2, n] = np.einsum("dr,dr->d", C[:len(f)], f)
     rho_m += np.tril(rho_m, -1).conj().T
     pre_trace = float(np.trace(rho_m).real)

@@ -191,7 +191,7 @@ def test_criterion_8_reconstruction_round_trip():
     ]
     results = []
     for tomo, mode, dim, want in cases:
-        rho = reconstruct_single_mode(tomo, dim, 1.0)
+        rho = reconstruct_single_mode(tomo, dim)
         psi = fock_expansion(mode, D=dim - 1)
         fid = fidelity(rho, psi)
         herm = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))

@@ -16,7 +16,8 @@ from cmtomo.clt import (
 )
 from cmtomo.convolution import common_grid, convolve_cycled, convolve_fft, marginals_for_system
 from cmtomo.marginals import Moments, moments, variance
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, fold_hbar, hbar_for_fixed_energy
+from cmtomo.states import (CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, fold_hbar, hbar_for_fixed_energy,
+                           unit_frames)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -271,24 +272,26 @@ class TestSumsOverGroups:
         seen = []
         original = clt._report_for
 
-        def spy(sys, *args):
-            seen.append(sys)
-            return original(sys, *args)
+        def spy(unit, hbar, *args):
+            seen.append((unit, hbar))
+            return original(unit, hbar, *args)
 
         monkeypatch.setattr(clt, "_report_for", spy)
+        # radii 1: the unit frames are the frames
         frames = [(1.0, 0.0), (0.6, 0.8), (0.0, 1.0)]
         n_scan([0, 1], frames, E=10.0, N_list=[14, 1], r=0.5, R=2.0)
-        assert seen[0].groups == tuple(ModeGroup(Fock(i % 2), *frames[i % 3], count)
-                                       for i, count in enumerate([3, 3, 2, 2, 2, 2]))
-        assert seen[1].groups == (ModeGroup(Fock(0), 1.0, 0.0),)
-        assert seen[0].hbar == 10.0 / (14 / 2 + 7)
+        assert seen[0][0].groups == tuple(ModeGroup(Fock(i % 2), *frames[i % 3], count)
+                                          for i, count in enumerate([3, 3, 2, 2, 2, 2]))
+        assert seen[1][0].groups == (ModeGroup(Fock(0), 1.0, 0.0),)
+        assert seen[0][1] == 10.0 / (14 / 2 + 7)
 
 
 class TestScansAtUnitHbar:
     """Both scans take their densities at a unit hbar, 1 for frame radii
     near 1: `n_scan` builds and transforms each pattern group once per
-    spacing, `hbar_scan` convolves once.  hbar, sigma^2 and the energy
-    bracket stay closed forms at each point's own hbar."""
+    spacing, `hbar_scan` convolves once.  hbar and the energy bracket
+    are closed forms at each point's own hbar, and sigma^2 is the unit
+    value times s_ref^2."""
 
     # levels 2 0 1 on radii 1 and 0.6^2 + 0.8^2: the first group alone,
     # at N = 1, has a coarser spacing than every other point
@@ -388,9 +391,14 @@ class TestScansAtUnitHbar:
         reports = hbar_scan(sys, hbars, epsilon=0.1)
         monkeypatch.undo()
         assert len(inverses) == 1
+        sig2_unit = summed_density(SystemSpec(unit_frames(sys.groups, 1.0)[0], 1.0))[1]
         for hbar, rep in zip(hbars, reports):
             _, sig2, _, cm = summed_density(SystemSpec(sys.groups, hbar))
-            assert rep.sigma2 == sig2 and rep.gaussian_predicted_mass == gaussian_mass_within(sig2, 0.1)
+            # sigma^2 is the unit value times s_ref^2, as `cm` writes it: the
+            # closed form at hbar up to rounding
+            s_ref = unit_frames(sys.groups, hbar)[1]
+            assert rep.sigma2 == sig2_unit * s_ref * s_ref and rep.sigma2 == pytest.approx(sig2, rel=4e-16)
+            assert rep.gaussian_predicted_mass == gaussian_mass_within(rep.sigma2, 0.1)
             want = mass_within(cm, 0.1)
             if hbar == 1.0:
                 assert rep.mass_in_epsilon == want

@@ -471,11 +471,12 @@ class TestCmdReconstruct:
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == 0
         mode = Fock(level)
 
+        # the matrix is the unit-scale one whatever [system] hbar is
         def per_angle(X, m, n):
             frames = zip(m[:, 0].tolist(), n[:, 0].tolist())
-            return np.array([marginals.tomogram(mode, *fold_hbar(a, b, hbar), X) for a, b in frames])
+            return np.array([marginals.tomogram(mode, a, b, X) for a, b in frames])
 
-        want = reconstruct_single_mode(per_angle, dim, hbar)
+        want = reconstruct_single_mode(per_angle, dim)
         assert seen[0].entries.tobytes() == want.entries.tobytes()
 
     def test_fock250_at_dim256(self, tmp_path):
@@ -619,6 +620,18 @@ class TestCmdDiscrepancyReport:
         assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{cfg}:6: degenerate frame '{frame}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    # hbar (mu^2 + nu^2) is 1e308 and 1e300 at hbar = 1: the first broke
+    # the printed x^2 forms, the second E|x|^3 of the variance oracle
+    @pytest.mark.parametrize("frame", ["1e154 0", "1e150 0"])
+    def test_frame_scale_past_range_exit_two(self, tmp_path, capsys, frame):
+        cfg = write(tmp_path, "c.cfg", f"[report]\nframe = {frame}\nalpha = 2 0\n")
+        out = tmp_path / "r.csv"
+        assert main(["discrepancy-report", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: frame (mu, nu) = ({float(frame.split()[0]):g}, 0) at hbar = 1 has hbar (mu^2 + nu^2)" in err
+        assert "which must lie in [1e-200, 1e+200]" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("hbar", ["0", "-1", "inf", "nan"])
@@ -1185,6 +1198,7 @@ class TestSupportedRanges:
         "marginal": ("marginal", "[system]\nhbar = {h}\nmode = odd 0.6 0.8\n[frame]\nmu = {m}\n", 5),
         "cm": ("cm", "[system]\nhbar = {h}\nmode = fock 1 x3\nmode = even 1 0.5\n[frame]\nmu = {m} 1 1 1\nnu = 0\n", 7),
         "hbar-scan": ("hbar-scan", "[system]\nmode = fock 1 x4\n[frame]\nmu = {m} 1 1 1\nnu = 0\n[scan]\nhbar_list = {h}\n", 5),
+        "discrepancy-report": ("discrepancy-report", "[report]\nalpha = 2 0\nhbar = {h}\nframe = {m} 0\n", 4),
     }
 
     @pytest.mark.parametrize("hbar, mu", [(4 * SCALE_MIN, 0.5), (SCALE_MAX / 4, 2.0)], ids=["min", "max"])
@@ -1195,7 +1209,7 @@ class TestSupportedRanges:
         out = tmp_path / "o.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        assert_finite_csv(out)
+        (assert_finite_report if command == "discrepancy-report" else assert_finite_csv)(out)
 
     # one step past each edge, and frames whose scale leaves the double range
     @pytest.mark.parametrize("hbar, mu", [(4 * SCALE_MIN, 0.25), (SCALE_MAX / 4, 4.0), (1e-200, 1e-100), (1e200, 1e100)],
@@ -1407,14 +1421,24 @@ def assert_finite_csv(out, numeric_header=NUMERIC_HEADER):
 SCALE_FREE = ("pre_rescale_integral", "S_N", "clamped_mass", "tv_fft_cf", "tv_fft_mc", "ks_fft_mc")
 
 
-def run_at_unit_hbar(command, text, flags):
-    """The artifact of the same config at hbar = 1: (header dict, columns, data, footer dict)."""
+def hbar_of(text):
+    """The value of a config's hbar line."""
+    return float(next(line for line in text.splitlines() if line.startswith("hbar = ")).split("=")[1])
+
+
+def at_unit_hbar(command, text, flags, read):
+    """read(path) of the artifact of the same config at hbar = 1."""
     lines = [("hbar = 1.0" if line.startswith("hbar = ") else line) for line in text.splitlines()]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(Path(tmp), "c.cfg", "\n".join(lines) + "\n")
         out = Path(tmp) / "o.csv"
         assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
-        return keyed(*read_csv(out))
+        return read(out)
+
+
+def run_at_unit_hbar(command, text, flags):
+    """The artifact of the same config at hbar = 1: (header dict, columns, data, footer dict)."""
+    return keyed(*at_unit_hbar(command, text, flags, read_csv))
 
 
 def keyed(header, columns, data, footer):
@@ -1427,7 +1451,7 @@ def assert_scale_free(command, text, flags, out):
     same bytes, sigma^2 is the hbar = 1 value times hbar, and the X and
     density columns are the hbar = 1 columns times and over the reference
     scale sqrt(hbar), rounded once."""
-    hbar = float(next(line for line in text.splitlines() if line.startswith("hbar = ")).split("=")[1])
+    hbar = hbar_of(text)
     header, columns, data, footer = keyed(*read_csv(out))
     unit_header, unit_columns, unit_data, unit_footer = run_at_unit_hbar(command, text, flags)
     assert columns == unit_columns and data.shape == unit_data.shape
@@ -1439,6 +1463,50 @@ def assert_scale_free(command, text, flags, out):
     s_ref = math.sqrt(hbar)
     want = np.column_stack([unit_data[:, 0] * s_ref] + [unit_data[:, j] / s_ref for j in range(1, len(columns))])
     assert np.array_equal(data, want)
+
+
+def hbar_free_lines(path):
+    """An artifact's lines but its config digest and its mode line, which
+    names hbar."""
+    return [line for line in Path(path).read_text().splitlines()
+            if not line.startswith(("# config sha256 ", "# mode "))]
+
+
+def assert_reconstruct_hbar_free(text, out):
+    """A `reconstruct` artifact against the same config at hbar = 1: every
+    data row, and the pre_rescale_trace, cutoff_char_function,
+    truncation_leakage and fidelity lines, have the same bytes."""
+    assert hbar_free_lines(out) == at_unit_hbar("reconstruct", text, [], hbar_free_lines)
+
+
+# the power of s_ref = sqrt(hbar) each report row scales with
+ROW_POWER = {"x_diag": 1, "x_cross_re": 1, "x_cross_im": 1, "x2_diag": 2, "x2_cross_re": 2, "x2_cross_im": 2,
+             "variance": 2, "integral": 0}
+
+
+def check_report_scales(text, out):
+    """A `discrepancy-report` on unit directions against the same config at
+    hbar = 1: each published and oracle value is the hbar = 1 value times
+    sqrt(hbar) (x rows) or its square (x^2 and variance rows), rounded
+    once, and an integral row is the hbar = 1 row.  The ratio is nan on
+    the same rows, but where the scaling takes a nonzero oracle value
+    across the absolute 1e-300 below which `ReportRow.ratio` is nan; the
+    number of such rows is returned."""
+    s = math.sqrt(hbar_of(text))
+    rows, unit_rows = report_rows(out), at_unit_hbar("discrepancy-report", text, [], report_rows)
+    assert len(rows) == len(unit_rows)
+    crossed = 0
+    for row, unit in zip(rows, unit_rows):
+        scale = (1.0, s, s * s)[ROW_POWER[row["quantity"]]]
+        assert {k: v for k, v in row.items() if k not in ("hbar", "published_value", "oracle_value", "ratio")} == \
+            {k: v for k, v in unit.items() if k not in ("hbar", "published_value", "oracle_value", "ratio")}
+        for key in ("published_value", "oracle_value"):
+            assert float(row[key]) == float(unit[key]) * scale, (row, unit)
+        if math.isnan(float(row["ratio"])) != math.isnan(float(unit["ratio"])):
+            oracle, unit_oracle = abs(float(row["oracle_value"])), abs(float(unit["oracle_value"]))
+            assert unit_oracle > 0 and (oracle < 1e-300) != (unit_oracle < 1e-300), (row, unit)
+            crossed += 1
+    return crossed
 
 
 def assert_finite_report(out):
@@ -1464,8 +1532,11 @@ class TestGeneratedConfigs:
     @settings(max_examples=40)
     @given(text=generated_reconstruct_configs())
     def test_reconstruct_exit_code_and_finite_artifact(self, text):
-        run_generated("reconstruct", text, [],
-                      lambda out: assert_finite_csv(out, ("pre_rescale_trace", "fidelity")))
+        def check(out):
+            assert_finite_csv(out, ("pre_rescale_trace", "fidelity"))
+            assert_reconstruct_hbar_free(text, out)
+
+        run_generated("reconstruct", text, [], check)
 
     @settings(max_examples=50)
     @given(text=generated_clt_scan_configs())
@@ -1480,7 +1551,11 @@ class TestGeneratedConfigs:
     @settings(max_examples=30)
     @given(text=generated_report_configs())
     def test_report_exit_code_and_finite_artifact(self, text):
-        run_generated("discrepancy-report", text, [], assert_finite_report)
+        def check(out):
+            assert_finite_report(out)
+            check_report_scales(text, out)
+
+        run_generated("discrepancy-report", text, [], check)
 
 
 # the four `cm` systems of the benchmark's crosscheck workload, Fock
@@ -1509,6 +1584,82 @@ def test_cm_scale_free_values_do_not_move_with_hbar(tmp_path, name):
         seen.add(tuple(header[key] for key in ("S_N", "clamped_mass"))
                  + tuple(footer[key] for key in ("tv_fft_cf", "tv_fft_mc", "ks_fft_mc")))
     assert len(seen) == 1, seen
+
+
+# the benchmark's `reconstruct` jobs; the hbar line is set per run
+RECONSTRUCT_JOBS = {
+    "rec-fock1": "mode = fock 1\n[reconstruct]\ndim = 8\n",
+    "rec-even": "mode = even 1.0 0.0\n[reconstruct]\ndim = 16\n",
+    "rec-odd": "mode = odd 0.6 0.8\n[reconstruct]\ndim = 12\n",
+}
+
+
+@pytest.mark.parametrize("hbar", ["1e-200", "1e-3", "0.5", "3", "1e200"])
+@pytest.mark.parametrize("name", sorted(RECONSTRUCT_JOBS))
+def test_reconstruct_bytes_do_not_move_with_hbar(tmp_path, name, hbar):
+    # the reconstruction runs at hbar = 1; [system] hbar only labels the artifact
+    text = f"[system]\nhbar = {hbar}\n" + RECONSTRUCT_JOBS[name]
+    out = tmp_path / "rho.txt"
+    assert main(["reconstruct", "--config", write(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+    assert f"# mode hbar={float(hbar):.17g}; " in out.read_text()
+    assert_reconstruct_hbar_free(text, out)
+
+
+@pytest.mark.parametrize("hbar", ["1e-200", "1e-9", "0.7", "3", "1e8", "1e200"])
+def test_default_report_rows_scale_with_hbar(tmp_path, hbar):
+    # the rows are computed once at hbar = 1 and scaled where written, so
+    # the nan ratios fall on the same 31 of the 204 rows at every hbar
+    text = f"[report]\nhbar = {hbar}\n"
+    out = tmp_path / "r.csv"
+    assert main(["discrepancy-report", "--config", write(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+    assert check_report_scales(text, out) == 0
+    ratios = [float(row["ratio"]) for row in report_rows(out)]
+    assert (len(ratios), sum(map(math.isnan, ratios))) == (204, 31)
+
+
+class TestSigma2OneRule:
+    """Every command writes sigma^2 as `cm` does: the sum of the closed
+    variances on the system's unit frames times s_ref^2.  A scan point's
+    sigma^2 is the `cm` header of its system at its hbar, bit for bit."""
+
+    SYSTEMS = {
+        "unit": "[system]\nmode = fock 1 x8\nmode = even 1.0 0.5 x4\n[frame]\nmu = 0.6\nnu = 0.8\n",
+        "wide": "[system]\nmode = fock 2\nmode = odd 0.6 0.8\n[frame]\nmu = 3 0.6\nnu = 4 0.8\n",
+    }
+
+    def cm_sigma2(self, tmp_path, text):
+        cfg = write(tmp_path, "cm.cfg", text)
+        assert main(["cm", "--config", cfg, "--out", str(tmp_path / "cm.csv")]) == 0
+        return keyed(*read_csv(tmp_path / "cm.csv"))[0]["sigma2"]
+
+    @pytest.mark.parametrize("hbar_list", ["1 0.1 0.01 0.001", "1e198 0.7 1e-9 1e-199"])
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_hbar_scan_rows_are_cm_headers(self, tmp_path, system, hbar_list):
+        text = self.SYSTEMS[system]
+        cfg = write(tmp_path, "scan.cfg", text + f"[scan]\nhbar_list = {hbar_list}\n")
+        assert main(["hbar-scan", "--config", cfg, "--out", str(tmp_path / "scan.csv")]) == 0
+        _, columns, data, _ = read_csv(tmp_path / "scan.csv")
+        for hbar, sigma2 in data[:, [columns.index("hbar"), columns.index("sigma2")]].tolist():
+            at_hbar = text.replace("[system]\n", f"[system]\nhbar = {hbar!r}\n")
+            assert self.cm_sigma2(tmp_path, at_hbar) == _fmt(sigma2), hbar
+
+    @pytest.mark.parametrize("E, levels, rhos, theta", [
+        (10.0, [3, 1, 2, 0], [0.6, 1.0, 1.5], math.pi), (1e-150, [1, 4], [4.0, 0.25, 9.0], 0.3),
+    ], ids=["mixed", "wide"])
+    def test_clt_scan_rows_are_cm_headers(self, tmp_path, E, levels, rhos, theta):
+        cfg = write(tmp_path, "scan.cfg", f"[scan]\nE = {E!r}\nN_list = 1 3 12 13\n"
+                    f"n_pattern = {' '.join(map(str, levels))}\nrho_pattern = {' '.join(map(repr, rhos))}\n"
+                    f"theta = {theta!r}\n")
+        assert main(["clt-scan", "--config", cfg, "--out", str(tmp_path / "scan.csv")]) == 0
+        _, columns, data, _ = read_csv(tmp_path / "scan.csv")
+        pairs = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta)) for rho in rhos]
+        for n, hbar, sigma2 in data[:, [columns.index(c) for c in ("N", "hbar", "sigma2")]].tolist():
+            frames = [pairs[i % len(pairs)] for i in range(int(n))]
+            text = (f"[system]\nhbar = {hbar!r}\n" + "".join(f"mode = fock {levels[i % len(levels)]}\n"
+                                                              for i in range(int(n)))
+                    + "[frame]\nmu = " + " ".join(repr(mu) for mu, _ in frames)
+                    + "\nnu = " + " ".join(repr(nu) for _, nu in frames) + "\n")
+            assert self.cm_sigma2(tmp_path, text) == _fmt(sigma2), n
 
 
 def fresh_interpreter(code):

@@ -101,7 +101,7 @@ class TestFockTomogram:
         # the Gaussian factor alone underflows past |y| ~ 38.6, inside this
         # level's support; the log-scaled recurrence keeps the whole mass
         d = marginal_density(Fock(1000), 1.0, 0.0)
-        assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-8)
+        assert d.integral == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -219,10 +219,11 @@ class TestEvenOddTomogram:
         np.testing.assert_allclose(d.values[1:], d.values[1:][::-1], atol=1e-12)
 
     def test_rescale_metadata(self):
-        # the integral is recorded; nothing is rescaled by it
+        # the integral is `integral`; nothing is rescaled by it, and the
+        # metadata hold the mode and the frame only
         d = marginal_density(CoherentEven(1.0), 1.0, 0.0)
-        assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-6)
-        assert "rescale" not in d.meta
+        assert d.integral == pytest.approx(1.0, abs=1e-6)
+        assert set(d.meta) == {"mode", "mu", "nu"}
 
     @pytest.mark.parametrize("mode", [CoherentEven(2.0), Fock(3)], ids=["even", "fock"])
     def test_normalization_error_on_bad_grid(self, mode):
@@ -297,7 +298,7 @@ class TestEvenOddLogDomain:
         for mu, nu in [(1.0, 0.0), (0.6, 0.8)]:
             d = marginal_density(CAT[parity](alpha), mu, nu)
             assert np.all(np.isfinite(d.values))
-            assert d.meta["pre_rescale_integral"] == pytest.approx(1.0, abs=1e-9)
+            assert d.integral == pytest.approx(1.0, abs=1e-9)
 
 
 def complex_form_cat(alpha, parity, mu, nu, X):
@@ -415,7 +416,7 @@ class TestCatGridFloor:
 
     def test_grid_integrals_exact(self):
         m = marginal_density(self.MODE, 0.0, 1.0)
-        assert abs(m.meta["pre_rescale_integral"] - 1.0) <= 1e-14
+        assert abs(m.integral - 1.0) <= 1e-14
         assert abs(moments(m).var / variance(self.MODE, 0.0, 1.0) - 1.0) <= 1e-14
         ks = np.linspace(0.0, 4.0, 41)
         cf = [np.trapezoid(m.values * np.cos(k * m.grid.xs), dx=m.grid.dx) for k in ks]
@@ -449,7 +450,7 @@ class TestCatGridFloor:
                 for mu, nu in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (3.0, -4.0), (0.01, 0.02)]:
                     for hbar in (1e-150, 1e-3, 1.0, 7.0, 1e150):
                         d = marginal_density(CAT[kind](size * phase), *fold_hbar(mu, nu, hbar))
-                        worst = max(worst, abs(d.meta["pre_rescale_integral"] - 1.0))
+                        worst = max(worst, abs(d.integral - 1.0))
         assert worst <= 1e-14
 
 

@@ -61,8 +61,8 @@ SIGNATURES = {
     "moments": "(d) -> 'Moments'",
     "n_scan": ("(modes_schedule, frame_schedule, E: 'float', N_list, r: 'float', "
                "R: 'float') -> 'list[CltReport]'"),
-    "quadrature_matrices": "(dim: 'int', hbar: 'float') -> 'tuple[np.ndarray, np.ndarray]'",
-    "reconstruct_single_mode": "(tomogram: 'Callable', dim: 'int', hbar: 'float') -> 'DensityMatrix'",
+    "quadrature_matrices": "(dim: 'int') -> 'tuple[np.ndarray, np.ndarray]'",
+    "reconstruct_single_mode": "(tomogram: 'Callable', dim: 'int') -> 'DensityMatrix'",
     "sample_sum": ("(sys: 'SystemSpec', n_samples: 'int', seed: 'int', "
                    "marginals: 'list[MarginalDensity]') -> 'SampleCounts'"),
     "tomogram": "(mode: 'ModeSpec', mu, nu, X)",

@@ -17,41 +17,51 @@ from cmtomo.states import CoherentEven, CoherentOdd, Fock, cat_weight, fock_expa
 def set_sizes(monkeypatch, **sizes):
     """Run every job at the derived sizes with the named ones replaced."""
     derived = reconstruct._job_sizes
-    monkeypatch.setattr(reconstruct, "_job_sizes", lambda dim, hbar: derived(dim, hbar)._replace(**sizes))
+    monkeypatch.setattr(reconstruct, "_job_sizes", lambda dim: derived(dim)._replace(**sizes))
 
 
-def tomogram_of(mode, hbar):
+def tomogram_of(mode):
+    """The unit-scale tomogram the reconstruction takes."""
+    return lambda X, m, n: tomogram(mode, m, n, X)
+
+
+def tomogram_at(mode, hbar):
+    """The tomogram at hbar: the closed form on the frame sqrt(hbar) (mu, nu)."""
     return lambda X, m, n: tomogram(mode, *fold_hbar(m, n, hbar), X)
+
+
+def rescaled_to_unit(tomogram, hbar):
+    """A tomogram w at hbar brought to unit scale: s w(s X), s = sqrt(hbar)."""
+    s = math.sqrt(hbar)
+    return lambda X, m, n: s * tomogram(s * X, m, n)
 
 
 class TestQuadratureMatrices:
     def test_dim2(self):
-        Q, P = quadrature_matrices(2, 1.0)
+        Q, P = quadrature_matrices(2)
         np.testing.assert_allclose(Q, [[0, 1 / math.sqrt(2)], [1 / math.sqrt(2), 0]], atol=1e-15)
         np.testing.assert_allclose(P, [[0, -1j / math.sqrt(2)], [1j / math.sqrt(2), 0]], atol=1e-15)
 
-    @pytest.mark.parametrize("hbar", [1.0, 0.3, 7.0])
-    def test_commutator_block(self, hbar):
-        dim = 12
-        Q, P = quadrature_matrices(dim, hbar)
+    @pytest.mark.parametrize("dim", [2, 12, 40])
+    def test_commutator_block(self, dim):
+        Q, P = quadrature_matrices(dim)
         comm = Q @ P - P @ Q
-        want = 1j * hbar * np.eye(dim)
+        want = 1j * np.eye(dim)
         np.testing.assert_allclose(comm[: dim - 1, : dim - 1], want[: dim - 1, : dim - 1], atol=1e-12)
 
     def test_vacuum_q_variance(self):
-        Q, _ = quadrature_matrices(6, 1.0)
+        Q, _ = quadrature_matrices(6)
         assert (Q @ Q)[0, 0].real == pytest.approx(0.5, rel=1e-14)
 
     def test_hermitian(self):
-        Q, P = quadrature_matrices(9, 2.0)
+        Q, P = quadrature_matrices(9)
         np.testing.assert_allclose(Q, Q.conj().T, atol=0)
         np.testing.assert_allclose(P, P.conj().T, atol=0)
 
-    @pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
-    def test_rotation_is_phase_conjugation(self, hbar):
+    @pytest.mark.parametrize("dim", [2, 20, 40])
+    def test_rotation_is_phase_conjugation(self, dim):
         # cos(t) Q + sin(t) P = D Q D^dagger with D = diag(e^{i t m})
-        dim = 20
-        Q, P = quadrature_matrices(dim, hbar)
+        Q, P = quadrature_matrices(dim)
         for theta in (0.0, 0.3, 1.7, math.pi, 4.9):
             D = np.diag(np.exp(1j * theta * np.arange(dim)))
             np.testing.assert_allclose(math.cos(theta) * Q + math.sin(theta) * P,
@@ -62,7 +72,7 @@ class TestEigenExponentials:
     def test_matches_pade_expm(self):
         # per_angle_reference's eigendecomposition must equal the Pade
         # scaling-and-squaring exponential of the same generator
-        Q, P = quadrature_matrices(24, 1.0)
+        Q, P = quadrature_matrices(24)
         for mu, nu in [(0.3, -1.2), (2.0, 0.7), (0.0, 1.0)]:
             lam, V = np.linalg.eigh(mu * Q + nu * P)
             U_eig = (V * np.exp(-1j * lam)) @ V.conj().T
@@ -72,32 +82,28 @@ class TestEigenExponentials:
 
 class TestRoundTrip:
     def test_vacuum(self):
-        rho = reconstruct_single_mode(
-            lambda X, m, n: tomogram(Fock(0), m, n, X), 8, 1.0)
+        rho = reconstruct_single_mode(tomogram_of(Fock(0)), 8)
         assert rho.entries[0, 0].real >= 0.99
         assert np.all(np.abs(np.diag(rho.entries)[1:]) <= 0.01)
         assert rho.meta["pre_rescale_trace"] == pytest.approx(1.0, abs=0.01)
 
     def test_fock1(self):
-        rho = reconstruct_single_mode(
-            lambda X, m, n: tomogram(Fock(1), m, n, X), 8, 1.0)
+        rho = reconstruct_single_mode(tomogram_of(Fock(1)), 8)
         psi = fock_expansion(Fock(1), D=7)
         assert fidelity(rho, psi) >= 0.99
         ev = np.linalg.eigvalsh(rho.entries)
         assert ev.min() >= -1e-6
 
     def test_fock1_other_hbar(self):
-        hbar = 0.5
-        rho = reconstruct_single_mode(
-            lambda X, m, n: tomogram(Fock(1), *fold_hbar(m, n, hbar), X), 8, hbar)
+        # the tomogram at hbar = 0.5, brought to unit scale
+        rho = reconstruct_single_mode(rescaled_to_unit(tomogram_at(Fock(1), 0.5), 0.5), 8)
         psi = fock_expansion(Fock(1), D=7)
         assert fidelity(rho, psi) >= 0.99
         assert rho.meta["pre_rescale_trace"] == pytest.approx(1.0, abs=0.01)
 
     def test_even_cat(self):
         alpha = 1.0
-        rho = reconstruct_single_mode(
-            lambda X, m, n: tomogram(CoherentEven(alpha), m, n, X), 16, 1.0)
+        rho = reconstruct_single_mode(tomogram_of(CoherentEven(alpha)), 16)
         psi = fock_expansion(CoherentEven(alpha), D=15)
         assert fidelity(rho, psi) >= 0.98
         ev = np.linalg.eigvalsh(rho.entries)
@@ -110,9 +116,9 @@ class TestRoundTrip:
         def mix(X, m, n):
             return 0.5 * tomogram(Fock(0), m, n, X) + 0.5 * tomogram(Fock(1), m, n, X)
 
-        rho_mix = reconstruct_single_mode(mix, 8, 1.0)
-        rho_0 = reconstruct_single_mode(lambda X, m, n: tomogram(Fock(0), m, n, X), 8, 1.0)
-        rho_1 = reconstruct_single_mode(lambda X, m, n: tomogram(Fock(1), m, n, X), 8, 1.0)
+        rho_mix = reconstruct_single_mode(mix, 8)
+        rho_0 = reconstruct_single_mode(tomogram_of(Fock(0)), 8)
+        rho_1 = reconstruct_single_mode(tomogram_of(Fock(1)), 8)
         pre = (rho_0.meta["pre_rescale_trace"] * rho_0.entries
                + rho_1.meta["pre_rescale_trace"] * rho_1.entries) / 2
         want = pre / np.trace(pre).real
@@ -120,17 +126,18 @@ class TestRoundTrip:
 
     def test_truncation_leakage_flag(self):
         # alpha = 2 populates levels past dim = 4: a flag, not an error
-        rho = reconstruct_single_mode(
-            lambda X, m, n: tomogram(CoherentEven(2.0), m, n, X), 4, 1.0)
+        rho = reconstruct_single_mode(tomogram_of(CoherentEven(2.0)), 4)
         assert rho.meta["truncation_leakage"]
 
 
 def per_angle_reference(tomogram, dim, hbar):
-    """The frame integral with one eigendecomposition per angle, in a
-    working basis padded past the displacement reach of the cutoff, and
-    one tomogram call per (angle, radius) on the radius-scaled X grid,
-    at the sizes reconstruct._job_sizes gives."""
-    K, radial, angular, x_count = reconstruct._job_sizes(dim, hbar)
+    """The frame integral at hbar of the tomogram at hbar, with one
+    eigendecomposition per angle, in a working basis padded past the
+    displacement reach of the cutoff, and one tomogram call per (angle,
+    radius) on the radius-scaled X grid, at the sizes
+    reconstruct._job_sizes gives with the frame radius over sqrt(hbar)."""
+    K, radial, angular, x_count = reconstruct._job_sizes(dim)
+    K /= math.sqrt(hbar)
     xi_max_sq = hbar * K * K / 2.0
     W = dim + int(math.ceil(xi_max_sq + 6.0 * math.sqrt(xi_max_sq)
                             + 2.0 * math.sqrt(dim * xi_max_sq))) + 8
@@ -138,7 +145,7 @@ def per_angle_reference(tomogram, dim, hbar):
     k_nodes = 0.5 * (gl_nodes + 1.0) * K
     k_weights = 0.5 * gl_weights * K
     d_theta = 2.0 * math.pi / angular
-    Q, P = quadrature_matrices(W, hbar)
+    Q, P = (math.sqrt(hbar) * M for M in quadrature_matrices(W))
     sigma_unit = math.sqrt(hbar * (dim + 0.5))
     acc = np.zeros((W, W), dtype=complex)
     for j in range(angular):
@@ -165,50 +172,54 @@ class TestFrameIdentities:
 
     @pytest.mark.parametrize("mode", [Fock(1), CoherentOdd(0.6 + 0.8j)], ids=["fock1", "odd_complex"])
     def test_matches_per_angle_reference(self, small, mode):
-        hbar, dim = 0.5, 6
-        tomogram = tomogram_of(mode, hbar)
-        want = per_angle_reference(tomogram, dim, hbar)
-        rho = reconstruct_single_mode(tomogram, dim, hbar)
+        # the reference integrates at hbar = 0.5, the reconstruction at 1
+        dim = 6
+        want = per_angle_reference(tomogram_at(mode, 0.5), dim, 0.5)
+        rho = reconstruct_single_mode(tomogram_of(mode), dim)
         assert rho.meta["working_dim"] == dim
-        assert rho.meta["frame_radius"] == reconstruct._job_sizes(dim, hbar).frame_radius
+        assert rho.meta["frame_radius"] == reconstruct._job_sizes(dim).frame_radius
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
 
     def test_displaced_state_matches_per_angle_reference(self, small):
         # the parity-invariant mixture (|a><a| + |-a><-a|) / 2 of two
         # coherent states: a Gaussian pair at +-<X>_a, even in X bit for
         # bit, whose even-offset entries are complex
-        hbar, dim, alpha = 0.5, 6, 0.4 - 0.3j
-        q0, p0 = math.sqrt(2.0 * hbar) * alpha.real, math.sqrt(2.0 * hbar) * alpha.imag
+        dim, alpha = 6, 0.4 - 0.3j
 
-        def tomogram(X, m, n):
-            var = 0.5 * hbar * (m * m + n * n)
-            centre = m * q0 + n * p0
-            pair = np.exp(-(X - centre) ** 2 / (2.0 * var)) + np.exp(-(X + centre) ** 2 / (2.0 * var))
-            return 0.5 * pair / np.sqrt(2.0 * math.pi * var)
+        def pair_at(hbar):
+            q0, p0 = math.sqrt(2.0 * hbar) * alpha.real, math.sqrt(2.0 * hbar) * alpha.imag
 
-        want = per_angle_reference(tomogram, dim, hbar)
-        rho = reconstruct_single_mode(tomogram, dim, hbar)
+            def tomogram(X, m, n):
+                var = 0.5 * hbar * (m * m + n * n)
+                centre = m * q0 + n * p0
+                pair = np.exp(-(X - centre) ** 2 / (2.0 * var)) + np.exp(-(X + centre) ** 2 / (2.0 * var))
+                return 0.5 * pair / np.sqrt(2.0 * math.pi * var)
+
+            return tomogram
+
+        want = per_angle_reference(pair_at(0.5), dim, 0.5)
+        rho = reconstruct_single_mode(pair_at(1.0), dim)
         assert np.max(np.abs(rho.entries - want)) <= 1e-12
         assert np.max(np.abs(rho.entries.imag)) > 0.05
 
-    @pytest.mark.parametrize("mode, dim, hbar", [(Fock(1), 8, 1.0), (CoherentOdd(0.6 + 0.8j), 12, 0.5)],
+    @pytest.mark.parametrize("mode, dim", [(Fock(1), 8), (CoherentOdd(0.6 + 0.8j), 12)],
                              ids=["fock1", "odd_complex"])
-    def test_one_tomogram_call_per_job(self, mode, dim, hbar):
+    def test_one_tomogram_call_per_job(self, mode, dim):
         # rows are even and theta + pi is theta with X reversed: one call on
         # the half grid y >= 0 at the unit frames of the angles in [0, pi)
         calls = []
 
         def recorded(X, m, n):
             calls.append((X.copy(), m.copy(), n.copy()))
-            return tomogram(mode, *fold_hbar(m, n, hbar), X)
+            return tomogram(mode, m, n, X)
 
-        reconstruct_single_mode(recorded, dim, hbar)
-        _, _, angular, x_count = reconstruct._job_sizes(dim, hbar)
+        reconstruct_single_mode(recorded, dim)
+        _, _, angular, x_count = reconstruct._job_sizes(dim)
         assert len(calls) == 1
         y, mu, nu = calls[0]
         assert y.shape == (x_count // 2 + 1,) and y[0] == 0.0
         np.testing.assert_allclose(np.diff(y), y[1], rtol=1e-12)
-        assert y[-1] == pytest.approx(reconstruct._X_SIGMAS * math.sqrt(hbar * (dim + 0.5)), rel=1e-14)
+        assert y[-1] == pytest.approx(reconstruct._X_SIGMAS * math.sqrt(dim + 0.5), rel=1e-14)
         assert mu.shape == nu.shape == (angular // 2, 1)
         angles = np.arctan2(nu[:, 0], mu[:, 0])
         assert np.all((angles >= 0.0) & (angles < math.pi))
@@ -217,17 +228,17 @@ class TestFrameIdentities:
         np.testing.assert_allclose(np.hypot(mu, nu), 1.0, rtol=1e-15)
 
 
-def half_grid(dim, hbar):
-    """The reconstruction's half grid y >= 0 at dim and hbar."""
-    x_count = reconstruct._job_sizes(dim, hbar).x_count
-    dy = 2.0 * reconstruct._X_SIGMAS * math.sqrt(hbar * (dim + 0.5)) / x_count
+def half_grid(dim):
+    """The reconstruction's half grid y >= 0 at dim."""
+    x_count = reconstruct._job_sizes(dim).x_count
+    dy = 2.0 * reconstruct._X_SIGMAS * math.sqrt(dim + 0.5) / x_count
     return np.arange(x_count // 2 + 1) * dy
 
 
-def half_circle(dim, hbar):
+def half_circle(dim):
     """The unit frames (cos theta, sin theta) at the reconstruction's
     angles in [0, pi), as lists of floats."""
-    angular = reconstruct._job_sizes(dim, hbar).angular_nodes
+    angular = reconstruct._job_sizes(dim).angular_nodes
     thetas = [j * 2.0 * math.pi / angular for j in range(angular // 2)]
     return [math.cos(t) for t in thetas], [math.sin(t) for t in thetas]
 
@@ -265,32 +276,31 @@ class TestTomogramTables:
     def test_rows_even_bit_for_bit(self, mode):
         # |alpha| = 18 is about the reach of the 512-level cat expansion
         for hbar in (1e-200, 1.0, 1e200):
-            y = half_grid(32, hbar)
+            y = math.sqrt(hbar) * half_grid(32)
             xs = np.concatenate([-y[:0:-1], y])
             for mu, nu in [(1.0, 0.0), (0.6, 0.8), (3.0, -4.0), (0.01, 0.02)]:
                 vals = tomogram(mode, *fold_hbar(mu, nu, hbar), xs)
                 assert np.max(vals) > 0.0
                 assert vals.tobytes() == vals[::-1].tobytes(), (hbar, mu, nu)
 
-    @pytest.mark.parametrize("mode, dim, hbar, stride", [
-        (Fock(1), 8, 1.0, 1), (CoherentEven(1.0), 16, 1.0, 1), (CoherentOdd(0.6 + 0.8j), 12, 0.5, 1),
-        (Fock(250), 256, 1.0, 8),
+    @pytest.mark.parametrize("mode, dim, stride", [
+        (Fock(1), 8, 1), (CoherentEven(1.0), 16, 1), (CoherentOdd(0.6 + 0.8j), 12, 1), (Fock(250), 256, 8),
     ], ids=["fock1", "even1", "odd_complex", "fock250"])
-    def test_table_is_the_per_frame_rows(self, mode, dim, hbar, stride):
+    def test_table_is_the_per_frame_rows(self, mode, dim, stride):
         # fock 250 compares every 8th frame, covering every distinct scale
-        y = half_grid(dim, hbar)
-        mus, nus = half_circle(dim, hbar)
-        table = tomogram(mode, *fold_hbar(np.array(mus)[:, None], np.array(nus)[:, None], hbar), y)
+        y = half_grid(dim)
+        mus, nus = half_circle(dim)
+        table = tomogram(mode, np.array(mus)[:, None], np.array(nus)[:, None], y)
         frames = list(zip(mus, nus))[::stride]
-        rows = np.array([tomogram(mode, *fold_hbar(m, n, hbar), y) for m, n in frames])
+        rows = np.array([tomogram(mode, m, n, y) for m, n in frames])
         assert table.shape == (len(mus), len(y))
         assert table[::stride].tobytes() == rows.tobytes()
-        scales = {math.sqrt(hbar * (m * m + n * n)) for m, n in zip(mus, nus)}
-        assert {math.sqrt(hbar * (m * m + n * n)) for m, n in frames} == scales
+        scales = {math.sqrt(m * m + n * n) for m, n in zip(mus, nus)}
+        assert {math.sqrt(m * m + n * n) for m, n in frames} == scales
 
     @pytest.mark.parametrize("mode", PARITY_MODES, ids=repr)
     def test_scalar_frames_keep_their_bytes(self, mode):
-        y = half_grid(8, 1.0)
+        y = half_grid(8)
         for mu, nu in [(1.0, 0.0), (0.6, 0.8), (3.0, -4.0)]:
             assert tomogram(mode, mu, nu, y).tobytes() == scalar_tomogram(mode, mu, nu, 1.0, y).tobytes()
             assert tomogram(mode, mu, nu, 0.3) == float(scalar_tomogram(mode, mu, nu, 1.0, np.float64(0.3)))
@@ -315,9 +325,9 @@ class TestSharedTables:
         def fock1(X, m, n):
             return tomogram(Fock(1), m, n, X)
 
-        first = reconstruct_single_mode(fock1, 8, 1.0)
-        second = reconstruct_single_mode(fock1, 8, 1.0)
-        radial = reconstruct._job_sizes(8, 1.0).radial_nodes
+        first = reconstruct_single_mode(fock1, 8)
+        second = reconstruct_single_mode(fock1, 8)
+        radial = reconstruct._job_sizes(8).radial_nodes
         assert built == [radial]
         assert first.entries.tobytes() == second.entries.tobytes()
         nodes, weights = reconstruct._gauss_legendre(radial)
@@ -349,7 +359,7 @@ class TestSharedTables:
         set_sizes(monkeypatch, radial_nodes=radial, angular_nodes=angular, x_count=x_count)
         monkeypatch.setattr(np, "exp", counting)
         dim = 8
-        reconstruct_single_mode(fock1, dim, 1.0)
+        reconstruct_single_mode(fock1, dim)
         half = angular // 2
         count = x_count // 2 + 1
         x_table = (-(-count // 16) + 16) * radial
@@ -357,18 +367,20 @@ class TestSharedTables:
 
 
 class TestJobSizeBounds:
-    # every size follows from dim and hbar, and every table of a job holds
-    # at most 2^22 entries
+    # every size follows from dim, and every table of a job holds at most
+    # 2^22 entries
     CAP = 2 ** 22
 
+    # each threshold of the radial rule, the angular sum and the X grid
+    # from both sides
     @pytest.mark.parametrize("dim, radial, angular, x_count", [
-        (2, 160, 128, 1024), (16, 160, 128, 1024), (33, 160, 128, 2048),
-        (54, 162, 128, 2048), (65, 195, 130, 4096), (256, 768, 512, 8192),
+        (2, 160, 128, 1024), (16, 160, 128, 1024), (32, 160, 128, 1024), (33, 160, 128, 2048),
+        (53, 160, 128, 2048), (54, 162, 128, 2048), (64, 192, 128, 2048), (65, 195, 130, 4096),
+        (128, 384, 256, 4096), (129, 387, 258, 8192), (256, 768, 512, 8192),
     ])
-    @pytest.mark.parametrize("hbar", [1.0, 0.25, 1e3])
-    def test_sizes_from_dim(self, dim, radial, angular, x_count, hbar):
-        K = (2.0 * math.sqrt(2 * dim - 1) + 2.0 * math.sqrt(math.log(1e12))) / math.sqrt(hbar)
-        sizes = reconstruct._job_sizes(dim, hbar)
+    def test_sizes_from_dim(self, dim, radial, angular, x_count):
+        K = 2.0 * math.sqrt(2 * dim - 1) + 2.0 * math.sqrt(math.log(1e12))
+        sizes = reconstruct._job_sizes(dim)
         assert sizes[1:] == (radial, angular, x_count)
         assert sizes.frame_radius == pytest.approx(K, rel=1e-14)
 
@@ -376,21 +388,18 @@ class TestJobSizeBounds:
         # x_count doubles past 32 dim: 8192 up to dim 256, then 16384, whose
         # X phase table over the half grid binds first; the half-grid
         # tomogram rows, 257 x 8193, would still fit
-        _, radial, angular, x_count = reconstruct._job_sizes(256, 1.0)
+        _, radial, angular, x_count = reconstruct._job_sizes(256)
         assert (x_count // 2 + 1) * radial == 4097 * 768 <= self.CAP
         assert (angular // 2) * (x_count // 2 + 1) == 256 * 4097
         with pytest.raises(GridSizeError, match="X phase table"):
-            reconstruct._job_sizes(257, 1.0)
+            reconstruct._job_sizes(257)
 
     def test_default_radius_far_inside_phase_bound(self):
-        # the X grid's half-width 10 sqrt(hbar (dim + 1/2)) times K: hbar
-        # cancels, and 8.9e3 rad at dim 256 is far inside the 1e5 rad
-        # phase_table is tested to
-        for dim in (2, 64, 256):
-            phases = [10.0 * math.sqrt(hbar * (dim + 0.5)) * reconstruct._job_sizes(dim, hbar).frame_radius
-                      for hbar in (1e-3, 1.0, 1e3)]
-            assert max(phases) == pytest.approx(min(phases), rel=1e-13)
-            assert max(phases) <= 9e3
+        # the X grid's half-width 10 sqrt(dim + 1/2) times K: 8.9e3 rad at
+        # dim 256 is far inside the 1e5 rad phase_table is tested to
+        phases = [10.0 * math.sqrt(dim + 0.5) * reconstruct._job_sizes(dim).frame_radius for dim in (2, 64, 256)]
+        assert phases == sorted(phases)
+        assert 8.8e3 <= phases[-1] <= 9e3
 
     @pytest.mark.parametrize("dim, table", [(257, "X phase table"), (10 ** 9, "tomogram rows")],
                              ids=["257", "1000000000"])
@@ -401,18 +410,17 @@ class TestJobSizeBounds:
             raise AssertionError("tomogram called")
 
         with pytest.raises(GridSizeError, match=f"reconstruction table {table}"):
-            reconstruct_single_mode(tomogram, dim, 1.0)
+            reconstruct_single_mode(tomogram, dim)
 
 
 class TestDerivedCutoffs:
-    # a frame radius of 10 / sqrt(hbar) whatever dim is gave fidelity 0.594
+    # a frame radius of 10 whatever dim is gave fidelity 0.594
     # for Fock 20 at dim 24 and 0.322 for Fock 50 at dim 60
 
     @pytest.mark.parametrize("dim", [8, 12, 24, 48, 100])
-    @pytest.mark.parametrize("hbar", [1.0, 0.25])
-    def test_fock_levels_exact(self, dim, hbar):
+    def test_fock_levels_exact(self, dim):
         for n in (0, dim // 2, dim - 4):
-            rho = reconstruct_single_mode(tomogram_of(Fock(n), hbar), dim, hbar)
+            rho = reconstruct_single_mode(tomogram_of(Fock(n)), dim)
             assert fidelity(rho, fock_expansion(Fock(n))) >= 1.0 - 1e-6, n
             assert not rho.meta["truncation_leakage"]
 
@@ -420,28 +428,28 @@ class TestDerivedCutoffs:
         (CoherentEven(3.0), 40), (CoherentOdd(5.0), 64), (CoherentEven(4.0 + 3.0j), 64),
         (CoherentOdd(3.0 - 4.0j), 64), (CoherentEven(-2.0 + 1.0j), 32), (CoherentOdd(0.6 + 0.8j), 12),
     ], ids=["even3", "odd5", "even4+3i", "odd3-4i", "even-2+i", "odd0.6+0.8i"])
-    @pytest.mark.parametrize("hbar", [1.0, 0.25])
-    def test_cats_exact(self, mode, dim, hbar):
+    def test_cats_exact(self, mode, dim):
         psi = fock_expansion(mode)
         assert np.sum(np.abs(psi.coefficients[:dim]) ** 2) >= 1.0 - 1e-9
-        rho = reconstruct_single_mode(tomogram_of(mode, hbar), dim, hbar)
+        rho = reconstruct_single_mode(tomogram_of(mode), dim)
         assert fidelity(rho, psi) >= 1.0 - 1e-6
         assert not rho.meta["truncation_leakage"]
 
     def test_hbar_cancels(self):
-        # K scales as 1/sqrt(hbar) and the X grid as sqrt(hbar): every
-        # phase and Laguerre argument, and so the matrix, is the same
-        mats = [reconstruct_single_mode(tomogram_of(CoherentOdd(1.5 - 0.5j), hbar), 12, hbar).entries
-                for hbar in (1e-3, 1.0, 1e3)]
-        assert np.max(np.abs(mats[0] - mats[1])) <= 1e-12
-        assert np.max(np.abs(mats[2] - mats[1])) <= 1e-12
+        # the tomogram at any hbar, brought to unit scale, is the unit-scale
+        # one up to rounding: so is the matrix
+        mode = CoherentOdd(1.5 - 0.5j)
+        want = reconstruct_single_mode(tomogram_of(mode), 12).entries
+        for hbar in (1e-3, 1e3):
+            got = reconstruct_single_mode(rescaled_to_unit(tomogram_at(mode, hbar), hbar), 12).entries
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def displacement_block(dim, k, hbar):
+def displacement_block(dim, k):
     """<m| e^{-ikQ} |n> for m, n < dim from the closed form: (-i)^|m-n|
     times the normalized Laguerre function of min(m, n), offset |m-n|."""
     block = np.zeros((dim, dim), dtype=complex)
-    for n, f in enumerate(laguerre_gauss_levels(dim, np.array([0.5 * hbar * k * k]), range(dim))):
+    for n, f in enumerate(laguerre_gauss_levels(dim, np.array([0.5 * k * k]), range(dim))):
         d = np.arange(dim - n)
         block[n + d, n] = (-1j) ** d * f[:, 0]
         block[n, n + d] = block[n + d, n]
@@ -449,24 +457,23 @@ def displacement_block(dim, k, hbar):
 
 
 class TestDisplacementElements:
-    @pytest.mark.parametrize("hbar", [1.0, 0.5, 3.0])
-    @pytest.mark.parametrize("k", [0.05, 1.3, 4.0, 9.7])
-    def test_matches_padded_expm(self, k, hbar):
-        # the padded working basis, exponentiated by scipy and cropped: its
-        # reach (sqrt(dim) + k sqrt(hbar/2))^2 stays far inside W = 240
+    @pytest.mark.parametrize("k", [0.035, 0.05, 0.087, 0.92, 1.3, 2.25, 2.83, 4.0, 6.86, 6.93, 9.7, 16.8])
+    def test_matches_padded_expm(self, k):
+        # the padded working basis of W = 240 levels, exponentiated by
+        # scipy and cropped
         dim = 24
-        want = expm(-1j * k * quadrature_matrices(240, hbar)[0])[:dim, :dim]
-        np.testing.assert_allclose(displacement_block(dim, k, hbar), want, rtol=0, atol=1e-12)
+        want = expm(-1j * k * quadrature_matrices(240)[0])[:dim, :dim]
+        np.testing.assert_allclose(displacement_block(dim, k), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0.4, 2.0, 3.5])
     def test_unitary_where_not_truncated(self, k):
         # D(b)|n> for n < 20 and |b|^2 = k^2/2 <= 6.2 lies inside 80 levels
         dim, cols = 80, 20
-        block = displacement_block(dim, k, 1.0)[:, :cols]
+        block = displacement_block(dim, k)[:, :cols]
         np.testing.assert_allclose(block.conj().T @ block, np.eye(cols), rtol=0, atol=1e-13)
 
     def test_complex_symmetric(self):
-        block = displacement_block(16, 2.3, 0.7)
+        block = displacement_block(16, 1.9)
         assert np.array_equal(block, block.T)
 
 
@@ -476,7 +483,7 @@ class TestClosedFormCost:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        rho = reconstruct_single_mode(lambda X, m, n: tomogram(Fock(1), m, n, X), 8, 1.0)
+        rho = reconstruct_single_mode(tomogram_of(Fock(1)), 8)
         assert fidelity(rho, fock_expansion(Fock(1), D=7)) >= 0.99
 
     def test_peak_memory_within_two_largest_tables(self, monkeypatch):
@@ -487,7 +494,7 @@ class TestClosedFormCost:
         # resolve the vacuum out to a frame radius of 10
         dim, radial = 128, 128
         set_sizes(monkeypatch, frame_radius=10.0, radial_nodes=radial)
-        x_count = reconstruct._job_sizes(dim, 1.0).x_count
+        x_count = reconstruct._job_sizes(dim).x_count
         assert x_count == 32 * dim
 
         def vacuum(X, m, n):
@@ -497,7 +504,7 @@ class TestClosedFormCost:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rho = reconstruct_single_mode(vacuum, dim, 1.0)
+            rho = reconstruct_single_mode(vacuum, dim)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -511,11 +518,11 @@ class TestCutoffCharFunction:
     # |characteristic function| at the outermost radial node, largest over
     # the angles: past 1e-4 the frame radius cuts off part of the state
 
-    @pytest.mark.parametrize("mode, hbar, dim", [
-        (Fock(1), 1.0, 8), (CoherentEven(1.0), 1.0, 16), (CoherentOdd(0.6 + 0.8j), 0.5, 12),
+    @pytest.mark.parametrize("mode, dim", [
+        (Fock(1), 8), (CoherentEven(1.0), 16), (CoherentOdd(0.6 + 0.8j), 12),
     ], ids=["fock1", "even1", "odd_complex"])
-    def test_benchmark_shapes_not_flagged(self, mode, hbar, dim):
-        rho = reconstruct_single_mode(tomogram_of(mode, hbar), dim, hbar)
+    def test_benchmark_shapes_not_flagged(self, mode, dim):
+        rho = reconstruct_single_mode(tomogram_of(mode), dim)
         assert 0.0 < rho.meta["cutoff_char_function"] < 1e-5
         assert not rho.meta["truncation_leakage"]
 
@@ -523,7 +530,7 @@ class TestCutoffCharFunction:
     def test_derived_radius_not_flagged(self, mode, dim):
         # a frame radius of 10 whatever dim is cut both off (|characteristic
         # function| 0.11 and 0.28 there) with the pre-rescale trace within 5%
-        rho = reconstruct_single_mode(tomogram_of(mode, 1.0), dim, 1.0)
+        rho = reconstruct_single_mode(tomogram_of(mode), dim)
         assert rho.meta["cutoff_char_function"] < 1e-12
         assert not rho.meta["truncation_leakage"]
         assert fidelity(rho, fock_expansion(mode)) >= 1.0 - 1e-6
@@ -534,7 +541,7 @@ class TestCutoffCharFunction:
         def mix(X, m, n):
             return 0.97 * tomogram(Fock(0), m, n, X) + 0.03 * tomogram(Fock(40), m, n, X)
 
-        rho = reconstruct_single_mode(mix, 8, 1.0)
+        rho = reconstruct_single_mode(mix, 8)
         assert rho.meta["pre_rescale_trace"] == pytest.approx(0.97, abs=1e-6)
         assert rho.meta["cutoff_char_function"] > 1e-3
         assert rho.meta["truncation_leakage"]
@@ -544,20 +551,19 @@ class TestCutoffCharFunction:
         def mix(X, m, n):
             return 0.5 * tomogram(Fock(0), m, n, X) + 0.5 * tomogram(Fock(3), m, n, X)
 
-        rho = reconstruct_single_mode(mix, 2, 1.0)
+        rho = reconstruct_single_mode(mix, 2)
         assert rho.meta["pre_rescale_trace"] == pytest.approx(0.5, abs=1e-6)
         assert rho.meta["cutoff_char_function"] < 1e-6
         assert rho.meta["truncation_leakage"]
 
     def test_is_the_characteristic_function_at_the_outer_node(self, monkeypatch):
-        # the vacuum's is e^{-hbar k^2 / 4} at every angle; a radius of
-        # 10 / sqrt(hbar) keeps it at 1.4e-11, above rounding
-        hbar = 0.5
-        set_sizes(monkeypatch, frame_radius=10.0 / math.sqrt(hbar))
-        rho = reconstruct_single_mode(tomogram_of(Fock(0), hbar), 8, hbar)
-        radial = reconstruct._job_sizes(8, hbar).radial_nodes
-        k_outer = 0.5 * (reconstruct._gauss_legendre(radial)[0][-1] + 1.0) * 10.0 / math.sqrt(hbar)
-        assert rho.meta["cutoff_char_function"] == pytest.approx(math.exp(-hbar * k_outer ** 2 / 4), rel=1e-9)
+        # the vacuum's is e^{-k^2 / 4} at every angle; a radius of 10 keeps
+        # it at 1.4e-11, above rounding
+        set_sizes(monkeypatch, frame_radius=10.0)
+        rho = reconstruct_single_mode(tomogram_of(Fock(0)), 8)
+        radial = reconstruct._job_sizes(8).radial_nodes
+        k_outer = 0.5 * (reconstruct._gauss_legendre(radial)[0][-1] + 1.0) * 10.0
+        assert rho.meta["cutoff_char_function"] == pytest.approx(math.exp(-k_outer ** 2 / 4), rel=1e-9)
 
 
 class TestFidelity:

@@ -185,7 +185,7 @@ class TestLaguerreGaussLevels:
         # reconstruction walks the even offsets only; each offset's
         # recurrence and rescaling are elementwise, so its rows keep every
         # bit, at u over the radial nodes of a dim-level reconstruction
-        sizes = _job_sizes(dim, 1.0)
+        sizes = _job_sizes(dim)
         k_nodes = 0.5 * (_gauss_legendre(sizes.radial_nodes)[0] + 1.0) * sizes.frame_radius
         us = 0.5 * k_nodes * k_nodes
         full = laguerre_gauss_levels(dim, us, range(dim))
