@@ -83,7 +83,8 @@ def _write_atomic(args, pieces: Iterable[str]) -> None:
     """Write the text pieces to a temp file beside args.out, then rename it
     over args.out; on any error the temp file is removed, and an OSError
     is a config error that names the path and where it was set
-    (args.out_at)."""
+    (args.out_at).  The artifact takes the mode a newly created file
+    would, 0o666 under the umask, not mkstemp's 0o600."""
     path = Path(args.out)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -91,6 +92,10 @@ def _write_atomic(args, pieces: Iterable[str]) -> None:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.writelines(pieces)
+            # the umask can only be read by setting it; it is put back at once
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -324,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit every convolution backend plus cross-check footers")
     parser.add_argument("--mc-samples", type=int, default=10 ** 6,
                         help="Monte-Carlo sample count for --all-backends, at most 2^27, and at most "
-                             "2^30 / N for N modes; it bounds the run time, memory does not grow with it")
+                             "2^30 / N for N modes; it bounds the run time, and memory grows with its square "
+                             "root only, 2 MiB per group of equal modes at 2^27")
     return parser
 
 

@@ -30,9 +30,10 @@ _MC_CHUNK = 2 ** 15
 # its run is that long; a multiple of _MC_CHUNK
 _MC_SPAN = 2 ** 17
 # most Monte-Carlo draws one call takes, and most mode-draws (modes times
-# draws, 15-28 ns of wall each with two workers on a 2-vCPU VM); they
-# bound the time of a call, not its memory, which does not grow with the
-# draw count
+# draws, 8-15 ns of wall each with two workers on a 2-vCPU VM); they
+# bound the time of a call.  Its memory grows with the draw count only
+# through the quantile tables, 8 G bytes per group for G of order
+# 16 sqrt(draws) (`_table_size`): at most 2 MiB per group
 MC_SAMPLES_MAX = 2 ** 27
 MC_MODE_DRAWS_MAX = 2 ** 30
 
@@ -310,38 +311,42 @@ def _mode_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence([index, seed])))
 
 
-def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray):
-    """Guide-table inverse of a CDF sampled at the nodes xs.
+def _table_size(n_samples: int) -> int:
+    """G, the smallest power of two at least 16 sqrt(n_samples): 16 at
+    one draw, 2^14 at 10^6 and 2^18 at MC_SAMPLES_MAX.  A quantile table
+    of G buckets moves the sampled CDF by at most 1/G, a sixteenth of the
+    Kolmogorov-Smirnov noise 1/sqrt(n_samples) of the draws."""
+    size = 16
+    while size * size < 256 * n_samples:
+        size *= 2
+    return size
 
-    cdf must rise from exactly 0 to exactly 1 over a power-of-two count
-    G of nodes.  The returned function maps draws u in [0, 1) to values
-    equal bit for bit to np.interp(u, cdf, xs): it finds the unique node
-    j with cdf[j] <= u < cdf[j+1] (the node np.interp picks, also on
-    flat runs and at u = 0) and applies numpy's slope formula.  Bucket
-    b of the guide table holds the last node with cdf <= b/G, so
-    floor(u G) starts each draw at or below j; one vectorised step
-    forward settles most draws and a binary search the few left over.
-    Expected cost is O(1) per draw against log2(G) branches for the
-    search alone.
+
+def _inverse_cdf(cdf: np.ndarray, xs: np.ndarray, size: int):
+    """Quantile-table inverse of a CDF sampled at the nodes xs.
+
+    cdf rises from 0 to 1.  The table holds Q_b = np.interp(b/G, cdf, xs)
+    for b = 0..G, G = size a power of two.  The returned function maps
+    draws u in [0, 1), overwriting them, to Q_b + (u G - b)(Q_{b+1} - Q_b)
+    with b = floor(u G): two gathers of neighbouring entries per draw,
+    equal bit for bit to np.interp(u G, arange(G + 1.0), Q), as u G, b
+    and u G - b are exact.  The sampled law's CDF equals the linear
+    inverse's at every b/G and lies within 1/G of it everywhere.
     """
-    count = cdf.size
-    guide = np.searchsorted(cdf, np.arange(count) / count, side="right") - 1
-    np.minimum(guide, count - 2, out=guide)
-    upper = cdf[1:]
-    with np.errstate(divide="ignore", over="ignore"):
-        slope = np.diff(xs) / np.diff(cdf)
-    # no draw lands on a flat run; the only one that can meet a slope
-    # that overflowed is u = 0 = cdf[j], which np.interp returns as xs[j]
-    slope[np.isinf(slope)] = 0.0
+    quantiles = np.interp(np.arange(size + 1) / size, cdf, xs)
+    lower, upper = quantiles[:-1], quantiles[1:]
 
     # every lookup gathers with take, about half the cost of fancy indexing
     def invert(u: np.ndarray) -> np.ndarray:
-        j = guide.take((u * count).astype(np.intp))
-        j += upper.take(j) <= u
-        short = np.flatnonzero(upper.take(j) <= u)
-        if short.size:
-            j[short] = np.searchsorted(cdf, u[short], side="right") - 1
-        return slope.take(j) * (u - cdf.take(j)) + xs.take(j)
+        u *= size
+        bucket = u.astype(np.intp)
+        u -= bucket
+        base = lower.take(bucket)
+        step = upper.take(bucket)
+        step -= base
+        u *= step
+        u += base
+        return u
 
     return invert
 
@@ -372,22 +377,27 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, marginals: list[Margi
     marginals are `marginals_for_system(sys)`.  Each mode draws through
     the inverse CDF of its gridded tomogram (cumulative trapezoid, linear
     inverse) from its own PCG64DXSM substream (`_mode_stream`); mode i
-    is the i-th in group order.  One
-    guide table is built per group (`_inverse_cdf`).  The sample indices
-    are cut into blocks of _MC_CHUNK draws, so the lookup temporaries
-    stay in cache, and the blocks into one contiguous run per worker
-    thread: one worker per CPU this process may run on, at most one per
-    block.  A worker takes its run a span of max(_MC_SPAN, grid.count)
-    draws at a time (both are powers of two, so a span is whole blocks):
-    it jumps each mode's stream to the span, adds the modes in order,
-    sorts the sums, binary-searches in them the nodes and cell edges
-    that lie between the first and the last sum, and adds the counts to
-    one set of integer tallies, under a lock; the nodes past either end
-    take none or all of the span unsearched.  A span at least as long as
+    is the i-th in group order.  One quantile table of
+    G = `_table_size(n_samples)` buckets is built per group
+    (`_inverse_cdf`): the sampled law's CDF lies within
+    1/G <= 1/(16 sqrt(n_samples)) of the linear inverse's.  The sample
+    indices are cut into blocks of _MC_CHUNK draws, each drawn into one
+    buffer of its worker and looked up there in place, so the lookup
+    temporaries stay in cache, and the blocks into one contiguous run
+    per worker thread: one worker per CPU this process may run on, at
+    most one per block.  A worker takes its run a span of
+    max(_MC_SPAN, grid.count) draws at a time (both are powers of two,
+    so a span is whole blocks): it jumps each mode's stream to the
+    span, adds the modes in order, sorts the sums, binary-searches in
+    them the nodes and cell edges that lie between the first and the
+    last sum, and adds the counts to one set of integer tallies, under a
+    lock; the nodes past either end take none or all of the span
+    unsearched.  A span at least as long as
     the grid keeps the searches within the cost of the sort.
     Every draw and every sum is the same, bit for bit, for any worker
     count, and integer counts do not depend on how the draws were split.
-    Memory is O(grid + workers x span), whatever n_samples.  numpy
+    Memory is O(grid + workers x span + groups x G): a table holds 8 G
+    bytes, 128 KiB at 10^6 draws and 2 MiB at MC_SAMPLES_MAX.  numpy
     releases the interpreter lock in the draws, the sort, the searches
     and most of the lookups' array operations.
     """
@@ -396,11 +406,12 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, marginals: list[Margi
     if sys.n_modes * n_samples > MC_MODE_DRAWS_MAX:
         raise ValueError(f"{sys.n_modes} modes x {n_samples} samples exceed {MC_MODE_DRAWS_MAX} mode-draws")
     grid = common_grid(marginals, sys.counts)
+    size = _table_size(n_samples)
     order = []
     for m, repeats in zip(marginals, sys.counts, strict=True):
         cdf = cumulative_trapezoid(m.values, m.grid.dx)
         cdf /= cdf[-1]
-        order += [_inverse_cdf(cdf, m.grid.xs)] * repeats
+        order += [_inverse_cdf(cdf, m.grid.xs, size)] * repeats
     xs, count, dx = grid.xs, grid.count, grid.dx
     # the cells' lower edges x_j - dx/2, which never exceed their nodes
     lower = xs - 0.5 * dx
@@ -441,6 +452,7 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, marginals: list[Margi
     def run(lo: int, hi: int) -> None:
         try:
             buffer = np.empty(min(span_size, hi - lo))
+            block = np.empty(min(_MC_CHUNK, hi - lo))
             for start in range(lo, hi, span_size):
                 span = buffer[:min(span_size, hi - start)]
                 span.fill(0.0)
@@ -449,7 +461,7 @@ def sample_sum(sys: SystemSpec, n_samples: int, seed: int, marginals: list[Margi
                     stream.bit_generator.advance(start)
                     for a in range(0, span.size, _MC_CHUNK):
                         b = min(a + _MC_CHUNK, span.size)
-                        span[a:b] += invert(stream.random(b - a))
+                        span[a:b] += invert(stream.random(out=block[:b - a]))
                 span.sort()
                 tally(span)
         except Exception as exc:      # raised in the calling thread once every worker is done

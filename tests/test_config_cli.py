@@ -845,6 +845,22 @@ class TestRowFormatting:
         assert out.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "o.csv"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_artifact_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as a newly created file would be, also over an artifact of another mode
+        cfg = write(tmp_path, "c.cfg", FOCK1_CFG)
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        previous = os.umask(umask)
+        try:
+            for out in (fresh, kept):
+                assert main(["marginal", "--config", cfg, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert [out.stat().st_mode & 0o777 for out in (fresh, kept)] == [mode, mode]
+        assert kept.read_bytes() == fresh.read_bytes()
+
 
 class TestExitCodes:
     def test_missing_config(self, tmp_path):

@@ -18,6 +18,7 @@ from cmtomo.convolution import (
     _inverse_cdf,
     _mode_stream,
     _raise_to,
+    _table_size,
     backend_agreement,
     cf_grid_for,
     cf_product,
@@ -42,7 +43,7 @@ from cmtomo.marginals import (
     variance,
 )
 from cmtomo.states import (FOCK_LEVEL_MAX, N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy,
-                           fold_hbar, hbar_for_fixed_energy, mode_mean_occupation)
+                           fold_hbar, hbar_for_fixed_energy, mode_mean_occupation, unit_frames)
 
 
 def iid_system(mode, N, hbar=1.0, mu=1.0, nu=0.0):
@@ -64,13 +65,27 @@ def expand(marginals, counts):
     return [m for m, count in zip(marginals, counts) for _ in range(count)]
 
 
+def trapezoid_cdf(m):
+    """The marginal's cumulative trapezoid, scaled to end at exactly 1."""
+    cdf = cumulative_trapezoid(m.values, m.grid.dx)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def quantile_table(cdf, xs, size):
+    """Q_b = np.interp(b / size, cdf, xs) for b = 0..size."""
+    return np.interp(np.arange(size + 1) / size, cdf, xs)
+
+
 def interp_draws(sys, marg, n, seed):
-    """n sums of one serial np.interp inverse-CDF stream per mode, in group order."""
+    """n sums of one serial stream per mode, in group order: a draw u of a
+    mode is np.interp(u G, arange(G + 1), Q) on its quantile table Q,
+    G = _table_size(n)."""
+    size = _table_size(n)
     want = np.zeros(n)
     for i, m in enumerate(expand(marg, sys.counts)):
-        cdf = cumulative_trapezoid(m.values, m.grid.dx)
-        cdf /= cdf[-1]
-        want += np.interp(_mode_stream(seed, i).random(n), cdf, m.grid.xs)
+        table = quantile_table(trapezoid_cdf(m), m.grid.xs, size)
+        want += np.interp(_mode_stream(seed, i).random(n) * size, np.arange(size + 1.0), table)
     return want
 
 
@@ -91,7 +106,7 @@ def table_draws(monkeypatch, table, n, seed):
     """Make a one-mode system draw u-th entries of table; return the n
     draws that the stream of seed gives."""
     monkeypatch.setattr(convolution, "_inverse_cdf",
-                        lambda cdf, nodes: lambda u: table[(u * table.size).astype(np.intp)])
+                        lambda cdf, nodes, size: lambda u: table[(u * table.size).astype(np.intp)])
     return table[(_mode_stream(seed, 0).random(n) * table.size).astype(np.intp)]
 
 
@@ -1008,6 +1023,28 @@ class TestSampleSum:
         want = sum(moments(m).var for m in marg)
         assert var == pytest.approx(want, rel=0.02)
 
+    # the three-backend audit's systems, on the unit frames cm computes with
+    LARGE_N_SYSTEMS = {
+        "even_x4": iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7),
+        "fock3025": system((Fock(3), Fock(0), Fock(2), Fock(5)), 1.0, [0.6, 1.0, 0.8, 0.0], [0.8, 0.0, 0.6, 1.0]),
+        "cats": system((CoherentEven(2.0), CoherentOdd(1.5)), 1.0, [0.0, 1.0], [1.0, 0.0]),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", LARGE_N_SYSTEMS)
+    def test_ks_at_2_22_draws(self, name, seed):
+        # 1.63 / sqrt(n) is the 1% point of the Kolmogorov distribution; the
+        # quantile table's CDF error, at most 1/G <= 1/(16 sqrt(n)), is a
+        # small share of it
+        sys_spec = self.LARGE_N_SYSTEMS[name]
+        groups, _ = unit_frames(sys_spec.groups, sys_spec.hbar)
+        unit = SystemSpec(groups, 1.0)
+        marg = marginals_for_system(unit)
+        cm = convolve_fft(marg, unit.counts)
+        n = 2 ** 22
+        agree = backend_agreement(cm, cm, sample_sum(unit, n, seed, marg))
+        assert agree["ks_fft_mc"] <= 1.63 / math.sqrt(n)
+
     def test_memory_bounded_by_grid_and_workers(self, monkeypatch):
         # two workers count 2^22 draws in a few spans' worth of memory; an
         # array of the draws alone would take 32 MiB
@@ -1044,25 +1081,49 @@ class TestModeStream:
 
 class TestInverseCdf:
     # 16 nodes: a leading flat run at 0 ending in a subnormal step (its
-    # slope overflows), a flat run at a guide bucket edge, four nodes and
-    # another flat run inside the bucket [0.25, 0.3125), so the binary
-    # search fallback runs there, and a trailing flat run at 1
+    # slope overflows), a flat run at the edge 1/4 of the 16-entry table,
+    # four nodes and another flat run inside its bucket [0.25, 0.3125),
+    # and a trailing flat run at 1
     CDF = np.array([0.0, 0.0, 0.0, 5e-324, 0.1, 0.25, 0.25, 0.26,
                     0.27, 0.27, 0.29, 0.6, 0.9, 1.0, 1.0, 1.0])
     XS = -2.0 + 0.25 * np.arange(16)
+    # Fock 0-5 and two cats, each at two frames, whose tables the tests read
+    MARGINALS = [marginal_density(mode, mu, nu)
+                 for mode in [Fock(k) for k in range(6)] + [CoherentEven(1 + 0.5j), CoherentOdd(1.5)]
+                 for mu, nu in [(1.0, 0.0), (0.6, 0.8)]]
 
-    def test_matches_interp_bit_for_bit(self):
-        nodes = self.CDF[self.CDF < 1.0]
-        u = np.concatenate([
-            [0.0, 5e-324, 0.295, 1.0 - 2.0 ** -53],
-            nodes,                                    # u equal to node values
-            np.nextafter(nodes[1:], 0.0),             # just below them
-            np.arange(16) / 16.0,                     # guide bucket edges
-            np.random.default_rng(0).random(100_000),
-        ])
-        got = _inverse_cdf(self.CDF, self.XS)(u)
-        want = np.interp(u, self.CDF, self.XS)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("size", [16, 2 ** 12, 2 ** 14, 2 ** 16])
+    def test_matches_interp_of_the_table_bit_for_bit(self, size):
+        # u = 0, the least subnormal, the bucket edges b/G and the last
+        # double below 1, then uniform draws, on the flat and subnormal
+        # CDF and on the marginals' CDFs
+        u = np.concatenate([[0.0, 5e-324, 1.0 - 2.0 ** -53], np.arange(size) / size,
+                            np.random.default_rng(0).random(100_000)])
+        for cdf, xs in [(self.CDF, self.XS)] + [(trapezoid_cdf(m), m.grid.xs) for m in self.MARGINALS[::3]]:
+            got = _inverse_cdf(cdf, xs, size)(u.copy())
+            want = np.interp(u * size, np.arange(size + 1.0), quantile_table(cdf, xs, size))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [16, 2 ** 14, 2 ** 18])
+    def test_sampled_cdf_within_one_bucket_of_the_trapezoid(self, size):
+        # the sampled law's CDF, linear between the points (Q_b, b/G), lies
+        # within 1/G of the cumulative trapezoid at every node; the table
+        # is finite and nondecreasing
+        for cdf, xs in [(self.CDF, self.XS)] + [(trapezoid_cdf(m), m.grid.xs) for m in self.MARGINALS]:
+            table = quantile_table(cdf, xs, size)
+            assert np.all(np.isfinite(table))
+            assert np.all(np.diff(table) >= 0.0)
+            sampled = np.interp(xs, table, np.arange(size + 1) / size)
+            assert np.max(np.abs(sampled - cdf)) <= 1.0 / size
+
+    def test_table_size(self):
+        # the least power of two at or above 16 sqrt(n)
+        assert [_table_size(n) for n in (1, 10 ** 6, MC_SAMPLES_MAX)] == [16, 2 ** 14, 2 ** 18]
+        for n in [*range(1, 5000), 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, MC_SAMPLES_MAX - 1, MC_SAMPLES_MAX]:
+            size = _table_size(n)
+            assert size & (size - 1) == 0
+            assert size * size >= 256 * n
+            assert size == 16 or (size // 2) ** 2 < 256 * n
 
     # sample counts on both sides of the block and span sizes, and partial
     # last blocks and spans
@@ -1183,9 +1244,9 @@ class TestInverseCdf:
         seen = []
         original = convolution._inverse_cdf
 
-        def counting(cdf, xs):
+        def counting(cdf, xs, size):
             seen.append(xs)
-            return original(cdf, xs)
+            return original(cdf, xs, size)
 
         monkeypatch.setattr(convolution, "_inverse_cdf", counting)
         sample_sum(sys, 1000, 1, marg)
