@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+
+try:
+    # CPython's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib
+    # would map OpenSSL's libcrypto into every process, about 3 MB
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import __version__
 from ._blas import one_blas_thread
@@ -127,7 +136,7 @@ def _config_digest(raw: RawConfig, args) -> str:
     parts.append(f"seed = {args.seed}")
     parts.append(f"all_backends = {args.all_backends}")
     parts.append(f"mc_samples = {args.mc_samples}")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return _sha256("\n".join(parts).encode()).hexdigest()
 
 
 def _header(raw: RawConfig, args, extra: list[str]) -> list[str]:

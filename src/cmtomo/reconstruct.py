@@ -32,19 +32,23 @@ cosine integral over y >= 0.  Angle theta + pi weighs offset d = m - n
 by (-1)^d against theta, so odd offsets cancel and each even one sums
 twice the integral at theta; the result is Hermitian.  So one call
 evaluates the rows of every angle in [0, pi) on the half grid y >= 0,
-and their cosine integrals are one real matrix product with a half-grid
-phase table from `specialfn.phase_table`.  The Gauss-Legendre radial
-rule is built once per node count and process.
+and their cosine integrals are real matrix products with the half-grid
+cosine table, built and multiplied one block of x nodes at a time
+(`specialfn.cosine_blocks`).  The Gauss-Legendre radial rule comes from
+Newton's method on the Legendre recurrence, once per node count and
+process.
 
 Every true tomogram is homogeneous; a callable that is not homogeneous,
 or not even in X, will be reconstructed wrongly.
 
 Every size follows from dim (`_job_sizes`); none is an option.  The
 frame radius K is the reach of level dim - 1, and the largest X phase
-is 10 sqrt(dim + 1/2) K, 8.9e3 rad at dim 256, inside the 1e5 rad
-phase_table is tested to.  Size contract: every table a job builds
-holds at most 2^22 entries, checked before the first table is allocated;
-a larger dim (past 256) raises GridSizeError.
+is 10 sqrt(dim + 1/2) K, 1.7e4 rad at dim 511, inside the 1e5 rad
+cosine_blocks is tested to.  Size contract: every table a job builds
+whole holds at most 2^22 entries, checked before the first table is
+allocated, and every block of the X cosine table at most 2^16; the
+half-grid tomogram rows bind first, so a larger dim (past 511) raises
+GridSizeError.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 
 from .errors import GridSizeError, NumericalError
 from .marginals import _MAX_GRID, char_function_reach
-from .specialfn import laguerre_gauss_levels, phase_table
+from .specialfn import cosine_blocks, laguerre_gauss_levels
 from .states import Fock, FockExpansion
 
 # |characteristic function| at the outermost radial node above which the
@@ -67,6 +71,8 @@ _CUTOFF_CHAR_MAX = 1e-4
 # half-width of the unit-frame X grid in standard deviations of the
 # widest state inside the truncation
 _X_SIGMAS = 10.0
+# entries of each block of the X cosine table (512 KB)
+_X_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -89,11 +95,65 @@ class DensityMatrix:
             raise NumericalError("density matrix trace is not 1 within 1e-6")
 
 
+def _legendre_theta(count: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_count(cos theta) and its derivative in theta, for 0 < theta <= pi/2.
+
+    The three-term recurrence runs on t = 1 - cos theta = 2 sin^2(theta/2)
+    and the differences D_j = P_j - P_{j-1}: (j+1) D_{j+1} =
+    j D_j - (2j+1) t P_j and P_{j+1} = P_j + D_{j+1}.  Near x = 1, where
+    the plain form in x cancels, every term keeps its relative accuracy.
+    The derivative is -sin(theta) P' = count (D - t P) / sin(theta), from
+    (1 - x^2) P'_n = n (P_{n-1} - x P_n).
+    """
+    t = 2.0 * np.sin(0.5 * theta) ** 2
+    p = np.ones_like(theta)
+    diff = np.zeros_like(theta)
+    work = np.empty_like(theta)
+    for j in range(count):
+        np.multiply(t, p, out=work)
+        work *= (2 * j + 1) / (j + 1)
+        diff *= j / (j + 1)
+        diff -= work
+        p += diff
+    return p, count * (diff - t * p) / np.sin(theta)
+
+
+def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count-node Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    Newton's method runs on the angles theta of the nodes x = cos theta in
+    (0, pi/2], three steps from Tricomi's estimates (Hale and Townsend,
+    SIAM J. Sci. Comput. 35, A652 (2013)), each an O(count) recurrence per
+    node (`_legendre_theta`); the other half mirrors them.  A weight is
+    2 / (dP/dtheta)^2 = 2 (1 - x^2) / P'(x)^2 at the converged angle, so
+    no 1 - x^2 cancels near the ends.  A last Newton step in x on the
+    plain recurrence gives each node to an ulp or two, near x = 0 too,
+    where cos theta is only as good as eps absolutely.
+    """
+    half = (count + 1) // 2
+    theta = math.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4 * count + 2)
+    theta += (1.0 - 1.0 / count) / (8.0 * count * count) / np.tan(theta)
+    for _ in range(3):
+        p, dp = _legendre_theta(count, theta)
+        theta -= p / dp
+    weights = 2.0 / _legendre_theta(count, theta)[1] ** 2
+    x = np.cos(theta)
+    prev, p = np.ones_like(x), x.copy()
+    for j in range(1, count):
+        prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+    x -= p * (1.0 - x * x) / (count * (prev - x * p))
+    odd = count % 2
+    if odd:
+        x[-1] = 0.0
+    return (np.concatenate((-x, x[::-1][odd:])),
+            np.concatenate((weights, weights[::-1][odd:])))
+
+
 @functools.cache
 def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     """The count-node Gauss-Legendre rule on [-1, 1], built once per
     process; the arrays are read-only because every caller shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes, weights = _legendre_rule(count)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -116,8 +176,9 @@ def _job_sizes(dim: int) -> _JobSizes:
     dim x dim matrix span 2 dim - 1 values, so n is max(128, 2 dim).  The
     X grid has the smallest power of two at least max(1024, 32 dim)
     intervals.  Raises GridSizeError, before anything is allocated and
-    before K is formed, if any table the job builds would hold more
-    entries than a grid may have nodes (_MAX_GRID).
+    before K is formed, if any table the job builds whole would hold more
+    entries than a grid may have nodes (_MAX_GRID).  The X cosine table
+    is never whole: its blocks hold at most _X_BLOCK_ENTRIES entries.
     """
     radial = max(160, 3 * dim)
     angular = max(128, 2 * dim)
@@ -125,9 +186,7 @@ def _job_sizes(dim: int) -> _JobSizes:
     half = angular // 2
     tables = {
         "tomogram rows (angular_nodes/2 x (x_count/2 + 1))": half * (x_count // 2 + 1),
-        "X phase table ((x_count/2 + 1) x radial_nodes)": (x_count // 2 + 1) * radial,
         "X integrals (angular_nodes/2 x radial_nodes)": half * radial,
-        "Gauss-Legendre rule (radial_nodes^2)": radial * radial,
         "Laguerre functions (dim x radial_nodes)": dim * radial,
         "density matrix (dim^2)": dim * dim,
     }
@@ -137,6 +196,25 @@ def _job_sizes(dim: int) -> _JobSizes:
                                 f"entries (dim {dim}, x_count {x_count})")
     K = char_function_reach(Fock(dim - 1), 1.0, 0.0, 1e-12)
     return _JobSizes(K, radial, angular, x_count)
+
+
+def _cosine_integrals(rows: np.ndarray, dy: float, k: np.ndarray) -> np.ndarray:
+    """Twice the trapezoid of each row times cos(y k) over the half grid
+    y = j dy, j < rows.shape[1], whose end node and y = 0 count half: the
+    X integral of every even row at every radius k, shape (len(rows),
+    len(k)).  The cosine table, weights folded in, is built and multiplied
+    in one block of x nodes at a time (`specialfn.cosine_blocks`), so no
+    part of it holds more than _X_BLOCK_ENTRIES entries."""
+    count = rows.shape[1]
+    trap = np.full(count, 2.0 * dy)
+    trap[[0, -1]] *= 0.5
+    out = np.zeros((len(rows), len(k)))
+    part = np.empty_like(out)
+    for start, block in cosine_blocks(dy, count, k, _X_BLOCK_ENTRIES):
+        stop = start + len(block)
+        block *= trap[start:stop, None]
+        out += np.matmul(rows[:, start:stop], block, out=part)
+    return out
 
 
 def reconstruct_single_mode(tomogram: Callable, dim: int) -> DensityMatrix:
@@ -171,18 +249,14 @@ def reconstruct_single_mode(tomogram: Callable, dim: int) -> DensityMatrix:
     # most dim + 1/2 there; radius k uses this grid scaled by k.  Rows are
     # even, so one call on the half grid y >= 0 at the unit frames of
     # [0, pi) gives every row, and their cosine integrals over the whole
-    # grid are twice the half grid's trapezoid, whose end node and y = 0
-    # count half
+    # grid are twice the half grid's trapezoid
     count = x_count // 2 + 1
     dy = 2.0 * _X_SIGMAS * math.sqrt(dim + 0.5) / x_count
     ys = np.arange(count) * dy
     mus = np.array([[math.cos(j * d_theta)] for j in range(half)])
     nus = np.array([[math.sin(j * d_theta)] for j in range(half)])
-    rows = tomogram(ys, mus, nus)
-    trap = np.full(count, 2.0 * dy)
-    trap[[0, -1]] *= 0.5
     # the X integral at theta and at theta + pi
-    cos_int = rows @ (trap[:, None] * phase_table(dy, count, k_nodes).real)
+    cos_int = _cosine_integrals(tomogram(ys, mus, nus), dy, k_nodes)
     cutoff_char = float(np.max(np.abs(cos_int[:, -1])))
 
     # angular Fourier sum for the even offsets d = m - n >= 0, with the

@@ -8,7 +8,7 @@ three-term recurrences keep every intermediate bounded; the raw H_n
 overflow near n ~ 150 and are never formed.  The Laguerre polynomials
 L_n, which give the number states' characteristic functions, are
 evaluated the same way, times their Gaussian factor e^{-u/2}.  The
-Fourier sums over uniform grids take their phases from `phase_table`.
+cosine sums over uniform grids take their cosines from `cosine_blocks`.
 """
 
 from __future__ import annotations
@@ -125,24 +125,38 @@ def laguerre_gauss_levels(levels: int, u, offsets=(0,), first: int = 0):
             scale[big] = np.exp(ls[big])
 
 
-def phase_table(dx: float, count: int, k) -> np.ndarray:
-    """e^{i j dx k} for j < count and every k, shape (count, len(k)).
+def cosine_blocks(dx: float, count: int, k, entries: int):
+    """cos(j dx k) for j < count and every k, one block of rows at a time.
 
-    With P = 2**floor(log2(count) / 2), node j = b P + q sits at
-    b P dx + q dx, so each entry is a coarse factor e^{i b P dx k} times
-    a fine factor e^{i q dx k}.  The table costs (count/P + P) len(k)
-    exponentials and one complex multiply per entry, not count len(k)
-    exponentials.  Each factor's phase is rounded once, so an entry errs
-    by a few eps times max_j |j dx k|, the rounding that a directly
-    formed e^{i x k} makes at the grid's largest |x|.
+    Yields (start, block): block[i] is the row of node start + i, of
+    len(k) entries, and the blocks follow each other from start 0 up to
+    count.  Each block is freshly allocated, so a caller may scale it in
+    place, and holds at most max(entries, len(k)) entries.
+
+    With P = 2**floor(log2(count) / 2), halved while P len(k) > entries
+    and P > 1, node j = b P + q sits at b P dx + q dx, so each entry is
+    cos(a + c) = cos a cos c - sin a sin c of a coarse phase a = b P dx k
+    and a fine phase c = q dx k.  The fine factors are built once and the
+    coarse ones per block, so the blocks cost (count/P + P) len(k)
+    cosines and as many sines, and three real operations per entry, not
+    count len(k) cosines.  Each factor's phase is rounded once, so an
+    entry errs by a few eps times max_j |j dx k|, the rounding that a
+    directly formed cos(x k) makes at the grid's largest |x|.
     """
     k = np.asarray(k, dtype=float)
     fine_len = 1 << (count.bit_length() - 1) // 2
+    while fine_len > 1 and fine_len * len(k) > entries:
+        fine_len //= 2
+    fine = np.outer(dx * np.arange(fine_len), k)
+    cos_fine, sin_fine = np.cos(fine), np.sin(fine)
+    coarse_rows = max(1, entries // (fine_len * len(k)))
     blocks = -(-count // fine_len)
-    coarse = np.exp(1j * np.outer(dx * (fine_len * np.arange(blocks)), k))
-    fine = np.exp(1j * np.outer(dx * np.arange(fine_len), k))
-    table = coarse[:, None, :] * fine[None, :, :]
-    return table.reshape(blocks * fine_len, len(k))[:count]
+    for first in range(0, blocks, coarse_rows):
+        coarse = np.outer(dx * (fine_len * np.arange(first, min(first + coarse_rows, blocks))), k)
+        block = np.cos(coarse)[:, None, :] * cos_fine
+        block -= np.sin(coarse)[:, None, :] * sin_fine
+        start = first * fine_len
+        yield start, block.reshape(-1, len(k))[:count - start]
 
 
 def _orthonormal_poly_pair(m: int, z: np.ndarray):

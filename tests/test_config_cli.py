@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -520,8 +521,8 @@ class TestCmdReconstruct:
 
     # the tables are checked before the frame radius is formed: at dim 10^9
     # the reach of level dim - 1 would raise past Fock's level cap
-    @pytest.mark.parametrize("dim, table", [("257", "X phase table"), ("1000000000", "tomogram rows")],
-                             ids=["257", "1000000000"])
+    @pytest.mark.parametrize("dim, table", [("512", "tomogram rows"), ("1000000000", "tomogram rows")],
+                             ids=["512", "1000000000"])
     def test_oversized_job_exit_three(self, tmp_path, capsys, dim, table):
         cfg = write(tmp_path, "c.cfg", VACUUM_CFG + f"[reconstruct]\ndim = {dim}\n")
         out = tmp_path / "rho.txt"
@@ -534,7 +535,7 @@ class TestCmdReconstruct:
     @pytest.mark.parametrize("extra, code", [
         ("dim = 8\n", 0),
         ("dim = 8\nangular_nodes = 16\n", 2),
-        ("dim = 257\n", 3),
+        ("dim = 512\n", 3),
     ], ids=["exit0", "exit2", "exit3"])
     def test_one_blas_thread_then_restored(self, tmp_path, monkeypatch, extra, code):
         before = skip_without_openblas()
@@ -1687,7 +1688,40 @@ def fresh_interpreter(code):
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, cmtomo.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # nor OpenSSL's libcrypto, which hashlib's _hashlib maps in: about 3 MB
+    code = ("import sys, cmtomo.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == '_hashlib'))")
+    assert fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("[system]\nmode = fock 1\n", []),
+    ("[system]\nhbar = 0.5\nmode = odd 0.6 0.8\n[reconstruct]\ndim = 12\n", ["--seed", "5"]),
+    ("[scan]\nE = 10\nN_list = 4 8\n[frame]\nmu = 1\nnu = 0\n", ["--all-backends", "--mc-samples", "1000"]),
+    ("", []),
+], ids=["fock", "reconstruct", "scan", "empty"])
+def test_config_digest_is_hashlib_sha256(monkeypatch, text, flags):
+    raw = parse_config_text(text)
+    args = cli.build_parser().parse_args(["cm", "--config", "c.cfg", *flags])
+    digest = cli._config_digest(raw, args)
+    monkeypatch.setattr(cli, "_sha256", hashlib.sha256)
+    assert digest == cli._config_digest(raw, args)
+
+
+def test_reconstruct_loads_no_numpy_polynomial_and_calls_no_lapack(tmp_path):
+    # the radial rule comes from a recurrence, not from leggauss's
+    # companion-matrix eigenvalues: every LAPACK-backed numpy.linalg call
+    # goes through _umath_linalg, here a stub that refuses
+    cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1\n[reconstruct]\ndim = 8\n")
+    argv = ["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]
+    code = ("import sys, numpy.linalg._linalg as linalg\n"
+            "class Refuse:\n"
+            "    def __getattr__(self, name):\n"
+            "        raise AssertionError('LAPACK ' + name)\n"
+            "linalg._umath_linalg = Refuse()\n"
+            "import cmtomo.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
     assert fresh_interpreter(code) == "[]"
 
 

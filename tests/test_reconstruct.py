@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -313,13 +314,13 @@ class TestTomogramTables:
 class TestSharedTables:
     def test_one_gauss_legendre_rule_per_node_count(self, monkeypatch):
         built = []
-        original = np.polynomial.legendre.leggauss
+        original = reconstruct._legendre_rule
 
         def counting(count):
             built.append(count)
             return original(count)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        monkeypatch.setattr(reconstruct, "_legendre_rule", counting)
         reconstruct._gauss_legendre.cache_clear()
 
         def fock1(X, m, n):
@@ -334,19 +335,20 @@ class TestSharedTables:
         assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_exponential_count(self, monkeypatch):
-        # outside the tomogram call: the block-factored half-grid X table,
-        # (count/P + P) per radial node with count = x_count/2 + 1 and
-        # P = 16, the angular phases of the even offsets d >= 0 at the
-        # angles in [0, pi) and the Laguerre start scales of those even
-        # offsets, never x_count per node
-        formed = []
+        # outside the tomogram call: np.exp forms the angular phases of the
+        # even offsets d >= 0 at the angles in [0, pi) and the Laguerre start
+        # scales of those even offsets; the block-factored half-grid X table
+        # takes (count/P + P) cosines and as many sines per radial node, with
+        # count = x_count/2 + 1 and P = 16, never x_count per node
+        formed = {"exp": [], "cos": [], "sin": []}
         in_tomogram = []
-        original = np.exp
 
-        def counting(a, *args, **kwargs):
-            if not in_tomogram:
-                formed.append(np.size(a))
-            return original(a, *args, **kwargs)
+        def counting(name, original):
+            def call(a, *args, **kwargs):
+                if not in_tomogram:
+                    formed[name].append(np.size(a))
+                return original(a, *args, **kwargs)
+            return call
 
         def fock1(X, m, n):
             in_tomogram.append(True)
@@ -357,13 +359,96 @@ class TestSharedTables:
 
         radial, angular, x_count = 96, 64, 1024
         set_sizes(monkeypatch, radial_nodes=radial, angular_nodes=angular, x_count=x_count)
-        monkeypatch.setattr(np, "exp", counting)
+        reconstruct._gauss_legendre(radial)
+        for name in formed:
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
         dim = 8
         reconstruct_single_mode(fock1, dim)
         half = angular // 2
         count = x_count // 2 + 1
         x_table = (-(-count // 16) + 16) * radial
-        assert sum(formed) == x_table + (dim + 1) // 2 * half + (dim + 1) // 2 * radial
+        assert sum(formed["exp"]) == (dim + 1) // 2 * half + (dim + 1) // 2 * radial
+        assert sum(formed["cos"]) == sum(formed["sin"]) == x_table
+
+
+def refined_rule(count, nodes):
+    """Each node refined by Newton's method on P_count at 40 digits from
+    its double, and the weight 2 (1 - x^2) / (count P_{count-1}(x))^2
+    there, both rounded to doubles."""
+    def pair(x):
+        prev, p = mp.mpf(1), x
+        for j in range(1, count):
+            prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+        return prev, p
+
+    with mp.workdps(40):
+        refined = []
+        for x0 in nodes:
+            x = mp.mpf(float(x0))
+            for _ in range(2):
+                prev, p = pair(x)
+                x -= p * (1 - x * x) / (count * (prev - x * p))
+            prev, _ = pair(x)
+            refined.append((float(x), float(2 * (1 - x * x) / (count * prev) ** 2)))
+    return np.array(refined).T
+
+
+class TestRadialRule:
+    # max(160, 3 dim) nodes: dims 2-53, 256 and 511
+    @pytest.mark.parametrize("count", [160, 768, 1533])
+    def test_matches_refined_values(self, count):
+        nodes, weights = reconstruct._legendre_rule(count)
+        assert np.all(nodes == -nodes[::-1]) and np.all(weights == weights[::-1])
+        assert np.all(np.diff(nodes) > 0)
+        # the nonnegative half: every node at 160, else the 8 nearest each
+        # end and the centre and every 40th
+        half = count // 2
+        picked = np.arange(half, count) if count == 160 else np.unique(np.concatenate(
+            (np.arange(half, half + 8), np.arange(count - 8, count), np.arange(half, count, 40))))
+        want_nodes, want_weights = refined_rule(count, nodes[picked])
+        assert np.all(np.abs(nodes[picked] - want_nodes) <= 2 * np.spacing(np.abs(want_nodes)))
+        assert np.all(np.abs(weights[picked] / want_weights - 1.0) <= 1e-12)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 160, 161, 768, 1533])
+    def test_even_moments_exact(self, count):
+        # x^(2k) for 2k <= 2 count - 1, the weight sum 2 at k = 0, within
+        # a rounding of the powers that grows with 2k + 1
+        nodes, weights = reconstruct._legendre_rule(count)
+        for k in range(count):
+            got = np.sum(weights * nodes ** (2 * k))
+            assert abs(got * (2 * k + 1) / 2.0 - 1.0) <= 16 * (2 * k + 1) * np.finfo(float).eps, k
+
+
+def whole_phase_table(dx, count, k):
+    """e^{i j dx k} for j < count, as one coarse-times-fine complex table:
+    the route the X integral took before it was built in blocks, kept as
+    the reference."""
+    fine_len = 1 << (count.bit_length() - 1) // 2
+    blocks = -(-count // fine_len)
+    coarse = np.exp(1j * np.outer(dx * (fine_len * np.arange(blocks)), k))
+    fine = np.exp(1j * np.outer(dx * np.arange(fine_len), k))
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(blocks * fine_len, len(k))[:count]
+
+
+class TestStreamedIntegral:
+    @pytest.mark.parametrize("dim", [8, 64, 256])
+    def test_blocks_equal_the_whole_table(self, dim):
+        K, radial, _, _ = reconstruct._job_sizes(dim)
+        k = 0.5 * (reconstruct._gauss_legendre(radial)[0] + 1.0) * K
+        ys = half_grid(dim)
+        count, dy = len(ys), ys[1]
+        mu, nu = half_circle(dim)
+        rows = tomogram(CoherentEven(math.sqrt(dim) / 3.0), np.array(mu)[:, None], np.array(nu)[:, None], ys)
+        trap = np.full(count, 2.0 * dy)
+        trap[[0, -1]] *= 0.5
+        want = rows @ (trap[:, None] * whole_phase_table(dy, count, k).real)
+        got = reconstruct._cosine_integrals(rows, dy, k)
+        # each table entry within 4 eps (1 + |y k|) on either route, as the
+        # cosine_blocks and former phase_table tests require, and each
+        # product's sum within count eps of its sum of moduli
+        bound = np.finfo(float).eps * (8.0 * (1.0 + ys[-1] * k) + 2.0 * count) * (np.abs(rows) @ trap)[:, None]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestJobSizeBounds:
@@ -377,6 +462,7 @@ class TestJobSizeBounds:
         (2, 160, 128, 1024), (16, 160, 128, 1024), (32, 160, 128, 1024), (33, 160, 128, 2048),
         (53, 160, 128, 2048), (54, 162, 128, 2048), (64, 192, 128, 2048), (65, 195, 130, 4096),
         (128, 384, 256, 4096), (129, 387, 258, 8192), (256, 768, 512, 8192),
+        (257, 771, 514, 16384), (511, 1533, 1022, 16384),
     ])
     def test_sizes_from_dim(self, dim, radial, angular, x_count):
         K = 2.0 * math.sqrt(2 * dim - 1) + 2.0 * math.sqrt(math.log(1e12))
@@ -385,24 +471,27 @@ class TestJobSizeBounds:
         assert sizes.frame_radius == pytest.approx(K, rel=1e-14)
 
     def test_dim_edge_at_default_cutoffs(self):
-        # x_count doubles past 32 dim: 8192 up to dim 256, then 16384, whose
-        # X phase table over the half grid binds first; the half-grid
-        # tomogram rows, 257 x 8193, would still fit
-        _, radial, angular, x_count = reconstruct._job_sizes(256)
-        assert (x_count // 2 + 1) * radial == 4097 * 768 <= self.CAP
-        assert (angular // 2) * (x_count // 2 + 1) == 256 * 4097
-        with pytest.raises(GridSizeError, match="X phase table"):
-            reconstruct._job_sizes(257)
+        # x_count doubles past 32 dim: 16384 from dim 257 to 512, where the
+        # half-grid tomogram rows bind: 511 x 8193 fit, 512 x 8193 do not.
+        # The X cosine table is never built whole, so it does not bind
+        _, radial, angular, x_count = reconstruct._job_sizes(511)
+        assert (angular // 2) * (x_count // 2 + 1) == 511 * 8193 <= self.CAP
+        assert (angular // 2) * radial <= self.CAP
+        assert (x_count // 2 + 1) * radial > self.CAP
+        with pytest.raises(GridSizeError, match="tomogram rows"):
+            reconstruct._job_sizes(512)
 
     def test_default_radius_far_inside_phase_bound(self):
-        # the X grid's half-width 10 sqrt(dim + 1/2) times K: 8.9e3 rad at
-        # dim 256 is far inside the 1e5 rad phase_table is tested to
-        phases = [10.0 * math.sqrt(dim + 0.5) * reconstruct._job_sizes(dim).frame_radius for dim in (2, 64, 256)]
+        # the X grid's half-width 10 sqrt(dim + 1/2) times K: 1.7e4 rad at
+        # dim 511 is far inside the 1e5 rad cosine_blocks is tested to
+        phases = [10.0 * math.sqrt(dim + 0.5) * reconstruct._job_sizes(dim).frame_radius
+                  for dim in (2, 64, 256, 511)]
         assert phases == sorted(phases)
-        assert 8.8e3 <= phases[-1] <= 9e3
+        assert 8.8e3 <= phases[-2] <= 9e3
+        assert 1.6e4 <= phases[-1] <= 1.8e4
 
-    @pytest.mark.parametrize("dim, table", [(257, "X phase table"), (10 ** 9, "tomogram rows")],
-                             ids=["257", "1000000000"])
+    @pytest.mark.parametrize("dim, table", [(512, "tomogram rows"), (10 ** 9, "tomogram rows")],
+                             ids=["512", "1000000000"])
     def test_rejected_before_any_tomogram_call(self, dim, table):
         # at 10^9 the reach of level dim - 1 would raise past Fock's level
         # cap: the tables are checked first
@@ -433,6 +522,12 @@ class TestDerivedCutoffs:
         assert np.sum(np.abs(psi.coefficients[:dim]) ** 2) >= 1.0 - 1e-9
         rho = reconstruct_single_mode(tomogram_of(mode), dim)
         assert fidelity(rho, psi) >= 1.0 - 1e-6
+        assert not rho.meta["truncation_leakage"]
+
+    def test_fock500_at_dim511(self):
+        # the supported edge: dim 512 would build 512 x 8193 tomogram rows
+        rho = reconstruct_single_mode(tomogram_of(Fock(500)), 511)
+        assert abs(fidelity(rho, fock_expansion(Fock(500))) - 1.0) <= 1e-12
         assert not rho.meta["truncation_leakage"]
 
     def test_hbar_cancels(self):

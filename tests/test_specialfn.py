@@ -7,11 +7,11 @@ import pytest
 
 from cmtomo.reconstruct import _gauss_legendre, _job_sizes
 from cmtomo.specialfn import (
+    cosine_blocks,
     hermite_functions,
     hermite_sq_density_factor,
     laguerre_gauss,
     laguerre_gauss_levels,
-    phase_table,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -194,32 +194,43 @@ class TestLaguerreGaussLevels:
             assert g.tobytes() == f[0::2].tobytes(), n
 
 
-class TestPhaseTable:
+class TestCosineBlocks:
     # (dx, count, largest |k|): phases up to ~2e5 rad, counts that are
     # and are not powers of two
     CASES = [(0.061, 1024, 30.0), (2.44, 4096, 20.0), (0.01, 8192, 1e3),
              (0.01, 65536, 305.0), (0.1, 1000, 1e3), (0.5, 2, 3.0), (0.1, 1, 5.0)]
 
+    @pytest.mark.parametrize("entries", [1, 500, 2 ** 16])
     @pytest.mark.parametrize("dx, count, k_max", CASES)
-    def test_matches_direct_exponentials(self, dx, count, k_max):
+    def test_matches_direct_cosines(self, dx, count, k_max, entries):
         k = np.random.default_rng(count).uniform(-k_max, k_max, 37)
         xs = dx * np.arange(count)
-        got = phase_table(dx, count, k)
+        starts, blocks = zip(*cosine_blocks(dx, count, k, entries))
+        # consecutive row blocks, each within the budget or one row wide
+        assert starts == tuple(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+        assert all(b.size <= max(entries, len(k)) for b in blocks)
+        got = np.concatenate(blocks)
         assert got.shape == (count, len(k))
         # a few eps of the largest phase in each column, as the direct table rounds
         bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(xs)) * np.abs(k))
-        assert np.all(np.abs(got - np.exp(1j * np.outer(xs, k))) <= bound)
+        assert np.all(np.abs(got - np.cos(np.outer(xs, k))) <= bound)
 
-    @pytest.mark.parametrize("count", [1, 2, 8, 1024, 1000])
-    def test_exponential_count(self, monkeypatch, count):
-        formed = []
-        original = np.exp
+    @pytest.mark.parametrize("count, entries, fine", [(1, 2 ** 16, 1), (2, 2 ** 16, 1), (8, 2 ** 16, 2),
+                                                      (1024, 2 ** 16, 32), (1000, 2 ** 16, 16),
+                                                      (1024, 100, 8), (1024, 7, 1)])
+    def test_trig_count(self, monkeypatch, count, entries, fine):
+        # (count/P + P) cosines and as many sines per k, P = 2**floor(log2(count)/2)
+        # halved until a block of P rows fits the budget
+        formed = {"cos": [], "sin": []}
 
-        def counting(a, *args, **kwargs):
-            formed.append(np.size(a))
-            return original(a, *args, **kwargs)
+        def counting(name, original):
+            def call(a, *args, **kwargs):
+                formed[name].append(np.size(a))
+                return original(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np, "exp", counting)
-        phase_table(0.01, count, np.linspace(-3.0, 3.0, 7))
-        fine = 2 ** (int(math.log2(count)) // 2)
-        assert sum(formed) == (-(-count // fine) + fine) * 7
+        for name in formed:
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        for _ in cosine_blocks(0.01, count, np.linspace(-3.0, 3.0, 7), entries):
+            pass
+        assert sum(formed["cos"]) == sum(formed["sin"]) == (-(-count // fine) + fine) * 7
