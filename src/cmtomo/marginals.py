@@ -39,6 +39,8 @@ from .states import (
 _SQRT_PI = math.sqrt(math.pi)
 _MAX_GRID = 2 ** 22
 _TINY = np.finfo(float).tiny
+# entries of each block of a cat's frame table (512 KB per temporary)
+_CAT_BLOCK_ENTRIES = 1 << 16
 # levels the oracle expansion carries beyond the 1e-12 tail policy
 _ORACLE_EXTRA_LEVELS = 24
 
@@ -185,18 +187,39 @@ def _cat_tomogram(mode: CoherentEven | CoherentOdd, mu, nu, X) -> np.ndarray:
     e^{-(|t| - |u|)^2} expm1(-2a)^2 + 4 e^{-(t^2 + u^2)} trig^2: neither
     exponent is positive, so a large |alpha| cannot form inf * 0, and the
     completed square keeps full accuracy at the peaks |t| = |u|.
-    Array frames broadcast against X through the same expression.
+    Array frames broadcast against X through the same expression; a table
+    of frame rows is filled a block of rows at a time (`_cat_rows`), so
+    each temporary holds at most _CAT_BLOCK_ENTRIES entries.
     """
     alpha = mode.alpha
     s = _scale(mu, nu)
-    n_sq = _cat_norm_sq(mode)
-    t = np.asarray(X, dtype=float) / s
     u = math.sqrt(2.0) * (alpha.real * mu + alpha.imag * nu) / s
     v = math.sqrt(2.0) * (alpha.imag * mu - alpha.real * nu) / s
+    peak = _cat_norm_sq(mode) / (_SQRT_PI * s)
+    even = mode.sign > 0
+    X = np.asarray(X, dtype=float)
+    shape = np.broadcast_shapes(np.shape(s), X.shape)
+    if len(shape) < 2 or math.prod(shape) <= _CAT_BLOCK_ENTRIES:
+        return _cat_rows(even, X, s, u, v, peak)
+    out = np.empty(shape)
+    step = max(1, _CAT_BLOCK_ENTRIES // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        # operands that span the leading axis are cut to the block; the
+        # rest broadcast against it
+        parts = (a[rows] if np.ndim(a) == len(shape) and len(a) > 1 else a for a in (X, s, u, v, peak))
+        out[rows] = _cat_rows(even, *parts)
+    return out
+
+
+def _cat_rows(even: bool, X, s, u, v, peak) -> np.ndarray:
+    """`_cat_tomogram`'s closed form at X, with the frame's s, u, v and
+    peak = N^2 / (sqrt(pi) s) already formed."""
+    t = X / s
     a = np.abs(u * t)
-    trig = np.cos(v * t) if mode.sign > 0 else np.sin(v * t)
-    vals = n_sq / (_SQRT_PI * s) * (np.exp(-(np.abs(t) - abs(u)) ** 2) * np.expm1(-2.0 * a) ** 2
-                                    + 4.0 * np.exp(-(t * t + u * u)) * trig ** 2)
+    trig = np.cos(v * t) if even else np.sin(v * t)
+    vals = peak * (np.exp(-(np.abs(t) - abs(u)) ** 2) * np.expm1(-2.0 * a) ** 2
+                   + 4.0 * np.exp(-(t * t + u * u)) * trig ** 2)
     # subnormal values carry no probability but slow every later matrix
     # product and FFT that reads them; they are returned as 0
     return np.where(vals < _TINY, 0.0, vals)

@@ -42,7 +42,12 @@ Every true tomogram is homogeneous; a callable that is not homogeneous,
 or not even in X, will be reconstructed wrongly.
 
 Every size follows from dim (`_job_sizes`); none is an option.  The
-frame radius K is the reach of level dim - 1, and the largest X phase
+frame radius K is the reach of level dim - 1, integrated with
+max(96, 3 dim + 32) radial and 2 dim + 32 angular nodes (fewer margin
+nodes from dim 496, none at 511) over the power-of-two X grid of at
+least max(512, 32 dim) intervals; an accuracy sweep over number states
+and cats at dims 2-80 holds every entry within 1e-12 of the state's
+unit-trace dim x dim block (tests/test_reconstruct.py).  The largest X phase
 is 10 sqrt(dim + 1/2) K, 1.7e4 rad at dim 511, inside the 1e5 rad
 cosine_blocks is tested to.  Size contract: every table a job builds
 whole holds at most 2^22 entries, checked before the first table is
@@ -171,18 +176,25 @@ def _job_sizes(dim: int) -> _JobSizes:
 
     The frame radius K is the reach of level dim - 1 at floor 1e-12
     (`char_function_reach`), 2 sqrt(2 dim - 1) + 2 sqrt(ln 1e12); the
-    radial rule grows with K, max(160, 3 dim) nodes.  The angular Fourier
-    sum over n nodes aliases offset d onto d +- n, and the offsets of a
-    dim x dim matrix span 2 dim - 1 values, so n is max(128, 2 dim).  The
-    X grid has the smallest power of two at least max(1024, 32 dim)
-    intervals.  Raises GridSizeError, before anything is allocated and
-    before K is formed, if any table the job builds whole would hold more
-    entries than a grid may have nodes (_MAX_GRID).  The X cosine table
-    is never whole: its blocks hold at most _X_BLOCK_ENTRIES entries.
+    radial rule grows with K, max(96, 3 dim + 32) nodes, the floor
+    resolving the levels past dim whose mass the pre-rescale trace
+    measures.  The angular Fourier sum over n nodes aliases offset d onto
+    d +- n, and the offsets of a dim x dim matrix span 2 dim - 1 values;
+    n = 2 dim + 32 also keeps a state's levels past dim from aliasing
+    onto the block, with the 32 margin nodes cut where the tomogram rows
+    would pass _MAX_GRID (dims 496-511).  The X grid has the smallest
+    power of two at least max(512, 32 dim) intervals.  At these sizes the
+    accuracy sweep of tests/test_reconstruct.py, number states and cats at
+    dims 2-80, comes back within 1e-12 of each state's unit-trace block;
+    without the 32 radial nodes Fock 31 at dim 32 is off by 1.1e-4.  Raises
+    GridSizeError, before anything is allocated and before K is formed,
+    if any table the job builds whole would hold more entries than a grid
+    may have nodes (_MAX_GRID).  The X cosine table is never whole: its
+    blocks hold at most _X_BLOCK_ENTRIES entries.
     """
-    radial = max(160, 3 * dim)
-    angular = max(128, 2 * dim)
-    x_count = 1 << (max(1024, 32 * dim) - 1).bit_length()
+    radial = max(96, 3 * dim + 32)
+    x_count = 1 << (max(512, 32 * dim) - 1).bit_length()
+    angular = max(2 * dim, min(2 * dim + 32, 2 * (_MAX_GRID // (x_count // 2 + 1))))
     half = angular // 2
     tables = {
         "tomogram rows (angular_nodes/2 x (x_count/2 + 1))": half * (x_count // 2 + 1),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import blas_threads
 
-from cmtomo import _blas, cli, convolution, marginals
+from cmtomo import _blas, cli, convolution, marginals, reconstruct
 from cmtomo.cli import _FIELD, _fmt, _rows, main
 from cmtomo.clt import summed_density
 from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, parse_frame, parse_system
@@ -443,9 +443,9 @@ class TestCmdReconstruct:
 
     def test_number_state_one_row_per_frame_scale(self, tmp_path, monkeypatch):
         # a number state's row depends on the frame only through its scale
-        # sqrt(hbar (m*m + n*n)), which takes 2 values over the 64 angles of
-        # a dim-8 job at hbar = 1: the job's one tomogram call evaluates 2
-        # Hermite rows
+        # sqrt(hbar (m*m + n*n)), which takes 2 values over the angles of a
+        # dim-8 job at hbar = 1: the job's one tomogram call evaluates 2
+        # Hermite rows on the half grid
         rows = []
         original = marginals.hermite_sq_density_factor
 
@@ -456,7 +456,8 @@ class TestCmdReconstruct:
         monkeypatch.setattr(marginals, "hermite_sq_density_factor", spy)
         cfg = write(tmp_path, "c.cfg", "[system]\nmode = fock 1\n[reconstruct]\ndim = 8\n")
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rho.txt")]) == 0
-        assert rows == [(513,), (513,)]
+        half_grid = reconstruct._job_sizes(8).x_count // 2 + 1
+        assert rows == [(half_grid,), (half_grid,)]
 
     @pytest.mark.parametrize("level, dim, hbar", [(1, 8, 1.0), (3, 12, 0.5)])
     def test_number_state_matrix_is_the_per_angle_one(self, tmp_path, monkeypatch, level, dim, hbar):

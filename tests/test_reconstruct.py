@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -12,7 +13,8 @@ from cmtomo.marginals import tomogram
 from cmtomo.reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from cmtomo.report import quadrature_matrices
 from cmtomo.specialfn import hermite_sq_density_factor, laguerre_gauss_levels
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, cat_weight, fock_expansion, fold_hbar
+from cmtomo.states import (CoherentEven, CoherentOdd, Fock, cat_weight, coherent_amplitudes, fock_expansion,
+                           fold_hbar)
 
 
 def set_sizes(monkeypatch, **sizes):
@@ -306,6 +308,25 @@ class TestTomogramTables:
             assert tomogram(mode, mu, nu, y).tobytes() == scalar_tomogram(mode, mu, nu, 1.0, y).tobytes()
             assert tomogram(mode, mu, nu, 0.3) == float(scalar_tomogram(mode, mu, nu, 1.0, np.float64(0.3)))
 
+    def test_cat_table_built_in_blocks(self):
+        # dim 256 has 272 frame rows of 4097 nodes, 17 blocks of rows: each
+        # row keeps the bytes of its own call, and every temporary holds a
+        # block, not the table
+        dim = 256
+        mode = CoherentOdd(cmath.rect(math.sqrt(0.4 * dim), 0.93))
+        y = half_grid(dim)
+        mus, nus = half_circle(dim)
+        tracemalloc.start()
+        try:
+            table = tomogram(mode, np.array(mus)[:, None], np.array(nus)[:, None], y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.size > 16 * marginals._CAT_BLOCK_ENTRIES
+        assert peak <= table.nbytes + 8 * 8 * marginals._CAT_BLOCK_ENTRIES
+        rows = np.array([tomogram(mode, m, n, y) for m, n in zip(mus, nus)])
+        assert table.tobytes() == rows.tobytes()
+
     def test_array_frames_reject_a_vanishing_frame(self):
         with pytest.raises(ValueError, match="cannot both vanish"):
             tomogram(CoherentEven(1.0), np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.zeros(3))
@@ -394,7 +415,7 @@ def refined_rule(count, nodes):
 
 
 class TestRadialRule:
-    # max(160, 3 dim) nodes: dims 2-53, 256 and 511
+    # node counts across the radial rule's range, max(96, 3 dim + 32)
     @pytest.mark.parametrize("count", [160, 768, 1533])
     def test_matches_refined_values(self, count):
         nodes, weights = reconstruct._legendre_rule(count)
@@ -459,10 +480,11 @@ class TestJobSizeBounds:
     # each threshold of the radial rule, the angular sum and the X grid
     # from both sides
     @pytest.mark.parametrize("dim, radial, angular, x_count", [
-        (2, 160, 128, 1024), (16, 160, 128, 1024), (32, 160, 128, 1024), (33, 160, 128, 2048),
-        (53, 160, 128, 2048), (54, 162, 128, 2048), (64, 192, 128, 2048), (65, 195, 130, 4096),
-        (128, 384, 256, 4096), (129, 387, 258, 8192), (256, 768, 512, 8192),
-        (257, 771, 514, 16384), (511, 1533, 1022, 16384),
+        (2, 96, 36, 512), (8, 96, 48, 512), (12, 96, 56, 512), (16, 96, 64, 512), (17, 96, 66, 1024),
+        (21, 96, 74, 1024), (22, 98, 76, 1024), (32, 128, 96, 1024), (33, 131, 98, 2048),
+        (47, 173, 126, 2048), (48, 176, 128, 2048), (64, 224, 160, 2048), (65, 227, 162, 4096),
+        (128, 416, 288, 4096), (129, 419, 290, 8192), (256, 800, 544, 8192), (257, 803, 546, 16384),
+        (495, 1517, 1022, 16384), (496, 1520, 1022, 16384), (511, 1565, 1022, 16384),
     ])
     def test_sizes_from_dim(self, dim, radial, angular, x_count):
         K = 2.0 * math.sqrt(2 * dim - 1) + 2.0 * math.sqrt(math.log(1e12))
@@ -538,6 +560,65 @@ class TestDerivedCutoffs:
         for hbar in (1e-3, 1e3):
             got = reconstruct_single_mode(rescaled_to_unit(tomogram_at(mode, hbar), hbar), 12).entries
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def sweep_states(dim):
+    """Fock 0, dim/2 and dim - 1, and even and odd cats with |alpha|^2 =
+    dim/8, dim/4 and 0.4 dim at phases 0, 0.93 and 1.29 rad."""
+    for n in sorted({0, dim // 2, dim - 1}):
+        yield f"fock{n}", Fock(n)
+    for share in (0.125, 0.25, 0.4):
+        for phase in (0.0, 0.93, 1.29):
+            alpha = cmath.rect(math.sqrt(share * dim), phase)
+            yield f"even {share} dim at {phase}", CoherentEven(alpha)
+            yield f"odd {share} dim at {phase}", CoherentOdd(alpha)
+
+
+def unit_trace_block(mode, dim):
+    """The state's dim x dim block in the level basis, scaled to unit
+    trace as the reconstruction is."""
+    if isinstance(mode, Fock):
+        v = np.zeros(dim)
+        v[mode.n] = 1.0
+    else:
+        v = coherent_amplitudes(mode.alpha, dim - 1)
+        v[(1 if mode.sign > 0 else 0)::2] = 0.0
+    block = np.outer(v, v.conj())
+    return block / np.trace(block).real
+
+
+def sweep_misses(dims):
+    """(dim, state, largest entry error) of every sweep state whose
+    reconstruction is off its unit-trace block by more than 1e-12."""
+    misses = []
+    for dim in dims:
+        for name, mode in sweep_states(dim):
+            rho = reconstruct_single_mode(tomogram_of(mode), dim)
+            error = float(np.max(np.abs(rho.entries - unit_trace_block(mode, dim))))
+            if error > 1e-12:
+                misses.append((dim, name, error))
+    return misses
+
+
+class TestAccuracySweep:
+    # every entry of every sweep state at dims 2-80 within 1e-12.  With
+    # max(160, 3 dim) radial and max(128, 2 dim) angular nodes Fock dim - 1
+    # at dims 51-62 missed by up to 5.1e-10, and the cats with |alpha|^2 =
+    # 0.4 dim at dims 57-78 by up to 1.3e-10: their levels past dim
+    # aliased onto the block through an angular sum with no nodes to spare
+    @pytest.mark.parametrize("first, last", [(2, 24), (25, 40), (41, 52), (53, 62), (63, 71), (72, 80)])
+    def test_every_entry_within_1e12(self, first, last):
+        assert sweep_misses(range(first, last + 1)) == []
+
+    # each margin of the rule bites: 3 dim radial nodes leave Fock 31 at
+    # dim 32 off by 1.1e-4, and 2 dim angular nodes the 0.4 dim even cat
+    # at dim 64 by 1.0e-10
+    @pytest.mark.parametrize("dim, shortened, state", [
+        (32, {"radial_nodes": 96}, "fock31"), (64, {"angular_nodes": 128}, "even 0.4 dim at 0.0"),
+    ], ids=["radial", "angular"])
+    def test_guard_flags_a_rule_without_margin(self, monkeypatch, dim, shortened, state):
+        set_sizes(monkeypatch, **shortened)
+        assert state in {name for _, name, _ in sweep_misses([dim])}
 
 
 def displacement_block(dim, k):
