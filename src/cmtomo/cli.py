@@ -159,21 +159,21 @@ def _csv(header: list[str], columns: list[str], blocks: Iterable[list[str]],
 
 
 def _single_mode(raw: RawConfig, frame: bool):
-    sys_spec = parse_system(raw, frame)
+    sys_spec, hbar = parse_system(raw, frame)
     if sys_spec.n_modes != 1:
         raw.fail(raw.last_line("system", "mode"), f"this command needs exactly one mode, got {sys_spec.n_modes}")
-    return sys_spec
+    return sys_spec, hbar
 
 
 def cmd_marginal(raw: RawConfig, args) -> int:
-    sys_spec = _single_mode(raw, frame=True)
-    parse_frame(raw, sys_spec, required=False)
+    sys_spec, hbar = _single_mode(raw, frame=True)
+    parse_frame(raw, sys_spec, [hbar], required=False)
     g = sys_spec.groups[0]
-    (unit,), s_ref = unit_frames(sys_spec.groups, sys_spec.hbar)
+    (unit,), s_ref = unit_frames(sys_spec.groups, hbar)
     dens = marginal_density(unit.mode, unit.mu, unit.nu)
     header = _header(raw, args, [
-        f"mode {sys_spec.describe()}",
-        f"mu {_fmt(g.mu)} nu {_fmt(g.nu)} hbar {_fmt(sys_spec.hbar)}",
+        f"mode {sys_spec.describe(hbar)}",
+        f"mu {_fmt(g.mu)} nu {_fmt(g.nu)} hbar {_fmt(hbar)}",
         f"pre_rescale_integral {_fmt(dens.integral)}",
     ])
     _write_atomic(args, _csv(header, ["X", "density"], _row_blocks(s_ref, dens.grid.xs, dens.values)))
@@ -181,14 +181,14 @@ def cmd_marginal(raw: RawConfig, args) -> int:
 
 
 def cmd_cm(raw: RawConfig, args) -> int:
-    sys_spec = parse_system(raw)
-    r, big_r = parse_frame(raw, sys_spec)
+    sys_spec, hbar = parse_system(raw)
+    r, big_r = parse_frame(raw, sys_spec, [hbar])
     if args.all_backends and sys_spec.n_modes * args.mc_samples > MC_MODE_DRAWS_MAX:
         raw.fail(raw.last_line("system", "mode"),
                  f"--all-backends draws every mode: {sys_spec.n_modes} modes x --mc-samples {args.mc_samples} "
                  f"exceed 2^30 = {MC_MODE_DRAWS_MAX} mode-draws")
-    groups, s_ref = unit_frames(sys_spec.groups, sys_spec.hbar)
-    unit = SystemSpec(groups, 1.0)
+    groups, s_ref = unit_frames(sys_spec.groups, hbar)
+    unit = SystemSpec(groups)
     marginals, sigma2, s_n, cm = summed_density(unit)
     columns = ["X", "density"]
     data = [cm.values]
@@ -201,7 +201,7 @@ def cmd_cm(raw: RawConfig, args) -> int:
         data += [cf.values, agree["density_mc"]]
         footer = [f"{key} {_fmt(agree[key])}" for key in ("tv_fft_cf", "tv_fft_mc", "ks_fft_mc")]
     header = _header(raw, args, [
-        f"system {sys_spec.describe()}",
+        f"system {sys_spec.describe(hbar)}",
         f"frame {sys_spec.describe_frame(r, big_r)}",
         f"sigma2 {_fmt(sigma2 * s_ref * s_ref)}",
         f"S_N {_fmt(s_n)}",
@@ -245,16 +245,16 @@ def cmd_clt_scan(raw: RawConfig, args) -> int:
 
 
 def cmd_hbar_scan(raw: RawConfig, args) -> int:
-    sys_spec = parse_system(raw)
+    sys_spec, hbar = parse_system(raw)
     hbar_list = get_scale_list(raw, "scan", "hbar_list", default=[1.0, 0.1, 0.01, 0.001])
     if any(b >= a for a, b in zip(hbar_list, hbar_list[1:])):
         raw.fail(raw.last_line("scan", "hbar_list"), f"hbar_list must be strictly decreasing, got {hbar_list}")
-    # the scan runs at each hbar_list entry, not at [system] hbar
-    r, big_r = parse_frame(raw, sys_spec, hbars=hbar_list)
+    # the scan runs at each hbar_list entry; [system] hbar only labels it
+    r, big_r = parse_frame(raw, sys_spec, hbar_list)
     epsilon = get_positive(raw, "scan", "epsilon", default=0.1)
     reports = hbar_scan(sys_spec, hbar_list, epsilon)
     header = _header(raw, args, [
-        f"system {sys_spec.describe()}",
+        f"system {sys_spec.describe(hbar)}",
         f"frame {sys_spec.describe_frame(r, big_r)}",
         f"epsilon {_fmt(epsilon)}",
     ])
@@ -269,7 +269,7 @@ def cmd_hbar_scan(raw: RawConfig, args) -> int:
 # a core.  The other commands multiply no matrices and keep its threads.
 @one_blas_thread()
 def cmd_reconstruct(raw: RawConfig, args) -> int:
-    sys_spec = _single_mode(raw, frame=False)
+    sys_spec, hbar = _single_mode(raw, frame=False)
     mode = sys_spec.groups[0].mode
     # every size follows from dim; a key that set one before is named
     for key in raw.section("reconstruct"):
@@ -284,7 +284,7 @@ def cmd_reconstruct(raw: RawConfig, args) -> int:
     psi = fock_expansion(mode)
     fid = fidelity(rho, psi)
     header = _header(raw, args, [
-        f"mode {sys_spec.describe()}",
+        f"mode {sys_spec.describe(hbar)}",
         f"dim {dim}",
         f"pre_rescale_trace {_fmt(rho.meta['pre_rescale_trace'])}",
         f"cutoff_char_function {_fmt(rho.meta['cutoff_char_function'])}",

@@ -16,7 +16,7 @@ import numpy as np
 from .convolution import convolve_cycled, convolve_fft, cumulative_trapezoid, marginals_for_system
 from .errors import NumericalError
 from .marginals import MarginalDensity, Moments, fock_abs3_dimensionless, variance
-from .states import Fock, ModeGroup, SystemSpec, energy, fold_hbar, hbar_for_fixed_energy, unit_frames
+from .states import Fock, ModeGroup, SystemSpec, energy, hbar_for_fixed_energy, unit_frames
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,10 @@ def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
     """(sum_j E|x_j|^3) / (sum_j Var x_j)^{3/2}, counts[g] modes sharing moments g.
 
     The sums grow as the frames' scale to the powers 2 and 3; where one
-    of them leaves the double range the ratio fails (NumericalError).  On
-    unit frames (`unit_frames`) they stay near the mode count."""
+    of them leaves the double range the ratio fails (NumericalError).
+    `unit_frames` centres only the geometric mean of the extreme radii, so
+    frames that span too many octaves still leave it: Fock 1000 on
+    (1e103, 0) beside Fock 0 on (1e-103, 0) overflows abs3."""
     var_total = 0.0
     abs3_total = 0.0
     for m, count in zip(per_mode_moments, counts, strict=True):
@@ -69,7 +71,7 @@ def lyapunov_ratio(per_mode_moments: list[Moments], counts: list[int]) -> float:
 
 def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity] | None) -> list[Moments]:
     """Mean/variance/absolute third moment of each group's mode, in group
-    order, at the group's frame with the system's hbar folded in.
+    order, at the group's frame at hbar = 1.
 
     Every mode is a parity eigenstate: mean 0, and the closed `variance`
     that `common_grid` reads.  A number state takes the exact third moment
@@ -79,23 +81,22 @@ def per_mode_moments(sys: SystemSpec, marginals: list[MarginalDensity] | None) -
     """
     out = []
     for g, m in zip(sys.groups, [None] * len(sys.groups) if marginals is None else marginals, strict=True):
-        mu, nu = fold_hbar(g.mu, g.nu, sys.hbar)
         if isinstance(g.mode, Fock):
             try:
-                abs3 = (mu * mu + nu * nu) ** 1.5 * fock_abs3_dimensionless(g.mode.n)
+                abs3 = (g.mu * g.mu + g.nu * g.nu) ** 1.5 * fock_abs3_dimensionless(g.mode.n)
             except OverflowError:       # S_N then fails the call
                 abs3 = math.inf
         else:
             abs3 = float(np.trapezoid(np.abs(m.grid.xs) ** 3 * m.values, dx=m.grid.dx))
-        out.append(Moments(mean=0.0, var=variance(g.mode, mu, nu), abs3=abs3))
+        out.append(Moments(mean=0.0, var=variance(g.mode, g.mu, g.nu), abs3=abs3))
     return out
 
 
 def _sigma2(sys: SystemSpec, s_ref: float = 1.0) -> float:
-    """sigma^2 = sum_j Var x_j from the closed variances at the system's
-    hbar, once per group, times s_ref^2, which is how a scan on unit
-    frames writes it; NumericalError where it leaves the double range."""
-    sigma2 = float(sum(g.count * variance(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar)) for g in sys.groups))
+    """sigma^2 = sum_j Var x_j from the closed variances at hbar = 1, once
+    per group, times s_ref^2, which is how a scan on unit frames writes
+    it; NumericalError where it leaves the double range."""
+    sigma2 = float(sum(g.count * variance(g.mode, g.mu, g.nu) for g in sys.groups))
     sigma2 = sigma2 * s_ref * s_ref
     if not math.isfinite(sigma2):
         raise NumericalError(f"sigma^2 = sum Var x overflows the double range, s_ref = {s_ref:g}")
@@ -104,8 +105,8 @@ def _sigma2(sys: SystemSpec, s_ref: float = 1.0) -> float:
 
 def summed_density(sys: SystemSpec) -> tuple[list[MarginalDensity], float, float, MarginalDensity]:
     """The marginals, sigma^2 = sum_j Var x_j, S_N and the FFT density of
-    the sum, at the system's hbar.  `cm` passes the system on its unit
-    frames (`unit_frames`)."""
+    the sum, at hbar = 1.  `cm` passes the system on its unit frames
+    (`unit_frames`)."""
     marginals = marginals_for_system(sys)
     sigma2 = _sigma2(sys)
     s_n = lyapunov_ratio(per_mode_moments(sys, marginals), sys.counts)
@@ -159,7 +160,7 @@ def _report_for(unit: SystemSpec, hbar: float, s_ref: float, r: float, R: float,
     scale-free, sigma^2 is the unit value times s_ref^2, [rE, RE] the
     unit energy times hbar times r and R."""
     dist = gaussian_distance(density, _sigma2(unit))
-    e_total = hbar * energy(unit)
+    e_total = energy(unit, hbar)
     return CltReport(
         N=unit.n_modes,
         hbar=hbar,
@@ -199,7 +200,7 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
     unit_pattern = unit_frames(pattern, 1.0)[0]
     reports: list = [None] * len(n_values)
     for i, density in convolve_cycled(unit_pattern, n_values):
-        unit = SystemSpec.cycled(unit_pattern, n_values[i], 1.0)
+        unit = SystemSpec.cycled(unit_pattern, n_values[i])
         hbar = hbar_for_fixed_energy(E, unit.groups)
         reports[i] = _report_for(unit, hbar, unit_frames(pattern, hbar)[1], r, R, density)
     return reports
@@ -218,7 +219,7 @@ def hbar_scan(sys_base: SystemSpec, hbar_list, epsilon: float) -> list[HbarRepor
     values = [float(h) for h in hbar_list]
     if any(b >= a for a, b in zip(values, values[1:])) or not all(0 < h < math.inf for h in values):
         raise ValueError("hbar_list must be strictly decreasing, each entry positive and finite")
-    unit = SystemSpec(unit_frames(sys_base.groups, 1.0)[0], 1.0)
+    unit = SystemSpec(unit_frames(sys_base.groups, 1.0)[0])
     cm = convolve_fft(marginals_for_system(unit), unit.counts)
     cdf = cumulative_trapezoid(cm.values, cm.grid.dx)
 

@@ -286,9 +286,10 @@ def _frame_list(raw: RawConfig, key: str, default: float, n_modes: int) -> list[
     return values
 
 
-def parse_system(raw: RawConfig, frame: bool = True) -> SystemSpec:
+def parse_system(raw: RawConfig, frame: bool = True) -> tuple[SystemSpec, float]:
     """[system] mode lines, one group each, on the [frame] directions, which
-    are not read without frame (every mode then lies on mu 1, nu 0)."""
+    are not read without frame (every mode then lies on mu 1, nu 0), and
+    [system] hbar."""
     if "system" not in raw.sections:
         raise ConfigError(f"{raw.source}: missing [system] section")
     lines: list[tuple[ModeSpec, int]] = []
@@ -304,24 +305,22 @@ def parse_system(raw: RawConfig, frame: bool = True) -> SystemSpec:
     mu = _frame_list(raw, "mu", 1.0, n_modes) if frame else [1.0]
     nu = _frame_list(raw, "nu", 0.0, n_modes) if frame else [0.0]
     if len(mu) == len(nu) == 1:
-        return SystemSpec(tuple(ModeGroup(mode, mu[0], nu[0], count) for mode, count in lines), hbar)
+        return SystemSpec(tuple(ModeGroup(mode, mu[0], nu[0], count) for mode, count in lines)), hbar
     modes = [mode for mode, count in lines for _ in range(count)]
-    return SystemSpec.from_modes(modes, mu * (n_modes // len(mu)), nu * (n_modes // len(nu)), hbar)
+    return SystemSpec.from_modes(modes, mu * (n_modes // len(mu)), nu * (n_modes // len(nu))), hbar
 
 
-def parse_frame(raw: RawConfig, sys_spec: SystemSpec, required: bool = True,
-                hbars: list[float] | None = None) -> tuple[float, float]:
+def parse_frame(raw: RawConfig, sys_spec: SystemSpec, hbars: list[float],
+                required: bool = True) -> tuple[float, float]:
     """The bounds (r, R) of [frame], by the rule of get_frame_bounds over
     the system's frame radii, each of which must be positive and finite.
-    Every frame, at the system's hbar or at each of hbars if given, meets
-    `_check_frame_scale`; its scale is least at the least hbar and radius
-    and greatest at the greatest.  Without the section the defaults
-    hold, unless it is required."""
+    Every frame, at each of hbars, meets `_check_frame_scale`; its scale is
+    least at the least hbar and radius and greatest at the greatest.
+    Without the section the defaults hold, unless it is required."""
     if required and "frame" not in raw.sections:
         raise ConfigError(f"{raw.source}: missing [frame] section")
     line = max(raw.last_line("frame", "mu"), raw.last_line("frame", "nu"))
     rhos = [_frame_radius(raw, g.mu, g.nu, line, f"(mu, nu) = ({g.mu:g}, {g.nu:g})") for g in sys_spec.groups]
-    hbars = [sys_spec.hbar] if hbars is None else hbars
     for hbar, i in ((min(hbars), rhos.index(min(rhos))), (max(hbars), rhos.index(max(rhos)))):
         _check_frame_scale(raw, sys_spec.groups[i].mu, sys_spec.groups[i].nu, rhos[i], hbar, line)
     return get_frame_bounds(raw, "frame", rhos, rhos, line)

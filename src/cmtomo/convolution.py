@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError
 from .marginals import (Grid, MarginalDensity, centered_grid, char_function, char_function_reach, grid_policy,
                         marginal_density)
-from .states import ModeGroup, SystemSpec, fold_hbar
+from .states import ModeGroup, SystemSpec
 
 # modulus below which the characteristic-function product is cut off
 _CF_FLOOR = 1e-17
@@ -40,16 +40,15 @@ MC_MODE_DRAWS_MAX = 2 ** 30
 
 def marginals_for_system(sys: SystemSpec) -> list[MarginalDensity]:
     """One gridded tomogram per mode group, in group order, at the group's
-    frame with the system's hbar folded in (`fold_hbar`).
+    frame at hbar = 1 (a command passes its system on `unit_frames`).
 
     All grids share the finest per-group policy spacing, the one spacing
     `convolve_fft` accepts: a grid is centred by type, so each marginal's
     nodes are nodes of the output grid, and backend one places its values
     there by index.
     """
-    groups = [ModeGroup(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar), g.count) for g in sys.groups]
-    dx = min(grid_policy(g.mode, g.mu, g.nu)[1] for g in groups)
-    return list(_marginals_on(groups, dx))
+    dx = min(grid_policy(g.mode, g.mu, g.nu)[1] for g in sys.groups)
+    return list(_marginals_on(sys.groups, dx))
 
 
 def _marginals_on(groups, dx: float):
@@ -134,7 +133,7 @@ def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> Margina
 
 
 def convolve_cycled(pattern: list[ModeGroup], n_list: list[int]):
-    """`convolve_fft` of each system `SystemSpec.cycled(pattern, N, 1.0)`,
+    """`convolve_fft` of each system `SystemSpec.cycled(pattern, N)`,
     N in n_list, on the pattern's frames as given, building and
     transforming each pattern group once per pass, not once per N.
     Yields (i, density of N = n_list[i]) one point at a time, in pass
@@ -160,7 +159,7 @@ def convolve_cycled(pattern: list[ModeGroup], n_list: list[int]):
     period = len(pattern)
     grids = []
     for n in n_list:
-        sys = SystemSpec.cycled(pattern, n, 1.0)
+        sys = SystemSpec.cycled(pattern, n)
         policies = [grid_policy(g.mode, g.mu, g.nu) for g in sys.groups]
         grids.append(_sum_grid([half for half, _ in policies], sys.counts, min(dx for _, dx in policies)))
     for dx in dict.fromkeys(g.dx for g in grids):

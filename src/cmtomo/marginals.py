@@ -3,8 +3,8 @@
 A tomogram w(X, mu, nu) is the probability density of the observable
 mu*q + nu*p in a given state, at hbar = 1: a frame carries its own scale
 s = sqrt(mu^2 + nu^2), and the tomogram of mu q + nu p at another hbar is
-the one at the frame sqrt(hbar) (mu, nu) (`states.fold_hbar`).  Three
-routes are implemented:
+the one at the frame sqrt(hbar) (mu, nu), so no function here takes
+hbar.  Three routes are implemented:
 
 * closed forms for number states and even/odd coherent superpositions,
 * an independent amplitude oracle built from the level expansion, used

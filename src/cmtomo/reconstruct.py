@@ -1,7 +1,7 @@
 """Recover a truncated density matrix from a single-mode tomogram.
 
-The matrix does not depend on hbar, which only rescales the frames
-(`states.fold_hbar`), so no function here takes hbar: the state is the
+The matrix does not depend on hbar, which only rescales the frames to
+sqrt(hbar) (mu, nu), so no function here takes hbar: the state is the
 frame integral, at hbar = 1, of e^{iX} U(mu, nu) against the unit-scale
 tomogram `marginals.tomogram` gives, with U = exp(-i(mu Q + nu P)) and
 a constant 1/(2 pi); the scalar X integral is the tomogram's

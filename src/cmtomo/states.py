@@ -1,10 +1,11 @@
 """Mode and system descriptions, Fock-basis expansions, energy bookkeeping.
 
-Units: oscillator mass and frequency are 1 throughout.  A system keeps
-the action scale hbar for its energy and its description; every closed
+Units: oscillator mass and frequency are 1 throughout.  Every closed
 form takes hbar = 1, and the frame (mu, nu) at hbar is the frame
-sqrt(hbar) (mu, nu) there (`fold_hbar`), so the classical limit
-hbar -> 0 is a rescaling of the frames.
+sqrt(hbar) (mu, nu) there, so the classical limit hbar -> 0 is a
+rescaling of the frames.  A system is its mode groups alone; hbar is a
+scalar beside it, read by `unit_frames`, `energy`, `hbar_for_fixed_energy`
+and `SystemSpec.describe`.
 """
 
 from __future__ import annotations
@@ -103,13 +104,6 @@ class ModeGroup:
             raise ValueError(f"a mode group needs a positive integer count, got {self.count!r}")
 
 
-def fold_hbar(mu, nu, hbar: float):
-    """The frame sqrt(hbar) (mu, nu): the closed forms, which take hbar = 1,
-    give there the tomogram of mu q + nu p at hbar.  mu and nu may be arrays."""
-    root = math.sqrt(hbar)
-    return root * mu, root * nu
-
-
 def unit_frames(groups, hbar: float) -> tuple[tuple, float]:
     """The groups on the frames 2^k (mu, nu), and the reference scale
     s_ref = sqrt(hbar) 2^-k.
@@ -118,9 +112,9 @@ def unit_frames(groups, hbar: float) -> tuple[tuple, float]:
     radii rho = mu^2 + nu^2, brings the radii nearest 1 (k = 0 on unit
     frames) and depends on the frames alone.  The scaling is exact and
     every closed form is homogeneous in its frame, so a command computes
-    here, where sums of moments stay near the mode count, and writes X
-    times s_ref and densities over s_ref: what is scale-free has the same
-    bytes at every hbar."""
+    here, at hbar = 1 with the geometric mean of the extreme radii near 1,
+    and writes X times s_ref and densities over s_ref: what is scale-free
+    has the same bytes at every hbar."""
     rhos = [g.mu * g.mu + g.nu * g.nu for g in groups]
     k = -round(0.25 * (math.log2(min(rhos)) + math.log2(max(rhos))))
     scaled = tuple(ModeGroup(g.mode, math.ldexp(g.mu, k), math.ldexp(g.nu, k), g.count) for g in groups)
@@ -136,10 +130,12 @@ def _mode_text(mode: ModeSpec) -> str:
 @dataclass(frozen=True)
 class SystemSpec:
     """A product of independent single-mode states, as a multiset of groups:
-    equal (mode, mu, nu) merge into the first of them, in first-appearance order."""
+    equal (mode, mu, nu) merge into the first of them, in first-appearance order.
+
+    Every compute function reads the frames at hbar = 1; the system at
+    another hbar is the one on the frames sqrt(hbar) (mu, nu)."""
 
     groups: tuple
-    hbar: float
 
     def __post_init__(self) -> None:
         merged: dict = {}
@@ -151,25 +147,23 @@ class SystemSpec:
             raise ValueError("a system needs at least one mode")
         if self.n_modes > N_MAX:
             raise ValueError(f"a system holds at most N_MAX = {N_MAX} modes, got {self.n_modes}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError("hbar must be positive and finite")
 
     @classmethod
-    def from_modes(cls, modes, mu, nu, hbar: float) -> "SystemSpec":
+    def from_modes(cls, modes, mu, nu) -> "SystemSpec":
         """The system of per-mode sequences: mode i measured along mu[i] x + nu[i] p."""
         modes, mu, nu = tuple(modes), tuple(mu), tuple(nu)
         if not len(modes) == len(mu) == len(nu):
             raise ValueError("modes, mu and nu must have the same length")
-        return cls(tuple(ModeGroup(*key) for key in zip(modes, mu, nu)), hbar)
+        return cls(tuple(ModeGroup(*key) for key in zip(modes, mu, nu)))
 
     @classmethod
-    def cycled(cls, pattern, n_modes: int, hbar: float) -> "SystemSpec":
+    def cycled(cls, pattern, n_modes: int) -> "SystemSpec":
         """n_modes modes, mode i the (mode, mu, nu) of pattern[i mod P]: the
         first n_modes mod P groups of the pattern take one copy more than
         the rest, which take n_modes // P."""
         period = len(pattern)
         return cls(tuple(ModeGroup(g.mode, g.mu, g.nu, n_modes // period + (i < n_modes % period))
-                         for i, g in enumerate(pattern[:n_modes])), hbar)
+                         for i, g in enumerate(pattern[:n_modes])))
 
     @property
     def n_modes(self) -> int:
@@ -179,9 +173,9 @@ class SystemSpec:
     def counts(self) -> list[int]:
         return [g.count for g in self.groups]
 
-    def describe(self) -> str:
+    def describe(self, hbar: float) -> str:
         """hbar, then each group as a config mode line, with ' xCOUNT' past one mode."""
-        return "; ".join([f"hbar={self.hbar:.17g}"]
+        return "; ".join([f"hbar={hbar:.17g}"]
                          + [_mode_text(g.mode) + (f" x{g.count}" if g.count > 1 else "") for g in self.groups])
 
     def describe_frame(self, r: float, R: float) -> str:
@@ -301,9 +295,9 @@ def mode_mean_occupation(mode: ModeSpec) -> float:
     return a2 / math.tanh(a2)
 
 
-def energy(sys: SystemSpec) -> float:
-    """Total oscillator energy hbar * sum_i (1/2 + <n>_i)."""
-    return sys.hbar * (0.5 * sys.n_modes + sum(g.count * mode_mean_occupation(g.mode) for g in sys.groups))
+def energy(sys: SystemSpec, hbar: float) -> float:
+    """Total oscillator energy hbar * sum_i (1/2 + <n>_i) at hbar."""
+    return hbar * (0.5 * sys.n_modes + sum(g.count * mode_mean_occupation(g.mode) for g in sys.groups))
 
 
 def hbar_for_fixed_energy(E: float, groups) -> float:
@@ -311,4 +305,4 @@ def hbar_for_fixed_energy(E: float, groups) -> float:
     independent of hbar, so hbar = E / sum_i (1/2 + <n>_i)."""
     if E <= 0:
         raise ValueError("energy must be positive")
-    return E / energy(SystemSpec(tuple(groups), 1.0))
+    return E / energy(SystemSpec(tuple(groups)), 1.0)

@@ -9,12 +9,14 @@ Every test must leave the process's Python threads and its OpenBLAS
 thread count as it found them.
 """
 
+import math
 import threading
 
 import pytest
 from hypothesis import settings
 
 from cmtomo import _blas
+from cmtomo.states import ModeGroup, SystemSpec
 
 settings.register_profile("cmtomo", deadline=None, derandomize=True, database=None)
 settings.load_profile("cmtomo")
@@ -24,6 +26,19 @@ def blas_threads():
     """The loaded OpenBLAS's thread count, or None where none was found."""
     found = _blas._openblas()
     return None if found is None else found[0]()
+
+
+def frame_at(mu, nu, hbar):
+    """The frame sqrt(hbar) (mu, nu): the closed forms, which take hbar = 1,
+    give there the tomogram of mu q + nu p at hbar.  mu and nu may be arrays."""
+    root = math.sqrt(hbar)
+    return root * mu, root * nu
+
+
+def system_at(groups, hbar):
+    """The system of groups measured at hbar, on the frames sqrt(hbar) (mu, nu)
+    where every compute function reads it."""
+    return SystemSpec(tuple(ModeGroup(g.mode, *frame_at(g.mu, g.nu, hbar), g.count) for g in groups))
 
 
 @pytest.fixture(autouse=True)

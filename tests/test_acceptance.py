@@ -16,7 +16,8 @@ from cmtomo.convolution import backend_agreement, cf_product, convolve_fft, marg
 from cmtomo.marginals import marginal_density, moments, oracle_marginal, tomogram, variance
 from cmtomo.reconstruct import fidelity, reconstruct_single_mode
 from cmtomo.report import DEFAULT_ALPHAS, DEFAULT_FRAMES, discrepancy_rows
-from cmtomo.states import CoherentEven, CoherentOdd, Fock, SystemSpec, fock_expansion, fold_hbar
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, SystemSpec, fock_expansion
+from conftest import frame_at, system_at
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -27,8 +28,8 @@ def report(criterion, ok, elapsed, detail=""):
 
 
 def system(modes, hbar, mu=None, nu=None):
-    """A system of modes, on the frames mu, nu (default: each along x)."""
-    return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
+    """A system of modes at hbar, on the frames mu, nu (default: each along x)."""
+    return system_at(SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes)).groups, hbar)
 
 
 def test_criterion_1_fock_normalization_and_variance():
@@ -39,10 +40,10 @@ def test_criterion_1_fock_normalization_and_variance():
         for rho in (0.5, 1.0, 2.0):
             mu = math.sqrt(rho)
             for hbar in (0.01, 1.0, 10.0):
-                d = marginal_density(Fock(n), *fold_hbar(mu, 0.0, hbar))
+                d = marginal_density(Fock(n), *frame_at(mu, 0.0, hbar))
                 total = float(np.trapezoid(d.values, dx=d.grid.dx))
                 m = moments(d)
-                want = variance(Fock(n), *fold_hbar(mu, 0.0, hbar))
+                want = variance(Fock(n), *frame_at(mu, 0.0, hbar))
                 worst_norm = max(worst_norm, abs(total - 1.0))
                 worst_var = max(worst_var, abs(m.var - want) / want)
     elapsed = time.time() - t0

@@ -15,22 +15,23 @@ from cmtomo.clt import (
     summed_density,
 )
 from cmtomo.convolution import common_grid, convolve_cycled, convolve_fft, marginals_for_system
+from cmtomo.errors import NumericalError
 from cmtomo.marginals import Moments, moments, variance
-from cmtomo.states import (CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, fold_hbar, hbar_for_fixed_energy,
-                           unit_frames)
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, hbar_for_fixed_energy, unit_frames
+from conftest import frame_at, system_at
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def iid(mode, N, hbar=1.0, mu=1.0, nu=0.0):
-    """N copies of mode, each measured along mu x + nu p."""
-    return SystemSpec((ModeGroup(mode, mu, nu, N),), hbar)
+    """N copies of mode, each measured along mu x + nu p at hbar."""
+    return system_at((ModeGroup(mode, mu, nu, N),), hbar)
 
 
 def on_x(modes, hbar, mu=None, nu=None):
-    """A system of modes, on the frames mu, nu (default: each along x)."""
+    """A system of modes at hbar, on the frames mu, nu (default: each along x)."""
     modes = tuple(modes)
-    return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
+    return system_at(SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes)).groups, hbar)
 
 
 def s_n(sys):
@@ -69,6 +70,29 @@ class TestLyapunovRatio:
         assert abs(values[0] / values[1] - 1) < 1e-12
         assert abs(values[2] / values[1] - 1) < 1e-12
 
+    @staticmethod
+    def unit_moments(groups):
+        """The per-mode moments on the groups' unit frames, which here are
+        the frames themselves: the extreme radii's geometric mean is 1."""
+        unit, s_ref = unit_frames(groups, 1.0)
+        assert unit == tuple(groups) and s_ref == 1.0
+        sys = SystemSpec(unit)
+        return per_mode_moments(sys, None), sys.counts
+
+    def test_variance_sum_past_the_double_range_fails(self):
+        # Var x sums to ~4e207, whose 3/2 power overflows
+        pm, counts = self.unit_moments([ModeGroup(Fock(1000), 1e99, 0.0, 2 ** 22 - 1),
+                                        ModeGroup(Fock(0), 1e-99, 0.0)])
+        with pytest.raises(NumericalError, match=r"S_N = .* leaves the double range"):
+            lyapunov_ratio(pm, counts)
+
+    def test_abs3_past_the_double_range_fails(self):
+        # the radius 1e206 to the power 3/2 overflows one mode's E|x|^3
+        pm, counts = self.unit_moments([ModeGroup(Fock(1000), 1e103, 0.0), ModeGroup(Fock(0), 1e-103, 0.0)])
+        assert pm[0].abs3 == math.inf and math.isfinite(pm[0].var)
+        with pytest.raises(NumericalError, match=r"S_N = .* leaves the double range"):
+            lyapunov_ratio(pm, counts)
+
     def test_rejects_zero_variance(self):
         with pytest.raises(ValueError):
             lyapunov_ratio([Moments(mean=0.0, var=0.0, abs3=1.0)], [3])
@@ -97,7 +121,7 @@ class TestSigma2:
 
         for modes in [(Fock(0), Fock(2), Fock(1)), (Fock(4),) * 5]:
             sys = on_x(modes, 0.8, [1.0] * len(modes), [0.4] * len(modes))
-            E = energy(sys)
+            E = energy(sys, 0.8)
             assert 0.5 * E <= sigma2(sys) <= 2.0 * E
 
     def test_cat_modes_use_the_closed_variance(self):
@@ -110,7 +134,7 @@ class TestSigma2:
         pm = per_mode_moments(sys, marginals_for_system(sys))
         assert sys.counts == [2, 2, 1] and len(pm) == 3
         assert pm[1].mean == 0.0
-        assert pm[1].var == variance(CoherentEven(1.0), *fold_hbar(1.0, 0.0, 0.5))
+        assert pm[1].var == variance(CoherentEven(1.0), *frame_at(1.0, 0.0, 0.5))
         assert pm[1].abs3 == moments(marginals_for_system(sys)[1]).abs3
         assert pm[2].var == pytest.approx(0.5 * 2.5, rel=1e-15)
 
@@ -157,7 +181,7 @@ class TestGaussianDistance:
         # two O(1) CDFs subtracted in double lose ~1e-8 of it; the same two
         # sampled curves, each integrated in long double, are the reference
         groups = [ModeGroup(Fock(1), 1.0, 0.0, 65536)]
-        _, sig2, _, cm = summed_density(SystemSpec(groups, hbar_for_fixed_energy(10.0, groups)))
+        _, sig2, _, cm = summed_density(system_at(groups, hbar_for_fixed_energy(10.0, groups)))
         assert cm.grid.count == 262144
         xs, dx = cm.grid.xs, np.longdouble(cm.grid.dx)
         gauss = np.exp(-xs * xs / (2.0 * sig2)) / math.sqrt(2.0 * math.pi * sig2)
@@ -326,7 +350,7 @@ class TestScansAtUnitHbar:
         assert coarse > fine and all(d.grid.dx == fine for i, d in enumerate(got) if i != 1)
         assert lattices == [(got[0].grid, 6), (got[1].grid, 1)]
         for N, d in zip(n_list, got):
-            sys = SystemSpec.cycled(self.PATTERN, N, 1.0)
+            sys = SystemSpec.cycled(self.PATTERN, N)
             want = convolve_fft(marginals_for_system(sys), sys.counts)
             assert d.grid == want.grid
             assert np.max(np.abs(d.values - want.values)) <= 4e-15 * np.max(want.values)
@@ -355,7 +379,7 @@ class TestScansAtUnitHbar:
                    for i in range(math.lcm(len(levels), len(frames)))]
         own = []
         for rep in reports:
-            sys = SystemSpec.cycled(pattern, rep.N, rep.hbar)
+            sys = system_at(SystemSpec.cycled(pattern, rep.N).groups, rep.hbar)
             own.append(common_grid(marginals_for_system(sys), sys.counts).count)
         return seen, own
 
@@ -378,7 +402,7 @@ class TestScansAtUnitHbar:
             assert seen == own == [1024 * math.isqrt(N) for N in (4, 16, 64, 256)], theta
 
     def test_hbar_scan_convolves_once(self, monkeypatch):
-        sys = SystemSpec((ModeGroup(Fock(1), 0.6, 0.8, 8), ModeGroup(CoherentEven(1 + 0.5j), 1.0, 0.0, 4)), 1.0)
+        sys = SystemSpec((ModeGroup(Fock(1), 0.6, 0.8, 8), ModeGroup(CoherentEven(1 + 0.5j), 1.0, 0.0, 4)))
         hbars = [1.0, 0.1, 0.01, 0.001]
         inverses = []
         irfft = np.fft.irfft
@@ -391,9 +415,9 @@ class TestScansAtUnitHbar:
         reports = hbar_scan(sys, hbars, epsilon=0.1)
         monkeypatch.undo()
         assert len(inverses) == 1
-        sig2_unit = summed_density(SystemSpec(unit_frames(sys.groups, 1.0)[0], 1.0))[1]
+        sig2_unit = summed_density(SystemSpec(unit_frames(sys.groups, 1.0)[0]))[1]
         for hbar, rep in zip(hbars, reports):
-            _, sig2, _, cm = summed_density(SystemSpec(sys.groups, hbar))
+            _, sig2, _, cm = summed_density(system_at(sys.groups, hbar))
             # sigma^2 is the unit value times s_ref^2, as `cm` writes it: the
             # closed form at hbar up to rounding
             s_ref = unit_frames(sys.groups, hbar)[1]
@@ -413,14 +437,14 @@ class TestScansAtUnitHbar:
         assert far.S_N == pytest.approx(near.S_N, rel=1e-15)
         assert far.ks == pytest.approx(near.ks, rel=1e-9) and far.tv == pytest.approx(near.tv, rel=1e-9)
         # hbar (mu^2 + nu^2) is 1e190 and 1e188 in both scans, sigma ~ 2.4e95 at the first
-        far_scan = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1e150, 0.0, 4),), 1.0), [1e-110, 1e-112], 2e95)
-        near_scan = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 4),), 1.0), [1e190, 1e188], 2e95)
+        far_scan = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1e150, 0.0, 4),)), [1e-110, 1e-112], 2e95)
+        near_scan = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 4),)), [1e190, 1e188], 2e95)
         for a, b in zip(far_scan, near_scan):
             assert 0.5 < a.mass_in_epsilon <= 1.0
             assert a.mass_in_epsilon == pytest.approx(b.mass_in_epsilon, abs=1e-15)
 
     def test_epsilon_below_the_unit_range_holds_no_mass(self):
-        (rep,) = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 4),), 1.0), [1e200], 1e-300)
+        (rep,) = hbar_scan(SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 4),)), [1e200], 1e-300)
         assert rep.mass_in_epsilon == 0.0
 
 
@@ -456,7 +480,7 @@ class TestCatRateBound:
         rates = []
         for N in (4, 16, 64, 256):
             sys = SystemSpec(tuple(ModeGroup(mode, *frame, N // 3 + (i < N % 3))
-                                   for i, (mode, frame) in enumerate(zip(pattern, frames))), hbar=1.0)
+                                   for i, (mode, frame) in enumerate(zip(pattern, frames))))
             pm = per_mode_moments(sys, marginals_for_system(sys))
             rates.append(lyapunov_ratio(pm, sys.counts) * math.sqrt(N))
         assert max(rates) <= 2.0 * min(rates)
@@ -484,7 +508,7 @@ class TestCatGaussianization:
         reports = []
         for N in (64, 256, 1024, 4096):
             groups = [ModeGroup(mode, *frame, N // len(pattern)) for mode, frame in pattern]
-            sys = SystemSpec(groups, hbar_for_fixed_energy(10.0, groups))
+            sys = system_at(groups, hbar_for_fixed_energy(10.0, groups))
             _, sig2, s_n, cm = summed_density(sys)
             reports.append((N, s_n, gaussian_distance(cm, sig2)["ks"]))
         for _, s_n, ks in reports:

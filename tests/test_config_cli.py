@@ -23,7 +23,7 @@ from cmtomo.config import SCALE_MAX, SCALE_MIN, RawConfig, parse_config_text, pa
 from cmtomo.convolution import MC_MODE_DRAWS_MAX, MC_SAMPLES_MAX
 from cmtomo.errors import ConfigError, NumericalError
 from cmtomo.reconstruct import reconstruct_single_mode
-from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec, fold_hbar
+from cmtomo.states import ALPHA_MAX, N_MAX, CoherentEven, Fock, ModeGroup, SystemSpec
 
 
 class TestConfigParser:
@@ -40,32 +40,32 @@ nu = 0.0 0.8
 r = 0.5
 R = 2.0
 """)
-        sys = parse_system(raw)
-        assert sys.hbar == 0.5
+        sys, hbar = parse_system(raw)
+        assert hbar == 0.5
         assert sys.groups == (ModeGroup(Fock(2), 1.0, 0.0), ModeGroup(CoherentEven(1 + 0.5j), 0.6, 0.8))
-        assert parse_frame(raw, sys) == (0.5, 2.0)
+        assert parse_frame(raw, sys, [hbar]) == (0.5, 2.0)
 
     def test_mode_repetition_suffix(self):
         raw = parse_config_text("[system]\nmode = fock 1 x8\n")
-        assert parse_system(raw).groups == (ModeGroup(Fock(1), 1.0, 0.0, 8),)
+        assert parse_system(raw)[0].groups == (ModeGroup(Fock(1), 1.0, 0.0, 8),)
 
     def test_frame_broadcast(self):
         raw = parse_config_text("[system]\nmode = fock 0 x3\nmode = fock 1\n[frame]\nmu = 0.6\nnu = 0.8\n")
-        sys = parse_system(raw)
+        sys, hbar = parse_system(raw)
         assert sys.groups == (ModeGroup(Fock(0), 0.6, 0.8, 3), ModeGroup(Fock(1), 0.6, 0.8))
-        assert parse_frame(raw, sys) == (0.5 * (0.6 * 0.6 + 0.8 * 0.8), 2.0 * (0.6 * 0.6 + 0.8 * 0.8))
+        assert parse_frame(raw, sys, [hbar]) == (0.5 * (0.6 * 0.6 + 0.8 * 0.8), 2.0 * (0.6 * 0.6 + 0.8 * 0.8))
 
     def test_per_mode_frames_split_and_merge_groups(self):
         # a per-mode direction list splits a line's group where the direction
         # changes; equal (mode, direction) pairs merge in first-appearance order
         raw = parse_config_text("[system]\nmode = fock 1 x3\nmode = fock 2\nmode = fock 1\n"
                                 "[frame]\nmu = 1 0.6 1 1 1\nnu = 0 0.8 0 0 0\n")
-        assert parse_system(raw).groups == (ModeGroup(Fock(1), 1.0, 0.0, 3), ModeGroup(Fock(1), 0.6, 0.8),
+        assert parse_system(raw)[0].groups == (ModeGroup(Fock(1), 1.0, 0.0, 3), ModeGroup(Fock(1), 0.6, 0.8),
                                             ModeGroup(Fock(2), 1.0, 0.0))
 
     def test_frame_not_read_when_not_asked(self):
         raw = parse_config_text("[system]\nmode = fock 1 x2\n[frame]\nmu = 0 0 0\nnu = 1\n")
-        assert parse_system(raw, frame=False).groups == (ModeGroup(Fock(1), 1.0, 0.0, 2),)
+        assert parse_system(raw, frame=False)[0].groups == (ModeGroup(Fock(1), 1.0, 0.0, 2),)
 
     def test_line_precise_errors(self):
         with pytest.raises(ConfigError, match=":3:"):
@@ -88,8 +88,9 @@ R = 2.0
     def test_frame_radius_out_of_bounds(self):
         raw = parse_config_text(
             "[system]\nmode = fock 0\n[frame]\nmu = 3.0\nnu = 0.0\nr = 0.5\nR = 2.0\n")
+        sys, hbar = parse_system(raw)
         with pytest.raises(ConfigError, match="frame"):
-            parse_frame(raw, parse_system(raw))
+            parse_frame(raw, sys, [hbar])
 
 
 def write(tmp_path, name, text):
@@ -996,7 +997,7 @@ class TestSupportedRanges:
         assert f"{cfg}:3: invalid mode line: " in capsys.readouterr().err
 
     def test_alpha_bound_edge(self, tmp_path):
-        assert parse_system(parse_config_text(f"[system]\nmode = even {ALPHA_MAX!r} 0\n")).n_modes == 1
+        assert parse_system(parse_config_text(f"[system]\nmode = even {ALPHA_MAX!r} 0\n"))[0].n_modes == 1
         with pytest.raises(ConfigError, match=":2: invalid mode line: cat states require"):
             parse_system(parse_config_text(f"[system]\nmode = odd 0 {ALPHA_MAX * (1 + 1e-15)!r}\n"))
         # in range, but no grid within the node cap resolves its fringes
@@ -1035,7 +1036,7 @@ class TestSupportedRanges:
 
     def test_mode_count_at_bound_accepted(self):
         # one group, however many modes it holds
-        sys_spec = parse_system(parse_config_text(f"[system]\nmode = fock 1 x{N_MAX}\n[frame]\nmu = 1\nnu = 0\n"))
+        sys_spec, _ = parse_system(parse_config_text(f"[system]\nmode = fock 1 x{N_MAX}\n[frame]\nmu = 1\nnu = 0\n"))
         assert sys_spec.groups == (ModeGroup(Fock(1), 1.0, 0.0, N_MAX),)
 
     @pytest.mark.parametrize("n_list", [f"4 {N_MAX + 1}", "67108864"])
@@ -1200,14 +1201,15 @@ class TestSupportedRanges:
     def test_overflowing_sigma2_rejected(self, tmp_path, capsys):
         # hbar in range on a wide frame: each variance is finite, their sum
         # is not.  The config rule on hbar (mu^2 + nu^2) rejects the frame
-        # first; a library caller meets the numerical check
+        # first; a library caller, on the frame sqrt(hbar) mu = 1e154, meets
+        # the numerical check
         cfg = write(tmp_path, "c.cfg", "[system]\nhbar = 1e200\nmode = fock 1 x2\n[frame]\nmu = 1e54\nnu = 0\n")
         out = tmp_path / "o.csv"
         assert main(["cm", "--config", cfg, "--out", str(out)]) == 2
         assert f"{cfg}:6: frame (mu, nu) = (1e+54, 0) at hbar = 1e+200" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(NumericalError, match=r"sigma\^2 = sum Var x overflows"):
-            summed_density(SystemSpec((ModeGroup(Fock(1), 1e54, 0.0, 2),), 1e200))
+            summed_density(SystemSpec((ModeGroup(Fock(1), 1e154, 0.0, 2),)))
 
     # (command, config with hbar or hbar_list {h} and a first frame mu {m},
     # line of the later of mu and nu); the scale hbar (mu^2 + nu^2) must lie in
@@ -1289,7 +1291,7 @@ class TestSupportedRanges:
             assert code == 3 and reached == [MC_MODE_DRAWS_MAX]
 
     def test_sample_sum_mode_draws_bound(self):
-        sys_spec = parse_system(parse_config_text("[system]\nmode = fock 1 x1024\n"))
+        sys_spec, _ = parse_system(parse_config_text("[system]\nmode = fock 1 x1024\n"))
         with pytest.raises(ValueError, match="1024 modes x 1048577 samples exceed"):
             convolution.sample_sum(sys_spec, 2 ** 20 + 1, 0, [])
 

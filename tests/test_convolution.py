@@ -43,17 +43,18 @@ from cmtomo.marginals import (
     variance,
 )
 from cmtomo.states import (FOCK_LEVEL_MAX, N_MAX, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, energy,
-                           fold_hbar, hbar_for_fixed_energy, mode_mean_occupation, unit_frames)
+                           hbar_for_fixed_energy, mode_mean_occupation, unit_frames)
+from conftest import frame_at, system_at
 
 
 def iid_system(mode, N, hbar=1.0, mu=1.0, nu=0.0):
-    """N copies of mode, each measured along mu x + nu p."""
-    return SystemSpec((ModeGroup(mode, mu, nu, N),), hbar)
+    """N copies of mode, each measured along mu x + nu p at hbar."""
+    return system_at((ModeGroup(mode, mu, nu, N),), hbar)
 
 
 def system(modes, hbar, mu=None, nu=None):
-    """A system of modes, on the frames mu, nu (default: each along x)."""
-    return SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes), hbar)
+    """A system of modes at hbar, on the frames mu, nu (default: each along x)."""
+    return system_at(SystemSpec.from_modes(modes, mu or [1.0] * len(modes), nu or [0.0] * len(modes)).groups, hbar)
 
 
 def fft_of(sys):
@@ -245,10 +246,11 @@ def picks_system(picks, hbar):
     return system(tuple(mode for mode, _ in picks), hbar, [f[0] for _, f in picks], [f[1] for _, f in picks])
 
 
-def per_pick(picks, sys, values):
-    """values[g] of each pick's group g: one entry per mode, in pick order."""
+def per_pick(picks, sys, values, hbar=1.0):
+    """values[g] of each pick's group g, sys the picks' system at hbar: one
+    entry per mode, in pick order."""
     index = {(g.mode, (g.mu, g.nu)): i for i, g in enumerate(sys.groups)}
-    return [values[index[pick]] for pick in picks]
+    return [values[index[mode, frame_at(*frame, hbar)]] for mode, frame in picks]
 
 
 class TestMultiplicities:
@@ -294,16 +296,16 @@ class TestMultiplicities:
         assert len(pm) == len(sys.groups)
         for g, m, got in zip(sys.groups, marg, pm):
             assert got.mean == 0.0
-            assert got.var == variance(g.mode, *fold_hbar(g.mu, g.nu, sys.hbar))
+            assert got.var == variance(g.mode, g.mu, g.nu)
             if not isinstance(g.mode, Fock):
                 assert got.abs3 == moments(m).abs3
-        modes = per_pick(picks, sys, pm)
+        modes = per_pick(picks, sys, pm, 0.7)
         var = math.fsum(m.var for m in modes)
         _, sigma2, s_n, _ = summed_density(sys)
         assert sigma2 == pytest.approx(var, rel=1e-14, abs=0)
         assert s_n == pytest.approx(math.fsum(m.abs3 for m in modes) / var ** 1.5, rel=1e-14, abs=0)
-        e = sys.hbar * math.fsum(0.5 + mode_mean_occupation(mode) for mode, _ in picks)
-        assert energy(sys) == pytest.approx(e, rel=1e-14, abs=0)
+        e = 0.7 * math.fsum(0.5 + mode_mean_occupation(mode) for mode, _ in picks)
+        assert energy(sys, 0.7) == pytest.approx(e, rel=1e-14, abs=0)
 
     @settings(max_examples=15, deadline=None)
     @given(counts=MULTISETS, order=st.randoms(use_true_random=False))
@@ -341,7 +343,7 @@ class TestMultiplicities:
         # become 8192, where counts added linearly would give 65,536
         sys = iid_system(Fock(2), 37, hbar=0.3)
         marg = marginals_for_system(sys)
-        half, dx = grid_policy(Fock(2), *fold_hbar(1.0, 0.0, 0.3))
+        half, dx = grid_policy(Fock(2), *frame_at(1.0, 0.0, 0.3))
         grid = common_grid(marg, sys.counts)
         assert marg[0].grid.count == 1024
         assert grid == centered_grid(math.sqrt(37) * half, dx)
@@ -458,8 +460,8 @@ def spectrum_density(spec, grid):
 
 
 def multiset_system(groups, hbar):
-    """The system of (mode, (mu, nu), count) groups."""
-    return SystemSpec(tuple(ModeGroup(mode, *frame, count) for mode, frame, count in groups), hbar)
+    """The system of (mode, (mu, nu), count) groups at hbar."""
+    return system_at(tuple(ModeGroup(mode, *frame, count) for mode, frame, count in groups), hbar)
 
 
 # counts far past the hypothesis test's 64
@@ -478,7 +480,7 @@ class TestClosedFormGrid:
 
     def test_half_widths_add_in_quadrature(self):
         marg = marginals_for_system(MIXED_SYS)
-        halves = [grid_policy(g.mode, *fold_hbar(g.mu, g.nu, MIXED_SYS.hbar))[0] for g in MIXED_SYS.groups]
+        halves = [grid_policy(g.mode, g.mu, g.nu)[0] for g in MIXED_SYS.groups]
         half = math.sqrt(sum(count * h ** 2 for h, count in zip(halves, MIXED_SYS.counts)))
         assert common_grid(marg, MIXED_SYS.counts) == centered_grid(half, min(m.grid.dx for m in marg))
 
@@ -651,7 +653,7 @@ class TestOutputPeriod:
         # twelve groups, four modes each, on their own 32,768-node grid:
         # one set of count-length buffers for the call, not fresh arrays
         # per group
-        sys = SystemSpec(tuple(ModeGroup(Fock(n), 1.0, 0.0, 4) for n in range(12)), 1.0)
+        sys = SystemSpec(tuple(ModeGroup(Fock(n), 1.0, 0.0, 4) for n in range(12)))
         marg = marginals_for_system(sys)
         assert common_grid(marg, sys.counts).count == 32768
         tracemalloc.start()
@@ -843,21 +845,21 @@ class TestCharFunction:
             reach = math.sqrt(2.0 * mode.n + 1.0)
         else:
             reach = math.sqrt(2.0) * abs(mode.alpha)
-        grid = centered_grid((reach + 10.0) * s, grid_policy(mode, *fold_hbar(mu, nu, hbar))[1])
-        values = tomogram(mode, *fold_hbar(mu, nu, hbar), grid.xs)
+        grid = centered_grid((reach + 10.0) * s, grid_policy(mode, *frame_at(mu, nu, hbar))[1])
+        values = tomogram(mode, *frame_at(mu, nu, hbar), grid.xs)
         k_max = (2.0 * reach + 13.0) / s
         # the shift puts a node near k = 0, where a plain Laguerre
         # recurrence loses n^2 eps
         ks = np.linspace(-k_max, k_max, 33) + 0.0123 / s
         want = direct_phase_sum(grid.xs, values * trapezoid_weights(grid), ks, 1.0)
-        got = char_function(mode, *fold_hbar(mu, nu, hbar), ks)
+        got = char_function(mode, *frame_at(mu, nu, hbar), ks)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("hbar", [1.0, 0.3])
     def test_fock_1000_bounded_far_out(self, hbar):
         s = math.sqrt(hbar)
         ks = np.linspace(0.0, 200.0 / s, 4001)
-        got = char_function(Fock(1000), *fold_hbar(1.0, 0.0, hbar), ks)
+        got = char_function(Fock(1000), *frame_at(1.0, 0.0, hbar), ks)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got)) <= 1.0 + 1e-12
         assert got[0] == pytest.approx(1.0, abs=1e-12)
@@ -865,10 +867,10 @@ class TestCharFunction:
     @pytest.mark.parametrize("mu,nu", CF_FRAMES)
     @pytest.mark.parametrize("mode", CF_MODES + (CoherentOdd(0.05), CoherentOdd(0.3), Fock(200)), ids=repr)
     def test_below_floor_past_reach(self, mode, mu, nu):
-        reach = char_function_reach(mode, *fold_hbar(mu, nu, 0.3), 1e-17)
+        reach = char_function_reach(mode, *frame_at(mu, nu, 0.3), 1e-17)
         s = math.sqrt(0.3 * (mu * mu + nu * nu))
         ks = reach + np.linspace(0.0, 40.0 / s, 8001)
-        assert np.max(np.abs(char_function(mode, *fold_hbar(mu, nu, 0.3), ks))) < 1e-17
+        assert np.max(np.abs(char_function(mode, *frame_at(mu, nu, 0.3), ks))) < 1e-17
 
 
 def far_k(sys):
@@ -876,7 +878,7 @@ def far_k(sys):
     out = 0.0
     for g in sys.groups:
         r = math.sqrt(2.0 * g.mode.n + 1.0) if isinstance(g.mode, Fock) else math.sqrt(2.0) * abs(g.mode.alpha)
-        out = max(out, (2.0 * r + 20.0) / math.sqrt(sys.hbar * (g.mu * g.mu + g.nu * g.nu)))
+        out = max(out, (2.0 * r + 20.0) / math.sqrt(g.mu * g.mu + g.nu * g.nu))
     return out
 
 
@@ -1023,9 +1025,10 @@ class TestSampleSum:
         want = sum(moments(m).var for m in marg)
         assert var == pytest.approx(want, rel=0.02)
 
-    # the three-backend audit's systems, on the unit frames cm computes with
+    # the three-backend audit's systems (even_x4 at hbar 0.7), on the unit
+    # frames cm computes with, which hbar does not move
     LARGE_N_SYSTEMS = {
-        "even_x4": iid_system(CoherentEven(1 + 0.5j), 4, hbar=0.7),
+        "even_x4": iid_system(CoherentEven(1 + 0.5j), 4),
         "fock3025": system((Fock(3), Fock(0), Fock(2), Fock(5)), 1.0, [0.6, 1.0, 0.8, 0.0], [0.8, 0.0, 0.6, 1.0]),
         "cats": system((CoherentEven(2.0), CoherentOdd(1.5)), 1.0, [0.0, 1.0], [1.0, 0.0]),
     }
@@ -1037,8 +1040,8 @@ class TestSampleSum:
         # quantile table's CDF error, at most 1/G <= 1/(16 sqrt(n)), is a
         # small share of it
         sys_spec = self.LARGE_N_SYSTEMS[name]
-        groups, _ = unit_frames(sys_spec.groups, sys_spec.hbar)
-        unit = SystemSpec(groups, 1.0)
+        groups, _ = unit_frames(sys_spec.groups, 1.0)
+        unit = SystemSpec(groups)
         marg = marginals_for_system(unit)
         cm = convolve_fft(marg, unit.counts)
         n = 2 ** 22

@@ -140,7 +140,7 @@ def library_ks(family: str, n: int, backend: str) -> tuple:
     """(groups, KS, KS node x*) of N modes cycling a family at hbar = 1:
     backend 1 is the scans' `convolve_cycled`, backend 2 `cf_product`."""
     pattern = FAMILIES[family]
-    sys = SystemSpec.cycled(pattern, n, 1.0)
+    sys = SystemSpec.cycled(pattern, n)
     if backend == "fft":
         ((_, density),) = convolve_cycled(pattern, [n])
     else:

@@ -23,8 +23,8 @@ from cmtomo.marginals import (
     tomogram_oracle,
     variance,
 )
-from cmtomo.states import (ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, ModeGroup, SystemSpec, cat_weight,
-                           fock_expansion, fold_hbar)
+from cmtomo.states import ODD_ALPHA_MIN, CoherentEven, CoherentOdd, Fock, ModeGroup, cat_weight, fock_expansion
+from conftest import frame_at, system_at
 
 SQRT_PI = math.sqrt(math.pi)
 CAT = {"even": CoherentEven, "odd": CoherentOdd}
@@ -91,7 +91,7 @@ class TestFockTomogram:
     def test_level_one_value(self):
         # rho = 1, hbar = 2: (1/sqrt(2)) * 2 y^2 e^{-y^2}/sqrt(pi) at y = 1/sqrt(2)
         want = math.exp(-0.5) / (math.sqrt(2.0) * SQRT_PI)
-        assert tomogram(Fock(1), *fold_hbar(0.6, 0.8, 2.0), 1.0) == pytest.approx(want, rel=1e-12)
+        assert tomogram(Fock(1), *frame_at(0.6, 0.8, 2.0), 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_normalization_level_five(self):
         d = marginal_density(Fock(5), 1.0, 0.0)
@@ -119,7 +119,7 @@ class TestFockTomogram:
         # (1/2, 0) at hbar = 4 folds to the frame (1, 0)
         xs = np.linspace(-5, 5, 101)
         np.testing.assert_allclose(
-            tomogram(Fock(4), *fold_hbar(0.5, 0.0, 4.0), xs),
+            tomogram(Fock(4), *frame_at(0.5, 0.0, 4.0), xs),
             tomogram(Fock(4), 1.0, 0.0, xs),
             rtol=1e-12,
         )
@@ -144,8 +144,8 @@ class TestMoments:
     def test_variance_matches_closed_form(self, n, rho_frame):
         mu, nu = rho_frame
         for hbar in (0.01, 1.0, 10.0):
-            m = moments(marginal_density(Fock(n), *fold_hbar(mu, nu, hbar)))
-            want = variance(Fock(n), *fold_hbar(mu, nu, hbar))
+            m = moments(marginal_density(Fock(n), *frame_at(mu, nu, hbar)))
+            want = variance(Fock(n), *frame_at(mu, nu, hbar))
             assert m.var == pytest.approx(want, rel=1e-8)
             assert abs(m.mean) < 1e-9 * math.sqrt(want)
 
@@ -158,7 +158,7 @@ class TestAbs3:
     @staticmethod
     def fock_abs3(n, mu, nu, hbar):
         """abs3 of the level-n tomogram at (mu, nu), as the CLI forms it."""
-        sys = SystemSpec((ModeGroup(Fock(n), mu, nu),), hbar=hbar)
+        sys = system_at((ModeGroup(Fock(n), mu, nu),), hbar)
         return per_mode_moments(sys, marginals_for_system(sys))[0].abs3
 
     def test_scaling_is_exact(self):
@@ -195,8 +195,8 @@ class TestEvenOddTomogram:
         mu, nu = frame
         for hbar in (1.0, 0.4):
             mode = CAT[parity](alpha)
-            d = marginal_density(mode, *fold_hbar(mu, nu, hbar))
-            o = oracle_marginal(mode, *fold_hbar(mu, nu, hbar))
+            d = marginal_density(mode, *frame_at(mu, nu, hbar))
+            o = oracle_marginal(mode, *frame_at(mu, nu, hbar))
             np.testing.assert_allclose(d.values, o.values, atol=1e-9)
 
     def test_even_cat_interference_zeros_on_nu_axis(self):
@@ -245,8 +245,8 @@ class TestEvenOddTomogram:
         # of the peak, stays below the O(|alpha|^2) departure from |1>
         alpha = ODD_ALPHA_MIN * phase
         mu, nu = frame
-        d = marginal_density(CoherentOdd(alpha), *fold_hbar(mu, nu, hbar))
-        o = oracle_marginal(CoherentOdd(alpha), *fold_hbar(mu, nu, hbar))
+        d = marginal_density(CoherentOdd(alpha), *frame_at(mu, nu, hbar))
+        o = oracle_marginal(CoherentOdd(alpha), *frame_at(mu, nu, hbar))
         assert np.max(np.abs(d.values - o.values)) < 0.55 * abs(alpha) ** 2 * np.max(o.values)
 
     @pytest.mark.parametrize("phase", [1.0, 0.6 + 0.8j])
@@ -257,8 +257,8 @@ class TestEvenOddTomogram:
         # z -> 0; the cancelling |1 - e^{-2z}|^2 erred by 1.03e-11 of the peak here
         alpha = 1e-5 * phase
         mu, nu = frame
-        d = marginal_density(CoherentOdd(alpha), *fold_hbar(mu, nu, hbar))
-        o = oracle_marginal(CoherentOdd(alpha), *fold_hbar(mu, nu, hbar))
+        d = marginal_density(CoherentOdd(alpha), *frame_at(mu, nu, hbar))
+        o = oracle_marginal(CoherentOdd(alpha), *frame_at(mu, nu, hbar))
         assert np.max(np.abs(d.values - o.values)) <= 1e-14 * np.max(o.values)
 
 
@@ -281,7 +281,7 @@ class TestEvenOddLogDomain:
     def test_matches_product_form_where_finite(self, alpha, parity):
         for mu, nu in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.6), (2.0, 1.0)]:
             for hbar in (1.0, 0.4):
-                frame = fold_hbar(mu, nu, hbar)
+                frame = frame_at(mu, nu, hbar)
                 xs = marginal_density(CAT[parity](alpha), *frame).grid.xs
                 want = product_form_cat(alpha, parity, *frame, xs)
                 got = tomogram(CAT[parity](alpha), *frame, xs)
@@ -358,7 +358,7 @@ class TestRealArithmeticCatDensity:
         mode = CAT[parity](alpha)
         for mu, nu in self.FRAMES:
             for hbar in (1e-3, 1.0, 1e3):
-                frame = fold_hbar(mu, nu, hbar)
+                frame = frame_at(mu, nu, hbar)
                 grid = centered_grid(*grid_policy(mode, *frame))
                 if abs(alpha) > 5:
                     # every node's error is formed alike; 8192 of up to 2^18 nodes keep it quick
@@ -434,7 +434,7 @@ class TestCatGridFloor:
         assert half >= max(peak + 8.0 * math.sqrt(0.5), 8.0 * math.sqrt(variance(mode, mu, nu)))
 
     def test_vacuum_cat_keeps_the_vacuum_grid(self):
-        frame = fold_hbar(0.6, 0.8, 0.3)
+        frame = frame_at(0.6, 0.8, 0.3)
         assert grid_policy(CoherentEven(0.0), *frame)[0] == grid_policy(Fock(0), *frame)[0]
 
     @pytest.mark.parametrize("kind", ["even", "odd"])
@@ -449,7 +449,7 @@ class TestCatGridFloor:
             for phase in PIN_PHASES[:3]:
                 for mu, nu in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (3.0, -4.0), (0.01, 0.02)]:
                     for hbar in (1e-150, 1e-3, 1.0, 7.0, 1e150):
-                        d = marginal_density(CAT[kind](size * phase), *fold_hbar(mu, nu, hbar))
+                        d = marginal_density(CAT[kind](size * phase), *frame_at(mu, nu, hbar))
                         worst = max(worst, abs(d.integral - 1.0))
         assert worst <= 1e-14
 
@@ -465,8 +465,8 @@ class TestVarianceClosedForms:
                 mode = CAT[kind](size * phase)
                 for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.28, 0.96)):
                     for hbar in (0.01, 1.0, 7.0):
-                        quad = moments(oracle_marginal(mode, *fold_hbar(mu, nu, hbar))).var
-                        worst = max(worst, abs(variance(mode, *fold_hbar(mu, nu, hbar)) / quad - 1.0))
+                        quad = moments(oracle_marginal(mode, *frame_at(mu, nu, hbar))).var
+                        worst = max(worst, abs(variance(mode, *frame_at(mu, nu, hbar)) / quad - 1.0))
         assert worst <= 1e-12
 
     def test_vacuum_limit_agrees(self):

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import cmtomo
+from cmtomo import clt, convolution, marginals, reconstruct
 
 
 def test_public_names_are_pinned():
@@ -41,11 +43,11 @@ SIGNATURES = {
     "Moments": "(mean: 'float', var: 'float', abs3: 'float') -> None",
     "SampleCounts": ("(grid: 'Grid', n: 'int', at_or_below: 'np.ndarray', below: 'np.ndarray', "
                      "cells: 'np.ndarray') -> None"),
-    "SystemSpec": "(groups: 'tuple', hbar: 'float') -> None",
+    "SystemSpec": "(groups: 'tuple') -> None",
     "cf_product": "(marginals: 'list[MarginalDensity]', counts: 'list[int]') -> 'MarginalDensity'",
     "char_function": "(mode: 'ModeSpec', mu: 'float', nu: 'float', k) -> 'np.ndarray'",
     "convolve_fft": "(marginals: 'list[MarginalDensity]', counts: 'list[int]') -> 'MarginalDensity'",
-    "energy": "(sys: 'SystemSpec') -> 'float'",
+    "energy": "(sys: 'SystemSpec', hbar: 'float') -> 'float'",
     "evenodd_var_closed": "(mode: 'CoherentEven | CoherentOdd', mu: 'float', nu: 'float') -> 'float'",
     "fidelity": "(rho: 'DensityMatrix', psi: 'FockExpansion') -> 'float'",
     "fock_expansion": "(mode: 'ModeSpec', D: 'int | None' = None) -> 'FockExpansion'",
@@ -91,3 +93,18 @@ def test_library_emits_and_silences_no_warning():
             elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
                 found.append(f"{path.name}:{node.lineno} from warnings import")
     assert found == []
+
+
+def test_hbar_stays_out_of_the_compute_path():
+    # every compute function reads its frames at hbar = 1; hbar enters only
+    # where it is physics or a label (unit_frames, energy, the scans, headers)
+    def hbar_params(fn):
+        return "hbar" in inspect.signature(fn).parameters
+
+    found = [f"{module.__name__}.{name}" for module in (convolution, marginals, reconstruct)
+             for name, fn in inspect.getmembers(module, inspect.isfunction)
+             if fn.__module__ == module.__name__ and hbar_params(fn)]
+    found += [f"cmtomo.clt.{fn.__name__}" for fn in (clt.per_mode_moments, clt._sigma2, clt.summed_density)
+              if hbar_params(fn)]
+    assert found == []
+    assert [f.name for f in dataclasses.fields(cmtomo.SystemSpec)] == ["groups"]

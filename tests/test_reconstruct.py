@@ -13,8 +13,8 @@ from cmtomo.marginals import tomogram
 from cmtomo.reconstruct import DensityMatrix, fidelity, reconstruct_single_mode
 from cmtomo.report import quadrature_matrices
 from cmtomo.specialfn import hermite_sq_density_factor, laguerre_gauss_levels
-from cmtomo.states import (CoherentEven, CoherentOdd, Fock, cat_weight, coherent_amplitudes, fock_expansion,
-                           fold_hbar)
+from cmtomo.states import CoherentEven, CoherentOdd, Fock, cat_weight, coherent_amplitudes, fock_expansion
+from conftest import frame_at
 
 
 def set_sizes(monkeypatch, **sizes):
@@ -30,7 +30,7 @@ def tomogram_of(mode):
 
 def tomogram_at(mode, hbar):
     """The tomogram at hbar: the closed form on the frame sqrt(hbar) (mu, nu)."""
-    return lambda X, m, n: tomogram(mode, *fold_hbar(m, n, hbar), X)
+    return lambda X, m, n: tomogram(mode, *frame_at(m, n, hbar), X)
 
 
 def rescaled_to_unit(tomogram, hbar):
@@ -282,7 +282,7 @@ class TestTomogramTables:
             y = math.sqrt(hbar) * half_grid(32)
             xs = np.concatenate([-y[:0:-1], y])
             for mu, nu in [(1.0, 0.0), (0.6, 0.8), (3.0, -4.0), (0.01, 0.02)]:
-                vals = tomogram(mode, *fold_hbar(mu, nu, hbar), xs)
+                vals = tomogram(mode, *frame_at(mu, nu, hbar), xs)
                 assert np.max(vals) > 0.0
                 assert vals.tobytes() == vals[::-1].tobytes(), (hbar, mu, nu)
 

@@ -23,10 +23,10 @@ from cmtomo.states import (
 )
 
 
-def on_x(modes, hbar):
+def on_x(modes):
     """A system of modes, each measured along x."""
     modes = tuple(modes)
-    return SystemSpec.from_modes(modes, [1.0] * len(modes), [0.0] * len(modes), hbar)
+    return SystemSpec.from_modes(modes, [1.0] * len(modes), [0.0] * len(modes))
 
 
 def level_mean(exp):
@@ -60,10 +60,11 @@ class TestSpecs:
 
     def test_system_needs_modes(self):
         with pytest.raises(ValueError):
-            SystemSpec(groups=(), hbar=1.0)
+            SystemSpec(groups=())
 
-    def test_system_needs_positive_hbar(self):
-        with pytest.raises(ValueError):
+    def test_system_takes_no_hbar(self):
+        # hbar is a scalar beside the system, bounded where the config reads it
+        with pytest.raises(TypeError):
             SystemSpec(groups=(ModeGroup(Fock(0), 1.0, 0.0),), hbar=0.0)
 
     @pytest.mark.parametrize("count", [0, -1, 1.5, "2"])
@@ -73,47 +74,47 @@ class TestSpecs:
 
     def test_from_modes_needs_equal_lengths(self):
         with pytest.raises(ValueError, match="same length"):
-            SystemSpec.from_modes((Fock(1), Fock(1)), (1.0, 1.0), (0.0,), 1.0)
+            SystemSpec.from_modes((Fock(1), Fock(1)), (1.0, 1.0), (0.0,))
 
     def test_equal_groups_merge_in_first_appearance_order(self):
         sys = SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 3), ModeGroup(Fock(2), 1, 0),
-                          ModeGroup(Fock(1), 0.6, 0.8), ModeGroup(Fock(1), 1.0, 0.0, 2)), hbar=1.0)
+                          ModeGroup(Fock(1), 0.6, 0.8), ModeGroup(Fock(1), 1.0, 0.0, 2)))
         assert sys.groups == (ModeGroup(Fock(1), 1.0, 0.0, 5), ModeGroup(Fock(2), 1.0, 0.0),
                               ModeGroup(Fock(1), 0.6, 0.8))
         assert sys.counts == [5, 1, 1] and sys.n_modes == 7
-        assert sys == SystemSpec(sys.groups, hbar=1.0)
+        assert sys == SystemSpec(sys.groups)
 
     def test_mode_count_bound(self):
-        assert SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX),), hbar=1.0).n_modes == N_MAX
+        assert SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX),)).n_modes == N_MAX
         with pytest.raises(ValueError, match="N_MAX"):
-            SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX), ModeGroup(Fock(1), 1.0, 0.0)), hbar=1.0)
+            SystemSpec((ModeGroup(Fock(0), 1.0, 0.0, N_MAX), ModeGroup(Fock(1), 1.0, 0.0)))
 
     def test_describe_writes_one_entry_per_group_in_group_order(self):
-        sys = SystemSpec.from_modes((Fock(1), CoherentEven(0.5j), Fock(1)), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0), 0.5)
-        assert sys.describe() == "hbar=0.5; fock 1 x2; even 0 0.5"
+        sys = SystemSpec.from_modes((Fock(1), CoherentEven(0.5j), Fock(1)), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+        assert sys.describe(0.5) == "hbar=0.5; fock 1 x2; even 0 0.5"
         assert sys.describe_frame(0.5, 2.0) == "mu=1 0; nu=0 1; r=0.5; R=2"
 
     @pytest.mark.parametrize("mode", [Fock(FOCK_LEVEL_MAX), CoherentOdd(-0.1 - 0.7j)])
     def test_headers_of_n_max_modes_are_short(self, mode):
-        sys = SystemSpec((ModeGroup(mode, 0.6, 0.8, N_MAX - 1), ModeGroup(Fock(0), -0.6, 0.8)), hbar=1e-5)
+        sys = SystemSpec((ModeGroup(mode, 0.6, 0.8, N_MAX - 1), ModeGroup(Fock(0), -0.6, 0.8)))
         assert sys.n_modes == N_MAX
-        assert len(sys.describe()) < 200
+        assert len(sys.describe(1e-5)) < 200
         assert len(sys.describe_frame(0.5, 2.0)) < 200
 
-    @pytest.mark.parametrize("sys", [
+    @pytest.mark.parametrize("sys, hbar", [
         # a repeated group beside a single mode
-        SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 5), ModeGroup(Fock(3), 1.0, 0.0)), hbar=1e-5),
+        (SystemSpec((ModeGroup(Fock(1), 1.0, 0.0, 5), ModeGroup(Fock(3), 1.0, 0.0))), 1e-5),
         # per-mode frames that split one mode's copies into two groups
-        SystemSpec.from_modes((Fock(2), Fock(2), Fock(2), Fock(0)), (1.0, 0.6, 1.0, 0.1), (0.0, 0.8, 0.0, -3.0),
-                              0.7),
+        (SystemSpec.from_modes((Fock(2), Fock(2), Fock(2), Fock(0)), (1.0, 0.6, 1.0, 0.1), (0.0, 0.8, 0.0, -3.0)),
+         0.7),
         # cats, at every rounding of their parts, on a rotated frame
-        SystemSpec((ModeGroup(CoherentEven(0.1 + 0.2j), 0.3, -1.7, 3), ModeGroup(CoherentOdd(-1e-5), 0.1, 0.2),
-                    ModeGroup(CoherentEven(complex(-0.0, 5.0)), 1 / 3, 2 / 3, N_MAX - 4)), hbar=1 / 3),
+        (SystemSpec((ModeGroup(CoherentEven(0.1 + 0.2j), 0.3, -1.7, 3), ModeGroup(CoherentOdd(-1e-5), 0.1, 0.2),
+                     ModeGroup(CoherentEven(complex(-0.0, 5.0)), 1 / 3, 2 / 3, N_MAX - 4))), 1 / 3),
     ])
-    def test_header_round_trip(self, sys):
+    def test_header_round_trip(self, sys, hbar):
         # each mode entry parses as a config mode line, and pairs with the
         # mu and nu entries at its place
-        hbar_text, *mode_lines = sys.describe().split("; ")
+        hbar_text, *mode_lines = sys.describe(hbar).split("; ")
         mus, nus, r, big_r = sys.describe_frame(0.25, 4.0).split("; ")
         assert (r, big_r) == ("r=0.25", "R=4")
         raw = RawConfig(sections={}, source="<header>")
@@ -122,24 +123,31 @@ class TestSpecs:
                                 strict=True):
             mode, count = _parse_mode(raw, line, 0)
             groups.append(ModeGroup(mode, float(mu), float(nu), count))
-        assert SystemSpec(tuple(groups), float(hbar_text.removeprefix("hbar="))) == sys
+        assert SystemSpec(tuple(groups)) == sys
+        assert float(hbar_text.removeprefix("hbar=")) == hbar
 
 
 class TestEnergy:
     def test_two_fock_modes(self):
-        sys = on_x((Fock(0), Fock(1)), 1.0)
-        assert energy(sys) == pytest.approx(2.0, rel=1e-15)
+        sys = on_x((Fock(0), Fock(1)))
+        assert energy(sys, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_four_fock2_modes(self):
-        sys = on_x((Fock(2),) * 4, 0.5)
-        assert energy(sys) == pytest.approx(5.0, rel=1e-15)
+        sys = on_x((Fock(2),) * 4)
+        assert energy(sys, 0.5) == pytest.approx(5.0, rel=1e-15)
 
     def test_even_cat_energy_against_closed_occupation(self):
         # <n> of the even superposition is |a|^2 tanh(|a|^2)
         alpha = 1.0
-        sys = on_x((CoherentEven(alpha),), 1.0)
+        sys = on_x((CoherentEven(alpha),))
         want = 1.0 * (0.5 + abs(alpha) ** 2 * math.tanh(abs(alpha) ** 2))
-        assert energy(sys) == pytest.approx(want, rel=1e-10)
+        assert energy(sys, 1.0) == pytest.approx(want, rel=1e-10)
+
+    def test_energy_takes_hbar(self):
+        sys = on_x((Fock(2),) * 4)
+        assert energy(sys, 0.5) == 0.5 * energy(sys, 1.0)
+        with pytest.raises(TypeError):
+            energy(sys)
 
     def test_odd_cat_occupation_against_closed_form(self):
         # <n> of the odd superposition is |a|^2 coth(|a|^2)
@@ -161,14 +169,14 @@ class TestFixedEnergy:
 
     def test_round_trip_is_exact(self):
         modes = (Fock(0), Fock(3), Fock(1), Fock(7))
-        hbar = hbar_for_fixed_energy(3.7, on_x(modes, 1.0).groups)
-        assert energy(on_x(modes, hbar)) == pytest.approx(3.7, rel=1e-15)
+        hbar = hbar_for_fixed_energy(3.7, on_x(modes).groups)
+        assert energy(on_x(modes), hbar) == pytest.approx(3.7, rel=1e-15)
 
     def test_round_trip_with_cat_modes(self):
         modes = (Fock(2), CoherentEven(1.0), CoherentOdd(0.8 + 0.6j), Fock(0), CoherentEven(3 - 4j),
                  CoherentOdd(0.05), CoherentEven(0.0))
-        hbar = hbar_for_fixed_energy(10.0, on_x(modes, 1.0).groups)
-        assert energy(on_x(modes, hbar)) == pytest.approx(10.0, rel=0, abs=1e-12)
+        hbar = hbar_for_fixed_energy(10.0, on_x(modes).groups)
+        assert energy(on_x(modes), hbar) == pytest.approx(10.0, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [CoherentEven(1.3 + 0.4j), CoherentOdd(1.3 + 0.4j), CoherentOdd(0.05),
                                       CoherentEven(3.0)])
