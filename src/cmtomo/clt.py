@@ -184,8 +184,8 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
     hbar = E / (N/2 + sum n_i), the unique value holding the total energy at E.
     Each point's density is taken on the pattern's unit frames
     (`unit_frames`), where the groups are the same at every N:
-    `convolve_cycled` builds and transforms each of them once for the
-    whole scan.
+    `convolve_cycled` builds and transforms each of them once per output
+    spacing, and yields each point's system with its density.
     """
     levels = [int(n) for n in modes_schedule]
     pairs = [(float(m), float(n)) for (m, n) in frame_schedule]
@@ -199,8 +199,7 @@ def n_scan(modes_schedule, frame_schedule, E: float, N_list,
             raise ValueError(f"need 0 < r < mu^2+nu^2 < R, got r = {r:.6g}, {rho:.6g}, R = {R:.6g}")
     unit_pattern = unit_frames(pattern, 1.0)[0]
     reports: list = [None] * len(n_values)
-    for i, density in convolve_cycled(unit_pattern, n_values):
-        unit = SystemSpec.cycled(unit_pattern, n_values[i])
+    for i, unit, density in convolve_cycled(unit_pattern, n_values):
         hbar = hbar_for_fixed_energy(E, unit.groups)
         reports[i] = _report_for(unit, hbar, unit_frames(pattern, hbar)[1], r, R, density)
     return reports

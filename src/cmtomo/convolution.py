@@ -60,24 +60,25 @@ def _marginals_on(groups, dx: float):
 
 
 def common_grid(marginals: list[MarginalDensity], counts: list[int]) -> Grid:
-    """Output grid covering the sum: the groups' `grid_policy` half-widths
-    added in quadrature, sqrt(sum count half^2), at the finest marginal spacing.
+    """Output grid covering the sum: `_sum_grid` of the groups the
+    marginals record, counts[i] copies of marginals[i].
 
-    Each backend takes its grid from here, and `convolve_cycled` from the
-    same rule on its points' groups; nothing else chooses one.  It
-    reads closed forms, no grid moment; every mode is a parity eigenstate,
-    so the sum's mean is zero.  Marginals from `marginals_for_system`
-    share this spacing, so their nodes are output nodes.
+    Each backend takes its grid from here, and each `convolve_cycled`
+    point from `_sum_grid` on its own groups; nothing else chooses one.
     """
     if not marginals:
         raise ValueError("need at least one marginal")
-    return _sum_grid([grid_policy(*_mode_args(m))[0] for m in marginals], counts,
-                     min(m.grid.dx for m in marginals))
+    return _sum_grid([ModeGroup(*_mode_args(m), count) for m, count in zip(marginals, counts, strict=True)])
 
 
-def _sum_grid(halves: list[float], counts: list[int], dx: float) -> Grid:
-    """The grid of spacing dx over the half-widths added in quadrature, count times each."""
-    return centered_grid(math.sqrt(sum(count * half ** 2 for half, count in zip(halves, counts, strict=True))), dx)
+def _sum_grid(groups) -> Grid:
+    """The groups' `grid_policy` half-widths added in quadrature,
+    sqrt(sum count half^2), at their finest policy spacing, the one
+    `marginals_for_system` builds on.  It reads closed forms, no grid
+    moment; every mode is a parity eigenstate, so the sum's mean is zero."""
+    policies = [grid_policy(g.mode, g.mu, g.nu) for g in groups]
+    return centered_grid(math.sqrt(sum(g.count * half ** 2 for g, (half, _) in zip(groups, policies))),
+                         min(dx for _, dx in policies))
 
 
 def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
@@ -109,86 +110,81 @@ def _raise_to(f: np.ndarray, count: int) -> np.ndarray:
 
 
 def convolve_fft(marginals: list[MarginalDensity], counts: list[int]) -> MarginalDensity:
-    """Spectral convolution of counts[i] copies of each marginals[i] on `common_grid`'s grid.
+    """Backend one: counts[i] copies of each marginals[i] convolved on
+    `common_grid`'s grid, the one-point case of `_fft_points`.
 
     Each marginal must share the output grid's spacing, as those of
     `marginals_for_system` do, and another spacing raises ValueError.
-    It is copied by index onto the output nodes in ifftshift order (the
-    node x = 0 first) and transformed by one rfft of length count, so
-    the sum is periodized over the output grid's own period count dx;
-    the grid covers +- 8 sigma of the sum, so the wrap-around folds back
-    no more than it leaves out.  Its spectrum is real
-    (`_spectrum_products`) and scaled by dx, so every factor is a
-    discrete characteristic function bounded near one, and raised to its
-    count in real arithmetic (`_raise_to`), so the product cannot
-    overflow at any N.  The cost is two slice copies and one rfft of
-    length count per marginal, whatever the number of modes, through
-    one real and one complex buffer per call.  `_inverse` takes the
-    product back, failing on more than 1e-9 of clamped mass.
     """
     grid = common_grid(marginals, counts)
-    for product in _spectrum_products(marginals, counts, grid):
-        pass
-    return _inverse(product, grid, 1e-9)
+    (density,) = _fft_points(marginals, counts, grid, [(1, 0, grid)])
+    return density
 
 
 def convolve_cycled(pattern: list[ModeGroup], n_list: list[int]):
     """`convolve_fft` of each system `SystemSpec.cycled(pattern, N)`,
-    N in n_list, on the pattern's frames as given, building and
-    transforming each pattern group once per pass, not once per N.
-    Yields (i, density of N = n_list[i]) one point at a time, in pass
-    order, so no caller holds every density.
+    N in n_list, on the pattern's frames as given.  Yields (i, system,
+    density) for N = n_list[i] one point at a time, in pass order, so no
+    caller holds every density.
 
-    With P pattern groups, N modes hold q = N // P copies of every group
-    and one more of the first r = N % P, so the spectrum product is
-    F^q F_r, where F_r is the product of the first r groups' spectra and
-    F = F_P.  The points that share one output spacing dx share a pass:
-    it places and transforms the groups in pattern order on the lattice
-    of the widest of their output grids, count C, keeps the running
-    product (`_spectrum_products`) and copies it at each r a point
-    needs.  A point whose groups set another spacing (N < P, without
-    the finest group) takes its own pass.  Every count is a power of
-    two, so a point of count c reads the spectra at stride C/c: the DFT
-    of length c of each marginal periodized over c dx, where
-    `convolve_fft` leaves out the marginal's nodes past the point's
-    grid.  Either way those nodes lie past the marginal's policy
-    half-width, so the two agree to rounding.  Each point is inverted
-    on its own grid (`_inverse`).  A pass holds one running product
-    and one copy per remainder needed, whatever P.
+    A point's grid is `_sum_grid` of its system's groups.  N modes hold
+    q = N // P copies of each of the P pattern groups and one more of
+    the first r = N % P.  The points of one output spacing share one
+    `_fft_points` pass over the first min(P, max N) groups; a point
+    whose groups set another spacing (N < P, without the finest group)
+    takes its own.
     """
     period = len(pattern)
-    grids = []
-    for n in n_list:
-        sys = SystemSpec.cycled(pattern, n)
-        policies = [grid_policy(g.mode, g.mu, g.nu) for g in sys.groups]
-        grids.append(_sum_grid([half for half, _ in policies], sys.counts, min(dx for _, dx in policies)))
+    systems = [SystemSpec.cycled(pattern, n) for n in n_list]
+    grids = [_sum_grid(sys.groups) for sys in systems]
     for dx in dict.fromkeys(g.dx for g in grids):
         members = [i for i, g in enumerate(grids) if g.dx == dx]
-        splits = {i: divmod(n_list[i], period) for i in members}
-        length = period if any(q for q, _ in splits.values()) else max(r for _, r in splits.values())
+        length = min(period, max(n_list[i] for i in members))
         lattice = Grid(dx, max(grids[i].count for i in members))
-        needed = {r for _, r in splits.values()}
-        prefixes = {}
-        for r, product in enumerate(_spectrum_products(_marginals_on(pattern[:length], dx), [1] * length,
-                                                       lattice), start=1):
-            if r in needed and r < length:
-                prefixes[r] = product.copy()
-        prefixes[length] = product
-        # the last point to raise F at full stride raises it in place, so a
-        # one-point scan holds F once, as convolve_fft holds its product
-        raising = sum(1 for q, _ in splits.values() if q)
-        for i in members:
-            q, r = splits[i]
-            step = lattice.count // grids[i].count
-            if q:
-                raising -= 1
-                full = prefixes[period][::step]
-                spec = _raise_to(full if raising == 0 and step == 1 else full.copy(), q)
-                if r:
-                    spec *= prefixes[r][::step]
-            else:
-                spec = prefixes[r][::step]
-            yield i, _inverse(spec, grids[i], 1e-9)
+        points = [(*divmod(n_list[i], length), grids[i]) for i in members]
+        densities = _fft_points(_marginals_on(pattern[:length], dx), [1] * length, lattice, points)
+        for i, density in zip(members, densities):
+            yield i, systems[i], density
+
+
+def _fft_points(marginals, counts: list[int], lattice: Grid, points):
+    """Backend one: the density of each point (q, r, grid), in point
+    order, of q copies of the whole product, counts[i] copies of each
+    marginals[i], times one more of the first r marginals, on grid.
+
+    The marginals are placed and transformed once, on the lattice
+    (`_spectrum_products`), which periodizes each over its extent; a
+    grid covers +- 8 sigma of its sum, so the wrap-around folds back no
+    more than it leaves out.  The running product F_r is copied at each
+    remainder r a point needs, and the full product F raised to q
+    (`_raise_to`: no product overflows at any N), in place by the last
+    point to raise it if it reads F at full stride, so one point holds F
+    once.  Every count is a power of two, so a point of count c reads
+    the spectra at stride C/c of the lattice's count C: the DFT of each
+    marginal periodized over c dx, where the point's own lattice leaves
+    out the marginal's nodes past its grid.  Those nodes lie past the
+    marginal's policy half-width, so the two agree to rounding.
+    `_inverse` takes each point back on its grid, failing on more than
+    1e-9 of clamped mass.  A pass holds one running product and one
+    copy per remainder needed, whatever the number of marginals.
+    """
+    needed = {r for _, r, _ in points}
+    prefixes = {}
+    for r, product in enumerate(_spectrum_products(marginals, counts, lattice), start=1):
+        if r in needed:
+            prefixes[r] = product.copy()
+    raising = sum(1 for q, _, _ in points if q)
+    for q, r, grid in points:
+        step = lattice.count // grid.count
+        if q:
+            raising -= 1
+            full = product[::step]
+            spec = _raise_to(full if raising == 0 and step == 1 else full.copy(), q)
+            if r:
+                spec *= prefixes[r][::step]
+        else:
+            spec = prefixes[r][::step]
+        yield _inverse(spec, grid, 1e-9)
 
 
 def _spectrum_products(marginals, counts: list[int], grid: Grid):

@@ -3,7 +3,8 @@
 bench/tracing.py wraps cmtomo functions by module and name and reads
 sizes off their arguments and results; a rename or a changed argument
 shape breaks the traced benchmark passes.  This drives five commands
-through the installed tracer and checks every per-layer metric.
+through the installed tracer, checks every per-layer metric, and runs
+them again untraced for the same bytes.
 """
 
 import importlib.util
@@ -45,6 +46,11 @@ def test_traced_commands_give_finite_layer_metrics(tmp_path):
             assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.csv"), *flags]) == 0
     finally:
         tracer.uninstall()
+    # tracing never changes an output byte
+    for command, _, flags in runs:
+        out = tmp_path / f"{command}.untraced.csv"
+        assert cli.main([command, "--config", str(tmp_path / f"{command}.cfg"), "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == (tmp_path / f"{command}.csv").read_bytes(), command
     metrics = tracing.layer_metrics(tracer.spans)
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     # every layer the five commands pass through left a span with its sizes

@@ -341,7 +341,7 @@ class TestScansAtUnitHbar:
 
         monkeypatch.setattr(convolution, "_spectrum_products", spy)
         n_list = [13, 1, 4, 6, 9, 2]
-        order, got = zip(*convolve_cycled(self.PATTERN, n_list))
+        order, _, got = zip(*convolve_cycled(self.PATTERN, n_list))
         monkeypatch.undo()
         # the first pass takes every point of the fine spacing, in n_list order
         assert order == (0, 2, 3, 4, 5, 1)
@@ -354,6 +354,12 @@ class TestScansAtUnitHbar:
             want = convolve_fft(marginals_for_system(sys), sys.counts)
             assert d.grid == want.grid
             assert np.max(np.abs(d.values - want.values)) <= 4e-15 * np.max(want.values)
+        # a point alone in its pass with N <= P is convolve_fft's one point, bit for bit
+        for N in range(1, len(self.PATTERN) + 1):
+            ((i, sys, d),) = convolve_cycled(self.PATTERN, [N])
+            assert i == 0 and sys == SystemSpec.cycled(self.PATTERN, N)
+            want = convolve_fft(marginals_for_system(sys), sys.counts)
+            assert d.grid == want.grid and d.values.tobytes() == want.values.tobytes(), N
 
     def test_scan_points_in_any_order(self):
         levels, frames = [2, 0, 1], [(1.0, 0.0), (0.6, 0.8)]
@@ -386,12 +392,22 @@ class TestScansAtUnitHbar:
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 1, 2, 0)])
     @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
     def test_benchmark_grids_unchanged(self, monkeypatch, order, theta):
-        # the benchmark's mixed and single-level scans at every angle it draws
+        # the benchmark's mixed and single-level scans at every angle it draws,
+        # each in one pass: no point takes a pass of its own spacing
         frames = [(math.sqrt(rho) * math.cos(theta), math.sqrt(rho) * math.sin(theta)) for rho in (0.6, 1.0, 1.5)]
-        seen, own = self.own_hbar_counts(list(order), frames, [4, 8, 16, 32, 64], monkeypatch)
-        assert seen == own
-        seen, own = self.own_hbar_counts([1], frames[1:2], [4, 8, 16, 32, 64, 128], monkeypatch)
-        assert seen == own
+        original = convolution._spectrum_products
+        for levels, scan_frames, n_list in ((list(order), frames, [4, 8, 16, 32, 64]),
+                                            ([1], frames[1:2], [4, 8, 16, 32, 64, 128])):
+            passes = []
+
+            def spy(marginals, counts, grid):
+                passes.append(grid)
+                return original(marginals, counts, grid)
+
+            monkeypatch.setattr(convolution, "_spectrum_products", spy)
+            seen, own = self.own_hbar_counts(levels, scan_frames, n_list, monkeypatch)
+            assert seen == own
+            assert len(passes) == 1
 
     def test_random_frame_grids_unchanged(self, monkeypatch):
         # TestClosedFormGrid's frames: the count at the unit hbar is the one

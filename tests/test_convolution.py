@@ -683,7 +683,7 @@ class TestConvolveCycled:
         for pattern in ([ModeGroup(Fock(3), 1.0, 0.0)], [ModeGroup(Fock(3), mu, nu) for mu, nu in self.FRAMES]):
             tracemalloc.start()
             try:
-                ((_, d),) = convolve_cycled(pattern, [4096])
+                ((_, _, d),) = convolve_cycled(pattern, [4096])
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -142,7 +142,7 @@ def library_ks(family: str, n: int, backend: str) -> tuple:
     pattern = FAMILIES[family]
     sys = SystemSpec.cycled(pattern, n)
     if backend == "fft":
-        ((_, density),) = convolve_cycled(pattern, [n])
+        ((_, _, density),) = convolve_cycled(pattern, [n])
     else:
         density = cf_product(marginals_for_system(sys), sys.counts)
     sigma2 = float(sum(g.count * variance(g.mode, g.mu, g.nu) for g in sys.groups))
